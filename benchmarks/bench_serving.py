@@ -204,60 +204,6 @@ def _count_files(root: str) -> int:
     return sum(len(files) for _, _, files in os.walk(root))
 
 
-def _tree_bytes(root: str) -> dict:
-    out = {}
-    for dirpath, _, names in os.walk(root):
-        for name in names:
-            p = os.path.join(dirpath, name)
-            with open(p, "rb") as fh:
-                out[os.path.relpath(p, root)] = fh.read()
-    return out
-
-
-def _packed_write_parallel(
-    workdir: str, n_store: int, packed_dir: str, serial_s: float
-):
-    """Repeat the packed write with REPRO_PARALLEL pool group encoding.
-
-    The PackEncoder contract (repro.graph.parallel) is byte-identity —
-    asserted here against the serial output at storage-layer scale —
-    so the only thing this measures is wall-clock.  Returns None when
-    the parallel tier is unavailable (pure-python install).
-    """
-    try:
-        from repro.graph.parallel import reset_parallel_choice
-    except ImportError:
-        return None
-    par_dir = os.path.join(workdir, "packed-parallel")
-    workers = min(8, max(2, os.cpu_count() or 1))
-    old = os.environ.get("REPRO_PARALLEL")
-    os.environ["REPRO_PARALLEL"] = str(workers)
-    reset_parallel_choice()
-    try:
-        t0 = time.perf_counter()
-        write_shard_records(
-            _synthetic_records(n_store), par_dir,
-            identity=_IDENTITY, packed=True,
-        )
-        parallel_s = time.perf_counter() - t0
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_PARALLEL", None)
-        else:
-            os.environ["REPRO_PARALLEL"] = old
-        reset_parallel_choice()
-    assert _tree_bytes(par_dir) == _tree_bytes(packed_dir), (
-        "parallel pack encoding changed bytes"
-    )
-    return {
-        "workers": workers,
-        "serial_s": round(serial_s, 3),
-        "parallel_s": round(parallel_s, 3),
-        "speedup": round(serial_s / parallel_s, 2) if parallel_s else None,
-        "byte_identical": True,
-    }
-
-
 _IDENTITY = {
     "spec": SCHEME, "scheme": "Stretch5PlusScheme",
     "name": "synthetic thm11-shaped", "seed": 0,
@@ -284,9 +230,6 @@ def run_serving_packed(
             identity=_IDENTITY, packed=True,
         )
         packed_write_s = time.perf_counter() - t0
-        parallel_write = _packed_write_parallel(
-            workdir, n_store, packed_dir, packed_write_s
-        )
 
         v1_files = _count_files(v1_dir)
         packed_files = _count_files(packed_dir)
@@ -387,25 +330,13 @@ def run_serving_packed(
             "packed_hops_per_sec": round(packed_hps, 0),
             "groups_mapped_for_workload": s2["groups_mapped"],
             "header_bytes_for_workload": header_bytes_workload,
-            "packed_write_parallel": parallel_write,
         }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
 def _packed_report_lines(out: dict) -> list:
-    par = out.get("packed_write_parallel")
-    par_line = (
-        "parallel packed write: tier unavailable"
-        if par is None
-        else (
-            f"parallel packed write ({par['workers']} workers): "
-            f"{par['parallel_s']:.1f}s vs serial {par['serial_s']:.1f}s "
-            f"({par['speedup']}x, byte-identical)"
-        )
-    )
     return [
-        par_line,
         f"packed store n={out['n_store']}: {out['packed_files']} files vs "
         f"{out['v1_files']} per-file => {out['file_ratio']}x fewer "
         f"(write {out['packed_write_s']:.1f}s vs {out['v1_write_s']:.1f}s; "

@@ -71,8 +71,6 @@ __all__ = [
     "SharedCSR",
     "ParallelEngine",
     "engine_for",
-    "PackEncoder",
-    "pack_encoder",
 ]
 
 
@@ -374,14 +372,6 @@ def _task_pred_rows(
     return csr._spt_pred_rows(roots)
 
 
-def _task_encode_pack(
-    entries: List[Tuple[int, bytes]], checksums: bool
-) -> bytes:
-    from ..routing.shard_codec import encode_pack
-
-    return encode_pack(entries, checksums=checksums)
-
-
 def _task_pid() -> int:
     """Test hook: the worker's pid (so a test can SIGKILL it)."""
     return os.getpid()
@@ -623,76 +613,6 @@ def engine_for(
     csr._parallel = engine
     weakref.finalize(csr, engine._shared.close)
     return engine
-
-
-# ----------------------------------------------------------------------
-# Pipelined pack-group encoding (the serving shard-write path)
-# ----------------------------------------------------------------------
-class PackEncoder:
-    """FIFO pool encoding of pack groups, byte-identical to serial.
-
-    ``encode_pack`` is a pure function of ``(entries, checksums)``, so
-    farming groups out changes only wall-clock, never bytes.  The queue
-    window bounds how many groups' entries are held in memory; a broken
-    pool falls back to in-parent encoding for the affected group and
-    respawns for the next, so a crash costs throughput, not output.
-    """
-
-    def __init__(self, workers: int, *, window: Optional[int] = None) -> None:
-        self.workers = workers
-        self._window = window if window is not None else 2 * workers
-        self._queue: "deque[Tuple[int, Any, Any, bool]]" = deque()
-
-    def submit(
-        self, group: int, entries: List[Tuple[int, bytes]], checksums: bool
-    ) -> None:
-        try:
-            ex = _POOL.executor(self.workers)
-            fut: Any = ex.submit(_task_encode_pack, entries, checksums)
-        except BrokenProcessPool:
-            _POOL.discard()
-            _note_respawn()
-            fut = None
-        self._queue.append((group, fut, entries, checksums))
-
-    def ready(self) -> Iterator[Tuple[int, bytes]]:
-        """``(group, pack)`` for every group that can pop without waiting
-        (plus blocking pops once the window overflows)."""
-        while self._queue and (
-            len(self._queue) > self._window
-            or self._queue[0][1] is None
-            or self._queue[0][1].done()
-        ):
-            yield self._pop()
-
-    def drain(self) -> Iterator[Tuple[int, bytes]]:
-        """Pop every remaining group, in submission order."""
-        while self._queue:
-            yield self._pop()
-
-    def _pop(self) -> Tuple[int, bytes]:
-        group, fut, entries, checksums = self._queue.popleft()
-        if fut is not None:
-            try:
-                return group, fut.result()
-            except BrokenProcessPool:
-                _POOL.discard()
-                _note_respawn()
-        # In-parent fallback: same pure function, same bytes.
-        from ..routing.shard_codec import encode_pack
-
-        return group, encode_pack(entries, checksums=checksums)
-
-    def close(self) -> None:
-        self._queue.clear()
-
-
-def pack_encoder() -> Optional[PackEncoder]:
-    """A :class:`PackEncoder` when the tier is on, else ``None``."""
-    workers = parallel_workers()
-    if workers < 2:
-        return None
-    return PackEncoder(workers)
 
 
 def _shutdown() -> None:

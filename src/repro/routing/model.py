@@ -201,8 +201,9 @@ def aggregate_scheme_stats(
     table_words = []
     breakdown_max: Dict[str, int] = {}
     for table in tables:
-        table_words.append(table.total_words())
-        for cat, w in table.words_by_category().items():
+        by_category = table.words_by_category()
+        table_words.append(sum(by_category.values()))
+        for cat, w in by_category.items():
             breakdown_max[cat] = max(breakdown_max.get(cat, 0), w)
     label_words = [words_of(label) for label in labels]
     denom = max(n, 1)

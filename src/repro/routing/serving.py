@@ -56,10 +56,12 @@ import shutil
 import time
 import zlib
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    IO,
     Dict,
     Iterable,
     Iterator,
@@ -81,7 +83,7 @@ from .shard_codec import (
     ShardCodecError,
     check_pack,
     decode_node_table_fast,
-    encode_node_table,
+    _encode_record,
     encode_pack,
     find_pack_entry,
     parse_pack_header,
@@ -247,6 +249,22 @@ def replica_root(root: str, r: int) -> str:
     return os.path.join(root, "replica", str(r))
 
 
+@contextmanager
+def _atomic_file(target: str, mode: str = "wb") -> Iterator[IO[Any]]:
+    """Write ``target`` via a tmp sibling and ``os.replace``: it appears
+    whole or not at all, and a failed write removes the tmp (operators
+    should never wonder whether a half-written .tmp is load-bearing)."""
+    tmp = f"{target}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _clear_stale_layouts(path: str) -> None:
     # A previous, larger or differently-packed layout would leave orphan
     # shards the new manifest cannot reach — and the directory's on-disk
@@ -277,10 +295,8 @@ def _write_per_file(
         if leaf not in made_dirs:
             os.makedirs(leaf, exist_ok=True)
             made_dirs.add(leaf)
-        tmp = f"{target}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
+        with _atomic_file(target) as fh:
             fh.write(blob)
-        os.replace(tmp, target)
         count += 1
     return {
         "version": FORMAT_VERSION,
@@ -325,61 +341,32 @@ def _write_packed(
         os.makedirs(os.path.join(root, "groups"), exist_ok=True)
     groups_written = 0
 
-    # Groups are independent and encode_pack is a pure function of
-    # (entries, checksums), so under REPRO_PARALLEL the encoding farms
-    # out to the shared worker pool — FIFO, windowed, byte-identical
-    # output; see repro.graph.parallel.PackEncoder.  The graph tier is
-    # optional (pure-python installs have no numpy), hence the gate.
-    try:
-        from ..graph.parallel import pack_encoder
-    except ImportError:
-        encoder = None
-    else:
-        encoder = pack_encoder()
-
-    def write(g: int, pack: bytes) -> None:
+    def flush(g: int, entries: List[Tuple[int, bytes]]) -> None:
         nonlocal groups_written
+        pack = encode_pack(entries, checksums=checksums)
         for root in roots:
-            target = group_path(root, g)
-            tmp = f"{target}.tmp.{os.getpid()}"
-            with open(tmp, "wb") as fh:
+            with _atomic_file(group_path(root, g)) as fh:
                 fh.write(pack)
-            os.replace(tmp, target)
         groups_written += 1
 
-    def flush(g: int, entries: List[Tuple[int, bytes]]) -> None:
-        if encoder is not None:
-            encoder.submit(g, entries, checksums)
-            for done_g, pack in encoder.ready():
-                write(done_g, pack)
-        else:
-            write(g, encode_pack(entries, checksums=checksums))
-
-    try:
-        current: Optional[int] = None
-        entries: List[Tuple[int, bytes]] = []
-        for v, blob in blobs:
-            g = v // group_size
-            if current is None:
-                current = g
-            elif g != current:
-                if g < current:
-                    raise ValueError(
-                        f"packed layout needs records in nondecreasing "
-                        f"group order; got group {g} after {current} "
-                        f"(vertex {v})"
-                    )
-                flush(current, entries)
-                current, entries = g, []
-            entries.append((v, blob))
-        if current is not None:
+    current: Optional[int] = None
+    entries: List[Tuple[int, bytes]] = []
+    for v, blob in blobs:
+        g = v // group_size
+        if current is None:
+            current = g
+        elif g != current:
+            if g < current:
+                raise ValueError(
+                    f"packed layout needs records in nondecreasing "
+                    f"group order; got group {g} after {current} "
+                    f"(vertex {v})"
+                )
             flush(current, entries)
-        if encoder is not None:
-            for done_g, pack in encoder.drain():
-                write(done_g, pack)
-    finally:
-        if encoder is not None:
-            encoder.close()
+            current, entries = g, []
+        entries.append((v, blob))
+    if current is not None:
+        flush(current, entries)
     return {
         "version": (
             CHECKSUM_FORMAT_VERSION if checksums else PACKED_FORMAT_VERSION
@@ -421,6 +408,26 @@ def write_shard_records(
     packs.  ``replicas=R > 1`` (packed + checksummed only) lands every
     group on R replica paths for :class:`ReplicatedShardStore` failover.
     """
+    manifest = _write_unpublished(
+        records, path, identity, packed, fanout, group_size, checksums,
+        replicas,
+    )
+    _publish_manifest(path, manifest)
+    return manifest
+
+
+def _write_unpublished(
+    records: Iterable[NodeTable],
+    path: str,
+    identity: Dict[str, Any],
+    packed: bool,
+    fanout: int,
+    group_size: int,
+    checksums: bool,
+    replicas: int,
+) -> Dict[str, Any]:
+    """Write the shards and return the manifest dict, unpublished (the
+    encoding pass also counts each record's table words)."""
     if replicas > 1 and not packed:
         raise ValueError("replicas > 1 requires packed=True")
     os.makedirs(path, exist_ok=True)
@@ -429,11 +436,10 @@ def write_shard_records(
 
     def encoded() -> Iterator[Tuple[int, bytes]]:
         for record in records:
-            blob = encode_node_table(record)
+            blob, words = _encode_record(record)
             stats["n"] += 1
             stats["bytes"] += len(blob)
             stats["max_bytes"] = max(stats["max_bytes"], len(blob))
-            words = record.table_words()
             stats["words"] += words
             stats["max_words"] = max(stats["max_words"], words)
             yield record.owner, blob
@@ -461,21 +467,14 @@ def write_shard_records(
     }
     manifest.update(layout)
     manifest.update(identity)
-    # tmp + os.replace: the manifest appears atomically or not at all —
-    # and a crash mid-dump must not leave the tmp file behind either
-    # (operators sweeping a shard fleet should never wonder whether a
-    # half-written .tmp is load-bearing).
-    tmp = os.path.join(path, f"{MANIFEST_NAME}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, os.path.join(path, MANIFEST_NAME))
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
     return manifest
+
+
+def _publish_manifest(path: str, manifest: Dict[str, Any]) -> None:
+    """Land ``manifest.json`` — the file every reader gates on — last."""
+    with _atomic_file(os.path.join(path, MANIFEST_NAME), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_shards(
@@ -500,19 +499,11 @@ def write_shards(
     reverts to the legacy v2 packs) and optionally replicated
     (``replicas=R`` places every group on R replica paths for
     :class:`ReplicatedShardStore` failover).  Returns the manifest
-    dict.  The manifest's word totals are asserted against the scheme's
-    own :class:`SchemeStats` — byte accounting that silently drifted
-    from the word accounting would invalidate every size table we
-    report.
+    dict.  Before the manifest is published, the word total counted
+    while encoding is checked against :class:`SchemeStats` (counted
+    apart, with ``words_of``): on drift, :class:`ShardAccountingError`
+    is raised and the directory stays "not a shard dir".
     """
-    records = scheme.compile_tables()
-    stats = scheme.stats()
-    total_words = sum(r.table_words() for r in records)
-    if total_words != stats.total_table_words:
-        raise ShardAccountingError(
-            f"compiled shards hold {total_words} table words, scheme "
-            f"reports {stats.total_table_words} — accounting drift"
-        )
     identity = {
         "spec": spec_name,
         # LocalRouter re-exports carry the original scheme class through
@@ -525,16 +516,19 @@ def write_shards(
         "params": dict(params or {}),
         "routing_params": scheme.routing_params(),
     }
-    return write_shard_records(
-        records,
-        path,
-        identity=identity,
-        packed=packed,
-        fanout=fanout,
-        group_size=group_size,
-        checksums=checksums,
-        replicas=replicas,
+    manifest = _write_unpublished(
+        scheme.compile_tables(), path, identity, packed, fanout,
+        group_size, checksums, replicas,
     )
+    total_words = manifest["words"]["total_table_words"]
+    stats = scheme.stats()
+    if total_words != stats.total_table_words:
+        raise ShardAccountingError(
+            f"compiled shards hold {total_words} table words, scheme "
+            f"reports {stats.total_table_words} — accounting drift"
+        )
+    _publish_manifest(path, manifest)
+    return manifest
 
 
 def is_shard_dir(path: str) -> bool:
@@ -1390,10 +1384,8 @@ class ReplicatedShardStore(_ShardStoreBase):
                         os.makedirs(
                             os.path.dirname(target), exist_ok=True
                         )
-                        tmp = target + ".tmp"
-                        with open(tmp, "wb") as fh:
+                        with _atomic_file(target) as fh:
                             fh.write(blob)
-                        os.replace(tmp, target)
                         repaired += 1
                         self.repairs += 1
                 # every copy of g is now healthy on disk: lift the

@@ -65,12 +65,14 @@ per-file shard dirs) still load unchanged.
 
 Size accounting
 ---------------
-``encoded_size`` reports the exact byte cost of a record.  The shard
-tests reconcile this against the word accounting of
-:class:`~repro.routing.model.SizedTable`/``SchemeStats``: decoded shards
-must reproduce the exact per-vertex word counts, and the bytes-per-word
-ratio is recorded in the shard manifest so the benchmark tables can show
-real on-disk cost next to the paper's word bounds.
+``encoded_size`` reports the exact byte cost of a record.  The encoding
+pass also counts the record's table words by the rules of
+:func:`~repro.routing.model.words_of`; the shard manifest's word totals
+come from that count.  The shard tests reconcile this against the word
+accounting of :class:`~repro.routing.model.SizedTable`/``SchemeStats``:
+decoded shards must reproduce the exact per-vertex word counts, and the
+bytes-per-word ratio is recorded in the shard manifest so the benchmark
+tables can show real on-disk cost next to the paper's word bounds.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from __future__ import annotations
 import struct
 import threading
 import zlib
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .tables import NodeTable
 
@@ -157,21 +159,17 @@ class ChecksumError(ShardCodecError):
 _UVARINT_LIMIT = 1 << 77
 
 
-def _write_uvarint(out: List[bytes], value: int) -> None:
+def _put_uvarint(out: bytearray, value: int) -> None:
     if value < 0:
         raise ShardCodecError(f"uvarint cannot encode {value}")
     if value >= _UVARINT_LIMIT:
         raise ShardCodecError(
             f"int {value} exceeds the codec's 77-bit varint range"
         )
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.append(bytes((byte | 0x80,)))
-        else:
-            out.append(bytes((byte,)))
-            return
+    out.append(value)
 
 
 def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
@@ -190,11 +188,6 @@ def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
             raise ShardCodecError("varint too long")
 
 
-def _write_svarint(out: List[bytes], value: int) -> None:
-    # zigzag: non-negative -> even, negative -> odd
-    _write_uvarint(out, value << 1 if value >= 0 else ((-value) << 1) - 1)
-
-
 def _read_svarint(data: bytes, pos: int) -> Tuple[int, int]:
     raw, pos = _read_uvarint(data, pos)
     return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), pos
@@ -203,44 +196,54 @@ def _read_svarint(data: bytes, pos: int) -> Tuple[int, int]:
 # ----------------------------------------------------------------------
 # values
 # ----------------------------------------------------------------------
-def _write_value(out: List[bytes], value: Any) -> None:
+def _put_value(out: bytearray, value: Any) -> int:
+    """Append ``value``'s tagged encoding to ``out``; return its word
+    count (the rules of :func:`repro.routing.model.words_of`)."""
     if value is None:
-        out.append(bytes((_T_NONE,)))
-    elif value is True:
-        out.append(bytes((_T_TRUE,)))
-    elif value is False:
-        out.append(bytes((_T_FALSE,)))
-    elif isinstance(value, int):
-        out.append(bytes((_T_INT,)))
-        _write_svarint(out, value)
-    elif isinstance(value, float):
-        out.append(bytes((_T_FLOAT,)))
-        out.append(_DOUBLE.pack(value))
-    elif isinstance(value, str):
+        out.append(_T_NONE)
+        return 0
+    if value is True or value is False:
+        out.append(_T_TRUE if value else _T_FALSE)
+        return 0
+    if isinstance(value, int):
+        out.append(_T_INT)
+        # zigzag: non-negative -> even, negative -> odd
+        zigzag = value << 1 if value >= 0 else ((-value) << 1) - 1
+        if zigzag <= 0x7F:
+            out.append(zigzag)
+        else:
+            _put_uvarint(out, zigzag)
+        return 1
+    if isinstance(value, float):
+        out.append(_T_FLOAT)
+        out += _DOUBLE.pack(value)
+        return 1
+    if isinstance(value, str):
         raw = value.encode("utf-8")
-        out.append(bytes((_T_STR,)))
-        _write_uvarint(out, len(raw))
-        out.append(raw)
-    elif isinstance(value, tuple):
-        out.append(bytes((_T_TUPLE,)))
-        _write_uvarint(out, len(value))
+        out.append(_T_STR)
+        _put_uvarint(out, len(raw))
+        out += raw
+        return 1
+    if isinstance(value, (tuple, list)):
+        out.append(_T_TUPLE if isinstance(value, tuple) else _T_LIST)
+        _put_uvarint(out, len(value))
+        words = 0
         for item in value:
-            _write_value(out, item)
-    elif isinstance(value, list):
-        out.append(bytes((_T_LIST,)))
-        _write_uvarint(out, len(value))
-        for item in value:
-            _write_value(out, item)
-    elif isinstance(value, dict):
-        out.append(bytes((_T_DICT,)))
-        _write_uvarint(out, len(value))
-        for k, v in value.items():
-            _write_value(out, k)
-            _write_value(out, v)
-    else:
-        raise ShardCodecError(
-            f"cannot encode value of type {type(value)!r}"
-        )
+            words += _put_value(out, item)
+        return words
+    if isinstance(value, dict):
+        out.append(_T_DICT)
+        return _put_entries(out, value)
+    raise ShardCodecError(f"cannot encode value of type {type(value)!r}")
+
+
+def _put_entries(out: bytearray, entries: Dict[Any, Any]) -> int:
+    """Append a count and the key/value pairs of ``entries``; words."""
+    _put_uvarint(out, len(entries))
+    words = 0
+    for k, v in entries.items():
+        words += _put_value(out, k) + _put_value(out, v)
+    return words
 
 
 def _read_value(data: bytes, pos: int) -> Tuple[Any, int]:
@@ -292,25 +295,28 @@ def _read_value(data: bytes, pos: int) -> Tuple[Any, int]:
 # ----------------------------------------------------------------------
 def encode_node_table(record: NodeTable) -> bytes:
     """Pack one :class:`NodeTable` into versioned shard bytes."""
+    return _encode_record(record)[0]
+
+
+def _encode_record(record: NodeTable) -> Tuple[bytes, int]:
+    """Shard bytes of ``record`` and its ``table_words()``, in one pass."""
     unit = all(w == 1.0 for _, w in record.neighbors)
     flags = _FLAG_UNIT_WEIGHTS if unit else 0
-    out: List[bytes] = [MAGIC, bytes((CODEC_VERSION, flags))]
-    _write_uvarint(out, record.owner)
-    _write_uvarint(out, len(record.neighbors))
+    out = bytearray((*MAGIC, CODEC_VERSION, flags))
+    _put_uvarint(out, record.owner)
+    _put_uvarint(out, len(record.neighbors))
     for nb, _ in record.neighbors:
-        _write_uvarint(out, nb)
+        _put_uvarint(out, nb)
     if not unit:
         for _, w in record.neighbors:
-            out.append(_DOUBLE.pack(w))
-    _write_value(out, record.label)
-    _write_uvarint(out, len(record.categories))
+            out += _DOUBLE.pack(w)
+    _put_value(out, record.label)
+    _put_uvarint(out, len(record.categories))
+    words = 0
     for cat, entries in record.categories.items():
-        _write_value(out, cat)
-        _write_uvarint(out, len(entries))
-        for k, v in entries.items():
-            _write_value(out, k)
-            _write_value(out, v)
-    return b"".join(out)
+        _put_value(out, cat)
+        words += _put_entries(out, entries)
+    return bytes(out), words
 
 
 def decode_node_table(data: Buffer) -> NodeTable:
@@ -551,9 +557,9 @@ def encode_value(value: Any) -> bytes:
     headers, labels and status dicts cross the wire in the exact format
     the shards already commit to (and CODEC001 already audits).
     """
-    out: List[bytes] = []
-    _write_value(out, value)
-    return b"".join(out)
+    out = bytearray()
+    _put_value(out, value)
+    return bytes(out)
 
 
 def decode_value(data: Buffer) -> Any:

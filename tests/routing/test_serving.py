@@ -524,6 +524,98 @@ def test_interrupted_manifest_write_leaves_no_tmp(served, tmp_path,
         load(str(target))
 
 
+@pytest.mark.parametrize("layout", ["packed", "files"])
+def test_interrupted_group_write_leaves_no_tmp(served, tmp_path, monkeypatch,
+                                               layout):
+    """A group (or per-vertex shard) write that fails partway must not
+    leave its ``.tmp.<pid>`` file behind, nor any manifest."""
+    from repro.routing import serving
+    from repro.routing.serving import write_shard_records
+
+    session, _ = served["tz2"]
+    target = tmp_path / f"gcrash-{layout}"
+    suffix = ".pack" if layout == "packed" else ".shard"
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if str(dst).endswith(suffix):
+            raise OSError(f"disk full writing {dst}")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(serving.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_shard_records(
+            session.scheme.compile_tables(), str(target),
+            identity={"spec": "tz2"}, packed=layout == "packed",
+        )
+    monkeypatch.undo()
+    leftovers = [
+        os.path.join(root, f)
+        for root, _, files in os.walk(target)
+        for f in files
+        if ".tmp." in f or f == "manifest.json"
+    ]
+    assert leftovers == [], leftovers
+    with pytest.raises((FileNotFoundError, ValueError)):
+        load(str(target))
+
+
+@pytest.mark.parametrize("name", scheme_names())
+def test_manifest_word_totals_match_scheme_stats(name, served,
+                                                 served_packed):
+    """Both layouts' manifests carry the scheme's own word accounting."""
+    import json
+
+    session, path = served[name]
+    stats = session.scheme.stats()
+    for root in (path, served_packed[name]):
+        with open(os.path.join(root, "manifest.json")) as fh:
+            words = json.load(fh)["words"]
+        assert words["total_table_words"] == stats.total_table_words
+        assert words["max_table_words"] == stats.max_table_words
+
+
+def test_accounting_drift_raises_and_publishes_no_manifest(
+    served, tmp_path, monkeypatch
+):
+    """Compiled records that lost an entry disagree with SchemeStats:
+    write_shards raises naming both counts and publishes no manifest,
+    so the directory reads as not-a-shard-dir."""
+    from repro.routing.model import words_of
+    from repro.routing.serving import ShardAccountingError
+
+    session, _ = served["tz2"]
+    scheme = session.scheme
+    expected = scheme.stats().total_table_words
+    honest = scheme.compile_tables
+    dropped = []
+
+    def lossy_compile_tables():
+        records = honest()
+        for record in records:
+            for entries in record.categories.values():
+                if entries:
+                    key = next(iter(entries))
+                    dropped.append(
+                        words_of(key) + words_of(entries.pop(key))
+                    )
+                    return records
+        raise AssertionError("no table entry to drop")
+
+    monkeypatch.setattr(scheme, "compile_tables", lossy_compile_tables)
+    target = tmp_path / "drift"
+    with pytest.raises(ShardAccountingError) as info:
+        write_shards(scheme, str(target), spec_name="tz2", packed=True)
+    monkeypatch.undo()
+    assert dropped and dropped[0] > 0
+    message = str(info.value)
+    assert f"hold {expected - dropped[0]} table words" in message
+    assert f"reports {expected}" in message
+    assert not os.path.exists(target / "manifest.json")
+    with pytest.raises((FileNotFoundError, ValueError)):
+        load(str(target))
+
+
 class TestManifestValidation:
     """_load_manifest rejects malformed manifests with precise errors."""
 

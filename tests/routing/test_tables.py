@@ -23,7 +23,10 @@ from repro.routing.shard_codec import (
     CODEC_VERSION,
     ShardCodecError,
     decode_node_table,
+    _encode_record,
+    decode_value,
     encode_node_table,
+    encode_value,
     encoded_size,
 )
 from repro.routing.tables import NodeTable, compile_tables
@@ -91,6 +94,15 @@ def test_codec_roundtrip_lossless(name, sessions):
         assert back.categories == record.categories
         # word accounting survives the byte round trip
         assert back.table_words() == record.table_words()
+
+
+@pytest.mark.parametrize("name", scheme_names())
+def test_encoder_counts_table_words(name, sessions):
+    """The encoding pass's word count is ``table_words()`` exactly."""
+    for record in sessions[name].scheme.compile_tables():
+        blob, words = _encode_record(record)
+        assert blob == encode_node_table(record)
+        assert words == record.table_words()
 
 
 @pytest.mark.parametrize("name", scheme_names())
@@ -167,6 +179,88 @@ class TestCodecValidation:
         record.categories["ball"][9] = object()
         with pytest.raises(ShardCodecError, match="cannot encode"):
             encode_node_table(record)
+
+
+class TestGoldenBytes:
+    """Exact bytes, not just round trips: an encoder emitting
+    non-minimal varints or reordered fields would still round-trip.
+
+    One record covers every value tag, the 1/2-byte varint boundaries
+    (zigzag and unsigned), 64- and 77-bit ints, floats and non-ASCII
+    strings, in unit-weight and weighted form.
+    """
+
+    CATEGORIES = {
+        "ball": {
+            0: 63, 64: -64, 127: -1, 128: 2**63,
+            (1, "x"): [True, False, None],
+        },
+        "ñame": {"héllo → ✓": 1.5, -2**75: {3: (4.25, "")}},
+    }
+    VALUES = (
+        None, True, False, 0, 63, 64, 127, 128, -1, -64, -65, 2**63,
+        -2**75, 1.5, "", "plain", "héllo → ✓", (1, "x"), [2, None],
+        {3: 4.25, "k": ()},
+    )
+    BODY = (
+        "060505036c626c03810100070104000000000000e03f0800020504"
+        "62616c6c050300037e038001037f03fe01030103800203808080808080"
+        "808080020602030205017807030201000505c3b1616d6502050e68c3a9"
+        "6c6c6f20e2869220e29c9304000000000000f83f03ffffffffffffffff"
+        "ffff3f0801030606020400000000000011400500"
+    )
+    UNIT = "52540101800103007f8001" + BODY
+    WEIGHTED = (
+        "52540100800103007f8001000000000000f03f00000000000004400000"
+        "00000000c03f" + BODY
+    )
+    VALUE = (
+        "06140002010300037e03800103fe010380020301037f03810103808080"
+        "8080808080800203ffffffffffffffffffff3f04000000000000f83f05"
+        "000505706c61696e050e68c3a96c6c6f20e2869220e29c930602030205"
+        "017807020304000802030604000000000000114005016b0600"
+    )
+
+    def _record(self, weights):
+        return NodeTable(
+            owner=128,
+            neighbors=tuple(zip((0, 127, 128), weights)),
+            label=("lbl", -65, None, [0.5], {}),
+            categories=self.CATEGORIES,
+        )
+
+    @pytest.mark.parametrize("weights,expected", [
+        ((1.0, 1.0, 1.0), "UNIT"),
+        ((1.0, 2.5, 0.125), "WEIGHTED"),
+    ])
+    def test_node_table_bytes_pinned(self, weights, expected):
+        record = self._record(weights)
+        blob = encode_node_table(record)
+        assert blob.hex() == getattr(self, expected)
+        assert decode_node_table(blob) == record
+        assert _encode_record(record)[1] == record.table_words() == 16
+
+    def test_value_bytes_pinned(self):
+        blob = encode_value(self.VALUES)
+        assert blob.hex() == self.VALUE
+        assert decode_value(blob) == self.VALUES
+
+    @pytest.mark.parametrize("value", [2**76, -2**76 - 1])
+    def test_ints_past_the_varint_range_rejected(self, value):
+        # zigzag maps 2**76 to 2**77 and -2**76 - 1 to 2**77 + 1: the
+        # first values whose varint needs a 12th byte
+        with pytest.raises(ShardCodecError, match="77-bit varint range"):
+            encode_value(value)
+        record = self._record((1.0, 1.0, 1.0))
+        record.categories = {"ball": {0: value}}
+        with pytest.raises(ShardCodecError, match="77-bit varint range"):
+            encode_node_table(record)
+
+    @pytest.mark.parametrize("value", [2**76 - 1, -2**76])
+    def test_varint_range_edges_roundtrip(self, value):
+        blob = encode_value(value)
+        assert len(blob) == 12  # tag + 11 varint bytes
+        assert decode_value(blob) == value
 
 
 def test_compile_tables_standalone_matches_method(sessions):

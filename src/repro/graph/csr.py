@@ -590,7 +590,8 @@ class CSRGraph:
             return np.zeros((0, self.n), dtype=np.float64)
         if prefer_scipy and _HAVE_SCIPY and self.m > 0:
             mat = self._scipy_matrix()
-            out = _scipy_dijkstra(mat, directed=False, indices=sources)
+            # Both edge directions are stored: no transpose needed.
+            out = _scipy_dijkstra(mat, directed=True, indices=sources)
             return np.atleast_2d(out)
         out = np.empty((len(sources), self.n), dtype=np.float64)
         for i, s in enumerate(sources):

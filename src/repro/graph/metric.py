@@ -30,6 +30,10 @@ Whole-matrix consumers were rewritten against the row-oriented API
 remains as an escape hatch that materializes (and keeps) the full
 symmetrized matrix.
 
+:meth:`MetricView.next_hop` reads one int32 *next-hop row* per source, built
+from the neighbours' distance rows in batched fetches of a few MB; dense
+mode keeps every such row, lazy mode an LRU of ``cache_rows`` of them.
+
 Canonical row orientation
 -------------------------
 On weighted graphs a float shortest-path sum depends on the accumulation
@@ -80,6 +84,9 @@ __all__ = ["MetricView"]
 
 _INF = float("inf")
 
+#: bytes of neighbour distance rows one next-hop row compares per batch
+_HOP_BLOCK_BYTES = 1 << 22
+
 
 class MetricView:
     """Immutable exact-distance oracle over a graph.
@@ -99,8 +106,8 @@ class MetricView:
     dense_threshold:
         The ``auto`` cut-over size.
     cache_rows:
-        Lazy-mode LRU capacity in rows; defaults to ``max(32, 4 sqrt(n))``
-        so cached rows stay ``O(sqrt(n) * n)`` memory.
+        Lazy-mode LRU capacity per kind of row (distance, next hop);
+        defaults to ``max(32, 4 sqrt(n))``, so ``O(sqrt(n) * n)`` memory.
     """
 
     def __init__(
@@ -137,12 +144,11 @@ class MetricView:
         )
         self._diameter: Optional[float] = None
         self._stats: Optional[Tuple[bool, float, float]] = None
-        self._next_hop: Optional[np.ndarray] = None
+        #: next-hop rows by source; an LRU only in lazy mode (_next_hop_row)
+        self._hop_rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
         #: batched SPT predecessor rows staged by prefetch_spt_parents,
         #: consumed (popped) by spt_parents.
         self._pred_rows: Dict[int, np.ndarray] = {}
-        #: auto-build the O(n^2)-memory next-hop cache below this size
-        self._next_hop_auto_threshold = 4096
 
         if self._mode == "dense":
             if self._use_scipy and g.n > 0 and g.m > 0:
@@ -157,7 +163,8 @@ class MetricView:
                     # Raw forward rows — the canonical orientation every
                     # mode shares (see the module docstring); the
                     # symmetrized escape hatch lives behind ``matrix``.
-                    self._dist = csgraph_dijkstra(self._csr, directed=False)
+                    # Both edge directions are stored: no transpose needed.
+                    self._dist = csgraph_dijkstra(self._csr, directed=True)
             if self._dist is None:
                 rows = []
                 for u in g.vertices():
@@ -529,32 +536,39 @@ class MetricView:
             raise ValueError("graph has no shortest-path edges")
         return min(weights)
 
-    def build_next_hop_cache(self) -> None:
-        """Precompute the full next-hop matrix (O(n^2) ints, O(mn) time).
+    def _next_hop_row(self, u: int) -> np.ndarray:
+        """Compute and cache ``u``'s first hops (int32, length ``n``).
 
-        ``next_hop`` is the hot operation of sequence construction; the
-        cache computes, for every source row at once, the neighbour with the
-        smallest ``(d(neighbour, target), neighbour-id)`` among tight edges
-        — identical tie-breaking to the scalar scan.
+        ``out[v]`` is the neighbour ``x`` with the smallest ``(d(x, v), x)``
+        among tight edges (``w(u, x) + d(x, v) = d(u, v)`` within
+        :attr:`tol`); ``out[u] = u``, ``-1`` marks unreachable targets and
+        ``-2`` a reachable target with no tight edge.
         """
-        if self._next_hop is not None:
-            return
-        n = self.n
-        nh = np.full((n, n), -1, dtype=np.int32)
-        for u in range(n):
-            best_d = np.full(n, _INF)
-            row_u = self.row(u)
-            # Ascending neighbour ids + strict improvement == ties to the
-            # smaller id, matching the scalar rule.
-            for x in sorted(self.graph.neighbors(u)):
-                w = self.graph.weight(u, x)
-                row_x = self.row(x)
-                tight = np.abs(w + row_x - row_u) <= self.tol
-                better = tight & (row_x < best_d)
-                best_d[better] = row_x[better]
-                nh[u, better] = x
-            nh[u, u] = u
-        self._next_hop = nh
+        row_u = self.row(u)
+        nbrs = sorted(self.graph.neighbors(u))
+        best_d = np.full(self.n, _INF)
+        hops = np.where(np.isfinite(row_u), -2, -1).astype(np.int32)
+        # Ascending-id neighbour blocks of a few MB; argmin keeps the first
+        # minimum and later blocks must improve strictly, so ties go to the
+        # smaller id.  Unreachable targets give inf - inf = nan: not tight.
+        block = max(1, _HOP_BLOCK_BYTES // max(1, 8 * self.n))
+        for lo in range(0, len(nbrs), block):
+            xs = nbrs[lo : lo + block]
+            rows_x = self.rows(xs)
+            w = np.array([self.graph.weight(u, x) for x in xs])
+            with np.errstate(invalid="ignore"):
+                tight = np.abs(w[:, None] + rows_x - row_u) <= self.tol
+            cand = np.where(tight, rows_x, _INF)
+            first = cand.argmin(axis=0)
+            best = cand.min(axis=0)
+            better = best < best_d
+            best_d[better] = best[better]
+            hops[better] = np.asarray(xs, dtype=np.int32)[first[better]]
+        hops[u] = u
+        self._hop_rows[u] = hops
+        if self._dist is None and len(self._hop_rows) > self._cache_rows:
+            self._hop_rows.popitem(last=False)
+        return hops
 
     def next_hop(self, u: int, v: int) -> int:
         """First vertex after ``u`` on a shortest ``u``–``v`` path.
@@ -565,35 +579,19 @@ class MetricView:
         """
         if u == v:
             raise ValueError("next_hop undefined for u == v")
-        # Auto-build only in dense mode: the cache loop reads the rows of
-        # every vertex's neighbours, which a lazy metric would recompute
-        # O(m) times.  Lazy callers get the scalar scan over LRU rows
-        # (or may call build_next_hop_cache explicitly, eyes open).
-        if (
-            self._next_hop is None
-            and self._dist is not None
-            and self.n <= self._next_hop_auto_threshold
-        ):
-            self.build_next_hop_cache()
-        if self._next_hop is not None:
-            hop = int(self._next_hop[u, v])
-            if hop < 0:
+        hops = self._hop_rows.get(u)
+        if hops is None:
+            hops = self._next_hop_row(u)
+        elif self._dist is None:
+            self._hop_rows.move_to_end(u)
+        hop = int(hops[v])
+        if hop < 0:
+            if hop == -1:
                 raise ValueError(f"{v} unreachable from {u}")
-            return hop
-        target = self.d(u, v)
-        if target == _INF:
-            raise ValueError(f"{v} unreachable from {u}")
-        best: Optional[Tuple[float, int]] = None
-        for x, w in self.graph.neighbor_items(u):
-            if abs(w + self.d(x, v) - target) <= self.tol:
-                key = (self.d(x, v), x)
-                if best is None or key < best:
-                    best = key
-        if best is None:
             raise RuntimeError(
                 f"no tight edge out of {u} toward {v}; inconsistent metric"
             )
-        return best[1]
+        return hop
 
     def prefetch_spt_parents(self, roots: Sequence[int]) -> None:
         """Stage predecessor rows for many roots in one batched sweep.

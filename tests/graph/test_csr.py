@@ -576,6 +576,67 @@ class TestTieHeavyModeAgreement:
         assert np.array_equal(lazy.matrix, dense.matrix)
 
 
+def _integer_weight_graph(n=60, p=0.1, seed=21, wseed=22):
+    """Random graph with weights in {1, 2, 3}: exact, tie-heavy sums."""
+    import random as _random
+
+    rng = _random.Random(wseed)
+    return Graph.from_edges(
+        n,
+        [
+            (u, v, float(rng.randint(1, 3)))
+            for u, v, _ in erdos_renyi(n, p, seed=seed).edges()
+        ],
+    )
+
+
+DIRECTED_GRAPHS = [
+    ("unit", erdos_renyi(60, 0.1, seed=31)),
+    ("integer", _integer_weight_graph()),
+    ("float", with_random_weights(erdos_renyi(60, 0.1, seed=33), seed=34)),
+    ("float-ties", _duplicate_weight_graph(n=60, p=0.1, seed=35, wseed=36)),
+]
+
+
+class TestScipyDirectedRows:
+    """Distance rows come from scipy with ``directed=True``: both edge
+    directions are stored, so the rows must equal the ``directed=False``
+    ones bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _scipy(self):
+        pytest.importorskip("scipy")
+
+    @pytest.mark.parametrize(
+        "g", [g for _, g in DIRECTED_GRAPHS],
+        ids=[name for name, _ in DIRECTED_GRAPHS],
+    )
+    def test_rows_equal_undirected_bitwise(self, g):
+        from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
+
+        kernel = csr_graph(g)
+        sources = list(range(g.n))
+        ref = scipy_dijkstra(
+            kernel._scipy_matrix(), directed=False, indices=sources
+        )
+        assert np.array_equal(kernel.rows(sources), ref)
+        assert np.array_equal(kernel.rows([7]), ref[[7]])
+
+    @pytest.mark.parametrize(
+        "g", [g for _, g in DIRECTED_GRAPHS],
+        ids=[name for name, _ in DIRECTED_GRAPHS],
+    )
+    def test_dense_matrix_equals_undirected_bitwise(self, g):
+        from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
+
+        ref = scipy_dijkstra(g.to_csr(), directed=False)
+        dense = MetricView(g, mode="dense")
+        lazy = MetricView(g, mode="lazy")
+        for u in range(g.n):
+            assert np.array_equal(dense.row(u), ref[u])
+            assert np.array_equal(lazy.row(u), ref[u])
+
+
 class TestCSRStructure:
     def test_insertion_order_preserved(self):
         g = Graph(4)

@@ -1,14 +1,18 @@
 """MetricView: exact distances, shortest-path structure, balls, radii."""
 
 import math
+import random
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.api import all_specs, get_spec
 from repro.graph.core import Graph
 from repro.graph.generators import erdos_renyi, grid, with_random_weights
+from repro.graph import metric
 from repro.graph.metric import MetricView
+from repro.routing.shard_codec import encode_node_table
 
 
 class TestDistances:
@@ -103,15 +107,52 @@ class TestShortestPathStructure:
                 assert g.has_edge(u, x)
                 assert g.weight(u, x) + m.d(x, v) == pytest.approx(m.d(u, v))
 
-    def test_next_hop_cache_matches_scan(self):
-        g = with_random_weights(erdos_renyi(30, 0.15, seed=9), seed=10)
-        m_cached = MetricView(g)
-        m_scan = MetricView(g)
-        m_scan._next_hop_auto_threshold = 0  # force the scalar scan
-        for u in range(0, 30, 3):
-            for v in range(1, 30, 4):
-                if u != v:
-                    assert m_cached.next_hop(u, v) == m_scan.next_hop(u, v)
+    def test_next_hop_matches_reference(self, monkeypatch):
+        # Integer weights make the tight-edge test and every distance tie
+        # exact, so the brute-force rule needs no tolerance; vertex n-1
+        # is isolated, so some targets are unreachable.  Two-row neighbour
+        # blocks put tied neighbours in different blocks.
+        rng = random.Random(41)
+        base = erdos_renyi(39, 0.12, seed=40)
+        g = Graph.from_edges(
+            40,
+            [(u, v, float(rng.randint(1, 3))) for u, v, _ in base.edges()],
+        )
+        dist = dict(nx.all_pairs_dijkstra_path_length(g.to_networkx()))
+
+        def reference(u, v):
+            return min(
+                (dist[x][v], x)
+                for x, w in g.neighbor_items(u)
+                if v in dist[x] and w + dist[x][v] == dist[u][v]
+            )[1]
+
+        for block_bytes in (metric._HOP_BLOCK_BYTES, 2 * 8 * g.n):
+            monkeypatch.setattr(metric, "_HOP_BLOCK_BYTES", block_bytes)
+            for m in (
+                MetricView(g, mode="dense"),
+                MetricView(g, mode="lazy"),
+                MetricView(g, mode="lazy", cache_rows=2),
+            ):
+                for u in range(g.n):
+                    for v in range(g.n):
+                        if u == v:
+                            with pytest.raises(ValueError):
+                                m.next_hop(u, v)
+                        elif v not in dist[u]:
+                            with pytest.raises(ValueError, match="unreachable"):
+                                m.next_hop(u, v)
+                        else:
+                            assert m.next_hop(u, v) == reference(u, v), (
+                                m.mode, block_bytes, u, v,
+                            )
+
+    @pytest.mark.parametrize("mode", ["dense", "lazy"])
+    def test_next_hop_without_tight_edge_raises(self, mode):
+        m = MetricView(grid(3, 3), mode=mode)
+        m._tol = -1.0  # no edge can be tight: an inconsistent metric
+        with pytest.raises(RuntimeError, match="no tight edge"):
+            m.next_hop(0, 8)
 
     def test_shortest_path_is_shortest(self):
         g = with_random_weights(erdos_renyi(40, 0.1, seed=11), seed=12)
@@ -183,3 +224,43 @@ class TestBalls:
         g = erdos_renyi(20, 0.2, seed=16)
         m = MetricView(g)
         assert len(m.ball(0, 100)) == 20
+
+
+class TestNextHopRowsInBuilds:
+    """Scheme builds through the per-source next-hop rows."""
+
+    @pytest.mark.parametrize(
+        "spec, weighted",
+        [
+            (spec, weighted)
+            for spec in all_specs()
+            for weighted in ((False, True) if spec.weighted_capable
+                             else (False,))
+        ],
+        ids=lambda p: getattr(p, "name", "weighted" if p else "unit"),
+    )
+    def test_lazy_and_dense_builds_give_same_bytes(self, spec, weighted):
+        pytest.importorskip("scipy")
+        n = 110
+        g = erdos_renyi(n, 0.07, seed=61)
+        if weighted:
+            g = with_random_weights(g, seed=62)
+
+        def build(mode):
+            scheme = spec.factory(
+                g, metric=MetricView(g, mode=mode), **spec.defaults()
+            )
+            blobs = [encode_node_table(r) for r in scheme.compile_tables()]
+            labels = [scheme.label_of(v) for v in range(n)]
+            return blobs, labels
+
+        assert build("lazy") == build("dense")
+
+    def test_lazy_thm11_row_count(self):
+        # A count, not a time: repeats exactly.  Recomputing every
+        # neighbour's distance row per next_hop call took 3820 rows here.
+        g = with_random_weights(erdos_renyi(120, 0.05, seed=7), seed=8)
+        spec = get_spec("thm11")
+        m = MetricView(g, mode="lazy")
+        spec.factory(g, metric=m, **spec.defaults())
+        assert m.rows_computed <= 2158

@@ -104,7 +104,7 @@ def run_cluster(n: int, *, pairs: int = 400) -> dict:
             write_shards(
                 session.scheme, path,
                 spec_name=session.spec_name, params=session.params,
-                seed=session.seed, packed=True, group_size=GROUP_SIZE,
+                seed=session.seed, group_size=GROUP_SIZE,
                 replicas=replicas,
             )
 

@@ -1,23 +1,12 @@
-"""Fault-tolerance benchmark: what integrity and redundancy cost.
+"""Fault-tolerance benchmark: throughput under faults.
 
-Two questions, answered with numbers in ``BENCH_kernel.json`` under
-``serving_faults``:
-
-1. **Checksum overhead** — warm decode throughput of the checksummed v3
-   packed layout vs plain v2 at n = 10^4 synthetic records.  "Warm"
-   means group maps are resident but decodes still run (the LRU is
-   bounded far below n), so every lookup pays the per-payload CRC32 —
-   the honest worst case for the hot path.  Gate: v3 within 2x of v2
-   (in practice ``zlib.crc32`` over a ~1 KB payload is a small fraction
-   of the decode itself).
-
-2. **Throughput under faults** — routed hops/second through a
-   ``replicas=2`` :class:`ReplicatedShardStore` behind a seeded
-   :class:`FaultInjector` at increasing fault rates (0%, 1%, 5% across
-   all four fault kinds).  Every route must still complete — the store
-   fails over, retries transients and quarantines bad copies — so the
-   scenario records how gracefully throughput degrades, plus the
-   failover/retry counters that did the surviving.
+Routed hops/second through a ``replicas=2`` :class:`ShardStore` behind
+a seeded :class:`FaultInjector` at increasing fault rates (0%, 1%, 5%
+across all four fault kinds), recorded in ``BENCH_kernel.json`` under
+``serving_faults``.  Every route must still complete — the store fails
+over, retries transients and quarantines bad copies — so the scenario
+records how gracefully throughput degrades, plus the failover/retry
+counters that did the surviving.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks n and skips the JSON write.  Runs under
 pytest or standalone (``python benchmarks/bench_faults.py``).
@@ -26,9 +15,7 @@ pytest or standalone (``python benchmarks/bench_faults.py``).
 from __future__ import annotations
 
 import os
-import random
 import shutil
-import statistics
 import tempfile
 import time
 
@@ -36,18 +23,12 @@ from repro.api import build
 from repro.eval.workloads import sample_pairs
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.routing.faults import FaultInjector
-from repro.routing.serving import (
-    LocalRouter,
-    PackedShardStore,
-    ReplicatedShardStore,
-    write_shard_records,
-)
+from repro.routing.serving import LocalRouter, ShardStore, write_shards
 from repro.routing.simulator import route
 
-from bench_serving import _IDENTITY, _synthetic_records
 from conftest import SMOKE, merge_bench_results, smoke_scale
 
-SECTION = "Fault tolerance: checksum overhead, throughput under faults"
+SECTION = "Fault tolerance: throughput under faults"
 
 RESULT_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_kernel.json"
@@ -57,61 +38,6 @@ SCHEME = "thm11"
 
 #: injected-fault probability per fault kind, per scenario
 FAULT_RATES = (0.0, 0.01, 0.05)
-
-
-def _median_seconds(fn, reps: int) -> float:
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
-def run_checksum_overhead(n: int, *, probes: int = 2048, reps: int = 5) -> dict:
-    """Warm decode throughput: checksummed v3 vs plain v2 packs."""
-    workdir = tempfile.mkdtemp(prefix="repro-faults-codec-")
-    try:
-        v2_dir = os.path.join(workdir, "v2")
-        v3_dir = os.path.join(workdir, "v3")
-        write_shard_records(
-            _synthetic_records(n), v2_dir, identity=_IDENTITY,
-            packed=True, checksums=False,
-        )
-        write_shard_records(
-            _synthetic_records(n), v3_dir, identity=_IDENTITY,
-            packed=True, checksums=True,
-        )
-        rng = random.Random(41)
-        probe = [rng.randrange(n) for _ in range(probes)]
-
-        def warm_decodes(path):
-            # max_resident far below n: maps stay warm, but (almost)
-            # every probe is an LRU miss, so the decode — and on v3 the
-            # payload CRC — runs each time.
-            store = PackedShardStore(path, max_resident=32)
-            for v in probe[:256]:
-                store.node(v)  # warm the group maps
-
-            def one_pass():
-                for v in probe:
-                    store.node(v)
-
-            seconds = _median_seconds(one_pass, reps)
-            store.close()
-            return len(probe) / seconds
-
-        v2_dps = warm_decodes(v2_dir)
-        v3_dps = warm_decodes(v3_dir)
-        return {
-            "n": n,
-            "probes": probes,
-            "v2_decodes_per_sec": round(v2_dps, 0),
-            "v3_decodes_per_sec": round(v3_dps, 0),
-            "v3_overhead": round(v2_dps / v3_dps, 3),
-        }
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def run_fault_rates(
@@ -125,13 +51,10 @@ def run_fault_rates(
         )
         session = build(SCHEME, g, seed=7)
         path = os.path.join(workdir, "replicated")
-        from repro.routing.serving import write_shards
-
         write_shards(
             session.scheme, path,
             spec_name=session.spec_name, params=session.params,
-            seed=session.seed, packed=True,
-            group_size=group_size, replicas=2,
+            seed=session.seed, group_size=group_size, replicas=2,
         )
         sample = sample_pairs(n, pairs, seed=73)
         baseline = {
@@ -146,7 +69,7 @@ def run_fault_rates(
                     "missing", "truncate", "bitflip", "transient"
                 )},
             )
-            store = ReplicatedShardStore(path, io=injector)
+            store = ShardStore(path, io=injector)
             router = LocalRouter(store)
             t0 = time.perf_counter()
             hops = 0
@@ -180,13 +103,8 @@ def run_fault_rates(
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _report_lines(codec: dict, faults: dict) -> list:
-    lines = [
-        f"checksum overhead n={codec['n']}: v3 "
-        f"{codec['v3_decodes_per_sec']:.0f} decodes/s vs v2 "
-        f"{codec['v2_decodes_per_sec']:.0f} => "
-        f"{codec['v3_overhead']:.2f}x overhead (gate < 2x)",
-    ]
+def _report_lines(faults: dict) -> list:
+    lines = []
     for sc in faults["scenarios"]:
         injected = sum(sc["injected"].values())
         lines.append(
@@ -200,10 +118,7 @@ def _report_lines(codec: dict, faults: dict) -> list:
     return lines
 
 
-def _assert_gates(codec: dict, faults: dict) -> None:
-    # <2x warm-throughput overhead for checksummed v3 vs v2 (tentpole
-    # acceptance gate)
-    assert codec["v3_overhead"] < 2.0, codec
+def _assert_gates(faults: dict) -> None:
     # the zero-fault scenario must be clean, and the faulted ones must
     # have actually survived observed faults
     clean = faults["scenarios"][0]
@@ -212,48 +127,34 @@ def _assert_gates(codec: dict, faults: dict) -> None:
 
 
 def test_faults(benchmark, report, bench_scale):
-    def run():
-        return (
-            run_checksum_overhead(
-                bench_scale(10_000, 800),
-                probes=smoke_scale(2048, 256),
-                reps=smoke_scale(5, 2),
-            ),
-            run_fault_rates(
-                bench_scale(1000, 150), pairs=smoke_scale(150, 40)
-            ),
-        )
-
-    codec, faults = benchmark.pedantic(run, rounds=1, iterations=1)
+    faults = benchmark.pedantic(
+        lambda: run_fault_rates(
+            bench_scale(1000, 150), pairs=smoke_scale(150, 40)
+        ),
+        rounds=1, iterations=1,
+    )
     report.section(SECTION)
-    for line in _report_lines(codec, faults):
+    for line in _report_lines(faults):
         report.line(line)
     # Route-equality under faults is asserted inside run_fault_rates at
-    # every scale; the throughput gate only means something full-size.
+    # every scale; the scenario gates only mean something full-size.
     if not SMOKE:
-        _assert_gates(codec, faults)
+        _assert_gates(faults)
         merge_bench_results(
-            RESULT_PATH,
-            {"serving_faults": {"checksums": codec, "fault_rates": faults}},
+            RESULT_PATH, {"serving_faults": {"fault_rates": faults}}
         )
 
 
 def main() -> None:
-    codec = run_checksum_overhead(
-        smoke_scale(10_000, 800),
-        probes=smoke_scale(2048, 256),
-        reps=smoke_scale(5, 2),
-    )
     faults = run_fault_rates(
         smoke_scale(1000, 150), pairs=smoke_scale(150, 40)
     )
-    for line in _report_lines(codec, faults):
+    for line in _report_lines(faults):
         print(line)
     if not SMOKE:
-        _assert_gates(codec, faults)
+        _assert_gates(faults)
         merge_bench_results(
-            RESULT_PATH,
-            {"serving_faults": {"checksums": codec, "fault_rates": faults}},
+            RESULT_PATH, {"serving_faults": {"fault_rates": faults}}
         )
         print(f"merged into {os.path.normpath(RESULT_PATH)}")
 

@@ -15,18 +15,17 @@ here on Theorem 11 at the canonical n=1000 workload:
    how much.
 
 The **packed** scenario (``serving_packed``, also standalone via
-``python benchmarks/bench_serving.py --packed``) measures what layout
-v2 buys at scale, in two halves:
+``python benchmarks/bench_serving.py --packed``) measures the packs at
+scale, in two halves:
 
 * **storage layer at n = 10^5** — synthetic thm11-shaped records (a
   real build is an O(n^2) APSP away at this size; the store never looks
-  past the codec, so record *shape* is all that matters here): on-disk
-  file counts (gate: packed uses >= 100x fewer files) and cold
-  random-vertex lookup latency, fresh store per round (gate: packed no
-  slower than per-file),
-* **routing layer at buildable scale** — a real thm11 session saved in
-  both layouts: identical routes hop for hop, identical serve counters,
-  and warm packed throughput within ~10% of in-memory routing (gate).
+  past the codec, so record *shape* is all that matters here): write
+  time, on-disk file count and cold random-vertex lookup latency, fresh
+  store per round,
+* **routing layer at buildable scale** — a real thm11 session saved as
+  packs: identical routes hop for hop to the in-memory scheme, and warm
+  packed throughput within ~10% of in-memory routing (gate).
 
 Results land in ``BENCH_kernel.json`` under ``serving`` and
 ``serving_packed`` (full runs only); ``REPRO_BENCH_SMOKE=1`` shrinks n
@@ -48,7 +47,6 @@ from repro.eval.workloads import sample_pairs
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.routing.serving import (
     LocalRouter,
-    PackedShardStore,
     ShardStore,
     open_store,
     write_shard_records,
@@ -156,7 +154,7 @@ def _report_lines(out: dict) -> list:
 
 
 # ----------------------------------------------------------------------
-# packed layout (v2): file counts, cold lookups, routed throughput
+# packs at scale: file counts, cold lookups, routed throughput
 # ----------------------------------------------------------------------
 def _synthetic_records(n: int, seed: int = 29):
     """Generate thm11-*shaped* records for the storage-layer half.
@@ -217,57 +215,46 @@ def run_serving_packed(
     workdir = tempfile.mkdtemp(prefix="repro-serving-packed-")
     try:
         # --- storage layer: synthetic records at n_store --------------
-        v1_dir = os.path.join(workdir, "v1")
         packed_dir = os.path.join(workdir, "packed")
         t0 = time.perf_counter()
-        write_shard_records(
-            _synthetic_records(n_store), v1_dir, identity=_IDENTITY
-        )
-        v1_write_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
         manifest = write_shard_records(
-            _synthetic_records(n_store), packed_dir,
-            identity=_IDENTITY, packed=True,
+            _synthetic_records(n_store), packed_dir, identity=_IDENTITY,
         )
         packed_write_s = time.perf_counter() - t0
-
-        v1_files = _count_files(v1_dir)
         packed_files = _count_files(packed_dir)
 
         rng = random.Random(31)
         # 128 cold-vertex probes: every probe is a first touch of that
-        # vertex in a fresh store; the packed store amortizes its ~25
-        # group mappings across them, which is exactly the layout's
-        # serving pattern (one node serves many vertices per group).
+        # vertex in a fresh store, which amortizes its ~25 group
+        # mappings across them — the layout's serving pattern (one node
+        # serves many vertices per group).
         probes = [rng.randrange(n_store) for _ in range(128)]
-        # equality spot-check: both layouts decode identical records
-        cold_v1, cold_packed = ShardStore(v1_dir), PackedShardStore(packed_dir)
-        for v in probes[:8]:
-            assert cold_v1.node(v) == cold_packed.node(v), v
+        # spot-check: the store decodes exactly the records written
+        written = {v: None for v in probes[:8]}
+        for record in _synthetic_records(n_store):
+            if record.owner in written:
+                written[record.owner] = record
+        cold = ShardStore(packed_dir)
+        for v, record in written.items():
+            assert cold.node(v) == record, v
+        cold.close()
 
-        def lookups(opener):
-            store = opener()  # fresh store: nothing resident, cold maps
+        def lookups():
+            store = ShardStore(packed_dir)  # nothing resident, cold maps
             for v in probes:
                 store.node(v)
+            store.close()
 
-        v1_s = _median_seconds(
-            lambda: lookups(lambda: ShardStore(v1_dir)), reps
-        ) / len(probes)
-        packed_s = _median_seconds(
-            lambda: lookups(lambda: PackedShardStore(packed_dir)), reps
-        ) / len(probes)
+        packed_s = _median_seconds(lookups, reps) / len(probes)
 
         # --- routing layer: real thm11 at n_route ---------------------
         g = with_random_weights(
             erdos_renyi(n_route, 7.0 / (n_route - 1), seed=71), seed=72
         )
         session = build(SCHEME, g, seed=7)
-        route_v1 = os.path.join(workdir, "route.v1")
         route_packed = os.path.join(workdir, "route.packed")
-        session.save(route_v1, shards=True)
-        session.save(route_packed, shards=True, packed=True)
+        session.save(route_packed, shards=True)
         sample = sample_pairs(n_route, pairs, seed=73)
-        router_v1 = LocalRouter(open_store(route_v1))
         router_packed = LocalRouter(open_store(route_packed))
 
         def hops_per_sec(engine):
@@ -277,14 +264,10 @@ def run_serving_packed(
                 hops += route(engine, s, t).hops
             return hops / (time.perf_counter() - t0)
 
-        for s, t in sample[:50]:  # identical decisions across layouts
-            r1, r2 = route(router_v1, s, t), route(router_packed, s, t)
+        for s, t in sample[:50]:  # identical decisions to in-memory
+            r1, r2 = route(session.scheme, s, t), route(router_packed, s, t)
             assert r1.path == r2.path, (s, t)
-        engines = {
-            "memory": session.scheme,
-            "v1": router_v1,
-            "packed": router_packed,
-        }
+        engines = {"memory": session.scheme, "packed": router_packed}
         best = {k: 0.0 for k in engines}
         for engine in engines.values():  # warm pass: shard loads+caches
             for s, t in sample:
@@ -295,9 +278,6 @@ def run_serving_packed(
         for _ in range(5):
             for k, engine in engines.items():
                 best[k] = max(best[k], hops_per_sec(engine))
-        memory_hps, v1_hps, packed_hps = (
-            best["memory"], best["v1"], best["packed"]
-        )
         # Wire-header cost of ONE workload pass: the counters above
         # accumulated over the equality check, the warm pass and every
         # measurement round, so snapshot a dedicated delta instead.
@@ -307,10 +287,6 @@ def run_serving_packed(
         header_bytes_workload = (
             router_packed.header_stats()["header_bytes"] - header_before
         )
-        s1, s2 = router_v1.store.stats(), router_packed.store.stats()
-        assert (s1["loads"], s1["bytes_read"]) == (
-            s2["loads"], s2["bytes_read"]
-        ), "layouts served different bytes for the same workload"
 
         return {
             "n_store": n_store,
@@ -318,17 +294,14 @@ def run_serving_packed(
             "scheme": SCHEME,
             "group_size": manifest["group_size"],
             "store_bytes_total": manifest["bytes"]["total"],
-            "v1_files": v1_files,
             "packed_files": packed_files,
-            "file_ratio": round(v1_files / packed_files, 1),
-            "v1_write_s": round(v1_write_s, 3),
             "packed_write_s": round(packed_write_s, 3),
-            "cold_lookup_v1_ms": round(v1_s * 1e3, 4),
             "cold_lookup_packed_ms": round(packed_s * 1e3, 4),
-            "memory_hops_per_sec": round(memory_hps, 0),
-            "v1_hops_per_sec": round(v1_hps, 0),
-            "packed_hops_per_sec": round(packed_hps, 0),
-            "groups_mapped_for_workload": s2["groups_mapped"],
+            "memory_hops_per_sec": round(best["memory"], 0),
+            "packed_hops_per_sec": round(best["packed"], 0),
+            "groups_mapped_for_workload": (
+                router_packed.store.stats()["groups_mapped"]
+            ),
             "header_bytes_for_workload": header_bytes_workload,
         }
     finally:
@@ -337,16 +310,12 @@ def run_serving_packed(
 
 def _packed_report_lines(out: dict) -> list:
     return [
-        f"packed store n={out['n_store']}: {out['packed_files']} files vs "
-        f"{out['v1_files']} per-file => {out['file_ratio']}x fewer "
-        f"(write {out['packed_write_s']:.1f}s vs {out['v1_write_s']:.1f}s; "
+        f"packed store n={out['n_store']}: {out['packed_files']} files "
+        f"(write {out['packed_write_s']:.1f}s; "
         f"{out['store_bytes_total']}B payload)",
-        f"cold random-vertex lookup: packed "
-        f"{out['cold_lookup_packed_ms']:.3f} ms vs per-file "
-        f"{out['cold_lookup_v1_ms']:.3f} ms",
+        f"cold random-vertex lookup: {out['cold_lookup_packed_ms']:.3f} ms",
         f"warm throughput n={out['n_route']}: in-memory "
-        f"{out['memory_hops_per_sec']:.0f} hops/s, per-file "
-        f"{out['v1_hops_per_sec']:.0f}, packed "
+        f"{out['memory_hops_per_sec']:.0f} hops/s, packed "
         f"{out['packed_hops_per_sec']:.0f} "
         f"({out['groups_mapped_for_workload']} groups mapped, "
         f"{out['header_bytes_for_workload']}B wire headers)",
@@ -354,12 +323,7 @@ def _packed_report_lines(out: dict) -> list:
 
 
 def _assert_packed_gates(out: dict) -> None:
-    # the three acceptance gates of the packed layout (full size only)
-    assert out["file_ratio"] >= 100.0, out
-    assert (
-        out["cold_lookup_packed_ms"]
-        <= out["cold_lookup_v1_ms"] * 1.05
-    ), out
+    # the acceptance gate of the packed layout (full size only)
     assert (
         out["packed_hops_per_sec"] >= 0.9 * out["memory_hops_per_sec"]
     ), out
@@ -394,9 +358,9 @@ def test_serving_packed(benchmark, report, bench_scale):
     report.section(SECTION)
     for line in _packed_report_lines(out):
         report.line(line)
-    # The route-equality and serve-counter checks run at every scale
-    # inside run_serving_packed; the latency/throughput gates only mean
-    # something at full size.
+    # The record and route-equality checks run at every scale inside
+    # run_serving_packed; the throughput gate only means something at
+    # full size.
     if not SMOKE:
         _assert_packed_gates(out)
         merge_bench_results(RESULT_PATH, {"serving_packed": out})

@@ -48,6 +48,14 @@ python -m pytest -x -q || fail=1
 echo "== bench_cluster (smoke) =="
 REPRO_BENCH_SMOKE=1 python benchmarks/bench_cluster.py || fail=1
 
+# -- serving smoke: packs cold vs the JSON blob, warm throughput -------
+echo "== bench_serving (smoke) =="
+REPRO_BENCH_SMOKE=1 python benchmarks/bench_serving.py || fail=1
+
+# -- chaos smoke: replicas=2 under seeded faults, routes unchanged -----
+echo "== bench_faults (smoke) =="
+REPRO_BENCH_SMOKE=1 python benchmarks/bench_faults.py || fail=1
+
 # -- parallel smoke: pool on, bit-identity asserted at every point -----
 echo "== bench_parallel (smoke, REPRO_PARALLEL=2) =="
 REPRO_PARALLEL=2 REPRO_BENCH_SMOKE=1 python benchmarks/bench_parallel.py \

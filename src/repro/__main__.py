@@ -11,10 +11,10 @@ Subcommands (all scheme names resolve through the ``repro.api`` registry):
 * ``validate`` — run the structural validation checklist on a scheme,
 * ``save`` — build a scheme and persist its routing state to disk,
 * ``shard`` — build a scheme and compile it into per-vertex binary
-  shards (the deployment layout: each node gets only its own table);
-  ``--pack`` writes mmap-able packed group files instead of one file
-  per vertex (same payloads, ``O(n / group_size)`` files — the
-  ``n >= 10^5`` shape),
+  shards (the deployment layout: each node gets only its own table),
+  packed into ``O(n / group_size)`` checksummed, mmap-able group files;
+  ``--replicas R`` writes every group R times, ``--verify DIR`` sweeps
+  an existing directory,
 * ``load`` — restore a saved scheme (no preprocessing) and serve it;
   accepts both the JSON blob and a shard directory,
 * ``check`` — run the static invariant linter (``repro.analysis``) over
@@ -299,13 +299,8 @@ def cmd_shard(args) -> int:
         return _verify_shard_dir(args.verify)
     if args.out is None:
         raise SystemExit("shard: --out is required (or use --verify DIR)")
-    if args.replicas > 1 and not args.pack:
-        raise SystemExit("--replicas requires --pack")
-    if args.no_checksums and args.replicas > 1:
-        raise SystemExit(
-            "--no-checksums conflicts with --replicas: failover is "
-            "driven by checksum verification"
-        )
+    if args.replicas < 1:
+        raise SystemExit(f"--replicas must be >= 1, got {args.replicas}")
     session = _build_session(
         args.scheme, args.n, args.family, args.seed, args.preset
     )
@@ -315,24 +310,18 @@ def cmd_shard(args) -> int:
         spec_name=session.spec_name,
         params=session.params,
         seed=session.seed,
-        packed=args.pack,
-        checksums=not args.no_checksums,
         replicas=args.replicas,
     )
     print(f"{session.name} on {session.graph}")
-    if args.pack:
-        layout_note = (
-            f"{manifest['files']['groups']} packed group files "
-            f"(group size {manifest['group_size']}"
-            + (", checksummed" if manifest.get("checksums") else "")
-            + (
-                f", x{manifest['replicas']} replicas"
-                if manifest.get("replicas", 1) > 1 else ""
-            )
-            + ")"
+    layout_note = (
+        f"{manifest['files']['groups']} packed group files "
+        f"(group size {manifest['group_size']}, checksummed"
+        + (
+            f", x{manifest['replicas']} replicas"
+            if manifest["replicas"] > 1 else ""
         )
-    else:
-        layout_note = "one file per vertex"
+        + ")"
+    )
     print(
         f"sharded to {args.out}: {manifest['n']} shards in "
         f"{layout_note}, {manifest['bytes']['total']} bytes total "
@@ -645,26 +634,17 @@ def main(argv=None) -> int:
 
     p_shard = sub.add_parser(
         "shard",
-        help="build a scheme and compile per-vertex binary shards",
+        help="build a scheme and compile per-vertex binary shards "
+             "into checksummed pack files",
     )
     _add_build_args(p_shard)
     p_shard.add_argument(
         "--out", default=None, help="output shard directory"
     )
     p_shard.add_argument(
-        "--pack", action="store_true",
-        help="write packed mmap-able group files instead of one file "
-             "per vertex (layout v2/v3; `route --shards` auto-detects)",
-    )
-    p_shard.add_argument(
-        "--no-checksums", action="store_true",
-        help="write the plain v2 packed layout without CRC32 checksums "
-             "(default: checksummed v3)",
-    )
-    p_shard.add_argument(
         "--replicas", type=int, default=1, metavar="R",
-        help="with --pack: write every group to R replica roots; "
-             "serving fails over on read/checksum errors",
+        help="write every group to R replica roots; serving fails over "
+             "on read/checksum errors",
     )
     p_shard.add_argument(
         "--verify", default=None, metavar="DIR",
@@ -708,7 +688,7 @@ def main(argv=None) -> int:
     )
     p_cserve.add_argument(
         "--shards", required=True, metavar="DIR",
-        help="packed shard directory (`shard --pack [--replicas R]`)",
+        help="shard directory (`shard [--replicas R]`)",
     )
     p_cserve.add_argument("--workers", type=int, default=4)
     p_cserve.add_argument(

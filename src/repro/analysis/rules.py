@@ -233,7 +233,7 @@ class DeterminismRule(Rule):
     """No unseeded global RNG, wall-clock values, or bare-set iteration.
 
     Protects every bit-identical differential test (kernel-vs-pure
-    distances, save/load step decisions, packed-vs-per-file routes):
+    distances, save/load step decisions, single-copy-vs-replicated routes):
     all randomness must flow through a seeded ``random.Random`` /
     ``numpy`` generator instance, no algorithmic value may derive from
     the wall clock, and loops must not iterate a bare ``set`` (whose

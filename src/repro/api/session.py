@@ -23,15 +23,14 @@ Two persisted shapes exist:
 
 * ``save(path)`` — the legacy single JSON blob (graph + ports + all
   tables); ``load`` parses everything up front,
-* ``save(path, shards=True)`` — the deployment shape: one binary shard
-  per vertex plus a small manifest (:mod:`repro.routing.serving`);
-  ``save(path, shards=True, packed=True)`` packs the same shards into
-  ``O(n / group_size)`` mmap-able group files instead of one file per
-  vertex (the ``n >= 10^5`` shape).  ``load`` on either directory
-  auto-detects the layout from the manifest and returns a session backed
-  by a :class:`~repro.routing.serving.LocalRouter` that lazily loads
-  only the shards a route visits (``serve_stats()`` reports loads,
-  bytes, and the wire-header bytes the routes sent).
+* ``save(path, shards=True)`` — the deployment shape: every vertex's
+  binary shard, packed into ``O(n / group_size)`` checksummed, mmap-able
+  group files plus a small manifest (:mod:`repro.routing.serving`);
+  ``replicas=R`` writes every group R times.  ``load`` on the directory
+  reads the manifest and returns a session backed by a
+  :class:`~repro.routing.serving.LocalRouter` that lazily loads only the
+  shards a route visits (``serve_stats()`` reports loads, bytes, and the
+  wire-header bytes the routes sent).
 """
 
 from __future__ import annotations
@@ -197,27 +196,20 @@ class RoutingSession:
         path: str,
         *,
         shards: bool = False,
-        packed: bool = False,
-        checksums: bool = True,
         replicas: int = 1,
     ) -> str:
         """Persist the session; returns ``path``.
 
         ``shards=False`` writes the single JSON blob.  ``shards=True``
         writes the sharded deployment layout (``path`` becomes a
-        directory: one binary shard per vertex + ``manifest.json``), the
-        shape where each node can be handed only its own table.
-        ``packed=True`` (with ``shards=True``) packs the shards into
-        mmap-able group files — same payloads, ``O(n / group_size)``
-        files — for serving at ``n >= 10^5``.  Packed shards carry
-        CRC32 checksums by default (layout v3; ``checksums=False``
-        reverts to plain v2); ``replicas=R >= 2`` writes every group to
-        R replica roots, and loading the directory serves through
-        checksum-driven failover
-        (:class:`~repro.routing.serving.ReplicatedShardStore`).
+        directory of checksummed pack files + ``manifest.json``), the
+        shape where each node can be handed only its own table;
+        ``replicas=R >= 2`` writes every group to R replica roots, and
+        loading the directory serves through checksum-driven failover
+        (:class:`~repro.routing.serving.ShardStore`).
         """
-        if packed and not shards:
-            raise ValueError("packed=True requires shards=True")
+        if replicas != 1 and not shards:
+            raise ValueError("replicas requires shards=True")
         if shards:
             from ..routing.serving import write_shards
 
@@ -227,8 +219,6 @@ class RoutingSession:
                 spec_name=self.spec_name,
                 params=self.params,
                 seed=self.seed,
-                packed=packed,
-                checksums=checksums,
                 replicas=replicas,
             )
             return path
@@ -289,9 +279,10 @@ class RoutingSession:
     ) -> "RoutingSession":
         """Open a sharded layout (``save(shards=True)``) for serving.
 
-        The layout (per-file v1 or packed v2) is auto-detected from the
-        manifest.  Nothing but the manifest is read up front; each shard
-        loads on the first route that visits its vertex.
+        Nothing but the manifest is read up front; each shard loads on
+        the first route that visits its vertex.  A directory of a
+        retired layout raises
+        :class:`~repro.routing.serving.RetiredLayoutError`.
         ``max_resident`` bounds the decoded-shard LRU (the serving
         node's memory budget).
         """

@@ -12,7 +12,7 @@
   :class:`~repro.routing.shard_codec.ShardCodecError` subclass,
   re-raised typed client-side.
 * :mod:`~repro.cluster.worker` — one process per worker: a restricted
-  :class:`~repro.routing.serving.PackedShardStore` over its assigned
+  :class:`~repro.routing.serving.ShardStore` over its assigned
   groups behind a threading TCP server.
 * :mod:`~repro.cluster.router` — the client: drives routes hop by hop
   across workers with per-packet replica failover, producing

@@ -3,7 +3,7 @@
 :func:`start_cluster` spawns one OS process per placement worker (stdlib
 :mod:`multiprocessing` — the workers are real processes, a SIGKILL to
 one is indistinguishable from a node loss) over a shard directory laid
-down by ``write_shards(packed=True[, replicas=R])``.  Each worker binds
+down by ``write_shards([replicas=R])``.  Each worker binds
 an ephemeral TCP port, builds its restricted store from
 ``placement.assignment(w)``, and reports ``("ready", port)`` — or a
 typed startup failure — back over a :func:`multiprocessing.Pipe` before

@@ -25,20 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-__all__ = ["Placement"]
+from ..routing.serving import require_current_layout
 
-#: manifest layout versions a cluster can serve (packed groups only —
-#: the v1 per-file layout has no group partition to place)
-_PACKED_VERSIONS = (2, 3)
+__all__ = ["Placement"]
 
 
 @dataclass(frozen=True)
 class Placement:
     """Deterministic ``group -> workers`` ownership map.
 
-    ``replicas`` is the layout's copy count: 1 for single-copy packed
-    layouts (no failover possible — a worker kill loses its groups),
-    R >= 2 for replicated v3 layouts.
+    ``replicas`` is the layout's copy count: 1 for single-copy layouts
+    (no failover possible — a worker kill loses its groups), R >= 2 for
+    replicated ones.
     """
 
     n: int
@@ -73,22 +71,14 @@ class Placement:
     def from_manifest(
         cls, manifest: Dict[str, Any], *, workers: int
     ) -> "Placement":
-        """Placement for a packed-layout manifest (v2/v3)."""
-        version = manifest.get("version")
-        if version not in _PACKED_VERSIONS or (
-            manifest.get("layout") != "packed"
-        ):
-            raise ValueError(
-                f"cluster serving needs a packed layout (versions "
-                f"{_PACKED_VERSIONS}, layout 'packed'); got "
-                f"version={version!r} layout={manifest.get('layout')!r} "
-                f"— re-shard with write_shards(packed=True)"
-            )
+        """Placement for a shard-directory manifest (retired layouts
+        raise :class:`~repro.routing.serving.RetiredLayoutError`)."""
+        require_current_layout(manifest)
         return cls(
             n=int(manifest["n"]),
             group_size=int(manifest["group_size"]),
             workers=workers,
-            replicas=int(manifest.get("replicas", 1)),
+            replicas=int(manifest["replicas"]),
         )
 
     # -- group arithmetic ---------------------------------------------
@@ -125,9 +115,8 @@ class Placement:
         """``{group: replica copy index}`` served by worker ``w``.
 
         The worker's startup contract: for each entry ``(g, k)`` it maps
-        ``replica/<k>/groups/<g>.pack`` (or the unreplicated
-        ``groups/<g>.pack`` when ``replicas == 1``) and serves lookups
-        for exactly those groups.
+        copy ``k`` of the group's :func:`~repro.routing.serving.pack_paths`
+        and serves lookups for exactly those groups.
         """
         if not 0 <= w < self.workers:
             raise ValueError(

@@ -13,7 +13,7 @@ re-associated), same ``max_header_words`` / ``phase_hops``, same
 ``RoutingLoopError`` / ``MisdeliveryError`` on the same step.
 
 Failover is client-side, mirroring
-:class:`~repro.routing.serving.ReplicatedShardStore` one layer up: a
+the replicated :class:`~repro.routing.serving.ShardStore` one layer up: a
 connection loss (:class:`WorkerUnavailableError`) marks the worker dead
 and every affected packet re-targets the next owner in the group's
 placement order; a typed integrity/unavailability error from a worker
@@ -76,7 +76,7 @@ __all__ = ["ClusterRouter", "DEFAULT_BATCH_SIZE"]
 DEFAULT_BATCH_SIZE = 32
 
 #: remote typed errors that justify trying another replica owner —
-#: the same set that drives ReplicatedShardStore's on-disk failover
+#: the same set that drives ShardStore's on-disk failover
 _FAILOVER_ERRORS = (
     WorkerUnavailableError,
     ShardUnavailableError,

@@ -4,7 +4,7 @@ Each worker owns the slice of the packed layout its
 :class:`~repro.cluster.placement.Placement` assignment names — group
 ``g`` as replica copy ``k`` is mapped from
 ``replica/<k>/groups/<g>.pack`` — through a
-:class:`~repro.routing.serving.PackedShardStore` restricted to exactly
+:class:`~repro.routing.serving.ShardStore` restricted to exactly
 those paths (``group_paths``), stepped by the very same
 :class:`~repro.routing.serving.LocalRouter` the single-process serving
 stack uses.  That reuse is the whole correctness argument: a worker's
@@ -59,12 +59,11 @@ from ..routing.faults import FaultInjector
 from ..routing.model import Deliver, Forward, words_of
 from ..routing.serving import (
     LocalRouter,
-    PackedShardStore,
     ServingError,
-    ShardUnavailableError,
+    ShardStore,
     _load_manifest,
-    group_path,
-    replica_root,
+    pack_paths,
+    partial_replica_error,
 )
 from ..routing.shard_codec import (
     ShardCodecError,
@@ -113,7 +112,7 @@ def build_worker_store(
     *,
     max_resident: Optional[int] = None,
     fault_spec: Optional[Dict[str, Any]] = None,
-) -> PackedShardStore:
+) -> ShardStore:
     """The restricted store serving one worker's assignment.
 
     Validates — before mapping anything — that every replica root the
@@ -121,43 +120,28 @@ def build_worker_store(
     directory without its ``groups/`` subdir is a partially-written
     replica set (an interrupted ``write_shards`` or botched copy) and
     surfaces as :class:`ShardUnavailableError` naming the replica, the
-    same typed translation :class:`ReplicatedShardStore` applies.
+    same typed translation :class:`ShardStore` applies when serving.
     """
     manifest = _load_manifest(shard_dir)
-    replicas = int(manifest.get("replicas", 1))
+    replicas = int(manifest["replicas"])
     group_paths: Dict[int, str] = {}
-    checked: Dict[int, str] = {}
+    checked = set()
     for g, k in sorted(assignment.items()):
-        if replicas == 1:
-            if k != 0:
-                raise ValueError(
-                    f"assignment places group {g} as replica copy {k} "
-                    f"but {shard_dir!r} is unreplicated"
-                )
-            root = shard_dir
-        else:
-            if not 0 <= k < replicas:
-                raise ValueError(
-                    f"assignment places group {g} as replica copy {k} "
-                    f"but {shard_dir!r} has replicas 0..{replicas - 1}"
-                )
-            root = checked.get(k)
-            if root is None:
-                root = replica_root(shard_dir, k)
-                if not os.path.isdir(os.path.join(root, "groups")):
-                    raise ShardUnavailableError(
-                        f"replica {k} of {shard_dir!r} is partially "
-                        f"written: its groups/ directory is missing "
-                        f"({os.path.join(root, 'groups')}) — refusing "
-                        f"to start a worker over it; repair() can "
-                        f"rewrite the replica from a healthy copy"
-                    )
-                checked[k] = root
-        group_paths[g] = group_path(root, g)
+        if not 0 <= k < replicas:
+            raise ValueError(
+                f"assignment places group {g} as replica copy {k} "
+                f"but {shard_dir!r} has replicas 0..{replicas - 1}"
+            )
+        group_paths[g] = pack_paths(shard_dir, g, replicas)[k]
+        groups_dir = os.path.dirname(group_paths[g])
+        if groups_dir not in checked:
+            if not os.path.isdir(groups_dir):
+                raise partial_replica_error(shard_dir, k, groups_dir)
+            checked.add(groups_dir)
     io = None
     if fault_spec is not None:
         io = FaultInjector.from_spec(fault_spec)
-    return PackedShardStore(
+    return ShardStore(
         shard_dir,
         manifest=manifest,
         max_resident=max_resident,
@@ -215,7 +199,7 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         address: Tuple[str, int],
         *,
         worker_id: int,
-        store: PackedShardStore,
+        store: ShardStore,
         engine: LocalRouter,
     ) -> None:
         super().__init__(address, _RequestHandler)
@@ -425,7 +409,7 @@ def run_worker(
     until :data:`~repro.cluster.wire.MSG_SHUTDOWN` (or the process is
     killed — the chaos case the router's failover covers).
     """
-    store: Optional[PackedShardStore] = None
+    store: Optional[ShardStore] = None
     server: Optional[WorkerServer] = None
     try:
         store = build_worker_store(

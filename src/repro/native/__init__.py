@@ -13,7 +13,7 @@ arrays.  Two kernels ride in it:
   calls it per open bucket), and
 * the zigzag-varint ``NodeTable`` payload scanner behind
   :func:`repro.routing.shard_codec.decode_node_table_fast` (the
-  ``PackedShardStore`` cold-lookup path).
+  ``ShardStore`` cold-lookup path).
 
 Dispatch
 --------

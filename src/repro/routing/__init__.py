@@ -19,7 +19,6 @@ from .persistence import loads as load_scheme_state
 from .ports import PortAssignment
 from .serving import (
     LocalRouter,
-    PackedShardStore,
     ShardStore,
     open_store,
     write_shards,
@@ -54,7 +53,6 @@ __all__ = [
     "words_of",
     "PortAssignment",
     "LocalRouter",
-    "PackedShardStore",
     "ShardStore",
     "open_store",
     "write_shards",

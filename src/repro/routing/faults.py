@@ -39,7 +39,7 @@ assertable rather than merely noisy:
   fault-free run, and the chaos suite asserts exactly that.
 
 Repair deliberately bypasses the injector
-(:meth:`ReplicatedShardStore.repair` opens its own ``DirectIO``): it is
+(:meth:`ShardStore.repair` opens its own ``DirectIO``): it is
 an administrative operation, and letting the schedule corrupt the
 repair would turn a bounded adversary into an unbounded one.
 """
@@ -75,9 +75,9 @@ class TransientIOError(OSError):
 class FaultInjector:
     """Seeded fault-injecting wrapper around a :class:`DirectIO`.
 
-    Implements the same ``map_group``/``read_bytes``/``close`` protocol,
-    so any ``_ShardStoreBase`` subclass accepts it via its ``io=``
-    parameter.  Faulted buffers (truncations, bit flips) are served from
+    Implements the same ``map_group``/``read_bytes``/``release``/``close``
+    protocol, so a :class:`~repro.routing.serving.ShardStore` accepts it
+    via its ``io=`` parameter.  Faulted buffers (truncations, bit flips) are served from
     private ``bytes`` copies — the files on disk are never modified, so
     one shard directory can back both the faulted and the fault-free leg
     of a chaos comparison.
@@ -192,6 +192,9 @@ class FaultInjector:
         if faulted is None:
             return self._io.read_bytes(path)
         return faulted
+
+    def release(self, view: memoryview) -> None:
+        self._io.release(view)
 
     def close(self) -> None:
         self._io.close()

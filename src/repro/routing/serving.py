@@ -5,21 +5,21 @@ each node holds *its own* ``o(n)``-word table and forwards using that
 table plus the packet header — nothing global.  This module makes that
 executable:
 
-* :func:`write_shards` — lay a compiled scheme out on disk, either as one
-  binary shard per vertex (:mod:`repro.routing.shard_codec`) under a
-  fan-out directory tree (layout v1), or — with ``packed=True`` — as a
-  handful of packed group files holding many shard payloads each behind
-  a sorted offset/length index (layout v2), plus one small
+* :func:`write_shards` — lay a compiled scheme out on disk as checksummed
+  packs: every ``group_size`` consecutive vertices' binary shards
+  (:mod:`repro.routing.shard_codec`) share one group file behind a
+  sorted, CRC32-sealed offset/length/crc index, plus one small
   ``manifest.json`` with the scheme identity, codec version, layout and
-  byte/word accounting,
-* :class:`ShardStore` / :class:`PackedShardStore` — lazy shard loaders
-  over the two layouts, sharing one LRU residency bound and one set of
-  serve statistics (loads, cache hits, bytes read); the packed store
-  maps each group file once (``mmap``) and decodes a record through
-  a zero-copy ``memoryview`` of the mapped buffer — no per-vertex
-  ``open()``, no intermediate ``bytes``,
-* :func:`open_store` — layout dispatch from the manifest, so callers
-  (and ``RoutingSession.load``) never care which layout is on disk,
+  byte/word accounting; ``replicas=R`` writes every group to R replica
+  roots,
+* :class:`ShardStore` — the lazy shard loader: maps each group file
+  once (``mmap``), decodes a record through a zero-copy ``memoryview``
+  of the mapped buffer, checks every payload's CRC32 before decoding it,
+  keeps an LRU residency bound and the serve statistics (loads, cache
+  hits, bytes read, fault counters); with R copies of a group it fails
+  over between them,
+* :func:`open_store` — the store for a shard directory, configured from
+  its manifest (``RoutingSession.load`` goes through it),
 * :class:`LocalRouter` — the serving engine: a step-only scheme instance
   (``SchemeBase.restore_serving``) whose table, label and port accesses
   all resolve from the *current vertex's* shard.  It implements the
@@ -32,18 +32,19 @@ executable:
   the next hop sees is the decoded wire bytes, and ``serve_stats()``
   reports the true header bytes sent.
 
-Layouts on disk::
+Layout on disk (manifest version 3)::
 
-    <dir>/manifest.json             # identity + accounting, JSON
-    <dir>/shards/<g>/<v>.shard      # v1: g = v // fanout, zero-padded hex
-    <dir>/groups/<g>.pack           # v2: g = v // group_size
+    <dir>/manifest.json                      # identity + accounting, JSON
+    <dir>/groups/<g>.pack                    # replicas=1: g = v // group_size
+    <dir>/replica/<r>/groups/<g>.pack        # replicas=R >= 2, r < R
 
-Cold-start cost is the point: serving vertex ``v`` reads the manifest
-and ``v``'s shard — a few hundred bytes — instead of parsing the whole
-JSON session blob.  The packed layout extends that to ``n >= 10^5``:
-``O(n / group_size)`` files instead of ``n`` inodes, and the group index
-is binary-searched in the mapped file (``benchmarks/bench_serving.py``
-gates both the 10x cold start and the >= 100x file-count reduction).
+Earlier releases also wrote one file per vertex (version 1) and packs
+without checksums (version 2); this build refuses both with
+:class:`RetiredLayoutError`, which names the command that rebuilds the
+directory.  Cold-start cost is the point: serving vertex ``v`` reads the
+manifest and ``v``'s group index entry and payload — a few hundred bytes
+— instead of parsing the whole JSON session blob, from
+``O(n / group_size)`` files instead of ``n`` inodes.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from typing import (
     List,
     Optional,
     Tuple,
-    Union,
 )
 
 if TYPE_CHECKING:  # import cycle: ports imports graph helpers
@@ -96,39 +96,38 @@ __all__ = [
     "ShardUnavailableError",
     "ShardIntegrityError",
     "ReplicaExhaustedError",
+    "RetiredLayoutError",
     "WireContractError",
     "ShardAccountingError",
     "DirectIO",
     "ShardStore",
-    "PackedShardStore",
-    "ReplicatedShardStore",
     "open_store",
     "verify_shard_dir",
     "LocalRouter",
     "write_shards",
     "write_shard_records",
-    "shard_path",
     "group_path",
     "replica_root",
+    "pack_paths",
+    "partial_replica_error",
+    "require_current_layout",
     "is_shard_dir",
 ]
 
 MANIFEST_NAME = "manifest.json"
 FORMAT = "repro.routing.shards"
-#: layout version 1: one file per vertex under shards/<g>/<v>.shard
+#: retired layout version 1: one file per vertex under shards/<g>/<v>.shard
 FORMAT_VERSION = 1
-#: layout version 2: packed group files under groups/<g>.pack
+#: retired layout version 2: packs without checksums under groups/<g>.pack
 PACKED_FORMAT_VERSION = 2
-#: layout version 3: packed group files whose index and payloads carry
-#: CRC32 checksums (pack v2); with ``replicas=R > 1`` every group exists
-#: on R replica paths under replica/<r>/groups/<g>.pack
+#: the layout this build writes and serves: packs whose index and
+#: payloads carry CRC32 checksums (pack v2); with ``replicas=R > 1``
+#: every group exists on R replica paths under replica/<r>/groups/<g>.pack
 CHECKSUM_FORMAT_VERSION = 3
-#: shards per leaf directory (keeps directories small at n ~ 10^6)
-DEFAULT_FANOUT = 256
 #: shard payloads per packed group file: at n = 10^6 this is ~245 files
 #: (vs 10^6 inodes), while one group stays small enough to map lazily
 DEFAULT_GROUP_SIZE = 4096
-#: transient-IO retry policy defaults (see _ShardStoreBase)
+#: transient-IO retry policy defaults (see ShardStore._with_retries)
 DEFAULT_RETRY_BUDGET = 2
 DEFAULT_BACKOFF_S = 0.002
 
@@ -149,6 +148,12 @@ class ShardUnavailableError(ServingError, FileNotFoundError):
 class ShardIntegrityError(ServingError, ShardCodecError):
     """Stored bytes are corrupt: checksum mismatch, lying index, or a
     manifest-covered vertex missing from a structurally valid index."""
+
+
+class RetiredLayoutError(ServingError, ValueError):
+    """The manifest describes a layout this build no longer serves (one
+    file per vertex, or packs without checksums); the message names the
+    command that rebuilds the directory as checksummed packs."""
 
 
 class WireContractError(ServingError):
@@ -175,16 +180,15 @@ class DirectIO:
     Stores never touch ``open``/``mmap`` directly — they go through one
     of these, which is the seam the fault-injection layer
     (:class:`repro.routing.faults.FaultInjector`) wraps.  Owns the maps
-    it hands out; :meth:`close` releases them (the ``close()``
-    discipline the leak tests enforce).
+    it hands out: :meth:`release` unmaps one, :meth:`close` all of them
+    (the ``close()`` discipline the leak tests enforce).
     """
 
     def __init__(self) -> None:
-        self._views: List[memoryview] = []
-        self._mmaps: List[mmap.mmap] = []
+        self._maps: List[Tuple[memoryview, mmap.mmap]] = []
 
     def map_group(self, path: str, *, sequential: bool = False) -> memoryview:
-        """Map ``path`` read-only; the view stays valid until close().
+        """Map ``path`` read-only; the view stays valid until released.
 
         ``sequential=True`` advises the kernel the map will be scanned
         front to back (``MADV_SEQUENTIAL`` readahead) — the verify
@@ -202,21 +206,40 @@ class DirectIO:
         ):
             mapped.madvise(mmap.MADV_SEQUENTIAL)
         view = memoryview(mapped)
-        self._views.append(view)
-        self._mmaps.append(mapped)
+        self._maps.append((view, mapped))
         return view
 
     def read_bytes(self, path: str) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
 
+    def release(self, view: memoryview) -> None:
+        """Unmap one view :meth:`map_group` handed out.
+
+        Best effort: a map some live sub-view still pins (typically one
+        held by an exception traceback) stays owned here and is
+        unmapped by :meth:`close` instead.
+        """
+        for i, (held, mapped) in enumerate(self._maps):
+            if held is view:
+                try:
+                    view.release()
+                    mapped.close()
+                except BufferError:
+                    return
+                del self._maps[i]
+                return
+        try:
+            view.release()  # not a map of ours (e.g. a faulted copy)
+        except BufferError:
+            pass
+
     def close(self) -> None:
-        views, self._views = self._views, []
-        for view in views:
+        maps, self._maps = self._maps, []
+        for view, _ in maps:
             view.release()
-        mmaps, self._mmaps = self._mmaps, []
         collected = False
-        for mapped in mmaps:
+        for _, mapped in maps:
             try:
                 mapped.close()
             except BufferError:
@@ -232,21 +255,36 @@ class DirectIO:
                 mapped.close()
 
 
-def shard_path(root: str, v: int, fanout: int) -> str:
-    """On-disk path of vertex ``v``'s shard under a v1 layout ``root``."""
-    return os.path.join(
-        root, "shards", f"{v // fanout:04x}", f"{v}.shard"
-    )
-
-
 def group_path(root: str, g: int) -> str:
-    """On-disk path of packed group ``g`` under a v2/v3 layout ``root``."""
+    """On-disk path of packed group ``g`` under a layout root."""
     return os.path.join(root, "groups", f"{g:04x}.pack")
 
 
 def replica_root(root: str, r: int) -> str:
-    """Root of replica ``r`` under a replicated (v3) layout ``root``."""
+    """Root of replica ``r`` under a replicated layout ``root``."""
     return os.path.join(root, "replica", str(r))
+
+
+def pack_paths(root: str, g: int, replicas: int) -> List[str]:
+    """Every copy of group ``g`` under a layout written with
+    ``replicas`` copies: ``groups/<g>.pack`` for one copy,
+    ``replica/<r>/groups/<g>.pack`` for each ``r`` otherwise."""
+    if replicas == 1:
+        return [group_path(root, g)]
+    return [group_path(replica_root(root, r), g) for r in range(replicas)]
+
+
+def partial_replica_error(
+    root: str, r: int, groups_dir: str
+) -> ShardUnavailableError:
+    """The typed error for a replica whose ``groups/`` directory never
+    landed (an interrupted ``write_shards`` or a botched copy)."""
+    return ShardUnavailableError(
+        f"replica {r} of {root!r} is partially written: its groups/ "
+        f"directory is missing ({groups_dir}) — the replica never "
+        f"finished landing; repair() can rewrite it from a healthy "
+        f"replica"
+    )
 
 
 @contextmanager
@@ -266,14 +304,15 @@ def _atomic_file(target: str, mode: str = "wb") -> Iterator[IO[Any]]:
 
 
 def _clear_stale_layouts(path: str) -> None:
-    # A previous, larger or differently-packed layout would leave orphan
-    # shards the new manifest cannot reach — and the directory's on-disk
-    # size would no longer match the manifest's byte accounting.  Start
-    # clean, whichever layout was there before.  The old manifest goes
-    # FIRST: every reader gates on it, so a write interrupted anywhere
-    # after this point leaves an unambiguous "not a shard directory"
-    # (the new manifest only appears, atomically, after the last shard
-    # landed) instead of a stale manifest describing deleted shards.
+    # A previous, larger or differently-replicated layout (or a retired
+    # per-file ``shards/`` tree) would leave orphan files the new
+    # manifest cannot reach — and the directory's on-disk size would no
+    # longer match the manifest's byte accounting.  Start clean.  The
+    # old manifest goes FIRST: every reader gates on it, so a write
+    # interrupted anywhere after this point leaves an unambiguous "not a
+    # shard directory" (the new manifest only appears, atomically, after
+    # the last group landed) instead of a stale manifest describing
+    # deleted groups.
     manifest = os.path.join(path, MANIFEST_NAME)
     if os.path.isfile(manifest):
         os.remove(manifest)
@@ -283,56 +322,20 @@ def _clear_stale_layouts(path: str) -> None:
             shutil.rmtree(stale)
 
 
-def _write_per_file(
-    path: str, blobs: Iterable[Tuple[int, bytes]], fanout: int
-) -> Dict[str, Any]:
-    # Streaming: each shard hits disk as it arrives — O(1) residency.
-    made_dirs = set()
-    count = 0
-    for v, blob in blobs:
-        target = shard_path(path, v, fanout)
-        leaf = os.path.dirname(target)
-        if leaf not in made_dirs:
-            os.makedirs(leaf, exist_ok=True)
-            made_dirs.add(leaf)
-        with _atomic_file(target) as fh:
-            fh.write(blob)
-        count += 1
-    return {
-        "version": FORMAT_VERSION,
-        "layout": "files",
-        "fanout": fanout,
-        "files": {"shards": count, "dirs": len(made_dirs)},
-    }
-
-
-def _write_packed(
+def _write_packs(
     path: str,
     blobs: Iterable[Tuple[int, bytes]],
     group_size: int,
-    *,
-    checksums: bool = True,
-    replicas: int = 1,
+    replicas: int,
 ) -> Dict[str, Any]:
     # Streaming with O(group) residency: a group flushes as soon as a
     # record of a later group arrives, so a 10^6-vertex layout never
     # holds more than one group's payloads.  That requires records in
     # nondecreasing group order — what every producer in this repository
     # emits (compile_tables, iter_nodes and the benches walk vertices in
-    # order; within a group, encode_pack sorts).
-    #
-    # ``replicas=R > 1`` lands every encoded group on R replica roots
-    # (encode once, write R times) — the redundancy the
-    # ReplicatedShardStore fails over across.  Replication without
-    # checksums would fail over on *loud* faults only, so it is refused.
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if replicas > 1 and not checksums:
-        raise ValueError(
-            "replicas > 1 requires checksums=True — failover is driven "
-            "by checksum verification, a replica set without checksums "
-            "could silently serve a corrupted group"
-        )
+    # order; within a group, encode_pack sorts).  With ``replicas=R``
+    # every encoded group lands on R replica roots (encode once, write
+    # R times) — the redundancy ShardStore fails over across.
     roots = (
         [path] if replicas == 1
         else [replica_root(path, r) for r in range(replicas)]
@@ -343,9 +346,9 @@ def _write_packed(
 
     def flush(g: int, entries: List[Tuple[int, bytes]]) -> None:
         nonlocal groups_written
-        pack = encode_pack(entries, checksums=checksums)
-        for root in roots:
-            with _atomic_file(group_path(root, g)) as fh:
+        pack = encode_pack(entries)
+        for target in pack_paths(path, g, replicas):
+            with _atomic_file(target) as fh:
                 fh.write(pack)
         groups_written += 1
 
@@ -368,12 +371,10 @@ def _write_packed(
     if current is not None:
         flush(current, entries)
     return {
-        "version": (
-            CHECKSUM_FORMAT_VERSION if checksums else PACKED_FORMAT_VERSION
-        ),
+        "version": CHECKSUM_FORMAT_VERSION,
         "layout": "packed",
         "group_size": group_size,
-        "checksums": checksums,
+        "checksums": True,
         "replicas": replicas,
         "files": {"groups": groups_written, "replicas": replicas},
     }
@@ -384,10 +385,7 @@ def write_shard_records(
     path: str,
     *,
     identity: Dict[str, Any],
-    packed: bool = False,
-    fanout: int = DEFAULT_FANOUT,
     group_size: int = DEFAULT_GROUP_SIZE,
-    checksums: bool = True,
     replicas: int = 1,
 ) -> Dict[str, Any]:
     """Write encoded :class:`NodeTable` records under ``path``.
@@ -397,20 +395,14 @@ def write_shard_records(
     benchmark) use it directly; ``identity`` supplies the manifest's
     scheme-identity fields (``spec``, ``scheme``, ``name``, ``params``,
     ``routing_params``, ``seed``).  ``records`` may be a generator — it
-    is consumed in one streaming pass with bounded residency (one shard
-    for the per-file layout, one group for the packed layout; packed
-    writing needs records in nondecreasing ``owner // group_size``
-    order, which every producer here emits).  Returns the manifest dict
-    (also written to ``manifest.json``).
-
-    Packed layouts default to ``checksums=True`` (layout v3: CRC32 per
-    payload and per index); ``checksums=False`` writes the legacy v2
-    packs.  ``replicas=R > 1`` (packed + checksummed only) lands every
-    group on R replica paths for :class:`ReplicatedShardStore` failover.
+    is consumed in one streaming pass holding one group at a time, so
+    it needs records in nondecreasing ``owner // group_size`` order,
+    which every producer here emits.  ``replicas=R > 1`` lands every
+    group on R replica paths for :class:`ShardStore` failover.  Returns
+    the manifest dict (also written to ``manifest.json``).
     """
     manifest = _write_unpublished(
-        records, path, identity, packed, fanout, group_size, checksums,
-        replicas,
+        records, path, identity, group_size, replicas
     )
     _publish_manifest(path, manifest)
     return manifest
@@ -420,16 +412,16 @@ def _write_unpublished(
     records: Iterable[NodeTable],
     path: str,
     identity: Dict[str, Any],
-    packed: bool,
-    fanout: int,
     group_size: int,
-    checksums: bool,
     replicas: int,
 ) -> Dict[str, Any]:
-    """Write the shards and return the manifest dict, unpublished (the
-    encoding pass also counts each record's table words)."""
-    if replicas > 1 and not packed:
-        raise ValueError("replicas > 1 requires packed=True")
+    """Write the packs and return the manifest dict, unpublished (the
+    encoding pass also counts each record's table words).  Arguments
+    are checked before the directory is touched: a bad call must not
+    delete the layout already there."""
+    for name, value in (("replicas", replicas), ("group_size", group_size)):
+        if not _positive_int(value):
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     os.makedirs(path, exist_ok=True)
     _clear_stale_layouts(path)
     stats = {"n": 0, "bytes": 0, "max_bytes": 0, "words": 0, "max_words": 0}
@@ -444,13 +436,7 @@ def _write_unpublished(
             stats["max_words"] = max(stats["max_words"], words)
             yield record.owner, blob
 
-    if packed:
-        layout = _write_packed(
-            path, encoded(), group_size,
-            checksums=checksums, replicas=replicas,
-        )
-    else:
-        layout = _write_per_file(path, encoded(), fanout)
+    layout = _write_packs(path, encoded(), group_size, replicas)
     manifest = {
         "format": FORMAT,
         "codec": CODEC_VERSION,
@@ -484,26 +470,27 @@ def write_shards(
     spec_name: str,
     params: Optional[Dict[str, Any]] = None,
     seed: int = 0,
-    fanout: int = DEFAULT_FANOUT,
-    packed: bool = False,
+    packed: bool = True,
     group_size: int = DEFAULT_GROUP_SIZE,
-    checksums: bool = True,
     replicas: int = 1,
 ) -> Dict[str, Any]:
-    """Compile ``scheme`` and write the sharded layout under ``path``.
+    """Compile ``scheme`` and write its checksummed packs under ``path``.
 
-    ``packed=False`` writes one file per vertex (layout v1);
-    ``packed=True`` writes ``O(n / group_size)`` packed group files —
-    same payload bytes, same manifest accounting, a fraction of the
-    inodes — checksummed by default (layout v3; ``checksums=False``
-    reverts to the legacy v2 packs) and optionally replicated
-    (``replicas=R`` places every group on R replica paths for
-    :class:`ReplicatedShardStore` failover).  Returns the manifest
-    dict.  Before the manifest is published, the word total counted
-    while encoding is checked against :class:`SchemeStats` (counted
-    apart, with ``words_of``): on drift, :class:`ShardAccountingError`
-    is raised and the directory stays "not a shard dir".
+    ``O(n / group_size)`` group files, each holding ``group_size``
+    vertices' shards behind a CRC32-sealed index; ``replicas=R`` places
+    every group on R replica paths for :class:`ShardStore` failover.
+    ``packed`` accepts only ``True`` (the one layout there is).  Returns
+    the manifest dict.  Before the manifest is published, the word total
+    counted while encoding is checked against :class:`SchemeStats`
+    (counted apart, with ``words_of``): on drift,
+    :class:`ShardAccountingError` is raised and the directory stays
+    "not a shard dir".
     """
+    if packed is not True:
+        raise ValueError(
+            f"packed={packed!r}: the one-file-per-vertex layout is "
+            f"retired; shards are always written as checksummed packs"
+        )
     identity = {
         "spec": spec_name,
         # LocalRouter re-exports carry the original scheme class through
@@ -517,8 +504,7 @@ def write_shards(
         "routing_params": scheme.routing_params(),
     }
     manifest = _write_unpublished(
-        scheme.compile_tables(), path, identity, packed, fanout,
-        group_size, checksums, replicas,
+        scheme.compile_tables(), path, identity, group_size, replicas
     )
     total_words = manifest["words"]["total_table_words"]
     stats = scheme.stats()
@@ -538,38 +524,60 @@ def is_shard_dir(path: str) -> bool:
     )
 
 
-#: manifest fields every layout must carry, with their validators —
-#: _load_manifest refuses arbitrary JSON instead of letting a missing
-#: or mistyped field surface later as a KeyError in the serving path
-_MANIFEST_COMMON = {
+def _positive_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+#: manifest fields, with their validators — _load_manifest refuses
+#: arbitrary JSON instead of letting a missing or mistyped field surface
+#: later as a KeyError in the serving path
+_MANIFEST_FIELDS = {
     "version": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "n": lambda v: (
         isinstance(v, int) and not isinstance(v, bool) and v >= 0
     ),
     "spec": lambda v: isinstance(v, str) and v != "",
     "scheme": lambda v: isinstance(v, str) and v != "",
+    "group_size": _positive_int,
+    "checksums": lambda v: v is True,
+    "replicas": _positive_int,
 }
-_MANIFEST_LAYOUT = {
-    FORMAT_VERSION: {
-        "fanout": lambda v: (
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1
-        ),
-    },
-    PACKED_FORMAT_VERSION: {
-        "group_size": lambda v: (
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1
-        ),
-    },
-    CHECKSUM_FORMAT_VERSION: {
-        "group_size": lambda v: (
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1
-        ),
-        "checksums": lambda v: v is True,
-        "replicas": lambda v: (
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1
-        ),
-    },
+
+#: what each retired layout version was, for the refusal message
+_RETIRED_LAYOUTS = {
+    FORMAT_VERSION: "one file per vertex",
+    PACKED_FORMAT_VERSION: "packs without checksums",
 }
+
+
+def require_current_layout(
+    manifest: Dict[str, Any], path: Optional[str] = None
+) -> None:
+    """Refuse a manifest of any layout but checksummed packs.
+
+    A retired layout (version 1 or 2) raises :class:`RetiredLayoutError`
+    naming the rebuild command, filled in from the manifest; an unknown
+    version raises :class:`ValueError`.
+    """
+    version = manifest.get("version")
+    if version in _RETIRED_LAYOUTS:
+        where = "shard directory" if path is None else repr(path)
+        raise RetiredLayoutError(
+            f"{where} holds shard layout version {version} "
+            f"({_RETIRED_LAYOUTS[version]}), which this build no longer "
+            f"serves: only checksummed packs (layout version "
+            f"{CHECKSUM_FORMAT_VERSION}) are read.  Rebuild it with "
+            f"`python -m repro shard --scheme {manifest.get('spec', '<spec>')}"
+            f" --seed {manifest.get('seed', '<seed>')} --out "
+            f"{path or '<dir>'}` (from Python: write_shards(scheme, dir, "
+            f"packed=True))"
+        )
+    if version != CHECKSUM_FORMAT_VERSION or manifest.get("layout") != "packed":
+        raise ValueError(
+            f"unsupported shard layout version={version!r} "
+            f"layout={manifest.get('layout')!r} (this build reads "
+            f"version {CHECKSUM_FORMAT_VERSION}, layout 'packed')"
+        )
 
 
 def _validate_manifest(manifest: Any, path: str) -> Dict[str, Any]:
@@ -586,15 +594,13 @@ def _validate_manifest(manifest: Any, path: str) -> Dict[str, Any]:
         raise ValueError(
             f"not a shard manifest (format={manifest.get('format')!r})"
         )
-    checks = dict(_MANIFEST_COMMON)
-    version = manifest.get("version")
-    if version in _MANIFEST_LAYOUT:
-        checks.update(_MANIFEST_LAYOUT[version])
-    for field, ok in checks.items():
+    if "version" in manifest:
+        require_current_layout(manifest, path)
+    for field, ok in _MANIFEST_FIELDS.items():
         if field not in manifest:
             raise ValueError(
                 f"shard manifest of {path!r} is missing required "
-                f"field {field!r} (layout version {version!r})"
+                f"field {field!r}"
             )
         if not ok(manifest[field]):
             raise ValueError(
@@ -622,49 +628,168 @@ def _load_manifest(path: str) -> Dict[str, Any]:
     return _validate_manifest(manifest, path)
 
 
-class _ShardStoreBase:
-    """Shared store machinery: LRU residency, serve counters, decoding.
+class ShardStore:
+    """The shard store: ``mmap``-ed checksummed packs, zero-copy decode.
 
-    Subclasses implement one method — ``_read_shard(v)`` returning the
-    raw shard bytes (or a zero-copy view of them) — and everything else
-    (decode, owner check, LRU, statistics) is identical across layouts,
-    which is what makes the packed-vs-per-file equivalence tests
-    meaningful: the counters count the same events.
+    Each group has a list of candidate pack files: the layout's R
+    copies (:func:`pack_paths`), or — when ``group_paths`` restricts
+    the store to an explicit ``{group: pack path}`` assignment — the
+    one path assigned.  Serving vertex ``v`` maps a candidate of its
+    group once, binary-searches the mapped index and decodes the record
+    straight from a ``memoryview`` slice of the map — no per-vertex
+    ``open()``/``read()`` syscalls and no intermediate ``bytes`` copy on
+    the hot path.  The payload's CRC32 is verified *before* the decoder
+    touches the bytes, so a flipped bit in a stored weight — which would
+    decode to a structurally valid but wrong table — is never decoded.
+
+    How a group's copy is trusted depends on how many candidates it
+    has, the store's one policy choice:
+
+    * **one candidate** — mapping checks the header and the index CRC
+      (:func:`~repro.routing.shard_codec.parse_pack_header`), so a lying
+      index is caught before the first binary search trusts it; the
+      full O(count) index check
+      (:func:`~repro.routing.shard_codec.check_pack`) runs on the first
+      anomaly — a lookup miss, a decode failure, an owner mismatch.  A
+      failure raises :class:`ShardIntegrityError` and only drops the
+      mapping (the next access re-maps the file), so the healthy
+      entries of a partly corrupt sole copy keep serving.
+    * **two or more candidates** — mapping runs
+      :func:`~repro.routing.shard_codec.verify_pack` over the whole copy,
+      so a corrupt or truncated copy is rejected before a single entry
+      is served from it and the store fails over to the next one.  A
+      copy that fails (missing file, short map, checksum mismatch,
+      persistent I/O error, or a payload that rots after mapping) is
+      **quarantined** until :meth:`repair` rewrites it from a healthy
+      copy; if every copy of a group is bad,
+      :class:`ReplicaExhaustedError` reports each copy's cause.  The
+      chaos suite asserts the guarantee this buys: no corrupted table is
+      ever silently decoded, and every injected corruption produces
+      exactly one observable failover.
+
+    Transient I/O errors (EIO/EAGAIN) are retried with backoff before
+    they count as failures.  An unassigned group of a restricted store
+    raises :class:`ShardUnavailableError` — the precise failure a
+    cluster worker (:mod:`repro.cluster.worker`) must report when handed
+    a vertex it does not own.
+
+    Parameters
+    ----------
+    path:
+        Directory :func:`write_shards` produced.
+    max_resident:
+        Optional LRU bound on decoded shards kept in memory — the
+        serving-node memory budget.  ``None`` keeps everything touched.
     """
 
-    #: subclass-provided layout tag for stats()/repr
-    layout = "?"
+    layout = "packed"
 
     def __init__(
-        self, path: str, manifest: Dict[str, Any],
-        max_resident: Optional[int],
+        self,
+        path: str,
+        *,
+        max_resident: Optional[int] = None,
+        manifest: Optional[Dict[str, Any]] = None,
         io: Optional[DirectIO] = None,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
         backoff_s: float = DEFAULT_BACKOFF_S,
+        group_paths: Optional[Dict[int, str]] = None,
     ) -> None:
+        # ``manifest`` lets callers hand over a parse they already did.
+        if manifest is None:
+            manifest = _load_manifest(path)
+        else:
+            manifest = _validate_manifest(manifest, path)
         self.path = path
         self.manifest = manifest
         self.n = int(manifest["n"])
+        self.group_size = int(manifest["group_size"])
+        self.replicas = int(manifest["replicas"])
         self.max_resident = max_resident
         self._io = io if io is not None else DirectIO()
         #: transient-IO retry policy: an EIO read is retried up to
         #: ``retry_budget`` times with exponential backoff before the
-        #: error escapes (or, in the replicated store, fails over)
+        #: error escapes (or fails over to another copy)
         self.retry_budget = retry_budget
         self.backoff_s = backoff_s
+        self._group_paths = (
+            None if group_paths is None else dict(group_paths)
+        )
         self._resident: "OrderedDict[int, NodeTable]" = OrderedDict()
+        # group -> (mapped view, index of the candidate it maps)
+        self._maps: Dict[int, Tuple[memoryview, int]] = {}
+        # group -> quarantined candidate indices
+        self._quarantined: Dict[int, set] = {}
         #: serve statistics
         self.loads = 0
         self.hits = 0
         self.bytes_read = 0
-        #: fault-tolerance counters (every layout reports them; only
-        #: the checksummed/replicated paths can move most of them)
+        #: fault-tolerance counters
         self.retries = 0
         self.checksum_failures = 0
         self.failovers = 0
         self.repairs = 0
 
-    def _with_retries(self, op: Callable[[], Any], describe: str) -> Any:
+    # -- groups and their copies ----------------------------------------
+    def group_of(self, v: int) -> int:
+        return v // self.group_size
+
+    def group_count(self) -> int:
+        return (self.n + self.group_size - 1) // self.group_size
+
+    def copies(self, g: int) -> List[str]:
+        """Candidate pack files of group ``g``, in failover order."""
+        if self._group_paths is None:
+            return pack_paths(self.path, g, self.replicas)
+        target = self._group_paths.get(g)
+        if target is None:
+            raise ShardUnavailableError(
+                f"group {g} is not in this store's assignment "
+                f"({len(self._group_paths)} owned groups under "
+                f"{self.path!r}) — route the lookup to the group's "
+                f"owner"
+            )
+        return [target]
+
+    def group_path(self, g: int, r: int = 0) -> str:
+        """Path of candidate ``r`` of group ``g``."""
+        return self.copies(g)[r]
+
+    def owns(self, v: int) -> bool:
+        """Whether vertex ``v``'s shard is servable from this store."""
+        if not 0 <= v < self.n:
+            return False
+        if self._group_paths is None:
+            return True
+        return self.group_of(v) in self._group_paths
+
+    def owned_groups(self) -> Optional[Tuple[int, ...]]:
+        """Sorted assignment groups, or ``None`` when unrestricted."""
+        if self._group_paths is None:
+            return None
+        return tuple(sorted(self._group_paths))
+
+    def _sweep_groups(self) -> List[int]:
+        """Groups a verify/repair sweep covers: the assignment when
+        restricted, every group of the layout otherwise."""
+        if self._group_paths is not None:
+            return sorted(self._group_paths)
+        return list(range(self.group_count()))
+
+    @property
+    def groups_mapped(self) -> int:
+        return len(self._maps)
+
+    def quarantined(self) -> Dict[int, Tuple[int, ...]]:
+        """``{group: (replica, ...)}`` of currently quarantined copies."""
+        return {
+            g: tuple(sorted(rs))
+            for g, rs in self._quarantined.items()
+            if rs
+        }
+
+    # -- mapping ---------------------------------------------------------
+    def _with_retries(self, op: Callable[[], Any]) -> Any:
         """Run ``op()`` retrying transient IO errors (EIO/EAGAIN).
 
         A NAS hiccup or an injected transient fault is not corruption:
@@ -689,19 +814,178 @@ class _ShardStoreBase:
                     time.sleep(self.backoff_s * (2 ** attempt))
                 attempt += 1
 
-    # -- layout hooks --------------------------------------------------
-    def _read_shard(self, v: int) -> Union[bytes, memoryview]:
-        raise NotImplementedError
+    def _missing_copy(self, g: int, r: int) -> ShardUnavailableError:
+        """The typed error for a missing copy: it names the replica (the
+        operator's unit of repair) and detects a partially written one —
+        a ``replica/<r>`` directory whose ``groups/`` subdir never landed
+        (an interrupted ``write_shards`` or a botched copy)."""
+        copies = self.copies(g)
+        target = copies[r]
+        if len(copies) == 1:
+            return ShardUnavailableError(
+                f"group {g} of the packed layout is missing "
+                f"({target}); a local-knowledge route only touches "
+                f"visited vertices' groups — this one was needed"
+            )
+        groups_dir = os.path.dirname(target)
+        if not os.path.isdir(groups_dir):
+            return partial_replica_error(self.path, r, groups_dir)
+        return ShardUnavailableError(
+            f"replica {r} of group {g} is missing ({target})"
+        )
+
+    def _map_copy(
+        self, g: int, r: int, *, sequential: bool = False
+    ) -> memoryview:
+        """Map candidate ``r`` of group ``g`` (transient errors retried)."""
+        target = self.copies(g)[r]
+        try:
+            return self._with_retries(
+                lambda: self._io.map_group(target, sequential=sequential)
+            )
+        except FileNotFoundError as exc:
+            raise self._missing_copy(g, r) from exc
+
+    def _verified(self, view: memoryview) -> memoryview:
+        """``view`` once :func:`verify_pack` passes over it; on failure
+        the map is released and the error re-raised."""
+        try:
+            verify_pack(view)
+            return view
+        except ShardCodecError as exc:
+            # drop the traceback first: its frames pin slices of the map
+            failure = exc.with_traceback(None)
+        self._io.release(view)
+        raise failure
+
+    def _group_view(self, g: int) -> memoryview:
+        mapped = self._maps.get(g)
+        if mapped is not None:
+            return mapped[0]
+        copies = self.copies(g)
+        if len(copies) == 1:
+            view = self._map_copy(g, 0)
+            # Header validation per mapping (plus the index CRC) keeps
+            # cold lookups syscall-light; the O(count) structural index
+            # check runs on demand (_diagnose / verify) and every
+            # corruption it would catch still surfaces through a failed
+            # lookup, checksum, decode or owner check first.
+            parse_pack_header(view)
+            self._maps[g] = (view, 0)
+            return view
+        bad = self._quarantined.setdefault(g, set())
+        causes: Dict[int, Exception] = {}
+        for r in range(len(copies)):
+            if r in bad:
+                causes[r] = ReplicaExhaustedError(
+                    "quarantined earlier this session", {}
+                )
+                continue
+            try:
+                view = self._verified(self._map_copy(g, r))
+            except (OSError, ShardCodecError) as exc:
+                # strip the traceback before keeping the exception: its
+                # frames hold memoryview slices of the released map
+                causes[r] = exc.with_traceback(None)
+                bad.add(r)
+                if isinstance(exc, ChecksumError):
+                    self.checksum_failures += 1
+                self.failovers += 1
+                continue
+            self._maps[g] = (view, r)
+            return view
+        raise ReplicaExhaustedError(
+            f"every replica of group {g} is unavailable or corrupt "
+            f"(root {self.path})",
+            causes,
+        )
+
+    def _drop_mapping(self, g: int) -> bool:
+        """Drop group ``g``'s mapping so the next access re-maps — a
+        repaired pack must not be shadowed by a map of its corrupt
+        predecessor.  With other candidates to fail over to, the mapped
+        copy is also quarantined; returns whether it was."""
+        view, r = self._maps.pop(g)
+        self._io.release(view)
+        if len(self.copies(g)) == 1:
+            return False
+        self._quarantined.setdefault(g, set()).add(r)
+        return True
+
+    def _unmap_if(self, g: int, bad: Iterable[int]) -> None:
+        """Drop group ``g``'s serving map if it maps one of the ``bad``
+        copies (no quarantine: the sweep or repair speaks for them)."""
+        mapped = self._maps.get(g)
+        if mapped is not None and mapped[1] in bad:
+            del self._maps[g]
+            self._io.release(mapped[0])
+
+    # -- lookups ---------------------------------------------------------
+    def _read_shard(self, v: int) -> memoryview:
+        g = self.group_of(v)
+        view = self._group_view(g)
+        found = find_pack_entry(view, v)
+        if found is None:
+            self._index_miss(g, view, v)
+            # the mapped copy passed verify_pack, so its index is sound —
+            # a miss means this copy's pack is incomplete: fail over once
+            self.failovers += 1
+            view = self._group_view(g)
+            found = find_pack_entry(view, v)
+            if found is None:
+                self._drop_mapping(g)
+                raise ShardIntegrityError(
+                    f"no replica of group {g} holds vertex {v}, which "
+                    f"the manifest covers — the packs are incomplete"
+                )
+        offset, length, crc = found
+        if zlib.crc32(view[offset:offset + length]) != crc:
+            self.checksum_failures += 1
+            if not self._drop_mapping(g):
+                raise ShardIntegrityError(
+                    f"payload of vertex {v} in group {g} fails its "
+                    f"CRC32 ({self.group_path(g)}) — refusing to "
+                    f"decode corrupted bytes"
+                )
+            # verify_pack passed at map time, so the bytes rotted
+            # *after* mapping (or the medium is flaky) — fail over
+            self.failovers += 1
+            return self._read_shard(v)
+        return view[offset:offset + length]
+
+    def _index_miss(self, g: int, view: memoryview, v: int) -> None:
+        """Handle an in-range index miss: the manifest covers ``v`` and
+        write_shard_records packs every record of a group into its
+        file, so the index lied or the pack is incomplete — never a
+        reason to delete the file.  Drops the mapping; returns when
+        another copy can be tried, else raises the *integrity* error
+        (check_pack may name the corruption precisely)."""
+        try:
+            check_pack(view)
+            failure: Optional[Exception] = None
+        except ShardCodecError as exc:
+            failure = exc.with_traceback(None)
+        if self._drop_mapping(g):
+            return
+        if failure is not None:
+            raise ShardIntegrityError(
+                f"index of group {g} is corrupt "
+                f"({self.group_path(g)}): {failure}"
+            ) from failure
+        raise ShardIntegrityError(
+            f"index of group {g} ({self.group_path(g)}) has no "
+            f"entry for vertex {v}, which the manifest covers — "
+            f"the index is corrupt or the pack is incomplete; the "
+            f"mapping is quarantined (do NOT delete the pack: the "
+            f"other entries may be intact)"
+        )
 
     def _diagnose(self, v: int) -> None:
-        """Layout-specific deep check when a shard fails to decode.
+        # A shard that fails to decode (or holds the wrong owner) from
+        # an mmap slice means the group's index lied about its bounds —
+        # replace the symptom with check_pack's precise diagnosis.
+        check_pack(self._group_view(self.group_of(v)))
 
-        Called before re-raising a decode/owner error so a layout can
-        replace a vague symptom with the precise cause (the packed
-        store runs the full index validation here).  Default: no-op.
-        """
-
-    # ------------------------------------------------------------------
     def node(self, v: int) -> NodeTable:
         """Vertex ``v``'s record, loaded from its shard on first touch."""
         record = self._resident.get(v)
@@ -739,607 +1023,63 @@ class _ShardStoreBase:
         for v in range(self.n):
             yield self.node(v)
 
-    def stats(self) -> Dict[str, Any]:
-        """Serve counters: shard loads, cache hits, bytes read, residency,
-        and the fault-tolerance counters (retries, checksum failures,
-        failovers, repairs)."""
-        return {
-            "n": self.n,
-            "layout": self.layout,
-            "loads": self.loads,
-            "hits": self.hits,
-            "bytes_read": self.bytes_read,
-            "resident": len(self._resident),
-            "max_resident": self.max_resident,
-            "retries": self.retries,
-            "checksum_failures": self.checksum_failures,
-            "failovers": self.failovers,
-            "repairs": self.repairs,
-        }
-
-    def health(self) -> Dict[str, Any]:
-        """One-look serving-health summary.
-
-        ``status`` is ``"ok"`` until the store has observed (and
-        survived) a fault — retried IO, a checksum failure, a failover —
-        then ``"degraded"``; a store that cannot serve raises instead of
-        reporting.  Subclasses extend this with layout detail (the
-        replicated store adds its quarantine list).
-        """
-        degraded = bool(
-            self.retries or self.checksum_failures or self.failovers
-        )
-        return {
-            "status": "degraded" if degraded else "ok",
-            "layout": self.layout,
-            "n": self.n,
-            "retries": self.retries,
-            "checksum_failures": self.checksum_failures,
-            "failovers": self.failovers,
-            "repairs": self.repairs,
-        }
-
-    def close(self) -> None:
-        """Release every IO resource (the store is unusable afterwards)."""
-        self._io.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}({self.path!r}, n={self.n}, "
-            f"loads={self.loads}, hits={self.hits})"
-        )
-
-
-class ShardStore(_ShardStoreBase):
-    """Layout-v1 store: one file per vertex, opened lazily.
-
-    Parameters
-    ----------
-    path:
-        Directory :func:`write_shards` produced (``packed=False``).
-    max_resident:
-        Optional LRU bound on decoded shards kept in memory — the
-        serving-node memory budget.  ``None`` keeps everything touched.
-    """
-
-    layout = "files"
-
-    def __init__(
-        self,
-        path: str,
-        *,
-        max_resident: Optional[int] = None,
-        manifest: Optional[Dict[str, Any]] = None,
-        io: Optional[DirectIO] = None,
-        retry_budget: int = DEFAULT_RETRY_BUDGET,
-        backoff_s: float = DEFAULT_BACKOFF_S,
-    ) -> None:
-        # ``manifest`` lets open_store hand over the parse it already
-        # did — cold-open reads the file once, not per-dispatch-step.
-        if manifest is None:
-            manifest = _load_manifest(path)
-        if manifest.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported shard layout version "
-                f"{manifest.get('version')!r} (per-file store reads "
-                f"version {FORMAT_VERSION}; use open_store for dispatch)"
-            )
-        super().__init__(
-            path, manifest, max_resident, io, retry_budget, backoff_s
-        )
-        self.fanout = int(manifest.get("fanout", DEFAULT_FANOUT))
-
-    def shard_path(self, v: int) -> str:
-        return shard_path(self.path, v, self.fanout)
-
-    def _read_shard(self, v: int) -> bytes:
-        target = self.shard_path(v)
+    # -- sweeps ----------------------------------------------------------
+    def _check_copy(self, g: int, r: int) -> None:
+        """Map candidate ``r`` of group ``g`` for a sweep (sequential
+        readahead: the sweep scans every byte once), verify it and unmap
+        it again.  A bad copy also loses its serving map, if it has one."""
+        view = self._map_copy(g, r, sequential=True)
         try:
-            return self._with_retries(
-                lambda: self._io.read_bytes(target), target
-            )
-        except FileNotFoundError:
-            raise ShardUnavailableError(
-                f"shard of vertex {v} is missing ({target}); a "
-                f"local-knowledge route only touches visited vertices — "
-                f"this one was needed"
-            ) from None
+            self._io.release(self._verified(view))
+        except ShardCodecError:
+            self._unmap_if(g, (r,))
+            raise
 
-
-class PackedShardStore(_ShardStoreBase):
-    """Layout-v2/v3 store: ``mmap``-ed group files, zero-copy decode.
-
-    Each ``groups/<g>.pack`` file is mapped once on first touch with its
-    header validated (magic, version, index-fits-in-file — and, for the
-    checksummed v3 layout, the index CRC32, so a lying index is caught
-    before the first binary search trusts it); serving vertex ``v`` then
-    binary-searches the mapped index and decodes the record straight
-    from a ``memoryview`` slice of the map — no per-vertex
-    ``open()``/``read()`` syscalls and no intermediate ``bytes`` copy on
-    the hot path.  On v3 the payload's CRC32 is verified *before* the
-    decoder touches the bytes, so a flipped bit in a stored weight —
-    which would decode to a structurally valid but wrong table — raises
-    :class:`ShardIntegrityError` instead.  The full O(count) structural
-    index validation (:func:`repro.routing.shard_codec.check_pack`) is
-    deferred off the hot path: it runs on the first anomaly — a lookup
-    miss, a decode failure, an owner mismatch — so corruption still
-    fails loudly with the codec's precise error, and eagerly (including
-    every payload checksum) via :meth:`verify`.
-
-    ``group_paths`` restricts the store to an explicit
-    ``{group: pack path}`` assignment: only those groups are servable
-    (any other raises :class:`ShardUnavailableError` — the precise
-    failure a cluster worker must report when handed a vertex it does
-    not own) and each group's pack is read from the given path rather
-    than the default ``groups/<g>.pack``.  This is how a cluster worker
-    (:mod:`repro.cluster.worker`) serves its owned slice of a
-    replicated (v3) layout — each owned group mapped from one specific
-    ``replica/<r>/groups/<g>.pack`` — which is also why the
-    replicated-manifest refusal is lifted when an assignment is given:
-    the placement, not this store, decides which copy serves.
-    """
-
-    layout = "packed"
-
-    def __init__(
-        self,
-        path: str,
-        *,
-        max_resident: Optional[int] = None,
-        manifest: Optional[Dict[str, Any]] = None,
-        io: Optional[DirectIO] = None,
-        retry_budget: int = DEFAULT_RETRY_BUDGET,
-        backoff_s: float = DEFAULT_BACKOFF_S,
-        group_paths: Optional[Dict[int, str]] = None,
-    ) -> None:
-        if manifest is None:
-            manifest = _load_manifest(path)
-        version = manifest.get("version")
-        if (
-            version not in (PACKED_FORMAT_VERSION, CHECKSUM_FORMAT_VERSION)
-            or manifest.get("layout") != "packed"
-        ):
-            raise ValueError(
-                f"unsupported shard layout version {version!r}/"
-                f"{manifest.get('layout')!r} (packed store reads "
-                f"versions {PACKED_FORMAT_VERSION} and "
-                f"{CHECKSUM_FORMAT_VERSION}, layout 'packed')"
-            )
-        if int(manifest.get("replicas", 1)) > 1 and group_paths is None:
-            raise ValueError(
-                f"shard directory {path!r} is replicated "
-                f"(replicas={manifest['replicas']}); use "
-                f"ReplicatedShardStore or open_store"
-            )
-        super().__init__(
-            path, manifest, max_resident, io, retry_budget, backoff_s
-        )
-        self.group_size = int(manifest["group_size"])
-        self.checksums = bool(manifest.get("checksums", False))
-        self._maps: Dict[int, memoryview] = {}
-        self._group_paths = (
-            None if group_paths is None else dict(group_paths)
-        )
-
-    def group_path(self, g: int) -> str:
-        if self._group_paths is not None:
-            target = self._group_paths.get(g)
-            if target is None:
-                raise ShardUnavailableError(
-                    f"group {g} is not in this store's assignment "
-                    f"({len(self._group_paths)} owned groups under "
-                    f"{self.path!r}) — route the lookup to the group's "
-                    f"owner"
-                )
-            return target
-        return group_path(self.path, g)
-
-    def owns(self, v: int) -> bool:
-        """Whether vertex ``v``'s shard is servable from this store."""
-        if not 0 <= v < self.n:
-            return False
-        if self._group_paths is None:
-            return True
-        return self.group_of(v) in self._group_paths
-
-    def owned_groups(self) -> Optional[Tuple[int, ...]]:
-        """Sorted assignment groups, or ``None`` when unrestricted."""
-        if self._group_paths is None:
-            return None
-        return tuple(sorted(self._group_paths))
-
-    def group_of(self, v: int) -> int:
-        return v // self.group_size
-
-    @property
-    def groups_mapped(self) -> int:
-        return len(self._maps)
-
-    def _map_group_file(
-        self, target: str, g: int, *, sequential: bool = False
-    ) -> memoryview:
-        try:
-            view = self._with_retries(
-                lambda: self._io.map_group(target, sequential=sequential),
-                target,
-            )
-        except FileNotFoundError:
-            raise ShardUnavailableError(
-                f"group {g} of the packed layout is missing "
-                f"({target}); a local-knowledge route only touches "
-                f"visited vertices' groups — this one was needed"
-            ) from None
-        # Header validation per mapping (plus the index CRC on v3)
-        # keeps cold lookups syscall-light; the O(count) structural
-        # index check runs on demand (_diagnose / verify) and every
-        # corruption it would catch still surfaces through a failed
-        # lookup, checksum, decode or owner check first.
-        parse_pack_header(view)
-        return view
-
-    def _group_view(self, g: int, *, sequential: bool = False) -> memoryview:
-        view = self._maps.get(g)
-        if view is None:
-            view = self._map_group_file(
-                self.group_path(g), g, sequential=sequential
-            )
-            self._maps[g] = view
-        return view
-
-    def _quarantine_mapping(self, g: int) -> None:
-        """Drop group ``g``'s mapping so the next access re-maps the
-        file — a repaired/replaced pack must not be shadowed by a map
-        of its corrupt predecessor."""
-        self._maps.pop(g, None)
-
-    def _read_shard(self, v: int) -> memoryview:
-        g = self.group_of(v)
-        view = self._group_view(g)
-        found = find_pack_entry(view, v)
-        if found is None:
-            # The manifest covers v and write_shard_records packs every
-            # record of a group into its file — an in-range miss means
-            # the index lied (or the pack is incomplete), never that
-            # deleting the file would help.  Quarantine the mapping and
-            # raise the *integrity* error, not FileNotFoundError: the
-            # structural check may name the corruption precisely.
-            try:
-                check_pack(view)
-            except ShardCodecError as exc:
-                self._quarantine_mapping(g)
-                raise ShardIntegrityError(
-                    f"index of group {g} is corrupt "
-                    f"({self.group_path(g)}): {exc}"
-                ) from exc
-            self._quarantine_mapping(g)
-            raise ShardIntegrityError(
-                f"index of group {g} ({self.group_path(g)}) has no "
-                f"entry for vertex {v}, which the manifest covers — "
-                f"the index is corrupt or the pack is incomplete; the "
-                f"mapping is quarantined (do NOT delete the pack: the "
-                f"other entries may be intact)"
-            )
-        offset, length, crc = found
-        if crc is not None:
-            if zlib.crc32(view[offset:offset + length]) != crc:
-                self.checksum_failures += 1
-                self._quarantine_mapping(g)
-                raise ShardIntegrityError(
-                    f"payload of vertex {v} in group {g} fails its "
-                    f"CRC32 ({self.group_path(g)}) — refusing to "
-                    f"decode corrupted bytes"
-                )
-        return view[offset:offset + length]
-
-    def _diagnose(self, v: int) -> None:
-        # A shard that fails to decode (or holds the wrong owner) from
-        # an mmap slice means the group's index lied about its bounds —
-        # replace the symptom with check_pack's precise diagnosis.
-        check_pack(self._group_view(self.group_of(v)))
-
-    def group_count(self) -> int:
-        return (self.n + self.group_size - 1) // self.group_size
-
-    def _sweep_groups(self) -> List[int]:
-        """Groups a verify sweep covers: the assignment when restricted,
-        every group of the layout otherwise."""
-        if self._group_paths is not None:
-            return sorted(self._group_paths)
-        return list(range(self.group_count()))
+    def _unit(self, g: int, r: int) -> str:
+        if len(self.copies(g)) == 1:
+            return f"group {g:04x}"
+        return f"group {g:04x} replica {r}"
 
     def verify(self) -> int:
-        """Eagerly validate every group — full index check plus every
-        payload checksum (v3) or structural decode (v2); returns the
-        number of groups checked.  Offline tooling / release checks —
-        serving itself validates lazily.  Sweep mappings are made with
-        sequential readahead advice (the scan touches every byte once)."""
+        """Validate every copy of every group — full index check plus
+        every payload checksum; returns the number of groups checked.
+        Raises on the first corrupt copy — use :meth:`verify_report` for
+        the full picture.  Offline tooling / release checks — serving
+        itself validates lazily."""
         groups = self._sweep_groups()
         for g in groups:
-            verify_pack(self._group_view(g, sequential=True))
+            for r in range(len(self.copies(g))):
+                self._check_copy(g, r)
         return len(groups)
 
     def verify_report(self) -> Dict[str, str]:
-        """Non-raising :meth:`verify`: per-group ``"ok"`` or the error.
+        """Non-raising :meth:`verify`: per group (and replica, when a
+        group has several copies) ``"ok"`` or the error.
 
         The ``shard --verify`` sweep prints this — operators want the
         whole corruption picture, not the first bad group.
         """
         report: Dict[str, str] = {}
         for g in self._sweep_groups():
-            name = f"group {g:04x}"
-            try:
-                verify_pack(self._group_view(g, sequential=True))
-                report[name] = "ok"
-            except (ShardCodecError, OSError) as exc:
-                self._quarantine_mapping(g)
-                report[name] = f"{type(exc).__name__}: {exc}"
-        return report
-
-    def stats(self) -> Dict[str, Any]:
-        out = super().stats()
-        out["groups_mapped"] = self.groups_mapped
-        out["group_size"] = self.group_size
-        out["checksums"] = self.checksums
-        return out
-
-    def close(self) -> None:
-        """Release every mapping (the store is unusable afterwards)."""
-        self._maps = {}
-        self._io.close()
-
-
-class ReplicatedShardStore(_ShardStoreBase):
-    """Layout-v3 store over R replica roots with checksum-driven failover.
-
-    Every group exists as ``replica/<r>/groups/<g>.pack`` for each
-    replica ``r``; the store maps one replica per group and, because v3
-    packs are fully checksummed, runs :func:`verify_pack` over the whole
-    group *at map time* — so a corrupt or truncated replica is rejected
-    before a single entry is served from it, and the store fails over to
-    the next replica.  A replica that fails (missing file, short map,
-    checksum mismatch, persistent I/O error) is **quarantined** for that
-    group: subsequent maps skip it until :meth:`repair` rewrites it from
-    a healthy copy.  Transient I/O errors (EIO/EAGAIN) are retried with
-    backoff before counting as a replica failure.  If every replica of a
-    group is bad, :class:`ReplicaExhaustedError` reports each replica's
-    individual cause — the operator's starting point for manual
-    recovery.
-
-    Full-group verification at map time costs O(group) once per mapped
-    group (amortised to nothing over a warm serving run) and buys a hard
-    guarantee the chaos suite asserts: no corrupted table is ever
-    silently decoded, and every injected corruption produces exactly one
-    observable failover.
-    """
-
-    layout = "packed"
-
-    def __init__(
-        self,
-        path: str,
-        *,
-        max_resident: Optional[int] = None,
-        manifest: Optional[Dict[str, Any]] = None,
-        io: Optional[DirectIO] = None,
-        retry_budget: int = DEFAULT_RETRY_BUDGET,
-        backoff_s: float = DEFAULT_BACKOFF_S,
-    ) -> None:
-        if manifest is None:
-            manifest = _load_manifest(path)
-        if (
-            manifest.get("version") != CHECKSUM_FORMAT_VERSION
-            or manifest.get("layout") != "packed"
-            or int(manifest.get("replicas", 1)) < 2
-        ):
-            raise ValueError(
-                f"unsupported shard layout "
-                f"version={manifest.get('version')!r} "
-                f"layout={manifest.get('layout')!r} "
-                f"replicas={manifest.get('replicas')!r} (replicated "
-                f"store needs version {CHECKSUM_FORMAT_VERSION}, "
-                f"layout 'packed', replicas >= 2)"
-            )
-        super().__init__(
-            path, manifest, max_resident, io, retry_budget, backoff_s
-        )
-        self.group_size = int(manifest["group_size"])
-        self.checksums = True
-        self.replicas = int(manifest["replicas"])
-        self._maps: Dict[int, memoryview] = {}
-        self._map_replica: Dict[int, int] = {}
-        # group -> set of quarantined replica indices
-        self._quarantined: Dict[int, set] = {}
-
-    # -- paths ---------------------------------------------------------
-    def group_path(self, g: int, r: int = 0) -> str:
-        return group_path(replica_root(self.path, r), g)
-
-    def group_of(self, v: int) -> int:
-        return v // self.group_size
-
-    def group_count(self) -> int:
-        return (self.n + self.group_size - 1) // self.group_size
-
-    @property
-    def groups_mapped(self) -> int:
-        return len(self._maps)
-
-    def quarantined(self) -> Dict[int, Tuple[int, ...]]:
-        """``{group: (replica, ...)}`` of currently quarantined copies."""
-        return {
-            g: tuple(sorted(rs))
-            for g, rs in self._quarantined.items()
-            if rs
-        }
-
-    # -- failover core -------------------------------------------------
-    def _replica_unavailable(
-        self, g: int, r: int, target: str
-    ) -> ShardUnavailableError:
-        """Typed translation of a missing replica file.
-
-        Names the replica (the operator's unit of repair) and detects
-        the partially-written case — a ``replica/<r>`` directory whose
-        ``groups/`` subdir never landed (an interrupted ``write_shards``
-        or a botched copy) — instead of letting a raw
-        ``FileNotFoundError`` cross the store (or, one layer up, the
-        cluster RPC) boundary untyped.
-        """
-        groups_dir = os.path.join(replica_root(self.path, r), "groups")
-        if not os.path.isdir(groups_dir):
-            return ShardUnavailableError(
-                f"replica {r} of {self.path!r} is partially written: "
-                f"its groups/ directory is missing ({groups_dir}) — "
-                f"the replica never finished landing; repair() can "
-                f"rewrite it from a healthy replica"
-            )
-        return ShardUnavailableError(
-            f"replica {r} of group {g} is missing ({target})"
-        )
-
-    def _map_verified(
-        self, g: int, r: int, *, sequential: bool = False
-    ) -> memoryview:
-        """Map replica ``r`` of group ``g`` and verify it end to end."""
-        target = self.group_path(g, r)
-        try:
-            view = self._with_retries(
-                lambda: self._io.map_group(target, sequential=sequential),
-                target,
-            )
-        except FileNotFoundError as exc:
-            raise self._replica_unavailable(g, r, target) from exc
-        try:
-            verify_pack(view)
-        except ShardCodecError:
-            view.release()
-            raise
-        return view
-
-    def _group_view(self, g: int) -> memoryview:
-        view = self._maps.get(g)
-        if view is not None:
-            return view
-        bad = self._quarantined.setdefault(g, set())
-        causes: Dict[int, Exception] = {}
-        for r in range(self.replicas):
-            if r in bad:
-                causes[r] = ReplicaExhaustedError(
-                    "quarantined earlier this session", {}
-                )
-                continue
-            try:
-                view = self._map_verified(g, r)
-            except (OSError, ShardCodecError) as exc:
-                # strip the traceback before keeping the exception: its
-                # frames hold memoryview slices of the just-released
-                # map in a reference cycle, which would keep the mmap
-                # un-closeable until a gc pass
-                causes[r] = exc.with_traceback(None)
-                bad.add(r)
-                if isinstance(exc, ChecksumError):
-                    self.checksum_failures += 1
-                self.failovers += 1
-                continue
-            self._maps[g] = view
-            self._map_replica[g] = r
-            return view
-        raise ReplicaExhaustedError(
-            f"every replica of group {g} is unavailable or corrupt "
-            f"(root {self.path})",
-            causes,
-        )
-
-    def _quarantine_mapping(self, g: int) -> None:
-        """Quarantine the *currently mapped* replica of group ``g`` and
-        drop the mapping, so the next access fails over."""
-        view = self._maps.pop(g, None)
-        if view is not None:
-            view.release()
-        r = self._map_replica.pop(g, None)
-        if r is not None:
-            self._quarantined.setdefault(g, set()).add(r)
-
-    def _read_shard(self, v: int) -> memoryview:
-        g = self.group_of(v)
-        view = self._group_view(g)
-        found = find_pack_entry(view, v)
-        if found is None:
-            # The mapped replica passed verify_pack, so its index is
-            # structurally sound and checksummed — a miss for an
-            # in-range vertex means this replica's pack is incomplete.
-            # Quarantine it and fail over.
-            self._quarantine_mapping(g)
-            self.failovers += 1
-            view = self._group_view(g)
-            found = find_pack_entry(view, v)
-            if found is None:
-                self._quarantine_mapping(g)
-                raise ShardIntegrityError(
-                    f"no replica of group {g} holds vertex {v}, which "
-                    f"the manifest covers — the packs are incomplete"
-                )
-        offset, length, crc = found
-        if crc is not None and zlib.crc32(
-            view[offset:offset + length]
-        ) != crc:
-            # verify_pack passed at map time, so the bytes rotted
-            # *after* mapping (or the medium is flaky) — quarantine
-            # and fail over once.
-            self.checksum_failures += 1
-            self._quarantine_mapping(g)
-            self.failovers += 1
-            return self._read_shard(v)
-        return view[offset:offset + length]
-
-    def _diagnose(self, v: int) -> None:
-        check_pack(self._group_view(self.group_of(v)))
-
-    # -- sweeps --------------------------------------------------------
-    def _map_for_sweep(self, g: int, r: int) -> memoryview:
-        """Map one replica copy for a verify sweep: sequential readahead
-        (the sweep scans every byte once), missing files translated to
-        the typed :class:`ShardUnavailableError` naming the replica."""
-        target = self.group_path(g, r)
-        try:
-            return self._io.map_group(target, sequential=True)
-        except FileNotFoundError as exc:
-            raise self._replica_unavailable(g, r, target) from exc
-
-    def verify(self) -> int:
-        """Validate every replica of every group; returns the number of
-        groups checked.  Raises on the first corrupt copy — use
-        :meth:`verify_report` for the full picture."""
-        groups = self.group_count()
-        for g in range(groups):
-            for r in range(self.replicas):
-                verify_pack(self._map_for_sweep(g, r))
-        return groups
-
-    def verify_report(self) -> Dict[str, str]:
-        """Per-``(group, replica)`` map of ``"ok"`` or the error."""
-        report: Dict[str, str] = {}
-        for g in range(self.group_count()):
-            for r in range(self.replicas):
-                name = f"group {g:04x} replica {r}"
+            for r in range(len(self.copies(g))):
                 try:
-                    verify_pack(self._map_for_sweep(g, r))
-                    report[name] = "ok"
+                    self._check_copy(g, r)
+                    report[self._unit(g, r)] = "ok"
                 except (ShardCodecError, OSError) as exc:
-                    report[name] = f"{type(exc).__name__}: {exc}"
+                    report[self._unit(g, r)] = f"{type(exc).__name__}: {exc}"
         return report
 
     def repair(self) -> Dict[str, int]:
-        """Rewrite every bad replica copy from a healthy one.
+        """Rewrite every bad copy of a group from a healthy one.
 
-        Sweeps all ``(group, replica)`` pairs on the real filesystem
+        Sweeps all ``(group, copy)`` pairs on the real filesystem
         (deliberately *not* through the store's I/O seam — repair is an
         administrative operation, and running it through a fault
         injector would let the chaos schedule corrupt the repair
         itself), rewriting any copy that is missing or fails
         :func:`verify_pack` from the first healthy copy of the same
         group, via tmp + ``os.replace`` so a crash mid-repair never
-        leaves a torn pack.  Quarantined replicas that turn out healthy
+        leaves a torn pack.  Quarantined copies that turn out healthy
         on disk (e.g. a transient error burned their budget) are simply
         requalified.  Returns counters; raises
         :class:`ReplicaExhaustedError` if some group has no healthy
@@ -1349,21 +1089,17 @@ class ReplicatedShardStore(_ShardStoreBase):
         requalified = 0
         admin = DirectIO()
         try:
-            for g in range(self.group_count()):
+            for g in self._sweep_groups():
+                copies = self.copies(g)
                 healthy: Optional[int] = None
                 bad: List[int] = []
                 causes: Dict[int, Exception] = {}
-                for r in range(self.replicas):
+                for r, target in enumerate(copies):
                     try:
                         try:
-                            blob = admin.read_bytes(self.group_path(g, r))
+                            blob = admin.read_bytes(target)
                         except FileNotFoundError as exc:
-                            # typed, replica-named cause — a partially
-                            # written replica (missing groups/ subdir)
-                            # says so, instead of a raw OSError
-                            raise self._replica_unavailable(
-                                g, r, self.group_path(g, r)
-                            ) from exc
+                            raise self._missing_copy(g, r) from exc
                         verify_pack(blob)
                     except (OSError, ShardCodecError) as exc:
                         bad.append(r)
@@ -1378,13 +1114,12 @@ class ReplicatedShardStore(_ShardStoreBase):
                         causes,
                     )
                 if bad:
-                    blob = admin.read_bytes(self.group_path(g, healthy))
+                    blob = admin.read_bytes(copies[healthy])
                     for r in bad:
-                        target = self.group_path(g, r)
                         os.makedirs(
-                            os.path.dirname(target), exist_ok=True
+                            os.path.dirname(copies[r]), exist_ok=True
                         )
-                        with _atomic_file(target) as fh:
+                        with _atomic_file(copies[r]) as fh:
                             fh.write(blob)
                         repaired += 1
                         self.repairs += 1
@@ -1392,37 +1127,68 @@ class ReplicatedShardStore(_ShardStoreBase):
                 # quarantine and drop any mapping of a replaced file
                 quarantined = self._quarantined.pop(g, set())
                 requalified += len(quarantined - set(bad))
-                if g in self._maps and self._map_replica.get(g) in bad:
-                    view = self._maps.pop(g)
-                    view.release()
-                    self._map_replica.pop(g, None)
+                self._unmap_if(g, bad)
         finally:
             admin.close()
         return {"repaired": repaired, "requalified": requalified}
 
+    # -- observability ---------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        out = super().stats()
-        out["groups_mapped"] = self.groups_mapped
-        out["group_size"] = self.group_size
-        out["checksums"] = True
-        out["replicas"] = self.replicas
-        out["quarantined"] = sum(
-            len(rs) for rs in self._quarantined.values()
-        )
-        return out
+        """Serve counters: shard loads, cache hits, bytes read, residency,
+        mapped groups, and the fault-tolerance counters (retries,
+        checksum failures, failovers, repairs, quarantined copies)."""
+        return {
+            "n": self.n,
+            "layout": self.layout,
+            "loads": self.loads,
+            "hits": self.hits,
+            "bytes_read": self.bytes_read,
+            "resident": len(self._resident),
+            "max_resident": self.max_resident,
+            "retries": self.retries,
+            "checksum_failures": self.checksum_failures,
+            "failovers": self.failovers,
+            "repairs": self.repairs,
+            "groups_mapped": self.groups_mapped,
+            "group_size": self.group_size,
+            "replicas": self.replicas,
+            "quarantined": sum(len(rs) for rs in self._quarantined.values()),
+        }
 
     def health(self) -> Dict[str, Any]:
-        out = super().health()
+        """One-look serving-health summary.
+
+        ``status`` is ``"ok"`` until the store has observed (and
+        survived) a fault — retried IO, a checksum failure, a failover,
+        a quarantined copy — then ``"degraded"``; a store that cannot
+        serve raises instead of reporting.
+        """
         quarantined = sum(len(rs) for rs in self._quarantined.values())
-        out["quarantined"] = quarantined
-        if quarantined:
-            out["status"] = "degraded"
-        return out
+        degraded = bool(
+            self.retries or self.checksum_failures or self.failovers
+            or quarantined
+        )
+        return {
+            "status": "degraded" if degraded else "ok",
+            "layout": self.layout,
+            "n": self.n,
+            "retries": self.retries,
+            "checksum_failures": self.checksum_failures,
+            "failovers": self.failovers,
+            "repairs": self.repairs,
+            "quarantined": quarantined,
+        }
 
     def close(self) -> None:
+        """Release every mapping (the store is unusable afterwards)."""
         self._maps = {}
-        self._map_replica = {}
         self._io.close()
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({self.path!r}, n={self.n}, "
+            f"loads={self.loads}, hits={self.hits})"
+        )
 
 
 def open_store(
@@ -1432,67 +1198,27 @@ def open_store(
     io: Optional[DirectIO] = None,
     retry_budget: int = DEFAULT_RETRY_BUDGET,
     backoff_s: float = DEFAULT_BACKOFF_S,
-) -> _ShardStoreBase:
-    """Open a shard directory with the store matching its manifest.
-
-    Layout dispatch lives here (and only here): per-file v1 manifests
-    get a :class:`ShardStore`, packed v2 and single-copy v3 manifests a
-    :class:`PackedShardStore`, replicated v3 manifests a
-    :class:`ReplicatedShardStore`; anything else fails loudly instead
-    of being misread by the wrong backend.
-    """
-    manifest = _load_manifest(path)
-    version = manifest.get("version")
-    if version == FORMAT_VERSION:
-        return ShardStore(
-            path,
-            max_resident=max_resident,
-            manifest=manifest,
-            io=io,
-            retry_budget=retry_budget,
-            backoff_s=backoff_s,
-        )
-    if version in (PACKED_FORMAT_VERSION, CHECKSUM_FORMAT_VERSION):
-        cls = (
-            ReplicatedShardStore
-            if int(manifest.get("replicas", 1)) > 1
-            else PackedShardStore
-        )
-        return cls(
-            path,
-            max_resident=max_resident,
-            manifest=manifest,
-            io=io,
-            retry_budget=retry_budget,
-            backoff_s=backoff_s,
-        )
-    raise ValueError(f"unsupported shard layout version {version!r}")
+) -> ShardStore:
+    """Open a shard directory for serving (a :class:`ShardStore`
+    configured from its manifest; retired layouts are refused with
+    :class:`RetiredLayoutError`)."""
+    return ShardStore(
+        path,
+        max_resident=max_resident,
+        io=io,
+        retry_budget=retry_budget,
+        backoff_s=backoff_s,
+    )
 
 
 def verify_shard_dir(path: str) -> Dict[str, str]:
-    """Offline integrity sweep of a shard directory, any layout.
+    """Offline integrity sweep of a shard directory.
 
-    Returns a ``{unit: "ok" | "<Error>: <detail>"}`` report — per group
-    for packed layouts (per group *and replica* when replicated), per
-    shard file for the v1 per-file layout.  Never raises on corruption
-    (only on an unreadable/invalid manifest): operators want the whole
-    picture in one sweep.
+    Returns a ``{unit: "ok" | "<Error>: <detail>"}`` report — per group,
+    and per replica when the layout is replicated.  Never raises on
+    corruption (only on an unreadable/invalid manifest): operators want
+    the whole picture in one sweep.
     """
-    manifest = _load_manifest(path)
-    if manifest.get("version") == FORMAT_VERSION:
-        report: Dict[str, str] = {}
-        store = ShardStore(path, manifest=manifest)
-        try:
-            for v in range(store.n):
-                try:
-                    store.node(v)
-                except (ShardCodecError, OSError) as exc:
-                    report[f"shard {v}"] = f"{type(exc).__name__}: {exc}"
-                else:
-                    report[f"shard {v}"] = "ok"
-        finally:
-            store.close()
-        return report
     store = open_store(path)
     try:
         return store.verify_report()
@@ -1520,7 +1246,7 @@ def _contains_bool(header: Any) -> bool:
 class _ShardPorts:
     """Footnote-2 port translation answered from the local shard only."""
 
-    def __init__(self, store: _ShardStoreBase) -> None:
+    def __init__(self, store: ShardStore) -> None:
         self._store = store
 
     def port_to(self, u: int, v: int) -> int:
@@ -1536,7 +1262,7 @@ class _ShardPorts:
 class _ShardTables:
     """``tables[v]`` view resolving to the shard's :class:`SizedTable`."""
 
-    def __init__(self, store: _ShardStoreBase) -> None:
+    def __init__(self, store: ShardStore) -> None:
         self._store = store
         self._sized: Dict[int, Any] = {}
 
@@ -1556,7 +1282,7 @@ class _ShardTables:
 class _ShardLabels:
     """``labels[v]`` view resolving to the shard's label."""
 
-    def __init__(self, store: _ShardStoreBase) -> None:
+    def __init__(self, store: ShardStore) -> None:
         self._store = store
 
     def __getitem__(self, v: int) -> Any:
@@ -1589,7 +1315,7 @@ class LocalRouter:
     within the ~10%-of-in-memory budget the serving benchmark gates.
     """
 
-    def __init__(self, store: _ShardStoreBase) -> None:
+    def __init__(self, store: ShardStore) -> None:
         # Resolved lazily to keep repro.routing import-independent from
         # repro.api (which imports the schemes, which import routing).
         from ..api.registry import get_spec

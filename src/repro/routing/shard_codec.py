@@ -21,47 +21,34 @@ else — a shard written by a future codec is rejected, never misread.
 ``bytes`` and never copies the payload while parsing, so a store that
 maps a packed group file (``mmap``) can decode a vertex's record straight
 from the mapped buffer (the zero-copy hot path of
-:class:`repro.routing.serving.PackedShardStore`).
+:class:`repro.routing.serving.ShardStore`).
 
-Packed groups (format v2 of the on-disk layout)
------------------------------------------------
+Packed groups
+-------------
 One file per *vertex* costs an inode each — a non-starter at
-``n >= 10^5``.  The packed group format concatenates many v1 shard
-payloads into one ``<g>.pack`` file:
+``n >= 10^5``.  The packed group format concatenates many shard
+payloads into one ``<g>.pack`` file (pack version 2):
 
 * 10-byte header: magic ``RTPK`` + version + flags + entry count,
-* a *sorted*, fixed-width per-vertex index (``vertex, offset, length``
-  little-endian structs) that binary-searches directly over the mapped
-  buffer — no parsing, no allocation,
-* the concatenated v1 shard payloads (each still self-validating).
+* a *sorted*, fixed-width per-vertex index (``vertex, offset, length,
+  crc32(payload)`` little-endian structs) that binary-searches directly
+  over the mapped buffer — no parsing, no allocation,
+* a ``crc32(header + index)`` trailer, verified on every mapping
+  (:func:`parse_pack_header`), so a lying index is caught before the
+  first binary search trusts it,
+* the concatenated shard payloads (each still self-validating).
 
-:func:`parse_pack_header` validates the header per mapping (O(1) for
-pack v1; pack v2 adds one crc32 sweep of the index region);
-:func:`find_in_pack` locates one vertex's payload in ``O(log count)``
-buffer reads; :func:`check_pack` is the full O(count) index validation
-(sorted, in-bounds, non-overlapping) the store runs on first anomaly
-and on explicit ``verify()``.
-
-Checksummed packs (pack v2, on-disk layout v3)
-----------------------------------------------
 A flipped bit in a stored double decodes to a structurally valid but
-*wrong* table — the self-validating v1 payload cannot catch it.  Pack
-version 2 closes that hole with CRC32 everywhere:
-
-* each index entry grows a ``crc32(payload)`` field
-  (``vertex, offset, length, crc`` little-endian structs),
-* a ``crc32(header + index)`` trailer follows the index, verified on
-  every mapping (:func:`parse_pack_header`), so a lying index is caught
-  before the first binary search trusts it,
-* :func:`find_pack_entry` hands the per-entry checksum to the store,
-  which verifies the payload bytes *before* decoding them
-  (:func:`payload_checksum_ok`), raising :class:`ChecksumError` —
-  a corrupted table is never silently decoded,
-* :func:`verify_pack` is the offline sweep: full index validation plus
-  every payload checksum (v1 packs fall back to decoding each payload).
-
-``encode_pack(..., checksums=True)`` writes pack v2; v1 packs (and v1
-per-file shard dirs) still load unchanged.
+*wrong* table — the self-validating payload cannot catch it, its CRC32
+can: :func:`find_pack_entry` hands the per-entry checksum to the store,
+which verifies the payload bytes *before* decoding them
+(:func:`payload_checksum_ok`) — a corrupted table is never silently
+decoded.  :func:`find_in_pack` locates one vertex's payload in
+``O(log count)`` buffer reads; :func:`check_pack` is the full O(count)
+index validation (sorted, in-bounds, non-overlapping) the store runs on
+first anomaly; :func:`verify_pack` is the offline sweep: full index
+validation plus every payload checksum.  Pack version 1 — the same
+layout without any checksum — is refused.
 
 Size accounting
 ---------------
@@ -113,13 +100,15 @@ MAGIC = b"RT"
 CODEC_VERSION = 1
 
 PACK_MAGIC = b"RTPK"
+#: retired pack format without checksums (refused by _pack_bounds)
 PACK_VERSION = 1
 #: pack format with per-entry payload CRC32s and a whole-index CRC32
 PACK_VERSION_CRC = 2
-#: (vertex, payload offset, payload length), little-endian, fixed width
-#: so binary search reads straight out of an mmap without parsing
+#: the retired pack v1 entry: (vertex, payload offset, payload length)
 _PACK_ENTRY = struct.Struct("<IQI")
-#: pack v2 entry: (vertex, offset, length, crc32 of the payload bytes)
+#: pack v2 entry: (vertex, offset, length, crc32 of the payload bytes),
+#: little-endian, fixed width so binary search reads straight out of an
+#: mmap without parsing
 _PACK_ENTRY_CRC = struct.Struct("<IQII")
 #: pack v2 index trailer: crc32 of header + index entries
 _INDEX_CRC = struct.Struct("<I")
@@ -573,43 +562,32 @@ def decode_value(data: Buffer) -> Any:
 
 
 # ----------------------------------------------------------------------
-# packed groups (layout v2): many shard payloads in one mmap-able file
+# packed groups: many shard payloads in one mmap-able file
 # ----------------------------------------------------------------------
-def encode_pack(
-    entries: Sequence[Tuple[int, bytes]], *, checksums: bool = False
-) -> bytes:
+def encode_pack(entries: Sequence[Tuple[int, bytes]]) -> bytes:
     """Pack ``(vertex, shard bytes)`` pairs into one group-file blob.
 
     Entries are index-sorted by vertex id; payloads are laid out in the
     same order, concatenated directly after the index.  Each payload is
-    an unmodified v1 shard (:func:`encode_node_table` output), so a
-    packed group is exactly the per-file layout minus the inodes.
-
-    ``checksums=True`` writes pack version 2: every index entry carries
-    the CRC32 of its payload, and the index itself is sealed with a
-    CRC32 trailer — the integrity substrate of the fault-tolerant
-    serving layer (on-disk layout v3).
+    an unmodified shard (:func:`encode_node_table` output).  Every index
+    entry carries the CRC32 of its payload, and the index itself is
+    sealed with a CRC32 trailer — the integrity substrate of the
+    fault-tolerant serving layer.
     """
     ordered = sorted(entries, key=lambda e: e[0])
     for (v, _), (w, _) in zip(ordered, ordered[1:]):
         if v == w:
             raise ShardCodecError(f"vertex {v} appears twice in the pack")
-    version = PACK_VERSION_CRC if checksums else PACK_VERSION
-    entry_struct = _PACK_ENTRY_CRC if checksums else _PACK_ENTRY
     out: List[bytes] = [
-        _PACK_HEADER.pack(PACK_MAGIC, version, 0, len(ordered))
+        _PACK_HEADER.pack(PACK_MAGIC, PACK_VERSION_CRC, 0, len(ordered))
     ]
     offset = 0
     for v, blob in ordered:
-        if checksums:
-            out.append(
-                entry_struct.pack(v, offset, len(blob), zlib.crc32(blob))
-            )
-        else:
-            out.append(entry_struct.pack(v, offset, len(blob)))
+        out.append(
+            _PACK_ENTRY_CRC.pack(v, offset, len(blob), zlib.crc32(blob))
+        )
         offset += len(blob)
-    if checksums:
-        out.append(_INDEX_CRC.pack(zlib.crc32(b"".join(out))))
+    out.append(_INDEX_CRC.pack(zlib.crc32(b"".join(out))))
     out.extend(blob for _, blob in ordered)
     return b"".join(out)
 
@@ -618,24 +596,18 @@ def parse_pack_header(buf: Buffer) -> Tuple[int, int]:
     """Validate the pack header; return ``(count, payload_start)``.
 
     The cheap half of validation run on every mapping: magic, version,
-    and that the claimed index fits in the buffer — O(1) for pack v1.
-    For pack v2 this also verifies the index CRC32 (one crc sweep of
-    the index region, ~20 bytes/entry), so a mapped group's index is
-    known-good before the first binary search trusts it.
+    that the claimed index fits in the buffer, and the index CRC32 (one
+    crc sweep of the index region, ~20 bytes/entry), so a mapped group's
+    index is known-good before the first binary search trusts it.
     :func:`check_pack` is the full structural index check.
     """
-    version, count, payload_start = _pack_bounds(buf)
-    if version == PACK_VERSION_CRC:
-        _check_index_crc(buf, count, payload_start)
+    count, payload_start = _pack_bounds(buf)
+    _check_index_crc(buf, payload_start)
     return count, payload_start
 
 
-def _entry_struct(version: int) -> struct.Struct:
-    return _PACK_ENTRY_CRC if version == PACK_VERSION_CRC else _PACK_ENTRY
-
-
-def _check_index_crc(buf: Buffer, count: int, payload_start: int) -> None:
-    """Verify the pack-v2 index trailer (crc32 of header + entries)."""
+def _check_index_crc(buf: Buffer, payload_start: int) -> None:
+    """Verify the index trailer (crc32 of header + entries)."""
     crc_at = payload_start - _INDEX_CRC.size
     (stored,) = _INDEX_CRC.unpack_from(buf, crc_at)
     actual = zlib.crc32(memoryview(buf)[:crc_at])
@@ -646,30 +618,37 @@ def _check_index_crc(buf: Buffer, count: int, payload_start: int) -> None:
         )
 
 
-def _pack_bounds(buf: Buffer) -> Tuple[int, int, int]:
-    """Validate the pack header; return ``(version, count, payload_start)``."""
+def _pack_bounds(buf: Buffer) -> Tuple[int, int]:
+    """Validate the pack header; return ``(count, payload_start)``."""
     if len(buf) < _PACK_HEADER.size:
         raise ShardCodecError("truncated pack header")
     magic, version, _flags, count = _PACK_HEADER.unpack_from(buf, 0)
     if magic != PACK_MAGIC:
         raise ShardCodecError("not a shard pack (bad magic)")
-    if version not in (PACK_VERSION, PACK_VERSION_CRC):
+    if version == PACK_VERSION:
+        raise ShardCodecError(
+            f"pack version {PACK_VERSION} (no checksums) is retired; "
+            f"this build reads only checksummed pack version "
+            f"{PACK_VERSION_CRC}.  Rebuild the shard directory with "
+            f"`python -m repro shard --scheme <spec> --seed <seed> "
+            f"--out <dir>`"
+        )
+    if version != PACK_VERSION_CRC:
         raise ShardCodecError(
             f"unsupported pack version {version} (this build reads "
-            f"versions {PACK_VERSION} and {PACK_VERSION_CRC})"
+            f"version {PACK_VERSION_CRC})"
         )
-    payload_start = _PACK_HEADER.size + count * _entry_struct(version).size
-    if version == PACK_VERSION_CRC:
-        payload_start += _INDEX_CRC.size
+    payload_start = (
+        _PACK_HEADER.size + count * _PACK_ENTRY_CRC.size + _INDEX_CRC.size
+    )
     if payload_start > len(buf):
         raise ShardCodecError(
             f"pack index claims {count} entries but the file is too short"
         )
-    return version, count, payload_start
+    return count, payload_start
 
 
-_PACK_INDEX_DTYPE = [("v", "<u4"), ("off", "<u8"), ("len", "<u4")]
-_PACK_INDEX_CRC_DTYPE = [
+_PACK_INDEX_DTYPE = [
     ("v", "<u4"), ("off", "<u8"), ("len", "<u4"), ("crc", "<u4"),
 ]
 
@@ -678,27 +657,22 @@ def check_pack(buf: Buffer) -> int:
     """Validate a whole pack index; returns the entry count.
 
     Vectorized (numpy view over the index region — ~50us for a
-    4096-entry group): the index must be strictly sorted by vertex,
-    every payload must lie inside the payload region, and payloads must
-    not overlap; a v2 index must additionally match its CRC32 trailer.
-    The packed store keeps its cold path syscall-light by running only
-    :func:`parse_pack_header` per mapping and deferring this full check
-    to the first anomaly (a failed lookup or decode) and to explicit
-    ``verify()`` calls — every corruption the index can carry still
-    fails loudly, with this function's precise error.
+    4096-entry group): the index must match its CRC32 trailer, be
+    strictly sorted by vertex, every payload must lie inside the payload
+    region, payloads must not overlap, and the payload region must end
+    where the last payload does.  The store keeps its cold path
+    syscall-light by running only :func:`parse_pack_header` per mapping
+    and deferring this full check to the first anomaly (a failed lookup
+    or decode) and to explicit ``verify()`` calls — every corruption the
+    index can carry still fails loudly, with this function's precise
+    error.
     """
     import numpy as np
 
-    version, count, payload_start = _pack_bounds(buf)
-    if version == PACK_VERSION_CRC:
-        _check_index_crc(buf, count, payload_start)
+    count, payload_start = parse_pack_header(buf)
     payload_size = len(buf) - payload_start
-    dtype = (
-        _PACK_INDEX_CRC_DTYPE if version == PACK_VERSION_CRC
-        else _PACK_INDEX_DTYPE
-    )
     index = np.frombuffer(
-        buf, dtype=dtype, count=count, offset=_PACK_HEADER.size,
+        buf, dtype=_PACK_INDEX_DTYPE, count=count, offset=_PACK_HEADER.size,
     )
     vertices = index["v"].astype(np.int64)
     ends = index["off"].astype(np.int64) + index["len"]
@@ -720,43 +694,35 @@ def check_pack(buf: Buffer) -> int:
             f"pack entry for vertex {int(vertices[i])} runs past the "
             f"payload region"
         )
-    if version == PACK_VERSION_CRC:
-        # v2 payloads are written back to back, so the exact file size
-        # is known — trailing bytes mean appended garbage or a torn
-        # rewrite (v1 packs stay tolerant: their spec never pinned it)
-        expected = int(ends[-1]) if count else 0
-        if payload_size != expected:
-            raise ShardCodecError(
-                f"pack holds {payload_size} payload bytes but the "
-                f"index accounts for {expected} — trailing garbage "
-                f"or a torn rewrite"
-            )
+    # payloads are written back to back, so the exact file size is
+    # known — trailing bytes mean appended garbage or a torn rewrite
+    expected = int(ends[-1]) if count else 0
+    if payload_size != expected:
+        raise ShardCodecError(
+            f"pack holds {payload_size} payload bytes but the "
+            f"index accounts for {expected} — trailing garbage "
+            f"or a torn rewrite"
+        )
     return count
 
 
 def verify_pack(buf: Buffer) -> int:
     """The offline integrity sweep: index *and* every payload.
 
-    Runs :func:`check_pack`, then verifies each payload: against its
-    stored CRC32 for pack v2 (:class:`ChecksumError` names the first
-    corrupt vertex), or — for checksum-less v1 packs — by decoding it
-    (the payload's structural self-validation, which cannot catch a
-    flipped weight bit but catches everything else).  Returns the entry
-    count.  ``PackedShardStore.verify()`` and ``shard --verify`` run
-    this per group.
+    Runs :func:`check_pack`, then verifies each payload against its
+    stored CRC32 (:class:`ChecksumError` names the first corrupt
+    vertex).  Returns the entry count.  ``ShardStore.verify()``, the
+    replicated store's map-time check and ``shard --verify`` run this
+    per group copy.
     """
     count = check_pack(buf)
-    version, _, _ = _pack_bounds(buf)
     view = memoryview(buf)
     for v, offset, length, crc in _iter_entries_crc(buf):
-        if version == PACK_VERSION_CRC:
-            if zlib.crc32(view[offset:offset + length]) != crc:
-                raise ChecksumError(
-                    f"payload of vertex {v} fails its CRC32 — "
-                    f"{length} bytes at offset {offset} are corrupt"
-                )
-        else:
-            decode_node_table(view[offset:offset + length])
+        if zlib.crc32(view[offset:offset + length]) != crc:
+            raise ChecksumError(
+                f"payload of vertex {v} fails its CRC32 — "
+                f"{length} bytes at offset {offset} are corrupt"
+            )
     return count
 
 
@@ -767,29 +733,26 @@ def payload_checksum_ok(
     return zlib.crc32(memoryview(buf)[offset:offset + length]) == crc
 
 
-def find_pack_entry(
-    buf: Buffer, v: int
-) -> Optional[Tuple[int, int, Optional[int]]]:
+def find_pack_entry(buf: Buffer, v: int) -> Optional[Tuple[int, int, int]]:
     """Binary-search the index for vertex ``v``.
 
     Returns ``(absolute offset, length, crc)`` of the payload inside
-    ``buf`` — ``crc`` is the stored payload CRC32 for pack v2, ``None``
-    for checksum-less v1 packs — or ``None`` when the pack holds no
-    shard for ``v``.  Assumes a sorted index (what :func:`encode_pack`
-    writes and :func:`check_pack` certifies); on an unsorted or corrupt
-    index the search can only miss or surface a payload whose checksum
-    or self-validating decode fails — callers diagnose that with
-    :func:`check_pack`.
+    ``buf`` — ``crc`` is the stored payload CRC32 — or ``None`` when the
+    pack holds no shard for ``v``.  Assumes a sorted index (what
+    :func:`encode_pack` writes and :func:`check_pack` certifies); on an
+    unsorted or corrupt index the search can only miss or surface a
+    payload whose checksum or self-validating decode fails — callers
+    diagnose that with :func:`check_pack`.
     """
-    version, count, payload_start = _pack_bounds(buf)
-    entry = _entry_struct(version)
+    count, payload_start = _pack_bounds(buf)
+    entry = _PACK_ENTRY_CRC
     lo, hi = 0, count
     while lo < hi:
         mid = (lo + hi) // 2
-        fields = entry.unpack_from(buf, _PACK_HEADER.size + mid * entry.size)
-        vertex, offset, length = fields[0], fields[1], fields[2]
+        vertex, offset, length, crc = entry.unpack_from(
+            buf, _PACK_HEADER.size + mid * entry.size
+        )
         if vertex == v:
-            crc = fields[3] if version == PACK_VERSION_CRC else None
             return payload_start + offset, length, crc
         if vertex < v:
             lo = mid + 1
@@ -804,16 +767,14 @@ def find_in_pack(buf: Buffer, v: int) -> Optional[Tuple[int, int]]:
     return None if found is None else found[:2]
 
 
-def _iter_entries_crc(
-    buf: Buffer,
-) -> Iterator[Tuple[int, int, int, Optional[int]]]:
-    """Yield ``(vertex, absolute offset, length, crc-or-None)``."""
-    version, count, payload_start = _pack_bounds(buf)
-    entry = _entry_struct(version)
+def _iter_entries_crc(buf: Buffer) -> Iterator[Tuple[int, int, int, int]]:
+    """Yield ``(vertex, absolute offset, length, crc)``."""
+    count, payload_start = _pack_bounds(buf)
     for i in range(count):
-        fields = entry.unpack_from(buf, _PACK_HEADER.size + i * entry.size)
-        crc = fields[3] if version == PACK_VERSION_CRC else None
-        yield fields[0], payload_start + fields[1], fields[2], crc
+        v, offset, length, crc = _PACK_ENTRY_CRC.unpack_from(
+            buf, _PACK_HEADER.size + i * _PACK_ENTRY_CRC.size
+        )
+        yield v, payload_start + offset, length, crc
 
 
 def iter_pack_entries(buf: Buffer) -> Iterator[Tuple[int, int, int]]:

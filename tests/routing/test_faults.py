@@ -29,7 +29,7 @@ from repro.routing.faults import FAULT_KINDS, FaultInjector, TransientIOError
 from repro.routing.serving import (
     LocalRouter,
     ReplicaExhaustedError,
-    ReplicatedShardStore,
+    ShardStore,
     ShardIntegrityError,
     open_store,
     write_shards,
@@ -82,7 +82,7 @@ class TestFaultInjector:
         """Same seed + same access sequence => identical fault events."""
         def events(seed):
             inj = FaultInjector(seed=seed, rates={"bitflip": 0.5})
-            store = ReplicatedShardStore(replicated, io=inj)
+            store = ShardStore(replicated, io=inj)
             for v in range(0, N, GROUP_SIZE):
                 store.node(v)
             store.close()
@@ -93,7 +93,7 @@ class TestFaultInjector:
 
     def test_at_most_one_fault_per_group_file(self, replicated):
         inj = FaultInjector(seed=1, rates={"missing": 1.0})
-        store = ReplicatedShardStore(replicated, io=inj)
+        store = ShardStore(replicated, io=inj)
         for v in range(0, N, GROUP_SIZE):
             store.node(v)
             store.node(v)  # second touch: resident, no IO at all
@@ -129,7 +129,7 @@ class TestChaosGate:
 
     def _chaos_run(self, replicated, seed):
         inj = FaultInjector(seed=seed, rates=self.RATES)
-        store = ReplicatedShardStore(replicated, io=inj)
+        store = ShardStore(replicated, io=inj)
         return inj, store, LocalRouter(store)
 
     def test_routes_identical_under_faults(self, replicated, baseline):
@@ -207,7 +207,7 @@ class TestQuarantineRepair:
         self._corrupt(root, 0, 0)
         self._corrupt(root, 2, 1)
         store = open_store(root)
-        assert isinstance(store, ReplicatedShardStore)
+        assert isinstance(store, ShardStore)
         router = LocalRouter(store)
         for (s, t), path in baseline.items():
             assert route(router, s, t).path == path, (s, t)
@@ -245,7 +245,7 @@ class TestQuarantineRepair:
         missing file — healthy on disk) is requalified, not rewritten."""
         root = _fresh_copy(replicated, tmp_path)
         inj = FaultInjector(seed=1, rates={"missing": 1.0})
-        store = ReplicatedShardStore(root, io=inj)
+        store = ShardStore(root, io=inj)
         store.node(0)  # replica 0 of group 0 faults, replica 1 serves
         assert store.quarantined() == {0: (1,)} or store.quarantined() == {
             0: (0,)

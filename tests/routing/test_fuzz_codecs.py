@@ -14,7 +14,7 @@ enough to hit header, index and payload bytes of every pack.
 
 The serving counterpart (the store refusing to hand corrupted bytes to
 the decoder) is asserted here too: a flipped pack behind a
-:class:`PackedShardStore` raises on the affected vertex — the table
+:class:`ShardStore` raises on the affected vertex — the table
 either arrives intact or not at all.
 """
 
@@ -56,8 +56,7 @@ def packs():
         )
         records = session.scheme.compile_tables()
         out[name] = encode_pack(
-            [(r.owner, encode_node_table(r)) for r in records],
-            checksums=True,
+            [(r.owner, encode_node_table(r)) for r in records]
         )
     return out
 
@@ -146,7 +145,7 @@ class TestStoreRefusesCorruptBytes:
         import os
 
         from repro.routing.serving import (
-            PackedShardStore, ServingError, ShardIntegrityError,
+            ShardStore, ServingError, ShardIntegrityError,
         )
 
         pack = bytearray(packs["tz2"])
@@ -165,7 +164,7 @@ class TestStoreRefusesCorruptBytes:
             "name": "fuzz", "seed": 0, "params": {},
             "routing_params": {},
         }))
-        store = PackedShardStore(str(root))
+        store = ShardStore(str(root))
         with pytest.raises(ShardIntegrityError, match="CRC32"):
             store.node(victim)
         assert store.checksum_failures == 1

@@ -1,14 +1,15 @@
-"""Pack-group codec (layout v2): round-trips and loud rejection.
+"""Pack-group codec: round-trips and loud rejection.
 
-The packed store trusts the index after one :func:`check_pack` pass, so
-that pass must catch everything a corrupt or foreign file could carry:
-wrong magic, future versions, truncated headers/indexes, unsorted or
-overlapping entries, payloads running past the file.  The zero-copy
+The store trusts the index after one :func:`check_pack` pass, so that
+pass must catch everything a corrupt or foreign file could carry: wrong
+magic, retired or future versions, truncated headers/indexes, unsorted
+or overlapping entries, payloads running past the file.  The zero-copy
 decode path (``memoryview`` in, no intermediate ``bytes``) must agree
 bit for bit with the plain ``bytes`` path.
 """
 
 import struct
+import zlib
 
 import pytest
 
@@ -24,12 +25,14 @@ from repro.routing.shard_codec import (
     find_in_pack,
     find_pack_entry,
     iter_pack_entries,
+    parse_pack_header,
     verify_pack,
 )
 from repro.routing.tables import NodeTable
 
 _PACK_HEADER = struct.Struct("<4sBBI")
 _PACK_ENTRY = struct.Struct("<IQI")
+_PACK_ENTRY_CRC = struct.Struct("<IQII")
 
 
 def _record(v: int) -> NodeTable:
@@ -109,8 +112,18 @@ class TestRejection:
             check_pack(bytes(buf))
 
     def _handcrafted(self, entries, payload):
-        out = [_PACK_HEADER.pack(b"RTPK", PACK_VERSION, 0, len(entries))]
-        out.extend(_PACK_ENTRY.pack(*e) for e in entries)
+        """A pack with the given (vertex, offset, length) index, every
+        checksum valid — only the structure is wrong."""
+        out = [
+            _PACK_HEADER.pack(b"RTPK", PACK_VERSION_CRC, 0, len(entries))
+        ]
+        out.extend(
+            _PACK_ENTRY_CRC.pack(
+                v, off, length, zlib.crc32(payload[off:off + length])
+            )
+            for v, off, length in entries
+        )
+        out.append(struct.pack("<I", zlib.crc32(b"".join(out))))
         out.append(payload)
         return b"".join(out)
 
@@ -142,19 +155,12 @@ class TestRejection:
             decode_node_table(memoryview(blob)[: len(blob) - 2])
 
 
-def _pack_crc(vertices):
-    return encode_pack(
-        [(v, encode_node_table(_record(v))) for v in vertices],
-        checksums=True,
-    )
-
-
 class TestChecksummedPack:
-    """Layout-v3 packs: CRC32 per entry plus one over header+index."""
+    """Packs carry a CRC32 per entry plus one over header+index."""
 
     def test_round_trip_and_verify(self):
         vertices = [3, 9, 17, 42, 1000]
-        buf = _pack_crc(vertices)
+        buf = _pack(vertices)
         assert buf[4] == PACK_VERSION_CRC
         assert check_pack(buf) == len(vertices)
         assert verify_pack(buf) == len(vertices)
@@ -166,34 +172,41 @@ class TestChecksummedPack:
             )
             assert record == _record(v)
 
-    def test_plain_pack_entries_carry_no_crc(self):
-        buf = _pack([3, 9])
-        offset, length, crc = find_pack_entry(buf, 3)
-        assert crc is None
+    def test_plain_pack_refused(self):
+        """Pack-v1 bytes (no checksums) raise ShardCodecError naming the
+        rebuild command, from every reader."""
+        blob = encode_node_table(_record(3))
+        buf = b"".join([
+            _PACK_HEADER.pack(b"RTPK", PACK_VERSION, 0, 1),
+            _PACK_ENTRY.pack(3, 0, len(blob)),
+            blob,
+        ])
+        for reader in (check_pack, verify_pack, parse_pack_header,
+                       lambda b: find_pack_entry(b, 3)):
+            with pytest.raises(ShardCodecError, match="retired") as info:
+                reader(buf)
+            assert "python -m repro shard" in str(info.value)
 
     def test_empty_checksummed_pack(self):
-        buf = _pack_crc([])
+        buf = _pack([])
         assert check_pack(buf) == 0
         assert verify_pack(buf) == 0
 
     def test_index_bit_flip_raises_checksum_error(self):
-        buf = bytearray(_pack_crc([3, 9, 17]))
+        buf = bytearray(_pack([3, 9, 17]))
         buf[12] ^= 0x01  # inside the first index entry
         with pytest.raises(ChecksumError, match="index"):
             check_pack(bytes(buf))
 
     def test_payload_bit_flip_caught_by_verify(self):
-        buf = bytearray(_pack_crc([3, 9, 17]))
+        buf = bytearray(_pack([3, 9, 17]))
         buf[-1] ^= 0x80  # last payload byte
         assert check_pack(bytes(buf)) == 3  # index is still sound
         with pytest.raises(ChecksumError, match="payload"):
             verify_pack(bytes(buf))
 
     def test_truncation_always_detected(self):
-        buf = _pack_crc([3, 9, 17])
+        buf = _pack([3, 9, 17])
         for cut in (1, 2, 5, len(buf) // 2, len(buf) - 1):
             with pytest.raises(ShardCodecError):
                 verify_pack(buf[:-cut])
-
-    def test_plain_pack_still_verifies_by_decode(self):
-        assert verify_pack(_pack([3, 9])) == 2

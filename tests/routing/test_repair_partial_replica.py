@@ -19,7 +19,7 @@ from repro.api import SubstrateCache, build
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.routing.serving import (
     ReplicaExhaustedError,
-    ReplicatedShardStore,
+    ShardStore,
     ShardUnavailableError,
     write_shards,
 )
@@ -58,7 +58,7 @@ def _groups_dir(root, r):
 
 def test_repair_rebuilds_partially_written_replica(broken_copy):
     shutil.rmtree(_groups_dir(broken_copy, 1))
-    store = ReplicatedShardStore(broken_copy)
+    store = ShardStore(broken_copy)
     try:
         counters = store.repair()
         assert counters["repaired"] == store.group_count()
@@ -74,7 +74,7 @@ def test_repair_names_the_partial_replica_when_no_copy_survives(
 ):
     shutil.rmtree(_groups_dir(broken_copy, 0))
     shutil.rmtree(_groups_dir(broken_copy, 1))
-    store = ReplicatedShardStore(broken_copy)
+    store = ShardStore(broken_copy)
     try:
         with pytest.raises(ReplicaExhaustedError) as err:
             store.repair()
@@ -92,7 +92,7 @@ def test_repair_names_the_partial_replica_when_no_copy_survives(
 
 def test_serving_reads_fail_over_past_partial_replica(broken_copy):
     shutil.rmtree(_groups_dir(broken_copy, 0))
-    store = ReplicatedShardStore(broken_copy)
+    store = ShardStore(broken_copy)
     try:
         # copy 0 is partially written; every read lands on copy 1
         table = store.node(0)

@@ -9,17 +9,19 @@ registered scheme on a seeded n >= 200 graph:
   scheme, checked hop by hop,
 * **local knowledge** — a route executed against a store holding *only*
   the shards of the vertices that route actually visits reproduces the
-  exact same trace; every other shard is deleted from disk first,
+  exact same trace; every other vertex's pack entry (and, with small
+  groups, every non-visited *group* file) is deleted first,
 * serve statistics account exactly the shards a route touched, and the
   optional LRU bound keeps residency at the configured budget,
-* **packed equivalence** — the packed (layout v2) store serves the same
-  workload with identical hop-by-hop decisions, identical serve
-  counters and identical word accounting, and passes the same
-  local-knowledge invariant with every non-visited *group* deleted.
+* **replica equivalence** — a replicated layout serves the same
+  workload with identical serve counters and word accounting,
+* retired layouts (one file per vertex, packs without checksums) are
+  refused with a typed error naming the rebuild command.
 """
 
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -35,12 +37,15 @@ from repro.eval.workloads import sample_pairs
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.routing.model import Deliver, Forward
 from repro.routing.serving import (
+    DirectIO,
     LocalRouter,
-    PackedShardStore,
+    RetiredLayoutError,
+    ShardIntegrityError,
     ShardStore,
     open_store,
     write_shards,
 )
+from repro.routing.shard_codec import encode_pack, iter_pack_entries
 
 N = 220  # the local-knowledge invariant is asserted at n >= 200
 PAIRS = 25
@@ -82,19 +87,41 @@ def served(graphs, caches, shard_root):
     return out
 
 
-@pytest.fixture(scope="module")
-def served_packed(served, shard_root):
-    """packed (layout v2) shard dir per scheme, from the same sessions."""
+def _write_small_groups(served, shard_root, suffix, replicas):
     out = {}
     for name, (session, _) in served.items():
-        path = str(shard_root / f"{name}.packed")
+        path = str(shard_root / f"{name}.{suffix}")
         write_shards(
             session.scheme, path,
             spec_name=session.spec_name, params=session.params,
-            seed=session.seed, packed=True, group_size=GROUP_SIZE,
+            seed=session.seed, group_size=GROUP_SIZE, replicas=replicas,
         )
         out[name] = path
     return out
+
+
+@pytest.fixture(scope="module")
+def served_packed(served, shard_root):
+    """GROUP_SIZE-vertex groups per scheme, from the same sessions."""
+    return _write_small_groups(served, shard_root, "packed", 1)
+
+
+@pytest.fixture(scope="module")
+def served_replicated(served, shard_root):
+    """The same small groups, each written to two replica roots."""
+    return _write_small_groups(served, shard_root, "replicated", 2)
+
+
+def _keep_entries(src, dst, keep):
+    """Re-encode pack ``src`` into ``dst`` with only the vertices in
+    ``keep`` — a structurally sound, checksummed pack that holds nothing
+    else."""
+    buf = src.read_bytes()
+    dst.write_bytes(encode_pack([
+        (v, bytes(memoryview(buf)[off:off + length]))
+        for v, off, length in iter_pack_entries(buf)
+        if v in keep
+    ]))
 
 
 def _dual_step_route(scheme, router, s, t, max_hops=None):
@@ -150,26 +177,27 @@ def test_local_knowledge_invariant(name, served, tmp_path):
 
     The paper's deployment claim made operational: the only state a
     route needs is the tables of the vertices it traverses (plus the
-    destination label, and the destination is traversed).
+    destination label, and the destination is traversed).  Every other
+    vertex's entry is cut out of the packs before the route runs.
     """
     session, path = served[name]
     full = load(path)
+    groups = sorted(os.listdir(os.path.join(path, "groups")))
     for i, (s, t) in enumerate(sample_pairs(N, 8, seed=131)):
         reference = session.route(s, t)
         visited = set(reference.path) | {s, t}
 
         trimmed = tmp_path / f"{name}-{i}"
-        store = ShardStore(str(path))
-        os.makedirs(trimmed / "shards")
+        os.makedirs(trimmed / "groups")
         shutil.copy(
             os.path.join(path, "manifest.json"),
             trimmed / "manifest.json",
         )
-        for v in visited:
-            src = store.shard_path(v)
-            dst = trimmed / os.path.relpath(src, path)
-            os.makedirs(dst.parent, exist_ok=True)
-            shutil.copy(src, dst)
+        for pack in groups:
+            _keep_entries(
+                Path(path) / "groups" / pack, trimmed / "groups" / pack,
+                visited,
+            )
 
         lonely = load(str(trimmed))
         result = lonely.route(s, t)
@@ -188,10 +216,15 @@ def test_local_knowledge_invariant(name, served, tmp_path):
         middle = ref.path[len(ref.path) // 2]
         broken_dir = tmp_path / f"{name}-broken"
         shutil.copytree(path, broken_dir)
-        victim = ShardStore(str(path)).shard_path(middle)
-        os.remove(broken_dir / os.path.relpath(victim, path))
+        for pack in groups:
+            _keep_entries(
+                broken_dir / "groups" / pack, broken_dir / "groups" / pack,
+                set(range(N)) - {middle},
+            )
         broken = load(str(broken_dir))
-        with pytest.raises(FileNotFoundError, match=str(middle)):
+        with pytest.raises(
+            ShardIntegrityError, match=rf"no entry for vertex {middle}\b"
+        ):
             broken.route(0, N - 1)
 
 
@@ -264,36 +297,39 @@ def test_reshard_roundtrip(served, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# packed layout (v2): equivalence with the per-file store
+# small groups: one or two copies
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", scheme_names())
 def test_packed_identical_step_decisions(name, served, served_packed):
     session, _ = served[name]
-    router = LocalRouter(PackedShardStore(served_packed[name]))
+    router = LocalRouter(ShardStore(served_packed[name]))
     for s, t in sample_pairs(N, PAIRS, seed=77):
         _dual_step_route(session.scheme, router, s, t)
 
 
 @pytest.mark.parametrize("name", scheme_names())
-def test_packed_equals_per_file_serve_counters(name, served, served_packed):
-    """Same workload, same counters: the layouts differ only in inodes."""
-    _, v1_path = served[name]
-    v1 = LocalRouter(ShardStore(v1_path))
-    packed = LocalRouter(PackedShardStore(served_packed[name]))
+def test_replicated_equals_single_copy_serve_counters(
+    name, served_packed, served_replicated
+):
+    """Same workload, same counters: the layouts differ only in copies."""
+    single = LocalRouter(ShardStore(served_packed[name]))
+    replicated = LocalRouter(ShardStore(served_replicated[name]))
     from repro.routing.simulator import route as sim_route
 
     for s, t in sample_pairs(N, 10, seed=41):
-        r1 = sim_route(v1, s, t)
-        r2 = sim_route(packed, s, t)
+        r1 = sim_route(single, s, t)
+        r2 = sim_route(replicated, s, t)
         assert r1.path == r2.path, (name, s, t)
         assert r2.length == pytest.approx(r1.length)
         assert r1.max_header_words == r2.max_header_words
-    s1, s2 = v1.store.stats(), packed.store.stats()
-    for key in ("n", "loads", "hits", "bytes_read", "resident"):
+    s1, s2 = single.store.stats(), replicated.store.stats()
+    for key in ("n", "loads", "hits", "bytes_read", "resident",
+                "groups_mapped", "failovers", "quarantined"):
         assert s1[key] == s2[key], (name, key, s1, s2)
-    assert v1.header_stats() == packed.header_stats()
+    assert (s1["replicas"], s2["replicas"]) == (1, 2)
+    assert single.header_stats() == replicated.header_stats()
     # manifests account identical payload bytes and words
-    m1, m2 = v1.store.manifest, packed.store.manifest
+    m1, m2 = single.store.manifest, replicated.store.manifest
     assert m1["bytes"] == m2["bytes"]
     assert m1["words"] == m2["words"]
 
@@ -318,7 +354,7 @@ def test_packed_local_knowledge_invariant(
     for i, (s, t) in enumerate(sample_pairs(N, 5, seed=131)):
         reference = session.route(s, t)
         visited = set(reference.path) | {s, t}
-        store = PackedShardStore(path)
+        store = ShardStore(path)
         groups = {store.group_of(v) for v in visited}
 
         trimmed = tmp_path / f"{name}-{i}"
@@ -346,7 +382,7 @@ def test_packed_local_knowledge_invariant(
     ref = full.route(0, N - 1)
     if len(ref.path) > 2:
         middle = ref.path[len(ref.path) // 2]
-        store = PackedShardStore(path)
+        store = ShardStore(path)
         broken_dir = tmp_path / f"{name}-broken"
         shutil.copytree(path, broken_dir)
         victim = os.path.basename(store.group_path(store.group_of(middle)))
@@ -362,30 +398,141 @@ def test_packed_session_autodetects_layout(served, served_packed):
     restored = load(served_packed["thm11"])
     assert restored.loaded
     assert restored.spec_name == "thm11"
-    assert isinstance(restored.scheme.store, PackedShardStore)
+    assert isinstance(restored.scheme.store, ShardStore)
     r1, r2 = session.route(3, 50), restored.route(3, 50)
     assert r1.path == r2.path
 
 
-def test_open_store_dispatches_by_manifest(served, served_packed):
-    _, v1_path = served["tz2"]
-    assert isinstance(open_store(v1_path), ShardStore)
-    assert isinstance(open_store(served_packed["tz2"]), PackedShardStore)
+def test_open_store_dispatches_by_manifest(served_packed, served_replicated):
+    """The manifest's replica count decides each group's candidates."""
+    single = open_store(served_packed["tz2"])
+    replicated = open_store(served_replicated["tz2"])
+    assert (single.replicas, replicated.replicas) == (1, 2)
+    assert single.copies(1) == [
+        os.path.join(served_packed["tz2"], "groups", "0001.pack")
+    ]
+    assert replicated.copies(1) == [
+        os.path.join(served_replicated["tz2"], "replica", str(r),
+                     "groups", "0001.pack")
+        for r in (0, 1)
+    ]
 
 
-def test_packed_rejected_by_per_file_store(served_packed):
-    with pytest.raises(ValueError, match="version"):
-        ShardStore(served_packed["tz2"])
+def _retire(path, target, version):
+    """Copy shard dir ``path`` to ``target`` and rewrite its manifest as
+    retired layout ``version`` (1: one file per vertex, 2: packs without
+    checksums)."""
+    import json
+
+    shutil.copytree(path, target)
+    manifest = json.loads((target / "manifest.json").read_text())
+    manifest["version"] = version
+    if version == 1:
+        manifest["layout"] = "files"
+        manifest["fanout"] = 256
+        for key in ("group_size", "checksums", "replicas"):
+            del manifest[key]
+    else:
+        manifest["checksums"] = False
+    (target / "manifest.json").write_text(json.dumps(manifest))
+    return str(target)
 
 
-def test_per_file_rejected_by_packed_store(served):
-    _, v1_path = served["tz2"]
-    with pytest.raises(ValueError, match="version"):
-        PackedShardStore(v1_path)
+@pytest.mark.parametrize("version", [1, 2])
+def test_retired_layout_refused_everywhere(served_packed, tmp_path,
+                                           capsys, version):
+    """v1 (per-file) and v2 (unchecksummed) manifests raise one typed
+    error — a ServingError that is also a ValueError — naming the
+    rebuild command, from every entry point that reads a manifest."""
+    import json
+    import re
+
+    from repro.__main__ import main
+    from repro.cluster import Placement
+    from repro.routing.serving import ServingError
+
+    path = _retire(served_packed["tz2"], tmp_path / "old", version)
+    rebuild = f"python -m repro shard --scheme tz2 --seed 6 --out {path}"
+    for opener in (open_store, ShardStore, load):
+        with pytest.raises(RetiredLayoutError) as info:
+            opener(path)
+        assert rebuild in str(info.value)
+        assert f"layout version {version}" in str(info.value)
+    assert issubclass(RetiredLayoutError, ServingError)
+    assert issubclass(RetiredLayoutError, ValueError)
+    with pytest.raises(SystemExit, match=re.escape(rebuild)):
+        main(["shard", "--verify", path])
+    manifest = json.loads((tmp_path / "old" / "manifest.json").read_text())
+    with pytest.raises(RetiredLayoutError, match="python -m repro shard"):
+        Placement.from_manifest(manifest, workers=2)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("replicas", 0), ("group_size", 0), ("group_size", -3),
+])
+def test_bad_write_arguments_keep_existing_layout(
+    served, served_packed, tmp_path, field, value
+):
+    """Arguments are checked before the directory is touched: a bad
+    call raises ValueError and the layout already there still serves."""
+    session, _ = served["tz2"]
+    target = tmp_path / "kept"
+    shutil.copytree(served_packed["tz2"], target)
+    before = load(str(target)).route(1, 50)
+    with pytest.raises(ValueError, match=field):
+        write_shards(
+            session.scheme, str(target), spec_name="tz2",
+            **{"group_size": 8, "replicas": 1, field: value},
+        )
+    after = load(str(target))
+    assert after.scheme.store.group_size == GROUP_SIZE
+    assert after.route(1, 50).path == before.path
+
+
+class _CountingIO(DirectIO):
+    """A DirectIO that counts the maps it hands out and unmaps."""
+
+    def __init__(self):
+        super().__init__()
+        self.mapped = self.released = 0
+
+    @property
+    def live(self):
+        return self.mapped - self.released
+
+    def map_group(self, path, *, sequential=False):
+        self.mapped += 1
+        return super().map_group(path, sequential=sequential)
+
+    def release(self, view):
+        self.released += 1
+        super().release(view)
+
+
+@pytest.mark.parametrize("layout", ["packed", "replicated"])
+def test_verify_sweeps_release_their_maps(
+    served_packed, served_replicated, layout
+):
+    """Every sweep maps each copy, checks it and unmaps it again: no
+    live map outlives a sweep, and none becomes a serving map."""
+    path = (served_packed if layout == "packed" else served_replicated)["tz2"]
+    io = _CountingIO()
+    store = ShardStore(path, io=io)
+    store.node(0)
+    live, serving = io.live, store.groups_mapped
+    copies = store.group_count() * store.replicas
+    for sweep in range(1, 4):
+        assert store.verify() == store.group_count()
+        assert all(v == "ok" for v in store.verify_report().values())
+        assert io.mapped == live + 2 * copies * sweep
+        assert io.live == live
+        assert len(io._maps) == live
+        assert store.groups_mapped == serving
+    store.close()
 
 
 def test_packed_max_resident_bounds_memory(served_packed):
-    store = PackedShardStore(served_packed["warmup3"], max_resident=4)
+    store = ShardStore(served_packed["warmup3"], max_resident=4)
     router = LocalRouter(store)
     from repro.routing.simulator import route as sim_route
 
@@ -416,7 +563,7 @@ def test_wire_cache_refuses_bool_header_leaves(served_packed):
     encode the cache avoids)."""
     from repro.routing.serving import _contains_bool
 
-    router = LocalRouter(PackedShardStore(served_packed["tz2"]))
+    router = LocalRouter(ShardStore(served_packed["tz2"]))
     with pytest.raises(RuntimeError, match="bool leaf"):
         router._wire_len(("tree", True, (0, ())))
     assert router._wire_len(("tree", 1, (0, ()))) > 0
@@ -425,13 +572,13 @@ def test_wire_cache_refuses_bool_header_leaves(served_packed):
 
 
 def test_packed_vertex_out_of_range(served_packed):
-    store = PackedShardStore(served_packed["tz2"])
+    store = ShardStore(served_packed["tz2"])
     with pytest.raises(ValueError, match="outside"):
         store.node(N)
 
 
 def test_packed_close_releases_maps(served_packed):
-    store = PackedShardStore(served_packed["tz2"])
+    store = ShardStore(served_packed["tz2"])
     store.node(0)
     assert store.groups_mapped == 1
     store.close()
@@ -439,7 +586,7 @@ def test_packed_close_releases_maps(served_packed):
 
 
 def test_packed_verify_checks_every_group(served_packed):
-    store = PackedShardStore(served_packed["tz2"])
+    store = ShardStore(served_packed["tz2"])
     assert store.verify() == (N + GROUP_SIZE - 1) // GROUP_SIZE
 
 
@@ -457,7 +604,7 @@ def test_packed_corrupt_index_fails_loudly(served_packed, tmp_path):
     struct.pack_into("<Q", buf, 14, 1 << 40)
     group0.write_bytes(bytes(buf))
 
-    store = PackedShardStore(str(target))
+    store = ShardStore(str(target))
     with pytest.raises(
         ShardCodecError, match="overlaps|past the payload|checksum"
     ):
@@ -465,7 +612,7 @@ def test_packed_corrupt_index_fails_loudly(served_packed, tmp_path):
     with pytest.raises(
         ShardCodecError, match="overlaps|past the payload|checksum"
     ):
-        PackedShardStore(str(target)).verify()
+        ShardStore(str(target)).verify()
 
 
 def test_interrupted_reshard_leaves_no_stale_manifest(served, tmp_path):
@@ -488,7 +635,7 @@ def test_interrupted_reshard_leaves_no_stale_manifest(served, tmp_path):
     with pytest.raises(RuntimeError, match="disk full"):
         write_shard_records(
             exploding_records(), str(target),
-            identity={"spec": "tz2"}, packed=True,
+            identity={"spec": "tz2"},
         )
     assert not os.path.exists(target / "manifest.json")
     with pytest.raises((FileNotFoundError, ValueError)):
@@ -515,7 +662,7 @@ def test_interrupted_manifest_write_leaves_no_tmp(served, tmp_path,
     with pytest.raises(OSError, match="manifest dump"):
         write_shard_records(
             session.scheme.compile_tables(), str(target),
-            identity={"spec": "tz2"}, packed=True,
+            identity={"spec": "tz2"},
         )
     monkeypatch.undo()
     leftovers = [f for f in os.listdir(target) if "manifest" in f]
@@ -524,21 +671,23 @@ def test_interrupted_manifest_write_leaves_no_tmp(served, tmp_path,
         load(str(target))
 
 
-@pytest.mark.parametrize("layout", ["packed", "files"])
+@pytest.mark.parametrize("layout", ["packed", "replicated"])
 def test_interrupted_group_write_leaves_no_tmp(served, tmp_path, monkeypatch,
                                                layout):
-    """A group (or per-vertex shard) write that fails partway must not
-    leave its ``.tmp.<pid>`` file behind, nor any manifest."""
+    """A group write (of the first copy or a later replica) that fails
+    partway must not leave its ``.tmp.<pid>`` file behind, nor any
+    manifest."""
     from repro.routing import serving
     from repro.routing.serving import write_shard_records
 
     session, _ = served["tz2"]
     target = tmp_path / f"gcrash-{layout}"
-    suffix = ".pack" if layout == "packed" else ".shard"
+    replicas = 1 if layout == "packed" else 2
+    victim = os.path.join(str(replicas - 1), "groups", "0000.pack")
     real_replace = os.replace
 
     def failing_replace(src, dst):
-        if str(dst).endswith(suffix):
+        if str(dst).endswith(victim if replicas > 1 else ".pack"):
             raise OSError(f"disk full writing {dst}")
         return real_replace(src, dst)
 
@@ -546,7 +695,7 @@ def test_interrupted_group_write_leaves_no_tmp(served, tmp_path, monkeypatch,
     with pytest.raises(OSError, match="disk full"):
         write_shard_records(
             session.scheme.compile_tables(), str(target),
-            identity={"spec": "tz2"}, packed=layout == "packed",
+            identity={"spec": "tz2"}, replicas=replicas,
         )
     monkeypatch.undo()
     leftovers = [
@@ -605,7 +754,7 @@ def test_accounting_drift_raises_and_publishes_no_manifest(
     monkeypatch.setattr(scheme, "compile_tables", lossy_compile_tables)
     target = tmp_path / "drift"
     with pytest.raises(ShardAccountingError) as info:
-        write_shards(scheme, str(target), spec_name="tz2", packed=True)
+        write_shards(scheme, str(target), spec_name="tz2")
     monkeypatch.undo()
     assert dropped and dropped[0] > 0
     message = str(info.value)
@@ -625,20 +774,13 @@ class TestManifestValidation:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         return str(tmp_path)
 
-    def _valid(self, version=2):
-        base = {
-            "format": "repro.routing.shards", "version": version,
-            "layout": "packed" if version > 1 else "per-file",
-            "n": 10, "codec": 1, "spec": "tz2", "scheme": "X",
+    def _valid(self, replicas=1):
+        return {
+            "format": "repro.routing.shards", "version": 3,
+            "layout": "packed", "n": 10, "codec": 1, "spec": "tz2",
+            "scheme": "X", "group_size": 16, "checksums": True,
+            "replicas": replicas,
         }
-        if version == 1:
-            base["fanout"] = 256
-        else:
-            base["group_size"] = 16
-        if version == 3:
-            base["checksums"] = True
-            base["replicas"] = 2
-        return base
 
     def test_not_json(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{nope")
@@ -671,23 +813,27 @@ class TestManifestValidation:
     def test_layout_params_checked_per_version(self, tmp_path):
         from repro.routing.serving import _load_manifest
 
-        v2 = self._valid(2)
-        v2["group_size"] = 0
+        bad_groups = self._valid()
+        bad_groups["group_size"] = 0
         with pytest.raises(ValueError, match="invalid group_size"):
-            _load_manifest(self._write(tmp_path, v2))
-        v3 = self._valid(3)
-        v3["replicas"] = "two"
+            _load_manifest(self._write(tmp_path, bad_groups))
+        bad_replicas = self._valid(2)
+        bad_replicas["replicas"] = "two"
         with pytest.raises(ValueError, match="invalid replicas"):
-            _load_manifest(self._write(tmp_path, v3))
+            _load_manifest(self._write(tmp_path, bad_replicas))
+        unchecked = self._valid()
+        unchecked["checksums"] = False
+        with pytest.raises(ValueError, match="invalid checksums"):
+            _load_manifest(self._write(tmp_path, unchecked))
 
     def test_valid_manifests_pass(self, tmp_path):
         from repro.routing.serving import _load_manifest
 
-        for version in (1, 2, 3):
+        for replicas in (1, 2):
             loaded = _load_manifest(
-                self._write(tmp_path, self._valid(version))
+                self._write(tmp_path, self._valid(replicas))
             )
-            assert loaded["version"] == version
+            assert loaded["replicas"] == replicas
 
 
 def test_packed_inrange_index_miss_is_integrity_error(served_packed,
@@ -696,9 +842,6 @@ def test_packed_inrange_index_miss_is_integrity_error(served_packed,
     integrity failure, NOT FileNotFoundError: telling an operator the
     'file is missing' for a vertex the manifest covers misleads them
     into deleting a pack whose other entries are intact."""
-    from repro.routing.serving import ShardIntegrityError
-    from repro.routing.shard_codec import encode_pack, iter_pack_entries
-
     target = tmp_path / "holey"
     shutil.copytree(served_packed["tz2"], target)
     group0 = target / "groups" / "0000.pack"
@@ -711,9 +854,9 @@ def test_packed_inrange_index_miss_is_integrity_error(served_packed,
         for v, off, length in iter_pack_entries(buf)
         if v != 0
     ]
-    group0.write_bytes(encode_pack(kept, checksums=True))
+    group0.write_bytes(encode_pack(kept))
 
-    store = PackedShardStore(str(target))
+    store = ShardStore(str(target))
     with pytest.raises(ShardIntegrityError, match="no entry for vertex 0"):
         store.node(0)
     with pytest.raises(FileNotFoundError):
@@ -733,7 +876,7 @@ def test_packed_tampered_version_rejected_at_map(served_packed, tmp_path):
     buf = bytearray(group0.read_bytes())
     buf[4] = 99  # pack version byte
     group0.write_bytes(bytes(buf))
-    store = PackedShardStore(str(target))
+    store = ShardStore(str(target))
     with pytest.raises(ShardCodecError, match="version"):
         store.node(0)
 

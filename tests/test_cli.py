@@ -166,23 +166,25 @@ class TestShard:
     def test_shard_pack_then_route(self, capsys, tmp_path):
         import os
 
-        out = str(tmp_path / "packed")
+        out = str(tmp_path / "replicated")
         args = ["--scheme", "thm11", "--n", "80", "--seed", "4"]
-        rc = main(["shard", *args, "--out", out, "--pack"])
+        rc = main(["shard", *args, "--out", out, "--replicas", "2"])
         assert rc == 0
         text = capsys.readouterr().out
         assert "packed group files" in text
-        assert os.path.isdir(os.path.join(out, "groups"))
-        assert not os.path.isdir(os.path.join(out, "shards"))
+        assert "checksummed, x2 replicas" in text
+        for r in (0, 1):
+            assert os.path.isdir(os.path.join(out, "replica", str(r), "groups"))
+        assert not os.path.isdir(os.path.join(out, "groups"))
 
-        # per-vertex and packed layouts must print identical route lines
-        per_file = str(tmp_path / "per-file")
-        assert main(["shard", *args, "--out", per_file]) == 0
+        # single-copy and replicated packs must print identical route lines
+        single = str(tmp_path / "single")
+        assert main(["shard", *args, "--out", single]) == 0
         capsys.readouterr()
         assert main(
-            ["route", "--shards", per_file, "--source", "5", "--target", "33"]
+            ["route", "--shards", single, "--source", "5", "--target", "33"]
         ) == 0
-        v1_line = next(
+        single_line = next(
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("route ")
         )
@@ -190,14 +192,15 @@ class TestShard:
             ["route", "--shards", out, "--source", "5", "--target", "33"]
         ) == 0
         served = capsys.readouterr().out
-        assert v1_line in served
+        assert single_line in served
         assert "packed layout" in served
         assert "wire headers" in served
 
     def test_packed_dir_loads_via_load(self, capsys, tmp_path):
-        out = str(tmp_path / "packed")
+        out = str(tmp_path / "replicated")
         assert main(
-            ["shard", "--scheme", "tz2", "--n", "70", "--out", out, "--pack"]
+            ["shard", "--scheme", "tz2", "--n", "70", "--out", out,
+             "--replicas", "2"]
         ) == 0
         capsys.readouterr()
         rc = main(["load", out, "--measure", "30"])
@@ -209,37 +212,74 @@ class TestShard:
     def test_reshard_pack_removes_stale_per_file_layout(
         self, capsys, tmp_path
     ):
+        import json
         import os
 
-        out = str(tmp_path / "shards")
+        # a directory left by a release that wrote one file per vertex
+        out = tmp_path / "shards"
+        os.makedirs(out / "shards" / "0000")
+        (out / "shards" / "0000" / "0.shard").write_bytes(b"RT\x01\x00")
+        (out / "manifest.json").write_text(json.dumps({
+            "format": "repro.routing.shards", "version": 1,
+            "layout": "files", "fanout": 256, "n": 1,
+            "spec": "tz2", "scheme": "X",
+        }))
         assert main(
-            ["shard", "--scheme", "tz2", "--n", "60", "--out", out]
-        ) == 0
-        assert main(
-            ["shard", "--scheme", "tz2", "--n", "60", "--out", out, "--pack"]
+            ["shard", "--scheme", "tz2", "--n", "60", "--out", str(out)]
         ) == 0
         capsys.readouterr()
         # the per-file tree is gone; the packed layout serves
-        assert not os.path.isdir(os.path.join(out, "shards"))
-        assert main(["load", out, "--measure", "20"]) == 0
+        assert not os.path.isdir(out / "shards")
+        assert main(["load", str(out), "--measure", "20"]) == 0
 
     def test_reshard_removes_stale_shards(self, capsys, tmp_path):
         import os
 
         out = str(tmp_path / "shards")
         assert main(
-            ["shard", "--scheme", "tz2", "--n", "90", "--out", out]
+            ["shard", "--scheme", "tz2", "--n", "90", "--out", out,
+             "--replicas", "2"]
         ) == 0
         assert main(
             ["shard", "--scheme", "tz2", "--n", "40", "--out", out]
         ) == 0
         capsys.readouterr()
-        shard_files = [
-            f for _, _, files in os.walk(os.path.join(out, "shards"))
-            for f in files
-        ]
-        assert len(shard_files) == 40  # no orphans from the n=90 run
+        # no orphans from the replicated n=90 run
+        assert not os.path.isdir(os.path.join(out, "replica"))
+        assert sorted(os.listdir(out)) == ["groups", "manifest.json"]
+        assert os.listdir(os.path.join(out, "groups")) == ["0000.pack"]
         assert main(["load", out, "--measure", "20"]) == 0
+
+
+class TestShardVerify:
+    def test_verify_names_the_corrupt_replica(self, capsys, tmp_path):
+        import os
+
+        out = str(tmp_path / "replicated")
+        assert main(
+            ["shard", "--scheme", "tz2", "--n", "70", "--out", out,
+             "--replicas", "2"]
+        ) == 0
+        capsys.readouterr()
+        assert main(["shard", "--verify", out]) == 0
+        assert "2/2 units intact" in capsys.readouterr().out
+
+        pack = os.path.join(out, "replica", "1", "groups", "0000.pack")
+        with open(pack, "rb") as fh:
+            buf = bytearray(fh.read())
+        buf[-1] ^= 0x01  # the last payload byte
+        with open(pack, "wb") as fh:
+            fh.write(bytes(buf))
+        assert main(["shard", "--verify", out]) == 1
+        text = capsys.readouterr().out
+        assert "1/2 units intact" in text
+        assert "CORRUPT group 0000 replica 1" in text
+        assert "replica 0:" not in text
+
+    def test_replicas_below_one_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="--replicas"):
+            main(["shard", "--scheme", "tz2", "--n", "40",
+                  "--out", str(tmp_path / "x"), "--replicas", "0"])
 
 
 class TestPresets:

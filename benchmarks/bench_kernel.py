@@ -6,9 +6,8 @@ The tentpole claims of the flat-array kernel PRs, measured:
    step of every scheme) vs. the seed pure-Python path (a
    ``truncated_dijkstra_py`` loop over the list-of-dicts ``Graph``), on the
    canonical workload ``n ~ 2000``, ``m ~ 4n``, ``ell ~ sqrt(n log n)``.
-   Gate: >= 3x on the unweighted workload.  The weighted workload
-   additionally races the delta-stepping engine against the previous
-   scipy ``limit=`` path (``engine="scipy"``) — gate: >= 3x.
+   Gates: >= 3x on the unweighted workload, >= 2x on the weighted one;
+   on every scale the kernel balls must equal the pure ones.
 2. **Lemma 4 sampling** — ``sample_cluster_bounded`` on a lazy metric
    with the cross-round cluster-size cache vs. the rescan-everything
    reference (``use_cache=False``).  Gate: identical samples with
@@ -28,7 +27,6 @@ write so committed full-run numbers survive).  Runs under pytest
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import os
 import resource
@@ -37,11 +35,7 @@ import tracemalloc
 
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.graph.metric import MetricView
-from repro.graph.shortest_paths import (
-    all_balls,
-    truncated_dijkstra_py,
-    use_kernel,
-)
+from repro.graph.shortest_paths import all_balls, truncated_dijkstra_py
 from repro.structures.balls import BallFamily
 from repro.structures.sampling import sample_cluster_bounded
 
@@ -71,25 +65,19 @@ def _time_all_balls(n: int, *, weighted: bool) -> dict:
     pure = [truncated_dijkstra_py(g, u, ell)[0] for u in g.vertices()]
     t_pure = time.perf_counter() - t0
     # Build the shared CSR mirror and scratch buffers outside the timed
-    # regions — they are per-graph one-offs, not per-engine work.  Kernel
-    # engines are timed as the best of three runs: they race each other
-    # in-process, so the minimum filters scheduler noise out of the
-    # engine-vs-engine ratio (the pure seed path runs once; at ~1 s its
+    # region — they are per-graph one-offs, not sweep work.  The kernel is
+    # timed as the best of three runs, so the minimum filters scheduler
+    # noise out of the ratio (the pure seed path runs once; at ~1 s its
     # relative jitter is negligible).
     all_balls(g, 1)
-
-    def _best_of(engine, runs=3):
-        best, result = None, None
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            result, _ = all_balls(g, ell, engine=engine)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        return best, result
-
-    t_kernel, kernel = _best_of(None)
+    t_kernel = None
+    for _ in range(3):
+        t0 = time.perf_counter()
+        kernel, _ = all_balls(g, ell)
+        dt = time.perf_counter() - t0
+        t_kernel = dt if t_kernel is None else min(t_kernel, dt)
     assert kernel == pure, "kernel balls diverge from the pure reference"
-    out = {
+    return {
         "n": n,
         "m": g.m,
         "ell": ell,
@@ -98,24 +86,6 @@ def _time_all_balls(n: int, *, weighted: bool) -> dict:
         "kernel_s": round(t_kernel, 4),
         "speedup": round(t_pure / t_kernel, 2) if t_kernel > 0 else None,
     }
-    if (
-        weighted
-        and use_kernel()
-        and importlib.util.find_spec("scipy") is not None
-    ):
-        # Race the delta-stepping engine against the pre-delta scipy
-        # ``limit=`` path (what PR 1's dispatch used on this workload).
-        # Skipped when scipy is absent or the kernel is disabled
-        # (REPRO_KERNEL=pure) — then there is no distinct baseline to
-        # race, and mislabeling another path as scipy would be worse
-        # than no number.
-        t_scipy, scipy_balls = _best_of("scipy")
-        assert scipy_balls == pure, "scipy engine diverges from pure"
-        out["scipy_s"] = round(t_scipy, 4)
-        out["speedup_vs_scipy"] = (
-            round(t_scipy / t_kernel, 2) if t_kernel > 0 else None
-        )
-    return out
 
 
 def run_lemma4(n: int) -> dict:
@@ -207,8 +177,8 @@ def _flush(smoke: bool) -> None:
     _RESULTS["workload"] = (
         "erdos_renyi(n, 8/(n-1), seed=7); ell = ceil(sqrt(n log2 n)); "
         "pure path = truncated_dijkstra_py per source (seed "
-        "implementation); scipy path = chunked csgraph.dijkstra with "
-        "limit (PR 1 weighted engine); lemma4 = sample_cluster_bounded "
+        "implementation); kernel = shortest_paths.all_balls, auto "
+        "engine; lemma4 = sample_cluster_bounded "
         "on MetricView(mode=lazy), s=sqrt(n), seed=5"
     )
     merge_bench_results(RESULT_PATH, _RESULTS)
@@ -228,18 +198,9 @@ def test_all_balls_speedup(report, bench_scale):
             f"pure {r['pure_s']*1000:.0f} ms -> kernel "
             f"{r['kernel_s']*1000:.0f} ms ({r['speedup']}x)"
         )
-    r = out["weighted"]
-    if "speedup_vs_scipy" in r:
-        report.line(
-            f"all_balls weighted delta vs scipy-limit path: "
-            f"{r['scipy_s']*1000:.0f} ms -> {r['kernel_s']*1000:.0f} ms "
-            f"({r['speedup_vs_scipy']}x)"
-        )
     if not SMOKE:
         assert out["unweighted"]["speedup"] >= 3.0, out
         assert out["weighted"]["speedup"] >= 2.0, out
-        if "speedup_vs_scipy" in r:
-            assert r["speedup_vs_scipy"] >= 3.0, out
 
 
 def test_lemma4_sampling_cache(report, bench_scale):
@@ -289,12 +250,6 @@ def main() -> None:
             f"all_balls[{kind}] n={r['n']} m={r['m']} ell={r['ell']}: "
             f"pure {r['pure_s']:.3f}s kernel {r['kernel_s']:.3f}s "
             f"=> {r['speedup']}x"
-        )
-    r = speed["weighted"]
-    if "speedup_vs_scipy" in r:
-        print(
-            f"all_balls[weighted] delta vs scipy path: {r['scipy_s']:.3f}s "
-            f"-> {r['kernel_s']:.3f}s => {r['speedup_vs_scipy']}x"
         )
     lem = run_lemma4(n)
     print(

@@ -44,6 +44,16 @@ python -m repro.analysis src/repro || fail=1
 echo "== pytest =="
 python -m pytest -x -q || fail=1
 
+# -- pure dispatch: the shortest-path suites with the CSR kernel off ---
+echo "== pytest (REPRO_KERNEL=pure) =="
+REPRO_KERNEL=pure python -m pytest -q tests/graph/test_metric.py \
+    tests/graph/test_shortest_paths.py tests/graph/test_core.py \
+    tests/structures || fail=1
+
+# -- kernel smoke: batched kernel balls equal the pure ones ------------
+echo "== bench_kernel (smoke) =="
+REPRO_BENCH_SMOKE=1 python benchmarks/bench_kernel.py || fail=1
+
 # -- cluster smoke: fleet vs single-process, kill-a-worker -------------
 echo "== bench_cluster (smoke) =="
 REPRO_BENCH_SMOKE=1 python benchmarks/bench_cluster.py || fail=1

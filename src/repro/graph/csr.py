@@ -11,21 +11,22 @@ Kernel / fallback dispatch
 --------------------------
 Callers do not import this module directly; they go through the dispatch
 functions in :mod:`repro.graph.shortest_paths` (``dijkstra``,
-``truncated_dijkstra``, ``multi_source_distances``, ``all_balls``,
-``bounded_distance``).  The dispatch picks this kernel when numpy imports
-cleanly and ``REPRO_KERNEL=pure`` is not set (resolved once per process),
-and otherwise falls back to the pure-Python implementations, which stay in
-the tree as the differential-test reference.  Inside the kernel,
-:meth:`rows` additionally uses scipy's C ``csgraph.dijkstra`` (chunked over
-sources so peak memory stays ``O(chunk * n)``, never ``O(n^2)``) when scipy
-is importable.
+``all_balls``, ``bounded_distance``, ``subgraph_dijkstra``).  The dispatch
+picks this kernel when numpy imports cleanly and ``REPRO_KERNEL=pure`` is
+not set (resolved once per process), and otherwise falls back to the
+pure-Python implementations, which stay in the tree as the
+differential-test reference.  Whole distance rows (:meth:`CSRGraph.rows`)
+and shortest-path-tree predecessors come from scipy's C
+``csgraph.dijkstra`` over one cached matrix whenever scipy imports
+(:data:`_HAVE_SCIPY` is the one probe); callers ask for rows in blocks,
+so peak memory stays ``O(block * n)``.
 
-Batched weighted engine (delta-stepping)
-----------------------------------------
-Weighted ball sweeps used to go through scipy's ``indices=`` Dijkstra,
-which allocates and fills an O(n) output row per source even with a
-distance ``limit``.  :meth:`all_balls` now runs a *bucketed delta-stepping*
-engine (:meth:`_delta_batch`) directly over the flat CSR arrays: a batch of
+Batched ball engines
+--------------------
+:meth:`CSRGraph.all_balls` is the one batched ball sweep: a vectorized
+level BFS on unit weights, and otherwise a *bucketed delta-stepping*
+engine (:meth:`_delta_batch`) directly over the flat CSR arrays, with the
+compiled inner loop from :mod:`repro.native` when it loads.  A batch of
 ``B`` sources is embedded into one flattened index space (``p = i*n + v``
 for batch position ``i``), so every per-bucket edge relaxation is a single
 ragged numpy gather/scatter over all sources at once — no per-edge Python
@@ -59,9 +60,7 @@ the batched ball sweep cheap.
 Tie-breaking invariant
 ----------------------
 All kernels preserve the paper's Section 2 total order *exactly*: balls are
-``(distance, id)``-ordered prefixes (heap keys are ``(dist, vertex)``
-tuples), multi-source ties resolve toward the smaller source id (the
-lexicographic ``p_A(v)`` rule), and Dijkstra parents tie toward the
+``(distance, id)``-ordered prefixes, and Dijkstra parents tie toward the
 smallest predecessor id.  Distances are bitwise identical to the
 pure-Python path: both accumulate the same float64 edge weights along the
 same shortest paths, and the final distance of a vertex is the minimum
@@ -71,7 +70,6 @@ over the same candidate set regardless of relaxation order.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -89,10 +87,6 @@ except ImportError:  # pragma: no cover - exercised only without scipy
 __all__ = ["CSRGraph", "csr_graph", "cached_csr_graph"]
 
 _INF = float("inf")
-
-#: default cap on the scipy row-chunk buffer (bytes); keeps the batched
-#: ball sweep and lazy row computations at O(chunk * n) peak memory.
-_CHUNK_BYTES = 1 << 22
 
 #: default sizing budget for the delta-stepping batch (the flattened
 #: tentative-distance buffer stays at ~half of this; candidate queues take
@@ -383,124 +377,6 @@ class CSRGraph:
                         heapq.heappush(heap, (nd, v))
         return dist, parent
 
-    def truncated_dijkstra(
-        self, source: int, ell: int
-    ) -> Tuple[List[int], Dict[int, float]]:
-        """The ``ell`` closest vertices of ``source`` in ``(dist, id)`` order.
-
-        Scratch buffers are generation-stamped, so back-to-back calls (the
-        all-balls sweep) do no per-source O(n) reallocation.
-        """
-        if ell <= 0:
-            return [], {}
-        adj = self._flat_adj()
-        self._gen += 1
-        gen = self._gen
-        best = self._best
-        best_stamp = self._best_stamp
-        ball: List[int] = []
-        dist: Dict[int, float] = {}
-        best[source] = 0.0
-        best_stamp[source] = gen
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        while heap and len(ball) < ell:
-            d, u = heapq.heappop(heap)
-            if u in dist:
-                continue
-            if best_stamp[u] == gen and d > best[u]:
-                continue
-            dist[u] = d
-            ball.append(u)
-            for v, w in adj[u]:
-                nd = d + w
-                if v not in dist and (
-                    best_stamp[v] != gen or nd < best[v]
-                ):
-                    best[v] = nd
-                    best_stamp[v] = gen
-                    heapq.heappush(heap, (nd, v))
-        return ball, dist
-
-    def ball_with_radius(
-        self, source: int, ell: int, tol: float = 0.0
-    ) -> Tuple[List[int], Dict[int, float], float]:
-        """``B(source, ell)`` plus the paper's radius ``r_u(ell)``.
-
-        After the ball fills, the search keeps popping: if any *new* vertex
-        settles within ``tol`` of the boundary distance, the boundary level
-        is only partially contained and the radius drops to the previous
-        level — identical semantics to
-        :meth:`repro.graph.metric.MetricView.ball_radius`.
-        """
-        if ell <= 0:
-            raise ValueError("empty ball has no radius")
-        adj = self._flat_adj()
-        self._gen += 1
-        gen = self._gen
-        best = self._best
-        best_stamp = self._best_stamp
-        ball: List[int] = []
-        dist: Dict[int, float] = {}
-        best[source] = 0.0
-        best_stamp[source] = gen
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        dmax = 0.0
-        boundary_complete = True
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in dist:
-                continue
-            if best_stamp[u] == gen and d > best[u]:
-                continue
-            if len(ball) >= ell:
-                # First excess settle decides the boundary level.
-                boundary_complete = d > dmax + tol
-                break
-            dist[u] = d
-            ball.append(u)
-            dmax = d
-            for v, w in adj[u]:
-                nd = d + w
-                if v not in dist and (
-                    best_stamp[v] != gen or nd < best[v]
-                ):
-                    best[v] = nd
-                    best_stamp[v] = gen
-                    heapq.heappush(heap, (nd, v))
-        if boundary_complete:
-            radius = dmax
-        else:
-            inner = [d for d in dist.values() if d < dmax - tol]
-            radius = max(inner) if inner else 0.0
-        return ball, dist, radius
-
-    def multi_source_distances(
-        self, sources: Sequence[int]
-    ) -> Tuple[List[float], List[int]]:
-        """Nearest-source distances; ties toward the smaller source id."""
-        adj = self._flat_adj()
-        n = self.n
-        dist: List[float] = [_INF] * n
-        nearest: List[int] = [-1] * n
-        heap: List[Tuple[float, int, int]] = []
-        for s in sorted(set(sources)):
-            dist[s] = 0.0
-            nearest[s] = s
-            heap.append((0.0, s, s))
-        heapq.heapify(heap)
-        while heap:
-            d, src, u = heapq.heappop(heap)
-            if (d, src) > (dist[u], nearest[u]):
-                continue
-            for v, w in adj[u]:
-                nd = d + w
-                dv = dist[v]
-                if nd < dv or (nd == dv and src < nearest[v]):
-                    dist[v] = nd
-                    nearest[v] = src
-                    heapq.heappush(heap, (nd, src, v))
-        return dist, nearest
-
     def bounded_distance(
         self, source: int, target: int, limit: float
     ) -> float:
@@ -577,18 +453,16 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Batched kernels
     # ------------------------------------------------------------------
-    def rows(
-        self, sources: Sequence[int], *, prefer_scipy: bool = True
-    ) -> np.ndarray:
+    def rows(self, sources: Sequence[int]) -> np.ndarray:
         """Distance rows for ``sources`` as a ``(len(sources), n)`` array.
 
-        Uses scipy's C Dijkstra (one call per chunk of sources) when
-        available; otherwise loops the flat-array kernel.
+        Uses scipy's C Dijkstra (one call for all sources) when scipy
+        imports; otherwise loops the flat-array kernel.
         """
         sources = list(sources)
         if not sources:
             return np.zeros((0, self.n), dtype=np.float64)
-        if prefer_scipy and _HAVE_SCIPY and self.m > 0:
+        if _HAVE_SCIPY and self.m > 0:
             mat = self._scipy_matrix()
             # Both edge directions are stored: no transpose needed.
             out = _scipy_dijkstra(mat, directed=True, indices=sources)
@@ -635,39 +509,29 @@ class CSRGraph:
         return self._spt_pred_rows(roots)
 
     def _resolve_ball_engine(
-        self, engine: Optional[str], *, tol: float, prefer_scipy: bool
+        self, engine: Optional[str], *, tol: float
     ) -> str:
         """Resolve the ``all_balls`` engine name to a concrete choice.
 
-        Same semantics the dispatch in :meth:`all_balls` always had —
-        auto picks BFS on unit weights and delta otherwise, an explicit
-        ``scipy`` raises rather than silently timing a different engine
-        (benchmarks race engines by name), and an edgeless graph demotes
-        scipy to the flat loop.  Factored out so the parallel tier ships
-        workers a concrete engine, never the auto rule.
+        Auto picks BFS on unit weights and delta otherwise; an explicit
+        ``bfs`` on weighted input, or any other name, raises rather than
+        silently timing a different engine (benchmarks race engines by
+        name).  Factored out so the parallel tier ships workers a
+        concrete engine, never the auto rule.
         """
+        unit = self.is_unweighted() and tol < 0.5
         if engine is None:
-            if self.is_unweighted() and tol < 0.5:
-                # Unit weights: distances are exact integer levels and a
-                # level set ordered by id IS the (dist, id) order, so a
-                # vectorized level-BFS reproduces the Dijkstra balls.
-                return "bfs"
-            return "delta"
+            # Unit weights: distances are exact integer levels and a level
+            # set ordered by id IS the (dist, id) order, so a vectorized
+            # level-BFS reproduces the Dijkstra balls.
+            return "bfs" if unit else "delta"
         if engine == "bfs":
-            if not (self.is_unweighted() and tol < 0.5):
+            if not unit:
                 raise ValueError("bfs engine requires unit weights")
             return "bfs"
-        if engine == "delta":
-            return "delta"
-        if engine == "scipy":
-            if not _HAVE_SCIPY or not prefer_scipy:
-                raise ValueError("scipy engine requested but unavailable")
-            if self.m == 0:
-                return "flat"  # edgeless graph: nothing for scipy to do
-            return "scipy"
-        if engine != "flat":
+        if engine != "delta":
             raise ValueError(f"unknown all_balls engine {engine!r}")
-        return "flat"
+        return "delta"
 
     def all_balls(
         self,
@@ -675,8 +539,6 @@ class CSRGraph:
         *,
         tol: float = 0.0,
         with_radii: bool = False,
-        prefer_scipy: bool = True,
-        chunk_bytes: int = _CHUNK_BYTES,
         batch_bytes: int = _DS_BATCH_BYTES,
         engine: Optional[str] = None,
         as_arrays: bool = False,
@@ -691,11 +553,6 @@ class CSRGraph:
         * ``None`` (auto) — vectorized level BFS on unit-weight graphs,
           the delta-stepping engine otherwise.
         * ``"delta"`` — force the delta-stepping engine.
-        * ``"scipy"`` — the chunked scipy ``limit=`` path with exact-redo
-          safety net (the pre-delta implementation, kept for benchmarks
-          and as a fallback); raises when scipy is unavailable or
-          ``prefer_scipy`` is false, never silently times another engine.
-        * ``"flat"`` — loop the generation-stamped scalar kernel.
         * ``"bfs"`` — the unit-weight level sweep (unit weights only).
 
         When ``REPRO_PARALLEL`` enables the multiprocess tier (see
@@ -721,9 +578,7 @@ class CSRGraph:
                     np.zeros(n) if with_radii else None,
                 )
             return [[] for _ in range(n)], ([0.0] * n if with_radii else None)
-        resolved = self._resolve_ball_engine(
-            engine, tol=tol, prefer_scipy=prefer_scipy
-        )
+        resolved = self._resolve_ball_engine(engine, tol=tol)
         from . import parallel
 
         eng = parallel.engine_for(self, n)
@@ -734,7 +589,6 @@ class CSRGraph:
                 tol=tol,
                 with_radii=with_radii,
                 engine=resolved,
-                chunk_bytes=chunk_bytes,
                 batch_bytes=batch_bytes,
             )
         else:
@@ -745,7 +599,6 @@ class CSRGraph:
                 tol=tol,
                 with_radii=with_radii,
                 engine=resolved,
-                chunk_bytes=chunk_bytes,
                 batch_bytes=batch_bytes,
             )
         if as_arrays:
@@ -765,7 +618,6 @@ class CSRGraph:
         tol: float,
         with_radii: bool,
         engine: str,
-        chunk_bytes: int = _CHUNK_BYTES,
         batch_bytes: int = _DS_BATCH_BYTES,
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Balls for the source range ``[lo, hi)`` as compact arrays.
@@ -777,44 +629,10 @@ class CSRGraph:
         """
         if engine == "bfs":
             return self._ball_chunk_bfs(lo, hi, ell, with_radii=with_radii)
-        if engine == "delta":
-            return self._ball_chunk_delta(
-                lo, hi, ell, tol=tol, with_radii=with_radii,
-                batch_bytes=batch_bytes,
-            )
-        if engine == "scipy":
-            return self._ball_chunk_scipy(
-                lo, hi, ell, tol=tol, with_radii=with_radii,
-                chunk_bytes=chunk_bytes,
-            )
-        return self._ball_chunk_flat(lo, hi, ell, tol=tol,
-                                     with_radii=with_radii)
-
-    def _ball_chunk_flat(
-        self, lo: int, hi: int, ell: int, *, tol: float, with_radii: bool
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Balls for ``[lo, hi)`` by looping the scalar flat kernel."""
-        sizes = np.zeros(hi - lo, dtype=np.int64)
-        verts_parts: List[np.ndarray] = []
-        radii: Optional[np.ndarray] = (
-            np.zeros(hi - lo, dtype=np.float64) if with_radii else None
+        return self._ball_chunk_delta(
+            lo, hi, ell, tol=tol, with_radii=with_radii,
+            batch_bytes=batch_bytes,
         )
-        for u in range(lo, hi):
-            if radii is not None:
-                ball, _, radius = self.ball_with_radius(u, ell, tol)
-                radii[u - lo] = radius
-            else:
-                ball, _ = self.truncated_dijkstra(u, ell)
-            sizes[u - lo] = len(ball)
-            verts_parts.append(np.asarray(ball, dtype=np.int32))
-        bounds = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
-        verts = (
-            np.concatenate(verts_parts)
-            if verts_parts
-            else np.empty(0, dtype=np.int32)
-        )
-        return bounds, verts, radii
 
     def is_unweighted(self) -> bool:
         """True when every edge weight is exactly 1.0 (cached)."""
@@ -1525,136 +1343,6 @@ class CSRGraph:
             else np.empty(0, dtype=np.int32)
         )
         return bounds, verts, radii
-
-    def _estimate_ball_limit(self, ell: int, tol: float) -> float:
-        """A distance limit expected to cover ``B(u, ell)`` for most ``u``.
-
-        Samples ~32 exact balls with the flat kernel and takes the largest
-        boundary distance plus 5% headroom.  The limit only steers how much
-        of each neighbourhood scipy expands; rows it cannot certify are
-        recomputed exactly (see :meth:`_ball_chunk_scipy`), so a bad
-        estimate costs time, never correctness.
-        """
-        stride = max(1, self.n // 32)
-        sample_max = 0.0
-        short = 0
-        samples = 0
-        for s in range(0, self.n, stride):
-            samples += 1
-            ball, dist = self.truncated_dijkstra(s, ell)
-            if len(ball) == ell:
-                sample_max = max(sample_max, dist[ball[-1]])
-            else:
-                short += 1  # source's component has fewer than ell vertices
-        if sample_max <= 0.0 or 4 * short > samples:
-            return _INF
-        return sample_max * 1.05 + tol
-
-    def _ball_chunk_scipy(
-        self,
-        lo: int,
-        hi: int,
-        ell: int,
-        *,
-        tol: float,
-        with_radii: bool,
-        chunk_bytes: int,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Balls for ``[lo, hi)`` via scipy's limit-truncated C Dijkstra.
-
-        A full SSSP per source wastes ~``n / ell`` of its work on vertices
-        far outside the ball.  Passing ``limit`` makes scipy stop expanding
-        beyond it, so per-source work tracks the ball neighbourhood.  A row
-        is *certified* when it has >= ``ell`` finite entries (then the true
-        boundary distance is <= limit and no member was cut off) and, when
-        radii are requested, ``limit >= dmax + tol`` (so every vertex in
-        the boundary tolerance band is visible).  Uncertified rows are
-        recomputed without a limit — correctness never depends on the
-        estimate.  The limit itself samples the *whole* graph, so every
-        source chunk derives the identical limit and certify/redo makes
-        results exact regardless — chunking is bit-identical.
-        """
-        n = self.n
-        count = hi - lo
-        mat = self._scipy_matrix()
-        limit = self._estimate_ball_limit(ell, tol)
-        chunk = max(1, min(n, chunk_bytes // max(1, 8 * n)))
-        balls: List[Optional[List[int]]] = [None] * count
-        radii: Optional[np.ndarray] = (
-            np.zeros(count, dtype=np.float64) if with_radii else None
-        )
-        redo: List[int] = []
-        for start in range(lo, hi, chunk):
-            srcs = list(range(start, min(start + chunk, hi)))
-            dmat = np.atleast_2d(
-                _scipy_dijkstra(
-                    mat, directed=False, indices=srcs, limit=limit
-                )
-            )
-            for i, s in enumerate(srcs):
-                if not self._extract_ball(
-                    dmat[i], s - lo, ell, tol, limit, with_radii,
-                    balls, radii,
-                ):
-                    redo.append(s)
-        for start in range(0, len(redo), chunk):
-            srcs = redo[start : start + chunk]
-            dmat = np.atleast_2d(
-                _scipy_dijkstra(mat, directed=False, indices=srcs)
-            )
-            for i, s in enumerate(srcs):
-                self._extract_ball(
-                    dmat[i], s - lo, ell, tol, _INF, with_radii,
-                    balls, radii,
-                )
-        sizes = np.zeros(count, dtype=np.int64)
-        verts_parts: List[np.ndarray] = []
-        for i, ball in enumerate(balls):
-            members = ball if ball is not None else []
-            sizes[i] = len(members)
-            verts_parts.append(np.asarray(members, dtype=np.int32))
-        bounds = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
-        verts = (
-            np.concatenate(verts_parts)
-            if verts_parts
-            else np.empty(0, dtype=np.int32)
-        )
-        return bounds, verts, radii
-
-    def _extract_ball(
-        self,
-        row: np.ndarray,
-        slot: int,
-        ell: int,
-        tol: float,
-        limit: float,
-        with_radii: bool,
-        balls: List[Optional[List[int]]],
-        radii: Optional[np.ndarray],
-    ) -> bool:
-        """Fill ``balls[slot]`` from a (possibly limited) distance row.
-
-        Returns ``False`` when the limit cannot certify the row (see
-        :meth:`_ball_chunk_scipy`); with ``limit == inf`` every row is
-        certified.
-        """
-        finite_idx = np.flatnonzero(np.isfinite(row))
-        if finite_idx.size < ell and limit != _INF:
-            return False
-        finite_d = row[finite_idx]
-        # (dist, id) total order; lexsort's last key is primary.
-        order = np.lexsort((finite_idx, finite_d))
-        top = finite_idx[order[:ell]]
-        ball = top.tolist()
-        if with_radii:
-            dmax = float(row[ball[-1]])
-            if limit != _INF and limit < dmax + tol:
-                return False
-            radii[slot] = _radius_from_row(row, ball, tol)
-        balls[slot] = ball
-        return True
-
 
 def _radius_from_row(row: np.ndarray, ball: List[int], tol: float) -> float:
     """The paper's ``r_u(ell)`` from a full distance row.

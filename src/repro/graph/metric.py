@@ -12,14 +12,22 @@ The original implementation eagerly built the full ``n x n`` distance
 matrix, which caps experiments at small ``n`` (32 MB at ``n = 2000``,
 quadratic beyond).  :class:`MetricView` now has two modes:
 
-* ``mode="dense"`` — the eager all-pairs matrix, exactly as before
-  (scipy's C Dijkstra when available, pure-Python otherwise, symmetrized).
-  Best for small graphs and access patterns that genuinely read most pairs.
+* ``mode="dense"`` — the eager all-pairs matrix (scipy's C Dijkstra when
+  scipy imports, pure-Python otherwise).  Best for small graphs and access
+  patterns that genuinely read most pairs.
 * ``mode="lazy"`` — a per-row distance oracle: rows are computed on demand
-  through the CSR kernel (:mod:`repro.graph.csr`) or scipy's
-  ``csgraph.dijkstra(indices=...)``, and LRU-cached.  Peak memory is
+  through the CSR kernel (:mod:`repro.graph.csr`, scipy rows when scipy
+  imports) or the pure dispatch, and LRU-cached.  Peak memory is
   ``O(cache_rows * n)`` instead of ``O(n^2)``, matching the preprocessing
-  access pattern (balls, landmark columns, row blocks).
+  access pattern (landmark columns, row blocks).
+
+scipy is used exactly when it imports (the one probe is
+:data:`repro.graph.csr._HAVE_SCIPY`), in both modes and under every
+``REPRO_KERNEL``, always over the graph's one cached scipy matrix — so
+dense rows, lazy rows and shortest-path trees come from the same
+adjacency whatever the mode.  Vicinity balls never read distance rows:
+:meth:`MetricView.all_balls` is one call to the batched sweep
+:func:`repro.graph.shortest_paths.all_balls`.
 
 ``mode="auto"`` (the default) picks dense up to ``dense_threshold``
 vertices and lazy above, so existing small-graph callers see bit-identical
@@ -71,8 +79,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import csr
 from .core import Graph
 from .shortest_paths import (
+    all_balls,
     dijkstra,
     dijkstra_py,
     subgraph_dijkstra,
@@ -95,10 +105,6 @@ class MetricView:
     ----------
     g:
         The (connected) graph.
-    use_scipy:
-        Use ``scipy.sparse.csgraph.dijkstra`` for distance computations.
-        The pure-Python path exists for environments without scipy and for
-        differential testing.
     mode:
         ``"dense"`` (eager all-pairs matrix), ``"lazy"`` (on-demand
         LRU-cached rows) or ``"auto"`` (dense up to ``dense_threshold``
@@ -113,7 +119,6 @@ class MetricView:
     def __init__(
         self,
         g: Graph,
-        use_scipy: bool = True,
         *,
         mode: str = "auto",
         dense_threshold: int = 2048,
@@ -123,11 +128,9 @@ class MetricView:
             raise ValueError(f"unknown MetricView mode {mode!r}")
         self.graph = g
         self.n = g.n
-        self._use_scipy = bool(use_scipy)
         if mode == "auto":
             mode = "dense" if g.n <= dense_threshold else "lazy"
         self._mode = mode
-        self._csr = None
         self._dist: Optional[np.ndarray] = None
         self._sym: Optional[np.ndarray] = None
         self._tol: Optional[float] = None
@@ -151,25 +154,15 @@ class MetricView:
         self._pred_rows: Dict[int, np.ndarray] = {}
 
         if self._mode == "dense":
-            if self._use_scipy and g.n > 0 and g.m > 0:
-                try:
-                    from scipy.sparse.csgraph import (
-                        dijkstra as csgraph_dijkstra,
-                    )
-                except ImportError:
-                    self._use_scipy = False
-                else:
-                    self._csr = g.to_csr()
-                    # Raw forward rows — the canonical orientation every
-                    # mode shares (see the module docstring); the
-                    # symmetrized escape hatch lives behind ``matrix``.
-                    # Both edge directions are stored: no transpose needed.
-                    self._dist = csgraph_dijkstra(self._csr, directed=True)
-            if self._dist is None:
-                rows = []
-                for u in g.vertices():
-                    dist_u, _ = dijkstra_py(g, u)
-                    rows.append(dist_u)
+            mat = self._scipy_matrix()
+            if mat is not None:
+                # Raw forward rows — the canonical orientation every mode
+                # shares (see the module docstring); the symmetrized
+                # escape hatch lives behind ``matrix``.  Both edge
+                # directions are stored: no transpose needed.
+                self._dist = csr._scipy_dijkstra(mat, directed=True)
+            else:
+                rows = [dijkstra_py(g, u)[0] for u in g.vertices()]
                 self._dist = (
                     np.asarray(rows, dtype=float)
                     if rows
@@ -196,9 +189,19 @@ class MetricView:
         """The CSR kernel of the graph, or ``None`` on the pure path."""
         if self.n == 0 or not use_kernel():
             return None
-        from .csr import csr_graph
+        return csr.csr_graph(self.graph)
 
-        return csr_graph(self.graph)
+    def _scipy_matrix(self):
+        """The graph's one cached scipy adjacency, or ``None``.
+
+        ``None`` when scipy does not import or the graph has no edges.
+        Every mode and every ``REPRO_KERNEL`` reads this same matrix (it
+        lives on the graph's cached CSR mirror), so shortest-path trees
+        cannot differ between modes or kernels.
+        """
+        if self.graph.m == 0:
+            return None
+        return csr.csr_graph(self.graph)._scipy_matrix()
 
     @property
     def tol(self) -> float:
@@ -232,7 +235,7 @@ class MetricView:
             return np.zeros((0, self.n), dtype=np.float64)
         kernel = self._kernel()
         if kernel is not None:
-            out = kernel.rows(sources, prefer_scipy=self._use_scipy)
+            out = kernel.rows(sources)
         else:
             out = np.empty((len(sources), self.n), dtype=np.float64)
             for i, s in enumerate(sources):
@@ -600,15 +603,12 @@ class MetricView:
         :mod:`repro.graph.parallel`) batched Dijkstra once over all
         ``roots`` and caches one predecessor row per root;
         :meth:`spt_parents` consumes the cache.  The rows come from the
-        same scipy matrix the per-root path would use, so the resulting
-        trees are bit-identical with or without prefetching.
+        same scipy matrix the per-root path uses, so the resulting trees
+        are bit-identical with or without prefetching.
 
-        No-op (the per-root path stays authoritative) in dense mode —
-        where ``spt_parents`` runs on the dense-precompute matrix, not
-        the kernel's — and whenever scipy or the kernel is unavailable.
+        No-op (the per-root path stays authoritative) whenever scipy or
+        the kernel is unavailable.
         """
-        if self._csr is not None or not self._use_scipy:
-            return
         kernel = self._kernel()
         if kernel is None:
             return
@@ -625,32 +625,24 @@ class MetricView:
     def spt_parents(self, root: int) -> Dict[int, int]:
         """A shortest-path tree rooted at ``root`` as a child->parent map.
 
-        Uses scipy's C Dijkstra when available (the hot path — schemes build
-        hundreds of trees).  Any valid SPT serves tree routing; consistency
-        with the distance oracle is guaranteed because distances agree.
-        Rows staged by :meth:`prefetch_spt_parents` are consumed first.
+        Uses scipy's C Dijkstra over the one cached matrix whenever scipy
+        imports (the hot path — schemes build hundreds of trees), in every
+        mode and under every kernel, so the trees never depend on either.
+        Any valid SPT serves tree routing; consistency with the distance
+        oracle is guaranteed because distances agree.  Rows staged by
+        :meth:`prefetch_spt_parents` are consumed first.
         """
         staged = self._pred_rows.pop(root, None)
         if staged is not None:
             return parents_from_pred_row(root, staged)
-        mat = self._csr
-        if mat is None and self._use_scipy:
-            kernel = self._kernel()
-            if kernel is not None:
-                mat = kernel._scipy_matrix()
+        mat = self._scipy_matrix()
         if mat is not None:
-            from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
-
-            _, pred = csgraph_dijkstra(
+            _, pred = csr._scipy_dijkstra(
                 mat, directed=False, indices=root,
                 return_predecessors=True,
             )
-            parents = {root: root}
-            for v in range(self.n):
-                if v != root and pred[v] >= 0:
-                    parents[v] = int(pred[v])
-            return parents
-        dist, parent = dijkstra(self.graph, root)
+            return parents_from_pred_row(root, pred)
+        _, parent = dijkstra(self.graph, root)
         parents = {root: root}
         for v in range(self.n):
             if v != root and parent[v] is not None:
@@ -733,36 +725,15 @@ class MetricView:
     ) -> Tuple[List[List[int]], Optional[List[float]]]:
         """``B(u, ell)`` (and radii) for every vertex — the batched sweep.
 
-        In lazy mode this goes through the CSR kernel's chunked
-        :meth:`~repro.graph.csr.CSRGraph.all_balls`, so the whole family
-        costs ``O(chunk * n)`` memory; dense mode reads the matrix rows it
-        already has.  Each mode is internally consistent (balls match that
-        mode's :meth:`ball`/:meth:`row`); across modes results coincide
-        exactly on unweighted graphs, while weighted distances can differ
-        from the symmetrized dense matrix by one ulp at exact float ties
-        (see the module docstring).
+        One call to :func:`repro.graph.shortest_paths.all_balls` with this
+        view's :attr:`tol`, in both modes: the balls never read distance
+        rows, so the whole family costs the sweep's batch memory, and the
+        balls and radii are the same whatever the mode or kernel.  They
+        equal :meth:`ball` and :meth:`ball_radius` on the forward rows.
         """
-        if self.n == 0 or ell <= 0:
-            return (
-                [[] for _ in range(self.n)],
-                [0.0] * self.n if with_radii else None,
-            )
-        if self._dist is None:
-            kernel = self._kernel()
-            if kernel is not None:
-                return kernel.all_balls(
-                    min(ell, self.n),
-                    tol=self.tol,
-                    with_radii=with_radii,
-                    prefer_scipy=self._use_scipy,
-                )
-        balls = [self.ball(u, ell) for u in range(self.n)]
-        radii = (
-            [self.ball_radius(u, balls[u]) for u in range(self.n)]
-            if with_radii
-            else None
+        return all_balls(
+            self.graph, ell, tol=self.tol, with_radii=with_radii
         )
-        return balls, radii
 
     def ball_radius(self, u: int, ball: Sequence[int]) -> float:
         """The paper's ``r_u(ell)`` for a ball produced by :meth:`ball`.
@@ -772,6 +743,4 @@ class MetricView:
         ``(dist, id)``-prefixes, this is the boundary distance when the
         boundary level is fully contained, else the previous level.
         """
-        from .csr import _radius_from_row
-
-        return _radius_from_row(self.row(u), list(ball), self.tol)
+        return csr._radius_from_row(self.row(u), list(ball), self.tol)

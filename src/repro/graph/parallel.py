@@ -13,13 +13,13 @@ batches out over a spawn-mode process pool while keeping the results
   (:class:`_AttachedCSR`) and refuse stale descriptors — an unlinked or
   resized segment raises :class:`StaleSharedSegmentError` instead of
   computing over garbage.
-* Each worker runs the *existing* engines (``delta``/``bfs``/``scipy``/
-  ``flat``) over a contiguous source chunk and returns compact
-  ``(bounds, verts, ds)`` arrays; the parent splices chunks back in
-  source order.  Because every engine is per-source deterministic and
-  all graph-global tuning constants (bucket width, scipy limit
-  estimate) are pure functions of the shared arrays, any chunking of
-  the source range reproduces the serial output bit for bit.
+* Each worker runs the *existing* ball engines (``delta``/``bfs``) over
+  a contiguous source chunk and returns compact ``(bounds, verts, ds)``
+  arrays; the parent splices chunks back in source order.  Because
+  every engine is per-source deterministic and the one graph-global
+  tuning constant (the bucket width) is a pure function of the shared
+  arrays, any chunking of the source range reproduces the serial output
+  bit for bit.
 
 Worker-count resolution mirrors the ``REPRO_KERNEL`` dispatch:
 ``REPRO_PARALLEL=N|auto|off`` is read once per process
@@ -336,7 +336,6 @@ def _task_ball_chunk(
     tol: float,
     with_radii: bool,
     engine: str,
-    chunk_bytes: int,
     batch_bytes: int,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     csr = _attached_csr(descriptor)
@@ -347,7 +346,6 @@ def _task_ball_chunk(
         tol=tol,
         with_radii=with_radii,
         engine=engine,
-        chunk_bytes=chunk_bytes,
         batch_bytes=batch_bytes,
     )
 
@@ -531,13 +529,11 @@ class ParallelEngine:
         tol: float,
         with_radii: bool,
         engine: str,
-        chunk_bytes: int,
         batch_bytes: int,
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         desc = self._shared.descriptor()
         tasks = [
-            (desc, lo, hi, ell, tol, with_radii, engine, chunk_bytes,
-             batch_bytes)
+            (desc, lo, hi, ell, tol, with_radii, engine, batch_bytes)
             for lo, hi in self._chunks(n)
         ]
         parts = run_tasks(_task_ball_chunk, tasks, self.workers)

@@ -1,4 +1,4 @@
-"""Shortest-path algorithms: BFS, Dijkstra, truncated (ball) Dijkstra, APSP.
+"""Shortest-path algorithms: Dijkstra, truncated (ball) Dijkstra, all balls.
 
 Tie-breaking discipline
 -----------------------
@@ -8,9 +8,10 @@ distance ties "by lexicographical order of vertex names" (Section 2).  We use
 the total order ``x <_u y  iff  (d(u,x), x) < (d(u,y), y)``.  Property 1 —
 ``v in B(u, ell)`` and ``w`` on a shortest ``u``–``v`` path implies
 ``v in B(w, ell)`` — holds for this order for *every* shortest path, which is
-what makes ball routing (Lemma 2) loop-free.  All ball computations in the
-repository go through :func:`truncated_dijkstra` / :func:`all_balls` or
-:func:`repro.graph.metric.MetricView.ball`, all of which honour this order.
+what makes ball routing (Lemma 2) loop-free.  Every all-balls computation
+in the repository goes through :func:`all_balls` (single balls through
+:meth:`repro.graph.metric.MetricView.ball`), and both honour this order;
+:func:`truncated_dijkstra_py` is the per-source pure reference.
 
 Kernel dispatch
 ---------------
@@ -45,24 +46,17 @@ from __future__ import annotations
 
 import heapq
 import os
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Graph
 
 __all__ = [
-    "bfs_distances",
     "dijkstra",
-    "truncated_dijkstra",
-    "shortest_path_tree",
-    "multi_source_distances",
     "all_balls",
     "bounded_distance",
     "subgraph_dijkstra",
-    "path_length",
     "dijkstra_py",
     "truncated_dijkstra_py",
-    "multi_source_distances_py",
     "bounded_distance_py",
     "subgraph_dijkstra_py",
     "use_kernel",
@@ -154,20 +148,6 @@ def _kernel(g: Graph):
     return csr_graph(g)
 
 
-def bfs_distances(g: Graph, source: int) -> List[float]:
-    """Hop distances from ``source``; unreachable vertices get ``inf``."""
-    dist = [_INF] * g.n
-    dist[source] = 0.0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if dist[v] == _INF:
-                dist[v] = dist[u] + 1.0
-                queue.append(v)
-    return dist
-
-
 def dijkstra(
     g: Graph, source: int
 ) -> Tuple[List[float], List[Optional[int]]]:
@@ -177,6 +157,7 @@ def dijkstra(
     a shortest path from ``source`` (ties resolved toward the smallest
     ``(distance, id)`` predecessor, keeping trees deterministic).
     """
+    g._check_vertex(source)
     kernel = _kernel(g)
     if kernel is not None:
         return kernel.dijkstra(source)
@@ -204,24 +185,6 @@ def dijkstra_py(
                 parent[v] = u
                 heapq.heappush(heap, (nd, v))
     return dist, parent
-
-
-def truncated_dijkstra(
-    g: Graph, source: int, ell: int
-) -> Tuple[List[int], Dict[int, float]]:
-    """The ``ell`` closest vertices of ``source`` in ``(dist, id)`` order.
-
-    Returns ``(ball, dist)`` where ``ball`` lists the closest vertices in
-    increasing ``(distance, id)`` order (``source`` itself first) and ``dist``
-    maps each ball member to its distance.  This is the paper's
-    ``B(u, ell)``.  Kernel-dispatched; both paths key their heap by
-    ``(distance, id)`` so pops follow exactly the total order ``<_u``
-    described in the module docstring.
-    """
-    kernel = _kernel(g)
-    if kernel is not None:
-        return kernel.truncated_dijkstra(source, ell)
-    return truncated_dijkstra_py(g, source, ell)
 
 
 def truncated_dijkstra_py(
@@ -261,14 +224,18 @@ def all_balls(
     """``B(u, ell)`` for every vertex, batched (kernel-dispatched).
 
     Returns ``(balls, radii)`` with ``radii`` ``None`` unless requested.
-    The kernel path runs a batched engine — the delta-stepping candidate
-    queue on weighted graphs, a vectorized level BFS on unit weights —
-    with reusable flat buffers instead of per-source allocation; ``engine``
-    forces a specific kernel implementation (see
-    :meth:`repro.graph.csr.CSRGraph.all_balls`; benchmarks use it to pit
-    the engines against each other).  The pure path loops
-    :func:`truncated_dijkstra_py`.  Ball contents and order are identical
-    on every path.
+    The one batched ball sweep of the repository.  The kernel path runs
+    :meth:`repro.graph.csr.CSRGraph.all_balls`; ``engine`` picks its
+    implementation:
+
+    * ``None`` (auto) — ``"bfs"`` on unit weights, ``"delta"`` otherwise;
+    * ``"delta"`` — bucketed delta-stepping (numpy, or the compiled loop
+      of :mod:`repro.native` when ``REPRO_KERNEL`` resolves to native);
+    * ``"bfs"`` — vectorized level BFS (unit weights only).
+
+    The kernel raises ``ValueError`` for any other name.  The pure path
+    loops :func:`truncated_dijkstra_py` and ignores ``engine``.  Ball
+    contents, order and radii are identical on every path.
     """
     if g.n == 0 or ell <= 0:
         # Same degenerate result on every path (the kernel short-circuits
@@ -322,84 +289,6 @@ def _ball_radius_py(
     return max(inner) if inner else 0.0
 
 
-def shortest_path_tree(
-    g: Graph, root: int, members: Optional[Sequence[int]] = None
-) -> Dict[int, int]:
-    """Shortest-path tree rooted at ``root`` as a ``child -> parent`` map.
-
-    When ``members`` is given, the tree is restricted to that vertex set,
-    which must be *shortest-path closed toward the root* (true for the
-    paper's clusters ``C_A(w)``): every member's parent on the shortest path
-    is then itself a member.  The root maps to itself.
-    """
-    dist, parent = dijkstra(g, root)
-    if members is None:
-        members = [v for v in g.vertices() if dist[v] < _INF]
-    member_set = set(members)
-    if root not in member_set:
-        raise ValueError(f"root {root} not among tree members")
-    tree: Dict[int, int] = {root: root}
-    for v in members:
-        if v == root:
-            continue
-        if dist[v] == _INF:
-            raise ValueError(f"member {v} unreachable from root {root}")
-        p = parent[v]
-        # Walk up until we hit a member; for shortest-path-closed member
-        # sets this loop exits immediately.
-        while p is not None and p not in member_set:
-            p = parent[p]
-        if p is None:
-            raise ValueError(
-                f"member set is not shortest-path closed toward {root} at {v}"
-            )
-        tree[v] = p
-    return tree
-
-
-def multi_source_distances(g: Graph, sources: Sequence[int]) -> Tuple[List[float], List[int]]:
-    """Distance to the nearest source, and that source, for every vertex.
-
-    Returns ``(dist, nearest)``.  ``nearest[v]`` is the paper's ``p_A(v)``
-    with ties broken *lexicographically*: among sources at equal distance
-    from ``v``, the smallest source id wins — the heap carries
-    ``(dist, source, vertex)`` keys so pops realize exactly that order.
-    Duplicate sources are deduplicated up front (a repeated source carries
-    no extra information, and deduplication keeps the seeding loop
-    branch-free).  ``nearest[v] == -1`` when no source is reachable.
-    Kernel-dispatched.
-    """
-    kernel = _kernel(g)
-    if kernel is not None:
-        return kernel.multi_source_distances(sources)
-    return multi_source_distances_py(g, sources)
-
-
-def multi_source_distances_py(
-    g: Graph, sources: Sequence[int]
-) -> Tuple[List[float], List[int]]:
-    """Pure-Python multi-source Dijkstra (differential-test reference)."""
-    dist = [_INF] * g.n
-    nearest = [-1] * g.n
-    heap: List[Tuple[float, int, int]] = []
-    for s in sorted(set(sources)):
-        dist[s] = 0.0
-        nearest[s] = s
-        heap.append((0.0, s, s))
-    heapq.heapify(heap)
-    while heap:
-        d, src, u = heapq.heappop(heap)
-        if (d, src) > (dist[u], nearest[u]):
-            continue
-        for v, w in g.neighbor_items(u):
-            nd = d + w
-            if nd < dist[v] or (nd == dist[v] and src < nearest[v]):
-                dist[v] = nd
-                nearest[v] = src
-                heapq.heappush(heap, (nd, src, v))
-    return dist, nearest
-
-
 def bounded_distance(
     g: Graph, source: int, target: int, limit: float
 ) -> float:
@@ -411,6 +300,8 @@ def bounded_distance(
     O(n + m) rebuild would dwarf the query.  Static graphs get the kernel
     by building it once via :func:`repro.graph.csr.csr_graph`.
     """
+    g._check_vertex(source)
+    g._check_vertex(target)
     if use_kernel() and g.n > 0:
         from .csr import cached_csr_graph
 
@@ -457,6 +348,7 @@ def subgraph_dijkstra(
     Kernel-dispatched; parent ties go to the smallest predecessor id on
     both paths.
     """
+    g._check_vertex(root)
     kernel = _kernel(g)
     if kernel is not None:
         return kernel.subgraph_dijkstra(root, members)
@@ -494,11 +386,3 @@ def subgraph_dijkstra_py(
                 parent[v] = u
                 heapq.heappush(heap, (nd, v))
     return dist, parent
-
-
-def path_length(g: Graph, path: Sequence[int]) -> float:
-    """Total weight of a vertex path; validates that each hop is an edge."""
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        total += g.weight(u, v)
-    return total

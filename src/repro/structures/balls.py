@@ -40,13 +40,12 @@ def ball_size_parameter(n: int, q: float, alpha: float) -> int:
 class BallFamily:
     """All balls ``B(u, ell)`` of a graph for one size parameter ``ell``.
 
-    Construction goes through :meth:`MetricView.all_balls` — the batched
-    sweep that, with a lazy metric, runs on the CSR kernel's batched
-    engines (the delta-stepping candidate queue on weighted graphs, the
-    vectorized level BFS on unit weights) with reused flat buffers, never
-    materializing the distance matrix; with a dense metric it reads the
-    matrix rows it already has.  Either way the balls agree exactly with
-    the owning metric's own ``ball``/``row`` view, which is what
+    Construction goes through :meth:`MetricView.all_balls` — in either
+    metric mode one call to the batched sweep
+    :func:`repro.graph.shortest_paths.all_balls` (the delta-stepping
+    candidate queue on weighted graphs, the vectorized level BFS on unit
+    weights), which never reads distance rows.  The balls agree exactly
+    with the owning metric's own ``ball``/``row`` view, which is what
     Property 1 and the routing structures rely on.
     """
 

@@ -4,8 +4,9 @@ The CSR kernel must be a *drop-in* replacement for the pure-Python
 shortest-path substrate: identical distances, identical ball memberships
 and — crucially for the paper's Section 2 total order — identical
 ``(dist, id)`` ball *order*.  These tests pin that equivalence on random
-weighted and unweighted graphs for every kernel path (flat Python loops,
-the scipy-limit batch, and the unit-weight BFS sweep).
+weighted and unweighted graphs for both batched ball engines (the
+delta-stepping sweep and the unit-weight BFS sweep), serial and under the
+multiprocess tier.
 
 A note on the dense matrix: ``MetricView`` in dense+scipy mode symmetrizes
 its matrix (``min(dist, dist.T)``), which can differ from any forward
@@ -20,6 +21,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.graph import csr, parallel
 from repro.graph.core import Graph
 from repro.graph.csr import CSRGraph, cached_csr_graph, csr_graph
 from repro.graph.generators import (
@@ -36,13 +38,11 @@ from repro.graph.shortest_paths import (
     bounded_distance_py,
     dijkstra,
     dijkstra_py,
-    multi_source_distances,
-    multi_source_distances_py,
     reset_kernel_choice,
-    truncated_dijkstra,
     truncated_dijkstra_py,
     use_kernel,
 )
+from repro.structures.bunches import BunchStructure
 
 
 def _graphs():
@@ -59,6 +59,16 @@ def _graphs():
 
 
 GRAPHS = _graphs()
+
+
+def _pure_balls(g, ell, tol):
+    """Balls and radii from :func:`all_balls` on the pure dispatch path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_KERNEL", "pure")
+        reset_kernel_choice()
+        ref = all_balls(g, ell, tol=tol, with_radii=True)
+    reset_kernel_choice()
+    return ref
 
 
 @pytest.fixture(params=GRAPHS, ids=[name for name, _ in GRAPHS])
@@ -119,19 +129,21 @@ class TestDijkstraAgreement:
 
 
 class TestTruncatedAgreement:
+    """The kernel's batched balls are the pure per-source balls."""
+
     @pytest.mark.parametrize("ell", [1, 2, 7, 23, 1000])
     def test_ball_and_order_identical(self, graph, ell):
         kernel = csr_graph(graph)
+        balls, _ = kernel.all_balls(ell)
         for source in range(0, graph.n, 9):
             ball_py, dist_py = truncated_dijkstra_py(graph, source, ell)
-            ball_k, dist_k = kernel.truncated_dijkstra(source, ell)
-            assert ball_k == ball_py  # same members in the same order
-            assert dist_k == dist_py
+            assert balls[source] == ball_py  # same members, same order
+            dist_k = kernel.dijkstra(source)[0]
+            assert {v: dist_k[v] for v in ball_py} == dist_py
 
     def test_dispatch_matches_pure(self, graph):
-        assert truncated_dijkstra(graph, 0, 9) == truncated_dijkstra_py(
-            graph, 0, 9
-        )
+        balls, _ = all_balls(graph, 9)
+        assert balls[0] == truncated_dijkstra_py(graph, 0, 9)[0]
 
 
 class TestAllBallsAgreement:
@@ -140,26 +152,17 @@ class TestAllBallsAgreement:
     @pytest.mark.parametrize("ell", [1, 4, 13, 40])
     def test_all_paths_identical(self, graph, ell):
         tol = 1e-9
-        ell_eff = min(ell, graph.n)
-        ref_balls = []
-        ref_radii = []
-        for u in graph.vertices():
-            ball, dist = truncated_dijkstra_py(graph, u, ell_eff)
-            ref_balls.append(ball)
-            ref_radii.append(_ball_radius_py(graph, ball, dist, tol))
+        ref = _pure_balls(graph, ell, tol)
         kernel = csr_graph(graph)
-        flat_balls, flat_radii = kernel.all_balls(
-            ell_eff, tol=tol, with_radii=True, prefer_scipy=False
-        )
-        assert flat_balls == ref_balls
-        assert flat_radii == ref_radii
-        scipy_balls, scipy_radii = kernel.all_balls(
-            ell_eff, tol=tol, with_radii=True, prefer_scipy=True
-        )
-        assert scipy_balls == ref_balls
-        assert scipy_radii == ref_radii
-        disp_balls, _ = all_balls(graph, ell, tol=tol)
-        assert disp_balls == ref_balls
+        engines = [None, "delta"]
+        if kernel.is_unweighted():
+            engines.append("bfs")
+        for engine in engines:
+            got = kernel.all_balls(
+                ell, tol=tol, with_radii=True, engine=engine
+            )
+            assert got == ref, engine
+        assert all_balls(graph, ell, tol=tol, with_radii=True) == ref
 
     def test_zero_ell_same_on_every_path(self, graph, monkeypatch):
         n = graph.n
@@ -173,16 +176,6 @@ class TestAllBallsAgreement:
         m = MetricView(graph, mode="lazy")
         assert m.all_balls(0) == expect
         assert MetricView(graph, mode="dense").all_balls(0) == expect
-
-    def test_scipy_limit_path_forced(self):
-        # Large-ish sparse graph so 4*ell <= n actually takes the
-        # scipy-limit branch (with redo safety net) rather than BFS.
-        g = with_random_weights(erdos_renyi(300, 0.02, seed=8), seed=9)
-        kernel = csr_graph(g)
-        ell = 20
-        ref = [truncated_dijkstra_py(g, u, ell)[0] for u in g.vertices()]
-        got, _ = kernel.all_balls(ell, tol=1e-9, prefer_scipy=True)
-        assert got == ref
 
     def test_bfs_path_forced(self):
         g = erdos_renyi(300, 0.02, seed=8)  # unit weights -> BFS sweep
@@ -200,20 +193,31 @@ class TestAllBallsAgreement:
         assert radii == ref_radii
 
 
+def _pivots(metric, sources):
+    """``(p_A(v), d(v, A))`` for every vertex, from :class:`BunchStructure`
+    — the one implementation of the paper's nearest-source rule."""
+    bs = BunchStructure(metric, sources)
+    return (
+        [bs.pivot(v) for v in range(metric.n)],
+        [bs.distance_to_landmarks(v) for v in range(metric.n)],
+    )
+
+
 class TestMultiSourceAgreement:
-    def test_identical(self, graph):
-        kernel = csr_graph(graph)
+    """``p_A(v)``: kernel and pure dispatch agree, duplicates are inert."""
+
+    def test_identical(self, graph, monkeypatch):
         sources = [0, graph.n // 3, graph.n - 1]
-        assert kernel.multi_source_distances(
-            sources
-        ) == multi_source_distances_py(graph, sources)
+        kernel = _pivots(MetricView(graph, mode="lazy"), sources)
+        monkeypatch.setenv("REPRO_KERNEL", "pure")
+        reset_kernel_choice()
+        assert _pivots(MetricView(graph, mode="lazy"), sources) == kernel
 
     def test_duplicate_sources(self, graph):
         """Deduplication: repeated sources change nothing (satellite)."""
+        m = MetricView(graph, mode="lazy")
         sources = [0, graph.n // 2, graph.n // 2, 0, 0]
-        expect = multi_source_distances(graph, [0, graph.n // 2])
-        assert multi_source_distances(graph, sources) == expect
-        assert multi_source_distances_py(graph, sources) == expect
+        assert _pivots(m, sources) == _pivots(m, [0, graph.n // 2])
 
 
 class TestBoundedDistanceAgreement:
@@ -285,10 +289,12 @@ class TestMetricModesAgree:
     """Dense and lazy MetricView agree on unweighted graphs (exact)."""
 
     @pytest.mark.parametrize("use_scipy", [True, False])
-    def test_lazy_matches_dense_unweighted(self, use_scipy):
+    def test_lazy_matches_dense_unweighted(self, use_scipy, monkeypatch):
+        if not use_scipy:
+            monkeypatch.setattr(csr, "_HAVE_SCIPY", False)
         g = erdos_renyi(40, 0.12, seed=13)
-        dense = MetricView(g, use_scipy=use_scipy, mode="dense")
-        lazy = MetricView(g, use_scipy=use_scipy, mode="lazy")
+        dense = MetricView(g, mode="dense")
+        lazy = MetricView(g, mode="lazy")
         assert dense.mode == "dense" and lazy.mode == "lazy"
         for u in range(g.n):
             assert np.array_equal(lazy.row(u), dense.row(u))
@@ -474,8 +480,8 @@ class TestDeltaEngine:
     def test_engines_agree_on_weighted_graph(self):
         g = with_random_weights(erdos_renyi(150, 0.05, seed=21), seed=22)
         kernel = csr_graph(g)
-        ref = kernel.all_balls(25, tol=1e-9, with_radii=True, engine="flat")
-        for engine in ("delta", "scipy"):
+        ref = _pure_balls(g, 25, 1e-9)
+        for engine in (None, "delta"):
             assert (
                 kernel.all_balls(
                     25, tol=1e-9, with_radii=True, engine=engine
@@ -492,6 +498,12 @@ class TestDeltaEngine:
         kernel = csr_graph(erdos_renyi(10, 0.3, seed=1))
         with pytest.raises(ValueError):
             kernel.all_balls(3, engine="warp")
+
+    @pytest.mark.parametrize("engine", ["scipy", "flat"])
+    def test_retired_engines_rejected(self, engine):
+        kernel = csr_graph(erdos_renyi(10, 0.3, seed=1))
+        with pytest.raises(ValueError):
+            kernel.all_balls(3, engine=engine)
 
     def test_bfs_engine_requires_unit_weights(self):
         g = with_random_weights(erdos_renyi(20, 0.2, seed=2), seed=3)
@@ -652,3 +664,88 @@ class TestCSRStructure:
         assert k.n == 0 and k.m == 0
         balls, radii = k.all_balls(3, with_radii=True)
         assert balls == [] and radii == []
+
+
+# ----------------------------------------------------------------------
+# One differential test for the one batched ball sweep
+# ----------------------------------------------------------------------
+def _choice_weight_graph(weights, n=150, p=0.03, seed=41, connected=True):
+    """Random graph whose weights repeat from ``weights``: exact real
+    distance ties, whose float sums may depend on accumulation order."""
+    import random as _random
+
+    rng = _random.Random(seed + 1)
+    base = erdos_renyi(n, p, seed=seed, connected=connected)
+    return Graph.from_edges(
+        n, [(u, v, rng.choice(weights)) for u, v, _ in base.edges()]
+    )
+
+
+BALL_CASES = [
+    ("unit", erdos_renyi(150, 0.03, seed=41)),
+    ("w123", _choice_weight_graph([1.0, 2.0, 3.0])),
+    ("tenths", _choice_weight_graph([0.1, 0.2, 0.3])),
+    ("floats", _choice_weight_graph([0.7, 1.1, 1.8])),
+    ("split-unit", erdos_renyi(150, 0.012, seed=43, connected=False)),
+    (
+        "split-tenths",
+        _choice_weight_graph([0.1, 0.2, 0.3], p=0.012, seed=43,
+                             connected=False),
+    ),
+]
+
+
+def _engine_params():
+    for name, g in BALL_CASES:
+        engines = [None, "delta"]
+        if csr_graph(g).is_unweighted():
+            engines.append("bfs")
+        for engine in engines:
+            for tier in ("serial", "parallel"):
+                yield pytest.param(
+                    name, g, engine, tier,
+                    id=f"{name}-{engine or 'auto'}-{tier}",
+                )
+
+
+@pytest.mark.parametrize("name, g, engine, tier", list(_engine_params()))
+def test_ball_engines_match_pure(name, g, engine, tier, monkeypatch):
+    """Every engine, serial or over ``REPRO_PARALLEL=2``, returns the pure
+    balls and radii exactly — on tie-heavy weights, on disconnected
+    graphs and with ``ell`` beyond ``n``."""
+    assert g.is_connected() == (not name.startswith("split"))
+    kernel = csr_graph(g)
+    eng = None
+    if tier == "parallel":
+        monkeypatch.setenv("REPRO_PARALLEL", "2")
+        monkeypatch.setattr(parallel, "_MIN_PARALLEL_SOURCES", 1)
+        parallel.reset_parallel_choice()
+        eng = parallel.engine_for(kernel, g.n)
+        assert eng is not None
+    try:
+        for ell in (1, 7, 400):
+            got = kernel.all_balls(
+                ell, tol=1e-9, with_radii=True, engine=engine
+            )
+            assert got == _pure_balls(g, ell, 1e-9), ell
+    finally:
+        if eng is not None:
+            # The graphs are module-level: drop their shared segments now
+            # rather than at interpreter exit.
+            eng.close()
+
+
+@pytest.mark.parametrize("mode", ["dense", "lazy"])
+@pytest.mark.parametrize(
+    "g", [g for _, g in BALL_CASES], ids=[name for name, _ in BALL_CASES]
+)
+def test_metric_all_balls_match_pure(g, mode):
+    """``MetricView.all_balls`` is the pure sweep at the view's tol in
+    both modes, and agrees with the row-based :meth:`MetricView.ball`."""
+    m = MetricView(g, mode=mode)
+    for ell in (1, 7, 400):
+        balls, radii = m.all_balls(ell)
+        assert (balls, radii) == _pure_balls(g, ell, m.tol)
+        for u in range(0, g.n, 13):
+            assert balls[u] == m.ball(u, ell)
+            assert radii[u] == m.ball_radius(u, balls[u])

@@ -10,16 +10,19 @@ import pytest
 from repro.api import all_specs, get_spec
 from repro.graph.core import Graph
 from repro.graph.generators import erdos_renyi, grid, with_random_weights
-from repro.graph import metric
+from repro.graph import csr, metric
 from repro.graph.metric import MetricView
+from repro.graph.shortest_paths import use_kernel
 from repro.routing.shard_codec import encode_node_table
 
 
 class TestDistances:
     @pytest.mark.parametrize("use_scipy", [True, False])
-    def test_matches_networkx(self, use_scipy):
+    def test_matches_networkx(self, use_scipy, monkeypatch):
+        if not use_scipy:
+            monkeypatch.setattr(csr, "_HAVE_SCIPY", False)
         g = with_random_weights(erdos_renyi(30, 0.15, seed=1), seed=2)
-        m = MetricView(g, use_scipy=use_scipy)
+        m = MetricView(g)
         ref = dict(nx.all_pairs_dijkstra_path_length(g.to_networkx()))
         for u in g.vertices():
             for v in g.vertices():
@@ -30,10 +33,11 @@ class TestDistances:
         m = MetricView(g)
         assert np.array_equal(m.matrix, m.matrix.T)
 
-    def test_scipy_and_python_agree(self):
+    def test_scipy_and_python_agree(self, monkeypatch):
         g = with_random_weights(erdos_renyi(25, 0.2, seed=5), seed=6)
-        m1 = MetricView(g, use_scipy=True)
-        m2 = MetricView(g, use_scipy=False)
+        m1 = MetricView(g)
+        monkeypatch.setattr(csr, "_HAVE_SCIPY", False)
+        m2 = MetricView(g)
         assert np.allclose(m1.matrix, m2.matrix)
 
     def test_disconnected_detected(self):
@@ -263,4 +267,9 @@ class TestNextHopRowsInBuilds:
         spec = get_spec("thm11")
         m = MetricView(g, mode="lazy")
         spec.factory(g, metric=m, **spec.defaults())
-        assert m.rows_computed <= 2158
+        if use_kernel():
+            assert m.rows_computed <= 2158
+        else:
+            # The pure dispatch computes every row it reads in Python,
+            # the bounded cluster scans included.
+            assert m.rows_computed <= 2390

@@ -106,12 +106,13 @@ def test_choice_is_cached_until_reset(monkeypatch):
 # ----------------------------------------------------------------------
 # Engine differentials: parallel == serial, bit for bit
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["delta", "scipy", "flat"])
+# Weighted input admits one engine; the unit-weight bfs sweep has its own
+# test below, and every engine x tier meets the pure reference on small
+# tie-heavy graphs in tests/graph/test_csr.py::test_ball_engines_match_pure.
+@pytest.mark.parametrize("engine", ["delta"])
 def test_all_balls_engines_bit_identical_weighted(
     monkeypatch, two_workers, engine
 ):
-    if engine == "scipy":
-        pytest.importorskip("scipy")
     csr = csr_graph(_weighted(2000, 0.003, seed=17))
     ell = 24
     pb, pv, pr = csr.all_balls(
@@ -306,7 +307,7 @@ def test_stale_descriptor_refused(two_workers):
     shared.close()
     with pytest.raises(parallel.StaleSharedSegmentError):
         shared.descriptor()
-    task = (desc, 0, 10, 5, 0.0, False, "delta", 1 << 22, 1 << 24)
+    task = (desc, 0, 10, 5, 0.0, False, "delta", 1 << 24)
     with pytest.raises(parallel.StaleSharedSegmentError):
         parallel.run_tasks(parallel._task_ball_chunk, [task], 2)
 

@@ -7,16 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.core import Graph
-from repro.graph.generators import erdos_renyi, grid, with_random_weights
-from repro.graph.shortest_paths import (
-    bfs_distances,
-    dijkstra,
-    multi_source_distances,
-    path_length,
-    shortest_path_tree,
-    truncated_dijkstra,
+from repro.graph.core import Graph, GraphError
+from repro.graph.generators import (
+    erdos_renyi,
+    grid,
+    path,
+    with_random_weights,
 )
+from repro.graph.metric import MetricView
+from repro.graph.shortest_paths import (
+    all_balls,
+    bounded_distance,
+    dijkstra,
+    reset_kernel_choice,
+    subgraph_dijkstra,
+    truncated_dijkstra_py,
+)
+from repro.structures.bunches import BunchStructure
 
 
 def _nx_distances(g: Graph, source: int):
@@ -24,17 +31,24 @@ def _nx_distances(g: Graph, source: int):
 
 
 class TestBFS:
+    """Hop distances on unit weights: the dispatch and the bfs ball sweep."""
+
     def test_matches_networkx_on_grid(self):
         g = grid(5, 6)
         ref = nx.single_source_shortest_path_length(g.to_networkx(), 0)
-        got = bfs_distances(g, 0)
+        got, _ = dijkstra(g, 0)
         for v in g.vertices():
             assert got[v] == ref[v]
+        balls, radii = all_balls(g, g.n, with_radii=True, engine="bfs")
+        assert balls[0] == sorted(g.vertices(), key=lambda v: (ref[v], v))
+        assert radii[0] == max(ref.values())
 
     def test_unreachable_is_inf(self):
         g = Graph.from_edges(3, [(0, 1)])
-        dist = bfs_distances(g, 0)
+        dist, _ = dijkstra(g, 0)
         assert dist[2] == math.inf
+        balls, _ = all_balls(g, 3, engine="bfs")
+        assert balls[0] == [0, 1]
 
 
 class TestDijkstra:
@@ -58,38 +72,43 @@ class TestDijkstra:
 
 
 class TestTruncatedDijkstra:
+    """The per-source pure reference behind the pure ``all_balls``."""
+
     def test_ball_is_dist_id_prefix(self):
         g = erdos_renyi(50, 0.1, seed=3)
         full, _ = dijkstra(g, 7)
         order = sorted(g.vertices(), key=lambda v: (full[v], v))
         for ell in (1, 5, 17, 50):
-            ball, dist = truncated_dijkstra(g, 7, ell)
+            ball, dist = truncated_dijkstra_py(g, 7, ell)
             assert ball == order[:ell]
             for v in ball:
                 assert dist[v] == pytest.approx(full[v])
 
     def test_zero_ell(self):
         g = grid(3, 3)
-        ball, dist = truncated_dijkstra(g, 0, 0)
+        ball, dist = truncated_dijkstra_py(g, 0, 0)
         assert ball == [] and dist == {}
 
     def test_ell_beyond_n(self):
         g = grid(3, 3)
-        ball, _ = truncated_dijkstra(g, 0, 100)
+        ball, _ = truncated_dijkstra_py(g, 0, 100)
         assert len(ball) == 9
 
     @given(seed=st.integers(0, 30), ell=st.integers(1, 25))
     @settings(max_examples=25, deadline=None)
     def test_source_always_first(self, seed, ell):
         g = erdos_renyi(25, 0.15, seed=seed)
-        ball, _ = truncated_dijkstra(g, 4, ell)
+        ball, _ = truncated_dijkstra_py(g, 4, ell)
         assert ball[0] == 4
 
 
 class TestShortestPathTree:
+    """Trees come from :class:`MetricView` (``spt_parents`` and the
+    member-restricted ``restricted_spt_parents``)."""
+
     def test_full_tree_distances(self):
         g = with_random_weights(erdos_renyi(35, 0.15, seed=2), seed=8)
-        tree = shortest_path_tree(g, 0)
+        tree = MetricView(g).spt_parents(0)
         dist, _ = dijkstra(g, 0)
         # walk each vertex to the root; the accumulated weight must match
         for v in g.vertices():
@@ -103,19 +122,29 @@ class TestShortestPathTree:
     def test_root_not_member_raises(self):
         g = grid(3, 3)
         with pytest.raises(ValueError):
-            shortest_path_tree(g, 0, members=[1, 2])
+            MetricView(g).restricted_spt_parents(0, [1, 2])
 
     def test_unreachable_member_raises(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
-            shortest_path_tree(g, 0, members=[0, 2])
+            MetricView(g).restricted_spt_parents(0, [0, 2])
+
+
+def _nearest(g, sources):
+    """``(d(v, A), p_A(v))`` for every vertex, from :class:`BunchStructure`
+    — the one implementation of the paper's nearest-source rule."""
+    bs = BunchStructure(MetricView(g), sources)
+    return (
+        [bs.distance_to_landmarks(v) for v in g.vertices()],
+        [bs.pivot(v) for v in g.vertices()],
+    )
 
 
 class TestMultiSource:
     def test_matches_min_over_sources(self):
         g = with_random_weights(erdos_renyi(40, 0.12, seed=4), seed=14)
         sources = [3, 17, 29]
-        dist, nearest = multi_source_distances(g, sources)
+        dist, nearest = _nearest(g, sources)
         per_source = {s: dijkstra(g, s)[0] for s in sources}
         for v in g.vertices():
             expect = min((per_source[s][v], s) for s in sources)
@@ -124,7 +153,7 @@ class TestMultiSource:
 
     def test_tie_breaks_to_smaller_source(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        _, nearest = multi_source_distances(g, [0, 2])
+        _, nearest = _nearest(g, [0, 2])
         assert nearest[1] == 0  # equidistant; smaller id wins
 
     def test_duplicate_sources_equivalent(self):
@@ -132,23 +161,38 @@ class TestMultiSource:
         g = with_random_weights(erdos_renyi(30, 0.15, seed=6), seed=16)
         unique = [4, 11, 27]
         dup = [27, 4, 11, 4, 27, 27]
-        assert multi_source_distances(g, dup) == multi_source_distances(
-            g, unique
-        )
+        assert _nearest(g, dup) == _nearest(g, unique)
 
     def test_single_duplicated_source(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        dist, nearest = multi_source_distances(g, [1, 1, 1])
+        dist, nearest = _nearest(g, [1, 1, 1])
         assert dist == [1.0, 0.0, 1.0]
         assert nearest == [1, 1, 1]
 
 
-class TestPathLength:
-    def test_sums_weights(self):
-        g = Graph.from_edges(3, [(0, 1, 2.0), (1, 2, 3.0)])
-        assert path_length(g, [0, 1, 2]) == 5.0
+def _out_of_range_calls(g, bad):
+    return {
+        "dijkstra": lambda: dijkstra(g, bad),
+        "bounded_distance": lambda: bounded_distance(g, bad, 3, 10.0),
+        "subgraph_dijkstra": lambda: subgraph_dijkstra(g, bad, [bad, 3]),
+    }
 
-    def test_invalid_hop_raises(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        with pytest.raises(Exception):
-            path_length(g, [0, 2])
+
+@pytest.mark.parametrize("kernel", ["kernel", "pure"])
+@pytest.mark.parametrize("where", ["minus-one", "n"])
+@pytest.mark.parametrize(
+    "fn", ["dijkstra", "bounded_distance", "subgraph_dijkstra"]
+)
+def test_out_of_range_source_raises(fn, where, kernel, monkeypatch):
+    """A vertex id outside ``[0, n)`` raises ``GraphError`` on every
+    dispatch path — never another vertex's answer or a bare IndexError."""
+    from repro.graph.csr import csr_graph
+
+    if kernel == "pure":
+        monkeypatch.setenv("REPRO_KERNEL", "pure")
+        reset_kernel_choice()
+    g = path(5)
+    csr_graph(g)  # a cached mirror, so bounded_distance may use it
+    bad = -1 if where == "minus-one" else g.n
+    with pytest.raises(GraphError):
+        _out_of_range_calls(g, bad)[fn]()

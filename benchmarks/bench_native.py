@@ -149,7 +149,7 @@ def run_decode(n: int) -> dict:
     workdir = tempfile.mkdtemp(prefix="repro-native-bench-")
     try:
         shard_dir = os.path.join(workdir, "shards")
-        session.save(shard_dir, shards=True)
+        session.save(shard_dir)
         payloads = _pack_payloads(shard_dir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -153,7 +153,7 @@ def run_huge(workers: int, n: int = 1_000_000) -> dict:
     try:
         shard_dir = os.path.join(workdir, "shards")
         t0 = time.perf_counter()
-        session.save(shard_dir, shards=True)
+        session.save(shard_dir)
         shard_s = time.perf_counter() - t0
         shard_bytes = sum(
             os.path.getsize(os.path.join(root, f))

@@ -1,13 +1,14 @@
-"""Serving-path benchmark: cold shard loads vs the JSON session blob.
+"""Serving-path benchmark: cold single-shard loads vs a full decode.
 
 The sharded deployment layout exists for exactly two numbers, measured
 here on Theorem 11 at the canonical n=1000 workload:
 
 1. **Cold start** — latency to serve the *first* request at one vertex:
    open the shard store (manifest) and load that vertex's binary shard,
-   versus parsing the whole legacy JSON session blob.  Gate: >= 10x
-   lower.  This is the number that decides whether a fleet of small
-   nodes can cold-start lazily or must each swallow the full scheme.
+   versus decoding every shard of the same packs (whole-scheme
+   loading).  Gate: >= 10x lower, at every scale.  This is the number
+   that decides whether a fleet of small nodes can cold-start lazily or
+   must each swallow the full scheme.
 2. **Routed throughput** — hops/second through the fixed-port simulator
    on the warm shard engine versus the monolithic in-memory scheme
    (both make identical step decisions; the serving tests assert it).
@@ -42,7 +43,7 @@ import sys
 import tempfile
 import time
 
-from repro.api import build, load
+from repro.api import build
 from repro.eval.workloads import sample_pairs
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.routing.serving import (
@@ -56,7 +57,7 @@ from repro.routing.tables import NodeTable
 
 from conftest import SMOKE, merge_bench_results, smoke_scale
 
-SECTION = "Serving: cold shard loads vs JSON blob, routed throughput"
+SECTION = "Serving: cold shard loads vs full decode, routed throughput"
 
 RESULT_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_kernel.json"
@@ -81,11 +82,8 @@ def run_serving(n: int, *, pairs: int = 200, reps: int = 15) -> dict:
     session = build(SCHEME, g, seed=7)
     workdir = tempfile.mkdtemp(prefix="repro-serving-")
     try:
-        blob_path = os.path.join(workdir, "session.json")
         shard_path = os.path.join(workdir, "session.shards")
-        session.save(blob_path)
-        session.save(shard_path, shards=True)
-        blob_bytes = os.path.getsize(blob_path)
+        session.save(shard_path)
         manifest = ShardStore(shard_path).manifest
 
         # --- cold start: one vertex served, nothing else parsed -------
@@ -96,11 +94,13 @@ def run_serving(n: int, *, pairs: int = 200, reps: int = 15) -> dict:
             for v in probe:
                 store.node(v)
 
-        def cold_blob():
-            load(blob_path)
+        def full_decode():
+            store = ShardStore(shard_path)
+            list(store.iter_nodes())
+            store.close()
 
         shard_s = _median_seconds(cold_shard, reps) / len(probe)
-        blob_s = _median_seconds(cold_blob, max(3, reps // 3))
+        full_s = _median_seconds(full_decode, max(3, reps // 3))
 
         # --- routed throughput: warm engines, identical decisions -----
         sample = sample_pairs(n, pairs, seed=73)
@@ -123,12 +123,11 @@ def run_serving(n: int, *, pairs: int = 200, reps: int = 15) -> dict:
             "n": n,
             "scheme": SCHEME,
             "pairs": pairs,
-            "blob_bytes": blob_bytes,
             "shard_bytes_total": manifest["bytes"]["total"],
             "shard_bytes_max": manifest["bytes"]["max_shard"],
-            "cold_blob_load_ms": round(blob_s * 1e3, 3),
+            "cold_full_decode_ms": round(full_s * 1e3, 3),
             "cold_shard_load_ms": round(shard_s * 1e3, 3),
-            "cold_speedup": round(blob_s / shard_s, 1),
+            "cold_vs_full_decode": round(full_s / shard_s, 1),
             "memory_hops_per_sec": round(memory_hps, 0),
             "shard_hops_per_sec": round(shard_hps, 0),
             "shard_loads_for_workload": served["loads"],
@@ -141,10 +140,10 @@ def run_serving(n: int, *, pairs: int = 200, reps: int = 15) -> dict:
 def _report_lines(out: dict) -> list:
     return [
         f"cold start n={out['n']} ({out['scheme']}): one shard "
-        f"{out['cold_shard_load_ms']:.2f} ms vs JSON blob "
-        f"{out['cold_blob_load_ms']:.1f} ms => {out['cold_speedup']}x "
-        f"({out['shard_bytes_max']}B max shard vs "
-        f"{out['blob_bytes']}B blob)",
+        f"{out['cold_shard_load_ms']:.2f} ms vs full decode "
+        f"{out['cold_full_decode_ms']:.1f} ms => "
+        f"{out['cold_vs_full_decode']}x ({out['shard_bytes_max']}B max "
+        f"shard of {out['shard_bytes_total']}B)",
         f"throughput: in-memory {out['memory_hops_per_sec']:.0f} hops/s, "
         f"shards {out['shard_hops_per_sec']:.0f} hops/s "
         f"({out['shard_loads_for_workload']} shards / "
@@ -253,7 +252,7 @@ def run_serving_packed(
         )
         session = build(SCHEME, g, seed=7)
         route_packed = os.path.join(workdir, "route.packed")
-        session.save(route_packed, shards=True)
+        session.save(route_packed)
         sample = sample_pairs(n_route, pairs, seed=73)
         router_packed = LocalRouter(open_store(route_packed))
 
@@ -322,6 +321,13 @@ def _packed_report_lines(out: dict) -> list:
     ]
 
 
+def _assert_cold_gate(out: dict) -> None:
+    # The acceptance bar of the sharded layout: serving one vertex cold
+    # beats decoding the whole scheme by >= 10x.  The ratio grows with
+    # n and already clears the bar at smoke scale, so it gates there too.
+    assert out["cold_vs_full_decode"] >= 10.0, out
+
+
 def _assert_packed_gates(out: dict) -> None:
     # the acceptance gate of the packed layout (full size only)
     assert (
@@ -338,11 +344,8 @@ def test_serving(benchmark, report, bench_scale):
     report.section(SECTION)
     for line in _report_lines(out):
         report.line(line)
-    # The 10x cold-start gate is the acceptance bar of the sharded
-    # layout; only meaningful at full size (at smoke scale the blob is
-    # tiny and OS noise dominates).
+    _assert_cold_gate(out)
     if not SMOKE:
-        assert out["cold_speedup"] >= 10.0, out
         merge_bench_results(RESULT_PATH, {"serving": out})
 
 
@@ -388,8 +391,8 @@ def main() -> None:
     out = run_serving(n, pairs=smoke_scale(200, 60))
     for line in _report_lines(out):
         print(line)
+    _assert_cold_gate(out)
     if not SMOKE:
-        assert out["cold_speedup"] >= 10.0, out
         merge_bench_results(RESULT_PATH, {"serving": out})
         print(f"merged into {os.path.normpath(RESULT_PATH)}")
     run_packed_main()

@@ -58,7 +58,7 @@ REPRO_BENCH_SMOKE=1 python benchmarks/bench_kernel.py || fail=1
 echo "== bench_cluster (smoke) =="
 REPRO_BENCH_SMOKE=1 python benchmarks/bench_cluster.py || fail=1
 
-# -- serving smoke: packs cold vs the JSON blob, warm throughput -------
+# -- serving smoke: cold shard vs full decode (10x gate), warm throughput
 echo "== bench_serving (smoke) =="
 REPRO_BENCH_SMOKE=1 python benchmarks/bench_serving.py || fail=1
 

@@ -9,14 +9,13 @@ Subcommands (all scheme names resolve through the ``repro.api`` registry):
 * ``route`` — build one scheme and trace one message (or serve one from
   a shard directory with ``--shards``, loading only the visited shards),
 * ``validate`` — run the structural validation checklist on a scheme,
-* ``save`` — build a scheme and persist its routing state to disk,
-* ``shard`` — build a scheme and compile it into per-vertex binary
-  shards (the deployment layout: each node gets only its own table),
-  packed into ``O(n / group_size)`` checksummed, mmap-able group files;
+* ``shard`` — build a scheme and persist it: per-vertex binary shards
+  (the deployment layout: each node gets only its own table), packed
+  into ``O(n / group_size)`` checksummed, mmap-able group files;
   ``--replicas R`` writes every group R times, ``--verify DIR`` sweeps
   an existing directory,
-* ``load`` — restore a saved scheme (no preprocessing) and serve it;
-  accepts both the JSON blob and a shard directory,
+* ``load`` — open a shard directory (no preprocessing) and route or
+  measure stretch on it,
 * ``check`` — run the static invariant linter (``repro.analysis``) over
   the source tree; ``--json`` emits machine-readable findings,
 * ``cluster`` — multi-process serving over a packed shard directory
@@ -145,6 +144,7 @@ def cmd_route(args) -> int:
         )
     if args.shards:
         from .api import RoutingSession
+        from .routing.serving import ServingError
 
         _reject_build_flags_with_shards(args)
         try:
@@ -155,14 +155,14 @@ def cmd_route(args) -> int:
             raise SystemExit(
                 f"cannot serve from {args.shards!r}: {exc}"
             ) from None
-        if session.serve_stats() is None:
-            raise SystemExit(
-                f"{args.shards!r} is not a shard directory; "
-                f"use `load` for JSON session blobs"
-            )
         print(session.describe())
         s, t = _wrap_pair(args.source, args.target, session.scheme.n)
-        result = session.route(s, t)
+        try:
+            result = session.route(s, t)
+        except ServingError as exc:
+            raise SystemExit(
+                f"cannot serve from {args.shards!r}: {exc}"
+            ) from None
         # Snapshot the counters before anything global (e.g. the exact
         # metric) could touch more shards: the whole point is that one
         # route reads only the visited vertices' tables.
@@ -274,20 +274,6 @@ def cmd_table1(args) -> int:
     print(
         f"  [substrate {substrate_seconds:.2f}s shared across "
         f"{len(rows)} schemes; scheme builds {scheme_seconds:.2f}s]"
-    )
-    return 0
-
-
-def cmd_save(args) -> int:
-    session = _build_session(
-        args.scheme, args.n, args.family, args.seed, args.preset
-    )
-    path = session.save(args.out)
-    stats = session.stats()
-    print(f"{session.name} on {session.graph}")
-    print(
-        f"saved to {path} ({stats.total_table_words} table words, "
-        f"built in {session.build_seconds:.2f}s)"
     )
     return 0
 
@@ -520,19 +506,30 @@ def cmd_cluster_status(args) -> int:
 
 
 def cmd_load(args) -> int:
+    from .routing.serving import ServingError
+
+    if args.measure is not None and args.measure < 1:
+        raise SystemExit(f"--measure must be >= 1, got {args.measure}")
     try:
         session = load_session(args.path)
     except (OSError, ValueError, KeyError) as exc:
         raise SystemExit(f"cannot load {args.path!r}: {exc}") from None
-    print(f"loaded {session.name} [{session.spec_name}] on {session.graph}")
-    if args.measure:
-        rep = session.measure(count=args.measure, seed=args.seed)
+    try:
+        # the graph is reassembled from every shard, so even this line
+        # reads (and checksums) the whole directory
         print(
-            f"measured {args.measure} pairs: max stretch "
-            f"{rep.max_stretch:.4f}, avg {rep.avg_stretch:.4f}"
+            f"loaded {session.name} [{session.spec_name}] on {session.graph}"
         )
-        return 0
-    _print_route(session, args.source, args.target)
+        if args.measure is None:
+            _print_route(session, args.source, args.target)
+            return 0
+        rep = session.measure(count=args.measure, seed=args.seed)
+    except ServingError as exc:
+        raise SystemExit(f"cannot serve from {args.path!r}: {exc}") from None
+    print(
+        f"measured {args.measure} pairs: max stretch "
+        f"{rep.max_stretch:.4f}, avg {rep.avg_stretch:.4f}"
+    )
     return 0
 
 
@@ -625,17 +622,10 @@ def main(argv=None) -> int:
     )
     p_t1.set_defaults(func=cmd_table1)
 
-    p_save = sub.add_parser(
-        "save", help="build a scheme and persist its routing state"
-    )
-    _add_build_args(p_save)
-    p_save.add_argument("--out", required=True, help="output JSON path")
-    p_save.set_defaults(func=cmd_save)
-
     p_shard = sub.add_parser(
         "shard",
-        help="build a scheme and compile per-vertex binary shards "
-             "into checksummed pack files",
+        help="build a scheme and persist it as per-vertex binary "
+             "shards in checksummed pack files",
     )
     _add_build_args(p_shard)
     p_shard.add_argument(
@@ -737,15 +727,18 @@ def main(argv=None) -> int:
     p_cstatus.set_defaults(func=cmd_cluster_status)
 
     p_load = sub.add_parser(
-        "load", help="restore a saved scheme and serve it"
+        "load", help="open a shard directory and serve it"
     )
-    p_load.add_argument("path", help="session JSON written by `save`")
+    p_load.add_argument(
+        "path", help="shard directory written by `shard --out`"
+    )
     p_load.add_argument("--source", type=int, default=0)
     p_load.add_argument("--target", type=int, default=42)
     p_load.add_argument("--seed", type=int, default=0)
     p_load.add_argument(
-        "--measure", type=int, default=0, metavar="PAIRS",
-        help="measure stretch over PAIRS sampled pairs instead of routing",
+        "--measure", type=int, default=None, metavar="PAIRS",
+        help="measure stretch over PAIRS >= 1 sampled pairs instead of "
+             "routing",
     )
     p_load.set_defaults(func=cmd_load)
 

@@ -8,8 +8,8 @@ Three layers, one import::
     session = build("thm11", graph, cache=cache, eps=0.6)
     result = session.route(0, 42)       # fixed-port simulator
     report = session.measure(count=500) # stretch vs the exact metric
-    session.save("thm11.json")          # tables + labels + graph + ports
-    session2 = load("thm11.json")       # routes without preprocessing
+    session.save("thm11.packs")         # checksummed per-vertex packs
+    session2 = load("thm11.packs")      # serves without preprocessing
 
 * **Registry** (:mod:`repro.api.registry`) — every scheme and baseline as
   a declarative :class:`SchemeSpec` (name, factory, parameter schema with
@@ -19,7 +19,8 @@ Three layers, one import::
   families and first-edge ports, landmark samples, bunches, hierarchies),
   with generation stamps proving reuse.
 * **Sessions** (:mod:`repro.api.session`) — a built scheme wrapped with
-  ``route``/``measure``/``stats``/``validate`` and save/load persistence.
+  ``route``/``measure``/``stats``/``validate``; ``save`` writes checksummed
+  packs and ``load`` serves them lazily.
 """
 
 from .registry import (

@@ -7,45 +7,33 @@ what a deployment (or a benchmark harness) actually needs:
 * ``measure(pairs)`` — stretch statistics against the exact metric,
 * ``stats()`` — per-vertex table/label word accounting,
 * ``validate()`` — the structural release checklist,
-* ``save(path)`` / :func:`load` — full round-trip persistence.
+* ``save(path)`` / :func:`load` — persistence as checksummed packs.
 
-Persistence layers on :mod:`repro.routing.persistence` (tables + labels,
-word-identical) and adds what that module leaves to the caller: the
-graph (adjacency lists in *insertion order*, so the deterministic port
-numbering survives), the explicit port order, the spec name and the
-scheme's step-time scalars (:meth:`SchemeBase.routing_params`).  A loaded
-session routes without re-running preprocessing — the scheme class is
-reconstructed around the persisted tables via ``SchemeBase.restore`` —
-and makes byte-identical step decisions, which the round-trip tests
-assert for every registered scheme.
-
-Two persisted shapes exist:
-
-* ``save(path)`` — the legacy single JSON blob (graph + ports + all
-  tables); ``load`` parses everything up front,
-* ``save(path, shards=True)`` — the deployment shape: every vertex's
-  binary shard, packed into ``O(n / group_size)`` checksummed, mmap-able
-  group files plus a small manifest (:mod:`repro.routing.serving`);
-  ``replicas=R`` writes every group R times.  ``load`` on the directory
-  reads the manifest and returns a session backed by a
-  :class:`~repro.routing.serving.LocalRouter` that lazily loads only the
-  shards a route visits (``serve_stats()`` reports loads, bytes, and the
-  wire-header bytes the routes sent).
+A session persists in one shape: ``save(path)`` compiles every vertex's
+table, label and port-ordered links into a binary shard, packs the
+shards into ``O(n / group_size)`` checksummed, mmap-able group files
+plus a small manifest (:func:`repro.routing.serving.write_shards`);
+``replicas=R`` writes every group R times.  ``load`` on the directory
+reads only the manifest and returns a session backed by a
+:class:`~repro.routing.serving.LocalRouter`, which loads just the shards
+a route visits and makes byte-identical step decisions to the built
+scheme (``serve_stats()`` reports loads, bytes, and the wire-header
+bytes the routes sent).  The graph and port numbering are reassembled
+from the shards' neighbour lists on first use, so a loaded session can
+still ``measure`` and ``validate``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..eval.harness import _normalize_bound
 from ..eval.validation import ValidationResult, validate_scheme
 from ..eval.workloads import sample_pairs
 from ..graph.core import Graph
 from ..graph.metric import MetricView
-from ..routing.persistence import export_scheme_state, import_scheme_state
 from ..routing.ports import PortAssignment
 from ..routing.simulator import (
     RouteResult,
@@ -57,9 +45,6 @@ from ..routing.model import SchemeStats
 from .registry import get_spec
 
 __all__ = ["RoutingSession", "load"]
-
-FORMAT = "repro.api.session"
-FORMAT_VERSION = 1
 
 
 class RoutingSession:
@@ -145,8 +130,13 @@ class RoutingSession:
         count: int = 200,
         seed: Optional[int] = None,
     ) -> StretchReport:
-        """Stretch statistics over ``pairs`` (or a seeded sample)."""
+        """Stretch statistics over ``pairs`` (or a seeded sample of
+        ``count >= 1`` pairs)."""
         if pairs is None:
+            if count < 1:
+                raise ValueError(
+                    f"measure needs count >= 1 sampled pairs, got {count}"
+                )
             pairs = sample_pairs(
                 self.graph.n, count,
                 seed=self.seed + 1 if seed is None else seed,
@@ -171,113 +161,33 @@ class RoutingSession:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, Any]:
-        """The JSON-able session payload (see module docstring)."""
-        return {
-            "format": FORMAT,
-            "version": FORMAT_VERSION,
-            "spec": self.spec_name,
-            "params": self.params,
-            "seed": self.seed,
-            "routing_params": self.scheme.routing_params(),
-            "graph": {
-                "n": self.graph.n,
-                "adjacency": [
-                    [[v, w] for v, w in items]
-                    for items in self.graph.to_adjacency()
-                ],
-            },
-            "ports": self.scheme.ports.to_order(),
-            "state": export_scheme_state(self.scheme),
-        }
+    def save(self, path: str, *, replicas: int = 1) -> str:
+        """Persist the session as checksummed packs; returns ``path``.
 
-    def save(
-        self,
-        path: str,
-        *,
-        shards: bool = False,
-        replicas: int = 1,
-    ) -> str:
-        """Persist the session; returns ``path``.
-
-        ``shards=False`` writes the single JSON blob.  ``shards=True``
-        writes the sharded deployment layout (``path`` becomes a
-        directory of checksummed pack files + ``manifest.json``), the
-        shape where each node can be handed only its own table;
-        ``replicas=R >= 2`` writes every group to R replica roots, and
-        loading the directory serves through checksum-driven failover
+        ``path`` becomes a directory of group pack files plus
+        ``manifest.json`` — the shape where each node can be handed only
+        its own table; ``replicas=R >= 2`` writes every group to R
+        replica roots, and loading the directory serves through
+        checksum-driven failover
         (:class:`~repro.routing.serving.ShardStore`).
         """
-        if replicas != 1 and not shards:
-            raise ValueError("replicas requires shards=True")
-        if shards:
-            from ..routing.serving import write_shards
+        from ..routing.serving import write_shards
 
-            write_shards(
-                self.scheme,
-                path,
-                spec_name=self.spec_name,
-                params=self.params,
-                seed=self.seed,
-                replicas=replicas,
-            )
-            return path
-        payload = self.to_payload()
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_shards(
+            self.scheme,
+            path,
+            spec_name=self.spec_name,
+            params=self.params,
+            seed=self.seed,
+            replicas=replicas,
+        )
         return path
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "RoutingSession":
-        """Rebuild a session from :meth:`to_payload` output."""
-        if payload.get("format") != FORMAT:
-            raise ValueError(
-                f"not a routing-session payload "
-                f"(format={payload.get('format')!r})"
-            )
-        if payload.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported session version {payload.get('version')!r}"
-            )
-        spec = get_spec(payload["spec"])
-        state = import_scheme_state(payload["state"])
-        factory = spec.factory
-        if state["scheme"] != factory.__name__:
-            raise ValueError(
-                f"payload was built by {state['scheme']}, spec "
-                f"{spec.name!r} maps to {factory.__name__}"
-            )
-        graph = Graph.from_adjacency([
-            [(int(v), float(w)) for v, w in items]
-            for items in payload["graph"]["adjacency"]
-        ])
-        if graph.n != int(payload["graph"]["n"]) or graph.n != state["n"]:
-            raise ValueError("graph size mismatch in session payload")
-        ports = PortAssignment.from_order(graph, payload["ports"])
-        scheme = factory.restore(
-            graph,
-            ports=ports,
-            tables=state["tables"],
-            labels=state["labels"],
-            params=payload.get("routing_params") or {},
-            name=state["name"],
-        )
-        return cls(
-            scheme,
-            spec_name=payload["spec"],
-            params=payload.get("params") or {},
-            seed=int(payload.get("seed", 0)),
-            loaded=True,
-        )
 
     @classmethod
     def from_shards(
         cls, path: str, *, max_resident: Optional[int] = None
     ) -> "RoutingSession":
-        """Open a sharded layout (``save(shards=True)``) for serving.
+        """Open a pack directory (what :meth:`save` writes) for serving.
 
         Nothing but the manifest is read up front; each shard loads on
         the first route that visits its vertex.  A directory of a
@@ -387,23 +297,23 @@ class RoutingSession:
                 f"{self.scheme.n} vertices from shards at "
                 f"{self.scheme.store.path}"
             )
-        origin = "loaded" if self.loaded else (
-            f"built in {self.build_seconds:.2f}s "
-            f"(+{self.substrate_seconds:.2f}s substrate)"
-        )
         return (
-            f"{self.name} [{self.spec_name}] on {self.graph!r} — {origin}"
+            f"{self.name} [{self.spec_name}] on {self.graph!r} — built in "
+            f"{self.build_seconds:.2f}s "
+            f"(+{self.substrate_seconds:.2f}s substrate)"
         )
 
 
 def load(path: str) -> RoutingSession:
-    """Load what :meth:`RoutingSession.save` wrote — blob or shard dir.
+    """Load the pack directory :meth:`RoutingSession.save` wrote.
 
-    A directory with a shard manifest opens lazily
-    (:meth:`RoutingSession.from_shards`); anything else parses as the
-    JSON session blob.
+    The directory opens lazily (:meth:`RoutingSession.from_shards`).  A
+    directory without a shard manifest raises :class:`ValueError`; a
+    regular file (a JSON session blob of an earlier release) raises
+    :class:`~repro.routing.serving.RetiredLayoutError` naming the
+    rebuild command; a missing path raises :class:`FileNotFoundError`.
     """
-    from ..routing.serving import is_shard_dir
+    from ..routing.serving import RetiredLayoutError, is_shard_dir
 
     if is_shard_dir(path):
         return RoutingSession.from_shards(path)
@@ -412,9 +322,14 @@ def load(path: str) -> RoutingSession:
             f"{path!r} is a directory without a shard manifest — "
             f"not a saved session"
         )
-    with open(path) as fh:
-        payload = json.load(fh)
-    return RoutingSession.from_payload(payload)
+    if os.path.isfile(path):
+        raise RetiredLayoutError(
+            f"{path!r} is a file: JSON session blobs are no longer read, "
+            f"sessions persist only as checksummed packs.  Rebuild it "
+            f"with `python -m repro shard --scheme <spec> --out <dir>` "
+            f"(from Python: session.save(<dir>))"
+        )
+    raise FileNotFoundError(f"no saved session at {path!r}")
 
 
 def build_session(

@@ -266,21 +266,17 @@ class Graph:
             nxg.add_edge(u, v, weight=w)
         return nxg
 
-    def to_adjacency(self) -> List[List[Tuple[int, float]]]:
-        """Per-vertex ``(neighbour, weight)`` lists in insertion order.
-
-        This is the *lossless* serialization of a graph: unlike an
-        ``edges()`` dump, rebuilding from it preserves each vertex's
-        neighbour insertion order exactly, and therefore the deterministic
-        default port numbering :mod:`repro.routing.ports` derives from it.
-        """
-        return [list(adj.items()) for adj in self._adj]
-
     @classmethod
     def from_adjacency(
         cls, adjacency: List[List[Tuple[int, float]]]
     ) -> "Graph":
-        """Inverse of :meth:`to_adjacency` (validates symmetry)."""
+        """Build a graph from per-vertex ``(neighbour, weight)`` lists.
+
+        Each vertex's neighbours are inserted in list order, so the
+        deterministic default port numbering :mod:`repro.routing.ports`
+        derives from insertion order is reproduced exactly (validates
+        symmetry).
+        """
         g = cls(len(adjacency))
         m2 = 0
         for u, items in enumerate(adjacency):

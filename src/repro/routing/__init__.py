@@ -14,8 +14,6 @@ from .model import (
     SizedTable,
     words_of,
 )
-from .persistence import dumps as dump_scheme_state
-from .persistence import loads as load_scheme_state
 from .ports import PortAssignment
 from .serving import (
     LocalRouter,
@@ -41,8 +39,6 @@ __all__ = [
     "encode_header",
     "header_bits",
     "IntervalTreeRouting",
-    "dump_scheme_state",
-    "load_scheme_state",
     "BallRoutingTables",
     "CompactRoutingScheme",
     "Deliver",

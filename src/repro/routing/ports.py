@@ -39,7 +39,7 @@ class PortAssignment:
         self.graph = g
         self._ports: List[List[int]] = []
         if order is not None:
-            # Adopt an explicit numbering (persistence restore path),
+            # Adopt an explicit numbering (the shard-backed serving path),
             # validating it is a permutation of each vertex's neighbours
             # so a persisted numbering can never silently drift from the
             # graph it is applied to.
@@ -67,13 +67,10 @@ class PortAssignment:
             {v: p for p, v in enumerate(ports)} for ports in self._ports
         ]
 
-    def to_order(self) -> List[List[int]]:
-        """Neighbour ids of every vertex in port order (lossless export)."""
-        return [list(ports) for ports in self._ports]
-
     @classmethod
     def from_order(cls, g: Graph, order: List[List[int]]) -> "PortAssignment":
-        """Rebuild an assignment from :meth:`to_order` output (validated)."""
+        """Adopt an explicit numbering: ``order[u]`` lists ``u``'s
+        neighbour ids in port order (validated)."""
         return cls(g, order=order)
 
     def degree(self, u: int) -> int:

@@ -43,8 +43,8 @@ without checksums (version 2); this build refuses both with
 :class:`RetiredLayoutError`, which names the command that rebuilds the
 directory.  Cold-start cost is the point: serving vertex ``v`` reads the
 manifest and ``v``'s group index entry and payload — a few hundred bytes
-— instead of parsing the whole JSON session blob, from
-``O(n / group_size)`` files instead of ``n`` inodes.
+— instead of decoding every vertex's shard, from ``O(n / group_size)``
+files instead of ``n`` inodes.
 """
 
 from __future__ import annotations
@@ -151,9 +151,11 @@ class ShardIntegrityError(ServingError, ShardCodecError):
 
 
 class RetiredLayoutError(ServingError, ValueError):
-    """The manifest describes a layout this build no longer serves (one
-    file per vertex, or packs without checksums); the message names the
-    command that rebuilds the directory as checksummed packs."""
+    """A persisted layout this build no longer serves: a manifest of one
+    file per vertex or of packs without checksums, or (from
+    :func:`repro.api.load`) a regular file such as a JSON session blob of
+    an earlier release.  The message names the command that rebuilds it
+    as checksummed packs."""
 
 
 class WireContractError(ServingError):

@@ -1,10 +1,9 @@
 """Versioned binary codec for per-vertex :class:`NodeTable` shards.
 
-The JSON persistence of :mod:`repro.routing.persistence` is fine for one
-whole-scheme blob but wrong for serving: a node that only needs *its own*
-table should not parse (or even read) megabytes of everyone else's.  This
-codec packs one :class:`~repro.routing.tables.NodeTable` into one compact
-byte string:
+A node that only needs *its own* table should not parse (or even read)
+megabytes of everyone else's.  This codec packs one
+:class:`~repro.routing.tables.NodeTable` into one compact byte string —
+the unit every persisted session is made of:
 
 * 4-byte header: magic ``RT`` + format version + flags,
 * varint-packed structure (zigzag for signed ints, ``struct``-packed

@@ -25,14 +25,15 @@ each helper falls back to a cold local build; results are bit-identical
 either way (every shared artifact is a deterministic function of the
 graph and the seed).
 
-Restore (persistence)
----------------------
-A built scheme's routing state is tables + labels (see
-:mod:`repro.routing.persistence`); the decision function is code plus a
-few scalars.  :meth:`SchemeBase.restore` reconstructs a scheme around
-persisted tables without re-running preprocessing: subclasses report the
-scalars via :meth:`routing_params` and rebuild their step-time helpers
-(technique steppers) in :meth:`_restore_routing`.
+Restore (serving)
+----------------
+A built scheme's routing state is tables + labels, persisted as
+checksummed per-vertex packs (:mod:`repro.routing.serving`); the
+decision function is code plus a few scalars.
+:meth:`SchemeBase.restore_serving` reconstructs a step-only scheme over
+the stored shards without re-running preprocessing: subclasses report
+the scalars via :meth:`routing_params` and rebuild their step-time
+helpers (technique steppers) in :meth:`_restore_routing`.
 """
 
 from __future__ import annotations
@@ -274,40 +275,6 @@ class SchemeBase(CompactRoutingScheme):
     def _restore_routing(self, params: Dict[str, Any]) -> None:
         """Rebuild step-time helpers from :meth:`routing_params` output."""
 
-    @classmethod
-    def restore(
-        cls,
-        graph: Graph,
-        *,
-        ports: PortAssignment,
-        tables: Sequence[SizedTable],
-        labels: Sequence[Any],
-        params: Optional[Dict[str, Any]] = None,
-        name: Optional[str] = None,
-    ) -> "SchemeBase":
-        """Reconstruct a scheme around persisted routing state.
-
-        No preprocessing runs: the returned scheme routes (``step``,
-        ``label_of``, ``stats``) but carries no metric — exact-distance
-        comparisons stay the caller's job, as they are for a deployed
-        scheme.
-        """
-        if len(tables) != graph.n or len(labels) != graph.n:
-            raise ValueError(
-                f"state covers {len(tables)} tables / {len(labels)} labels, "
-                f"graph has {graph.n} vertices"
-            )
-        scheme = object.__new__(cls)
-        CompactRoutingScheme.__init__(scheme, graph, ports)
-        scheme._substrate = None
-        scheme.metric = None
-        scheme._tables = list(tables)
-        scheme._labels = dict(enumerate(labels))
-        if name is not None:
-            scheme.name = name
-        scheme._restore_routing(dict(params or {}))
-        return scheme
-
     # ------------------------------------------------------------------
     # Compile + serving hooks (sharded deployment)
     # ------------------------------------------------------------------
@@ -346,10 +313,10 @@ class SchemeBase(CompactRoutingScheme):
     ) -> "SchemeBase":
         """Reconstruct a *step-only* scheme over externally stored state.
 
-        Unlike :meth:`restore`, no graph and no full table list exist:
-        ``tables``/``labels`` are indexable views (``obj[v]``) and
-        ``ports`` needs only ``port_to(u, v)`` — exactly the surface the
-        step functions and technique steppers touch.  The serving engine
+        No graph and no full table list exist: ``tables``/``labels`` are
+        indexable views (``obj[v]``) and ``ports`` needs only
+        ``port_to(u, v)`` — exactly the surface the step functions and
+        technique steppers touch.  The serving engine
         (:class:`repro.routing.serving.LocalRouter`) passes views that
         resolve each access from vertex ``u``'s shard alone, which is
         what makes the local-knowledge invariant testable: the scheme

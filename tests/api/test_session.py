@@ -1,17 +1,18 @@
 """RoutingSession lifecycle: build, measure, persist, restore.
 
-The core guarantee: for EVERY registered scheme, build → ``save`` →
-``load`` produces a scheme that makes identical ``step`` decisions (same
-paths, same header sizes) and reports identical word counts on a sampled
-workload — without re-running preprocessing.
+The core guarantee: for EVERY registered scheme, build → ``save`` (a
+directory of checksummed packs) → ``load`` produces a scheme that makes
+identical ``step`` decisions (same paths, same header sizes) and reports
+identical word counts on a sampled workload — without re-running
+preprocessing.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.api import (
-    RoutingSession,
     SubstrateCache,
     build,
     get_spec,
@@ -20,6 +21,7 @@ from repro.api import (
 )
 from repro.eval.workloads import sample_pairs
 from repro.graph.generators import erdos_renyi, with_random_weights
+from repro.routing.serving import RetiredLayoutError
 
 N = 70
 
@@ -47,7 +49,7 @@ def test_roundtrip_identical_decisions_and_words(
     name, graphs, caches, tmp_path
 ):
     session = _session_for(name, graphs, caches)
-    path = session.save(str(tmp_path / f"{name}.json"))
+    path = session.save(str(tmp_path / name))
     restored = load(path)
 
     assert restored.loaded
@@ -74,7 +76,7 @@ def test_roundtrip_identical_decisions_and_words(
 @pytest.mark.parametrize("name", ["thm11", "tz3"])
 def test_loaded_session_measures_within_bound(name, graphs, caches, tmp_path):
     session = _session_for(name, graphs, caches)
-    path = session.save(str(tmp_path / f"{name}.json"))
+    path = session.save(str(tmp_path / name))
     restored = load(path)
     report = restored.measure(count=60, seed=5)
     alpha, beta = restored.stretch_bound()
@@ -97,46 +99,70 @@ class TestSessionSurface:
         result = session.validate(sample=50)
         assert result.ok, result.problems
 
+    def test_measure_rejects_empty_sample(self, graphs, caches):
+        session = _session_for("tz2", graphs, caches)
+        for count in (0, -5):
+            with pytest.raises(ValueError, match="count >= 1"):
+                session.measure(count=count)
+        # explicit pairs never consult count
+        assert session.measure([(0, 5)], count=0).pairs == 1
+
     def test_graph_serialization_preserves_port_order(self, graphs, caches,
                                                       tmp_path):
-        session = _session_for("tz2", graphs, caches)
-        payload = session.to_payload()
-        restored = RoutingSession.from_payload(
-            json.loads(json.dumps(payload))
-        )
-        g1, g2 = session.graph, restored.graph
-        assert g2.n == g1.n and g2.m == g1.m
-        for u in g1.vertices():
-            # insertion order — not just the neighbour sets — survives,
-            # so the deterministic port numbering is reproduced exactly
-            assert g2.neighbors(u) == g1.neighbors(u)
-            for port in range(session.scheme.ports.degree(u)):
-                assert restored.scheme.ports.neighbor(u, port) == \
-                    session.scheme.ports.neighbor(u, port)
+        for name in scheme_names():
+            session = _session_for(name, graphs, caches)
+            restored = load(session.save(str(tmp_path / name)))
+            g1, g2 = session.graph, restored.graph
+            assert g2.n == g1.n and g2.m == g1.m
+            for u in g1.vertices():
+                # insertion order — not just the neighbour sets —
+                # survives, so the deterministic port numbering is
+                # reproduced exactly
+                assert g2.neighbors(u) == g1.neighbors(u), (name, u)
+                for v in g1.neighbors(u):
+                    assert g2.weight(u, v) == g1.weight(u, v)
+                for port in range(session.scheme.ports.degree(u)):
+                    assert restored.scheme.ports.neighbor(u, port) == \
+                        session.scheme.ports.neighbor(u, port)
+
+
+def _edit_manifest(path, **fields):
+    manifest_path = os.path.join(path, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest.update(fields)
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
 
 
 class TestPayloadValidation:
-    def test_wrong_format_rejected(self):
+    def test_wrong_format_rejected(self, graphs, caches, tmp_path):
+        session = _session_for("tz2", graphs, caches)
+        path = session.save(str(tmp_path / "tz2"))
+        _edit_manifest(path, format="something-else")
         with pytest.raises(ValueError, match="format"):
-            RoutingSession.from_payload({"format": "something-else"})
+            load(path)
 
     def test_spec_class_mismatch_rejected(self, graphs, caches, tmp_path):
         session = _session_for("tz2", graphs, caches)
-        payload = session.to_payload()
-        payload["spec"] = "thm11"  # wrong family for the persisted class
-        with pytest.raises(ValueError, match="built by"):
-            RoutingSession.from_payload(payload)
+        path = session.save(str(tmp_path / "tz2"))
+        _edit_manifest(path, spec="thm11")  # wrong family for the class
+        with pytest.raises(ValueError, match="compiled by"):
+            load(path)
 
-    def test_tampered_ports_rejected(self, graphs, caches):
-        session = _session_for("tz2", graphs, caches)
-        payload = session.to_payload()
-        payload["ports"][0] = payload["ports"][0][:-1]
-        with pytest.raises(ValueError, match="permutation"):
-            RoutingSession.from_payload(payload)
 
-    def test_unknown_spec_rejected(self, graphs, caches):
+class TestLoadValidation:
+    def test_file_rejected_as_retired_layout(self, tmp_path):
+        path = tmp_path / "session.json"
+        path.write_text('{"format": "repro.api.session", "version": 1}')
+        with pytest.raises(RetiredLayoutError, match="repro shard"):
+            load(str(path))
+
+    def test_missing_path_rejected(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load(str(tmp_path / "nope"))
+
+    def test_save_has_no_shards_knob(self, graphs, caches, tmp_path):
         session = _session_for("tz2", graphs, caches)
-        payload = session.to_payload()
-        payload["spec"] = "never-registered"
-        with pytest.raises(KeyError, match="registered schemes"):
-            RoutingSession.from_payload(payload)
+        with pytest.raises(TypeError):
+            session.save(str(tmp_path / "x"), shards=True)

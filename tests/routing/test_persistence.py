@@ -1,52 +1,44 @@
-"""Routing-state serialization: exact round trips, deployable tables."""
+"""Routing-state persistence as packs: exact round trips, deployable tables.
 
-import json
+Every vertex's routing state (table, label, port-ordered links) persists
+as one binary shard inside a checksummed pack.  A table must survive the
+shard codec word for word, and a scheme's tables and labels read back
+from its packs must route exactly as the built ones.
+"""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.graph.metric import MetricView
 from repro.routing.model import SizedTable
-from repro.routing.persistence import (
-    decode_value,
-    dumps,
-    encode_value,
-    export_table,
-    import_table,
-    loads,
-)
+from repro.routing.serving import ShardStore, write_shards
+from repro.routing.shard_codec import decode_node_table, encode_node_table
 from repro.routing.simulator import route
+from repro.routing.tables import NodeTable
 from repro.schemes import Stretch5PlusScheme, Warmup3Scheme
 
-values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-(2**50), 2**50)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=6),
-    lambda children: st.tuples(children, children) | st.tuples(children),
-    max_leaves=12,
-)
+
+def _through_shard(table):
+    """``table`` encoded into a shard and decoded back."""
+    record = NodeTable(
+        owner=table.owner,
+        neighbors=(),
+        label=None,
+        categories={
+            cat: dict(table.category(cat)) for cat in table.categories()
+        },
+    )
+    return decode_node_table(encode_node_table(record)).sized_table()
 
 
-class TestValueCodec:
-    @given(values)
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_through_json(self, value):
-        encoded = json.loads(json.dumps(encode_value(value)))
-        assert decode_value(encoded) == value
-
-    def test_dict_values_round_trip(self):
-        # generalized-scheme labels carry per-level dicts
-        value = {1: (3, 0, 4, None), 2: (5, 1, 2, 9)}
-        encoded = json.loads(json.dumps(encode_value(value)))
-        assert decode_value(encoded) == value
-
-    def test_rejects_unknown_types(self):
-        with pytest.raises(TypeError):
-            encode_value({1, 2})
+def _packed_records(scheme, path, spec_name):
+    """Every record of ``scheme`` after a write to packs and a read back."""
+    write_shards(scheme, str(path), spec_name=spec_name)
+    store = ShardStore(str(path))
+    try:
+        return list(store.iter_nodes())
+    finally:
+        store.close()
 
 
 class TestTableRoundTrip:
@@ -56,14 +48,14 @@ class TestTableRoundTrip:
         table.put("seq", 12, ((1, 2, 3), None))
         table.put("const", "hash_seed", 99)
         table.put("xsect", (1, 2), 5)
-        rebuilt = import_table(json.loads(json.dumps(export_table(table))))
+        rebuilt = _through_shard(table)
         assert rebuilt.owner == 7
         assert rebuilt.words_by_category() == table.words_by_category()
         assert rebuilt.get("seq", 12) == ((1, 2, 3), None)
         assert rebuilt.get("xsect", (1, 2)) == 5
 
     def test_empty_table(self):
-        rebuilt = import_table(export_table(SizedTable(0)))
+        rebuilt = _through_shard(SizedTable(0))
         assert rebuilt.total_words() == 0
 
 
@@ -73,36 +65,39 @@ class TestSchemeRoundTrip:
         g = with_random_weights(erdos_renyi(60, 0.09, seed=701), seed=702)
         return Warmup3Scheme(g, eps=0.5, metric=MetricView(g), seed=3)
 
-    def test_state_survives_json(self, scheme):
-        state = loads(dumps(scheme))
-        assert state["n"] == 60
-        assert state["scheme"] == "Warmup3Scheme"
-        for v in range(60):
-            assert state["labels"][v] == scheme.label_of(v)
+    @pytest.fixture(scope="class")
+    def records(self, scheme, tmp_path_factory):
+        path = tmp_path_factory.mktemp("warmup3") / "packs"
+        return _packed_records(scheme, path, "warmup3")
+
+    def test_state_survives_packs(self, scheme, records):
+        assert [r.owner for r in records] == list(range(60))
+        for v, record in enumerate(records):
+            assert record.label == scheme.label_of(v)
             assert (
-                state["tables"][v].words_by_category()
+                record.sized_table().words_by_category()
                 == scheme.table_of(v).words_by_category()
             )
 
-    def test_deployed_tables_route_identically(self, scheme):
-        """Swap the scheme's tables for deserialized ones; routes and
-        lengths must be identical — the state is self-contained."""
-        state = loads(dumps(scheme))
+    def test_deployed_tables_route_identically(self, scheme, records):
+        """Swap the scheme's tables for ones read back from its packs;
+        routes and lengths must be identical — the state is
+        self-contained."""
         reference = [route(scheme, s, t).path for s, t in [(0, 41), (5, 59)]]
         original = scheme._tables
-        scheme._tables = state["tables"]
+        scheme._tables = [r.sized_table() for r in records]
         try:
             replayed = [route(scheme, s, t).path for s, t in [(0, 41), (5, 59)]]
         finally:
             scheme._tables = original
         assert replayed == reference
 
-    def test_thm11_state_round_trips(self):
+    def test_thm11_state_round_trips(self, tmp_path):
         g = with_random_weights(erdos_renyi(50, 0.1, seed=703), seed=704)
         scheme = Stretch5PlusScheme(g, eps=0.6, metric=MetricView(g), seed=4)
-        state = loads(dumps(scheme))
+        records = _packed_records(scheme, tmp_path / "packs", "thm11")
         total_original = sum(
             scheme.table_of(v).total_words() for v in range(50)
         )
-        total_rebuilt = sum(t.total_words() for t in state["tables"])
+        total_rebuilt = sum(r.table_words() for r in records)
         assert total_rebuilt == total_original

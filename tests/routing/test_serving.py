@@ -82,7 +82,7 @@ def served(graphs, caches, shard_root):
         kind = "weighted" if spec.weighted_capable else "unweighted"
         session = build(name, graphs[kind], cache=caches[kind], seed=6)
         path = str(shard_root / name)
-        session.save(path, shards=True)
+        session.save(path)
         out[name] = (session, path)
     return out
 
@@ -911,4 +911,18 @@ class TestStoreValidation:
         manifest["spec"] = "thm11"  # wrong family for the shard class
         (target / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="compiled by"):
+            load(str(target))
+
+    def test_unknown_spec_rejected(self, served, tmp_path):
+        import json
+
+        from repro.api import UnknownSchemeError
+
+        _, path = served["tz2"]
+        target = tmp_path / "unknown"
+        shutil.copytree(path, target)
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest["spec"] = "never-registered"
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(UnknownSchemeError, match="registered schemes"):
             load(str(target))

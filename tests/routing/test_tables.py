@@ -15,6 +15,8 @@ scheme:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import SubstrateCache, build, get_spec, scheme_names
 from repro.graph.generators import erdos_renyi, with_random_weights
@@ -261,6 +263,56 @@ class TestGoldenBytes:
         blob = encode_value(value)
         assert len(blob) == 12  # tag + 11 varint bytes
         assert decode_value(blob) == value
+
+
+#: every value shape a table or label may hold, nested arbitrarily
+_keys = (
+    st.integers(-(2**50), 2**50)
+    | st.text(max_size=6)
+    | st.tuples(st.integers(0, 2**20), st.integers(0, 2**20))
+)
+_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**50), 2**50)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda children: st.tuples(children, children)
+    | st.tuples(children)
+    | st.lists(children, max_size=3)
+    | st.dictionaries(_keys, children, max_size=3),
+    max_leaves=12,
+)
+
+
+def _assert_same_shape(out, value):
+    """``out == value`` with every container and leaf of the same type
+    (equality alone conflates ``True``/``1`` and lists/tuples)."""
+    assert type(out) is type(value)
+    assert out == value
+    if isinstance(value, (tuple, list)):
+        for a, b in zip(out, value):
+            _assert_same_shape(a, b)
+    elif isinstance(value, dict):
+        assert list(out) == list(value)
+        for k in value:
+            _assert_same_shape(out[k], value[k])
+
+
+class TestValueCodec:
+    @given(_values)
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, value):
+        _assert_same_shape(decode_value(encode_value(value)), value)
+
+    def test_dict_values_round_trip(self):
+        # generalized-scheme labels carry per-level dicts
+        value = {1: (3, 0, 4, None), 2: (5, 1, 2, 9)}
+        _assert_same_shape(decode_value(encode_value(value)), value)
+
+    def test_rejects_unknown_types(self):
+        with pytest.raises(ShardCodecError, match="cannot encode"):
+            encode_value({1, 2})
 
 
 def test_compile_tables_standalone_matches_method(sessions):

@@ -69,12 +69,12 @@ class TestListSchemes:
 
 class TestSaveLoad:
     def test_save_then_route(self, capsys, tmp_path):
-        path = str(tmp_path / "session.json")
+        path = str(tmp_path / "session")
         rc = main(
-            ["save", "--scheme", "tz2", "--n", "70", "--out", path]
+            ["shard", "--scheme", "tz2", "--n", "70", "--out", path]
         )
         assert rc == 0
-        assert "saved to" in capsys.readouterr().out
+        assert "sharded to" in capsys.readouterr().out
 
         rc = main(["load", path, "--source", "2", "--target", "41"])
         assert rc == 0
@@ -84,9 +84,9 @@ class TestSaveLoad:
         assert "stretch" in out
 
     def test_save_then_measure(self, capsys, tmp_path):
-        path = str(tmp_path / "session.json")
+        path = str(tmp_path / "session")
         assert main(
-            ["save", "--scheme", "warmup3", "--n", "60", "--out", path]
+            ["shard", "--scheme", "warmup3", "--n", "60", "--out", path]
         ) == 0
         capsys.readouterr()
         rc = main(["load", path, "--measure", "40"])
@@ -96,9 +96,9 @@ class TestSaveLoad:
         assert "max stretch" in out
 
     def test_load_identical_route_decision(self, capsys, tmp_path):
-        path = str(tmp_path / "session.json")
+        path = str(tmp_path / "session")
         args = ["--scheme", "thm11", "--n", "70", "--seed", "4"]
-        assert main(["save", *args, "--out", path]) == 0
+        assert main(["shard", *args, "--out", path]) == 0
         capsys.readouterr()
         assert main(["route", *args, "--source", "5", "--target", "33"]) == 0
         built = capsys.readouterr().out.splitlines()[1]
@@ -113,8 +113,20 @@ class TestSaveLoad:
     def test_load_garbage_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text('{"format": "wrong"}')
-        with pytest.raises(SystemExit, match="cannot load"):
+        # a regular file is never parsed: the message names the rebuild
+        with pytest.raises(SystemExit, match="cannot load.*repro shard"):
             main(["load", str(path)])
+
+    def test_load_measure_below_one_rejected(self, capsys, tmp_path):
+        path = str(tmp_path / "session")
+        assert main(
+            ["shard", "--scheme", "tz2", "--n", "40", "--out", path]
+        ) == 0
+        capsys.readouterr()
+        for k in ("0", "-5"):
+            with pytest.raises(SystemExit, match="--measure must be >= 1"):
+                main(["load", path, "--measure", k])
+        assert "measured" not in capsys.readouterr().out
 
 
 class TestShard:
@@ -275,6 +287,29 @@ class TestShardVerify:
         assert "1/2 units intact" in text
         assert "CORRUPT group 0000 replica 1" in text
         assert "replica 0:" not in text
+
+    def test_corrupt_pack_mid_route_exits_cleanly(self, capsys, tmp_path):
+        import os
+
+        out = str(tmp_path / "shards")
+        assert main(
+            ["shard", "--scheme", "tz2", "--n", "70", "--out", out]
+        ) == 0
+        capsys.readouterr()
+        pack = os.path.join(out, "groups", "0000.pack")
+        with open(pack, "rb") as fh:
+            buf = bytearray(fh.read())
+        buf[-1] ^= 0x01  # the last payload byte: vertex 69's shard
+        with open(pack, "wb") as fh:
+            fh.write(bytes(buf))
+        # the store opens fine; the checksum failure surfaces mid-route
+        for argv in (
+            ["route", "--shards", out, "--source", "69", "--target", "5"],
+            ["load", out, "--source", "69", "--target", "5"],
+            ["load", out, "--measure", "30"],
+        ):
+            with pytest.raises(SystemExit, match="cannot serve from"):
+                main(argv)
 
     def test_replicas_below_one_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="--replicas"):

@@ -50,6 +50,12 @@ REPRO_KERNEL=pure python -m pytest -q tests/graph/test_metric.py \
     tests/graph/test_shortest_paths.py tests/graph/test_core.py \
     tests/structures || fail=1
 
+# -- numpy dispatch: the hop-column reference through whole builds -----
+# (under auto, hosts with a compiler only ever run the C column)
+echo "== pytest (REPRO_KERNEL=numpy) =="
+REPRO_KERNEL=numpy python -m pytest -q tests/graph/test_metric.py \
+    tests/schemes || fail=1
+
 # -- kernel smoke: batched kernel balls equal the pure ones ------------
 echo "== bench_kernel (smoke) =="
 REPRO_BENCH_SMOKE=1 python benchmarks/bench_kernel.py || fail=1

@@ -127,11 +127,13 @@ class Technique2:
         self._sequences: List[Dict[int, Tuple[int, ...]]] = [
             {} for _ in range(metric.n)
         ]
+        # Target-major: every walk toward w reads w's one hop column, and
+        # each u's dict still receives its targets in w_cls order.
         for i, (u_cls, w_cls) in enumerate(
             zip(source_partition, target_partition)
         ):
-            for u in u_cls:
-                for w in w_cls:
+            for w in w_cls:
+                for u in u_cls:
                     if u == w:
                         continue
                     seq = build_lemma8_sequence(

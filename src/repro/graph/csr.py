@@ -253,6 +253,7 @@ class CSRGraph:
         "_ds_gen",
         "_ds_wmax",
         "_parallel",
+        "_edge_src",
         "__weakref__",
     )
 
@@ -293,6 +294,8 @@ class CSRGraph:
         # The published multiprocess engine (repro.graph.parallel),
         # cached so one graph publishes its shared segments once.
         self._parallel: Optional[Any] = None
+        # Source vertex of every CSR slot (the numpy hop column's gather).
+        self._edge_src: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -470,6 +473,58 @@ class CSRGraph:
         out = np.empty((len(sources), self.n), dtype=np.float64)
         for i, s in enumerate(sources):
             out[i] = self.dijkstra(s)[0]
+        return out
+
+    def hop_column(self, row: np.ndarray, v: int, tol: float) -> np.ndarray:
+        """First hops toward ``v`` from every vertex, from ``row = d(v, .)``.
+
+        ``out[u]`` is the neighbour ``x`` of ``u`` on a tight edge
+        (``|(w(u, x) + row[x]) - row[u]| <= tol``) with the smallest
+        ``(row[x], x)`` — maximal progress, ties to the smaller id;
+        ``out[v] = v``, ``-1`` marks a ``u`` that cannot reach ``v`` and
+        ``-2`` a reachable ``u`` with no tight edge.  One pass over the CSR
+        arrays: the native kernel when it loads, else
+        :meth:`_hop_column_numpy`, which evaluates the same float
+        expression and returns the same column.
+        """
+        native = _native_kernels()
+        if native is not None:
+            indptr, indices, _ = self._ds_csr_arrays()
+            return native.hop_column(
+                indptr, indices, self.weights,
+                np.ascontiguousarray(row, dtype=np.float64), v, tol,
+            )
+        return self._hop_column_numpy(row, v, tol)
+
+    def _hop_column_numpy(
+        self, row: np.ndarray, v: int, tol: float
+    ) -> np.ndarray:
+        """The numpy reference of :meth:`hop_column` (and its fallback)."""
+        n = self.n
+        out = np.where(np.isfinite(row), -2, -1).astype(np.int32)
+        if self.indices.size:
+            if self._edge_src is None:
+                self._edge_src = np.repeat(
+                    np.arange(n, dtype=np.int64), self._degrees
+                )
+            src = self._edge_src
+            dx = row[self.indices]
+            # An unreachable u gives inf - inf = nan: never tight.
+            with np.errstate(invalid="ignore"):
+                tight = np.abs((self.weights + dx) - row[src]) <= tol
+            cand = np.where(tight, dx, _INF)
+            # Per-vertex minima over the CSR segments: the least tight
+            # distance, then the least id among the slots attaining it.
+            owners = np.flatnonzero(self._degrees)
+            starts = self.indptr[owners]
+            best = np.full(n, _INF)
+            best[owners] = np.minimum.reduceat(cand, starts)
+            ids = np.where(tight & (cand == best[src]), self.indices, n)
+            first = np.full(n, n, dtype=np.int64)
+            first[owners] = np.minimum.reduceat(ids, starts)
+            found = first < n
+            out[found] = first[found]
+        out[v] = v
         return out
 
     def _spt_pred_rows(self, roots: Sequence[int]) -> np.ndarray:

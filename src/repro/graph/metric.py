@@ -38,9 +38,16 @@ Whole-matrix consumers were rewritten against the row-oriented API
 remains as an escape hatch that materializes (and keeps) the full
 symmetrized matrix.
 
-:meth:`MetricView.next_hop` reads one int32 *next-hop row* per source, built
-from the neighbours' distance rows in batched fetches of a few MB; dense
-mode keeps every such row, lazy mode an LRU of ``cache_rows`` of them.
+:meth:`MetricView.next_hop` reads one int32 *hop column* per target ``v``:
+the first hop toward ``v`` from every vertex, computed from ``row(v)``
+alone in one ``O(n + m)`` pass over the CSR arrays
+(:meth:`repro.graph.csr.CSRGraph.hop_column`, the native kernel when it
+loads) — the graph is undirected, so ``row(v)[x]`` stands in for
+``d(x, v)`` and one distance row serves every source (see the exception
+under "Canonical row orientation" below).  Dense mode keeps every
+column, lazy mode an LRU of ``cache_rows`` of them; callers that fill
+many hops (ball ports, Lemma 8 walks) go target by target so each column
+is built once.
 
 Canonical row orientation
 -------------------------
@@ -57,6 +64,12 @@ orientation consistently, which keeps every structure exact without the
 old dense-mode ``min(dist, dist.T)`` rewrite that the lazy oracle could
 not reproduce.  :attr:`matrix` still returns an exactly-symmetric matrix
 for external code that expects one.
+
+Hop columns are the one exception: :meth:`MetricView.hop_column` reads
+every distance it compares from the *target's* row, so the tie-break of
+:meth:`MetricView.next_hop` uses ``row(v)[x] = d_fwd(v, x)``, not
+``d(x, v) = d_fwd(x, v)``.  The two agree except at exact real ties, where
+one ulp can pick a different (equally short) first hop.
 
 Floating point
 --------------
@@ -80,7 +93,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import csr
-from .core import Graph
+from .core import Graph, GraphError
 from .shortest_paths import (
     all_balls,
     dijkstra,
@@ -93,9 +106,6 @@ from .trees import parents_from_pred_row
 __all__ = ["MetricView"]
 
 _INF = float("inf")
-
-#: bytes of neighbour distance rows one next-hop row compares per batch
-_HOP_BLOCK_BYTES = 1 << 22
 
 
 class MetricView:
@@ -112,7 +122,7 @@ class MetricView:
     dense_threshold:
         The ``auto`` cut-over size.
     cache_rows:
-        Lazy-mode LRU capacity per kind of row (distance, next hop);
+        Lazy-mode LRU capacity per kind of row (distance row, hop column);
         defaults to ``max(32, 4 sqrt(n))``, so ``O(sqrt(n) * n)`` memory.
     """
 
@@ -147,8 +157,8 @@ class MetricView:
         )
         self._diameter: Optional[float] = None
         self._stats: Optional[Tuple[bool, float, float]] = None
-        #: next-hop rows by source; an LRU only in lazy mode (_next_hop_row)
-        self._hop_rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        #: hop columns by target; an LRU only in lazy mode (hop_column)
+        self._hop_cols: "OrderedDict[int, np.ndarray]" = OrderedDict()
         #: batched SPT predecessor rows staged by prefetch_spt_parents,
         #: consumed (popped) by spt_parents.
         self._pred_rows: Dict[int, np.ndarray] = {}
@@ -248,6 +258,8 @@ class MetricView:
 
     def row(self, u: int) -> np.ndarray:
         """Read-only distance row of ``u`` (length ``n``)."""
+        if not 0 <= u < self.n:
+            raise GraphError(f"vertex {u} out of range [0, {self.n})")
         if self._dist is not None:
             return self._dist[u]
         cached = self._row_cache.get(u)
@@ -262,6 +274,11 @@ class MetricView:
 
     def d(self, u: int, v: int) -> float:
         """Exact distance between ``u`` and ``v``."""
+        # Both ids in [0, n), in one chained comparison: this is hot.
+        if not 0 <= u < self.n > v >= 0:
+            raise GraphError(
+                f"vertex pair ({u}, {v}) out of range [0, {self.n})"
+            )
         if self._dist is not None:
             return float(self._dist[u, v])
         return float(self.row(u)[v])
@@ -539,55 +556,44 @@ class MetricView:
             raise ValueError("graph has no shortest-path edges")
         return min(weights)
 
-    def _next_hop_row(self, u: int) -> np.ndarray:
-        """Compute and cache ``u``'s first hops (int32, length ``n``).
+    def hop_column(self, v: int) -> np.ndarray:
+        """First hops toward ``v`` from every vertex (int32, length ``n``).
 
-        ``out[v]`` is the neighbour ``x`` with the smallest ``(d(x, v), x)``
-        among tight edges (``w(u, x) + d(x, v) = d(u, v)`` within
-        :attr:`tol`); ``out[u] = u``, ``-1`` marks unreachable targets and
-        ``-2`` a reachable target with no tight edge.
+        With ``r = row(v)``, ``out[u]`` is the neighbour ``x`` with the
+        smallest ``(r[x], x)`` among tight edges (``w(u, x) + r[x] = r[u]``
+        within :attr:`tol`; ``r[x]`` is ``d_fwd(v, x)``, the target-side
+        orientation, see the module docstring); ``out[v] = v``, ``-1``
+        marks a ``u`` that cannot reach ``v`` and ``-2`` a reachable ``u``
+        with no tight edge.  Built once per target from one distance row,
+        then cached (every column when dense, an LRU when lazy).
         """
-        row_u = self.row(u)
-        nbrs = sorted(self.graph.neighbors(u))
-        best_d = np.full(self.n, _INF)
-        hops = np.where(np.isfinite(row_u), -2, -1).astype(np.int32)
-        # Ascending-id neighbour blocks of a few MB; argmin keeps the first
-        # minimum and later blocks must improve strictly, so ties go to the
-        # smaller id.  Unreachable targets give inf - inf = nan: not tight.
-        block = max(1, _HOP_BLOCK_BYTES // max(1, 8 * self.n))
-        for lo in range(0, len(nbrs), block):
-            xs = nbrs[lo : lo + block]
-            rows_x = self.rows(xs)
-            w = np.array([self.graph.weight(u, x) for x in xs])
-            with np.errstate(invalid="ignore"):
-                tight = np.abs(w[:, None] + rows_x - row_u) <= self.tol
-            cand = np.where(tight, rows_x, _INF)
-            first = cand.argmin(axis=0)
-            best = cand.min(axis=0)
-            better = best < best_d
-            best_d[better] = best[better]
-            hops[better] = np.asarray(xs, dtype=np.int32)[first[better]]
-        hops[u] = u
-        self._hop_rows[u] = hops
-        if self._dist is None and len(self._hop_rows) > self._cache_rows:
-            self._hop_rows.popitem(last=False)
-        return hops
+        col = self._hop_cols.get(v)
+        if col is not None:
+            if self._dist is None:
+                self._hop_cols.move_to_end(v)
+            return col
+        row = self.row(v)
+        col = csr.csr_graph(self.graph).hop_column(row, v, self.tol)
+        self._hop_cols[v] = col
+        if self._dist is None and len(self._hop_cols) > self._cache_rows:
+            self._hop_cols.popitem(last=False)
+        return col
 
     def next_hop(self, u: int, v: int) -> int:
         """First vertex after ``u`` on a shortest ``u``–``v`` path.
 
-        Deterministic choice: among neighbours ``x`` with
-        ``w(u,x) + d(x,v) = d(u,v)``, the one with the smallest
-        ``(d(x,v), x)`` — i.e. maximal progress, ties to the smaller id.
+        Deterministic choice, with every distance read from ``r = row(v)``:
+        among neighbours ``x`` with ``w(u,x) + r[x] = r[u]``, the one with
+        the smallest ``(r[x], x)`` — i.e. maximal progress, ties to the
+        smaller id.  A lookup in :meth:`hop_column` of ``v``.
         """
+        if not 0 <= u < self.n > v >= 0:
+            raise GraphError(
+                f"vertex pair ({u}, {v}) out of range [0, {self.n})"
+            )
         if u == v:
             raise ValueError("next_hop undefined for u == v")
-        hops = self._hop_rows.get(u)
-        if hops is None:
-            hops = self._next_hop_row(u)
-        elif self._dist is None:
-            self._hop_rows.move_to_end(u)
-        hop = int(hops[v])
+        hop = int(self.hop_column(v)[u])
         if hop < 0:
             if hop == -1:
                 raise ValueError(f"{v} unreachable from {u}")

@@ -6,11 +6,15 @@ is :mod:`repro.graph.parallel`): a small hand-rolled C source file
 ``cc``/``gcc``/``clang``, no new Python dependencies — into a
 content-hash-named shared library under a cache directory, and loaded
 via ``ctypes`` with zero-copy pointers into the existing CSR numpy
-arrays.  Two kernels ride in it:
+arrays.  Three kernels ride in it:
 
 * the delta-stepping relax/scatter-min inner loop over the flattened
   ``(source, vertex)`` space (:meth:`repro.graph.csr.CSRGraph._delta_batch`
-  calls it per open bucket), and
+  calls it per open bucket),
+* the next-hop column toward one target
+  (:meth:`repro.graph.csr.CSRGraph.hop_column`, behind
+  :meth:`repro.graph.metric.MetricView.next_hop`): one CSR pass over the
+  target's distance row, and
 * the zigzag-varint ``NodeTable`` payload scanner behind
   :func:`repro.routing.shard_codec.decode_node_table_fast` (the
   ``ShardStore`` cold-lookup path).
@@ -195,7 +199,7 @@ class NativeKernels:
 
     Holds the ``ctypes.CDLL`` handle for its whole lifetime (``close()``
     drops it; the OS unmaps the library when the last reference dies)
-    and exposes numpy-facing wrappers around the two C entry points.
+    and exposes numpy-facing wrappers around the three C entry points.
     """
 
     def __init__(self, path: str) -> None:
@@ -224,6 +228,12 @@ class NativeKernels:
         lib.repro_scan_table.argtypes = [
             c_ptr, c_i64,                        # data, len
             c_ptr, c_ptr, c_ptr, c_ptr, c_ptr,   # ids, wts, tags, aux, meta
+        ]
+        lib.repro_hop_column.restype = None
+        lib.repro_hop_column.argtypes = [
+            c_ptr, c_ptr, c_ptr,                 # indptr, indices, weights
+            c_i64, c_ptr, c_i64,                 # n, row, v
+            ctypes.c_double, c_ptr,              # tol, out
         ]
         lib.repro_release.restype = None
         lib.repro_release.argtypes = [c_ptr]
@@ -327,6 +337,33 @@ class NativeKernels:
             _ptr(ids), _ptr(wts), _ptr(tags), _ptr(aux), _ptr(meta),
         )
         return rc == 0
+
+    # -- kernel 3: next-hop column ---------------------------------------
+    def hop_column(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        row: np.ndarray,
+        v: int,
+        tol: float,
+    ) -> np.ndarray:
+        """First hops toward ``v`` from every vertex (int32, length n).
+
+        ``indptr``/``indices`` are int32 CSR arrays, ``weights`` and
+        ``row`` (``v``'s distance row) contiguous float64; the rule and
+        the ``-1``/``-2`` markers are ``_kernels.c``'s.
+        """
+        lib = self._lib
+        if lib is None:
+            raise NativeExecutionError("kernel library handle is closed")
+        n = row.size
+        out = np.empty(n, dtype=np.int32)
+        lib.repro_hop_column(
+            _ptr(indptr), _ptr(indices), _ptr(weights),
+            int(n), _ptr(row), int(v), float(tol), _ptr(out),
+        )
+        return out
 
 
 #: once-per-process load outcome: (tried, handle, error)

@@ -1,4 +1,4 @@
-/* Native kernels for the two measured hot loops of the reproduction:
+/* Native kernels for the three measured hot loops of the reproduction:
  *
  *  1. repro_delta_batch — the bucketed delta-stepping engine of
  *     CSRGraph._delta_batch over the flattened (source, vertex) space.
@@ -19,6 +19,13 @@
  *     outside int64) returns nonzero and the caller re-runs the pure
  *     Python decoder, which raises the canonical ShardCodecError — the
  *     scanner never guesses at malformed input.
+ *
+ *  3. repro_hop_column — MetricView's next-hop column toward one target
+ *     v from v's distance row alone: per vertex u the tight neighbour x
+ *     (|(w(u,x) + row[x]) - row[u]| <= tol) with the smallest
+ *     (row[x], x).  Same arithmetic, in the same order, as the numpy
+ *     reference CSRGraph._hop_column_numpy; the expression has no
+ *     multiply, so no compiler can contract it into an FMA.
  *
  * Plain C99 + stdlib only: compiled on demand by repro.native with the
  * system compiler into a content-hash-named shared library and loaded
@@ -691,4 +698,40 @@ int repro_scan_table(
     meta[2] = unit ? 1 : 0;
     meta[3] = c.ntok;
     return SCAN_OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* kernel 3: next-hop column toward one target                         */
+/* ------------------------------------------------------------------ */
+
+/* out[u] = the first hop from u toward v, for every vertex u, read off
+ * v's distance row: among u's neighbours x on a tight edge the one with
+ * the smallest (row[x], x).  out[v] = v, -1 marks a u that cannot reach
+ * v and -2 a reachable u with no tight edge (an inconsistent metric).
+ * One pass over the CSR arrays; never fails. */
+void repro_hop_column(
+    const int32_t *indptr, const int32_t *indices, const double *weights,
+    int64_t n, const double *row, int64_t v, double tol, int32_t *out)
+{
+    for (int64_t u = 0; u < n; u++) {
+        double du = row[u];
+        if (!isfinite(du)) {
+            out[u] = -1;
+            continue;
+        }
+        int32_t best = -2;
+        double best_d = DS_INF;
+        for (int32_t e = indptr[u]; e < indptr[u + 1]; e++) {
+            int32_t x = indices[e];
+            double dx = row[x];
+            if (!(fabs((weights[e] + dx) - du) <= tol))
+                continue;
+            if (best < 0 || dx < best_d || (dx == best_d && x < best)) {
+                best = x;
+                best_d = dx;
+            }
+        }
+        out[u] = best;
+    }
+    out[v] = (int32_t)v;
 }

@@ -35,14 +35,21 @@ class BallRoutingTables:
         ports: PortAssignment,
     ) -> None:
         self.family = family
+        # Keys go in ball order first; the ports are then filled target by
+        # target, so each target's hop column is built once (one distance
+        # row) and no dict's insertion order depends on the fill order.
         self._port: list[Dict[int, int]] = []
+        holders: list[list[int]] = [[] for _ in range(metric.n)]
         for u in range(metric.n):
             entry: Dict[int, int] = {}
             for v in family.ball(u):
-                if v == u:
-                    continue
-                entry[v] = ports.port_to(u, metric.next_hop(u, v))
+                if v != u:
+                    entry[v] = -1
+                    holders[v].append(u)
             self._port.append(entry)
+        for v, sources in enumerate(holders):
+            for u in sources:
+                self._port[u][v] = ports.port_to(u, metric.next_hop(u, v))
 
     def port_for(self, u: int, v: int) -> Optional[int]:
         """Port of ``u``'s first edge toward ``v``; ``None`` if outside ball."""

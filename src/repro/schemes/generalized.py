@@ -142,8 +142,10 @@ class _GeneralizedScheme(SchemeBase):
                 best: Dict[int, Tuple[float, int]] = {}
                 for w in self.families[i].ball(u):
                     through = self.metric.d(u, w)
-                    for v in bunches.cluster(w):
-                        cand = (through + self.metric.d(w, v), w)
+                    for v, d_wv in zip(
+                        bunches.cluster(w), bunches.cluster_distances(w)
+                    ):
+                        cand = (through + d_wv, w)
                         if v not in best or cand < best[v]:
                             best[v] = cand
                 for v, (_, w) in best.items():

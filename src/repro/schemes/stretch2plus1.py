@@ -117,8 +117,11 @@ class Stretch2Plus1Scheme(SchemeBase):
             best: Dict[int, tuple[float, int]] = {}
             for w in self.family.ball(u):
                 through = self.metric.d(u, w)
-                for v in self.bunches.cluster(w):
-                    cand = (through + self.metric.d(w, v), w)
+                for v, d_wv in zip(
+                    self.bunches.cluster(w),
+                    self.bunches.cluster_distances(w),
+                ):
+                    cand = (through + d_wv, w)
                     if v not in best or cand < best[v]:
                         best[v] = cand
             table = self._tables[u]

@@ -43,6 +43,7 @@ class BunchStructure:
 
         self._bunches: List[List[int]] = [[] for _ in range(n)]
         self._clusters: Dict[int, List[int]] = {}
+        self._cluster_dists: Dict[int, List[float]] = {}
         d_to_a = self._d_to_a
         # Bounded cluster scan: no vertex beyond max d(v, A) can belong
         # to any cluster, so each row only needs the neighbourhood inside
@@ -51,9 +52,11 @@ class BunchStructure:
         # instead of a full blockwise APSP.
         limit = float(d_to_a.max()) if n else 0.0
         for w, verts, dists in metric.iter_bounded_rows(limit):
-            members = verts[dists < d_to_a[verts]].tolist()
+            inside = dists < d_to_a[verts]
+            members = verts[inside].tolist()
             if members:
                 self._clusters[w] = members
+                self._cluster_dists[w] = dists[inside].tolist()
             for v in members:
                 self._bunches[v].append(w)
         self._trees: Dict[int, RootedTree] = {}
@@ -78,6 +81,15 @@ class BunchStructure:
     def cluster(self, w: int) -> List[int]:
         """``C_A(w)`` sorted by vertex id (empty for ``w ∈ A``)."""
         return self._clusters.get(w, [])
+
+    def cluster_distances(self, w: int) -> List[float]:
+        """``d(w, v)`` for each ``v`` of :meth:`cluster` (same order).
+
+        The values the bounded cluster scan already computed — the same
+        canonical forward distances :meth:`MetricView.d` returns — kept
+        so intersection loops need not re-read ``w``'s distance row.
+        """
+        return self._cluster_dists.get(w, [])
 
     def in_cluster(self, w: int, v: int) -> bool:
         """Whether ``v ∈ C_A(w)``."""

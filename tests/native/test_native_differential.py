@@ -12,6 +12,7 @@ cache): ``auto`` must fall back to numpy with the reason recorded,
 """
 
 import os
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import pytest
 from repro import native
 from repro.api import all_specs
 from repro.graph import shortest_paths as sp
+from repro.graph.core import Graph
 from repro.graph.csr import csr_graph
 from repro.graph.generators import (
     erdos_renyi,
@@ -184,6 +186,47 @@ def test_lazy_metric_counts_identical(monkeypatch):
         view = MetricView(g, mode="lazy")
         counts[mode] = view.count_rows_below(thresholds)
     assert np.array_equal(counts["native"], counts["numpy"])
+
+
+def _tie_heavy_with_isolated_vertex() -> Graph:
+    """Weights from {0.1, 0.2, 0.3} (ulp-broken ties); vertex n-1 isolated."""
+    rng = random.Random(5)
+    base = erdos_renyi(80, 0.06, seed=4)
+    return Graph.from_edges(
+        81,
+        [(u, v, rng.choice((0.1, 0.2, 0.3))) for u, v, _ in base.edges()],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPHS) + ["ties-isolated"])
+def test_hop_column_identical_native_vs_numpy(monkeypatch, name):
+    _require_native()
+    g = (
+        _tie_heavy_with_isolated_vertex()
+        if name == "ties-isolated"
+        else _GRAPHS[name]()
+    )
+    _set_mode(monkeypatch, "native")
+    csr = csr_graph(g)
+    view = MetricView(g, mode="dense")
+    seen = set()
+    for v in range(g.n):
+        row = view.row(v)
+        nat = csr.hop_column(row, v, view.tol)
+        ref = csr._hop_column_numpy(row, v, view.tol)
+        assert nat.dtype == ref.dtype == np.int32
+        assert np.array_equal(nat, ref), v
+        seen.update(np.unique(nat).tolist())
+    if name == "ties-isolated":
+        assert -1 in seen  # the isolated vertex, as source and as target
+    assert -2 not in seen
+    # A negative tolerance admits no tight edge: every reachable u != v
+    # reads -2 on both paths.
+    row = view.row(0)
+    nat = csr.hop_column(row, 0, -1.0)
+    assert np.array_equal(nat, csr._hop_column_numpy(row, 0, -1.0))
+    assert nat[0] == 0
+    assert set(nat[1:].tolist()) <= {-1, -2} and -2 in nat
 
 
 # ----------------------------------------------------------------------

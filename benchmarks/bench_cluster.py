@@ -48,7 +48,7 @@ from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.routing.serving import LocalRouter, open_store, write_shards
 from repro.routing.simulator import route as sim_route
 
-from conftest import SMOKE, merge_bench_results, smoke_scale
+from conftest import SMOKE, available_cores, merge_bench_results, smoke_scale
 
 SECTION = "Cluster serving: worker fleets vs single-process"
 
@@ -60,13 +60,6 @@ SCHEME = "tz2"
 WORKERS = 4
 GROUP_SIZE = 16
 REPS = 3
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def _best_hps(route_all, hops: int) -> float:
@@ -146,7 +139,7 @@ def run_cluster(n: int, *, pairs: int = 400) -> dict:
             shard_r2, workload, reference
         )
 
-        cores = _available_cores()
+        cores = available_cores()
         return {
             "n": n,
             "scheme": SCHEME,

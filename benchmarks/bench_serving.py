@@ -29,8 +29,10 @@ scale, in two halves:
   packed throughput within ~10% of in-memory routing (gate).
 
 Results land in ``BENCH_kernel.json`` under ``serving`` and
-``serving_packed`` (full runs only); ``REPRO_BENCH_SMOKE=1`` shrinks n
-and skips the write.  Runs under pytest or standalone.
+``serving_packed`` (full runs only), each stamped with the cores,
+``REPRO_KERNEL`` mode and ``REPRO_PARALLEL`` setting it ran with;
+``REPRO_BENCH_SMOKE=1`` shrinks n and skips the write.  Runs under
+pytest or standalone.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from repro.routing.serving import (
 from repro.routing.simulator import route
 from repro.routing.tables import NodeTable
 
-from conftest import SMOKE, merge_bench_results, smoke_scale
+from conftest import SMOKE, host_stamp, merge_bench_results, smoke_scale
 
 SECTION = "Serving: cold shard loads vs full decode, routed throughput"
 
@@ -120,6 +122,7 @@ def run_serving(n: int, *, pairs: int = 200, reps: int = 15) -> dict:
         served = router.store.stats()
 
         return {
+            **host_stamp(),
             "n": n,
             "scheme": SCHEME,
             "pairs": pairs,
@@ -288,6 +291,7 @@ def run_serving_packed(
         )
 
         return {
+            **host_stamp(),
             "n_store": n_store,
             "n_route": n_route,
             "scheme": SCHEME,

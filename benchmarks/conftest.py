@@ -43,6 +43,26 @@ def smoke_scale(full, smoke):
     return smoke if SMOKE else full
 
 
+def available_cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def host_stamp() -> dict:
+    """What a recorded number was measured with: usable cores, the
+    resolved ``REPRO_KERNEL`` mode and the ``REPRO_PARALLEL`` setting."""
+    from repro.graph.shortest_paths import kernel_mode
+
+    return {
+        "cores": available_cores(),
+        "kernel": kernel_mode(),
+        "repro_parallel": os.environ.get("REPRO_PARALLEL", ""),
+    }
+
+
 def merge_bench_results(path: str, updates: dict) -> None:
     """Read-merge-write a shared JSON results file.
 

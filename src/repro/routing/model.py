@@ -29,13 +29,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Mapping
 
 from ..graph.core import Graph
 from .ports import PortAssignment
 
 __all__ = [
     "words_of",
+    "entries_words",
     "SizedTable",
     "Deliver",
     "Forward",
@@ -52,18 +53,56 @@ def words_of(value: Any) -> int:
     Scalars cost one word; containers cost the sum of their contents;
     ``None`` and booleans cost nothing extra (they encode a flag inside an
     existing word in a real implementation).
+
+    The exact types headers and tables hold (tuples of ints, strs and
+    floats) are tested with ``type(value) is ...`` first and a tuple's
+    leaves are counted inline; subclasses (``IntEnum``, ``np.float64``),
+    lists, sets, dicts and ``.words()`` objects take the ``isinstance``
+    chain below.
     """
+    t = type(value)
+    if t is tuple:
+        words = 0
+        for item in value:
+            it = type(item)
+            if it is int or it is str or it is float:
+                words += 1
+            elif item is not None and it is not bool:
+                words += words_of(item)
+        return words
+    if t is int or t is str or t is float:
+        return 1
     if value is None or isinstance(value, bool):
         return 0
     if isinstance(value, (int, float, str)):
         return 1
     if isinstance(value, (tuple, list, set, frozenset)):
-        return sum(words_of(item) for item in value)
+        return sum(map(words_of, value))
     if isinstance(value, dict):
-        return sum(words_of(k) + words_of(v) for k, v in value.items())
+        return entries_words(value)
     if hasattr(value, "words"):
         return int(value.words())
     raise TypeError(f"cannot size value of type {type(value)!r}")
+
+
+_INT_ONLY = {int}
+
+
+def entries_words(entries: Mapping[Any, Any]) -> int:
+    """Words of a mapping's keys plus its values (the dict rule of
+    :func:`words_of`): a table category, or a dict inside a value.
+
+    A mapping of exact ints to exact ints, the commonest category, costs
+    two words an entry after one C-level pass over the types.
+    """
+    if {*map(type, entries), *map(type, entries.values())} <= _INT_ONLY:
+        return 2 * len(entries)
+    return sum(map(words_of, entries)) + sum(map(words_of, entries.values()))
+
+
+#: what ``get``/``has`` read for a missing category: one shared empty
+#: dict, never handed out, so never written
+_NO_ENTRIES: Dict[Any, Any] = {}
 
 
 class SizedTable:
@@ -79,11 +118,11 @@ class SizedTable:
 
     def get(self, category: str, key: Any, default: Any = None) -> Any:
         """Look up ``key`` in ``category``."""
-        return self._data.get(category, {}).get(key, default)
+        return self._data.get(category, _NO_ENTRIES).get(key, default)
 
     def has(self, category: str, key: Any) -> bool:
         """Membership test for ``key`` in ``category``."""
-        return key in self._data.get(category, {})
+        return key in self._data.get(category, _NO_ENTRIES)
 
     def category(self, category: str) -> Dict[Any, Any]:
         """The raw ``key -> value`` mapping of a category (may be empty)."""
@@ -96,8 +135,7 @@ class SizedTable:
     def words_by_category(self) -> Dict[str, int]:
         """Word count of every category (keys + values)."""
         return {
-            cat: sum(words_of(k) + words_of(v) for k, v in entries.items())
-            for cat, entries in self._data.items()
+            cat: entries_words(entries) for cat, entries in self._data.items()
         }
 
     def total_words(self) -> int:

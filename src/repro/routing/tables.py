@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .model import CompactRoutingScheme, SizedTable, words_of
+from .model import CompactRoutingScheme, SizedTable, entries_words, words_of
 
 __all__ = ["NodeTable", "compile_node_table", "compile_tables"]
 
@@ -99,11 +99,7 @@ class NodeTable:
     # -- word accounting ------------------------------------------------
     def table_words(self) -> int:
         """Word count of the table contents (= ``SizedTable.total_words``)."""
-        return sum(
-            words_of(k) + words_of(v)
-            for entries in self.categories.values()
-            for k, v in entries.items()
-        )
+        return sum(map(entries_words, self.categories.values()))
 
     def label_words(self) -> int:
         return words_of(self.label)

@@ -1,5 +1,7 @@
 """Space accounting and the scheme contract."""
 
+import enum
+
 import pytest
 
 from repro.routing.model import SizedTable, words_of
@@ -7,17 +9,27 @@ from repro.routing.model import SizedTable, words_of
 
 class TestWordsOf:
     def test_scalars(self):
+        class Port(enum.IntEnum):
+            UP = 7
+
         assert words_of(5) == 1
         assert words_of(2.5) == 1
         assert words_of("tag") == 1
+        assert words_of(Port.UP) == 1
+        assert words_of(("h", Port.UP)) == 2
 
     def test_none_and_bool_free(self):
         assert words_of(None) == 0
         assert words_of(True) == 0
+        # True == 1 == 1.0, but a bool is a flag and costs nothing
+        assert words_of((True, 1, 1.0)) == 2
+        assert words_of({True: 1}) == 1
+        assert words_of({1: True, 2: 3}) == 3
 
     def test_containers(self):
         assert words_of((1, 2, 3)) == 3
         assert words_of([1, (2, 3)]) == 3
+        assert words_of(("h", [1, (2, None)], 3)) == 4
         assert words_of({1: 2, 3: (4, 5)}) == 5
         assert words_of(()) == 0
 

@@ -176,9 +176,18 @@ class TestCodecValidation:
         with pytest.raises(ShardCodecError):
             decode_node_table(blob[: len(blob) // 2])
 
-    def test_unencodable_value_rejected(self):
+    class _Sized:
+        """Counted by words_of, outside the codec's value domain."""
+
+        def words(self):
+            return 3
+
+    @pytest.mark.parametrize(
+        "value", [object(), {1, 2}, _Sized()], ids=["object", "set", "words"]
+    )
+    def test_unencodable_value_rejected(self, value):
         record = self._record()
-        record.categories["ball"][9] = object()
+        record.categories["ball"][9] = value
         with pytest.raises(ShardCodecError, match="cannot encode"):
             encode_node_table(record)
 
@@ -246,6 +255,35 @@ class TestGoldenBytes:
         blob = encode_value(self.VALUES)
         assert blob.hex() == self.VALUE
         assert decode_value(blob) == self.VALUES
+
+    #: values equal to one another (True == 1 == 1.0) that encode apart,
+    #: the edges of the 1/2/3-byte varints and of the encoder's
+    #: small-int table (2**17)
+    TWINS = (1, True, 1.0, 0, False, -64, -65, 16383, 16384)
+    TWIN_CATEGORIES = {
+        "ball": {0: 1, 1: True, 2: 0, 63: 64, 16383: 16384},
+        "xsect": {0: 63, 64: 8191, 8192: 16383, 16384: 65535},
+        "colorrep": {-65: -64, 65536: 1, 2**17 - 1: 2**17},
+    }
+    TWIN_VALUE = "060903020204000000000000f03f030001037f03810103feff0103808002"
+    TWIN_RECORD = (
+        "5254010101020002" + TWIN_VALUE
+        + "03050462616c6c050300030203020203040300037e03800103feff0103"
+        "80800205057873656374040300037e03800103fe7f0380800103feff01"
+        "0380800203feff070508636f6c6f7272657003038101037f0380800803"
+        "0203feff0f03808010"
+    )
+
+    def test_equality_twins_bytes_pinned(self):
+        assert encode_value(self.TWINS).hex() == self.TWIN_VALUE
+        record = NodeTable(
+            owner=1, neighbors=((0, 1.0), (2, 1.0)), label=self.TWINS,
+            categories=self.TWIN_CATEGORIES,
+        )
+        blob = encode_node_table(record)
+        assert blob.hex() == self.TWIN_RECORD
+        _assert_same_shape(decode_node_table(blob).label, self.TWINS)
+        assert _encode_record(record)[1] == record.table_words() == 23
 
     @pytest.mark.parametrize("value", [2**76, -2**76 - 1])
     def test_ints_past_the_varint_range_rejected(self, value):

@@ -12,8 +12,10 @@ The tentpole claim of the shared-memory parallel tier
   with ``>= 2`` workers.  On hardware without ``>= 2`` cores real
   parallelism is physically impossible, so the gate auto-relaxes to a
   parity floor (the two workers timesharing one core must stay within
-  3x of serial — the shm/IPC tax, not a speedup) and ``cores`` is
-  recorded so readers can tell the two regimes apart.
+  3x of serial — the shm/IPC tax, not a speedup).  The record is
+  stamped with ``host_stamp()`` (``cores`` from the CPU affinity mask,
+  the resolved ``kernel`` and the ``REPRO_PARALLEL`` setting the run
+  started with) so readers can tell the regimes apart.
 * **10^6 smoke** — behind ``REPRO_BENCH_HUGE=1`` (tens of minutes of
   wall-clock and tens of GB of RAM): the ROADMAP's combined target end
   to end — the all-balls probe, then a **full Table-1 scheme build**
@@ -46,7 +48,13 @@ from repro.graph import parallel
 from repro.graph.csr import csr_graph
 from repro.graph.generators import random_sparse, with_random_weights
 
-from conftest import SMOKE, merge_bench_results, smoke_scale
+from conftest import (
+    SMOKE,
+    available_cores,
+    host_stamp,
+    merge_bench_results,
+    smoke_scale,
+)
 
 SECTION = "Parallel preprocessing: multiprocess all-balls scaling"
 
@@ -66,8 +74,7 @@ ELL_CAP = 64
 def _workers() -> int:
     """>= 2 always (the tier's contract is bit-identity, so racing two
     workers on one core is valid — just not faster), capped at 8."""
-    cores = os.cpu_count() or 1
-    return min(8, max(2, cores))
+    return min(8, max(2, available_cores()))
 
 
 def _ell(n: int) -> int:
@@ -188,17 +195,18 @@ def run_huge(workers: int, n: int = 1_000_000) -> dict:
 
 
 def run_curve(sizes) -> dict:
+    # stamped before run_point switches REPRO_PARALLEL per leg
+    stamp = host_stamp()
     workers = _workers()
-    cores = os.cpu_count() or 1
     curve = []
     for n in sizes:
         curve.append(run_point(n, workers))
     out = {
-        "cores": cores,
+        **stamp,
         "workers": workers,
         "gate": (
             ">= 1.7x at largest n"
-            if cores >= 2
+            if stamp["cores"] >= 2
             else "parity floor (single core: parallel_s <= 3x serial_s)"
         ),
         "ell_cap": ELL_CAP,

@@ -1,19 +1,21 @@
 """Shared benchmark infrastructure.
 
 Every bench records its paper-style rows through the ``report`` fixture;
-the rows are printed in the terminal summary (so ``pytest benchmarks/
---benchmark-only`` shows the regenerated tables next to pytest-benchmark's
-timing table) and appended to ``benchmarks/results.txt`` for EXPERIMENTS.md.
+the rows are printed in the terminal summary, so ``pytest
+benchmarks/bench_table1_weighted.py`` shows the regenerated table next
+to pytest-benchmark's timing table.  Nothing is written to disk from the
+summary.
 
 Smoke mode
 ----------
 Setting ``REPRO_BENCH_SMOKE=1`` switches benches that opt in (via the
 ``bench_scale`` fixture or :func:`smoke_scale`) to toy problem sizes, so
-``REPRO_BENCH_SMOKE=1 pytest benchmarks/bench_kernel.py`` completes in
+``REPRO_BENCH_SMOKE=1 pytest benchmarks/bench_parallel.py`` completes in
 seconds.  This keeps the benchmarks exercised (and un-bit-rotted) by
 cheap CI runs without paying full experiment cost; full-size runs simply
-omit the variable.  Smoke runs never overwrite committed full-run result
-files (see ``bench_kernel.py``).
+omit the variable.  Smoke runs never write ``BENCH_kernel.json``: only
+full runs of ``bench_parallel.py`` and ``bench_presets.py`` merge their
+key into it.
 """
 
 from __future__ import annotations
@@ -66,10 +68,10 @@ def host_stamp() -> dict:
 def merge_bench_results(path: str, updates: dict) -> None:
     """Read-merge-write a shared JSON results file.
 
-    Several benches own sibling keys in ``BENCH_kernel.json``
-    (``bench_kernel`` the kernel/memory keys, ``bench_preprocessing``
-    the ``substrate_sharing`` key); merging instead of overwriting keeps
-    one bench's full-run numbers alive across the other's runs.  The
+    Two benches own sibling keys in ``BENCH_kernel.json``
+    (``bench_parallel`` the ``parallel`` key, ``bench_presets`` the
+    ``preset_frontier`` key); merging instead of overwriting keeps one
+    bench's full-run numbers alive across the other's runs.  The
     write is atomic (tmp file + rename) so an interrupted run can never
     leave a truncated file, and a corrupt existing file raises instead
     of being silently reset — committed numbers must not vanish.
@@ -123,16 +125,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _SECTIONS:
         return
     terminalreporter.write_line("")
-    lines_out = []
     for title, lines in _SECTIONS.items():
-        header = banner(title)
-        terminalreporter.write_line(header, bold=True)
-        lines_out.append(header)
+        terminalreporter.write_line(banner(title), bold=True)
         for line in lines:
             terminalreporter.write_line(line)
-            lines_out.append(line)
         terminalreporter.write_line("")
-        lines_out.append("")
-    out_path = os.path.join(os.path.dirname(__file__), "results.txt")
-    with open(out_path, "w") as fh:
-        fh.write("\n".join(lines_out) + "\n")

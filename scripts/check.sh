@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # The standard gate: ruff -> mypy (strict allowlist) -> invariant linter
-# -> tier-1 pytest.  Every leg runs even when an earlier one fails, so
+# -> tier-1 pytest -> the pure and numpy dispatch legs -> the parallel
+# bench smoke.  Correctness checks live in the tier-1 tests and speed in
+# the end-to-end benchmark (benchmarks/e2e/run.py), so no other bench
+# script runs here.  Every leg runs even when an earlier one fails, so
 # one invocation reports everything; the exit status is non-zero if any
 # leg failed.  ruff/mypy are optional dev dependencies (`pip install
 # -e .[dev]`) — when absent the leg is reported as skipped, and the
@@ -58,32 +61,9 @@ echo "== pytest (REPRO_KERNEL=numpy) =="
 REPRO_KERNEL=numpy python -m pytest -q tests/graph/test_metric.py \
     tests/schemes || fail=1
 
-# -- kernel smoke: batched kernel balls equal the pure ones ------------
-echo "== bench_kernel (smoke) =="
-REPRO_BENCH_SMOKE=1 python benchmarks/bench_kernel.py || fail=1
-
-# -- cluster smoke: fleet vs single-process, kill-a-worker -------------
-echo "== bench_cluster (smoke) =="
-REPRO_BENCH_SMOKE=1 python benchmarks/bench_cluster.py || fail=1
-
-# -- serving smoke: cold shard vs full decode (10x gate), warm throughput
-echo "== bench_serving (smoke) =="
-REPRO_BENCH_SMOKE=1 python benchmarks/bench_serving.py || fail=1
-
-# -- chaos smoke: replicas=2 under seeded faults, routes unchanged -----
-echo "== bench_faults (smoke) =="
-REPRO_BENCH_SMOKE=1 python benchmarks/bench_faults.py || fail=1
-
 # -- parallel smoke: pool on, bit-identity asserted at every point -----
 echo "== bench_parallel (smoke, REPRO_PARALLEL=2) =="
 REPRO_PARALLEL=2 REPRO_BENCH_SMOKE=1 python benchmarks/bench_parallel.py \
-    || fail=1
-
-# -- native gate: C tier forced on, bit-identity asserted ---------------
-# bench_native self-skips with a named reason when no C compiler is
-# present, so this leg is a no-op on compiler-less hosts.
-echo "== bench_native (smoke, REPRO_KERNEL=native) =="
-REPRO_KERNEL=native REPRO_BENCH_SMOKE=1 python benchmarks/bench_native.py \
     || fail=1
 
 exit "$fail"

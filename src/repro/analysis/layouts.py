@@ -51,6 +51,10 @@ DECLARED_LAYOUTS: LayoutTable = {
             # mirrored by RT_T_COUNT / STR_OFFSET_BITS in _kernels.c
             "_T_COUNT": 0xF1,
             "_STR_OFFSET_BITS": 40,
+            # deepest value nesting the encoder writes and the decoders
+            # read: mirrors MAX_VALUE_DEPTH in _kernels.c, where the
+            # scanner stands down to the pure decoder at the same depth
+            "MAX_VALUE_DEPTH": 200,
         },
         "structs": {
             "_PACK_ENTRY": "<IQI",
@@ -85,6 +89,9 @@ DECLARED_LAYOUTS: LayoutTable = {
             # the scanner/assembler contract with shard_codec.py
             "RT_T_COUNT": 0xF1,
             "STR_OFFSET_BITS": 40,
+            # the scanner's nesting cap: the same depth as
+            # MAX_VALUE_DEPTH in shard_codec.py
+            "MAX_VALUE_DEPTH": 200,
         },
         "structs": {},
     },

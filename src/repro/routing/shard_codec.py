@@ -18,6 +18,9 @@ the unit every persisted session is made of:
 
 Decoding validates the magic and version and fails loudly on anything
 else — a shard written by a future codec is rejected, never misread.
+Hostile bytes meet the same error type: a string that is not UTF-8, an
+unhashable dict key or nesting deeper than ``MAX_VALUE_DEPTH`` raises
+:class:`ShardCodecError`, never a bare Python error.
 :func:`decode_node_table` accepts a :class:`memoryview` as well as
 ``bytes`` and never copies the payload while parsing, so a store that
 maps a packed group file (``mmap``) can decode a vertex's record straight
@@ -132,6 +135,14 @@ _T_DICT = 0x08
 
 _DOUBLE = struct.Struct("<d")
 
+#: deepest value nesting either direction of the codec accepts: the
+#: top-level value is depth 0, and a value at depth ``MAX_VALUE_DEPTH +
+#: 1`` is refused (by the encoder, so everything written decodes back,
+#: and by the decoder, so hostile bytes cannot exhaust the stack) —
+#: mirrored by ``MAX_VALUE_DEPTH`` in ``_kernels.c``, whose scanner
+#: stands down at the same depth
+MAX_VALUE_DEPTH = 200
+
 
 class ShardCodecError(ValueError):
     """Raised on malformed, foreign or future-versioned shard bytes."""
@@ -217,17 +228,27 @@ def _grow_small_ints(value: int) -> Tuple[bytes, ...]:
     return table
 
 
-def _put_value(out: bytearray, value: Any) -> int:
+def _too_deep() -> ShardCodecError:
+    return ShardCodecError(
+        f"value nested deeper than {MAX_VALUE_DEPTH} levels"
+    )
+
+
+def _put_value(out: bytearray, value: Any, depth: int = 0) -> int:
     """Append ``value``'s tagged encoding to ``out``; return its word
     count (the rules of :func:`repro.routing.model.words_of`).
 
     Dispatches on the exact type first.  Ints in ``[0,
     _SMALL_INT_CAP)`` are appended pre-encoded from the small-int table;
     the loops over tuple items and mapping entries (see
-    :func:`_put_entries`) read it inline.
+    :func:`_put_entries`) read it inline.  ``depth`` is ``value``'s
+    nesting depth; a non-empty container at ``MAX_VALUE_DEPTH`` is
+    refused.
     """
     t = type(value)
     if t is tuple or t is list:
+        if depth >= MAX_VALUE_DEPTH and value:
+            raise _too_deep()
         out.append(_T_TUPLE if t is tuple else _T_LIST)
         count = len(value)
         if count <= 0x7F:
@@ -244,7 +265,7 @@ def _put_value(out: bytearray, value: Any) -> int:
             elif item is None:
                 out.append(_T_NONE)
             else:
-                words += _put_value(out, item)
+                words += _put_value(out, item, depth + 1)
         return words
     if t is int:
         if 0 <= value < _SMALL_INT_CAP:
@@ -278,16 +299,21 @@ def _put_value(out: bytearray, value: Any) -> int:
         out.append(_T_TRUE if value else _T_FALSE)
         return 0
     if isinstance(value, dict):
+        if depth >= MAX_VALUE_DEPTH and value:
+            raise _too_deep()
         out.append(_T_DICT)
-        return _put_entries(out, value)
+        return _put_entries(out, value, depth + 1)
     for base, exact in _BASE_VALUE:
         if isinstance(value, base):
-            return _put_value(out, exact(value))
+            return _put_value(out, exact(value), depth)
     raise ShardCodecError(f"cannot encode value of type {type(value)!r}")
 
 
-def _put_entries(out: bytearray, entries: Dict[Any, Any]) -> int:
-    """Append a count and the key/value pairs of ``entries``; words.
+def _put_entries(
+    out: bytearray, entries: Dict[Any, Any], depth: int = 0
+) -> int:
+    """Append a count and the key/value pairs of ``entries`` (each at
+    nesting ``depth``); return their words.
 
     Int keys and values (all of an int-to-int category, the commonest)
     are appended straight from the small-int table.  A bytecode loop:
@@ -302,16 +328,29 @@ def _put_entries(out: bytearray, entries: Dict[Any, Any]) -> int:
             out += small[k]
             words += 1
         else:
-            words += _put_value(out, k)
+            words += _put_value(out, k, depth)
         if type(v) is int and 0 <= v < size:
             out += small[v]
             words += 1
         else:
-            words += _put_value(out, v)
+            words += _put_value(out, v, depth)
     return words
 
 
-def _read_value(data: bytes, pos: int) -> Tuple[Any, int]:
+def _not_utf8(exc: UnicodeDecodeError) -> ShardCodecError:
+    return ShardCodecError(f"string value is not valid UTF-8 ({exc.reason})")
+
+
+def _unhashable_key(key: Any) -> ShardCodecError:
+    return ShardCodecError(
+        f"dict key of type {type(key).__name__} is not hashable"
+    )
+
+
+def _read_value(data: Buffer, pos: int, depth: int = 0) -> Tuple[Any, int]:
+    """One tagged value at nesting ``depth`` from ``data[pos:]``; the
+    value and the position after it.  Every malformed input raises
+    :class:`ShardCodecError`."""
     if pos >= len(data):
         raise ShardCodecError("truncated value")
     tag = data[pos]
@@ -336,23 +375,40 @@ def _read_value(data: bytes, pos: int) -> Tuple[Any, int]:
             raise ShardCodecError("truncated string")
         # bytes() copies only the string payload itself (str objects own
         # their storage anyway); the surrounding buffer is never copied.
-        return bytes(data[pos:end]).decode("utf-8"), end
+        try:
+            return bytes(data[pos:end]).decode("utf-8"), end
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc) from None
     if tag in (_T_TUPLE, _T_LIST):
         count, pos = _read_uvarint(data, pos)
+        if count and depth >= MAX_VALUE_DEPTH:
+            raise _too_deep()
         items = []
         for _ in range(count):
-            item, pos = _read_value(data, pos)
+            item, pos = _read_value(data, pos, depth + 1)
             items.append(item)
         return (tuple(items) if tag == _T_TUPLE else items), pos
     if tag == _T_DICT:
         count, pos = _read_uvarint(data, pos)
-        result = {}
-        for _ in range(count):
-            k, pos = _read_value(data, pos)
-            v, pos = _read_value(data, pos)
-            result[k] = v
-        return result, pos
+        if count and depth >= MAX_VALUE_DEPTH:
+            raise _too_deep()
+        return _read_entries(data, pos, count, depth + 1)
     raise ShardCodecError(f"unknown value tag 0x{tag:02x}")
+
+
+def _read_entries(
+    data: Buffer, pos: int, count: int, depth: int = 0
+) -> Tuple[Dict[Any, Any], int]:
+    """``count`` key/value pairs at nesting ``depth``, as a dict."""
+    result = {}
+    for _ in range(count):
+        k, pos = _read_value(data, pos, depth)
+        v, pos = _read_value(data, pos, depth)
+        try:
+            result[k] = v
+        except TypeError:
+            raise _unhashable_key(k) from None
+    return result, pos
 
 
 # ----------------------------------------------------------------------
@@ -425,12 +481,7 @@ def decode_node_table(data: Buffer) -> NodeTable:
         if not isinstance(cat, str):
             raise ShardCodecError(f"category name {cat!r} is not a string")
         entry_count, pos = _read_uvarint(data, pos)
-        entries = {}
-        for _ in range(entry_count):
-            k, pos = _read_value(data, pos)
-            v, pos = _read_value(data, pos)
-            entries[k] = v
-        categories[cat] = entries
+        categories[cat], pos = _read_entries(data, pos, entry_count)
     if pos != len(data):
         raise ShardCodecError(
             f"{len(data) - pos} trailing bytes after shard payload"
@@ -503,9 +554,11 @@ def _build_value(
 ) -> Tuple[Any, int]:
     """One value from the scanner's preorder token stream.
 
-    The scanner already validated structure and bounds, so this walker
-    only materialises: ints/floats/bools straight from the aux word,
-    strings from their (offset, length) span over the original buffer.
+    The scanner already validated structure, bounds and depth, so this
+    walker only materialises: ints/floats/bools straight from the aux
+    word, strings from their (offset, length) span over the original
+    buffer.  The two faults a scan cannot see (a string that is not
+    UTF-8, an unhashable dict key) raise what :func:`_read_value` raises.
     """
     tag = tags[i]
     a = aux[i]
@@ -518,7 +571,10 @@ def _build_value(
     if tag == _T_STR:
         off = a & _STR_OFFSET_MASK
         end = off + (a >> _STR_OFFSET_BITS)
-        return bytes(data[off:end]).decode("utf-8"), i
+        try:
+            return bytes(data[off:end]).decode("utf-8"), i
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc) from None
     if tag == _T_NONE:
         return None, i
     if tag == _T_TRUE:
@@ -532,11 +588,21 @@ def _build_value(
             items.append(item)
         return (tuple(items) if tag == _T_TUPLE else items), i
     # _T_DICT: the scanner admits no other tag into the stream
+    return _build_entries(tags, aux, data, i, a)
+
+
+def _build_entries(
+    tags: List[int], aux: List[int], data: Buffer, i: int, count: int
+) -> Tuple[Dict[Any, Any], int]:
+    """``count`` key/value pairs from the token stream, as a dict."""
     result = {}
-    for _ in range(a):
+    for _ in range(count):
         k, i = _build_value(tags, aux, data, i)
         v, i = _build_value(tags, aux, data, i)
-        result[k] = v
+        try:
+            result[k] = v
+        except TypeError:
+            raise _unhashable_key(k) from None
     return result, i
 
 
@@ -592,13 +658,8 @@ def decode_node_table_fast(data: Buffer) -> NodeTable:
     for _ in range(cat_count):
         cat, i = _build_value(tags, aux, data, i)
         entry_count = aux[i]  # _T_COUNT
-        i += 1
-        entries = {}
-        for _ in range(entry_count):
-            k, i = _build_value(tags, aux, data, i)
-            v, i = _build_value(tags, aux, data, i)
-            entries[k] = v
-        categories[cat] = entries
+        categories[cat], i = _build_entries(tags, aux, data, i + 1,
+                                            entry_count)
     return NodeTable(
         owner=owner,
         neighbors=tuple(zip(ids, weights)),

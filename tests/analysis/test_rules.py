@@ -551,6 +551,7 @@ CODEC_C_FIXTURE = """\
 #define RT_T_DICT 0x08
 #define RT_T_COUNT 0xF1
 #define STR_OFFSET_BITS 40
+#define MAX_VALUE_DEPTH 200
 """
 
 

@@ -120,15 +120,22 @@ class TestTechnique1StateSharing:
 
     def test_shared_technique1_build_equals_cold(self, graph):
         cache = SubstrateCache()
-        build("thm10", graph, cache=cache, seed=5)  # warms the substrate
-        shared = build("thm10", graph, cache=cache, seed=5, eps=0.8)
-        cold = build("thm10", graph, seed=5, eps=0.8)
-        assert (
-            cold.stats().total_table_words
-            == shared.stats().total_table_words
-        )
-        for pair in [(0, 50), (3, 88), (12, 45)]:
-            assert cold.route(*pair).path == shared.route(*pair).path
+        build("thm11", graph, cache=cache, seed=5)  # warms cluster trees
+        after_thm11 = build("thm10", graph, cache=cache, seed=5)
+        assert cache.substrate(graph).stats()["trees"]["hits"] > 0
+        resweep = build("thm10", graph, cache=cache, seed=5, eps=0.8)
+        for shared, params in ((after_thm11, {}), (resweep, {"eps": 0.8})):
+            cold = build("thm10", graph, seed=5, **params)
+            assert (
+                cold.stats().total_table_words
+                == shared.stats().total_table_words
+            )
+            assert (
+                cold.stats().table_breakdown_max
+                == shared.stats().table_breakdown_max
+            )
+            for pair in [(0, 50), (3, 88), (12, 45)]:
+                assert cold.route(*pair).path == shared.route(*pair).path
 
 
 class TestSubstrateCache:
@@ -195,18 +202,19 @@ class TestFacadeSharing:
 
     def test_shared_equals_cold_build(self, sessions):
         built, _ = sessions
-        # Sharing must be invisible in the result: a cold thm11 build on
-        # the same graph produces word-identical tables.
-        session_cold = build("thm11", built[0].graph, seed=11)
-        shared = next(s for s in built if s.spec_name == "thm11")
-        assert (
-            session_cold.stats().total_table_words
-            == shared.stats().total_table_words
-        )
-        for pair in [(0, 500), (3, 997), (123, 456)]:
+        # Sharing must be invisible in the result: a cold build of each
+        # scheme on the same graph produces word-identical tables.
+        for shared in built:
+            session_cold = build(shared.spec_name, shared.graph, seed=11)
             assert (
-                session_cold.route(*pair).path == shared.route(*pair).path
-            )
+                session_cold.stats().total_table_words
+                == shared.stats().total_table_words
+            ), shared.spec_name
+            for pair in [(0, 500), (3, 997), (123, 456)]:
+                assert (
+                    session_cold.route(*pair).path
+                    == shared.route(*pair).path
+                ), (shared.spec_name, pair)
 
 
 class TestInjectionSafety:

@@ -278,3 +278,47 @@ def test_misrouted_request_is_not_owner_error(served):
 
             with pytest.raises(NotOwnerError):
                 router._request(0, MSG_LABEL, [outside])
+
+
+#: FORWARD payloads the value codec must refuse with a typed error
+MALFORMED_PAYLOADS = [
+    bytes.fromhex("0801070000"),         # a list as a dict key
+    b"\x05\x02\xff\xfe",                 # a string that is not UTF-8
+    b"\x06\x01" * 1000 + b"\x00",        # nesting past the depth cap
+]
+
+
+def test_malformed_forward_gets_typed_error_and_connection_survives(
+    served,
+):
+    """A FORWARD whose payload cannot be decoded is answered with a
+    typed REPLY_ERROR and counted; the handler thread lives on, so a
+    STATUS on the same socket still answers."""
+    import socket
+
+    from repro.cluster.wire import (
+        MSG_FORWARD,
+        MSG_STATUS,
+        REPLY_ERROR,
+        REPLY_OK,
+        decode_error,
+        recv_frame,
+        send_frame,
+    )
+    from repro.routing.shard_codec import decode_value
+
+    with start_cluster(served["tz2"], workers=REPLICAS) as handle:
+        with socket.create_connection(
+            handle.addresses[0], timeout=10
+        ) as sock:
+            for payload in MALFORMED_PAYLOADS:
+                send_frame(sock, MSG_FORWARD, payload)
+                msg, body = recv_frame(sock)
+                assert msg == REPLY_ERROR
+                assert decode_error(body)[0] == "ShardCodecError"
+            send_frame(sock, MSG_STATUS, b"")
+            msg, body = recv_frame(sock)
+            assert msg == REPLY_OK
+            status = decode_value(body)
+            assert status["error_replies"] == len(MALFORMED_PAYLOADS)
+            assert status["dropped_connections"] == 0

@@ -32,10 +32,12 @@ from repro.graph.generators import (
 from repro.graph.metric import MetricView
 from repro.graph.shortest_paths import all_balls, kernel_mode
 from repro.routing.shard_codec import (
+    MAX_VALUE_DEPTH,
     ShardCodecError,
     decode_node_table,
     decode_node_table_fast,
     encode_node_table,
+    encode_value,
 )
 from repro.routing.tables import NodeTable
 
@@ -361,6 +363,64 @@ def test_fuzzed_payload_decode_parity(monkeypatch):
     assert pure == tables
 
 
+def _hostile_table(label: bytes, categories: bytes = b"\x00") -> bytes:
+    """A unit-weight, degree-0 payload of vertex 7 around raw value bytes."""
+    return b"RT\x01\x01\x07\x00" + label + categories
+
+
+#: payloads whose structure scans cleanly but whose values cannot be
+#: built: each must raise a ShardCodecError, never a bare Python error
+HOSTILE_PAYLOADS = {
+    "invalid UTF-8 label": _hostile_table(b"\x05\x02\xff\xfe"),
+    "invalid UTF-8 category": _hostile_table(
+        b"\x00", b"\x01\x05\x01\xff\x00"
+    ),
+    "list as dict key": _hostile_table(b"\x08\x01\x07\x00\x00"),
+    "dict as category key": _hostile_table(
+        b"\x00", b"\x01\x05\x01c\x01\x08\x00\x00"
+    ),
+    "1000-deep nesting": _hostile_table(b"\x06\x01" * 1000 + b"\x00"),
+    "one past the depth cap": _hostile_table(
+        b"\x06\x01" * (MAX_VALUE_DEPTH + 1) + b"\x00"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_PAYLOADS))
+def test_hostile_payloads_raise_typed_errors(name):
+    """The pure decoder refuses each hostile payload with its own error
+    type on every host; ``test_decode_error_parity`` holds the native
+    path to the same message."""
+    with pytest.raises(ShardCodecError):
+        decode_node_table(HOSTILE_PAYLOADS[name])
+
+
+def test_depth_cap_matches_the_scanner(monkeypatch):
+    """Nesting at the cap decodes on the scanner's own path; one level
+    deeper the scanner stands down to the pure decoder, which refuses
+    it (``test_decode_error_parity``)."""
+    _require_native()
+    deepest = None
+    for _ in range(MAX_VALUE_DEPTH):
+        deepest = (deepest,)
+    at_cap = _hostile_table(b"\x06\x01" * MAX_VALUE_DEPTH + b"\x00")
+    assert at_cap == _hostile_table(encode_value(deepest))
+
+    def scans(blob):
+        buf = np.frombuffer(blob, dtype=np.uint8)
+        scratch = [np.empty(buf.size, dtype=t)
+                   for t in (np.int64, np.float64, np.uint8, np.int64)]
+        return native.try_kernels().scan_table(
+            buf, *scratch, np.empty(4, dtype=np.int64)
+        )
+
+    _set_mode(monkeypatch, "native")
+    assert scans(at_cap)
+    assert decode_node_table_fast(at_cap).label == deepest
+    assert decode_node_table(at_cap).label == deepest
+    assert not scans(HOSTILE_PAYLOADS["one past the depth cap"])
+
+
 def test_decode_error_parity(monkeypatch):
     """Malformed payloads raise the same typed error through the fast
     path as through the pure decoder — the scanner never guesses."""
@@ -379,6 +439,7 @@ def test_decode_error_parity(monkeypatch):
         good[:2] + b"\x63" + good[3:],  # future codec version
         good + b"\x00\x01",             # trailing bytes
         good[: len(good) - 2],          # truncated value stream
+        *HOSTILE_PAYLOADS.values(),
     ]
     _set_mode(monkeypatch, "native")
     for blob in corrupt:

@@ -296,8 +296,12 @@ class TestDegradedObservability:
         root = _fresh_copy(replicated, tmp_path)
         served = load(root)
         assert served.health()["status"] == "ok"
-        ((s, t), expected) = next(iter(baseline.items()))
-        assert served.route(s, t).path == expected
+        # a fault-free pass is clean: no failover, no retry
+        for (s, t), expected in baseline.items():
+            assert served.route(s, t).path == expected
+        health = served.health()
+        assert health["status"] == "ok"
+        assert health["failovers"] == 0 and health["retries"] == 0
         served.scheme.store.close()
 
         # corrupt a copy, reload: still serves, reports degraded

@@ -28,6 +28,8 @@ from repro.routing.shard_codec import (
     ChecksumError,
     ShardCodecError,
     decode_node_table,
+    decode_node_table_fast,
+    decode_value,
     encode_node_table,
     encode_pack,
     find_pack_entry,
@@ -134,6 +136,83 @@ class TestTruncations:
         pack = packs["tz2"]
         with pytest.raises(ShardCodecError):
             verify_pack(pack + b"\x00garbage")
+
+
+class TestDecodersRaiseOnlyCodecErrors:
+    """Seeded fuzz over the value and payload decoders themselves (no
+    CRC in front): random and mutated bytes either decode or raise
+    :class:`ShardCodecError` — never ``UnicodeDecodeError``,
+    ``TypeError``, ``RecursionError`` or any other bare error."""
+
+    CASES = 3000
+
+    def _corpus(self, packs):
+        """Real payloads of every scheme plus small tagged values."""
+        corpus = [
+            bytes(memoryview(pack)[off:off + length])
+            for pack in packs.values()
+            for _, off, length in list(iter_pack_entries(pack))[:8]
+        ]
+        corpus += [
+            b"\x05\x03abc", bytes.fromhex("08020300060203000501780000"),
+            b"\x06\x02\x04" + bytes(8) + b"\x07\x01\x00",
+        ]
+        return corpus
+
+    def _mutate(self, rng, blob):
+        out = bytearray(blob)
+        for _ in range(rng.randrange(1, 4)):
+            op = rng.randrange(4)
+            pos = rng.randrange(len(out) + 1)
+            if op == 0 and out:  # overwrite a byte (often with a tag)
+                out[min(pos, len(out) - 1)] = rng.choice(
+                    [rng.randrange(256), *range(9), 0xFF, 0xFE, 0x80]
+                )
+            elif op == 1:  # insert tag-ish bytes
+                out[pos:pos] = bytes(
+                    rng.choice([0, 5, 6, 7, 8, 0xFF, 0x80])
+                    for _ in range(rng.randrange(1, 4))
+                )
+            elif op == 2:  # delete a run
+                del out[pos:pos + rng.randrange(1, 4)]
+            else:  # truncate
+                del out[pos:]
+        return bytes(out)
+
+    def _decoders(self):
+        from repro import native
+
+        decoders = [decode_value, decode_node_table]
+        if native.try_kernels() is not None:
+            decoders.append(decode_node_table_fast)
+        return decoders
+
+    def test_random_and_mutated_bytes(self, packs, monkeypatch):
+        from repro.graph import shortest_paths as sp
+
+        monkeypatch.setenv("REPRO_KERNEL", "auto")
+        sp.reset_kernel_choice()
+        rng = random.Random(4242)
+        corpus = self._corpus(packs)
+        decoders = self._decoders()
+        outcomes = {"decoded": 0, "refused": 0}
+        for case in range(self.CASES):
+            if case % 3 == 0:
+                blob = bytes(
+                    rng.randrange(256) for _ in range(rng.randrange(1, 40))
+                )
+                if rng.random() < 0.5:
+                    blob = b"RT\x01" + blob
+            else:
+                blob = self._mutate(rng, rng.choice(corpus))
+            for decode in decoders:
+                try:
+                    decode(blob)
+                    outcomes["decoded"] += 1
+                except ShardCodecError:
+                    outcomes["refused"] += 1
+        # the corpus reaches both outcomes
+        assert min(outcomes.values()) > 100, outcomes
 
 
 class TestStoreRefusesCorruptBytes:

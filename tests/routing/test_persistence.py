@@ -72,6 +72,7 @@ class TestSchemeRoundTrip:
 
     def test_state_survives_packs(self, scheme, records):
         assert [r.owner for r in records] == list(range(60))
+        assert records == scheme.compile_tables()  # exactly what was written
         for v, record in enumerate(records):
             assert record.label == scheme.label_of(v)
             assert (

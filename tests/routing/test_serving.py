@@ -581,6 +581,13 @@ def test_packed_close_releases_maps(served_packed):
     store = ShardStore(served_packed["tz2"])
     store.node(0)
     assert store.groups_mapped == 1
+    # the cold start reads one payload, nothing else
+    pack = Path(served_packed["tz2"], "groups", "0000.pack").read_bytes()
+    payload_len = next(
+        length for v, _, length in iter_pack_entries(pack) if v == 0
+    )
+    assert store.loads == 1
+    assert store.bytes_read == payload_len
     store.close()
     assert store.groups_mapped == 0
 

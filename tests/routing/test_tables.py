@@ -23,6 +23,7 @@ from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.routing.model import words_of
 from repro.routing.shard_codec import (
     CODEC_VERSION,
+    MAX_VALUE_DEPTH,
     ShardCodecError,
     decode_node_table,
     _encode_record,
@@ -351,6 +352,41 @@ class TestValueCodec:
     def test_rejects_unknown_types(self):
         with pytest.raises(ShardCodecError, match="cannot encode"):
             encode_value({1, 2})
+
+    @pytest.mark.parametrize("blob, match", [
+        (b"\x05\x02\xff\xfe", "not valid UTF-8"),
+        (bytes.fromhex("0801070000"), "dict key of type list"),
+        (bytes.fromhex("08010800000000"), "dict key of type dict"),
+        (b"\x06\x01" * 1000 + b"\x00", "deeper than 200"),
+        (b"\x08\x01\x00" * 1000 + b"\x00", "deeper than 200"),
+    ], ids=["utf8", "list-key", "dict-key", "deep-tuple", "deep-dict"])
+    def test_hostile_bytes_raise_codec_errors(self, blob, match):
+        with pytest.raises(ShardCodecError, match=match):
+            decode_value(blob)
+
+    def test_depth_cap_is_one_bound_for_both_directions(self):
+        def nested(depth):
+            value = 0
+            for _ in range(depth):
+                value = (value,)
+            return value
+
+        at_cap = nested(MAX_VALUE_DEPTH)
+        assert decode_value(encode_value(at_cap)) == at_cap
+        assert encode_value(at_cap) == b"\x06\x01" * MAX_VALUE_DEPTH + (
+            b"\x03\x00"
+        )
+        with pytest.raises(ShardCodecError, match="deeper than 200"):
+            encode_value(nested(MAX_VALUE_DEPTH + 1))
+        with pytest.raises(ShardCodecError, match="deeper than 200"):
+            decode_value(b"\x06\x01" + encode_value(at_cap))
+        with pytest.raises(ShardCodecError, match="deeper than 200"):
+            encode_value(nested(1000))  # not a RecursionError
+        deep_dict = {}
+        for _ in range(MAX_VALUE_DEPTH + 1):
+            deep_dict = {0: deep_dict}
+        with pytest.raises(ShardCodecError, match="deeper than 200"):
+            encode_value(deep_dict)
 
 
 def test_compile_tables_standalone_matches_method(sessions):

@@ -105,6 +105,8 @@ def run_point(n: int, workers: int) -> dict:
     pb, pv, pr = csr.all_balls(ell, tol=0.0, with_radii=True, as_arrays=True)
     parallel_s = time.perf_counter() - t0
     _set_parallel("off")
+    # below the work floor the "parallel" leg ran serially
+    pooled = csr._parallel is not None
 
     assert np.array_equal(pb, sb), f"bounds diverge at n={n}"
     assert np.array_equal(pv, sv), f"ball vertices diverge at n={n}"
@@ -119,6 +121,7 @@ def run_point(n: int, workers: int) -> dict:
         "speedup": (
             round(serial_s / parallel_s, 2) if parallel_s > 0 else None
         ),
+        "pooled": pooled,
         "bit_identical": True,
     }
 
@@ -199,8 +202,17 @@ def run_curve(sizes) -> dict:
     stamp = host_stamp()
     workers = _workers()
     curve = []
-    for n in sizes:
-        curve.append(run_point(n, workers))
+    # Smoke sizes sit far below the pool's work floor: lower it so the
+    # smoke still checks the pool's output against the serial sweep.
+    floor = parallel._MIN_PARALLEL_WORK
+    if SMOKE:
+        parallel._MIN_PARALLEL_WORK = 0
+    try:
+        for n in sizes:
+            curve.append(run_point(n, workers))
+    finally:
+        parallel._MIN_PARALLEL_WORK = floor
+    assert all(r["pooled"] for r in curve) or not SMOKE, curve
     out = {
         **stamp,
         "workers": workers,
@@ -241,7 +253,8 @@ def _report_lines(out: dict) -> list:
         lines.append(
             f"all_balls weighted n={r['n']} m={r['m']} ell={r['ell']}: "
             f"serial {r['serial_s']:.2f}s -> parallel "
-            f"{r['parallel_s']:.2f}s ({r['speedup']}x, bit-identical)"
+            f"{r['parallel_s']:.2f}s ({r['speedup']}x, bit-identical"
+            f"{'' if r['pooled'] else ', below the pool floor: serial'})"
         )
     if "huge" in out:
         h = out["huge"]

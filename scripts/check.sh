@@ -59,7 +59,7 @@ REPRO_KERNEL=pure python -m pytest -q tests/graph/test_metric.py \
 # (under auto, hosts with a compiler only ever run the C column)
 echo "== pytest (REPRO_KERNEL=numpy) =="
 REPRO_KERNEL=numpy python -m pytest -q tests/graph/test_metric.py \
-    tests/schemes || fail=1
+    tests/routing/test_ball_routing.py tests/core tests/schemes || fail=1
 
 # -- parallel smoke: pool on, bit-identity asserted at every point -----
 echo "== bench_parallel (smoke, REPRO_PARALLEL=2) =="

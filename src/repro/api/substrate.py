@@ -197,7 +197,13 @@ class Substrate:
         return self._families.get(family.ell) is family
 
     def ball_tables(self, ell: int) -> BallRoutingTables:
-        """Lemma 2 first-edge ports for the ``ell``-ball family."""
+        """Lemma 2 first-edge ports for the ``ell``-ball family.
+
+        Built unfilled: a scheme fills them inside its own target sweep
+        (:meth:`BallRoutingTables.fill_target`), and every reader
+        finishes them first, so a memoized handle is never read half
+        filled.
+        """
         ell = max(1, min(int(ell), self.graph.n))
         tables = self._ball_tables.get(ell)
         if tables is None:

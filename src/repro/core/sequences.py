@@ -90,6 +90,8 @@ def build_lemma7_sequence(
     u: int,
     v: int,
     b: int,
+    *,
+    d_uv: Optional[float] = None,
 ) -> Lemma7Sequence:
     """Compute the Lemma 7 waypoint sequence from ``u`` to ``v``.
 
@@ -102,6 +104,9 @@ def build_lemma7_sequence(
     b:
         The paper's ``b = ceil(2 / eps)``; the progress threshold is
         ``s = d(u, v) / b``.
+    d_uv:
+        ``d(u, v)`` when the caller already holds it (``metric.d(u, v)``
+        otherwise).
     """
     if u == v:
         raise ValueError("no sequence for a vertex to itself")
@@ -110,7 +115,7 @@ def build_lemma7_sequence(
     hitting_set = (
         hitting if isinstance(hitting, (set, frozenset)) else set(hitting)
     )
-    s = metric.d(u, v) / b
+    s = (metric.d(u, v) if d_uv is None else d_uv) / b
     waypoints: List[int] = []
     x = u
 
@@ -128,7 +133,9 @@ def build_lemma7_sequence(
             push(y)
             push(v)
             return Lemma7Sequence(tuple(waypoints), hub=None)
-        if metric.d(x, z) < s:
+        # z lies outside B(x), so d(x, z) >= r(x): s <= r(x) settles the
+        # test without reading x's distance row (as in Lemma 8 below).
+        if s > family.radius(x) and metric.d(x, z) < s:
             hub = next(
                 (h for h in family.ball(x) if h in hitting_set), None
             )
@@ -174,7 +181,10 @@ def _lemma8_subsequence(
             push(y)
             push(w)
             return "w", w
-        if metric.d(xi, z) < s:
+        # z lies outside B(xi), a (dist, id) prefix, so d(xi, z) is at
+        # least the ball's radius: s <= r(xi) settles the test without
+        # reading xi's distance row.
+        if s > family.radius(xi) and metric.d(xi, z) < s:
             relay = relay_pool(xi)
             if relay is None:
                 raise RuntimeError(
@@ -234,9 +244,9 @@ def build_lemma8_sequence(
         return Lemma8Sequence(tuple(waypoints), to_relay=False)
 
     # Subsequence cap: path lengths are below n * max-distance, thresholds
-    # double, so log2(n * D) + slack rounds always suffice.  diameter() is
-    # cached by the metric — this runs once per (source, target) pair.
-    diameter = max(metric.diameter(), lam)
+    # double, so log2(n * D) + slack rounds always suffice.  Only a cap,
+    # so any upper bound on D serves: the O(m) weight sum, not a scan.
+    diameter = max(metric.diameter_bound(), lam)
     max_rounds = int(math.log2(max(2.0, metric.n * diameter / lam))) + 4
     x = u2
     s = 2.0 * lam / b

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..graph.metric import MetricView
 from ..graph.trees import RootedTree
 from ..routing.model import SizedTable
@@ -167,24 +169,48 @@ class Technique1:
             missing = self._class_of.index(-1)
             raise ValueError(f"partition does not cover vertex {missing}")
 
-        # sequences[u][v] = (waypoints, tree_label_or_None)
+        # sequences[u][v] = (waypoints, tree_label_or_None).  The keys go
+        # in first, in (class, u, v) order, so no dict's insertion order
+        # depends on the order the pairs are built in.
         self._sequences: List[Dict[int, Tuple[Tuple[int, ...], Optional[tuple]]]] = [
             {} for _ in range(metric.n)
         ]
         for cls in partition:
             for u in cls:
                 for v in cls:
-                    if u == v:
-                        continue
-                    seq = build_lemma7_sequence(
-                        metric, family, self._hitting_set, u, v, self.b
-                    )
-                    tlabel = (
-                        self._trees[seq.hub].label_of(v)
-                        if seq.hub is not None
-                        else None
-                    )
-                    self._sequences[u][v] = (seq.waypoints, tlabel)
+                    if u != v:
+                        self._sequences[u][v] = ((), None)
+        for cls in partition:
+            if len(cls) > 1:
+                self._build_class(cls)
+
+    def _build_class(self, cls: Sequence[int]) -> None:
+        """Every Lemma 7 sequence between two members of ``cls``.
+
+        One batched row sweep over the class gathers ``d(u, v)`` for
+        every pair; a second, target-major one builds the sequences
+        toward each ``v`` while its hop column is in hand (a cache hit
+        when the class fits the metric's row cache).
+        """
+        metric = self.metric
+        members = np.asarray(cls, dtype=np.int64)
+        dist = np.empty((len(cls), len(cls)))
+        for i, (_, row, _) in enumerate(metric.target_sweep(cls)):
+            dist[i] = row[members]
+        for j, (v, _, _) in enumerate(metric.target_sweep(cls)):
+            for u, d_uv in zip(cls, dist[:, j].tolist()):
+                if u == v:
+                    continue
+                seq = build_lemma7_sequence(
+                    metric, self.family, self._hitting_set, u, v, self.b,
+                    d_uv=d_uv,
+                )
+                tlabel = (
+                    self._trees[seq.hub].label_of(v)
+                    if seq.hub is not None
+                    else None
+                )
+                self._sequences[u][v] = (seq.waypoints, tlabel)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -20,6 +20,7 @@ installs its category into caller-owned tables and exposes local
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,6 +59,11 @@ class Technique2:
         Verify that every class intersects every ball (the Lemma 6
         precondition).  Disable only when the caller already guarantees it.
 
+    The sequences toward each target are built by :meth:`walk_target`,
+    which a caller sweeping targets (:meth:`MetricView.target_sweep`)
+    calls while the target is in hand; :meth:`install` first walks
+    toward whatever targets are left, in one sweep of its own.
+
     The class-level defaults below back the step-only shells built by
     :meth:`stepper` (see :class:`~repro.core.technique1.Technique1`).
     """
@@ -71,6 +77,7 @@ class Technique2:
     _target_class_of: Optional[Dict[int, int]] = None
     _relay_cache: Optional[Dict[Tuple[int, int], Optional[int]]] = None
     _sequences: Sequence[dict] = ()
+    _pending: Optional[Dict[int, int]] = None
 
     def __init__(
         self,
@@ -123,29 +130,39 @@ class Technique2:
         # (Computed lazily per class while building sequences.)
         self._relay_cache: Dict[Tuple[int, int], Optional[int]] = {}
 
-        # sequences[u][w] = waypoints tuple
+        # sequences[u][w] = waypoints tuple.  The keys go in first, in
+        # (class, w_cls, u_cls) order, so no dict's insertion order
+        # depends on the order the targets are walked in.
         self._sequences: List[Dict[int, Tuple[int, ...]]] = [
             {} for _ in range(metric.n)
         ]
-        # Target-major: every walk toward w reads w's one hop column, and
-        # each u's dict still receives its targets in w_cls order.
-        for i, (u_cls, w_cls) in enumerate(
-            zip(source_partition, target_partition)
-        ):
+        self._sources: List[Sequence[int]] = list(source_partition)
+        for u_cls, w_cls in zip(source_partition, target_partition):
             for w in w_cls:
                 for u in u_cls:
-                    if u == w:
-                        continue
-                    seq = build_lemma8_sequence(
-                        metric,
-                        family,
-                        lambda x, i=i: self._relay_in_ball(i, x),
-                        u,
-                        w,
-                        self.b,
-                        self.lam,
-                    )
-                    self._sequences[u][w] = seq.waypoints
+                    if u != w:
+                        self._sequences[u][w] = ()
+        #: targets whose walks are still to run, by class index
+        self._pending: Dict[int, int] = dict(self._target_class_of)
+
+    def walk_target(self, w: int) -> None:
+        """Build every sequence toward ``w`` (no-op for a non-target or
+        one already walked); all of them read ``w``'s one hop column."""
+        i = self._pending.pop(w, None)
+        if i is None:
+            return
+        relay = functools.partial(self._relay_in_ball, i)
+        for u in self._sources[i]:
+            if u != w:
+                self._sequences[u][w] = build_lemma8_sequence(
+                    self.metric, self.family, relay, u, w, self.b, self.lam
+                ).waypoints
+
+    def finish(self) -> None:
+        """Walk toward the targets no caller's sweep has handed in yet."""
+        if self._pending:
+            for w, _, _ in self.metric.target_sweep(sorted(self._pending)):
+                self.walk_target(w)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -199,6 +216,7 @@ class Technique2:
 
     def install(self, table: SizedTable) -> None:
         """Install this vertex's Lemma 8 sequences into its sized table."""
+        self.finish()
         for w, waypoints in self._sequences[table.owner].items():
             table.put(self.cat_seq, w, waypoints)
 

@@ -134,6 +134,10 @@ class Graph:
     def add_or_update_edge(self, u: int, v: int, weight: float = 1.0) -> None:
         """Add edge ``{u, v}`` or update its weight if already present."""
         if self.has_edge(u, v):
+            if weight <= 0:
+                raise GraphError(
+                    f"edge ({u},{v}) must have positive weight, got {weight}"
+                )
             self._adj[u][v] = float(weight)
             self._adj[v][u] = float(weight)
             self._version += 1

@@ -19,7 +19,13 @@ quadratic beyond).  :class:`MetricView` now has two modes:
   through the CSR kernel (:mod:`repro.graph.csr`, scipy rows when scipy
   imports) or the pure dispatch, and LRU-cached.  Peak memory is
   ``O(cache_rows * n)`` instead of ``O(n^2)``, matching the preprocessing
-  access pattern (landmark columns, row blocks).
+  access pattern (landmark columns, row blocks, one target sweep).  A
+  scheme build reads each vertex's row about once: its per-target work
+  runs inside :meth:`MetricView.target_sweep`, and the global scalars
+  the paper's structures need are ``O(m)`` edge facts, not scans
+  (:meth:`MetricView.tight_min_weight`,
+  :meth:`MetricView.min_pairwise_distance`,
+  :meth:`MetricView.diameter_bound`).
 
 scipy is used exactly when it imports (the one probe is
 :data:`repro.graph.csr._HAVE_SCIPY`), in both modes and under every
@@ -45,9 +51,16 @@ alone in one ``O(n + m)`` pass over the CSR arrays
 loads) — the graph is undirected, so ``row(v)[x]`` stands in for
 ``d(x, v)`` and one distance row serves every source (see the exception
 under "Canonical row orientation" below).  Dense mode keeps every
-column, lazy mode an LRU of ``cache_rows`` of them; callers that fill
-many hops (ball ports, Lemma 8 walks) go target by target so each column
-is built once.
+column, lazy mode an LRU of ``cache_rows`` of them.
+
+:meth:`MetricView.target_sweep` visits the targets in order and yields
+each one's row and hop column; in lazy mode it computes the rows in
+chunks of ``cache_rows``, one batched kernel call per chunk.  Builds do
+every per-target job while the target is in hand — the ball ports of
+its holders, the cluster tree rooted at it, label first edges and the
+Lemma 8 walks toward it (thm11), the intersection and colour entries
+that read its row (thm10) — so each row and each column is computed
+once, not once per consumer.
 
 Canonical row orientation
 -------------------------
@@ -122,7 +135,8 @@ class MetricView:
     dense_threshold:
         The ``auto`` cut-over size.
     cache_rows:
-        Lazy-mode LRU capacity per kind of row (distance row, hop column);
+        Lazy-mode LRU capacity per kind of row (distance row, hop column),
+        and the chunk size of :meth:`target_sweep`'s batched row calls;
         defaults to ``max(32, 4 sqrt(n))``, so ``O(sqrt(n) * n)`` memory.
     """
 
@@ -156,7 +170,7 @@ class MetricView:
             else max(32, 4 * int(math.isqrt(max(1, g.n))))
         )
         self._diameter: Optional[float] = None
-        self._stats: Optional[Tuple[bool, float, float]] = None
+        self._diameter_bound: Optional[float] = None
         #: hop columns by target; an LRU only in lazy mode (hop_column)
         self._hop_cols: "OrderedDict[int, np.ndarray]" = OrderedDict()
         #: batched SPT predecessor rows staged by prefetch_spt_parents,
@@ -433,36 +447,6 @@ class MetricView:
     # ------------------------------------------------------------------
     # Global scalar facts
     # ------------------------------------------------------------------
-    def _scan_stats(self) -> Tuple[bool, float, float]:
-        """``(all_finite, max_finite, min_finite_offdiag)`` over all pairs.
-
-        One blockwise pass in lazy mode (cached); direct reads when dense.
-        """
-        if self._stats is None:
-            all_finite = True
-            dmax = 0.0
-            dmin = _INF
-            any_finite = False
-            for start, block in self.iter_row_blocks():
-                finite_mask = np.isfinite(block)
-                if not finite_mask.all():
-                    all_finite = False
-                finite = block[finite_mask]
-                if finite.size:
-                    any_finite = True
-                    dmax = max(dmax, float(finite.max()))
-                    # Exclude the diagonal zeros from the minimum.
-                    rows_idx, cols_idx = np.nonzero(finite_mask)
-                    offdiag = block[finite_mask][
-                        (rows_idx + start) != cols_idx
-                    ]
-                    if offdiag.size:
-                        dmin = min(dmin, float(offdiag.min()))
-            if not any_finite:
-                dmax = 0.0
-            self._stats = (all_finite, dmax, dmin)
-        return self._stats
-
     def is_connected(self) -> bool:
         """True when every pairwise distance is finite."""
         if self._dist is not None:
@@ -475,14 +459,31 @@ class MetricView:
         return bool(np.isfinite(self.row(0)).all())
 
     def diameter(self) -> float:
-        """Maximum finite pairwise distance (cached — hot in Lemma 8)."""
+        """Maximum finite pairwise distance (cached).
+
+        Dense mode reads the matrix; lazy mode makes one blockwise pass
+        over every row — the one full scan left, behind
+        :meth:`normalized_diameter`.  Callers that only need a cap use
+        :meth:`diameter_bound`.
+        """
         if self._diameter is None:
-            if self._dist is not None:
-                finite = self._dist[np.isfinite(self._dist)]
-                self._diameter = float(finite.max()) if finite.size else 0.0
-            else:
-                self._diameter = self._scan_stats()[1]
+            dmax = 0.0
+            for _, block in self.iter_row_blocks():
+                finite = block[np.isfinite(block)]
+                if finite.size:
+                    dmax = max(dmax, float(finite.max()))
+            self._diameter = dmax
         return self._diameter
+
+    def diameter_bound(self) -> float:
+        """An ``O(m)`` upper bound on :meth:`diameter`: the weight sum.
+
+        A shortest path is simple, so it uses each edge at most once.
+        """
+        if self._diameter_bound is None:
+            weights = csr.csr_graph(self.graph).weights
+            self._diameter_bound = float(weights.sum()) / 2.0
+        return self._diameter_bound
 
     def normalized_diameter(self) -> float:
         """The paper's ``D = max d(u,v) / min_{u != v} d(u,v)``."""
@@ -497,15 +498,18 @@ class MetricView:
         return dmax / dmin
 
     def min_pairwise_distance(self) -> float:
-        """``min_{u != v} d(u, v)`` (the paper's ``omega_min`` analogue)."""
-        if self.n < 2:
+        """``min_{u != v} d(u, v)`` (the paper's ``omega_min`` analogue).
+
+        The minimum edge weight, ``O(m)`` — by the lightest-edge argument
+        of :meth:`tight_min_weight`, and no path of two or more edges is
+        shorter.  ``1.0`` when no two vertices are connected.
+        """
+        if self.n < 2 or self.graph.m == 0:
             return 1.0
-        if self._dist is not None:
-            off_diag = self._dist[~np.eye(self.n, dtype=bool)]
-            finite = off_diag[np.isfinite(off_diag)]
-            return float(finite.min()) if finite.size else 1.0
-        dmin = self._scan_stats()[2]
-        return dmin if math.isfinite(dmin) else 1.0
+        return self._min_edge_weight()
+
+    def _min_edge_weight(self) -> float:
+        return float(csr.csr_graph(self.graph).weights.min())
 
     # ------------------------------------------------------------------
     # Shortest-path structure
@@ -514,47 +518,22 @@ class MetricView:
         """Whether ``x`` lies on some shortest ``u``–``v`` path."""
         return abs(self.d(u, x) + self.d(x, v) - self.d(u, v)) <= self.tol
 
-    def is_tight_edge(self, u: int, v: int) -> bool:
-        """Whether edge ``{u, v}`` realizes the distance between u and v."""
-        return abs(self.graph.weight(u, v) - self.d(u, v)) <= self.tol
-
     def tight_min_weight(self) -> float:
         """Minimum weight among edges lying on shortest paths.
 
         This is the paper's ``omega_min`` from Lemma 8: edges with
         ``w(u,v) > d(u,v)`` never appear on shortest paths and are ignored.
-        With the CSR kernel available the scan is vectorized per distance
-        row block; the scalar edge loop remains as the fallback.
+        It is simply the minimum edge weight, read in ``O(m)`` without a
+        distance row.  Weights are positive, so the lightest edge
+        ``{u, v}`` is tight: any other ``u``–``v`` path has at least two
+        edges, each at least as heavy, so it is at least twice as long.
+        That holds in float64 too — a sum of positive doubles never rounds
+        below its largest term, and ``2 w`` is representable — so the
+        row value ``d(u, v)`` is exactly ``w(u, v)`` in every mode.
         """
-        kernel = self._kernel()
-        if kernel is not None and self.graph.m > 0:
-            tol = self.tol
-            best = _INF
-            indptr, indices, weights = (
-                kernel.indptr,
-                kernel.indices,
-                kernel.weights,
-            )
-            for start, block in self.iter_row_blocks():
-                for i in range(block.shape[0]):
-                    u = start + i
-                    lo, hi = indptr[u], indptr[u + 1]
-                    if lo == hi:
-                        continue
-                    w_u = weights[lo:hi]
-                    d_u = block[i, indices[lo:hi]]
-                    tight = np.abs(w_u - d_u) <= tol
-                    if tight.any():
-                        best = min(best, float(w_u[tight].min()))
-            if best is _INF or not math.isfinite(best):
-                raise ValueError("graph has no shortest-path edges")
-            return best
-        weights = [
-            w for u, v, w in self.graph.edges() if self.is_tight_edge(u, v)
-        ]
-        if not weights:
+        if self.graph.m == 0:
             raise ValueError("graph has no shortest-path edges")
-        return min(weights)
+        return self._min_edge_weight()
 
     def hop_column(self, v: int) -> np.ndarray:
         """First hops toward ``v`` from every vertex (int32, length ``n``).
@@ -572,12 +551,75 @@ class MetricView:
             if self._dist is None:
                 self._hop_cols.move_to_end(v)
             return col
-        row = self.row(v)
+        return self._hop_column_from(v, self.row(v))
+
+    def _hop_column_from(self, v: int, row: np.ndarray) -> np.ndarray:
+        """Build, cache and return ``v``'s hop column from ``row(v)``."""
         col = csr.csr_graph(self.graph).hop_column(row, v, self.tol)
         self._hop_cols[v] = col
         if self._dist is None and len(self._hop_cols) > self._cache_rows:
             self._hop_cols.popitem(last=False)
         return col
+
+    def target_sweep(
+        self, targets: Optional[Sequence[int]] = None
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        """Visit ``targets`` (default: every vertex) in order, one row each.
+
+        Yields ``(v, row(v), hop_column(v))``.  Lazy mode computes the
+        rows in chunks of at most ``cache_rows`` targets, one batched
+        kernel call per chunk for the rows not already cached, and leaves
+        the current target's row and column the most recent entries of
+        their LRUs.  So while
+        the caller holds ``v``, every per-target read — :meth:`row`,
+        :meth:`d` from ``v``'s side, :meth:`next_hop` toward ``v``,
+        :meth:`restricted_spt_parents` rooted at ``v`` — is a cache hit:
+        a build that does all its per-target work inside one sweep
+        computes each row once.  Dense mode reads the matrix rows.
+        """
+        order: Sequence[int] = range(self.n)
+        if targets is not None:
+            order = [int(v) for v in targets]
+            for v in order:
+                if not 0 <= v < self.n:
+                    raise GraphError(
+                        f"vertex {v} out of range [0, {self.n})"
+                    )
+        _ = self.tol  # fix the tolerance scale before the first chunk
+        dense = self._dist
+        step = self._cache_rows if dense is None else max(1, len(order))
+        for start in range(0, len(order), step):
+            chunk = order[start : start + step]
+            rows = dense if dense is not None else self._chunk_rows(chunk)
+            for v in chunk:
+                row = rows[v]
+                col = self._hop_cols.get(v)
+                if col is None:
+                    col = self._hop_column_from(v, row)
+                elif dense is None:
+                    self._hop_cols.move_to_end(v)
+                self.row_cache_put(v, row)
+                yield v, row, col
+
+    def _chunk_rows(self, chunk: Sequence[int]) -> Dict[int, np.ndarray]:
+        """Rows of ``chunk`` (at most ``cache_rows`` ids), all in the LRU.
+
+        Cached rows are touched first, so inserting the missing ones
+        (computed in one call) cannot evict any row of the chunk.
+        """
+        held: Dict[int, np.ndarray] = {}
+        missing = []
+        for v in dict.fromkeys(chunk):
+            cached = self._row_cache.get(v)
+            if cached is None:
+                missing.append(v)
+            else:
+                self._row_cache.move_to_end(v)
+                held[v] = cached
+        for v, row in zip(missing, self._compute_rows(missing)):
+            held[v] = row
+            self.row_cache_put(v, row)
+        return held
 
     def next_hop(self, u: int, v: int) -> int:
         """First vertex after ``u`` on a shortest ``u``–``v`` path.

@@ -15,7 +15,10 @@ ball member: key + port).
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Optional
+
+import numpy as np
 
 from ..graph.metric import MetricView
 from ..structures.balls import BallFamily
@@ -26,7 +29,17 @@ __all__ = ["BallRoutingTables", "BallRoutingScheme"]
 
 
 class BallRoutingTables:
-    """First-edge ports for every ball of a :class:`BallFamily`."""
+    """First-edge ports for every ball of a :class:`BallFamily`.
+
+    The ports live in one flat array, ball by ball in ball order (each
+    owner left out).  The ports toward ``v`` of all its holders
+    ``{u : v in B(u)}`` come from ``v``'s one hop column, as one
+    vectorized port lookup (:meth:`PortAssignment.ports_to`) scattered
+    into that array.  A scheme running its own target sweep
+    (:meth:`MetricView.target_sweep`) hands each column to
+    :meth:`fill_target`; the first read fills whatever targets are
+    left in one sweep of its own (:meth:`finish`).
+    """
 
     def __init__(
         self,
@@ -35,32 +48,73 @@ class BallRoutingTables:
         ports: PortAssignment,
     ) -> None:
         self.family = family
-        # Keys go in ball order first; the ports are then filled target by
-        # target, so each target's hop column is built once (one distance
-        # row) and no dict's insertion order depends on the fill order.
-        self._port: list[Dict[int, int]] = []
-        holders: list[list[int]] = [[] for _ in range(metric.n)]
-        for u in range(metric.n):
-            entry: Dict[int, int] = {}
-            for v in family.ball(u):
-                if v != u:
-                    entry[v] = -1
-                    holders[v].append(u)
-            self._port.append(entry)
-        for v, sources in enumerate(holders):
-            for u in sources:
-                self._port[u][v] = ports.port_to(u, metric.next_hop(u, v))
+        self._metric = metric
+        self._ports = ports
+        n = metric.n
+        balls = family.balls()
+        sizes = np.fromiter(map(len, balls), dtype=np.int64, count=n)
+        members = np.fromiter(
+            itertools.chain.from_iterable(balls), dtype=np.int32,
+            count=int(sizes.sum()),
+        )
+        owners = np.repeat(np.arange(n, dtype=np.int32), sizes)
+        keep = members != owners
+        self._members = members[keep]
+        self._owners = owners[keep]
+        self._bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(self._owners, minlength=n), out=self._bounds[1:]
+        )
+        # Slots grouped by target: the holders of v are _by_target[a:b]
+        # with a, b = _target_bounds[v], _target_bounds[v + 1].
+        self._by_target = np.argsort(self._members, kind="stable")
+        self._target_bounds = np.searchsorted(
+            self._members[self._by_target], np.arange(n + 1)
+        )
+        self._port = np.full(self._members.size, -1, dtype=np.int32)
+        #: targets whose holders still wait for their ports
+        self._pending = np.diff(self._target_bounds) > 0
+        self._left = int(self._pending.sum())
+
+    def fill_target(self, v: int, col: np.ndarray) -> None:
+        """Fill every holder's port toward ``v`` from ``hop_column(v)``."""
+        if not self._pending[v]:
+            return
+        slots = self._by_target[
+            self._target_bounds[v] : self._target_bounds[v + 1]
+        ]
+        sources = self._owners[slots]
+        hops = col[sources]
+        if (hops < 0).any():
+            # next_hop raises the metric's own diagnostic for this pair
+            self._metric.next_hop(int(sources[np.argmin(hops)]), v)
+        self._port[slots] = self._ports.ports_to(sources, hops)
+        self._pending[v] = False
+        self._left -= 1
+
+    def finish(self) -> None:
+        """Fill the targets no caller's sweep has handed in yet."""
+        if self._left:
+            todo = np.flatnonzero(self._pending).tolist()
+            for v, _, col in self._metric.target_sweep(todo):
+                self.fill_target(v, col)
+
+    def _entries(self, u: int) -> Dict[int, int]:
+        self.finish()
+        lo, hi = self._bounds[u], self._bounds[u + 1]
+        return dict(
+            zip(self._members[lo:hi].tolist(), self._port[lo:hi].tolist())
+        )
 
     def port_for(self, u: int, v: int) -> Optional[int]:
         """Port of ``u``'s first edge toward ``v``; ``None`` if outside ball."""
         if v == u:
             return None
-        return self._port[u].get(v)
+        return self._entries(u).get(v)
 
     def install(self, table: SizedTable, category: str = "ball") -> None:
         """Copy vertex ``table.owner``'s ball ports into its sized table."""
-        for v, port in self._port[table.owner].items():
-            table.put(category, v, port)
+        table.put_many(category, self._entries(table.owner))
 
 
 class BallRoutingScheme(CompactRoutingScheme):

@@ -116,6 +116,10 @@ class SizedTable:
         """Store ``value`` under ``key`` in ``category`` (overwrites)."""
         self._data.setdefault(category, {})[key] = value
 
+    def put_many(self, category: str, entries: Mapping[Any, Any]) -> None:
+        """:meth:`put` every item of ``entries``, in its order."""
+        self._data.setdefault(category, {}).update(entries)
+
     def get(self, category: str, key: Any, default: Any = None) -> Any:
         """Look up ``key`` in ``category``."""
         return self._data.get(category, _NO_ENTRIES).get(key, default)

@@ -19,7 +19,9 @@ provides exactly that operation and nothing more.
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..graph.core import Graph
 
@@ -66,6 +68,7 @@ class PortAssignment:
         self._port_of: List[Dict[int, int]] = [
             {v: p for p, v in enumerate(ports)} for ports in self._ports
         ]
+        self._link_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_order(cls, g: Graph, order: List[List[int]]) -> "PortAssignment":
@@ -94,3 +97,38 @@ class PortAssignment:
             return self._port_of[u][v]
         except KeyError:
             raise ValueError(f"{v} is not a neighbour of {u}") from None
+
+    def ports_to(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """:meth:`port_to` for parallel arrays of links ``us[i] -> vs[i]``.
+
+        One vectorized lookup in a sorted ``u * n + v`` index over every
+        link, built on first use; raises like :meth:`port_to` when some
+        ``vs[i]`` is not a neighbour of ``us[i]``.
+        """
+        n = self.graph.n
+        if self._link_index is None:
+            degrees = np.fromiter(
+                (len(p) for p in self._ports), dtype=np.int64, count=n
+            )
+            total = int(degrees.sum())
+            heads = np.fromiter(
+                (v for p in self._ports for v in p), dtype=np.int64,
+                count=total,
+            )
+            tails = np.repeat(np.arange(n, dtype=np.int64), degrees)
+            starts = np.repeat(np.cumsum(degrees) - degrees, degrees)
+            keys = tails * n + heads
+            order = np.argsort(keys)
+            port = np.arange(total, dtype=np.int64) - starts
+            self._link_index = (keys[order], port[order])
+        keys, port = self._link_index
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        want = us * n + vs
+        pos = np.searchsorted(keys, want)
+        found = (vs >= 0) & (vs < n) & (pos < keys.size)
+        found[found] = keys[pos[found]] == want[found]
+        if not found.all():
+            i = int(np.argmin(found))
+            raise ValueError(f"{vs[i]} is not a neighbour of {us[i]}")
+        return port[pos]

@@ -132,12 +132,22 @@ class SchemeBase(CompactRoutingScheme):
             return self._substrate.ball_family(ell)
         return BallFamily(self.metric, ell)
 
-    def _install_ball_ports(self, family: BallFamily) -> BallRoutingTables:
-        """Install Lemma 2 first-edge ports (category ``"ball"``)."""
+    def _ball_port_tables(self, family: BallFamily) -> BallRoutingTables:
+        """Lemma 2 first-edge ports of ``family`` (memoized per graph),
+        for a target sweep to fill (:meth:`BallRoutingTables.fill_target`)
+        or the first read to finish."""
         if self._substrate_applies() and self._substrate.owns_family(family):
-            tables = self._substrate.ball_tables(family.ell)
-        else:
-            tables = BallRoutingTables(self.metric, family, self.ports)
+            return self._substrate.ball_tables(family.ell)
+        return BallRoutingTables(self.metric, family, self.ports)
+
+    def _install_ball_ports(
+        self,
+        family: BallFamily,
+        tables: Optional[BallRoutingTables] = None,
+    ) -> BallRoutingTables:
+        """Install Lemma 2 first-edge ports (category ``"ball"``)."""
+        if tables is None:
+            tables = self._ball_port_tables(family)
         for table in self._tables:
             tables.install(table)
         return tables

@@ -34,7 +34,7 @@ The label of ``v`` is ``(v, c(v), p_A(v), d(v, p_A(v)), tree-label)``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.technique1 import Technique1
 from ..graph.core import Graph
@@ -81,23 +81,50 @@ class Stretch2Plus1Scheme(SchemeBase):
         self.q = q if q is not None else max(1, round(n ** (1.0 / 3.0)))
 
         self.family = self._build_balls(self.q, alpha)
-        self._install_ball_ports(self.family)
+        ball_ports = self._ball_port_tables(self.family)
 
         # Lemma 4: |C_A(w)| <= 4 n / s with s = n/q  ->  clusters O(q^1·...)
         self.landmarks = self._sample_landmarks(n / self.q, seed)
         if not self.landmarks:
             self.landmarks = [0]
         self.bunches = self._bunch_structure(self.landmarks)
+        # eps-independent, memoized on the substrate; the sweep's colour
+        # entries read it.
+        self.colors = self._find_coloring(self.family, self.q, seed)
 
+        # One sweep over the distance rows.  With u's row and hop column
+        # in hand: the ball ports toward u, u's cluster tree, and u's own
+        # intersection and color-representative entries, which both read
+        # d(u, w) for w in B(u).  Installation below keeps the table order.
+        trees: Dict[int, TreeRouting] = {}
+        xsect: List[Dict[int, int]] = []
+        reps: List[Dict[int, tuple]] = []
+        for u, row, col in self.metric.target_sweep():
+            ball_ports.fill_target(u, col)
+            members = self.bunches.cluster(u)
+            if members:
+                trees[u] = self._tree_routing(
+                    u, members, lambda u=u: self.bunches.cluster_tree(u)
+                )
+            ball = self.family.ball(u)
+            d_ball = row[ball].tolist()
+            # Intersection table: best common vertex of B(u, q̃) and B_A(v).
+            best: Dict[int, tuple[float, int]] = {}
+            for w, through in zip(ball, d_ball):
+                for v, d_wv in zip(
+                    self.bunches.cluster(w),
+                    self.bunches.cluster_distances(w),
+                ):
+                    cand = (through + d_wv, w)
+                    if v not in best or cand < best[v]:
+                        best[v] = cand
+            xsect.append({v: w for v, (_, w) in best.items()})
+            reps.append(self._color_reps(u, ball, d_ball))
+
+        self._install_ball_ports(self.family, ball_ports)
         # Cluster trees: records at members, member labels at the owner.
-        for w in graph.vertices():
-            members = self.bunches.cluster(w)
-            if not members:
-                continue
-            tree = self._tree_routing(
-                w, members, lambda w=w: self.bunches.cluster_tree(w)
-            )
-            for v in members:
+        for w, tree in trees.items():
+            for v in self.bunches.cluster(w):
                 self._tables[v].put("ctree", w, tree.record_of(v))
                 self._tables[w].put("clabel", v, tree.label_of(v))
 
@@ -112,26 +139,11 @@ class Stretch2Plus1Scheme(SchemeBase):
             for v in graph.vertices():
                 self._tables[v].put("atree", w, tree.record_of(v))
 
-        # Intersection table: best common vertex of B(u, q̃) and B_A(v).
-        for u in graph.vertices():
-            best: Dict[int, tuple[float, int]] = {}
-            for w in self.family.ball(u):
-                through = self.metric.d(u, w)
-                for v, d_wv in zip(
-                    self.bunches.cluster(w),
-                    self.bunches.cluster_distances(w),
-                ):
-                    cand = (through + d_wv, w)
-                    if v not in best or cand < best[v]:
-                        best[v] = cand
-            table = self._tables[u]
-            for v, (_, w) in best.items():
-                table.put("xsect", v, w)
+        for table, entries in zip(self._tables, xsect):
+            table.put_many("xsect", entries)
 
-        # Coloring and Technique 1 over the color classes.  The coloring,
-        # the hitting set and the global hub trees are eps-independent,
-        # memoized on the substrate.
-        self.colors = self._find_coloring(self.family, self.q, seed)
+        # Technique 1 over the color classes.  The hitting set and the
+        # global hub trees are eps-independent, memoized on the substrate.
         classes = color_classes(self.colors, self.q)
         self.technique = Technique1(
             self.metric, self.family, self.ports, classes, eps / 2.0,
@@ -144,20 +156,8 @@ class Stretch2Plus1Scheme(SchemeBase):
             self.technique.install(table)
 
         # Per-color ball representative with its distance.
-        for u in graph.vertices():
-            table = self._tables[u]
-            needed = set(range(self.q))
-            for w in self.family.ball(u):
-                c = self.colors[w]
-                if c in needed:
-                    table.put(
-                        "colorrep", c, (w, int(round(self.metric.d(u, w))))
-                    )
-                    needed.discard(c)
-            if needed:
-                raise RuntimeError(
-                    f"B({u}) misses colors {sorted(needed)} despite Lemma 6"
-                )
+        for table, entries in zip(self._tables, reps):
+            table.put_many("colorrep", entries)
 
         for v in graph.vertices():
             p = self.bunches.pivot(v)
@@ -168,6 +168,24 @@ class Stretch2Plus1Scheme(SchemeBase):
                 int(round(self.bunches.distance_to_landmarks(v))),
                 self._landmark_trees[p].label_of(v),
             )
+
+    def _color_reps(
+        self, u: int, ball: List[int], d_ball: List[float]
+    ) -> Dict[int, tuple]:
+        """``color -> (w, d(u, w))`` for the first ``w`` of each color in
+        ``B(u)``, in ball order (``d_ball`` lists ``d(u, w)``)."""
+        reps: Dict[int, tuple] = {}
+        needed = set(range(self.q))
+        for w, d_uw in zip(ball, d_ball):
+            c = self.colors[w]
+            if c in needed:
+                reps[c] = (w, int(round(d_uw)))
+                needed.discard(c)
+        if needed:
+            raise RuntimeError(
+                f"B({u}) misses colors {sorted(needed)} despite Lemma 6"
+            )
+        return reps
 
     # ------------------------------------------------------------------
     def shard_categories(self) -> frozenset:

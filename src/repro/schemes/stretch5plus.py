@@ -80,23 +80,12 @@ class Stretch5PlusScheme(SchemeBase):
         self.q = q if q is not None else max(1, round(n ** (1.0 / 3.0)))
 
         self.family = self._build_balls(self.q, alpha)
-        self._install_ball_ports(self.family)
+        ball_ports = self._ball_port_tables(self.family)
 
         self.landmarks = self._sample_landmarks(n / self.q, seed)
         if not self.landmarks:
             self.landmarks = [0]
         self.bunches = self._bunch_structure(self.landmarks)
-
-        for w in graph.vertices():
-            members = self.bunches.cluster(w)
-            if not members:
-                continue
-            tree = self._tree_routing(
-                w, members, lambda w=w: self.bunches.cluster_tree(w)
-            )
-            for v in members:
-                self._tables[v].put("ctree", w, tree.record_of(v))
-                self._tables[w].put("clabel", v, tree.label_of(v))
 
         self.colors = self._find_coloring(self.family, self.q, seed)
         classes = color_classes(self.colors, self.q)
@@ -119,6 +108,29 @@ class Stretch5PlusScheme(SchemeBase):
             eps / 3.0,
             validate_hitting=False,  # guaranteed by find_coloring
         )
+
+        # One target-ordered sweep does every per-target job while the
+        # target's row and hop column are in hand: the ball ports of its
+        # holders, its cluster tree, its label edge z and the Lemma 8
+        # walks toward it.  Installation below keeps the table order.
+        trees = {}
+        for v, _, col in self.metric.target_sweep():
+            ball_ports.fill_target(v, col)
+            members = self.bunches.cluster(v)
+            if members:
+                trees[v] = self._tree_routing(
+                    v, members, lambda v=v: self.bunches.cluster_tree(v)
+                )
+            p = self.bunches.pivot(v)
+            z = None if p == v else self.metric.next_hop(p, v)
+            self._labels[v] = (v, p, self._target_class[p], z)
+            self.technique.walk_target(v)
+
+        self._install_ball_ports(self.family, ball_ports)
+        for w, tree in trees.items():
+            for v in self.bunches.cluster(w):
+                self._tables[v].put("ctree", w, tree.record_of(v))
+                self._tables[w].put("clabel", v, tree.label_of(v))
         for table in self._tables:
             self.technique.install(table)
 
@@ -134,11 +146,6 @@ class Stretch5PlusScheme(SchemeBase):
                 raise RuntimeError(
                     f"B({u}) misses colors {sorted(needed)} despite Lemma 6"
                 )
-
-        for v in graph.vertices():
-            p = self.bunches.pivot(v)
-            z = None if p == v else self.metric.next_hop(p, v)
-            self._labels[v] = (v, p, self._target_class[p], z)
 
     # ------------------------------------------------------------------
     def shard_categories(self) -> frozenset:

@@ -113,6 +113,11 @@ class TestMutation:
         assert g.m == 1
         assert g.weight(0, 1) == 5.0
         assert g.weight(1, 0) == 5.0
+        # an update keeps every weight positive, as add_edge does
+        for bad in (0.0, -1.0):
+            with pytest.raises(GraphError, match="positive weight"):
+                g.add_or_update_edge(0, 1, bad)
+        assert g.weight(0, 1) == 5.0
 
 
 class TestQueries:

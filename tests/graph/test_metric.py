@@ -9,7 +9,12 @@ import pytest
 
 from repro.api import all_specs, get_spec
 from repro.graph.core import Graph, GraphError
-from repro.graph.generators import erdos_renyi, grid, with_random_weights
+from repro.graph.generators import (
+    erdos_renyi,
+    grid,
+    random_sparse,
+    with_random_weights,
+)
 from repro.graph import csr
 from repro.graph.metric import MetricView
 from repro.graph.shortest_paths import use_kernel
@@ -201,6 +206,98 @@ class TestShortestPathStructure:
         assert m.tight_min_weight() == 1.0
 
 
+def _scanned_scalars(m):
+    """The full-scan definitions: the least tight edge weight and the
+    least off-diagonal distance, over every distance row."""
+    tight, off_diag = math.inf, math.inf
+    slack = 0
+    for u in range(m.n):
+        row = m.row(u)
+        for v, w in m.graph.neighbor_items(u):
+            if abs(w - row[v]) <= m.tol:
+                tight = min(tight, w)
+            else:
+                slack += 1
+        others = np.delete(row, u)
+        off_diag = min(off_diag, float(others[np.isfinite(others)].min()))
+    return tight, off_diag, slack
+
+
+class TestEdgeScalars:
+    """``tight_min_weight`` and ``min_pairwise_distance`` read the lightest
+    edge in O(m); they equal the old all-rows scans."""
+
+    @pytest.mark.parametrize("mode", ["dense", "lazy"])
+    @pytest.mark.parametrize(
+        "name, g",
+        [
+            ("weighted", with_random_weights(
+                random_sparse(70, 210, seed=3), seed=4)),
+            ("unit", random_sparse(70, 210, seed=5)),
+            # weights over three decades: most heavy edges are slack
+            ("slack-heavy", with_random_weights(
+                erdos_renyi(60, 0.2, seed=6), seed=7, low=1.0,
+                high=1000.0)),
+        ],
+        ids=lambda p: p if isinstance(p, str) else "",
+    )
+    def test_equal_to_full_scans(self, name, g, mode):
+        m = MetricView(g, mode=mode)
+        tight, off_diag, slack = _scanned_scalars(m)
+        assert m.tight_min_weight() == tight
+        assert m.min_pairwise_distance() == off_diag
+        if name == "slack-heavy":
+            assert slack > g.m  # both directions of over half the edges
+        assert m.diameter_bound() >= m.diameter()
+
+    def test_no_edges(self):
+        m = MetricView(Graph(3), mode="lazy")
+        with pytest.raises(ValueError, match="no shortest-path edges"):
+            m.tight_min_weight()
+        assert m.min_pairwise_distance() == 1.0
+
+
+class TestTargetSweep:
+    @pytest.mark.parametrize("mode", ["dense", "lazy"])
+    def test_yields_rows_and_hop_columns(self, mode):
+        g = with_random_weights(erdos_renyi(50, 0.1, seed=21), seed=22)
+        m = MetricView(g, mode=mode, cache_rows=8)
+        ref = MetricView(g, mode="dense")
+        seen = []
+        for v, row, col in m.target_sweep():
+            seen.append(v)
+            assert np.array_equal(row, ref.row(v))
+            assert np.array_equal(col, ref.hop_column(v))
+        assert seen == list(range(g.n))
+        targets = [7, 3, 41]
+        assert [v for v, _, _ in m.target_sweep(targets)] == targets
+        with pytest.raises(GraphError, match="out of range"):
+            list(m.target_sweep([0, 50]))
+
+    def test_lazy_rows_once_in_chunks(self, monkeypatch):
+        g = with_random_weights(erdos_renyi(50, 0.1, seed=23), seed=24)
+        m = MetricView(g, mode="lazy", cache_rows=8)
+        calls = []
+        compute = m._compute_rows
+
+        def spy(sources):
+            calls.append(len(list(sources)))
+            return compute(sources)
+
+        monkeypatch.setattr(m, "_compute_rows", spy)
+        _ = m.tol  # row(0), cached
+        for v, row, _ in m.target_sweep():
+            # the target's per-target reads are cache hits
+            before = m.rows_computed
+            assert m.row(v) is row
+            if v:
+                m.next_hop(0, v)
+            assert m.rows_computed == before
+        assert m.rows_computed == g.n
+        assert max(calls[1:]) <= 8
+        assert len(calls) == 1 + math.ceil(g.n / 8)
+
+
 class TestSPTParents:
     def test_parents_consistent_with_distances(self):
         g = with_random_weights(erdos_renyi(40, 0.1, seed=13), seed=14)
@@ -285,11 +382,11 @@ class TestNextHopRowsInBuilds:
         m = MetricView(g, mode="lazy")
         spec.factory(g, metric=m, **spec.defaults())
         if use_kernel():
-            assert m.rows_computed <= 591
+            assert m.rows_computed <= 133
         else:
             # The pure dispatch computes every row it reads in Python,
             # the bounded cluster scans included.
-            assert m.rows_computed <= 819
+            assert m.rows_computed <= 382
 
     def test_lazy_thm10_row_count(self):
         # The intersection loops read the cluster scan's own distances
@@ -300,6 +397,19 @@ class TestNextHopRowsInBuilds:
         m = MetricView(g, mode="lazy")
         spec.factory(g, metric=m, **spec.defaults())
         if use_kernel():
-            assert m.rows_computed <= 590
+            assert m.rows_computed <= 242
         else:
-            assert m.rows_computed <= 837
+            assert m.rows_computed <= 491
+
+    def test_lazy_thm11_rows_at_2000(self):
+        # One target sweep plus the landmark sample's rows: about one
+        # row per vertex (11 873 with one row per consumer and the two
+        # full scans).
+        if not use_kernel():
+            pytest.skip("pure dispatch: thousands of Python Dijkstra rows")
+        n = 2000
+        g = with_random_weights(random_sparse(n, 4 * n, seed=5), seed=6)
+        spec = get_spec("thm11")
+        m = MetricView(g, mode="lazy")
+        spec.factory(g, metric=m, seed=1, **spec.defaults())
+        assert m.rows_computed <= 2 * n

@@ -27,7 +27,11 @@ np = pytest.importorskip("numpy")
 from repro.api import all_specs
 from repro.graph import parallel
 from repro.graph.csr import csr_graph
-from repro.graph.generators import erdos_renyi, with_random_weights
+from repro.graph.generators import (
+    erdos_renyi,
+    random_sparse,
+    with_random_weights,
+)
 from repro.graph.metric import MetricView
 from repro.routing.shard_codec import encode_node_table
 
@@ -42,10 +46,9 @@ def _weighted(n: int, p: float, seed: int):
 
 @pytest.fixture
 def two_workers(monkeypatch):
-    """Force the tier on with 2 workers and a floor of 1 source/tree."""
+    """Force the tier on with 2 workers and no work floor."""
     monkeypatch.setenv("REPRO_PARALLEL", "2")
-    monkeypatch.setattr(parallel, "_MIN_PARALLEL_SOURCES", 1)
-    monkeypatch.setattr(parallel, "_MIN_PARALLEL_TREES", 1)
+    monkeypatch.setattr(parallel, "_MIN_PARALLEL_WORK", 0)
     parallel.reset_parallel_choice()
     yield
     parallel.reset_parallel_choice()
@@ -101,6 +104,45 @@ def test_choice_is_cached_until_reset(monkeypatch):
     assert parallel.parallel_workers() == 4  # cached
     parallel.reset_parallel_choice()
     assert parallel.parallel_workers() == 0
+
+
+# ----------------------------------------------------------------------
+# The engagement floor counts work, not sources
+# ----------------------------------------------------------------------
+def test_pool_floor_counts_work(monkeypatch):
+    """Under ``REPRO_PARALLEL=2`` an n=2000 all-balls sweep (ell=64, mean
+    degree 8) stays serial and starts no worker; the same sweep at
+    n=2*10^4 takes the pool."""
+    monkeypatch.setenv("REPRO_PARALLEL", "2")
+    parallel.reset_parallel_choice()
+
+    def no_worker(*_args, **_kwargs):
+        raise AssertionError("a pool worker was started")
+
+    class Engaged(Exception):
+        pass
+
+    def engaged(*_args, **_kwargs):
+        raise Engaged
+
+    monkeypatch.setattr(parallel._POOL, "executor", no_worker)
+    monkeypatch.setattr(parallel.ParallelEngine, "ball_arrays", engaged)
+    small = csr_graph(
+        with_random_weights(random_sparse(2000, 8000, seed=97), seed=98)
+    )
+    big = csr_graph(
+        with_random_weights(random_sparse(20000, 80000, seed=97), seed=98)
+    )
+    try:
+        small.all_balls(64, tol=0.0, as_arrays=True)
+        assert small._parallel is None
+        with pytest.raises(Engaged):
+            big.all_balls(64, tol=0.0, as_arrays=True)
+        assert big._parallel is not None
+    finally:
+        if big._parallel is not None:
+            big._parallel.close()
+        parallel.reset_parallel_choice()
 
 
 # ----------------------------------------------------------------------

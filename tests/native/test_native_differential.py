@@ -476,7 +476,7 @@ def test_native_composes_with_parallel(monkeypatch):
 
     g = _GRAPHS["er-weighted"]()
     csr = csr_graph(g)
-    monkeypatch.setattr(parallel, "_MIN_PARALLEL_N", 1, raising=False)
+    monkeypatch.setattr(parallel, "_MIN_PARALLEL_WORK", 0)
 
     def balls():
         return csr.all_balls(12, tol=0.0, with_radii=True, as_arrays=True)

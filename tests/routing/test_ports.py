@@ -1,5 +1,6 @@
 """Fixed-port model tests."""
 
+import numpy as np
 import pytest
 
 from repro.graph.generators import erdos_renyi, star
@@ -16,6 +17,14 @@ class TestPortAssignment:
                 v = ports.neighbor(u, p)
                 assert ports.port_to(u, v) == p
                 assert g.has_edge(u, v)
+
+    def test_vectorized_lookup_matches_port_to(self):
+        g = erdos_renyi(30, 0.2, seed=1)
+        ports = PortAssignment(g, seed=7)
+        links = [(u, v) for u in g.vertices() for v in g.neighbors(u)]
+        us, vs = (np.array(side) for side in zip(*links))
+        got = ports.ports_to(us, vs).tolist()
+        assert got == [ports.port_to(u, v) for u, v in links]
 
     def test_shuffled_ports_cover_same_neighbours(self):
         g = erdos_renyi(30, 0.2, seed=2)
@@ -49,3 +58,8 @@ class TestPortAssignment:
         ports = PortAssignment(g)
         with pytest.raises(ValueError):
             ports.port_to(1, 2)  # two leaves are not adjacent
+        with pytest.raises(ValueError, match="2 is not a neighbour of 1"):
+            ports.ports_to(np.array([0, 1]), np.array([1, 2]))
+        # a hop column's -1 sentinel must not alias the link (0, 4)
+        with pytest.raises(ValueError):
+            ports.ports_to(np.array([1]), np.array([-1]))

@@ -91,7 +91,7 @@ def build_lemma7_sequence(
     v: int,
     b: int,
     *,
-    d_uv: Optional[float] = None,
+    d_uv: float,
 ) -> Lemma7Sequence:
     """Compute the Lemma 7 waypoint sequence from ``u`` to ``v``.
 
@@ -105,8 +105,8 @@ def build_lemma7_sequence(
         The paper's ``b = ceil(2 / eps)``; the progress threshold is
         ``s = d(u, v) / b``.
     d_uv:
-        ``d(u, v)`` when the caller already holds it (``metric.d(u, v)``
-        otherwise).
+        ``d(u, v)``, read from ``u``'s row: callers building many
+        sequences gather it in one batched sweep.
     """
     if u == v:
         raise ValueError("no sequence for a vertex to itself")
@@ -115,7 +115,7 @@ def build_lemma7_sequence(
     hitting_set = (
         hitting if isinstance(hitting, (set, frozenset)) else set(hitting)
     )
-    s = (metric.d(u, v) if d_uv is None else d_uv) / b
+    s = d_uv / b
     waypoints: List[int] = []
     x = u
 

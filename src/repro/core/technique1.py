@@ -187,18 +187,24 @@ class Technique1:
     def _build_class(self, cls: Sequence[int]) -> None:
         """Every Lemma 7 sequence between two members of ``cls``.
 
-        One batched row sweep over the class gathers ``d(u, v)`` for
-        every pair; a second, target-major one builds the sequences
-        toward each ``v`` while its hop column is in hand (a cache hit
-        when the class fits the metric's row cache).
+        A sequence ``u -> v`` reads ``d(u, v)`` from ``u``'s row (the
+        forward orientation every structure shares) and walks toward
+        ``v`` through ``v``'s hop column, so no single target-major pass
+        has both: a first sweep gathers the class's distance block, and
+        a second one, in reverse, builds the sequences toward each ``v``.
+        A class that fits the row cache is computed once (the reverse
+        sweep is all cache hits); a larger one pays its size minus
+        ``cache_rows`` again.  thm10 at n=2000 (13 classes, cache 176)
+        computed 1 987 rows for 1 981 class members.
         """
         metric = self.metric
         members = np.asarray(cls, dtype=np.int64)
         dist = np.empty((len(cls), len(cls)))
         for i, (_, row, _) in enumerate(metric.target_sweep(cls)):
             dist[i] = row[members]
-        for j, (v, _, _) in enumerate(metric.target_sweep(cls)):
-            for u, d_uv in zip(cls, dist[:, j].tolist()):
+        index = {v: j for j, v in enumerate(cls)}
+        for v, _, _ in metric.target_sweep(cls[::-1]):
+            for u, d_uv in zip(cls, dist[:, index[v]].tolist()):
                 if u == v:
                     continue
                 seq = build_lemma7_sequence(

@@ -556,8 +556,9 @@ class CSRGraph:
             return None
         from . import parallel
 
-        # every root is a full single-source sweep
-        eng = parallel.engine_for(self, len(roots) * (self.n + 2 * self.m))
+        eng = parallel.engine_for(
+            self, len(roots), floor=parallel._MIN_PARALLEL_TREES
+        )
         if eng is not None:
             return np.vstack(eng.pred_rows(roots))
         return self._spt_pred_rows(roots)
@@ -636,7 +637,9 @@ class CSRGraph:
         from . import parallel
 
         # n sources, each settling ell vertices and scanning their edges
-        eng = parallel.engine_for(self, 2 * self.m * ell)
+        eng = parallel.engine_for(
+            self, 2 * self.m * ell, floor=parallel._MIN_PARALLEL_WORK
+        )
         if eng is not None:
             bounds, verts, radii_arr = eng.ball_arrays(
                 n,
@@ -1258,29 +1261,21 @@ class CSRGraph:
         )
         from . import parallel
 
+        eng = parallel.engine_for(self, len(sources))
+        if eng is not None:
+            for (bounds, verts, ds), chunk in eng.bounded_chunks(
+                sources, lim, delta, batch_bytes
+            ):
+                for i, s in enumerate(chunk):
+                    lo, hi = int(bounds[i]), int(bounds[i + 1])
+                    yield s, verts[lo:hi], ds[lo:hi]
+            return
         batch = self._ds_batch_size(batch_bytes)
-        scanned = 0
         for start in range(0, len(sources), batch):
-            if start:
-                # The batches run so far price the rest: their scanned
-                # neighbourhoods times the mean degree, per source.
-                per_source = scanned / start * 2 * self.m / max(1, self.n)
-                eng = parallel.engine_for(
-                    self, per_source * (len(sources) - start)
-                )
-                if eng is not None:
-                    for (bounds, verts, ds), chunk in eng.bounded_chunks(
-                        sources[start:], lim[start:], delta, batch_bytes
-                    ):
-                        for i, s in enumerate(chunk):
-                            lo, hi = int(bounds[i]), int(bounds[i + 1])
-                            yield s, verts[lo:hi], ds[lo:hi]
-                    return
             chunk = sources[start : start + batch]
             bounds, verts, ds = self._delta_batch(
                 chunk, limits=lim[start : start + batch], delta=delta
             )
-            scanned += len(verts)
             for i, s in enumerate(chunk):
                 lo, hi = int(bounds[i]), int(bounds[i + 1])
                 yield s, verts[lo:hi], ds[lo:hi]

@@ -92,11 +92,15 @@ class ParallelWorkerError(ParallelError):
 _PARALLEL_CHOICE: Optional[int] = None
 _IN_WORKER = False
 
-#: Below this many estimated edge scans a batch stays serial: the pool's
-#: start-up and the result pickling cost more than the split saves.  On
-#: a 2-vCPU host an n=2000 all-balls sweep (ell=64, mean degree 8: about
-#: 10^6 scans) took 0.91 s through a fresh 2-worker pool against 0.08 s
-#: serial, while at n=2*10^4 (about 10^7 scans) the pool ran 1.79x faster.
+#: below this many sources the pool/pickle overhead beats the speedup
+_MIN_PARALLEL_SOURCES = 192
+#: SPT batches are O(n) work per root, so the floor is much lower
+_MIN_PARALLEL_TREES = 16
+#: An all-balls sweep counts its estimated edge scans (``2 m ell``)
+#: against this floor instead of its sources.  On a 2-vCPU host an
+#: n=2000 sweep (ell=64, mean degree 8: about 10^6 scans) took 0.91 s
+#: through a fresh 2-worker pool against 0.08 s serial, while at
+#: n=2*10^4 (about 10^7 scans) the pool ran 1.79x faster.
 _MIN_PARALLEL_WORK = 4_000_000
 
 
@@ -583,18 +587,22 @@ def _splice(
     return bounds, verts, radii
 
 
-def engine_for(csr: Any, work: float) -> Optional[ParallelEngine]:
+def engine_for(
+    csr: Any, count: int, *, floor: Optional[int] = None
+) -> Optional[ParallelEngine]:
     """The parallel engine for ``csr``, or ``None`` to stay serial.
 
-    ``work`` estimates the batch's edge scans (sources times the edges
-    each one scans).  Returns ``None`` when the tier is off, inside a
-    worker, or the estimate is below :data:`_MIN_PARALLEL_WORK` — so no
-    worker starts for a batch the pool would only slow down.  The
+    Returns ``None`` when the tier is off, inside a worker, or the
+    batch (``count`` sources; an all-balls sweep passes its estimated
+    edge scans and :data:`_MIN_PARALLEL_WORK`) is below the engagement
+    floor, so no worker starts for a batch the pool would slow down.  The
     engine — and with it the published segments — is cached on the
     ``CSRGraph`` instance and torn down when the graph is collected.
     """
+    if floor is None:
+        floor = _MIN_PARALLEL_SOURCES
     workers = parallel_workers()
-    if workers < 2 or work < _MIN_PARALLEL_WORK:
+    if workers < 2 or count < floor:
         return None
     engine = csr._parallel
     if (

@@ -36,7 +36,9 @@ class TestLemma7Sequence:
             for v in range(1, 70, 9):
                 if u == v:
                     continue
-                seq = build_lemma7_sequence(m, fam, hitting, u, v, b=4)
+                seq = build_lemma7_sequence(
+                    m, fam, hitting, u, v, b=4, d_uv=m.d(u, v)
+                )
                 body = (
                     seq.waypoints
                     if seq.hub is None
@@ -54,7 +56,9 @@ class TestLemma7Sequence:
                 for v in range(1, 70, 11):
                     if u == v:
                         continue
-                    seq = build_lemma7_sequence(m, fam, hitting, u, v, b=b)
+                    seq = build_lemma7_sequence(
+                        m, fam, hitting, u, v, b=b, d_uv=m.d(u, v)
+                    )
                     assert len(seq.waypoints) <= 2 * b + 2
 
     def test_direct_sequences_end_at_target(self, setup_unweighted):
@@ -63,7 +67,9 @@ class TestLemma7Sequence:
             for v in range(1, 70, 9):
                 if u == v:
                     continue
-                seq = build_lemma7_sequence(m, fam, hitting, u, v, b=4)
+                seq = build_lemma7_sequence(
+                    m, fam, hitting, u, v, b=4, d_uv=m.d(u, v)
+                )
                 if seq.hub is None:
                     assert seq.waypoints[-1] == v
 
@@ -74,7 +80,9 @@ class TestLemma7Sequence:
             for v in range(70):
                 if u == v:
                     continue
-                seq = build_lemma7_sequence(m, fam, hitting, u, v, b=1)
+                seq = build_lemma7_sequence(
+                    m, fam, hitting, u, v, b=1, d_uv=m.d(u, v)
+                )
                 if seq.hub is not None:
                     hubs += 1
                     assert seq.hub in hitting
@@ -84,19 +92,25 @@ class TestLemma7Sequence:
         m, fam, hitting = setup_unweighted
         u = 0
         v = fam.ball(u)[1]
-        seq = build_lemma7_sequence(m, fam, hitting, u, v, b=4)
+        seq = build_lemma7_sequence(
+            m, fam, hitting, u, v, b=4, d_uv=m.d(u, v)
+        )
         assert seq.waypoints == (v,)
         assert seq.hub is None
 
     def test_self_pair_rejected(self, setup_unweighted):
         m, fam, hitting = setup_unweighted
         with pytest.raises(ValueError):
-            build_lemma7_sequence(m, fam, hitting, 3, 3, b=2)
+            build_lemma7_sequence(
+                m, fam, hitting, 3, 3, b=2, d_uv=m.d(3, 3)
+            )
 
     def test_invalid_b_rejected(self, setup_unweighted):
         m, fam, hitting = setup_unweighted
         with pytest.raises(ValueError):
-            build_lemma7_sequence(m, fam, hitting, 0, 1, b=0)
+            build_lemma7_sequence(
+                m, fam, hitting, 0, 1, b=0, d_uv=m.d(0, 1)
+            )
 
 
 class TestLemma8Sequence:

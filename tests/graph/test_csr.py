@@ -718,6 +718,7 @@ def test_ball_engines_match_pure(name, g, engine, tier, monkeypatch):
     eng = None
     if tier == "parallel":
         monkeypatch.setenv("REPRO_PARALLEL", "2")
+        monkeypatch.setattr(parallel, "_MIN_PARALLEL_SOURCES", 1)
         monkeypatch.setattr(parallel, "_MIN_PARALLEL_WORK", 0)
         parallel.reset_parallel_choice()
         eng = parallel.engine_for(kernel, g.n)

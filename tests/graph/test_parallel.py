@@ -46,8 +46,10 @@ def _weighted(n: int, p: float, seed: int):
 
 @pytest.fixture
 def two_workers(monkeypatch):
-    """Force the tier on with 2 workers and no work floor."""
+    """Force the tier on with 2 workers and every engagement floor off."""
     monkeypatch.setenv("REPRO_PARALLEL", "2")
+    monkeypatch.setattr(parallel, "_MIN_PARALLEL_SOURCES", 1)
+    monkeypatch.setattr(parallel, "_MIN_PARALLEL_TREES", 1)
     monkeypatch.setattr(parallel, "_MIN_PARALLEL_WORK", 0)
     parallel.reset_parallel_choice()
     yield
@@ -107,7 +109,7 @@ def test_choice_is_cached_until_reset(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The engagement floor counts work, not sources
+# The all-balls floor counts work, not sources
 # ----------------------------------------------------------------------
 def test_pool_floor_counts_work(monkeypatch):
     """Under ``REPRO_PARALLEL=2`` an n=2000 all-balls sweep (ell=64, mean
@@ -196,6 +198,7 @@ def test_bounded_rows_bit_identical(monkeypatch, two_workers):
         (s, v.copy(), d.copy())
         for s, v, d in csr.bounded_rows(range(csr.n), 9.0)
     ]
+    assert csr._parallel is not None  # not serial against serial
     _serial(monkeypatch)
     ser = list(csr.bounded_rows(range(csr.n), 9.0))
     assert len(par) == len(ser)
@@ -278,6 +281,7 @@ def test_registered_schemes_bit_identical(monkeypatch, two_workers, spec):
         return blobs, labels
 
     par = build()
+    assert csr_graph(g)._parallel is not None  # the pool ran
     _serial(monkeypatch)
     ser = build()
     assert par == ser

@@ -98,7 +98,7 @@ class RoutingSession:
             elif getattr(self.scheme, "metric", None) is not None:
                 self._metric = self.scheme.metric
             else:
-                self._metric = MetricView(self.graph, mode="auto")
+                self._metric = MetricView(self.graph)
         return self._metric
 
     def stretch_bound(self) -> Tuple[float, float]:

@@ -53,8 +53,8 @@ class Substrate:
     graph:
         The graph every built artifact belongs to.
     metric, ports:
-        Optional pre-built artifacts to adopt (e.g. a caller-configured
-        lazy metric or a shuffled adversarial port numbering); built on
+        Optional pre-built artifacts to adopt (e.g. a metric with its own
+        ``cache_rows`` or a shuffled adversarial port numbering); built on
         first use otherwise.
     ports_seed:
         Seed for the port numbering when ``ports`` is not given
@@ -129,7 +129,7 @@ class Substrate:
         """
         if self._metric is None:
             t0 = time.perf_counter()
-            self._metric = MetricView(self.graph, mode="auto")
+            self._metric = MetricView(self.graph)
             self._account("metric", False, time.perf_counter() - t0)
             self._stamp(self._metric)
         return self._metric

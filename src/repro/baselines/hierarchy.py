@@ -83,9 +83,9 @@ class SampledHierarchy:
         self._levels = levels
 
         # d(v, A_i) arrays; A_k = empty -> inf.  Level columns come from
-        # the metric's row-oriented API: O(|A_i| * n) memory per level,
-        # lazy-metric friendly (A_0 = V still costs O(n) rows, but they
-        # stream through the row blocks instead of pinning a matrix).
+        # the metric's row-oriented API: O(|A_i| * n) memory per level
+        # (A_0 = V still costs O(n) rows, but they stream through the
+        # row blocks instead of pinning a matrix).
         self._level_dist: List[np.ndarray] = []
         self._level_pivot: List[np.ndarray] = []
         for i in range(k):

@@ -119,7 +119,7 @@ def evaluate_scheme(
     """
     if isinstance(factory, str):
         # Resolve and validate the spec BEFORE any substrate build: an
-        # incompatible graph must fail fast, not after an O(n^2) APSP.
+        # incompatible graph must fail fast, before any distance row.
         from ..api.registry import get_spec
 
         spec = get_spec(factory)

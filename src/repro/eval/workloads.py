@@ -103,8 +103,8 @@ def stratified_pairs(
 
     n = metric.n
     rng = random.Random(seed)
-    # Blockwise row scan: quantile edges come from the row-oriented API so
-    # a lazy metric never materializes (and pins) the dense matrix here.
+    # Blockwise row scan: quantile edges come from the row-oriented API,
+    # so no n x n matrix is ever materialized (or pinned) here.
     positive_blocks = []
     for _, block in metric.iter_row_blocks():
         finite = block[np.isfinite(block)]

@@ -6,43 +6,29 @@ only touch local tables.  This module implements the global knowledge the
 preprocessing phase is allowed to use: exact distances, shortest path
 walking, vicinity balls and the normalized diameter ``D``.
 
-Dense vs. lazy mode
--------------------
-The original implementation eagerly built the full ``n x n`` distance
-matrix, which caps experiments at small ``n`` (32 MB at ``n = 2000``,
-quadratic beyond).  :class:`MetricView` now has two modes:
-
-* ``mode="dense"`` — the eager all-pairs matrix (scipy's C Dijkstra when
-  scipy imports, pure-Python otherwise).  Best for small graphs and access
-  patterns that genuinely read most pairs.
-* ``mode="lazy"`` — a per-row distance oracle: rows are computed on demand
-  through the CSR kernel (:mod:`repro.graph.csr`, scipy rows when scipy
-  imports) or the pure dispatch, and LRU-cached.  Peak memory is
-  ``O(cache_rows * n)`` instead of ``O(n^2)``, matching the preprocessing
-  access pattern (landmark columns, row blocks, one target sweep).  A
-  scheme build reads each vertex's row about once: its per-target work
-  runs inside :meth:`MetricView.target_sweep`, and the global scalars
-  the paper's structures need are ``O(m)`` edge facts, not scans
-  (:meth:`MetricView.tight_min_weight`,
-  :meth:`MetricView.min_pairwise_distance`,
-  :meth:`MetricView.diameter_bound`).
+Distance rows
+-------------
+:class:`MetricView` is a per-row distance oracle: rows are computed on
+demand through the CSR kernel (:mod:`repro.graph.csr`, scipy rows when
+scipy imports) or the pure dispatch, and LRU-cached.  Peak memory is
+``O(cache_rows * n)``, never ``O(n^2)``, matching the preprocessing
+access pattern (landmark columns, row blocks, one target sweep).  A
+scheme build reads each vertex's row about once: its per-target work
+runs inside :meth:`MetricView.target_sweep`, and the global scalars the
+paper's structures need are ``O(m)`` edge facts, not scans
+(:meth:`MetricView.tight_min_weight`,
+:meth:`MetricView.min_pairwise_distance`,
+:meth:`MetricView.diameter_bound`).  Whole-metric consumers use the
+row-oriented API (:meth:`MetricView.rows`, :meth:`MetricView.columns`,
+:meth:`MetricView.iter_row_blocks`, :meth:`MetricView.iter_bounded_rows`,
+:meth:`MetricView.count_rows_below`).
 
 scipy is used exactly when it imports (the one probe is
-:data:`repro.graph.csr._HAVE_SCIPY`), in both modes and under every
-``REPRO_KERNEL``, always over the graph's one cached scipy matrix — so
-dense rows, lazy rows and shortest-path trees come from the same
-adjacency whatever the mode.  Vicinity balls never read distance rows:
-:meth:`MetricView.all_balls` is one call to the batched sweep
-:func:`repro.graph.shortest_paths.all_balls`.
-
-``mode="auto"`` (the default) picks dense up to ``dense_threshold``
-vertices and lazy above, so existing small-graph callers see bit-identical
-behaviour while large-``n`` benchmarks stop paying quadratic memory.
-Whole-matrix consumers were rewritten against the row-oriented API
-(:meth:`rows`, :meth:`columns`, :meth:`iter_row_blocks`,
-:meth:`iter_bounded_rows`, :meth:`count_rows_below`); :attr:`matrix`
-remains as an escape hatch that materializes (and keeps) the full
-symmetrized matrix.
+:data:`repro.graph.csr._HAVE_SCIPY`), under every ``REPRO_KERNEL``,
+always over the graph's one cached scipy matrix — so distance rows and
+shortest-path trees come from the same adjacency.  Vicinity balls never
+read distance rows: :meth:`MetricView.all_balls` is one call to the
+batched sweep :func:`repro.graph.shortest_paths.all_balls`.
 
 :meth:`MetricView.next_hop` reads one int32 *hop column* per target ``v``:
 the first hop toward ``v`` from every vertex, computed from ``row(v)``
@@ -50,14 +36,14 @@ alone in one ``O(n + m)`` pass over the CSR arrays
 (:meth:`repro.graph.csr.CSRGraph.hop_column`, the native kernel when it
 loads) — the graph is undirected, so ``row(v)[x]`` stands in for
 ``d(x, v)`` and one distance row serves every source (see the exception
-under "Canonical row orientation" below).  Dense mode keeps every
-column, lazy mode an LRU of ``cache_rows`` of them.
+under "Canonical row orientation" below).  The view keeps an LRU of
+``cache_rows`` columns beside its LRU of rows.
 
 :meth:`MetricView.target_sweep` visits the targets in order and yields
-each one's row and hop column; in lazy mode it computes the rows in
-chunks of ``cache_rows``, one batched kernel call per chunk.  Builds do
-every per-target job while the target is in hand — the ball ports of
-its holders, the cluster tree rooted at it, label first edges and the
+each one's row and hop column, computing the rows in chunks of
+``cache_rows``, one batched kernel call per chunk.  Builds do every
+per-target job while the target is in hand — the ball ports of its
+holders, the cluster tree rooted at it, label first edges and the
 Lemma 8 walks toward it (thm11), the intersection and colour entries
 that read its row (thm10) — so each row and each column is computed
 once, not once per consumer.
@@ -69,14 +55,11 @@ order, so the forward value ``d_fwd(u, v)`` (Dijkstra from ``u``) and the
 reverse one ``d_fwd(v, u)`` can differ by one ulp at exact real ties.  All
 of :meth:`row`, :meth:`d`, :meth:`rows`, :meth:`columns` and the block
 iterators therefore return the **forward row orientation**: ``d(u, v)`` is
-always the value computed from ``u``'s side, in every mode and on every
-dispatch path (dense, lazy, CSR kernel, scipy, pure) — they are the same
-least float64 fixpoint, hence bit-identical.  Consumers that compare
-distances strictly (cluster membership, pivots) always read one
-orientation consistently, which keeps every structure exact without the
-old dense-mode ``min(dist, dist.T)`` rewrite that the lazy oracle could
-not reproduce.  :attr:`matrix` still returns an exactly-symmetric matrix
-for external code that expects one.
+always the value computed from ``u``'s side, on every dispatch path (CSR
+kernel, scipy, pure) — they are the same least float64 fixpoint, hence
+bit-identical.  Consumers that compare distances strictly (cluster
+membership, pivots) always read one orientation consistently, which
+keeps every structure exact.
 
 Hop columns are the one exception: :meth:`MetricView.hop_column` reads
 every distance it compares from the *target's* row, so the tie-break of
@@ -89,12 +72,12 @@ Floating point
 Weighted graphs use float weights, so "is this edge on a shortest path?"
 is decided with a relative tolerance (:attr:`MetricView.tol`).  All
 structures derive shortest-path facts from the *same* oracle, which keeps
-them mutually consistent.  In lazy mode the tolerance scale is the running
-maximum over all finite distances computed up to the first tolerance read
+them mutually consistent.  The tolerance scale is the running maximum
+over all finite distances computed up to the first tolerance read
 (frozen afterwards, so band decisions stay self-consistent within a
-build) — always within a factor of two of the dense scale, because any
-eccentricity is at least half the diameter, without ever paying a full
-all-pairs scan.
+build) — always within a factor of two of the largest finite distance,
+because any eccentricity is at least half the diameter, without ever
+paying a full all-pairs scan.
 """
 
 from __future__ import annotations
@@ -110,7 +93,6 @@ from .core import Graph, GraphError
 from .shortest_paths import (
     all_balls,
     dijkstra,
-    dijkstra_py,
     subgraph_dijkstra,
     use_kernel,
 )
@@ -129,34 +111,31 @@ class MetricView:
     g:
         The (connected) graph.
     mode:
-        ``"dense"`` (eager all-pairs matrix), ``"lazy"`` (on-demand
-        LRU-cached rows) or ``"auto"`` (dense up to ``dense_threshold``
-        vertices).
-    dense_threshold:
-        The ``auto`` cut-over size.
+        Only ``"lazy"`` is accepted: the eager all-pairs (dense) mode was
+        removed, and any other value raises :class:`ValueError`.  The
+        keyword stays only for the end-to-end benchmark's build-lazy
+        workload, which still passes it; it goes at the next change to
+        that benchmark.
     cache_rows:
-        Lazy-mode LRU capacity per kind of row (distance row, hop column),
-        and the chunk size of :meth:`target_sweep`'s batched row calls;
-        defaults to ``max(32, 4 sqrt(n))``, so ``O(sqrt(n) * n)`` memory.
+        LRU capacity per kind of row (distance row, hop column), and the
+        chunk size of :meth:`target_sweep`'s batched row calls; defaults
+        to ``max(32, 4 sqrt(n))``, so ``O(sqrt(n) * n)`` memory.
     """
 
     def __init__(
         self,
         g: Graph,
         *,
-        mode: str = "auto",
-        dense_threshold: int = 2048,
+        mode: str = "lazy",
         cache_rows: Optional[int] = None,
     ) -> None:
-        if mode not in ("auto", "dense", "lazy"):
-            raise ValueError(f"unknown MetricView mode {mode!r}")
+        if mode != "lazy":
+            raise ValueError(
+                f"MetricView mode {mode!r} is not supported: dense mode "
+                "was removed, every view computes rows lazily"
+            )
         self.graph = g
         self.n = g.n
-        if mode == "auto":
-            mode = "dense" if g.n <= dense_threshold else "lazy"
-        self._mode = mode
-        self._dist: Optional[np.ndarray] = None
-        self._sym: Optional[np.ndarray] = None
         self._tol: Optional[float] = None
         self._scale_seen = 0.0
         #: forward rows computed so far (full-length distance rows).
@@ -171,44 +150,15 @@ class MetricView:
         )
         self._diameter: Optional[float] = None
         self._diameter_bound: Optional[float] = None
-        #: hop columns by target; an LRU only in lazy mode (hop_column)
+        #: an LRU of hop columns by target (hop_column)
         self._hop_cols: "OrderedDict[int, np.ndarray]" = OrderedDict()
         #: batched SPT predecessor rows staged by prefetch_spt_parents,
         #: consumed (popped) by spt_parents.
         self._pred_rows: Dict[int, np.ndarray] = {}
 
-        if self._mode == "dense":
-            mat = self._scipy_matrix()
-            if mat is not None:
-                # Raw forward rows — the canonical orientation every mode
-                # shares (see the module docstring); the symmetrized
-                # escape hatch lives behind ``matrix``.  Both edge
-                # directions are stored: no transpose needed.
-                self._dist = csr._scipy_dijkstra(mat, directed=True)
-            else:
-                rows = [dijkstra_py(g, u)[0] for u in g.vertices()]
-                self._dist = (
-                    np.asarray(rows, dtype=float)
-                    if rows
-                    else np.zeros((0, 0), dtype=float)
-                )
-            self.rows_computed += g.n
-            finite = self._dist[np.isfinite(self._dist)]
-            scale = float(finite.max()) if finite.size else 1.0
-            self._tol = 1e-9 * max(scale, 1.0)
-
     # ------------------------------------------------------------------
-    # Mode and kernel plumbing
+    # Kernel plumbing
     # ------------------------------------------------------------------
-    @property
-    def mode(self) -> str:
-        """``"dense"`` or ``"lazy"`` (resolved, never ``"auto"``)."""
-        return self._mode
-
-    @property
-    def is_lazy(self) -> bool:
-        return self._mode == "lazy"
-
     def _kernel(self):
         """The CSR kernel of the graph, or ``None`` on the pure path."""
         if self.n == 0 or not use_kernel():
@@ -219,9 +169,9 @@ class MetricView:
         """The graph's one cached scipy adjacency, or ``None``.
 
         ``None`` when scipy does not import or the graph has no edges.
-        Every mode and every ``REPRO_KERNEL`` reads this same matrix (it
-        lives on the graph's cached CSR mirror), so shortest-path trees
-        cannot differ between modes or kernels.
+        Every ``REPRO_KERNEL`` reads this same matrix (it lives on the
+        graph's cached CSR mirror), so shortest-path trees cannot differ
+        between kernels.
         """
         if self.graph.m == 0:
             return None
@@ -231,16 +181,15 @@ class MetricView:
     def tol(self) -> float:
         """Absolute tolerance for shortest-path membership tests.
 
-        Dense mode fixes the scale at construction (the true maximum
-        finite distance).  Lazy mode derives it from the *running* maximum
-        over every row computed up to the first tolerance read, then
-        freezes it: any single eccentricity is at least half the diameter,
-        so the lazy scale always sits within a factor of two of the dense
-        one, and freezing keeps every strict-band decision in one
-        structure build self-consistent (a tolerance that kept growing
-        with later rows could make ``ball_radius`` disagree with the
-        radii ``all_balls`` already returned).  A heuristic, like the
-        tolerance itself — it only sets the order of magnitude.
+        The scale is the *running* maximum over every row computed up to
+        the first tolerance read, then frozen: any single eccentricity is
+        at least half the diameter, so the scale always sits within a
+        factor of two of the largest finite distance, and freezing keeps
+        every strict-band decision in one structure build
+        self-consistent (a tolerance that kept growing with later rows
+        could make ``ball_radius`` disagree with the radii ``all_balls``
+        already returned).  A heuristic, like the tolerance itself — it
+        only sets the order of magnitude.
         """
         if self._tol is not None:
             return self._tol
@@ -274,16 +223,12 @@ class MetricView:
         """Read-only distance row of ``u`` (length ``n``)."""
         if not 0 <= u < self.n:
             raise GraphError(f"vertex {u} out of range [0, {self.n})")
-        if self._dist is not None:
-            return self._dist[u]
         cached = self._row_cache.get(u)
         if cached is not None:
             self._row_cache.move_to_end(u)
             return cached
         row = self._compute_rows([u])[0]
-        self._row_cache[u] = row
-        if len(self._row_cache) > self._cache_rows:
-            self._row_cache.popitem(last=False)
+        self.row_cache_put(u, row)
         return row
 
     def d(self, u: int, v: int) -> float:
@@ -293,15 +238,11 @@ class MetricView:
             raise GraphError(
                 f"vertex pair ({u}, {v}) out of range [0, {self.n})"
             )
-        if self._dist is not None:
-            return float(self._dist[u, v])
         return float(self.row(u)[v])
 
     def rows(self, sources: Sequence[int]) -> np.ndarray:
         """Distance rows for ``sources`` as a ``(len(sources), n)`` array."""
         sources = list(sources)
-        if self._dist is not None:
-            return self._dist[sources]
         missing = [s for s in sources if s not in self._row_cache]
         fresh: Dict[int, np.ndarray] = {}
         if missing:
@@ -318,9 +259,7 @@ class MetricView:
         return out
 
     def row_cache_put(self, u: int, row: np.ndarray) -> None:
-        """Insert a computed row into the lazy LRU cache (no-op when dense)."""
-        if self._dist is not None:
-            return
+        """Insert a computed row into the LRU cache."""
         self._row_cache[u] = row
         self._row_cache.move_to_end(u)
         while len(self._row_cache) > self._cache_rows:
@@ -330,8 +269,8 @@ class MetricView:
         """Distance columns of ``members`` as an ``(n, len(members))`` array.
 
         ``columns(A)[v, j]`` is the canonical forward value ``d(a_j, v)``
-        — the members' rows transposed, ``O(|members| * n)`` memory in
-        lazy mode, which is exactly the landmark access pattern of the
+        — the members' rows transposed, ``O(|members| * n)`` memory,
+        which is exactly the landmark access pattern of the
         preprocessing phase.  Every consumer that compares these against
         row reads uses the same ``(… , v)`` orientation, so strict
         comparisons stay exact (see the module docstring).
@@ -343,15 +282,11 @@ class MetricView:
     ) -> Iterator[Tuple[int, np.ndarray]]:
         """Yield ``(start, rows)`` blocks covering all sources in order.
 
-        Dense mode yields the whole matrix as one zero-copy block; lazy
-        mode computes transient blocks of ``block_rows`` rows (default
-        sized so a block stays a few MB) without populating the row cache,
-        so a full scan stays ``O(block * n)`` memory.
+        Computes transient blocks of ``block_rows`` rows (default sized
+        so a block stays a few MB) without populating the row cache, so
+        a full scan stays ``O(block * n)`` memory.
         """
         if self.n == 0:
-            return
-        if self._dist is not None:
-            yield 0, self._dist
             return
         if block_rows is None:
             block_rows = max(1, (1 << 22) // max(1, 8 * self.n))
@@ -367,11 +302,10 @@ class MetricView:
         ``limits`` is a scalar or a per-source array; ``verts`` ascends by
         vertex id and covers exactly the vertices strictly closer than the
         source's limit (``inf`` sweeps the whole component).  This is the
-        cluster-scan primitive of the Section 2 structures: with a lazy
-        metric and the CSR kernel it runs the batched truncated
-        delta-stepping engine — work proportional to the scanned
-        neighbourhoods, never a full APSP — and otherwise it filters
-        full rows (free in dense mode).
+        cluster-scan primitive of the Section 2 structures: with the CSR
+        kernel it runs the batched truncated delta-stepping engine — work
+        proportional to the scanned neighbourhoods, never a full APSP —
+        and on the pure path it filters full rows.
         """
         if sources is None:
             sources = range(self.n)
@@ -379,12 +313,11 @@ class MetricView:
         lim = np.broadcast_to(
             np.asarray(limits, dtype=np.float64), (len(sources),)
         )
-        if self._dist is None:
-            kernel = self._kernel()
-            if kernel is not None:
-                self.bounded_rows_computed += len(sources)
-                yield from kernel.bounded_rows(sources, lim)
-                return
+        kernel = self._kernel()
+        if kernel is not None:
+            self.bounded_rows_computed += len(sources)
+            yield from kernel.bounded_rows(sources, lim)
+            return
         for i, u in enumerate(sources):
             row = self.row(u)
             verts = np.flatnonzero(row < lim[i])
@@ -399,20 +332,13 @@ class MetricView:
 
         The cluster-size count of Lemma 4 (all of ``V`` when ``sources``
         is omitted).  No vertex beyond ``max(thresholds)`` can ever be
-        counted, so the lazy path scans bounded neighbourhoods through
-        :meth:`iter_bounded_rows` instead of full rows; the dense path
-        reads the matrix rows it already has.  Both count the exact same
+        counted, so it scans bounded neighbourhoods through
+        :meth:`iter_bounded_rows` instead of full rows, with the same
         strict comparisons on the same canonical forward rows.
         """
         if sources is None:
             sources = range(self.n)
         sources = list(sources)
-        if self._dist is not None:
-            return (
-                (self._dist[sources] < thresholds[None, :])
-                .sum(axis=1)
-                .astype(np.int64)
-            )
         out = np.zeros(len(sources), dtype=np.int64)
         limit = float(thresholds.max()) if thresholds.size else 0.0
         for i, (_, verts, dists) in enumerate(
@@ -421,50 +347,23 @@ class MetricView:
             out[i] = int((dists < thresholds[verts]).sum())
         return out
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The full symmetrized ``n x n`` distance matrix (do not mutate).
-
-        Escape hatch for external code that expects an exactly-symmetric
-        all-pairs matrix: ``min(d_fwd, d_fwd.T)`` over the forward rows,
-        materialized (and kept) on first access — ``O(n^2)`` memory, plus
-        the raw forward matrix in lazy mode.  Internal consumers use the
-        row-oriented API, which keeps the canonical forward orientation
-        (see the module docstring) instead.
-        """
-        if self._sym is None:
-            if self._dist is None:
-                blocks = [block for _, block in self.iter_row_blocks()]
-                self._dist = (
-                    np.vstack(blocks)
-                    if blocks
-                    else np.zeros((0, 0), dtype=float)
-                )
-                self._row_cache.clear()
-            self._sym = np.minimum(self._dist, self._dist.T)
-        return self._sym
-
     # ------------------------------------------------------------------
     # Global scalar facts
     # ------------------------------------------------------------------
     def is_connected(self) -> bool:
         """True when every pairwise distance is finite."""
-        if self._dist is not None:
-            return bool(np.isfinite(self._dist).all())
         if self.n == 0:
             return True
-        # Undirected graph: one row decides connectivity — no need for
-        # the full blockwise scan (row 0 is cached; the tol estimate
-        # computes it anyway).
+        # Undirected graph: one row decides connectivity (row 0 is
+        # cached; the tol estimate computes it anyway).
         return bool(np.isfinite(self.row(0)).all())
 
     def diameter(self) -> float:
         """Maximum finite pairwise distance (cached).
 
-        Dense mode reads the matrix; lazy mode makes one blockwise pass
-        over every row — the one full scan left, behind
-        :meth:`normalized_diameter`.  Callers that only need a cap use
-        :meth:`diameter_bound`.
+        One blockwise pass over every row — the one full scan left,
+        behind :meth:`normalized_diameter`.  Callers that only need a cap
+        use :meth:`diameter_bound`.
         """
         if self._diameter is None:
             dmax = 0.0
@@ -529,7 +428,7 @@ class MetricView:
         edges, each at least as heavy, so it is at least twice as long.
         That holds in float64 too — a sum of positive doubles never rounds
         below its largest term, and ``2 w`` is representable — so the
-        row value ``d(u, v)`` is exactly ``w(u, v)`` in every mode.
+        row value ``d(u, v)`` is exactly ``w(u, v)``.
         """
         if self.graph.m == 0:
             raise ValueError("graph has no shortest-path edges")
@@ -544,12 +443,11 @@ class MetricView:
         orientation, see the module docstring); ``out[v] = v``, ``-1``
         marks a ``u`` that cannot reach ``v`` and ``-2`` a reachable ``u``
         with no tight edge.  Built once per target from one distance row,
-        then cached (every column when dense, an LRU when lazy).
+        then kept in an LRU of ``cache_rows`` columns.
         """
         col = self._hop_cols.get(v)
         if col is not None:
-            if self._dist is None:
-                self._hop_cols.move_to_end(v)
+            self._hop_cols.move_to_end(v)
             return col
         return self._hop_column_from(v, self.row(v))
 
@@ -557,7 +455,7 @@ class MetricView:
         """Build, cache and return ``v``'s hop column from ``row(v)``."""
         col = csr.csr_graph(self.graph).hop_column(row, v, self.tol)
         self._hop_cols[v] = col
-        if self._dist is None and len(self._hop_cols) > self._cache_rows:
+        if len(self._hop_cols) > self._cache_rows:
             self._hop_cols.popitem(last=False)
         return col
 
@@ -566,16 +464,15 @@ class MetricView:
     ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
         """Visit ``targets`` (default: every vertex) in order, one row each.
 
-        Yields ``(v, row(v), hop_column(v))``.  Lazy mode computes the
-        rows in chunks of at most ``cache_rows`` targets, one batched
-        kernel call per chunk for the rows not already cached, and leaves
-        the current target's row and column the most recent entries of
-        their LRUs.  So while
-        the caller holds ``v``, every per-target read — :meth:`row`,
-        :meth:`d` from ``v``'s side, :meth:`next_hop` toward ``v``,
-        :meth:`restricted_spt_parents` rooted at ``v`` — is a cache hit:
-        a build that does all its per-target work inside one sweep
-        computes each row once.  Dense mode reads the matrix rows.
+        Yields ``(v, row(v), hop_column(v))``.  The rows are computed in
+        chunks of at most ``cache_rows`` targets, one batched kernel call
+        per chunk for the rows not already cached, and the current
+        target's row and column are left the most recent entries of their
+        LRUs.  So while the caller holds ``v``, every per-target read —
+        :meth:`row`, :meth:`d` from ``v``'s side, :meth:`next_hop` toward
+        ``v``, :meth:`restricted_spt_parents` rooted at ``v`` — is a cache
+        hit: a build that does all its per-target work inside one sweep
+        computes each row once.
         """
         order: Sequence[int] = range(self.n)
         if targets is not None:
@@ -586,17 +483,16 @@ class MetricView:
                         f"vertex {v} out of range [0, {self.n})"
                     )
         _ = self.tol  # fix the tolerance scale before the first chunk
-        dense = self._dist
-        step = self._cache_rows if dense is None else max(1, len(order))
+        step = self._cache_rows
         for start in range(0, len(order), step):
             chunk = order[start : start + step]
-            rows = dense if dense is not None else self._chunk_rows(chunk)
+            rows = self._chunk_rows(chunk)
             for v in chunk:
                 row = rows[v]
                 col = self._hop_cols.get(v)
                 if col is None:
                     col = self._hop_column_from(v, row)
-                elif dense is None:
+                else:
                     self._hop_cols.move_to_end(v)
                 self.row_cache_put(v, row)
                 yield v, row, col
@@ -674,8 +570,8 @@ class MetricView:
         """A shortest-path tree rooted at ``root`` as a child->parent map.
 
         Uses scipy's C Dijkstra over the one cached matrix whenever scipy
-        imports (the hot path — schemes build hundreds of trees), in every
-        mode and under every kernel, so the trees never depend on either.
+        imports (the hot path — schemes build hundreds of trees), under
+        every kernel, so the trees never depend on it.
         Any valid SPT serves tree routing; consistency with the distance
         oracle is guaranteed because distances agree.  Rows staged by
         :meth:`prefetch_spt_parents` are consumed first.
@@ -774,10 +670,10 @@ class MetricView:
         """``B(u, ell)`` (and radii) for every vertex — the batched sweep.
 
         One call to :func:`repro.graph.shortest_paths.all_balls` with this
-        view's :attr:`tol`, in both modes: the balls never read distance
-        rows, so the whole family costs the sweep's batch memory, and the
-        balls and radii are the same whatever the mode or kernel.  They
-        equal :meth:`ball` and :meth:`ball_radius` on the forward rows.
+        view's :attr:`tol`: the balls never read distance rows, so the
+        whole family costs the sweep's batch memory, and the balls and
+        radii are the same whatever the kernel.  They equal :meth:`ball`
+        and :meth:`ball_radius` on the forward rows.
         """
         return all_balls(
             self.graph, ell, tol=self.tol, with_radii=with_radii

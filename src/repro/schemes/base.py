@@ -93,12 +93,7 @@ class SchemeBase(CompactRoutingScheme):
                     metric = substrate.metric
         ports = ports if ports is not None else PortAssignment(graph)
         super().__init__(graph, ports)
-        # mode="auto": the eager dense matrix up to the threshold size,
-        # the lazy per-row oracle (CSR-kernel backed) beyond it — see
-        # repro.graph.metric for the dispatch.
-        self.metric = (
-            metric if metric is not None else MetricView(graph, mode="auto")
-        )
+        self.metric = metric if metric is not None else MetricView(graph)
         if not self.metric.is_connected():
             raise ValueError("routing schemes require a connected graph")
         self._tables: List[SizedTable] = [

@@ -48,7 +48,7 @@ class BunchStructure:
         # Bounded cluster scan: no vertex beyond max d(v, A) can belong
         # to any cluster, so each row only needs the neighbourhood inside
         # that radius — the metric's bounded-row sweep (batched truncated
-        # delta-stepping on a lazy metric, plain row reads when dense)
+        # delta-stepping with the kernel, filtered rows on the pure path)
         # instead of a full blockwise APSP.
         limit = float(d_to_a.max()) if n else 0.0
         for w, verts, dists in metric.iter_bounded_rows(limit):

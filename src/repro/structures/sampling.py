@@ -17,7 +17,7 @@ each round re-counts only the *previously oversized* owners, through the
 metric's bounded-row sweep (no vertex beyond ``max_v d(v, A)`` can be in
 any cluster), and maintains ``d(v, A)`` incrementally from the freshly
 sampled members' rows.  The first round needs no distance scan at all —
-with ``A = ∅`` every cluster is its owner's connected component.  A lazy
+with ``A = ∅`` every cluster is its owner's connected component.  The
 metric therefore stops paying one blockwise APSP per sampling round; the
 candidate set and the RNG stream are *identical* to the rescan-everything
 reference (``use_cache=False``), so both paths return the same set for the
@@ -44,8 +44,7 @@ def _distance_to_set(metric: MetricView, members: List[int]) -> np.ndarray:
     if not members:
         return np.full(metric.n, np.inf)
     # Landmark columns are the landmark rows transposed (the canonical
-    # row orientation), which keeps this O(|A| * n) memory with a lazy
-    # metric.
+    # row orientation), which keeps this O(|A| * n) memory.
     return metric.columns(members).min(axis=1)
 
 
@@ -53,7 +52,7 @@ def cluster_sizes(metric: MetricView, members: List[int]) -> np.ndarray:
     """``|C_A(w)|`` for every ``w`` with ``A = members``.
 
     ``C_A(w) = {v : d(w, v) < d(v, A)}`` (strict, following the paper).
-    Counted through the metric's bounded row-oriented API so no dense
+    Counted through the metric's bounded row-oriented API so no
     ``n x n`` comparison matrix is ever materialized.
     """
     d_to_a = _distance_to_set(metric, members)

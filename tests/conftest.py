@@ -1,8 +1,8 @@
 """Shared fixtures: canonical small graphs with cached metrics.
 
 Scheme constructions are quadratic-ish, so tests use small graphs; the
-fixtures are session-scoped and cached because MetricView construction
-dominates otherwise.
+fixtures are session-scoped so each shared MetricView keeps the rows it
+has computed.
 """
 
 from __future__ import annotations

@@ -8,12 +8,11 @@ weighted and unweighted graphs for both batched ball engines (the
 delta-stepping sweep and the unit-weight BFS sweep), serial and under the
 multiprocess tier.
 
-A note on the dense matrix: ``MetricView`` in dense+scipy mode symmetrizes
-its matrix (``min(dist, dist.T)``), which can differ from any forward
-single-source run by one ulp on weighted graphs.  Kernel results are
-therefore compared against the *forward* pure reference (exact equality),
-and against the dense metric only on unweighted graphs, where all paths
-are exact.
+``MetricView`` rows are the *forward* single-source rows: they equal an
+all-pairs reference computed in the test (forward ``dijkstra_py`` rows,
+or scipy's ``directed=False`` matrix) exactly.  Structures built on the
+view are compared between the kernel's bounded engine and
+``REPRO_KERNEL=pure``, which filters full rows.
 """
 
 import math
@@ -61,14 +60,25 @@ def _graphs():
 GRAPHS = _graphs()
 
 
-def _pure_balls(g, ell, tol):
-    """Balls and radii from :func:`all_balls` on the pure dispatch path."""
+def _pure(build):
+    """``build()`` under ``REPRO_KERNEL=pure``: every distance row from
+    ``dijkstra_py``, every bounded scan a filtered full row."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_KERNEL", "pure")
         reset_kernel_choice()
-        ref = all_balls(g, ell, tol=tol, with_radii=True)
+        out = build()
     reset_kernel_choice()
-    return ref
+    return out
+
+
+def _pure_balls(g, ell, tol):
+    """Balls and radii from :func:`all_balls` on the pure dispatch path."""
+    return _pure(lambda: all_balls(g, ell, tol=tol, with_radii=True))
+
+
+def _apsp(g):
+    """The test-side all-pairs reference: forward ``dijkstra_py`` rows."""
+    return np.array([dijkstra_py(g, u)[0] for u in range(g.n)], dtype=float)
 
 
 @pytest.fixture(params=GRAPHS, ids=[name for name, _ in GRAPHS])
@@ -173,9 +183,7 @@ class TestAllBallsAgreement:
         assert all_balls(graph, 0, with_radii=True) == expect
         monkeypatch.delenv("REPRO_KERNEL")
         reset_kernel_choice()
-        m = MetricView(graph, mode="lazy")
-        assert m.all_balls(0) == expect
-        assert MetricView(graph, mode="dense").all_balls(0) == expect
+        assert MetricView(graph).all_balls(0) == expect
 
     def test_bfs_path_forced(self):
         g = erdos_renyi(300, 0.02, seed=8)  # unit weights -> BFS sweep
@@ -208,14 +216,14 @@ class TestMultiSourceAgreement:
 
     def test_identical(self, graph, monkeypatch):
         sources = [0, graph.n // 3, graph.n - 1]
-        kernel = _pivots(MetricView(graph, mode="lazy"), sources)
+        kernel = _pivots(MetricView(graph), sources)
         monkeypatch.setenv("REPRO_KERNEL", "pure")
         reset_kernel_choice()
-        assert _pivots(MetricView(graph, mode="lazy"), sources) == kernel
+        assert _pivots(MetricView(graph), sources) == kernel
 
     def test_duplicate_sources(self, graph):
         """Deduplication: repeated sources change nothing (satellite)."""
-        m = MetricView(graph, mode="lazy")
+        m = MetricView(graph)
         sources = [0, graph.n // 2, graph.n // 2, 0, 0]
         assert _pivots(m, sources) == _pivots(m, [0, graph.n // 2])
 
@@ -277,7 +285,7 @@ class TestSubgraphDijkstra:
         member set, but {0,2,3} realizes all its shortest paths internally
         — both dispatch paths must accept it with the same tree."""
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        m = MetricView(g, mode="dense")
+        m = MetricView(g)
         expect = {0: 0, 2: 0, 3: 2}
         assert m.restricted_spt_parents(0, [0, 2, 3]) == expect
         monkeypatch.setenv("REPRO_KERNEL", "pure")
@@ -286,112 +294,94 @@ class TestSubgraphDijkstra:
 
 
 class TestMetricModesAgree:
-    """Dense and lazy MetricView agree on unweighted graphs (exact)."""
+    """MetricView agrees with the test-side all-pairs reference."""
 
     @pytest.mark.parametrize("use_scipy", [True, False])
     def test_lazy_matches_dense_unweighted(self, use_scipy, monkeypatch):
         if not use_scipy:
             monkeypatch.setattr(csr, "_HAVE_SCIPY", False)
         g = erdos_renyi(40, 0.12, seed=13)
-        dense = MetricView(g, mode="dense")
-        lazy = MetricView(g, mode="lazy")
-        assert dense.mode == "dense" and lazy.mode == "lazy"
+        ref = _apsp(g)
+        m = MetricView(g)
         for u in range(g.n):
-            assert np.array_equal(lazy.row(u), dense.row(u))
+            assert np.array_equal(m.row(u), ref[u])
         for ell in (1, 6, 17):
+            balls, _ = _pure_balls(g, ell, m.tol)
             for u in range(0, g.n, 5):
-                assert lazy.ball(u, ell) == dense.ball(u, ell)
-        fam_d, rad_d = dense.all_balls(9)
-        fam_l, rad_l = lazy.all_balls(9)
-        assert fam_l == fam_d
-        assert rad_l == rad_d
+                assert m.ball(u, ell) == balls[u]
+        assert m.all_balls(9) == _pure_balls(g, 9, m.tol)
 
     def test_lazy_matches_dense_weighted_approx(self):
         g = with_random_weights(erdos_renyi(40, 0.12, seed=14), seed=15)
-        dense = MetricView(g, mode="dense")
-        lazy = MetricView(g, mode="lazy")
+        ref = _apsp(g)
+        m = MetricView(g)
         for u in range(0, g.n, 3):
-            assert np.allclose(lazy.row(u), dense.row(u))
-        # random float weights make exact (dist, id) ties measure-zero,
-        # so ball order agrees despite the dense matrix symmetrization
+            assert np.allclose(m.row(u), ref[u])
+        balls, _ = _pure_balls(g, 11, m.tol)
         for u in range(0, g.n, 7):
-            assert lazy.ball(u, 11) == dense.ball(u, 11)
+            assert m.ball(u, 11) == balls[u]
 
     def test_lazy_scalar_facts(self):
         g = erdos_renyi(35, 0.15, seed=16)
-        dense = MetricView(g, mode="dense")
-        lazy = MetricView(g, mode="lazy")
-        assert lazy.is_connected() == dense.is_connected()
-        assert lazy.diameter() == dense.diameter()
-        assert lazy.min_pairwise_distance() == dense.min_pairwise_distance()
-        assert lazy.normalized_diameter() == dense.normalized_diameter()
+        ref = _apsp(g)
+        m = MetricView(g)
+        off_diag = ref[~np.eye(g.n, dtype=bool)]
+        assert m.is_connected() == bool(np.isfinite(ref).all())
+        assert m.diameter() == ref.max()
+        assert m.min_pairwise_distance() == off_diag.min()
+        assert m.normalized_diameter() == ref.max() / off_diag.min()
 
     def test_lazy_columns_and_counts(self):
-        # Unweighted: integer distances are exact on every path, so the
-        # strict < counts match bit-for-bit (weighted rows can differ by
-        # one ulp from the symmetrized dense matrix at exact ties).
         g = erdos_renyi(30, 0.2, seed=17)
-        dense = MetricView(g, mode="dense")
-        lazy = MetricView(g, mode="lazy")
+        ref = _apsp(g)
+        m = MetricView(g)
         members = [2, 11, 23]
-        assert np.array_equal(lazy.columns(members), dense.columns(members))
-        thr = dense.columns(members).min(axis=1)
+        assert np.array_equal(m.columns(members), ref[members].T)
+        thr = ref[members].min(axis=0)
         assert np.array_equal(
-            lazy.count_rows_below(thr), dense.count_rows_below(thr)
+            m.count_rows_below(thr), (ref < thr[None, :]).sum(axis=1)
         )
-
-    def test_lazy_matrix_escape_hatch(self):
-        g = erdos_renyi(25, 0.2, seed=19)
-        dense = MetricView(g, mode="dense")
-        lazy = MetricView(g, mode="lazy")
-        assert np.array_equal(lazy.matrix, dense.matrix)
 
     def test_lazy_row_cache_evicts(self):
         g = erdos_renyi(30, 0.2, seed=20)
-        lazy = MetricView(g, mode="lazy", cache_rows=4)
+        lazy = MetricView(g, cache_rows=4)
         for u in range(g.n):
             lazy.row(u)
         assert len(lazy._row_cache) <= 4
 
-    def test_auto_mode_threshold(self):
-        g = erdos_renyi(12, 0.4, seed=21)
-        assert MetricView(g, dense_threshold=20).mode == "dense"
-        assert MetricView(g, dense_threshold=5).mode == "lazy"
-
 
 class TestLazyStructuresIntegration:
-    """The rewired structures agree across metric modes (unweighted=exact)."""
+    """Structures agree: the kernel's bounded engine vs pure full rows."""
 
     def test_bunch_structure_lazy_equals_dense(self):
-        from repro.structures.bunches import BunchStructure
-
         g = erdos_renyi(40, 0.15, seed=23)
-        landmarks = [3, 17, 31]
-        dense = BunchStructure(MetricView(g, mode="dense"), landmarks)
-        lazy = BunchStructure(MetricView(g, mode="lazy"), landmarks)
-        for v in range(g.n):
-            assert lazy.pivot(v) == dense.pivot(v)
-            assert lazy.bunch(v) == dense.bunch(v)
-            assert lazy.cluster(v) == dense.cluster(v)
+
+        def bunches():
+            bs = BunchStructure(MetricView(g), [3, 17, 31])
+            keys = (bs.pivot, bs.bunch, bs.cluster)
+            return [[key(v) for key in keys] for v in range(g.n)]
+
+        assert bunches() == _pure(bunches)
 
     def test_hierarchy_and_oracle_lazy_equals_dense(self):
         from repro.baselines.hierarchy import SampledHierarchy
         from repro.baselines.tz_oracle import TZOracle
 
         g = erdos_renyi(45, 0.15, seed=24)
-        md, ml = MetricView(g, mode="dense"), MetricView(g, mode="lazy")
-        hd = SampledHierarchy(md, 2, seed=5)
-        hl = SampledHierarchy(ml, 2, seed=5)
-        assert hd.level(1) == hl.level(1)
-        for v in range(g.n):
-            assert hd.bunch(v) == hl.bunch(v)
-            assert hd.pivot(1, v) == hl.pivot(1, v)
-        hl.validate()
-        od = TZOracle(g, k=2, seed=5, metric=md, hierarchy=hd)
-        ol = TZOracle(g, k=2, seed=5, metric=ml, hierarchy=hl)
-        for u in range(0, g.n, 3):
-            for v in range(1, g.n, 5):
-                assert od.query(u, v) == ol.query(u, v)
+
+        def oracle():
+            m = MetricView(g)
+            h = SampledHierarchy(m, 2, seed=5)
+            h.validate()
+            o = TZOracle(g, k=2, seed=5, metric=m, hierarchy=h)
+            pairs = [(u, v) for u in range(0, 45, 3) for v in range(1, 45, 5)]
+            return (
+                h.level(1),
+                [(h.bunch(v), h.pivot(1, v)) for v in range(g.n)],
+                [o.query(u, v) for u, v in pairs],
+            )
+
+        assert oracle() == _pure(oracle)
 
     def test_cluster_sampling_lazy_equals_dense(self):
         from repro.structures.sampling import (
@@ -400,18 +390,17 @@ class TestLazyStructuresIntegration:
         )
 
         g = erdos_renyi(40, 0.15, seed=25)
-        md, ml = MetricView(g, mode="dense"), MetricView(g, mode="lazy")
-        members = [1, 8, 22, 39]
-        assert np.array_equal(
-            cluster_sizes(md, members), cluster_sizes(ml, members)
-        )
-        assert sample_cluster_bounded(md, 6.0, seed=3) == (
-            sample_cluster_bounded(ml, 6.0, seed=3)
-        )
+
+        def sampled():
+            m = MetricView(g)
+            sizes = cluster_sizes(m, [1, 8, 22, 39]).tolist()
+            return sizes, sample_cluster_bounded(m, 6.0, seed=3)
+
+        assert sampled() == _pure(sampled)
 
     def test_restricted_spt_lazy_and_kernel(self):
         g = with_random_weights(erdos_renyi(40, 0.15, seed=26), seed=27)
-        m = MetricView(g, mode="dense")
+        m = MetricView(g)
         members = m.ball(0, 12)  # (dist, id)-prefix => shortest-path closed
         parents = m.restricted_spt_parents(0, members)
         assert parents[0] == 0
@@ -424,7 +413,7 @@ class TestLazyStructuresIntegration:
     def test_restricted_spt_rejects_non_closed(self):
         from repro.graph.generators import path as path_graph
 
-        m = MetricView(path_graph(5), mode="dense")
+        m = MetricView(path_graph(5))
         with pytest.raises(ValueError):
             m.restricted_spt_parents(0, [0, 4])
 
@@ -542,9 +531,9 @@ class TestDeltaEngine:
 
 
 class TestTieHeavyModeAgreement:
-    """The acceptance regression: lazy and dense MetricView distances are
-    bit-identical at exact weighted ties, with kernel and pure dispatch
-    agreeing (the canonical forward-row orientation)."""
+    """The acceptance regression: MetricView rows are bit-identical to the
+    forward reference at exact weighted ties, with kernel and pure
+    dispatch agreeing (the canonical forward-row orientation)."""
 
     @pytest.fixture(scope="class")
     def tie_graph(self):
@@ -552,40 +541,31 @@ class TestTieHeavyModeAgreement:
 
     def test_ties_are_real_and_orientation_sensitive(self, tie_graph):
         # The forward all-pairs matrix genuinely is ulp-asymmetric here;
-        # without one canonical orientation the modes would diverge.
-        m = MetricView(tie_graph, mode="dense")
+        # without one canonical orientation the paths would diverge.
+        m = MetricView(tie_graph)
         raw = np.vstack([m.row(u) for u in range(tie_graph.n)])
         assert (raw != raw.T).sum() > 0
 
     def test_lazy_equals_dense_bitwise(self, tie_graph):
-        dense = MetricView(tie_graph, mode="dense")
-        lazy = MetricView(tie_graph, mode="lazy")
+        ref = _apsp(tie_graph)
+        m = MetricView(tie_graph)
         for u in range(tie_graph.n):
-            assert np.array_equal(lazy.row(u), dense.row(u))
-        fam_d, rad_d = dense.all_balls(11)
-        fam_l, rad_l = lazy.all_balls(11)
-        assert fam_l == fam_d
-        assert rad_l == rad_d
+            assert np.array_equal(m.row(u), ref[u])
+        assert m.all_balls(11) == _pure_balls(tie_graph, 11, m.tol)
 
     def test_kernel_equals_pure_bitwise(self, tie_graph, monkeypatch):
         kernel_rows = [
-            MetricView(tie_graph, mode="lazy").row(u).copy()
+            MetricView(tie_graph).row(u).copy()
             for u in range(tie_graph.n)
         ]
-        kernel_balls, _ = MetricView(tie_graph, mode="lazy").all_balls(11)
+        kernel_balls, _ = MetricView(tie_graph).all_balls(11)
         monkeypatch.setenv("REPRO_KERNEL", "pure")
         reset_kernel_choice()
-        pure = MetricView(tie_graph, mode="lazy")
+        pure = MetricView(tie_graph)
         for u in range(tie_graph.n):
             assert np.array_equal(pure.row(u), kernel_rows[u])
         pure_balls, _ = pure.all_balls(11)
         assert pure_balls == kernel_balls
-
-    def test_matrix_escape_hatch_still_symmetric(self, tie_graph):
-        dense = MetricView(tie_graph, mode="dense")
-        lazy = MetricView(tie_graph, mode="lazy")
-        assert np.array_equal(dense.matrix, dense.matrix.T)
-        assert np.array_equal(lazy.matrix, dense.matrix)
 
 
 def _integer_weight_graph(n=60, p=0.1, seed=21, wseed=22):
@@ -642,11 +622,9 @@ class TestScipyDirectedRows:
         from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
         ref = scipy_dijkstra(g.to_csr(), directed=False)
-        dense = MetricView(g, mode="dense")
-        lazy = MetricView(g, mode="lazy")
+        m = MetricView(g)
         for u in range(g.n):
-            assert np.array_equal(dense.row(u), ref[u])
-            assert np.array_equal(lazy.row(u), ref[u])
+            assert np.array_equal(m.row(u), ref[u])
 
 
 class TestCSRStructure:
@@ -736,14 +714,15 @@ def test_ball_engines_match_pure(name, g, engine, tier, monkeypatch):
             eng.close()
 
 
-@pytest.mark.parametrize("mode", ["dense", "lazy"])
+@pytest.mark.parametrize("held", ["dense", "lazy"])
 @pytest.mark.parametrize(
     "g", [g for _, g in BALL_CASES], ids=[name for name, _ in BALL_CASES]
 )
-def test_metric_all_balls_match_pure(g, mode):
-    """``MetricView.all_balls`` is the pure sweep at the view's tol in
-    both modes, and agrees with the row-based :meth:`MetricView.ball`."""
-    m = MetricView(g, mode=mode)
+def test_metric_all_balls_match_pure(g, held):
+    """``MetricView.all_balls`` is the pure sweep at the view's tol, and
+    agrees with the row-based :meth:`MetricView.ball`, whether the row
+    LRU holds every row (``dense``) or evicts after two (``lazy``)."""
+    m = MetricView(g, cache_rows=g.n if held == "dense" else 2)
     for ell in (1, 7, 400):
         balls, radii = m.all_balls(ell)
         assert (balls, radii) == _pure_balls(g, ell, m.tol)

@@ -16,9 +16,20 @@ from repro.graph.generators import (
     with_random_weights,
 )
 from repro.graph import csr
+from repro.graph.csr import csr_graph
 from repro.graph.metric import MetricView
-from repro.graph.shortest_paths import use_kernel
+from repro.graph.shortest_paths import dijkstra_py, use_kernel
 from repro.routing.shard_codec import encode_node_table
+
+
+def _apsp(g):
+    """The test-side all-pairs reference: forward ``dijkstra_py`` rows."""
+    return np.array([dijkstra_py(g, u)[0] for u in range(g.n)], dtype=float)
+
+
+def _view(g, held, small=2):
+    """A row LRU that holds every row (``"dense"``) or ``small`` rows."""
+    return MetricView(g, cache_rows=g.n if held == "dense" else small)
 
 
 class TestDistances:
@@ -34,21 +45,26 @@ class TestDistances:
                 assert m.d(u, v) == pytest.approx(ref[u][v])
 
     def test_matrix_symmetric(self):
+        # d(u, v) and d(v, u) sum one path in opposite orders: not bitwise
         g = with_random_weights(erdos_renyi(40, 0.1, seed=3), seed=4)
-        m = MetricView(g)
-        assert np.array_equal(m.matrix, m.matrix.T)
+        full = MetricView(g).rows(range(g.n))
+        assert np.allclose(full, full.T, rtol=0, atol=1e-12)
 
     def test_scipy_and_python_agree(self, monkeypatch):
         g = with_random_weights(erdos_renyi(25, 0.2, seed=5), seed=6)
-        m1 = MetricView(g)
+        with_scipy = MetricView(g).rows(range(g.n))
         monkeypatch.setattr(csr, "_HAVE_SCIPY", False)
-        m2 = MetricView(g)
-        assert np.allclose(m1.matrix, m2.matrix)
+        assert np.allclose(with_scipy, MetricView(g).rows(range(g.n)))
 
-    @pytest.mark.parametrize("mode", ["dense", "lazy"])
-    def test_out_of_range_ids_raise(self, mode):
+    def test_removed_modes_rejected(self):
+        for mode in ("dense", "auto"):
+            with pytest.raises(ValueError, match="dense mode was removed"):
+                MetricView(grid(2, 2), mode=mode)
+
+    @pytest.mark.parametrize("held", ["dense", "lazy"])
+    def test_out_of_range_ids_raise(self, held):
         # Negative ids must not wrap around to another vertex's answer.
-        m = MetricView(erdos_renyi(20, 0.3, seed=1), mode=mode)
+        m = _view(erdos_renyi(20, 0.3, seed=1), held)
         for u, v in ((0, -1), (-1, 0), (0, 20), (20, 0), (-21, 3)):
             with pytest.raises(GraphError, match="out of range"):
                 m.d(u, v)
@@ -67,32 +83,30 @@ class TestDistances:
 
 
 class TestLazyTolScale:
-    """Satellite: the lazy tol scale is a running max over computed rows,
-    always within a factor of two of the dense (true-diameter) scale."""
+    """The tol scale is a running max over computed rows, always within a
+    factor of two of the whole-scan (true-diameter) scale."""
 
     @pytest.mark.parametrize("seed", [1, 5, 9, 13])
     def test_lazy_tol_within_2x_of_dense(self, seed):
         g = with_random_weights(
             erdos_renyi(60, 0.08, seed=seed), seed=seed + 100
         )
-        dense = MetricView(g, mode="dense")
-        lazy = MetricView(g, mode="lazy")
-        # Any eccentricity is >= diam/2, so the seeded lazy scale sits in
+        dense = 1e-9 * _apsp(g).max()  # the whole-scan scale
+        # Any eccentricity is >= diam/2, so the seeded scale sits in
         # [dense/2, dense] — never above, never more than 2x below.
-        assert dense.tol / 2.0 <= lazy.tol <= dense.tol
+        assert dense / 2.0 <= MetricView(g).tol <= dense
 
     def test_lazy_tol_tracks_rows_then_freezes(self):
         g = with_random_weights(erdos_renyi(50, 0.1, seed=3), seed=4)
-        dense = MetricView(g, mode="dense")
         # Rows computed before the first read feed the running maximum:
         # after a full sweep the scales coincide exactly.
-        lazy = MetricView(g, mode="lazy")
+        lazy = MetricView(g)
         for u in range(g.n):
             lazy.row(u)
-        assert lazy.tol == dense.tol
+        assert lazy.tol == 1e-9 * _apsp(g).max()
         # Once read, the tolerance is frozen — later rows cannot shift
         # strict-band decisions mid-build.
-        fresh = MetricView(g, mode="lazy")
+        fresh = MetricView(g)
         first = fresh.tol
         for u in range(g.n):
             fresh.row(u)
@@ -154,9 +168,9 @@ class TestShortestPathStructure:
                 )[1]
 
             for m in (
-                MetricView(g, mode="dense"),
-                MetricView(g, mode="lazy"),
-                MetricView(g, mode="lazy", cache_rows=2),
+                _view(g, "dense"),
+                MetricView(g),
+                _view(g, "lazy"),
             ):
                 for u in range(g.n):
                     for v in range(g.n):
@@ -171,11 +185,11 @@ class TestShortestPathStructure:
                         else:
                             assert m.next_hop(u, v) == reference(
                                 u, v, m.tol
-                            ), (weights, m.mode, u, v)
+                            ), (weights, m._cache_rows, u, v)
 
-    @pytest.mark.parametrize("mode", ["dense", "lazy"])
-    def test_next_hop_without_tight_edge_raises(self, mode):
-        m = MetricView(grid(3, 3), mode=mode)
+    @pytest.mark.parametrize("held", ["dense", "lazy"])
+    def test_next_hop_without_tight_edge_raises(self, held):
+        m = _view(grid(3, 3), held)
         m._tol = -1.0  # no edge can be tight: an inconsistent metric
         with pytest.raises(RuntimeError, match="no tight edge"):
             m.next_hop(0, 8)
@@ -227,7 +241,7 @@ class TestEdgeScalars:
     """``tight_min_weight`` and ``min_pairwise_distance`` read the lightest
     edge in O(m); they equal the old all-rows scans."""
 
-    @pytest.mark.parametrize("mode", ["dense", "lazy"])
+    @pytest.mark.parametrize("held", ["dense", "lazy"])
     @pytest.mark.parametrize(
         "name, g",
         [
@@ -241,8 +255,8 @@ class TestEdgeScalars:
         ],
         ids=lambda p: p if isinstance(p, str) else "",
     )
-    def test_equal_to_full_scans(self, name, g, mode):
-        m = MetricView(g, mode=mode)
+    def test_equal_to_full_scans(self, name, g, held):
+        m = _view(g, held)
         tight, off_diag, slack = _scanned_scalars(m)
         assert m.tight_min_weight() == tight
         assert m.min_pairwise_distance() == off_diag
@@ -251,23 +265,23 @@ class TestEdgeScalars:
         assert m.diameter_bound() >= m.diameter()
 
     def test_no_edges(self):
-        m = MetricView(Graph(3), mode="lazy")
+        m = MetricView(Graph(3))
         with pytest.raises(ValueError, match="no shortest-path edges"):
             m.tight_min_weight()
         assert m.min_pairwise_distance() == 1.0
 
 
 class TestTargetSweep:
-    @pytest.mark.parametrize("mode", ["dense", "lazy"])
-    def test_yields_rows_and_hop_columns(self, mode):
+    @pytest.mark.parametrize("held", ["dense", "lazy"])
+    def test_yields_rows_and_hop_columns(self, held):
         g = with_random_weights(erdos_renyi(50, 0.1, seed=21), seed=22)
-        m = MetricView(g, mode=mode, cache_rows=8)
-        ref = MetricView(g, mode="dense")
+        m = _view(g, held, small=8)
+        ref, hop = _apsp(g), csr_graph(g)._hop_column_numpy
         seen = []
         for v, row, col in m.target_sweep():
             seen.append(v)
-            assert np.array_equal(row, ref.row(v))
-            assert np.array_equal(col, ref.hop_column(v))
+            assert np.array_equal(row, ref[v])
+            assert np.array_equal(col, hop(ref[v], v, m.tol))
         assert seen == list(range(g.n))
         targets = [7, 3, 41]
         assert [v for v, _, _ in m.target_sweep(targets)] == targets
@@ -276,7 +290,7 @@ class TestTargetSweep:
 
     def test_lazy_rows_once_in_chunks(self, monkeypatch):
         g = with_random_weights(erdos_renyi(50, 0.1, seed=23), seed=24)
-        m = MetricView(g, mode="lazy", cache_rows=8)
+        m = MetricView(g, cache_rows=8)
         calls = []
         compute = m._compute_rows
 
@@ -358,28 +372,31 @@ class TestNextHopRowsInBuilds:
         ids=lambda p: getattr(p, "name", "weighted" if p else "unit"),
     )
     def test_lazy_and_dense_builds_give_same_bytes(self, spec, weighted):
+        # LRU eviction never changes output: a 2-row cache builds the
+        # same tables and labels as one that holds all n rows.
         pytest.importorskip("scipy")
         n = 110
         g = erdos_renyi(n, 0.07, seed=61)
         if weighted:
             g = with_random_weights(g, seed=62)
 
-        def build(mode):
+        def build(cache_rows):
             scheme = spec.factory(
-                g, metric=MetricView(g, mode=mode), **spec.defaults()
+                g, metric=MetricView(g, cache_rows=cache_rows),
+                **spec.defaults()
             )
             blobs = [encode_node_table(r) for r in scheme.compile_tables()]
             labels = [scheme.label_of(v) for v in range(n)]
             return blobs, labels
 
-        assert build("lazy") == build("dense")
+        assert build(2) == build(n)
 
     def test_lazy_thm11_row_count(self):
         # A count, not a time: repeats exactly.  Hop columns need only
         # the target's row (per-source hop rows took 2158 here).
         g = with_random_weights(erdos_renyi(120, 0.05, seed=7), seed=8)
         spec = get_spec("thm11")
-        m = MetricView(g, mode="lazy")
+        m = MetricView(g)
         spec.factory(g, metric=m, **spec.defaults())
         if use_kernel():
             assert m.rows_computed <= 133
@@ -394,7 +411,7 @@ class TestNextHopRowsInBuilds:
         # w (8223 rows here).
         g = erdos_renyi(120, 0.05, seed=7)
         spec = get_spec("thm10")
-        m = MetricView(g, mode="lazy")
+        m = MetricView(g)
         spec.factory(g, metric=m, **spec.defaults())
         if use_kernel():
             assert m.rows_computed <= 242
@@ -410,6 +427,6 @@ class TestNextHopRowsInBuilds:
         n = 2000
         g = with_random_weights(random_sparse(n, 4 * n, seed=5), seed=6)
         spec = get_spec("thm11")
-        m = MetricView(g, mode="lazy")
+        m = MetricView(g)
         spec.factory(g, metric=m, seed=1, **spec.defaults())
         assert m.rows_computed <= 2 * n

@@ -19,6 +19,7 @@ import gc
 import glob
 import os
 import signal
+import time
 
 import pytest
 
@@ -222,9 +223,9 @@ def test_metric_prefetch_changes_no_tree(monkeypatch, two_workers):
     pytest.importorskip("scipy")
     g = _weighted(600, 0.01, seed=33)
     roots = list(range(0, 600, 29))
-    warm = MetricView(g, mode="lazy")
+    warm = MetricView(g)
     warm.prefetch_spt_parents(roots)
-    cold = MetricView(g, mode="lazy")
+    cold = MetricView(g)
     for r in roots:
         assert warm.spt_parents(r) == cold.spt_parents(r)
     assert not warm._pred_rows  # prefetched rows are consumed
@@ -245,7 +246,7 @@ def test_substrate_artifacts_bit_identical_at_2000(monkeypatch, two_workers):
 
     def artifacts():
         g = _weighted(n, 0.003, seed=41)
-        sub = Substrate(g, metric=MetricView(g, mode="lazy"))
+        sub = Substrate(g, metric=MetricView(g))
         family = sub.ball_family(ell)
         return (
             family.balls(),
@@ -274,7 +275,7 @@ def test_registered_schemes_bit_identical(monkeypatch, two_workers, spec):
 
     def build():
         scheme = spec.factory(
-            g, metric=MetricView(g, mode="lazy"), **spec.defaults()
+            g, metric=MetricView(g), **spec.defaults()
         )
         blobs = [encode_node_table(r) for r in scheme.compile_tables()]
         labels = [scheme.label_of(v) for v in range(n)]
@@ -330,6 +331,11 @@ def test_killed_worker_is_retried_bit_identically(monkeypatch, two_workers):
     pids = parallel.run_tasks(parallel._task_pid, [(), ()], 2)
     before = parallel.pool_respawns()
     os.kill(pids[0], signal.SIGKILL)
+    # A sweep sent before the executor sees the death may never break.
+    deadline = time.monotonic() + 10.0
+    while not parallel._POOL._executor._broken:
+        assert time.monotonic() < deadline, "pool never reported broken"
+        time.sleep(0.01)
     pb, pv, pr = csr.all_balls(
         15, tol=0.0, with_radii=True, engine="delta", as_arrays=True
     )

@@ -5,6 +5,7 @@ import pytest
 
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.graph.metric import MetricView
+from repro.graph.shortest_paths import reset_kernel_choice
 from repro.structures.sampling import cluster_sizes, sample_cluster_bounded
 
 
@@ -75,29 +76,30 @@ class TestCrossRoundCache:
         )
         assert cached == rescan
 
-    def test_cache_matches_across_modes(self):
+    def test_cache_matches_across_modes(self, monkeypatch):
+        # the kernel's bounded engine vs the pure path's filtered rows
         g = with_random_weights(erdos_renyi(50, 0.12, seed=31), seed=32)
-        md = MetricView(g, mode="dense")
-        ml = MetricView(g, mode="lazy")
-        for seed in (1, 7):
-            assert sample_cluster_bounded(md, 7.0, seed=seed) == (
-                sample_cluster_bounded(ml, 7.0, seed=seed)
-            )
+        seeds = (1, 7)
+        kernel = [sample_cluster_bounded(MetricView(g), 7.0, s) for s in seeds]
+        monkeypatch.setenv("REPRO_KERNEL", "pure")
+        reset_kernel_choice()
+        for s, got in zip(seeds, kernel):
+            assert sample_cluster_bounded(MetricView(g), 7.0, s) == got
 
     def test_cache_matches_on_disconnected_graph(self):
         g = with_random_weights(
             erdos_renyi(60, 0.04, seed=33, connected=False), seed=34
         )
-        m = MetricView(g, mode="lazy")
+        m = MetricView(g)
         assert sample_cluster_bounded(m, 6.0, seed=2) == (
             sample_cluster_bounded(m, 6.0, seed=2, use_cache=False)
         )
 
     def test_cache_skips_repeated_full_scans(self):
         g = with_random_weights(erdos_renyi(120, 0.06, seed=35), seed=36)
-        rescan = MetricView(g, mode="lazy")
+        rescan = MetricView(g)
         sample_cluster_bounded(rescan, 11.0, seed=4, use_cache=False)
-        cached = MetricView(g, mode="lazy")
+        cached = MetricView(g)
         sample_cluster_bounded(cached, 11.0, seed=4, use_cache=True)
         swept_rescan = rescan.rows_computed + rescan.bounded_rows_computed
         swept_cached = cached.rows_computed + cached.bounded_rows_computed

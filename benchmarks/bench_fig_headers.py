@@ -3,11 +3,11 @@
 The theorems bound *header bits*: ``Õ(1/eps)`` for Theorem 10,
 ``Õ((1/eps) log D)`` for Theorem 11, ``o(log^2 n)`` for tree-routing
 labels.  The simulator's word counts approximate this; here every header
-a message ever carries is serialized through the varint codec
-(:mod:`repro.routing.header_codec`) and the maximum wire size is
-reported, per scheme, next to the routed workload.  Expected shape:
-tens of bytes, growing with 1/eps (waypoint count), never with n beyond
-``log n`` id widths or with route length.
+a message ever carries is serialized through the value codec the
+cluster wire ships (:func:`repro.routing.shard_codec.encode_value`) and
+the maximum wire size is reported, per scheme, next to the routed
+workload.  Expected shape: tens of bytes, growing with 1/eps (waypoint
+count), never with n beyond ``log n`` id widths or with route length.
 """
 
 import pytest
@@ -16,8 +16,8 @@ from repro.baselines.thorup_zwick import ThorupZwickScheme
 from repro.eval.workloads import sample_pairs
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.graph.metric import MetricView
-from repro.routing.header_codec import encoded_bits
 from repro.routing.model import Deliver, Forward
+from repro.routing.shard_codec import header_bits
 from repro.schemes import (
     Stretch2Plus1Scheme,
     Stretch5PlusScheme,
@@ -25,7 +25,7 @@ from repro.schemes import (
 )
 
 N = 260
-SECTION = "Fig E: true header bits on the wire (varint codec)"
+SECTION = "Fig E: true header bits on the wire (value codec)"
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def _max_header_bits(scheme, pairs):
                 break
             assert isinstance(action, Forward)
             header = action.header
-            worst = max(worst, encoded_bits(header))
+            worst = max(worst, header_bits(header))
             cur = scheme.ports.neighbor(cur, action.port)
         else:
             raise AssertionError("routing did not terminate")

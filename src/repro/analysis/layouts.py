@@ -95,17 +95,6 @@ DECLARED_LAYOUTS: LayoutTable = {
         },
         "structs": {},
     },
-    "repro/routing/header_codec.py": {
-        "constants": {
-            "_TAG_NONE": 0,
-            "_TAG_INT": 1,
-            "_TAG_STR": 2,
-            "_TAG_TUPLE": 3,
-            "_TAG_BOOL_TRUE": 4,
-            "_TAG_BOOL_FALSE": 5,
-        },
-        "structs": {},
-    },
     "repro/routing/serving.py": {
         "constants": {
             "MANIFEST_NAME": "manifest.json",

@@ -294,6 +294,10 @@ class WorkerServer(socketserver.ThreadingTCPServer):
             )
         owned = set(self.store.owned_groups() or ())
         for g in raw_drive:
+            if not isinstance(g, int) or isinstance(g, bool):
+                raise WireProtocolError(
+                    f"drive group must be an int, got {g!r}"
+                )
             if g not in owned:
                 raise NotOwnerError(
                     f"worker {self.worker_id} does not own drive group "
@@ -331,7 +335,22 @@ class WorkerServer(socketserver.ThreadingTCPServer):
                 if steps >= budget:
                     state = "exhausted"
                     break
-                action = engine.step(current, header, dest_label)
+                try:
+                    action = engine.step(current, header, dest_label)
+                    if isinstance(action, Forward):
+                        nxt, weight = engine.local_edge(
+                            current, action.port
+                        )
+                except (
+                    TypeError, IndexError, KeyError, AttributeError
+                ) as exc:
+                    # a header or label of the wrong shape, read by the
+                    # scheme's step: the sender's fault, not a crash
+                    raise WireProtocolError(
+                        f"scheme step at {current} cannot read the "
+                        f"packet's header or destination label: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
                 steps += 1
                 if isinstance(action, Deliver):
                     state = "delivered"
@@ -341,7 +360,6 @@ class WorkerServer(socketserver.ThreadingTCPServer):
                         f"scheme step at {current} returned "
                         f"{action!r}, not Deliver/Forward"
                     )
-                nxt, weight = engine.local_edge(current, action.port)
                 header = action.header
                 hops.append(
                     (nxt, weight, words_of(header), phase_of(header))

@@ -1,9 +1,6 @@
 """Distributed routing substrate: fixed-port model, simulator, Lemmas 2–3."""
 
 from .ball_routing import BallRoutingScheme, BallRoutingTables
-from .header_codec import decode as decode_header
-from .header_codec import encode as encode_header
-from .header_codec import encoded_bits as header_bits
 from .interval_routing import IntervalTreeRouting
 from .model import (
     CompactRoutingScheme,
@@ -21,7 +18,7 @@ from .serving import (
     open_store,
     write_shards,
 )
-from .shard_codec import decode_node_table, encode_node_table
+from .shard_codec import decode_node_table, encode_node_table, header_bits
 from .simulator import (
     RouteResult,
     SchemeEngine,
@@ -35,8 +32,6 @@ from .tree_routing import TreeRouting, tree_step
 
 __all__ = [
     "BallRoutingScheme",
-    "decode_header",
-    "encode_header",
     "header_bits",
     "IntervalTreeRouting",
     "BallRoutingTables",

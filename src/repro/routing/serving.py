@@ -27,10 +27,11 @@ executable:
   :func:`repro.routing.simulator.route` drives it exactly like an
   in-memory scheme — and the local-knowledge tests prove the step
   decisions are identical even when every shard (or group) but the
-  visited ones is deleted from disk.  Every forwarded header is pushed
-  through the wire codec (:mod:`repro.routing.header_codec`): the header
-  the next hop sees is the decoded wire bytes, and ``serve_stats()``
-  reports the true header bytes sent.
+  visited ones is deleted from disk.  Every forwarded header is sized
+  with the value codec the cluster wire ships
+  (:func:`repro.routing.shard_codec.encode_value`): each distinct header
+  value is round-trip-checked once, then the in-memory header is
+  forwarded, and ``serve_stats()`` reports the true header bytes sent.
 
 Layout on disk (manifest version 3)::
 
@@ -75,7 +76,6 @@ if TYPE_CHECKING:  # import cycle: ports imports graph helpers
     from .ports import PortAssignment
 
 from ..graph.core import Graph
-from . import header_codec
 from .model import RouteAction, Forward, SchemeStats, aggregate_scheme_stats
 from .shard_codec import (
     CODEC_VERSION,
@@ -83,8 +83,10 @@ from .shard_codec import (
     ShardCodecError,
     check_pack,
     decode_node_table_fast,
+    decode_value,
     _encode_record,
     encode_pack,
+    encode_value,
     find_pack_entry,
     parse_pack_header,
     verify_pack,
@@ -159,8 +161,9 @@ class RetiredLayoutError(ServingError, ValueError):
 
 
 class WireContractError(ServingError):
-    """A header violates the wire codec's contract (bool leaves, or a
-    value that does not survive an encode/decode round trip)."""
+    """A header violates the wire codec's contract (bool leaves, an
+    unhashable or unencodable value, or a value that does not survive
+    an encode/decode round trip)."""
 
 
 class ShardAccountingError(ServingError):
@@ -1304,17 +1307,17 @@ class LocalRouter:
     to the monolithic in-memory scheme, which the serving tests assert
     hop by hop for every registered scheme.
 
-    Every forwarded header crosses the wire codec
-    (:mod:`repro.routing.header_codec`): the first time a header value is
-    forwarded it is encoded, decoded back, and checked for exact
-    round-trip — a header shape the codec cannot carry fails at serve
-    time, not in a hypothetical future deployment — and its wire length
-    is cached by value, so the per-hop cost of accounting the true
-    header bytes (``header_stats()``, surfaced through
+    Every forwarded header is sized with the value codec the cluster
+    wire ships (:func:`~repro.routing.shard_codec.encode_value`): the
+    first time a header value is forwarded it is encoded, decoded back,
+    and checked for exact round-trip — a header the codec cannot carry
+    fails at serve time with :class:`WireContractError` — and its wire
+    length is cached by value, so the per-hop cost of accounting the
+    true header bytes (``header_stats()``, surfaced through
     ``RoutingSession.serve_stats()``) is one dict probe.  The verified
     round-trip is what makes forwarding the in-memory header equivalent
-    to forwarding the wire bytes, which keeps warm shard throughput
-    within the ~10%-of-in-memory budget the serving benchmark gates.
+    to forwarding the wire bytes, without paying the encode on every
+    hop.
     """
 
     def __init__(self, store: ShardStore) -> None:
@@ -1369,7 +1372,12 @@ class LocalRouter:
         tests assert bool-freedom for every header every registered
         scheme forwards, hop by hop.
         """
-        length = self._wire_cache.get(header)
+        try:
+            length = self._wire_cache.get(header)
+        except TypeError as exc:  # an unhashable list/dict/set inside
+            raise WireContractError(
+                f"header {header!r} is not hashable: {exc}"
+            ) from exc
         if length is None:
             if _contains_bool(header):
                 raise WireContractError(
@@ -1378,8 +1386,13 @@ class LocalRouter:
                     f"True/False from 1/0 (Python value equality) — "
                     f"encode the flag as an int instead"
                 )
-            wire = header_codec.encode(header)
-            if header_codec.decode(wire) != header:
+            try:
+                wire = encode_value(header)
+            except ShardCodecError as exc:
+                raise WireContractError(
+                    f"header {header!r} cannot be encoded: {exc}"
+                ) from exc
+            if decode_value(wire) != header:
                 raise WireContractError(
                     f"header {header!r} does not survive the wire codec"
                 )

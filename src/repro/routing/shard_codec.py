@@ -87,6 +87,7 @@ __all__ = [
     "encoded_size",
     "encode_value",
     "decode_value",
+    "header_bits",
     "encode_pack",
     "parse_pack_header",
     "check_pack",
@@ -681,11 +682,18 @@ def encode_value(value: Any) -> bytes:
     arbitrarily) — the cluster wire protocol
     (:mod:`repro.cluster.wire`) frames every RPC body with it, so
     headers, labels and status dicts cross the wire in the exact format
-    the shards already commit to (and CODEC001 already audits).
+    the shards already commit to (and CODEC001 already audits).  Serving
+    measures forwarded header bytes with it too
+    (``LocalRouter.header_stats()``, :func:`header_bits`).
     """
     out = bytearray()
     _put_value(out, value)
     return bytes(out)
+
+
+def header_bits(header: Any) -> int:
+    """The true wire size of a routing header, in bits."""
+    return 8 * len(encode_value(header))
 
 
 def decode_value(data: Buffer) -> Any:

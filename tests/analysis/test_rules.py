@@ -428,55 +428,74 @@ def test_gen001_allows_stamped_id_cache_and_module_level_lru():
 # ----------------------------------------------------------------------
 # CODEC001 — codec layout audit
 # ----------------------------------------------------------------------
+#: mirrors the declared ``shard_codec.py`` layout, constant by constant
+CODEC_PY_FIXTURE = """\
+import struct
+MAGIC = b"RT"
+CODEC_VERSION = 1
+PACK_MAGIC = b"RTPK"
+PACK_VERSION = 1
+PACK_VERSION_CRC = 2
+_FLAG_UNIT_WEIGHTS = 0x01
+_T_NONE = 0x00
+_T_FALSE = 0x01
+_T_TRUE = 0x02
+_T_INT = 0x03
+_T_FLOAT = 0x04
+_T_STR = 0x05
+_T_TUPLE = 0x06
+_T_LIST = 0x07
+_T_DICT = 0x08
+_T_COUNT = 0xF1
+_STR_OFFSET_BITS = 40
+MAX_VALUE_DEPTH = 200
+_PACK_ENTRY = struct.Struct("<IQI")
+_PACK_ENTRY_CRC = struct.Struct("<IQII")
+_INDEX_CRC = struct.Struct("<I")
+_PACK_HEADER = struct.Struct("<4sBBI")
+_DOUBLE = struct.Struct("<d")
+"""
+
+
 def test_codec001_flags_constant_drift():
-    source = """\
-        _TAG_NONE = 9
-        _TAG_INT = 1
-        _TAG_STR = 2
-        _TAG_TUPLE = 3
-        _TAG_BOOL_TRUE = 4
-        _TAG_BOOL_FALSE = 5
-        """
-    report = check(source, "repro/routing/header_codec.py", "CODEC001")
+    source = CODEC_PY_FIXTURE.replace("_T_NONE = 0x00", "_T_NONE = 9")
+    report = check(source, "repro/routing/shard_codec.py", "CODEC001")
     assert [f.rule for f in report.findings] == ["CODEC001"]
-    assert "_TAG_NONE" in report.findings[0].message
+    assert "_T_NONE" in report.findings[0].message
 
 
 def test_codec001_flags_missing_declared_constant():
-    source = "_TAG_NONE = 0\n"
-    report = check(source, "repro/routing/header_codec.py", "CODEC001")
+    source = "_T_NONE = 0\n"
+    report = check(source, "repro/routing/shard_codec.py", "CODEC001")
     missing = {
         f.message.split()[3] for f in report.findings
     }  # "declared layout constant NAME has no ..."
-    assert "_TAG_INT" in missing
+    assert "_T_INT" in missing
 
 
 def test_codec001_flags_undeclared_struct_format():
-    source = """\
-        import struct
-        _TAG_NONE = 0
-        _TAG_INT = 1
-        _TAG_STR = 2
-        _TAG_TUPLE = 3
-        _TAG_BOOL_TRUE = 4
-        _TAG_BOOL_FALSE = 5
-        _ROGUE = struct.Struct("<QQ")
-        """
-    report = check(source, "repro/routing/header_codec.py", "CODEC001")
-    assert any("<QQ" in f.message for f in report.findings)
+    source = CODEC_PY_FIXTURE + '_ROGUE = struct.Struct("<QQ")\n'
+    report = check(source, "repro/routing/shard_codec.py", "CODEC001")
+    assert [f.rule for f in report.findings] == ["CODEC001"]
+    assert "<QQ" in report.findings[0].message
 
 
 def test_codec001_real_codecs_match_declared_layouts():
-    import repro.routing.header_codec as header_codec
-    import repro.routing.shard_codec as shard_codec
+    """Every layout entry names a file under ``src/`` that CODEC001
+    passes, so an entry for a deleted codec fails here."""
+    from pathlib import Path
 
-    for mod, relpath in (
-        (shard_codec, "repro/routing/shard_codec.py"),
-        (header_codec, "repro/routing/header_codec.py"),
-    ):
-        with open(mod.__file__, encoding="utf-8") as fh:
-            source = fh.read()
-        report = analyze_source(source, relpath, select=["CODEC001"])
+    import repro
+    from repro.analysis.layouts import DECLARED_LAYOUTS
+
+    src = Path(repro.__file__).resolve().parent.parent
+    for relpath in DECLARED_LAYOUTS:
+        path = src / relpath
+        assert path.is_file(), f"{relpath} is declared but missing"
+        report = analyze_source(
+            path.read_text(encoding="utf-8"), relpath,
+            select=["CODEC001"],
+        )
         assert report.findings == [], [
             f.render() for f in report.findings
         ]

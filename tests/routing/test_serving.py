@@ -42,10 +42,16 @@ from repro.routing.serving import (
     RetiredLayoutError,
     ShardIntegrityError,
     ShardStore,
+    WireContractError,
     open_store,
     write_shards,
 )
-from repro.routing.shard_codec import encode_pack, iter_pack_entries
+from repro.routing.shard_codec import (
+    ShardCodecError,
+    encode_pack,
+    encode_value,
+    iter_pack_entries,
+)
 
 N = 220  # the local-knowledge invariant is asserted at n >= 200
 PAIRS = 25
@@ -569,6 +575,25 @@ def test_wire_cache_refuses_bool_header_leaves(served_packed):
     assert router._wire_len(("tree", 1, (0, ()))) > 0
     assert _contains_bool(("t1", (0, (False,))))  # nested leaves found
     assert not _contains_bool(("t1", (0, 1), None, "tag"))
+
+
+def test_unforwardable_headers_raise_wire_contract_error(served_packed):
+    """Every header the value codec cannot carry fails with the one
+    typed error, chained to the codec's or the cache's own error."""
+    router = LocalRouter(ShardStore(served_packed["tz2"]))
+    deep = 0
+    for _ in range(201):
+        deep = (deep,)
+    for header, cause in [
+        (("tree", frozenset({1})), ShardCodecError),  # no tag for it
+        (deep, ShardCodecError),  # past MAX_VALUE_DEPTH
+        (("tree", {1}), TypeError),  # unhashable: no cache key
+    ]:
+        with pytest.raises(WireContractError) as err:
+            router._wire_len(header)
+        assert isinstance(err.value.__cause__, cause)
+    header = ("t1", (3, -7, "x"), None)
+    assert router._wire_len(header) == len(encode_value(header))
 
 
 def test_packed_vertex_out_of_range(served_packed):

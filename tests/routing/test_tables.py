@@ -359,7 +359,10 @@ class TestValueCodec:
         (bytes.fromhex("08010800000000"), "dict key of type dict"),
         (b"\x06\x01" * 1000 + b"\x00", "deeper than 200"),
         (b"\x08\x01\x00" * 1000 + b"\x00", "deeper than 200"),
-    ], ids=["utf8", "list-key", "dict-key", "deep-tuple", "deep-dict"])
+        (encode_value(("t1", 1234567))[:-1], "truncated"),
+        (encode_value(5) + b"\x00", "trailing bytes"),
+    ], ids=["utf8", "list-key", "dict-key", "deep-tuple", "deep-dict",
+            "truncated", "trailing"])
     def test_hostile_bytes_raise_codec_errors(self, blob, match):
         with pytest.raises(ShardCodecError, match=match):
             decode_value(blob)

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The standard gate: ruff -> mypy (strict allowlist) -> invariant linter
-# -> tier-1 pytest -> the pure and numpy dispatch legs -> the parallel
-# bench smoke.  Correctness checks live in the tier-1 tests and speed in
-# the end-to-end benchmark (benchmarks/e2e/run.py), so no other bench
-# script runs here.  Every leg runs even when an earlier one fails, so
+# -> tier-1 pytest -> the pure and numpy dispatch legs -> the C kernels
+# under ASan/UBSan -> the parallel bench smoke.  Correctness checks live
+# in the tier-1 tests and speed in the end-to-end benchmark
+# (benchmarks/e2e/run.py), so no other bench script runs here.  Every leg runs even when an earlier one fails, so
 # one invocation reports everything; the exit status is non-zero if any
 # leg failed.  ruff/mypy are optional dev dependencies (`pip install
 # -e .[dev]`) — when absent the leg is reported as skipped, and the
@@ -55,13 +55,60 @@ echo "== pytest (REPRO_KERNEL=pure) =="
 REPRO_KERNEL=pure python -m pytest -q tests/graph/test_metric.py \
     tests/graph/test_shortest_paths.py tests/graph/test_core.py \
     tests/structures tests/routing tests/schemes/test_all_schemes.py \
-    || fail=1
+    tests/baselines/test_hierarchy.py || fail=1
 
-# -- numpy dispatch: the hop-column reference through whole builds -----
-# (under auto, hosts with a compiler only ever run the C column)
+# -- numpy dispatch: the hop-column reference and the numpy threshold
+# scan through whole builds (under auto, hosts with a compiler only ever
+# run the C column and the C scan)
 echo "== pytest (REPRO_KERNEL=numpy) =="
 REPRO_KERNEL=numpy python -m pytest -q tests/graph/test_metric.py \
-    tests/routing/test_ball_routing.py tests/core tests/schemes || fail=1
+    tests/routing/test_ball_routing.py tests/core tests/schemes \
+    tests/structures tests/baselines/test_hierarchy.py || fail=1
+
+# -- sanitizers: the C kernels built with ASan + UBSan into a private
+# cache, at the path the loader looks for, and the suites that drive them
+# run with both runtimes preloaded; any report fails the leg -----------
+san_cc=$(command -v gcc || true)
+asan_rt=$([ -n "$san_cc" ] && gcc -print-file-name=libasan.so || true)
+ubsan_rt=$([ -n "$san_cc" ] && gcc -print-file-name=libubsan.so || true)
+if [ -n "$san_cc" ] && [ -f "$asan_rt" ] && [ -f "$ubsan_rt" ]; then
+    echo "== pytest (native kernels under ASan/UBSan) =="
+    san_cache=$(mktemp -d)
+    san_lib=$(REPRO_NATIVE_CACHE=$san_cache python -c \
+        'from repro import native; print(native.kernel_library_path())')
+    if gcc -fsanitize=address,undefined -fno-omit-frame-pointer -g -O1 \
+            -std=c99 -shared -fPIC -o "$san_lib" \
+            src/repro/native/_kernels.c; then
+        sanitized() {
+            REPRO_NATIVE_CACHE=$san_cache \
+            LD_PRELOAD="$asan_rt $ubsan_rt" ASAN_OPTIONS=detect_leaks=0 \
+            UBSAN_OPTIONS=halt_on_error=1 "$@"
+        }
+        # the process must map the sanitized library, not a plain build
+        sanitized python -c '
+import sys
+from repro import native
+native.load_kernels()
+path = native.kernel_library_path()
+mapped = path in open("/proc/self/maps").read()
+if not mapped or b"__asan_" not in open(path, "rb").read():
+    sys.exit(f"loaded kernel library {path} is not ASan-instrumented")
+' || fail=1
+        # --capture=sys keeps fd 2 on the terminal: a sanitizer report
+        # aborts the process before pytest could replay captured output
+        sanitized python -m pytest -q -p no:cacheprovider --capture=sys \
+            tests/native \
+            tests/graph/test_csr.py tests/routing/test_fuzz_codecs.py \
+            tests/structures/test_bunches.py \
+            tests/baselines/test_hierarchy.py || fail=1
+    else
+        echo "sanitized kernel build failed"
+        fail=1
+    fi
+    rm -rf "$san_cache"
+else
+    echo "== sanitizers: skipped (gcc with libasan/libubsan not found) =="
+fi
 
 # -- parallel smoke: pool on, bit-identity asserted at every point -----
 echo "== bench_parallel (smoke, REPRO_PARALLEL=2) =="

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..graph.metric import MetricView
+from ..graph.trees import RootedTree, cluster_parents
 from ..structures.sampling import sample_cluster_bounded
 
 __all__ = ["SampledHierarchy"]
@@ -116,23 +117,22 @@ class SampledHierarchy:
         for i in range(1, k):
             self._level_of[levels[i]] = i
 
-        # Clusters and bunches via the bounded-row sweep: C(w) only
-        # reaches vertices closer than max d(., A_{level+1}), so each
-        # row scans that neighbourhood instead of the whole graph (top
-        # level owners keep an infinite limit and sweep their component).
-        self._clusters: Dict[int, List[int]] = {}
+        # Clusters: one threshold scan per owner level i with
+        # d(·, A_{i+1}) settles exactly each owner's cluster (top-level
+        # owners get inf and sweep their component); the distances give
+        # the cluster trees.
+        clusters: Dict[int, List[int]] = {}
+        self._cluster_dists: Dict[int, List[float]] = {}
+        for i in range(k):
+            owners = np.flatnonzero(self._level_of == i).tolist()
+            scan = metric.iter_bounded_rows(self._level_dist[i + 1], owners)
+            for w, verts, dists in scan:
+                if verts.size:
+                    clusters[w] = verts.tolist()
+                    self._cluster_dists[w] = dists.tolist()
+        self._clusters = dict(sorted(clusters.items()))
         self._bunches: List[List[int]] = [[] for _ in range(n)]
-        level_limits = [
-            float(ld.max()) if ld.size else 0.0 for ld in self._level_dist
-        ]
-        limits = np.array(
-            [level_limits[int(self._level_of[w]) + 1] for w in range(n)]
-        )
-        for w, verts, dists in metric.iter_bounded_rows(limits):
-            next_dist = self._level_dist[int(self._level_of[w]) + 1]
-            members = verts[dists < next_dist[verts]].tolist()
-            if members:
-                self._clusters[w] = members
+        for w, members in self._clusters.items():
             for v in members:
                 self._bunches[v].append(w)
 
@@ -164,6 +164,17 @@ class SampledHierarchy:
     def clusters(self):
         """``(w, C(w))`` pairs for every *nonempty* cluster, ``w`` ascending."""
         return self._clusters.items()
+
+    def cluster_tree(self, w: int) -> RootedTree:
+        """Shortest-path tree rooted at ``w`` spanning ``C(w)`` (never
+        empty: ``w`` is not in ``A_{level_of(w)+1}``), from the cluster
+        scan's distances (:func:`cluster_parents`, no row read)."""
+        return RootedTree(
+            cluster_parents(
+                self.metric.graph, w, self._clusters[w],
+                self._cluster_dists[w],
+            )
+        )
 
     def bunch(self, v: int) -> List[int]:
         """``B(v)`` sorted by vertex id."""

@@ -31,7 +31,6 @@ from typing import Any, Dict, Optional
 
 from ..graph.core import Graph
 from ..graph.metric import MetricView
-from ..graph.trees import RootedTree
 from ..routing.model import Deliver, Forward, RouteAction
 from ..routing.ports import PortAssignment
 from ..routing.tree_routing import TreeRouting, tree_step
@@ -73,15 +72,12 @@ class ThorupZwickScheme(SchemeBase):
 
         # Trees T(w) over clusters; members keep records, labels go into
         # destination labels (and the owner's table at level 0).  Each
-        # restricted SPT runs on the cluster's induced subgraph through the
-        # CSR kernel (work proportional to the cluster, not the graph).
+        # tree comes from the hierarchy's cluster scan: parents derived
+        # from the scanned distances, work proportional to the cluster.
         self._trees: Dict[int, TreeRouting] = {}
         for w, members in self.hierarchy.clusters():
             tree = self._tree_routing(
-                w, members,
-                lambda w=w, members=members: RootedTree(
-                    self.metric.restricted_spt_parents(w, members)
-                ),
+                w, members, lambda w=w: self.hierarchy.cluster_tree(w)
             )
             self._trees[w] = tree
             for v in members:

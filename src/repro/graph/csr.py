@@ -11,9 +11,10 @@ Kernel / fallback dispatch
 --------------------------
 Callers do not import this module directly; they go through the dispatch
 functions in :mod:`repro.graph.shortest_paths` (``dijkstra``,
-``all_balls``, ``bounded_distance``, ``subgraph_dijkstra``).  The dispatch
-picks this kernel when numpy imports cleanly and ``REPRO_KERNEL=pure`` is
-not set (resolved once per process), and otherwise falls back to the
+``all_balls``, ``bounded_distance``) and :class:`~repro.graph.metric.
+MetricView`.  The dispatch picks this kernel when numpy imports cleanly
+and ``REPRO_KERNEL=pure`` is not set (resolved once per process), and
+otherwise falls back to the
 pure-Python implementations, which stay in the tree as the
 differential-test reference.  Whole distance rows (:meth:`CSRGraph.rows`)
 and shortest-path-tree predecessors come from scipy's C
@@ -47,8 +48,11 @@ it is sealed, so final distances are the unique least fixpoint of
 Two truncation modes share the engine: *ball mode* stops a source once
 ``ell`` vertices settled and the bucket boundary cleared ``d_max + tol``
 (everything the paper's radius rule can see is final), and *bounded mode*
-(:meth:`bounded_rows`) stops at a per-source distance limit — the cluster
-scans of Section 2 structures read exactly the neighbourhoods they need.
+(:meth:`bounded_rows`) stops at a per-source distance limit and drops
+every relaxation into ``v`` at or beyond a per-vertex threshold
+``thr[v]``.  With ``thr = d(·, S)`` that *threshold scan* settles exactly
+the cluster ``C_S(s) = {v : d(s, v) < d(v, S)}`` of each source — the
+Section 2 structures scan their clusters and nothing else.
 
 The CSR arrays are built once per :class:`Graph` *version* and cached on
 the graph instance (:func:`csr_graph`); mutating the graph invalidates the
@@ -412,47 +416,6 @@ class CSRGraph:
                     heapq.heappush(heap, (nd, v))
         return _INF
 
-    def subgraph_dijkstra(
-        self, root: int, members: Sequence[int]
-    ) -> Tuple[Dict[int, float], Dict[int, int]]:
-        """Dijkstra restricted to the subgraph induced by ``members``.
-
-        Returns ``(dist, parent)`` maps over the member set (unreachable
-        members are absent).  For shortest-path-closed member sets (the
-        paper's clusters) the induced distances equal the global ones, so
-        this replaces a full-graph SSSP per cluster with work proportional
-        to the cluster.  The parent rule ties toward the smallest
-        predecessor id, as in :meth:`dijkstra`.
-        """
-        adj = self._flat_adj()
-        member_set = set(members)
-        if root not in member_set:
-            raise ValueError(f"root {root} not among members")
-        dist: Dict[int, float] = {root: 0.0}
-        parent: Dict[int, int] = {root: root}
-        settled: set = set()
-        heap: List[Tuple[float, int]] = [(0.0, root)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in settled:
-                continue
-            if d > dist.get(u, _INF):
-                continue
-            settled.add(u)
-            for v, w in adj[u]:
-                if v not in member_set:
-                    continue
-                nd = d + w
-                dv = dist.get(v, _INF)
-                if nd < dv:
-                    dist[v] = nd
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, v))
-                elif nd == dv and v not in settled and u < parent[v]:
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, v))
-        return dist, parent
-
     # ------------------------------------------------------------------
     # Batched kernels
     # ------------------------------------------------------------------
@@ -811,6 +774,7 @@ class CSRGraph:
         *,
         ell: Optional[int] = None,
         limits: Optional[np.ndarray] = None,
+        thresholds: Optional[np.ndarray] = None,
         tol: float = 0.0,
         delta: Optional[float] = None,
         prune: float = _INF,
@@ -824,8 +788,15 @@ class CSRGraph:
           fill boundary by ``tol`` — every distance the radius rule can
           inspect is final at that point.
         * *bounded mode* (``limits``): a source finishes once the sealed
-          boundary reaches its limit; settled vertices beyond the limit
-          are dropped from the output.
+          boundary reaches its limit (or its queue runs dry); settled
+          vertices beyond the limit are dropped from the output.  A
+          per-vertex ``thresholds`` array drops every relaxation into
+          ``v`` at or beyond ``thresholds[v]`` (and such outputs).  For
+          ``thresholds = d(·, S)`` the cluster ``{v : d(s, v) <
+          d(v, S)}`` is shortest-path closed toward ``s`` — ``x`` on a
+          shortest ``s``–``v`` path has ``d(x, S) >= d(v, S) - d(x, v) >
+          d(s, x)``, in float64 too, since rows are least fixpoints — so
+          exactly the cluster settles, at its exact distances.
 
         ``prune`` discards relaxation candidates at distance >= ``prune``
         *before* the scatter, confining the search to the target
@@ -883,7 +854,7 @@ class CSRGraph:
             vtx, gen = self._ds_native_vtx(nb)
             settled, settled_d = native.delta_batch(
                 indptr, indices, weights, n, nb, start, vtx, cap,
-                lim if limits is not None else None,
+                lim if limits is not None else None, thresholds,
                 delta, self._ds_ring_size(delta), ell, tol, gen,
             )
             if limits is None:
@@ -893,7 +864,8 @@ class CSRGraph:
                 all_t = settled[order]
                 ds = settled_d[order]
             return self._ds_assemble(
-                all_t, ds, nb, lim if limits is not None else None
+                all_t, ds, nb, lim if limits is not None else None,
+                thresholds,
             )
         dist = self._ds_buffers(nb)
         inv_delta = 1.0 / delta
@@ -1017,19 +989,19 @@ class CSRGraph:
                     eidx = np.repeat(indptr[v] - (cum - cnt), cnt)
                     eidx += self._ds_arange_view(tot)
                     nd = np.repeat(d_b, cnt) + weights[eidx]
+                    row_base = np.repeat(t_b - v, cnt)
+                    nbr = indices[eidx]
+                    within = None
                     if has_cap:
                         within = nd < np.repeat(cap[t_b // n], cnt)
-                        if not within.all():
-                            nd = nd[within]
-                            eidx = eidx[within]
-                            tgt = (
-                                np.repeat(t_b - v, cnt)[within]
-                                + indices[eidx]
-                            )
-                        else:
-                            tgt = np.repeat(t_b - v, cnt) + indices[eidx]
-                    else:
-                        tgt = np.repeat(t_b - v, cnt) + indices[eidx]
+                    if thresholds is not None:
+                        below = nd < thresholds[nbr]
+                        within = below if within is None else within & below
+                    if within is not None and not within.all():
+                        nd = nd[within]
+                        row_base = row_base[within]
+                        nbr = nbr[within]
+                    tgt = row_base + nbr
                     # Keep only genuine improvements and scatter their
                     # minimum into the tentative buffer immediately:
                     # later, worse candidates for the same vertex then
@@ -1122,7 +1094,7 @@ class CSRGraph:
         # harmless) — the float analogue of the generation-stamp trick.
         dist[np.concatenate(touched)] = _INF
         return self._ds_assemble(
-            all_t, ds, nb, lim if limits is not None else None
+            all_t, ds, nb, lim if limits is not None else None, thresholds
         )
 
     def _ds_assemble(
@@ -1131,13 +1103,16 @@ class CSRGraph:
         ds: np.ndarray,
         nb: int,
         lim: Optional[np.ndarray],
+        thr: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Shared engine tail: regroup flattened settled ids per source.
 
         ``all_t``/``ds`` arrive in global (dist, id)-within-bucket order
         (ball mode, ``lim is None``) or ascending-id order (bounded
         mode); both engines produce the identical arrays, so this split
-        is the bit-identity seam between them.
+        is the bit-identity seam between them.  Bounded mode keeps
+        ``d < lim[source]`` and ``d < thr[v]`` (a source settles itself
+        even where ``thr[source] <= 0``).
         """
         n = self.n
         bpos = all_t // n
@@ -1151,6 +1126,8 @@ class CSRGraph:
             ds = ds[order]
         else:
             sel = ds < lim[bpos]
+            if thr is not None:
+                sel &= ds < thr[verts]
             bpos, verts, ds = bpos[sel], verts[sel], ds[sel]
         bounds = np.searchsorted(bpos, np.arange(nb + 1))
         return bounds, verts, ds
@@ -1243,6 +1220,7 @@ class CSRGraph:
         sources: Sequence[int],
         limits: Union[float, Sequence[float], np.ndarray],
         *,
+        thresholds: Optional[np.ndarray] = None,
         delta: Optional[float] = None,
         batch_bytes: int = _DS_BATCH_BYTES,
     ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
@@ -1251,20 +1229,23 @@ class CSRGraph:
         ``limits`` is a scalar or per-source array; ``verts`` ascends by id
         and covers *exactly* the vertices closer than the source's limit
         (``inf`` sweeps the source's whole component).  Runs the
-        delta-stepping engine in bounded mode, batched — the cluster-scan
-        primitive behind :class:`~repro.structures.bunches.BunchStructure`
-        and Lemma 4 sampling.
+        delta-stepping engine in bounded mode, batched.  Per-vertex
+        ``thresholds = d(·, S)`` make it the *threshold scan*: each source
+        settles exactly its cluster ``C_S(source)`` (see
+        :meth:`_delta_batch`).
         """
         sources = list(sources)
         lim = np.broadcast_to(
             np.asarray(limits, dtype=np.float64), (len(sources),)
         )
+        if thresholds is not None:  # the C kernel reads the raw buffer
+            thresholds = np.ascontiguousarray(thresholds, dtype=np.float64)
         from . import parallel
 
         eng = parallel.engine_for(self, len(sources))
         if eng is not None:
             for (bounds, verts, ds), chunk in eng.bounded_chunks(
-                sources, lim, delta, batch_bytes
+                sources, lim, thresholds, delta, batch_bytes
             ):
                 for i, s in enumerate(chunk):
                     lo, hi = int(bounds[i]), int(bounds[i + 1])
@@ -1274,7 +1255,8 @@ class CSRGraph:
         for start in range(0, len(sources), batch):
             chunk = sources[start : start + batch]
             bounds, verts, ds = self._delta_batch(
-                chunk, limits=lim[start : start + batch], delta=delta
+                chunk, limits=lim[start : start + batch],
+                thresholds=thresholds, delta=delta,
             )
             for i, s in enumerate(chunk):
                 lo, hi = int(bounds[i]), int(bounds[i + 1])
@@ -1285,6 +1267,7 @@ class CSRGraph:
         sources: Sequence[int],
         limits: Union[Sequence[float], np.ndarray],
         *,
+        thresholds: Optional[np.ndarray] = None,
         delta: Optional[float] = None,
         batch_bytes: int = _DS_BATCH_BYTES,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1293,8 +1276,9 @@ class CSRGraph:
         The worker-side unit of :meth:`bounded_rows`: runs the serial
         batched engine over ``sources`` and splices the per-batch
         ``(bounds, verts, ds)`` triples into one.  Per-source results
-        depend only on the CSR arrays and the per-source limit, so any
-        chunking is bit-identical to the serial generator.
+        depend only on the CSR arrays, the per-source limit and the
+        shared thresholds, so any chunking is bit-identical to the
+        serial generator.
         """
         sources = list(sources)
         lim = np.asarray(limits, dtype=np.float64)
@@ -1305,7 +1289,8 @@ class CSRGraph:
         for start in range(0, len(sources), batch):
             chunk = sources[start : start + batch]
             bounds, verts, ds = self._delta_batch(
-                chunk, limits=lim[start : start + batch], delta=delta
+                chunk, limits=lim[start : start + batch],
+                thresholds=thresholds, delta=delta,
             )
             sizes_parts.append(np.diff(bounds))
             verts_parts.append(verts)

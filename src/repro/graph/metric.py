@@ -20,8 +20,14 @@ paper's structures need are ``O(m)`` edge facts, not scans
 :meth:`MetricView.min_pairwise_distance`,
 :meth:`MetricView.diameter_bound`).  Whole-metric consumers use the
 row-oriented API (:meth:`MetricView.rows`, :meth:`MetricView.columns`,
-:meth:`MetricView.iter_row_blocks`, :meth:`MetricView.iter_bounded_rows`,
-:meth:`MetricView.count_rows_below`).
+:meth:`MetricView.iter_row_blocks`).
+
+Clusters ``C_S(w) = {v : d(w, v) < d(v, S)}`` read no rows: the
+*threshold scan* :meth:`MetricView.iter_bounded_rows` (counted by
+:meth:`MetricView.count_rows_below`) searches from ``w`` and drops every
+relaxation into ``v`` at or beyond ``d(v, S)``, so it settles exactly
+the (shortest-path closed) cluster with its distances, from which
+:func:`repro.graph.trees.cluster_parents` derives the cluster tree.
 
 scipy is used exactly when it imports (the one probe is
 :data:`repro.graph.csr._HAVE_SCIPY`), under every ``REPRO_KERNEL``,
@@ -43,10 +49,9 @@ under "Canonical row orientation" below).  The view keeps an LRU of
 each one's row and hop column, computing the rows in chunks of
 ``cache_rows``, one batched kernel call per chunk.  Builds do every
 per-target job while the target is in hand — the ball ports of its
-holders, the cluster tree rooted at it, label first edges and the
-Lemma 8 walks toward it (thm11), the intersection and colour entries
-that read its row (thm10) — so each row and each column is computed
-once, not once per consumer.
+holders, label first edges and the Lemma 8 walks toward it (thm11), the
+intersection and colour entries that read its row (thm10) — so each row
+and each column is computed once, not once per consumer.
 
 Canonical row orientation
 -------------------------
@@ -93,7 +98,7 @@ from .core import Graph, GraphError
 from .shortest_paths import (
     all_balls,
     dijkstra,
-    subgraph_dijkstra,
+    threshold_dijkstra_py,
     use_kernel,
 )
 from .trees import parents_from_pred_row
@@ -140,7 +145,7 @@ class MetricView:
         self._scale_seen = 0.0
         #: forward rows computed so far (full-length distance rows).
         self.rows_computed = 0
-        #: sources swept by the bounded (truncated) kernel engine.
+        #: sources swept by threshold scans (iter_bounded_rows).
         self.bounded_rows_computed = 0
         self._row_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._cache_rows = (
@@ -295,33 +300,37 @@ class MetricView:
             yield start, self._compute_rows(range(start, stop))
 
     def iter_bounded_rows(
-        self, limits, sources: Optional[Sequence[int]] = None
+        self, thresholds, sources: Optional[Sequence[int]] = None
     ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(u, verts, dists)`` with ``d(u, v) < limit`` per source.
+        """Yield ``(u, verts, dists)`` with ``d(u, v) < thresholds[v]``.
 
-        ``limits`` is a scalar or a per-source array; ``verts`` ascends by
-        vertex id and covers exactly the vertices strictly closer than the
-        source's limit (``inf`` sweeps the whole component).  This is the
-        cluster-scan primitive of the Section 2 structures: with the CSR
-        kernel it runs the batched truncated delta-stepping engine — work
-        proportional to the scanned neighbourhoods, never a full APSP —
-        and on the pure path it filters full rows.
+        The *threshold scan* behind the Section 2 structures.
+        ``thresholds`` (length ``n``) must be ``d(·, S)`` for a vertex set
+        ``S``, or all ``inf``: then ``verts`` (ascending) is exactly the
+        cluster ``C_S(u)`` and ``dists`` its canonical forward distances.
+        Work is the clusters' edges, never a row: the CSR kernel's
+        bounded engine (native, numpy or the pool) or a pruned pure
+        Dijkstra (:func:`~repro.graph.shortest_paths.threshold_dijkstra_py`).
         """
         if sources is None:
             sources = range(self.n)
-        sources = list(sources)
-        lim = np.broadcast_to(
-            np.asarray(limits, dtype=np.float64), (len(sources),)
-        )
+        sources = [int(u) for u in sources]
+        for u in sources:
+            if not 0 <= u < self.n:
+                raise GraphError(f"vertex {u} out of range [0, {self.n})")
+        thr = np.ascontiguousarray(thresholds, dtype=np.float64)
+        self.bounded_rows_computed += len(sources)
         kernel = self._kernel()
         if kernel is not None:
-            self.bounded_rows_computed += len(sources)
-            yield from kernel.bounded_rows(sources, lim)
+            yield from kernel.bounded_rows(sources, _INF, thresholds=thr)
             return
-        for i, u in enumerate(sources):
-            row = self.row(u)
-            verts = np.flatnonzero(row < lim[i])
-            yield u, verts, row[verts]
+        thr_list = thr.tolist()
+        for u in sources:
+            found = threshold_dijkstra_py(self.graph, u, thr_list)
+            verts = sorted(found)
+            yield u, np.array(verts, dtype=np.int64), np.array(
+                [found[v] for v in verts], dtype=np.float64
+            )
 
     def count_rows_below(
         self,
@@ -331,21 +340,13 @@ class MetricView:
         """``out[i] = |{v : d(sources[i], v) < thresholds[v]}|``.
 
         The cluster-size count of Lemma 4 (all of ``V`` when ``sources``
-        is omitted).  No vertex beyond ``max(thresholds)`` can ever be
-        counted, so it scans bounded neighbourhoods through
-        :meth:`iter_bounded_rows` instead of full rows, with the same
-        strict comparisons on the same canonical forward rows.
+        is omitted), read off :meth:`iter_bounded_rows`.  Precondition:
+        ``thresholds`` is ``d(·, S)`` for a vertex set ``S``, or all
+        ``inf``; for any other array the scan prunes vertices whose
+        shortest paths leave the set, and the counts are wrong.
         """
-        if sources is None:
-            sources = range(self.n)
-        sources = list(sources)
-        out = np.zeros(len(sources), dtype=np.int64)
-        limit = float(thresholds.max()) if thresholds.size else 0.0
-        for i, (_, verts, dists) in enumerate(
-            self.iter_bounded_rows(limit, sources)
-        ):
-            out[i] = int((dists < thresholds[verts]).sum())
-        return out
+        scan = self.iter_bounded_rows(thresholds, sources)
+        return np.array([len(v) for _, v, _ in scan], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Global scalar facts
@@ -470,9 +471,8 @@ class MetricView:
         target's row and column are left the most recent entries of their
         LRUs.  So while the caller holds ``v``, every per-target read —
         :meth:`row`, :meth:`d` from ``v``'s side, :meth:`next_hop` toward
-        ``v``, :meth:`restricted_spt_parents` rooted at ``v`` — is a cache
-        hit: a build that does all its per-target work inside one sweep
-        computes each row once.
+        ``v`` — is a cache hit: a build that does all its per-target work
+        inside one sweep computes each row once.
         """
         order: Sequence[int] = range(self.n)
         if targets is not None:
@@ -592,42 +592,6 @@ class MetricView:
             if v != root and parent[v] is not None:
                 parents[v] = parent[v]
         return parents
-
-    def restricted_spt_parents(
-        self, root: int, members: Sequence[int]
-    ) -> Dict[int, int]:
-        """SPT parents restricted to a shortest-path-closed member set.
-
-        Used for cluster trees ``T_{C_A(w)}``: every member's SPT parent is
-        itself a member (closure), so the restriction is a valid tree.
-
-        Runs Dijkstra on the *induced subgraph* — work proportional to the
-        cluster instead of the whole graph (flat-array CSR kernel when
-        active, an equivalent pure loop otherwise) — and validates closure
-        by checking the induced distances against the oracle's global
-        distances: they coincide exactly when the member set realizes all
-        its shortest paths internally.  Both dispatch paths apply the same
-        criterion, so they accept and reject the same member sets.
-        """
-        member_set = set(members)
-        if root not in member_set:
-            raise ValueError(f"root {root} not among members")
-        dist, parent = subgraph_dijkstra(self.graph, root, members)
-        row = self.row(root)
-        tol = self.tol
-        out = {root: root}
-        for v in members:
-            if v == root:
-                continue
-            dv = dist.get(v, _INF)
-            if not math.isfinite(dv) or abs(dv - float(row[v])) > tol:
-                raise ValueError(
-                    f"member set not shortest-path closed toward {root}: "
-                    f"induced distance of {v} is {dv}, global is "
-                    f"{float(row[v])}"
-                )
-            out[v] = parent[v]
-        return out
 
     def shortest_path(self, u: int, v: int) -> List[int]:
         """A concrete shortest ``u``–``v`` path (via :meth:`next_hop`)."""

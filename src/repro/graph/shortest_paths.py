@@ -54,11 +54,10 @@ __all__ = [
     "dijkstra",
     "all_balls",
     "bounded_distance",
-    "subgraph_dijkstra",
     "dijkstra_py",
     "truncated_dijkstra_py",
     "bounded_distance_py",
-    "subgraph_dijkstra_py",
+    "threshold_dijkstra_py",
     "use_kernel",
     "kernel_mode",
     "reset_kernel_choice",
@@ -335,54 +334,29 @@ def bounded_distance_py(
     return _INF
 
 
-def subgraph_dijkstra(
-    g: Graph, root: int, members: Sequence[int]
-) -> Tuple[Dict[int, float], Dict[int, int]]:
-    """Dijkstra restricted to the subgraph induced by ``members``.
+def threshold_dijkstra_py(
+    g: Graph, source: int, thresholds: Sequence[float]
+) -> Dict[int, float]:
+    """Pure threshold scan: ``{v: d(source, v)}`` below ``thresholds[v]``.
 
-    Returns ``(dist, parent)`` maps over the member set (unreachable
-    members absent; ``parent[root] == root``).  For shortest-path-closed
-    member sets (the paper's clusters) the induced distances equal the
-    global ones, which is what
-    :meth:`repro.graph.metric.MetricView.restricted_spt_parents` validates.
-    Kernel-dispatched; parent ties go to the smallest predecessor id on
-    both paths.
+    A Dijkstra that drops every relaxation into ``v`` at or beyond
+    ``thresholds[v]`` (the pure engine of
+    :meth:`repro.graph.metric.MetricView.iter_bounded_rows`).  For
+    ``thresholds = d(·, S)`` it settles exactly the cluster of
+    ``source``, at the distances :func:`dijkstra_py` gives.
     """
-    g._check_vertex(root)
-    kernel = _kernel(g)
-    if kernel is not None:
-        return kernel.subgraph_dijkstra(root, members)
-    return subgraph_dijkstra_py(g, root, members)
-
-
-def subgraph_dijkstra_py(
-    g: Graph, root: int, members: Sequence[int]
-) -> Tuple[Dict[int, float], Dict[int, int]]:
-    """Pure-Python induced-subgraph Dijkstra (differential-test reference)."""
-    member_set = set(members)
-    if root not in member_set:
-        raise ValueError(f"root {root} not among members")
-    dist: Dict[int, float] = {root: 0.0}
-    parent: Dict[int, int] = {root: root}
-    settled: set = set()
-    heap: List[Tuple[float, int]] = [(0.0, root)]
+    g._check_vertex(source)
+    dist: Dict[int, float] = {source: 0.0}
+    settled: Dict[int, float] = {}
+    heap: List[Tuple[float, int]] = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if u in settled:
             continue
-        if d > dist.get(u, _INF):
-            continue
-        settled.add(u)
+        settled[u] = d
         for v, w in g.neighbor_items(u):
-            if v not in member_set:
-                continue
             nd = d + w
-            dv = dist.get(v, _INF)
-            if nd < dv:
+            if nd < thresholds[v] and nd < dist.get(v, _INF):
                 dist[v] = nd
-                parent[v] = u
                 heapq.heappush(heap, (nd, v))
-            elif nd == dv and v not in settled and u < parent[v]:
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
-    return dist, parent
+    return {v: d for v, d in settled.items() if d < thresholds[v]}

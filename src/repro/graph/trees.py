@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["RootedTree", "parents_from_pred_row"]
+from .core import Graph
+
+__all__ = ["RootedTree", "cluster_parents", "parents_from_pred_row"]
 
 
 def parents_from_pred_row(root: int, pred: Sequence[int]) -> Dict[int, int]:
@@ -30,6 +32,44 @@ def parents_from_pred_row(root: int, pred: Sequence[int]) -> Dict[int, int]:
     for v, p in enumerate(pred):
         if v != root and p >= 0:
             parents[v] = int(p)
+    return parents
+
+
+def cluster_parents(
+    g: Graph,
+    root: int,
+    members: Sequence[int],
+    dists: Sequence[float],
+) -> Dict[int, int]:
+    """Shortest-path-tree parents of a cluster, from its own scan.
+
+    ``members`` and ``dists`` (``d(root, v)``) are one threshold scan's
+    output (:meth:`repro.graph.metric.MetricView.iter_bounded_rows`).
+    The parent of ``v`` is the smallest-id member ``u`` with
+    ``dists[u] + w(u, v) == dists[v]``: the tie rule of an
+    induced-subgraph Dijkstra from ``root``, with no row read.  A member
+    without such a ``u`` (a set not shortest-path closed toward
+    ``root``), or a missing root, raises :class:`ValueError`.
+    """
+    dist_of = dict(zip(members, dists))
+    if dist_of.get(root) != 0.0:
+        raise ValueError(f"root {root} not among members at distance 0")
+    parents = {root: root}
+    adj = g._adj  # the hot loop: no per-vertex list copies
+    for v, dv in dist_of.items():
+        if v == root:
+            continue
+        best = -1
+        for u, w in adj[v].items():
+            du = dist_of.get(u)
+            if du is not None and du + w == dv and (best < 0 or u < best):
+                best = u
+        if best < 0:
+            raise ValueError(
+                f"member set not shortest-path closed toward {root}: no "
+                f"member precedes {v} at distance {dv}"
+            )
+        parents[v] = best
     return parents
 
 

@@ -218,6 +218,7 @@ class NativeKernels:
             c_i64, c_i64,                        # n, nb
             c_ptr,                               # start
             c_ptr, c_ptr, c_ptr,                 # vtx, cap, lim (or NULL)
+            c_ptr,                               # thr (or NULL)
             ctypes.c_double,                     # delta
             c_i64, c_i64, ctypes.c_double,       # ring, ell, tol
             c_i64,                               # gen
@@ -255,6 +256,7 @@ class NativeKernels:
         vtx: np.ndarray,
         cap: np.ndarray,
         lim: Optional[np.ndarray],
+        thr: Optional[np.ndarray],
         delta: float,
         ring: int,
         ell: Optional[int],
@@ -267,7 +269,9 @@ class NativeKernels:
         bucket order (ball mode: each bucket chunk sorted by
         ``(distance, id)``; bounded mode: settle order) with their final
         distances.  ``cap`` is mutated in place, exactly like the numpy
-        engine; ``vtx`` is the caller-owned generation-stamped scratch.
+        engine; ``vtx`` is the caller-owned generation-stamped scratch;
+        ``thr`` (bounded mode, length ``n``) drops every relaxation into
+        ``v`` at or beyond ``thr[v]``.
         """
         lib = self._lib
         if lib is None:
@@ -281,6 +285,7 @@ class NativeKernels:
             _ptr(start),
             _ptr(vtx), _ptr(cap),
             _ptr(lim) if lim is not None else None,
+            _ptr(thr) if thr is not None else None,
             float(delta),
             int(ring), -1 if ell is None else int(ell), float(tol),
             int(gen),

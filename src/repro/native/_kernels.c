@@ -230,8 +230,10 @@ void repro_release(void *p)
  * Inputs mirror the numpy engine exactly: int32 CSR mirrors, nb
  * flattened start ids, the per-source cap array (mutated in place,
  * like the numpy engine), `lim` for bounded mode (NULL in ball mode,
- * where ell >= 0), and the caller-owned zeroed vtx scratch of nb*n
- * entries (gen starts at 1, so a zero stamp is never current).
+ * where ell >= 0), bounded mode's per-vertex thresholds `thr` (or
+ * NULL; a relaxation into v with nd >= thr[v] is dropped), and the
+ * caller-owned zeroed vtx scratch of nb*n entries (gen starts at 1, so
+ * a zero stamp is never current).
  *
  * The bucket queue is a ring of `ring` slots of (t, s, d) candidate
  * chunks: a candidate generated in bucket b has nd < (b+1)*delta +
@@ -278,6 +280,7 @@ int repro_delta_batch(
     void *vtx_mem,
     double *cap,
     const double *lim,
+    const double *thr,
     double delta,
     int64_t ring,
     int64_t ell,
@@ -373,6 +376,8 @@ int repro_delta_batch(
             for (int32_t e = indptr[v]; e < e_hi; e++) {
                 double nd = d + weights[e];
                 if (nd >= cap_s)
+                    continue;
+                if (thr != NULL && nd >= thr[indices[e]])
                     continue;
                 int32_t tgt = base + indices[e];
                 vtx_t *vg = &vtx[tgt];

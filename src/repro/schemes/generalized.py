@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..core.technique2 import Technique2
 from ..graph.core import Graph
 from ..graph.metric import MetricView
-from ..graph.trees import RootedTree
 from ..routing.model import Deliver, Forward, RouteAction
 from ..routing.ports import PortAssignment
 from ..routing.tree_routing import TreeRouting, tree_step
@@ -114,7 +113,7 @@ class _GeneralizedScheme(SchemeBase):
             self.landmark_sets.append(li)
             self.bunches.append(self._bunch_structure(li))
 
-        # Cluster trees per level.
+        # Cluster trees per level, from each level's cluster scan.
         self._cluster_trees: List[Dict[int, TreeRouting]] = []
         for i in range(ell + 1):
             level_trees: Dict[int, TreeRouting] = {}
@@ -124,9 +123,7 @@ class _GeneralizedScheme(SchemeBase):
                     continue
                 tree = self._tree_routing(
                     w, members,
-                    lambda w=w, members=members: RootedTree(
-                        self.metric.restricted_spt_parents(w, members)
-                    ),
+                    lambda w=w, b=self.bunches[i]: b.cluster_tree(w),
                 )
                 level_trees[w] = tree
                 for v in members:

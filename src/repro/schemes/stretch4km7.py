@@ -32,7 +32,6 @@ from typing import Any, Dict, List, Optional
 from ..core.technique2 import Technique2
 from ..graph.core import Graph
 from ..graph.metric import MetricView
-from ..graph.trees import RootedTree
 from ..routing.model import Deliver, Forward, RouteAction
 from ..routing.ports import PortAssignment
 from ..routing.tree_routing import TreeRouting, tree_step
@@ -83,10 +82,7 @@ class Stretch4kMinus7Scheme(SchemeBase):
             if not members:
                 continue
             tree = self._tree_routing(
-                w, members,
-                lambda w=w, members=members: RootedTree(
-                    self.metric.restricted_spt_parents(w, members)
-                ),
+                w, members, lambda w=w: self.hierarchy.cluster_tree(w)
             )
             self._trees[w] = tree
             for v in members:

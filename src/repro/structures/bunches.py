@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..graph.metric import MetricView
-from ..graph.trees import RootedTree
+from ..graph.trees import RootedTree, cluster_parents
 
 __all__ = ["BunchStructure"]
 
@@ -44,19 +44,15 @@ class BunchStructure:
         self._bunches: List[List[int]] = [[] for _ in range(n)]
         self._clusters: Dict[int, List[int]] = {}
         self._cluster_dists: Dict[int, List[float]] = {}
-        d_to_a = self._d_to_a
-        # Bounded cluster scan: no vertex beyond max d(v, A) can belong
-        # to any cluster, so each row only needs the neighbourhood inside
-        # that radius — the metric's bounded-row sweep (batched truncated
-        # delta-stepping with the kernel, filtered rows on the pure path)
-        # instead of a full blockwise APSP.
-        limit = float(d_to_a.max()) if n else 0.0
-        for w, verts, dists in metric.iter_bounded_rows(limit):
-            inside = dists < d_to_a[verts]
-            members = verts[inside].tolist()
+        # One threshold scan with d(·, A): the search from w never
+        # leaves C_A(w) (clusters are shortest-path closed), so it settles
+        # exactly the cluster with its distances — the cluster trees are
+        # derived from those, not from rows.
+        for w, verts, dists in metric.iter_bounded_rows(self._d_to_a):
+            members = verts.tolist()
             if members:
                 self._clusters[w] = members
-                self._cluster_dists[w] = dists[inside].tolist()
+                self._cluster_dists[w] = dists.tolist()
             for v in members:
                 self._bunches[v].append(w)
         self._trees: Dict[int, RootedTree] = {}
@@ -109,12 +105,35 @@ class BunchStructure:
         Clusters are shortest-path closed toward ``w``: for ``v ∈ C_A(w)``
         and ``x`` on a shortest ``w``–``v`` path,
         ``d(x, A) >= d(v, A) - d(v, x) > d(v, w) - d(v, x) = d(x, w)``,
-        so ``x ∈ C_A(w)`` and the tree is well defined.
+        so ``x ∈ C_A(w)`` and the tree is well defined.  Its parents come
+        from the scan's own distances (:func:`cluster_parents`).
         """
         if w not in self._trees:
             members = self.cluster(w)
             if not members:
                 raise ValueError(f"cluster of {w} is empty (w is a landmark)")
-            parent = self.metric.restricted_spt_parents(w, members)
+            parent = cluster_parents(
+                self.metric.graph, w, members, self.cluster_distances(w)
+            )
             self._trees[w] = RootedTree(parent)
         return self._trees[w]
+
+    def validate(self) -> None:
+        """Check the structure against the metric (used by tests).
+
+        * each cluster and its distances are exactly ``{v : d(w, v) <
+          d(v, A)}`` and ``d(w, v)`` on ``w``'s row (:meth:`MetricView.d`),
+        * the bunches are the clusters transposed, sorted by id.
+        """
+        bunches: List[List[int]] = [[] for _ in range(self.n)]
+        for w in range(self.n):
+            row = self.metric.row(w)
+            expect = np.flatnonzero(row < self._d_to_a).tolist()
+            if self.cluster(w) != expect:
+                raise AssertionError(f"cluster of {w} is not C_A({w})")
+            if self.cluster_distances(w) != row[expect].tolist():
+                raise AssertionError(f"cluster distances of {w} drifted")
+            for v in expect:
+                bunches[v].append(w)
+        if bunches != self._bunches:
+            raise AssertionError("bunch/cluster transposition broken")

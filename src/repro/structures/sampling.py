@@ -13,13 +13,12 @@ Growing ``A`` only shrinks clusters (``A ⊆ A'`` implies
 ``C_{A'}(w) ⊆ C_A(w)``, because ``d(v, A)`` is pointwise non-increasing and
 the membership comparison is strict), so a vertex whose cluster fits the
 bound once can never become oversized again.  The sampler exploits this:
-each round re-counts only the *previously oversized* owners, through the
-metric's bounded-row sweep (no vertex beyond ``max_v d(v, A)`` can be in
-any cluster), and maintains ``d(v, A)`` incrementally from the freshly
-sampled members' rows.  The first round needs no distance scan at all —
-with ``A = ∅`` every cluster is its owner's connected component.  The
-metric therefore stops paying one blockwise APSP per sampling round; the
-candidate set and the RNG stream are *identical* to the rescan-everything
+each round re-counts only the *previously oversized* owners, with the
+metric's threshold scan over ``d(·, A)`` (each search settles exactly
+``C_A(w)``, nothing beyond it), and maintains ``d(v, A)`` incrementally
+from the freshly sampled members' rows.  The first round needs no
+distance scan at all — with ``A = ∅`` every cluster is its owner's
+connected component.  The candidate set and the RNG stream are *identical* to the rescan-everything
 reference (``use_cache=False``), so both paths return the same set for the
 same seed.
 
@@ -52,8 +51,9 @@ def cluster_sizes(metric: MetricView, members: List[int]) -> np.ndarray:
     """``|C_A(w)|`` for every ``w`` with ``A = members``.
 
     ``C_A(w) = {v : d(w, v) < d(v, A)}`` (strict, following the paper).
-    Counted through the metric's bounded row-oriented API so no
-    ``n x n`` comparison matrix is ever materialized.
+    Counted by the metric's threshold scan, which settles each cluster
+    and nothing else, so no row is read and no ``n x n`` comparison
+    matrix is ever materialized.
     """
     d_to_a = _distance_to_set(metric, members)
     return metric.count_rows_below(d_to_a)

@@ -1,8 +1,13 @@
 """The Thorup–Zwick sampled hierarchy."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.hierarchy import SampledHierarchy
+from repro.graph.generators import erdos_renyi, with_random_weights
+from repro.graph.metric import MetricView
+from repro.graph.shortest_paths import reset_kernel_choice
+from sp_reference import subgraph_dijkstra_py, threshold_reference
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +99,51 @@ class TestWeighted:
     def test_validate_on_weighted(self, metric_er_weighted):
         h = SampledHierarchy(metric_er_weighted, 4, seed=2)
         h.validate()
+
+
+class TestThresholdScans:
+    """Each owner level's clusters come from one threshold scan with
+    ``d(·, A_{i+1})`` (``inf`` on the top level)."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_level_scans_match_full_rows_on_every_mode(self, k, monkeypatch):
+        from repro import native
+
+        g = with_random_weights(erdos_renyi(60, 0.1, seed=7), seed=8)
+        modes = ["numpy", "pure"]
+        if native.try_kernels() is not None:
+            modes.append("native")
+        scans = {}
+        for mode in modes:
+            monkeypatch.setenv("REPRO_KERNEL", mode)
+            reset_kernel_choice()
+            h = SampledHierarchy(MetricView(g), k, seed=3)
+            scans[mode] = [
+                (w, h.cluster(w), np.asarray(h._cluster_dists[w]).tobytes())
+                for w, _ in h.clusters()
+            ]
+            for i in range(k):
+                thr = np.array(
+                    [h.pivot_distance(i + 1, v) for v in range(g.n)]
+                )
+                if i + 1 == k:
+                    assert np.isinf(thr).all()
+                for w in range(g.n):
+                    if h.level_of(w) != i:
+                        continue
+                    ref_v, _ = threshold_reference(g, w, thr)
+                    assert h.cluster(w) == ref_v.tolist()
+        for mode in modes:
+            assert scans[mode] == scans["pure"], mode
+
+    def test_cluster_trees_equal_induced_subgraph_dijkstra(self, h3):
+        for w, members in h3.clusters():
+            _, parent = subgraph_dijkstra_py(h3.metric.graph, w, members)
+            assert h3.cluster_tree(w).parent == parent
+
+    def test_every_vertex_roots_its_cluster_tree(self, h3):
+        # level_of(w) = i means w is not in A_{i+1}, so w is in C(w)
+        for w in range(h3.n):
+            tree = h3.cluster_tree(w)
+            assert tree.root == w
+            assert sorted(tree.parent) == h3.cluster(w)

@@ -41,7 +41,13 @@ from repro.graph.shortest_paths import (
     truncated_dijkstra_py,
     use_kernel,
 )
+from repro.graph.trees import cluster_parents
 from repro.structures.bunches import BunchStructure
+from sp_reference import (
+    distance_to_set,
+    subgraph_dijkstra_py,
+    threshold_reference,
+)
 
 
 def _graphs():
@@ -251,46 +257,71 @@ class TestBoundedDistanceAgreement:
 
 
 class TestSubgraphDijkstra:
+    """Cluster-tree parents (``cluster_parents`` over a threshold scan's
+    members and distances) equal the induced-subgraph Dijkstra reference
+    (``tests/sp_reference.py``)."""
+
     def test_closed_set_matches_global_distances(self):
         g = with_random_weights(erdos_renyi(40, 0.15, seed=6), seed=7)
-        kernel = csr_graph(g)
         dist_py, _ = dijkstra_py(g, 0)
         # A shortest-path-closed set toward 0: the 12 closest vertices.
         members, _ = truncated_dijkstra_py(g, 0, 12)
-        dist, parent = kernel.subgraph_dijkstra(0, members)
+        dist, parent = subgraph_dijkstra_py(g, 0, members)
         for v in members:
             assert dist[v] == dist_py[v]
             assert parent[v] in members
+        members = sorted(members)
+        assert cluster_parents(
+            g, 0, members, [dist_py[v] for v in members]
+        ) == parent
 
     def test_kernel_matches_pure_reference(self, graph):
-        from repro.graph.shortest_paths import subgraph_dijkstra_py
+        import random as _random
 
-        kernel = csr_graph(graph)
-        members, _ = truncated_dijkstra_py(graph, 0, max(3, graph.n // 3))
-        assert kernel.subgraph_dijkstra(0, members) == subgraph_dijkstra_py(
-            graph, 0, members
-        )
+        rng = _random.Random(graph.n)
+        landmarks = rng.sample(range(graph.n), max(1, graph.n // 8))
+        thr = distance_to_set(graph, landmarks)
+        m = MetricView(graph)
+        clusters = 0
+        for w, verts, dists in m.iter_bounded_rows(thr):
+            if not verts.size:
+                continue
+            clusters += 1
+            dist, parent = subgraph_dijkstra_py(graph, w, verts.tolist())
+            assert cluster_parents(
+                graph, w, verts.tolist(), dists.tolist()
+            ) == parent
+            assert [dist[v] for v in verts.tolist()] == dists.tolist()
+        assert clusters > 0
 
     def test_root_not_member_raises(self):
-        from repro.graph.shortest_paths import subgraph_dijkstra_py
-
         g = grid(3, 3)
         with pytest.raises(ValueError):
-            csr_graph(g).subgraph_dijkstra(0, [1, 2])
+            cluster_parents(g, 0, [1, 2], [1.0, 2.0])
         with pytest.raises(ValueError):
             subgraph_dijkstra_py(g, 0, [1, 2])
 
     def test_distance_closed_set_accepted_on_both_paths(self, monkeypatch):
-        """Diamond: 3's deterministic global SPT parent (1) is outside the
-        member set, but {0,2,3} realizes all its shortest paths internally
-        — both dispatch paths must accept it with the same tree."""
+        """Diamond: 3's smallest-id tight predecessor (1) is outside the
+        member set, but {0,2,3} realizes all its shortest paths
+        internally, so its tree is {3: 2}; the whole-graph scan (inf
+        thresholds) ties 3 to 1 under both dispatch paths."""
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        m = MetricView(g)
-        expect = {0: 0, 2: 0, 3: 2}
-        assert m.restricted_spt_parents(0, [0, 2, 3]) == expect
+        assert cluster_parents(g, 0, [0, 2, 3], [0.0, 1.0, 2.0]) == {
+            0: 0, 2: 0, 3: 2,
+        }
+
+        def whole():
+            _, verts, dists = next(
+                MetricView(g).iter_bounded_rows(np.full(4, np.inf), [0])
+            )
+            return cluster_parents(g, 0, verts.tolist(), dists.tolist())
+
+        expect = {0: 0, 1: 0, 2: 0, 3: 1}
+        assert whole() == expect
         monkeypatch.setenv("REPRO_KERNEL", "pure")
         reset_kernel_choice()
-        assert m.restricted_spt_parents(0, [0, 2, 3]) == expect
+        assert whole() == expect
 
 
 class TestMetricModesAgree:
@@ -401,8 +432,9 @@ class TestLazyStructuresIntegration:
     def test_restricted_spt_lazy_and_kernel(self):
         g = with_random_weights(erdos_renyi(40, 0.15, seed=26), seed=27)
         m = MetricView(g)
-        members = m.ball(0, 12)  # (dist, id)-prefix => shortest-path closed
-        parents = m.restricted_spt_parents(0, members)
+        # (dist, id)-prefix => shortest-path closed
+        members = sorted(m.ball(0, 12))
+        parents = cluster_parents(g, 0, members, m.row(0)[members].tolist())
         assert parents[0] == 0
         member_set = set(members)
         for v, p in parents.items():
@@ -413,9 +445,9 @@ class TestLazyStructuresIntegration:
     def test_restricted_spt_rejects_non_closed(self):
         from repro.graph.generators import path as path_graph
 
-        m = MetricView(path_graph(5))
+        g = path_graph(5)
         with pytest.raises(ValueError):
-            m.restricted_spt_parents(0, [0, 4])
+            cluster_parents(g, 0, [0, 4], MetricView(g).row(0)[[0, 4]])
 
 
 def _duplicate_weight_graph(n=50, p=0.12, seed=9, wseed=17):
@@ -528,6 +560,77 @@ class TestDeltaEngine:
             ref_v = np.flatnonzero(np.isfinite(row))
             assert np.array_equal(verts, ref_v)
             assert np.array_equal(dists, row[ref_v])
+
+
+def _small_int_weight_graph(n=60, p=0.1, seed=12):
+    """Weights from {1, 2, 3}: exact, and many equal-length paths."""
+    import random as _random
+
+    rng = _random.Random(seed)
+    base = erdos_renyi(n, p, seed=seed)
+    return Graph.from_edges(
+        n, [(u, v, float(rng.choice((1, 2, 3)))) for u, v, _ in base.edges()]
+    )
+
+
+THRESHOLD_GRAPHS = DELTA_GRAPHS + [("small-int", _small_int_weight_graph())]
+
+
+def _scan_modes():
+    """The dispatch modes a threshold scan runs under on this host."""
+    from repro import native
+
+    modes = ["numpy", "pure"]
+    if native.try_kernels() is not None:
+        modes.insert(0, "native")
+    return modes
+
+
+class TestThresholdScan:
+    """The threshold scan (``MetricView.iter_bounded_rows``) settles
+    exactly ``{v : row(w)[v] < thr[v]}`` for ``thr = d(·, A)``, with
+    bit-identical members and distances on native, numpy and pure."""
+
+    @pytest.mark.parametrize(
+        "graph_case", THRESHOLD_GRAPHS,
+        ids=[name for name, _ in THRESHOLD_GRAPHS],
+    )
+    @pytest.mark.parametrize("landmarks", [0, 1, 3, 9])
+    def test_modes_agree_with_full_rows(
+        self, graph_case, landmarks, monkeypatch
+    ):
+        import random as _random
+
+        _, g = graph_case
+        rng = _random.Random(landmarks)
+        thr = distance_to_set(g, rng.sample(range(g.n), landmarks))
+        scans = {}
+        for mode in _scan_modes():
+            monkeypatch.setenv("REPRO_KERNEL", mode)
+            reset_kernel_choice()
+            scans[mode] = [
+                (w, v.tolist(), d.tobytes())
+                for w, v, d in MetricView(g).iter_bounded_rows(thr)
+            ]
+        for mode, scan in scans.items():
+            assert scan == scans["pure"], mode
+        for w, verts, dists in scans["pure"]:
+            ref_v, ref_d = threshold_reference(g, w, thr)
+            assert verts == ref_v.tolist()
+            assert dists == ref_d.tobytes()
+
+    def test_source_subset_and_counts(self):
+        g = with_random_weights(erdos_renyi(50, 0.1, seed=8), seed=9)
+        thr = distance_to_set(g, [4, 30])
+        m = MetricView(g)
+        full = {w: v.tolist() for w, v, _ in m.iter_bounded_rows(thr)}
+        sub = [7, 4, 41]
+        got = [(w, v.tolist()) for w, v, _ in m.iter_bounded_rows(thr, sub)]
+        assert got == [(w, full[w]) for w in sub]
+        assert full[4] == []  # a landmark owns an empty cluster
+        assert m.count_rows_below(thr).tolist() == [
+            len(full[w]) for w in range(g.n)
+        ]
 
 
 class TestTieHeavyModeAgreement:

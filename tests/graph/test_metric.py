@@ -19,6 +19,7 @@ from repro.graph import csr
 from repro.graph.csr import csr_graph
 from repro.graph.metric import MetricView
 from repro.graph.shortest_paths import dijkstra_py, use_kernel
+from repro.graph.trees import cluster_parents
 from repro.routing.shard_codec import encode_node_table
 
 
@@ -323,9 +324,9 @@ class TestSPTParents:
                 assert m.d(6, v) == pytest.approx(m.d(6, p) + g.weight(p, v))
 
     def test_restricted_rejects_non_closed(self):
-        m = MetricView(grid(1, 5))  # path 0-1-2-3-4
-        with pytest.raises(ValueError):
-            m.restricted_spt_parents(0, [0, 4])  # 4's parent 3 missing
+        g = grid(1, 5)  # path 0-1-2-3-4
+        with pytest.raises(ValueError):  # 4's parent 3 missing
+            cluster_parents(g, 0, [0, 4], MetricView(g).row(0)[[0, 4]])
 
 
 class TestBalls:

@@ -209,6 +209,34 @@ def test_bounded_rows_bit_identical(monkeypatch, two_workers):
         assert np.array_equal(d1, d2)
 
 
+def test_threshold_scan_bit_identical(monkeypatch, two_workers):
+    """The threshold scan through the pool (each task carries thr) gives
+    the serial clusters, distances and structures bit for bit."""
+    from repro.structures.bunches import BunchStructure
+
+    g = _weighted(500, 0.012, seed=13)
+    landmarks = list(range(0, g.n, 23))
+
+    def scan():
+        m = MetricView(g)
+        thr = m.columns(landmarks).min(axis=1)
+        rows = [
+            (w, v.tobytes(), d.tobytes())
+            for w, v, d in m.iter_bounded_rows(thr)
+        ]
+        b = BunchStructure(m, landmarks)
+        clusters = [
+            (b.cluster(w), b.cluster_distances(w)) for w in range(g.n)
+        ]
+        return rows, clusters
+
+    par = scan()
+    assert csr_graph(g)._parallel is not None  # the pool ran
+    _serial(monkeypatch)
+    assert scan() == par
+    assert any(v for _, v, _ in par[0])
+
+
 def test_spt_pred_rows_bit_identical(monkeypatch, two_workers):
     pytest.importorskip("scipy")
     csr = csr_graph(_weighted(700, 0.01, seed=21))

@@ -3,6 +3,7 @@
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +21,9 @@ from repro.graph.shortest_paths import (
     bounded_distance,
     dijkstra,
     reset_kernel_choice,
-    subgraph_dijkstra,
     truncated_dijkstra_py,
 )
+from repro.graph.trees import cluster_parents
 from repro.structures.bunches import BunchStructure
 
 
@@ -103,8 +104,8 @@ class TestTruncatedDijkstra:
 
 
 class TestShortestPathTree:
-    """Trees come from :class:`MetricView` (``spt_parents`` and the
-    member-restricted ``restricted_spt_parents``)."""
+    """Full trees come from :meth:`MetricView.spt_parents`, cluster trees
+    from a cluster scan's distances (``cluster_parents``)."""
 
     def test_full_tree_distances(self):
         g = with_random_weights(erdos_renyi(35, 0.15, seed=2), seed=8)
@@ -122,12 +123,12 @@ class TestShortestPathTree:
     def test_root_not_member_raises(self):
         g = grid(3, 3)
         with pytest.raises(ValueError):
-            MetricView(g).restricted_spt_parents(0, [1, 2])
+            cluster_parents(g, 0, [1, 2], [1.0, 2.0])
 
     def test_unreachable_member_raises(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
-            MetricView(g).restricted_spt_parents(0, [0, 2])
+            cluster_parents(g, 0, [0, 2], [0.0, math.inf])
 
 
 def _nearest(g, sources):
@@ -174,14 +175,16 @@ def _out_of_range_calls(g, bad):
     return {
         "dijkstra": lambda: dijkstra(g, bad),
         "bounded_distance": lambda: bounded_distance(g, bad, 3, 10.0),
-        "subgraph_dijkstra": lambda: subgraph_dijkstra(g, bad, [bad, 3]),
+        "threshold_rows": lambda: list(
+            MetricView(g).iter_bounded_rows(np.full(g.n, np.inf), [bad])
+        ),
     }
 
 
 @pytest.mark.parametrize("kernel", ["kernel", "pure"])
 @pytest.mark.parametrize("where", ["minus-one", "n"])
 @pytest.mark.parametrize(
-    "fn", ["dijkstra", "bounded_distance", "subgraph_dijkstra"]
+    "fn", ["dijkstra", "bounded_distance", "threshold_rows"]
 )
 def test_out_of_range_source_raises(fn, where, kernel, monkeypatch):
     """A vertex id outside ``[0, n)`` raises ``GraphError`` on every

@@ -169,6 +169,35 @@ def _dual_step_route(scheme, router, s, t, max_hops=None):
     raise AssertionError(f"route {s}->{t} not delivered")
 
 
+#: upper bounds on the distance rows (``MetricView.rows_computed``) one
+#: build of each registered scheme computes on a fresh substrate over
+#: the ``graphs`` fixture (seed 6).  Cluster trees and Lemma 4 counts come
+#: from threshold scans and read no rows; before that, each cluster
+#: tree read its owner's row (tz2 234 rows, thm13 2 125, thm15 1 494,
+#: thm16 500).  A scheme without an entry fails, so a new one gets a
+#: bound when it is registered.
+FRESH_BUILD_ROWS = {
+    "name-indep": 433,
+    "thm10": 462,
+    "thm11": 255,
+    "thm13": 1577,
+    "thm15": 1160,
+    "thm16": 271,
+    "tz2": 16,
+    "tz3": 42,
+    "tz4": 56,
+    "warmup3": 434,
+}
+
+
+@pytest.mark.parametrize("name", scheme_names())
+def test_fresh_build_row_count_bounded(name, graphs):
+    kind = "weighted" if get_spec(name).weighted_capable else "unweighted"
+    session = build(name, graphs[kind], cache=SubstrateCache(), seed=6)
+    assert name in FRESH_BUILD_ROWS, f"no row bound for scheme {name!r}"
+    assert session.scheme.metric.rows_computed <= FRESH_BUILD_ROWS[name]
+
+
 @pytest.mark.parametrize("name", scheme_names())
 def test_identical_step_decisions_hop_by_hop(name, served):
     session, path = served[name]

@@ -15,7 +15,7 @@ from repro.graph.generators import (
     with_random_weights,
 )
 from repro.graph.metric import MetricView
-from repro.graph.trees import RootedTree
+from repro.graph.trees import RootedTree, cluster_parents
 from repro.routing.ports import PortAssignment
 from repro.routing.tree_routing import TreeRouting, tree_step
 
@@ -109,8 +109,8 @@ def test_subtree_restricted_tree():
     """Trees over vertex subsets (cluster trees) route correctly."""
     g = erdos_renyi(40, 0.15, seed=9)
     m = MetricView(g)
-    members = m.ball(0, 15)
-    parents = m.restricted_spt_parents(0, members)
+    members = sorted(m.ball(0, 15))
+    parents = cluster_parents(g, 0, members, m.row(0)[members].tolist())
     tree = RootedTree(parents)
     ports = PortAssignment(g)
     tr = TreeRouting(tree, ports)
@@ -130,7 +130,7 @@ def test_target_outside_tree_raises_at_root():
     g = path(5)
     m = MetricView(g)
     members = [0, 1, 2]
-    tree = RootedTree(m.restricted_spt_parents(0, members))
+    tree = RootedTree(cluster_parents(g, 0, members, m.row(0)[members]))
     tr = TreeRouting(tree, PortAssignment(g))
     fake_label = (999, ())
     with pytest.raises(ValueError):

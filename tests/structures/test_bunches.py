@@ -1,9 +1,31 @@
 """Bunches, clusters, pivots and cluster trees."""
 
+import random
+
 import pytest
 
+from repro.graph.core import Graph
+from repro.graph.generators import erdos_renyi
+from repro.graph.metric import MetricView
 from repro.structures.bunches import BunchStructure
 from repro.structures.sampling import sample_cluster_bounded
+from sp_reference import subgraph_dijkstra_py
+
+
+def _tie_heavy():
+    """Weights from {1, 2, 3} and from {0.1, 0.2, 0.3}: exact and
+    ulp-broken equal-length paths."""
+    rng = random.Random(3)
+    base = erdos_renyi(70, 0.08, seed=3)
+    edges = list(base.edges())
+    return {
+        "small-int": Graph.from_edges(
+            70, [(u, v, float(rng.choice((1, 2, 3)))) for u, v, _ in edges]
+        ),
+        "inexact": Graph.from_edges(
+            70, [(u, v, rng.choice((0.1, 0.2, 0.3))) for u, v, _ in edges]
+        ),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +103,46 @@ class TestBunchesClusters:
                 assert b.in_cluster(w, v) == (v in members)
 
 
+class TestValidate:
+    def test_validate_unweighted(self, bunches_er):
+        bunches_er[0].validate()
+
+    def test_validate_weighted(self, metric_er_weighted):
+        a = sample_cluster_bounded(metric_er_weighted, 10.0, seed=2)
+        BunchStructure(metric_er_weighted, a).validate()
+
+    @pytest.mark.parametrize("kind", ["small-int", "inexact"])
+    def test_validate_tie_heavy(self, kind):
+        m = MetricView(_tie_heavy()[kind])
+        BunchStructure(m, sample_cluster_bounded(m, 8.0, seed=4)).validate()
+
+    def test_validate_catches_a_wrong_cluster(self, metric_er):
+        b = BunchStructure(metric_er, [0, 5, 9])
+        w = next(w for w in range(metric_er.n) if len(b.cluster(w)) > 1)
+        b._clusters[w] = b._clusters[w][:-1]
+        with pytest.raises(AssertionError):
+            b.validate()
+
+
 class TestClusterTrees:
+    @pytest.mark.parametrize("kind", ["unweighted", "small-int", "inexact"])
+    def test_parents_equal_induced_subgraph_dijkstra(self, kind, metric_er):
+        if kind == "unweighted":
+            m = metric_er
+        else:
+            m = MetricView(_tie_heavy()[kind])
+        b = BunchStructure(m, sample_cluster_bounded(m, 8.0, seed=5))
+        trees = 0
+        for w in range(m.n):
+            members = b.cluster(w)
+            if not members:
+                continue
+            dist, parent = subgraph_dijkstra_py(m.graph, w, members)
+            assert b.cluster_tree(w).parent == parent
+            assert b.cluster_distances(w) == [dist[v] for v in members]
+            trees += 1
+        assert trees > 0
+
     def test_tree_spans_cluster_with_exact_distances(
         self, metric_er, bunches_er
     ):

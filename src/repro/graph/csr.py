@@ -48,11 +48,11 @@ it is sealed, so final distances are the unique least fixpoint of
 Two truncation modes share the engine: *ball mode* stops a source once
 ``ell`` vertices settled and the bucket boundary cleared ``d_max + tol``
 (everything the paper's radius rule can see is final), and *bounded mode*
-(:meth:`bounded_rows`) stops at a per-source distance limit and drops
-every relaxation into ``v`` at or beyond a per-vertex threshold
-``thr[v]``.  With ``thr = d(·, S)`` that *threshold scan* settles exactly
-the cluster ``C_S(s) = {v : d(s, v) < d(v, S)}`` of each source — the
-Section 2 structures scan their clusters and nothing else.
+(:meth:`bounded_rows`) drops every relaxation into ``v`` at or beyond a
+per-vertex threshold ``thr[v]``.  With ``thr = d(·, S)`` that *threshold
+scan* settles exactly the cluster ``C_S(s) = {v : d(s, v) < d(v, S)}`` of
+each source — the Section 2 structures scan their clusters and nothing
+else — and all-``inf`` thresholds sweep the whole component.
 
 The CSR arrays are built once per :class:`Graph` *version* and cached on
 the graph instance (:func:`csr_graph`); mutating the graph invalidates the
@@ -773,7 +773,6 @@ class CSRGraph:
         sources: Sequence[int],
         *,
         ell: Optional[int] = None,
-        limits: Optional[np.ndarray] = None,
         thresholds: Optional[np.ndarray] = None,
         tol: float = 0.0,
         delta: Optional[float] = None,
@@ -787,16 +786,15 @@ class CSRGraph:
           vertices settled **and** the sealed bucket boundary cleared the
           fill boundary by ``tol`` — every distance the radius rule can
           inspect is final at that point.
-        * *bounded mode* (``limits``): a source finishes once the sealed
-          boundary reaches its limit (or its queue runs dry); settled
-          vertices beyond the limit are dropped from the output.  A
-          per-vertex ``thresholds`` array drops every relaxation into
-          ``v`` at or beyond ``thresholds[v]`` (and such outputs).  For
-          ``thresholds = d(·, S)`` the cluster ``{v : d(s, v) <
-          d(v, S)}`` is shortest-path closed toward ``s`` — ``x`` on a
-          shortest ``s``–``v`` path has ``d(x, S) >= d(v, S) - d(x, v) >
-          d(s, x)``, in float64 too, since rows are least fixpoints — so
-          exactly the cluster settles, at its exact distances.
+        * *bounded mode* (``thresholds``, length ``n``): every
+          relaxation into ``v`` at or beyond ``thresholds[v]`` is
+          dropped (and so is such an output), and a source finishes when
+          its queue runs dry.  For ``thresholds = d(·, S)`` the cluster
+          ``{v : d(s, v) < d(v, S)}`` is shortest-path closed toward
+          ``s`` — ``x`` on a shortest ``s``–``v`` path has ``d(x, S) >=
+          d(v, S) - d(x, v) > d(s, x)``, in float64 too, since rows are
+          least fixpoints — so exactly the cluster settles, at its exact
+          distances; all-``inf`` thresholds sweep the whole component.
 
         ``prune`` discards relaxation candidates at distance >= ``prune``
         *before* the scatter, confining the search to the target
@@ -804,9 +802,9 @@ class CSRGraph:
         Distances below ``prune`` stay exact (every prefix of a shortest
         path is at most its endpoint's distance, so no contributing
         relaxation is dropped); entries at or beyond it may be missing or
-        stale, which callers must account for (bounded mode passes the max
-        limit, so its output is always exact; ball mode certifies
-        ``d_max + tol < prune`` per source and recomputes the rest).
+        stale, which callers must account for (bounded mode leaves it at
+        ``inf``; ball mode certifies ``d_max + tol < prune`` per source
+        and recomputes the rest).
 
         Returns ``(bounds, verts, dists)``: per-source slices
         ``verts[bounds[i]:bounds[i+1]]`` of settled vertices, sorted by
@@ -825,16 +823,7 @@ class CSRGraph:
             )
         if delta is None:
             delta = self.delta_width()
-        if limits is not None:
-            # Contiguous materialisation matters: callers pass broadcast
-            # (zero-stride) views, and the native kernel walks the raw
-            # buffer — np.asarray would keep the strides.
-            lim = np.ascontiguousarray(limits, dtype=np.float64)
-            # Bounded outputs are strict (d < limit), so the limit itself
-            # is a valid per-source prune horizon.
-            cap = np.minimum(np.full(nb, prune), lim)
-        else:
-            cap = np.full(nb, prune)
+        cap = np.full(nb, prune)
         indptr, indices, degrees = self._ds_csr_arrays()
         weights = self.weights
         start = np.arange(nb, dtype=np.int32) * np.int32(n) + srcs.astype(
@@ -854,19 +843,16 @@ class CSRGraph:
             vtx, gen = self._ds_native_vtx(nb)
             settled, settled_d = native.delta_batch(
                 indptr, indices, weights, n, nb, start, vtx, cap,
-                lim if limits is not None else None, thresholds,
-                delta, self._ds_ring_size(delta), ell, tol, gen,
+                thresholds, delta, self._ds_ring_size(delta), ell, tol,
+                gen,
             )
-            if limits is None:
+            if thresholds is None:
                 all_t, ds = settled, settled_d
             else:
                 order = np.argsort(settled)
                 all_t = settled[order]
                 ds = settled_d[order]
-            return self._ds_assemble(
-                all_t, ds, nb, lim if limits is not None else None,
-                thresholds,
-            )
+            return self._ds_assemble(all_t, ds, nb, thresholds)
         dist = self._ds_buffers(nb)
         inv_delta = 1.0 / delta
         # Candidate bucket queue: pending[b] holds (target, dist) chunks
@@ -1053,16 +1039,14 @@ class CSRGraph:
                     np.minimum(cap, fill_t + tol, out=cap)
                     has_cap = True
                 finished = ~done & (t_high >= fill_t + tol)
-            else:
-                finished = ~done & (t_high >= lim)
-            if finished.any():
-                done |= finished
-                # Kill the source outright: every queued or future
-                # candidate dies against an impossible horizon.
-                cap[finished] = -_INF
-                has_cap = True
+                if finished.any():
+                    done |= finished
+                    # Kill the source outright: every queued or future
+                    # candidate dies against an impossible horizon.
+                    cap[finished] = -_INF
             # Sources whose queues run dry simply stop contributing —
-            # their settled set is their reachable region below the cap.
+            # their settled set is their reachable region below the cap
+            # (bounded mode: below the thresholds).
         # Assemble the per-source output order without a full 3-key
         # lexsort.  Seal chunks arrive in bucket order (disjoint,
         # ascending distance ranges), each sorted by flattened id:
@@ -1075,7 +1059,7 @@ class CSRGraph:
         if not settled_chunks:
             all_t = np.empty(0, dtype=np.int32)
             ds = np.empty(0, dtype=np.float64)
-        elif limits is None:
+        elif thresholds is None:
             parts_t = []
             parts_d = []
             for chunk in settled_chunks:
@@ -1093,31 +1077,28 @@ class CSRGraph:
         # Sparse reset of every scattered tentative entry (duplicates are
         # harmless) — the float analogue of the generation-stamp trick.
         dist[np.concatenate(touched)] = _INF
-        return self._ds_assemble(
-            all_t, ds, nb, lim if limits is not None else None, thresholds
-        )
+        return self._ds_assemble(all_t, ds, nb, thresholds)
 
     def _ds_assemble(
         self,
         all_t: np.ndarray,
         ds: np.ndarray,
         nb: int,
-        lim: Optional[np.ndarray],
-        thr: Optional[np.ndarray] = None,
+        thr: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Shared engine tail: regroup flattened settled ids per source.
 
         ``all_t``/``ds`` arrive in global (dist, id)-within-bucket order
-        (ball mode, ``lim is None``) or ascending-id order (bounded
+        (ball mode, ``thr is None``) or ascending-id order (bounded
         mode); both engines produce the identical arrays, so this split
         is the bit-identity seam between them.  Bounded mode keeps
-        ``d < lim[source]`` and ``d < thr[v]`` (a source settles itself
-        even where ``thr[source] <= 0``).
+        ``d < thr[v]`` (a source settles itself even where
+        ``thr[source] <= 0``).
         """
         n = self.n
         bpos = all_t // n
         verts = all_t - bpos * n
-        if lim is None:
+        if thr is None:
             # Batch positions always fit int16 (batch * n is capped at
             # ~1M entries), where numpy's stable argsort is a radix sort.
             order = np.argsort(bpos.astype(np.int16), kind="stable")
@@ -1125,9 +1106,7 @@ class CSRGraph:
             verts = verts[order]
             ds = ds[order]
         else:
-            sel = ds < lim[bpos]
-            if thr is not None:
-                sel &= ds < thr[verts]
+            sel = ds < thr[verts]
             bpos, verts, ds = bpos[sel], verts[sel], ds[sel]
         bounds = np.searchsorted(bpos, np.arange(nb + 1))
         return bounds, verts, ds
@@ -1218,34 +1197,33 @@ class CSRGraph:
     def bounded_rows(
         self,
         sources: Sequence[int],
-        limits: Union[float, Sequence[float], np.ndarray],
+        thresholds: Union[Sequence[float], np.ndarray],
         *,
-        thresholds: Optional[np.ndarray] = None,
         delta: Optional[float] = None,
         batch_bytes: int = _DS_BATCH_BYTES,
     ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(source, verts, dists)`` with ``d(source, v) < limit``.
+        """Yield ``(source, verts, dists)`` with ``d(source, v) < thr[v]``.
 
-        ``limits`` is a scalar or per-source array; ``verts`` ascends by id
-        and covers *exactly* the vertices closer than the source's limit
-        (``inf`` sweeps the source's whole component).  Runs the
-        delta-stepping engine in bounded mode, batched.  Per-vertex
-        ``thresholds = d(·, S)`` make it the *threshold scan*: each source
-        settles exactly its cluster ``C_S(source)`` (see
-        :meth:`_delta_batch`).
+        The *threshold scan*: the delta-stepping engine in bounded mode,
+        batched, with one per-vertex ``thresholds`` array ``thr``
+        (length ``n``) shared by every source; ``verts`` ascends by id.  For
+        ``thresholds = d(·, S)`` each source settles exactly its cluster
+        ``C_S(source)``, and all-``inf`` thresholds sweep the source's
+        whole component (see :meth:`_delta_batch`).
         """
         sources = list(sources)
-        lim = np.broadcast_to(
-            np.asarray(limits, dtype=np.float64), (len(sources),)
-        )
-        if thresholds is not None:  # the C kernel reads the raw buffer
-            thresholds = np.ascontiguousarray(thresholds, dtype=np.float64)
+        # the C kernel reads the raw buffer
+        thr = np.ascontiguousarray(thresholds, dtype=np.float64)
+        if thr.shape != (self.n,):
+            raise ValueError(
+                f"thresholds must have length {self.n}, got {thr.shape}"
+            )
         from . import parallel
 
         eng = parallel.engine_for(self, len(sources))
         if eng is not None:
             for (bounds, verts, ds), chunk in eng.bounded_chunks(
-                sources, lim, thresholds, delta, batch_bytes
+                sources, thr, delta, batch_bytes
             ):
                 for i, s in enumerate(chunk):
                     lo, hi = int(bounds[i]), int(bounds[i + 1])
@@ -1255,8 +1233,7 @@ class CSRGraph:
         for start in range(0, len(sources), batch):
             chunk = sources[start : start + batch]
             bounds, verts, ds = self._delta_batch(
-                chunk, limits=lim[start : start + batch],
-                thresholds=thresholds, delta=delta,
+                chunk, thresholds=thr, delta=delta
             )
             for i, s in enumerate(chunk):
                 lo, hi = int(bounds[i]), int(bounds[i + 1])
@@ -1265,23 +1242,20 @@ class CSRGraph:
     def _bounded_chunk_arrays(
         self,
         sources: Sequence[int],
-        limits: Union[Sequence[float], np.ndarray],
+        thresholds: np.ndarray,
         *,
-        thresholds: Optional[np.ndarray] = None,
         delta: Optional[float] = None,
         batch_bytes: int = _DS_BATCH_BYTES,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bounded sweeps for an explicit source list, as compact arrays.
+        """Threshold scans for an explicit source list, as compact arrays.
 
         The worker-side unit of :meth:`bounded_rows`: runs the serial
         batched engine over ``sources`` and splices the per-batch
         ``(bounds, verts, ds)`` triples into one.  Per-source results
-        depend only on the CSR arrays, the per-source limit and the
-        shared thresholds, so any chunking is bit-identical to the
-        serial generator.
+        depend only on the CSR arrays and the shared thresholds, so any
+        chunking is bit-identical to the serial generator.
         """
         sources = list(sources)
-        lim = np.asarray(limits, dtype=np.float64)
         batch = self._ds_batch_size(batch_bytes)
         sizes_parts: List[np.ndarray] = []
         verts_parts: List[np.ndarray] = []
@@ -1289,8 +1263,7 @@ class CSRGraph:
         for start in range(0, len(sources), batch):
             chunk = sources[start : start + batch]
             bounds, verts, ds = self._delta_batch(
-                chunk, limits=lim[start : start + batch],
-                thresholds=thresholds, delta=delta,
+                chunk, thresholds=thresholds, delta=delta
             )
             sizes_parts.append(np.diff(bounds))
             verts_parts.append(verts)

@@ -105,8 +105,6 @@ from .trees import parents_from_pred_row
 
 __all__ = ["MetricView"]
 
-_INF = float("inf")
-
 
 class MetricView:
     """Immutable exact-distance oracle over a graph.
@@ -322,7 +320,7 @@ class MetricView:
         self.bounded_rows_computed += len(sources)
         kernel = self._kernel()
         if kernel is not None:
-            yield from kernel.bounded_rows(sources, _INF, thresholds=thr)
+            yield from kernel.bounded_rows(sources, thr)
             return
         thr_list = thr.tolist()
         for u in sources:

@@ -359,15 +359,13 @@ def _task_ball_chunk(
 def _task_bounded_chunk(
     descriptor: Tuple[Any, ...],
     sources: List[int],
-    limits: np.ndarray,
-    thresholds: Optional[np.ndarray],
+    thresholds: np.ndarray,
     delta: Optional[float],
     batch_bytes: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     csr = _attached_csr(descriptor)
     return csr._bounded_chunk_arrays(
-        sources, limits, thresholds=thresholds, delta=delta,
-        batch_bytes=batch_bytes,
+        sources, thresholds, delta=delta, batch_bytes=batch_bytes
     )
 
 
@@ -550,18 +548,15 @@ class ParallelEngine:
     def bounded_chunks(
         self,
         sources: Sequence[int],
-        limits: np.ndarray,
-        thresholds: Optional[np.ndarray],
+        thresholds: np.ndarray,
         delta: Optional[float],
         batch_bytes: int,
     ) -> Iterator[Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], List[int]]]:
         desc = self._shared.descriptor()
         chunks = self._chunks(len(sources))
-        lim = np.asarray(limits, dtype=np.float64)
         # every task carries the whole threshold array (8n bytes)
         tasks = [
-            (desc, list(sources[lo:hi]), lim[lo:hi], thresholds, delta,
-             batch_bytes)
+            (desc, list(sources[lo:hi]), thresholds, delta, batch_bytes)
             for lo, hi in chunks
         ]
         results = iter_tasks(_task_bounded_chunk, tasks, self.workers)

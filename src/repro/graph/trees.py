@@ -10,7 +10,8 @@ heavy-path decomposition performed by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import heapq
+from typing import Dict, List, Optional, Sequence, Set
 
 from .core import Graph
 
@@ -45,31 +46,40 @@ def cluster_parents(
 
     ``members`` and ``dists`` (``d(root, v)``) are one threshold scan's
     output (:meth:`repro.graph.metric.MetricView.iter_bounded_rows`).
-    The parent of ``v`` is the smallest-id member ``u`` with
-    ``dists[u] + w(u, v) == dists[v]``: the tie rule of an
-    induced-subgraph Dijkstra from ``root``, with no row read.  A member
-    without such a ``u`` (a set not shortest-path closed toward
-    ``root``), or a missing root, raises :class:`ValueError`.
+    Replays the induced-subgraph Dijkstra from ``root`` over the tight
+    edges (``dists[u] + w(u, v) == dists[v]``) with no row read: the
+    parent of ``v`` is the smallest-id tight predecessor settled before
+    ``v``, in that Dijkstra's ``(dist, id)`` pop order.  The order
+    matters where float addition absorbs a weight (``du + w == du``)
+    and tight edges join equal distances.  A member never reached (a set
+    not shortest-path closed toward ``root``), or a missing root, raises
+    :class:`ValueError`.
     """
     dist_of = dict(zip(members, dists))
     if dist_of.get(root) != 0.0:
         raise ValueError(f"root {root} not among members at distance 0")
     parents = {root: root}
+    settled: Set[int] = set()
+    heap = [(0.0, root)]
     adj = g._adj  # the hot loop: no per-vertex list copies
-    for v, dv in dist_of.items():
-        if v == root:
+    while heap:
+        du, u = heapq.heappop(heap)
+        if u in settled:
             continue
-        best = -1
-        for u, w in adj[v].items():
-            du = dist_of.get(u)
-            if du is not None and du + w == dv and (best < 0 or u < best):
-                best = u
-        if best < 0:
-            raise ValueError(
-                f"member set not shortest-path closed toward {root}: no "
-                f"member precedes {v} at distance {dv}"
-            )
-        parents[v] = best
+        settled.add(u)
+        for v, w in adj[u].items():
+            dv = dist_of.get(v)
+            if dv is not None and du + w == dv and v not in settled:
+                p = parents.get(v)
+                if p is None or u < p:
+                    parents[v] = u
+                    heapq.heappush(heap, (dv, v))
+    if len(settled) != len(dist_of):
+        v = min(set(dist_of) - settled)
+        raise ValueError(
+            f"member set not shortest-path closed toward {root}: no "
+            f"member precedes {v} at distance {dist_of[v]}"
+        )
     return parents
 
 

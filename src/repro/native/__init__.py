@@ -217,7 +217,7 @@ class NativeKernels:
             c_ptr, c_ptr, c_ptr,                 # indptr, indices, weights
             c_i64, c_i64,                        # n, nb
             c_ptr,                               # start
-            c_ptr, c_ptr, c_ptr,                 # vtx, cap, lim (or NULL)
+            c_ptr, c_ptr,                        # vtx, cap
             c_ptr,                               # thr (or NULL)
             ctypes.c_double,                     # delta
             c_i64, c_i64, ctypes.c_double,       # ring, ell, tol
@@ -255,7 +255,6 @@ class NativeKernels:
         start: np.ndarray,
         vtx: np.ndarray,
         cap: np.ndarray,
-        lim: Optional[np.ndarray],
         thr: Optional[np.ndarray],
         delta: float,
         ring: int,
@@ -284,7 +283,6 @@ class NativeKernels:
             int(n), int(nb),
             _ptr(start),
             _ptr(vtx), _ptr(cap),
-            _ptr(lim) if lim is not None else None,
             _ptr(thr) if thr is not None else None,
             float(delta),
             int(ring), -1 if ell is None else int(ell), float(tol),

@@ -229,11 +229,10 @@ void repro_release(void *p)
  *
  * Inputs mirror the numpy engine exactly: int32 CSR mirrors, nb
  * flattened start ids, the per-source cap array (mutated in place,
- * like the numpy engine), `lim` for bounded mode (NULL in ball mode,
- * where ell >= 0), bounded mode's per-vertex thresholds `thr` (or
- * NULL; a relaxation into v with nd >= thr[v] is dropped), and the
- * caller-owned zeroed vtx scratch of nb*n entries (gen starts at 1, so
- * a zero stamp is never current).
+ * like the numpy engine), bounded mode's per-vertex thresholds `thr`
+ * (NULL in ball mode, where ell >= 0; a relaxation into v with
+ * nd >= thr[v] is dropped), and the caller-owned zeroed vtx scratch of
+ * nb*n entries (gen starts at 1, so a zero stamp is never current).
  *
  * The bucket queue is a ring of `ring` slots of (t, s, d) candidate
  * chunks: a candidate generated in bucket b has nd < (b+1)*delta +
@@ -256,10 +255,10 @@ void repro_release(void *p)
  * per-chunk assembly order (np.unique + stable distance sort).
  * Bounded chunks stay in settle order; the caller's global id argsort
  * matches numpy's sorted-chunk concat because flattened ids are
- * distinct.  Then the per-source fill/finish bookkeeping: ball mode
- * (ell >= 0) marks a source filled at >= ell settled and shrinks its
- * cap to fill_t + tol, both modes kill finished sources via cap = -inf
- * (ell < 0 selects bounded mode via lim).
+ * distinct.  Then ball mode's (ell >= 0) per-source fill/finish
+ * bookkeeping: a source is filled at >= ell settled, its cap shrinks to
+ * fill_t + tol, and a finished source is killed via cap = -inf.  A
+ * bounded source (ell < 0) runs until its queue is dry.
  *
  * Outputs (malloc'd; caller copies and frees via repro_release):
  *   settled    — per-bucket settled flattened ids, concatenated
@@ -279,7 +278,6 @@ int repro_delta_batch(
     const int32_t *start,
     void *vtx_mem,
     double *cap,
-    const double *lim,
     const double *thr,
     double delta,
     int64_t ring,
@@ -445,15 +443,6 @@ int repro_delta_batch(
                         cap[s] = shrunk;
                 }
                 if (t_high >= fill_t[s] + tol) {
-                    done[s] = 1;
-                    cap[s] = -DS_INF;
-                }
-            }
-        } else {
-            for (s = 0; s < nb; s++) {
-                if (done[s])
-                    continue;
-                if (t_high >= lim[s]) {
                     done[s] = 1;
                     cap[s] = -DS_INF;
                 }

@@ -294,6 +294,35 @@ class TestSubgraphDijkstra:
             assert [dist[v] for v in verts.tolist()] == dists.tolist()
         assert clusters > 0
 
+    def test_absorbed_ties_match_reference(self):
+        """Weights from {1e20, 1, 2}: past the first heavy edge float
+        addition absorbs the light ones, so tight edges join vertices at
+        equal distance and the parent depends on the settle order."""
+        import random as _random
+
+        absorbed = 0
+        for seed in range(6):
+            rng = _random.Random(seed)
+            base = erdos_renyi(30, 0.15, seed=seed)
+            g = Graph.from_edges(
+                base.n,
+                [
+                    (u, v, rng.choice((1e20, 1.0, 2.0)))
+                    for u, v, _ in base.edges()
+                ],
+            )
+            thr = np.full(g.n, np.inf)
+            for w, verts, dists in MetricView(g).iter_bounded_rows(thr):
+                members = verts.tolist()
+                dist, parent = subgraph_dijkstra_py(g, w, members)
+                got = cluster_parents(g, w, members, dists.tolist())
+                assert got == parent
+                absorbed += sum(
+                    1 for v, p in got.items()
+                    if v != p and dist[v] == dist[p]
+                )
+        assert absorbed > 0
+
     def test_root_not_member_raises(self):
         g = grid(3, 3)
         with pytest.raises(ValueError):
@@ -540,26 +569,28 @@ class TestDeltaEngine:
         _, g = graph_case
         kernel = csr_graph(g)
         rng = _random.Random(5)
-        scale = max((w for _, _, w in g.edges()), default=1.0)
-        limits = np.array(
-            [rng.uniform(0.5, 4.0) * scale for _ in range(g.n)]
-        )
-        for s, verts, dists in kernel.bounded_rows(range(g.n), limits):
-            row = np.asarray(dijkstra_py(g, s)[0])
-            ref_v = np.flatnonzero(row < limits[s])
+        thr = distance_to_set(g, rng.sample(range(g.n), 3))
+        for s, verts, dists in kernel.bounded_rows(range(g.n), thr):
+            ref_v, ref_d = threshold_reference(g, s, thr)
             assert np.array_equal(verts, ref_v)
-            assert np.array_equal(dists, row[ref_v])
+            assert np.array_equal(dists, ref_d)
 
     def test_bounded_rows_infinite_limit_sweeps_component(self):
         g = with_random_weights(
             erdos_renyi(40, 0.05, seed=25, connected=False), seed=26
         )
         kernel = csr_graph(g)
-        for s, verts, dists in kernel.bounded_rows([0, g.n - 1], np.inf):
+        thr = np.full(g.n, np.inf)
+        for s, verts, dists in kernel.bounded_rows([0, g.n - 1], thr):
             row = np.asarray(dijkstra_py(g, s)[0])
             ref_v = np.flatnonzero(np.isfinite(row))
             assert np.array_equal(verts, ref_v)
             assert np.array_equal(dists, row[ref_v])
+
+    def test_bounded_rows_rejects_wrong_length_thresholds(self):
+        kernel = csr_graph(erdos_renyi(10, 0.3, seed=1))
+        with pytest.raises(ValueError):
+            list(kernel.bounded_rows([0], np.full(9, np.inf)))
 
 
 def _small_int_weight_graph(n=60, p=0.1, seed=12):

@@ -35,6 +35,7 @@ from repro.graph.generators import (
 )
 from repro.graph.metric import MetricView
 from repro.routing.shard_codec import encode_node_table
+from sp_reference import distance_to_set
 
 pytestmark = pytest.mark.skipif(
     (os.cpu_count() or 1) < 1, reason="needs a scheduler"
@@ -194,14 +195,16 @@ def test_all_balls_lists_mode_bit_identical(monkeypatch, two_workers):
 
 
 def test_bounded_rows_bit_identical(monkeypatch, two_workers):
-    csr = csr_graph(_weighted(700, 0.01, seed=9))
+    g = _weighted(700, 0.01, seed=9)
+    csr = csr_graph(g)
+    thr = distance_to_set(g, list(range(0, g.n, 97)))
     par = [
         (s, v.copy(), d.copy())
-        for s, v, d in csr.bounded_rows(range(csr.n), 9.0)
+        for s, v, d in csr.bounded_rows(range(csr.n), thr)
     ]
     assert csr._parallel is not None  # not serial against serial
     _serial(monkeypatch)
-    ser = list(csr.bounded_rows(range(csr.n), 9.0))
+    ser = list(csr.bounded_rows(range(csr.n), thr))
     assert len(par) == len(ser)
     for (s1, v1, d1), (s2, v2, d2) in zip(par, ser):
         assert s1 == s2

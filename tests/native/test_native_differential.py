@@ -40,6 +40,7 @@ from repro.routing.shard_codec import (
     encode_value,
 )
 from repro.routing.tables import NodeTable
+from sp_reference import distance_to_set
 
 
 def _set_mode(monkeypatch, mode: str) -> None:
@@ -159,13 +160,13 @@ def test_all_balls_identical_across_engines(monkeypatch, name):
 def test_bounded_rows_identical_native_vs_numpy(monkeypatch, name):
     _require_native()
     g = _GRAPHS[name]()
-    limits = np.linspace(1.0, 22.0, g.n)
+    thr = distance_to_set(g, random.Random(3).sample(range(g.n), 4))
 
     def sweep():
         csr = csr_graph(g)
         return [
             (s, v.copy().tobytes(), d.copy().tobytes())
-            for s, v, d in csr.bounded_rows(range(g.n), limits)
+            for s, v, d in csr.bounded_rows(range(g.n), thr)
         ]
 
     _set_mode(monkeypatch, "native")

@@ -124,14 +124,34 @@ class TestValidate:
             b.validate()
 
 
+def _absorbed():
+    """Float absorption: 1e20 + 1 == 1e20, so vertices 1, 2 and 3 all
+    sit at 1e20 from 0 and the tight edges 3-1, 3-2 and 1-2 join one
+    distance level; landmark 4 is far enough that C_A(0) is all of
+    0..3."""
+    return Graph.from_edges(
+        5,
+        [(0, 3, 1e20), (3, 1, 1.0), (3, 2, 1.0), (1, 2, 1.0), (0, 4, 1e22)],
+    )
+
+
 class TestClusterTrees:
-    @pytest.mark.parametrize("kind", ["unweighted", "small-int", "inexact"])
+    @pytest.mark.parametrize(
+        "kind", ["unweighted", "small-int", "inexact", "absorbed"]
+    )
     def test_parents_equal_induced_subgraph_dijkstra(self, kind, metric_er):
         if kind == "unweighted":
             m = metric_er
+        elif kind == "absorbed":
+            m = MetricView(_absorbed())
         else:
             m = MetricView(_tie_heavy()[kind])
-        b = BunchStructure(m, sample_cluster_bounded(m, 8.0, seed=5))
+        if kind == "absorbed":
+            b = BunchStructure(m, [4])
+            assert b.cluster(0) == [0, 1, 2, 3]
+            assert b.cluster_tree(0).parent == {0: 0, 1: 3, 2: 1, 3: 0}
+        else:
+            b = BunchStructure(m, sample_cluster_bounded(m, 8.0, seed=5))
         trees = 0
         for w in range(m.n):
             members = b.cluster(w)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The standard gate: ruff -> mypy (strict allowlist) -> invariant linter
-# -> tier-1 pytest -> the pure and numpy dispatch legs -> the C kernels
-# under ASan/UBSan -> the parallel bench smoke.  Correctness checks live
+# -> tier-1 pytest -> the pure and numpy dispatch legs -> a leg with
+# scipy unimportable -> the C kernels under ASan/UBSan -> the parallel
+# bench smoke.  Correctness checks live
 # in the tier-1 tests and speed in the end-to-end benchmark
 # (benchmarks/e2e/run.py), so no other bench script runs here.  Every leg runs even when an earlier one fails, so
 # one invocation reports everything; the exit status is non-zero if any
@@ -64,6 +65,21 @@ echo "== pytest (REPRO_KERNEL=numpy) =="
 REPRO_KERNEL=numpy python -m pytest -q tests/graph/test_metric.py \
     tests/routing/test_ball_routing.py tests/core tests/schemes \
     tests/structures tests/baselines/test_hierarchy.py || fail=1
+
+# -- no scipy: rows, cluster scans and trees come from the repository's
+# own kernels, so the graph suites, every scheme's build and the serving
+# differentials pass with scipy unimportable (a stub package first on
+# PYTHONPATH raises ImportError); tests that use scipy as an outside
+# reference skip
+echo "== pytest (scipy unimportable) =="
+no_scipy=$(mktemp -d)
+mkdir "$no_scipy/scipy"
+echo 'raise ModuleNotFoundError("scipy is blocked", name="scipy")' \
+    > "$no_scipy/scipy/__init__.py"
+PYTHONPATH="$no_scipy:src" python -m pytest -q -p no:cacheprovider \
+    tests/graph tests/schemes/test_all_schemes.py \
+    tests/routing/test_serving.py || fail=1
+rm -rf "$no_scipy"
 
 # -- sanitizers: the C kernels built with ASan + UBSan into a private
 # cache, at the path the loader looks for, and the suites that drive them

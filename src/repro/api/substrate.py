@@ -352,22 +352,6 @@ class Substrate:
             self._account("trees", True)
         return tree
 
-    def has_tree(
-        self, root: int, members: Optional[Iterable[int]] = None
-    ) -> bool:
-        """Whether :meth:`tree_routing` already holds ``(root, members)``.
-
-        Lets batched SPT prefetching (see
-        :meth:`repro.graph.metric.MetricView.prefetch_spt_parents`) skip
-        roots whose heavy-path routing is memoized here — their parent
-        maps will never be recomputed, so staging rows for them is waste.
-        """
-        key = (
-            int(root),
-            None if members is None else tuple(sorted(members)),
-        )
-        return key in self._trees
-
     def hierarchy(self, k: int, seed: int):
         """TZ ``k``-level sampled hierarchy (memoized on ``(k, seed)``)."""
         key = (int(k), int(seed))

@@ -79,14 +79,6 @@ class Technique1:
         full-graph trees (the other eps-independent half of this
         technique's state, and a dominant cost of thm10's marginal
         build) are shared across schemes and sweeps.
-    tree_prefetch:
-        Optional ``roots -> None`` hook invoked once with the whole
-        hitting set before any tree is built, letting the metric stage
-        all ~|H| SPT predecessor rows in one batched sweep
-        (:meth:`MetricView.prefetch_spt_parents`); schemes pass
-        ``SchemeBase._prefetch_global_trees``.  Cold builds without a
-        factory prefetch through the metric directly.  Trees are
-        bit-identical with or without the hook.
     prefix:
         Category prefix inside the shared tables (several technique
         instances may coexist, e.g. in the generalized schemes).
@@ -117,7 +109,6 @@ class Technique1:
         *,
         hitting: Optional[Sequence[int]] = None,
         tree_factory: Optional[Callable[[int], TreeRouting]] = None,
-        tree_prefetch: Optional[Callable[[Sequence[int]], None]] = None,
         prefix: str = "t1:",
         seed: int = 0,
         use_greedy_hitting: bool = True,
@@ -142,15 +133,6 @@ class Technique1:
         # not rebuild an O(|H|) set every call.
         self._hitting_set = frozenset(self.hitting)
 
-        # Stage all ~|H| SPT predecessor rows in one batched sweep before
-        # the per-root loop (bit-identical trees; just fewer Dijkstra
-        # calls, multiprocess under REPRO_PARALLEL).
-        if tree_prefetch is not None:
-            tree_prefetch(self.hitting)
-        elif tree_factory is None:
-            prefetch = getattr(metric, "prefetch_spt_parents", None)
-            if prefetch is not None:
-                prefetch(self.hitting)
         self._trees: Dict[int, TreeRouting] = {}
         for h in self.hitting:
             if tree_factory is not None:

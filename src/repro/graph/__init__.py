@@ -1,8 +1,12 @@
 """Graph substrate: representation, generators, shortest paths, metric view.
 
-Shortest-path work dispatches through :mod:`repro.graph.shortest_paths` to
-the flat-array CSR kernel (:mod:`repro.graph.csr`) when numpy is present,
-with the pure-Python implementations as the differential-test fallback.
+Every shortest-path search runs on one engine, the flat-array CSR kernel
+(:mod:`repro.graph.csr`, native when the compiled library loads, else
+numpy): its threshold scan gives distance rows and cluster scans, its
+hop columns give first hops and shortest-path trees.  ``REPRO_KERNEL=pure``
+switches to the pure-Python references in
+:mod:`repro.graph.shortest_paths`.  Nothing here imports scipy;
+:meth:`Graph.to_csr` converts to a scipy matrix on request.
 """
 
 from .core import Graph, GraphError

@@ -10,17 +10,17 @@ paper's vicinities ``B(u, ell)`` for *every* vertex at once.
 Kernel / fallback dispatch
 --------------------------
 Callers do not import this module directly; they go through the dispatch
-functions in :mod:`repro.graph.shortest_paths` (``dijkstra``,
-``all_balls``, ``bounded_distance``) and :class:`~repro.graph.metric.
+functions in :mod:`repro.graph.shortest_paths` (``all_balls``,
+``bounded_distance``) and :class:`~repro.graph.metric.
 MetricView`.  The dispatch picks this kernel when numpy imports cleanly
 and ``REPRO_KERNEL=pure`` is not set (resolved once per process), and
 otherwise falls back to the
 pure-Python implementations, which stay in the tree as the
 differential-test reference.  Whole distance rows (:meth:`CSRGraph.rows`)
-and shortest-path-tree predecessors come from scipy's C
-``csgraph.dijkstra`` over one cached matrix whenever scipy imports
-(:data:`_HAVE_SCIPY` is the one probe); callers ask for rows in blocks,
-so peak memory stays ``O(block * n)``.
+are the threshold scan with all-``inf`` thresholds scattered into dense
+rows — the same engine as the cluster scans, so there is one
+shortest-path engine; callers ask for rows in blocks, so peak memory
+stays ``O(block * n)``.
 
 Batched ball engines
 --------------------
@@ -64,8 +64,9 @@ the batched ball sweep cheap.
 Tie-breaking invariant
 ----------------------
 All kernels preserve the paper's Section 2 total order *exactly*: balls are
-``(distance, id)``-ordered prefixes, and Dijkstra parents tie toward the
-smallest predecessor id.  Distances are bitwise identical to the
+``(distance, id)``-ordered prefixes, and hop columns (the first hops
+that shortest-path trees and walks read) take the tight neighbour with
+the smallest ``(distance, id)``.  Distances are bitwise identical to the
 pure-Python path: both accumulate the same float64 edge weights along the
 same shortest paths, and the final distance of a vertex is the minimum
 over the same candidate set regardless of relaxation order.
@@ -79,14 +80,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import Graph
-
-try:  # scipy is optional; the kernel degrades gracefully without it.
-    from scipy.sparse import csr_matrix as _scipy_csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _HAVE_SCIPY = False
 
 __all__ = ["CSRGraph", "csr_graph", "cached_csr_graph"]
 
@@ -229,9 +222,9 @@ class CSRGraph:
     edge directions materialized; per-row neighbour order is the graph's
     deterministic insertion order.  ``_adj`` is the same adjacency as plain
     Python ``(neighbour, weight)`` tuple lists — CPython iterates those
-    much faster than numpy scalars, so the heap kernels run on it while the
-    numpy arrays serve construction, scipy interop and vectorized
-    postprocessing.
+    much faster than numpy scalars, so the heap kernel
+    (:meth:`bounded_distance`) runs on it while the numpy arrays serve
+    construction, the batched engines and vectorized postprocessing.
     """
 
     __slots__ = (
@@ -241,7 +234,6 @@ class CSRGraph:
         "indices",
         "weights",
         "_adj",
-        "_scipy_mat",
         "_gen",
         "_best",
         "_best_stamp",
@@ -274,7 +266,6 @@ class CSRGraph:
         self.indices = indices
         self.weights = weights
         self._adj: Optional[List[List[Tuple[int, float]]]] = None
-        self._scipy_mat = None
         # Generation-stamped scratch buffers: a slot is valid only when its
         # stamp equals the current generation, so "resetting" all n slots
         # between sources is a single integer increment.
@@ -333,57 +324,9 @@ class CSRGraph:
             ]
         return self._adj
 
-    def _scipy_matrix(self) -> Optional[Any]:
-        """The scipy CSR adjacency (copied arrays so scipy cannot reorder ours)."""
-        if not _HAVE_SCIPY:
-            return None
-        if self._scipy_mat is None:
-            self._scipy_mat = _scipy_csr_matrix(
-                (
-                    self.weights.copy(),
-                    self.indices.copy(),
-                    self.indptr.copy(),
-                ),
-                shape=(self.n, self.n),
-            )
-        return self._scipy_mat
-
     # ------------------------------------------------------------------
     # Single-source kernels
     # ------------------------------------------------------------------
-    def dijkstra(self, source: int) -> Tuple[List[float], List[Optional[int]]]:
-        """Flat-array single-source Dijkstra.
-
-        Matches :func:`repro.graph.shortest_paths.dijkstra_py` exactly,
-        including the deterministic parent rule (ties toward the smallest
-        predecessor id).
-        """
-        adj = self._flat_adj()
-        n = self.n
-        dist: List[float] = [_INF] * n
-        parent: List[Optional[int]] = [None] * n
-        dist[source] = 0.0
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        done = bytearray(n)
-        while heap:
-            d, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = 1
-            for v, w in adj[u]:
-                nd = d + w
-                dv = dist[v]
-                if nd < dv:
-                    dist[v] = nd
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, v))
-                elif nd == dv:
-                    pv = parent[v]
-                    if pv is not None and u < pv:
-                        parent[v] = u
-                        heapq.heappush(heap, (nd, v))
-        return dist, parent
-
     def bounded_distance(
         self, source: int, target: int, limit: float
     ) -> float:
@@ -422,20 +365,15 @@ class CSRGraph:
     def rows(self, sources: Sequence[int]) -> np.ndarray:
         """Distance rows for ``sources`` as a ``(len(sources), n)`` array.
 
-        Uses scipy's C Dijkstra (one call for all sources) when scipy
-        imports; otherwise loops the flat-array kernel.
+        The threshold scan (:meth:`bounded_rows`) with all-``inf``
+        thresholds settles each source's whole component with its least
+        float64 fixpoint distances; those are scattered into ``inf`` rows.
         """
         sources = list(sources)
-        if not sources:
-            return np.zeros((0, self.n), dtype=np.float64)
-        if _HAVE_SCIPY and self.m > 0:
-            mat = self._scipy_matrix()
-            # Both edge directions are stored: no transpose needed.
-            out = _scipy_dijkstra(mat, directed=True, indices=sources)
-            return np.atleast_2d(out)
-        out = np.empty((len(sources), self.n), dtype=np.float64)
-        for i, s in enumerate(sources):
-            out[i] = self.dijkstra(s)[0]
+        out = np.full((len(sources), self.n), _INF)
+        scan = self.bounded_rows(sources, np.full(self.n, _INF))
+        for i, (_, verts, ds) in enumerate(scan):
+            out[i, verts] = ds
         return out
 
     def hop_column(self, row: np.ndarray, v: int, tol: float) -> np.ndarray:
@@ -489,42 +427,6 @@ class CSRGraph:
             out[found] = first[found]
         out[v] = v
         return out
-
-    def _spt_pred_rows(self, roots: Sequence[int]) -> np.ndarray:
-        """scipy predecessor rows for ``roots`` (scipy required).
-
-        One row per root; negative entries mark the root itself and
-        unreachable vertices.  Each row is a single-source computation,
-        so batching and chunking leave every row bit-identical.
-        """
-        mat = self._scipy_matrix()
-        _, pred = _scipy_dijkstra(
-            mat,
-            directed=False,
-            indices=list(roots),
-            return_predecessors=True,
-        )
-        return np.atleast_2d(pred)
-
-    def spt_pred_rows(self, roots: Sequence[int]) -> Optional[np.ndarray]:
-        """Batched SPT predecessor rows, or ``None`` when unavailable.
-
-        The landmark/hub-tree build primitive: one scipy C Dijkstra call
-        (fanned out over the parallel tier when enabled) replaces a
-        per-root python SSSP.  Returns ``None`` without scipy or on an
-        edgeless graph — callers fall back to their per-root path.
-        """
-        roots = list(roots)
-        if not _HAVE_SCIPY or self.m == 0 or not roots:
-            return None
-        from . import parallel
-
-        eng = parallel.engine_for(
-            self, len(roots), floor=parallel._MIN_PARALLEL_TREES
-        )
-        if eng is not None:
-            return np.vstack(eng.pred_rows(roots))
-        return self._spt_pred_rows(roots)
 
     def _resolve_ball_engine(
         self, engine: Optional[str], *, tol: float

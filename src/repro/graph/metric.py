@@ -9,8 +9,9 @@ walking, vicinity balls and the normalized diameter ``D``.
 Distance rows
 -------------
 :class:`MetricView` is a per-row distance oracle: rows are computed on
-demand through the CSR kernel (:mod:`repro.graph.csr`, scipy rows when
-scipy imports) or the pure dispatch, and LRU-cached.  Peak memory is
+demand — the CSR kernel's threshold scan with all-``inf`` thresholds
+(:meth:`repro.graph.csr.CSRGraph.rows`), or ``dijkstra_py`` under
+``REPRO_KERNEL=pure`` — and LRU-cached.  Peak memory is
 ``O(cache_rows * n)``, never ``O(n^2)``, matching the preprocessing
 access pattern (landmark columns, row blocks, one target sweep).  A
 scheme build reads each vertex's row about once: its per-target work
@@ -29,12 +30,8 @@ relaxation into ``v`` at or beyond ``d(v, S)``, so it settles exactly
 the (shortest-path closed) cluster with its distances, from which
 :func:`repro.graph.trees.cluster_parents` derives the cluster tree.
 
-scipy is used exactly when it imports (the one probe is
-:data:`repro.graph.csr._HAVE_SCIPY`), under every ``REPRO_KERNEL``,
-always over the graph's one cached scipy matrix — so distance rows and
-shortest-path trees come from the same adjacency.  Vicinity balls never
-read distance rows: :meth:`MetricView.all_balls` is one call to the
-batched sweep :func:`repro.graph.shortest_paths.all_balls`.
+Vicinity balls never read distance rows: :meth:`MetricView.all_balls` is
+one call to the batched sweep :func:`repro.graph.shortest_paths.all_balls`.
 
 :meth:`MetricView.next_hop` reads one int32 *hop column* per target ``v``:
 the first hop toward ``v`` from every vertex, computed from ``row(v)``
@@ -43,7 +40,10 @@ alone in one ``O(n + m)`` pass over the CSR arrays
 loads) — the graph is undirected, so ``row(v)[x]`` stands in for
 ``d(x, v)`` and one distance row serves every source (see the exception
 under "Canonical row orientation" below).  The view keeps an LRU of
-``cache_rows`` columns beside its LRU of rows.
+``cache_rows`` columns beside its LRU of rows.  Full shortest-path trees
+read the same column: :meth:`MetricView.spt_parents` makes each vertex's
+first hop toward the root its parent, so trees and
+:meth:`MetricView.shortest_path` walks share one first-hop rule.
 
 :meth:`MetricView.target_sweep` visits the targets in order and yields
 each one's row and hop column, computing the rows in chunks of
@@ -60,8 +60,8 @@ order, so the forward value ``d_fwd(u, v)`` (Dijkstra from ``u``) and the
 reverse one ``d_fwd(v, u)`` can differ by one ulp at exact real ties.  All
 of :meth:`row`, :meth:`d`, :meth:`rows`, :meth:`columns` and the block
 iterators therefore return the **forward row orientation**: ``d(u, v)`` is
-always the value computed from ``u``'s side, on every dispatch path (CSR
-kernel, scipy, pure) — they are the same least float64 fixpoint, hence
+always the value computed from ``u``'s side, on every dispatch path
+(native, numpy, pure) — they are the same least float64 fixpoint, hence
 bit-identical.  Consumers that compare distances strictly (cluster
 membership, pivots) always read one orientation consistently, which
 keeps every structure exact.
@@ -97,11 +97,10 @@ from . import csr
 from .core import Graph, GraphError
 from .shortest_paths import (
     all_balls,
-    dijkstra,
+    dijkstra_py,
     threshold_dijkstra_py,
     use_kernel,
 )
-from .trees import parents_from_pred_row
 
 __all__ = ["MetricView"]
 
@@ -155,9 +154,6 @@ class MetricView:
         self._diameter_bound: Optional[float] = None
         #: an LRU of hop columns by target (hop_column)
         self._hop_cols: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        #: batched SPT predecessor rows staged by prefetch_spt_parents,
-        #: consumed (popped) by spt_parents.
-        self._pred_rows: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Kernel plumbing
@@ -167,18 +163,6 @@ class MetricView:
         if self.n == 0 or not use_kernel():
             return None
         return csr.csr_graph(self.graph)
-
-    def _scipy_matrix(self):
-        """The graph's one cached scipy adjacency, or ``None``.
-
-        ``None`` when scipy does not import or the graph has no edges.
-        Every ``REPRO_KERNEL`` reads this same matrix (it lives on the
-        graph's cached CSR mirror), so shortest-path trees cannot differ
-        between kernels.
-        """
-        if self.graph.m == 0:
-            return None
-        return csr.csr_graph(self.graph)._scipy_matrix()
 
     @property
     def tol(self) -> float:
@@ -207,6 +191,9 @@ class MetricView:
     def _compute_rows(self, sources: Sequence[int]) -> np.ndarray:
         """Distance rows for ``sources``, bypassing the cache."""
         sources = list(sources)
+        for s in sources:
+            if not 0 <= s < self.n:
+                raise GraphError(f"vertex {s} out of range [0, {self.n})")
         if not sources:
             return np.zeros((0, self.n), dtype=np.float64)
         kernel = self._kernel()
@@ -215,7 +202,7 @@ class MetricView:
         else:
             out = np.empty((len(sources), self.n), dtype=np.float64)
             for i, s in enumerate(sources):
-                out[i] = dijkstra(self.graph, s)[0]
+                out[i] = dijkstra_py(self.graph, s)[0]
         self.rows_computed += len(sources)
         finite = out[np.isfinite(out)]
         if finite.size:
@@ -538,58 +525,26 @@ class MetricView:
             )
         return hop
 
-    def prefetch_spt_parents(self, roots: Sequence[int]) -> None:
-        """Stage predecessor rows for many roots in one batched sweep.
-
-        Runs the kernel's (possibly multiprocess, see
-        :mod:`repro.graph.parallel`) batched Dijkstra once over all
-        ``roots`` and caches one predecessor row per root;
-        :meth:`spt_parents` consumes the cache.  The rows come from the
-        same scipy matrix the per-root path uses, so the resulting trees
-        are bit-identical with or without prefetching.
-
-        No-op (the per-root path stays authoritative) whenever scipy or
-        the kernel is unavailable.
-        """
-        kernel = self._kernel()
-        if kernel is None:
-            return
-        missing = [r for r in dict.fromkeys(int(r) for r in roots)
-                   if r not in self._pred_rows]
-        if not missing:
-            return
-        rows = kernel.spt_pred_rows(missing)
-        if rows is None:
-            return
-        for r, row in zip(missing, rows):
-            self._pred_rows[r] = row
-
     def spt_parents(self, root: int) -> Dict[int, int]:
         """A shortest-path tree rooted at ``root`` as a child->parent map.
 
-        Uses scipy's C Dijkstra over the one cached matrix whenever scipy
-        imports (the hot path — schemes build hundreds of trees), under
-        every kernel, so the trees never depend on it.
-        Any valid SPT serves tree routing; consistency with the distance
-        oracle is guaranteed because distances agree.  Rows staged by
-        :meth:`prefetch_spt_parents` are consumed first.
+        The parent of ``u`` is :meth:`next_hop` ``(u, root)``, read off
+        ``root``'s hop column, so trees and :meth:`shortest_path` walks
+        share one first-hop rule.  Vertices that cannot reach ``root``
+        are left out; a reachable vertex with no tight edge raises
+        :class:`RuntimeError`, as :meth:`next_hop` does.
         """
-        staged = self._pred_rows.pop(root, None)
-        if staged is not None:
-            return parents_from_pred_row(root, staged)
-        mat = self._scipy_matrix()
-        if mat is not None:
-            _, pred = csr._scipy_dijkstra(
-                mat, directed=False, indices=root,
-                return_predecessors=True,
+        if not 0 <= root < self.n:
+            raise GraphError(f"vertex {root} out of range [0, {self.n})")
+        col = self.hop_column(root)
+        stuck = np.flatnonzero(col == -2)
+        if stuck.size:
+            raise RuntimeError(
+                f"no tight edge out of {stuck[0]} toward {root}; "
+                "inconsistent metric"
             )
-            return parents_from_pred_row(root, pred)
-        _, parent = dijkstra(self.graph, root)
-        parents = {root: root}
-        for v in range(self.n):
-            if v != root and parent[v] is not None:
-                parents[v] = parent[v]
-        return parents
+        reach = np.flatnonzero(col >= 0)
+        return dict(zip(reach.tolist(), col[reach].tolist()))
 
     def shortest_path(self, u: int, v: int) -> List[int]:
         """A concrete shortest ``u``–``v`` path (via :meth:`next_hop`)."""

@@ -1,10 +1,10 @@
 """Multiprocess source-batching for the CSR kernel — the parallel tier.
 
-Per-source truncated searches (balls, bounded sweeps, SPT rows) are
-embarrassingly parallel: each source's result depends only on the CSR
-arrays, never on any other source in the batch.  This module fans those
-batches out over a spawn-mode process pool while keeping the results
-**bit-identical** to the serial kernel:
+Per-source truncated searches (balls, and threshold scans, which also
+give whole distance rows) are embarrassingly parallel: each source's
+result depends only on the CSR arrays, never on any other source in the
+batch.  This module fans those batches out over a spawn-mode process
+pool while keeping the results **bit-identical** to the serial kernel:
 
 * The parent publishes the CSR triple (``indptr``/``indices``/
   ``weights``) once into ``multiprocessing.shared_memory`` segments
@@ -94,8 +94,6 @@ _IN_WORKER = False
 
 #: below this many sources the pool/pickle overhead beats the speedup
 _MIN_PARALLEL_SOURCES = 192
-#: SPT batches are O(n) work per root, so the floor is much lower
-_MIN_PARALLEL_TREES = 16
 #: An all-balls sweep counts its estimated edge scans (``2 m ell``)
 #: against this floor instead of its sources.  On a 2-vCPU host an
 #: n=2000 sweep (ell=64, mean degree 8: about 10^6 scans) took 0.91 s
@@ -369,13 +367,6 @@ def _task_bounded_chunk(
     )
 
 
-def _task_pred_rows(
-    descriptor: Tuple[Any, ...], roots: List[int]
-) -> np.ndarray:
-    csr = _attached_csr(descriptor)
-    return csr._spt_pred_rows(roots)
-
-
 def _task_pid() -> int:
     """Test hook: the worker's pid (so a test can SIGKILL it)."""
     return os.getpid()
@@ -393,7 +384,7 @@ class _PoolHandle:
     """Owner of the lazily-spawned process pool (``close()`` = shutdown).
 
     Spawn mode, not fork: workers must re-import cleanly (fork would
-    duplicate open sockets, scipy state, and the parent's own pool).
+    duplicate open sockets and the parent's own pool).
     """
 
     def __init__(self) -> None:
@@ -562,14 +553,6 @@ class ParallelEngine:
         results = iter_tasks(_task_bounded_chunk, tasks, self.workers)
         for result, (lo, hi) in zip(results, chunks):
             yield result, list(sources[lo:hi])
-
-    def pred_rows(self, roots: Sequence[int]) -> List[np.ndarray]:
-        desc = self._shared.descriptor()
-        tasks = [
-            (desc, list(roots[lo:hi]))
-            for lo, hi in self._chunks(len(roots))
-        ]
-        return run_tasks(_task_pred_rows, tasks, self.workers)
 
 
 def _splice(

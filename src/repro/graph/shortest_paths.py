@@ -16,8 +16,8 @@ in the repository goes through :func:`all_balls` (single balls through
 Kernel dispatch
 ---------------
 ``REPRO_KERNEL`` selects one of three engines, all producing *identical*
-results — same distances, same ``(dist, id)`` ball order, same
-deterministic parents — which the differential suites assert:
+results — same distances, same ``(dist, id)`` ball order — which the
+differential suites assert:
 
 * ``pure`` (aliases ``py``/``python``): the pure-Python reference
   implementations, also exported under ``*_py`` names;
@@ -51,7 +51,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import Graph
 
 __all__ = [
-    "dijkstra",
     "all_balls",
     "bounded_distance",
     "dijkstra_py",
@@ -145,22 +144,6 @@ def _kernel(g: Graph):
     from .csr import csr_graph
 
     return csr_graph(g)
-
-
-def dijkstra(
-    g: Graph, source: int
-) -> Tuple[List[float], List[Optional[int]]]:
-    """Single-source Dijkstra (kernel-dispatched).
-
-    Returns ``(dist, parent)`` where ``parent[v]`` is ``v``'s predecessor on
-    a shortest path from ``source`` (ties resolved toward the smallest
-    ``(distance, id)`` predecessor, keeping trees deterministic).
-    """
-    g._check_vertex(source)
-    kernel = _kernel(g)
-    if kernel is not None:
-        return kernel.dijkstra(source)
-    return dijkstra_py(g, source)
 
 
 def dijkstra_py(

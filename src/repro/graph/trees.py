@@ -15,25 +15,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from .core import Graph
 
-__all__ = ["RootedTree", "cluster_parents", "parents_from_pred_row"]
-
-
-def parents_from_pred_row(root: int, pred: Sequence[int]) -> Dict[int, int]:
-    """A ``child -> parent`` map from a scipy predecessor row.
-
-    ``pred`` is one row of ``csgraph.dijkstra(...,
-    return_predecessors=True)``: negative entries mark the root and
-    unreachable vertices.  Produces exactly the map
-    :meth:`repro.graph.metric.MetricView.spt_parents` builds from the
-    same row — batched SPT construction (the parallel tier's landmark
-    prefetch) and the per-root path share this one conversion so their
-    trees are identical.
-    """
-    parents = {root: root}
-    for v, p in enumerate(pred):
-        if v != root and p >= 0:
-            parents[v] = int(p)
-    return parents
+__all__ = ["RootedTree", "cluster_parents"]
 
 
 def cluster_parents(

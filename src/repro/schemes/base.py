@@ -194,26 +194,6 @@ class SchemeBase(CompactRoutingScheme):
             root, None, lambda: _global_tree(self.metric, root)
         )
 
-    def _prefetch_global_trees(self, roots: Sequence[int]) -> None:
-        """Stage full-graph SPT predecessor rows for many roots at once.
-
-        Feeds :meth:`MetricView.prefetch_spt_parents` so the landmark /
-        hub trees built in the following loop come out of one batched
-        (and, under ``REPRO_PARALLEL``, multiprocess) Dijkstra sweep
-        instead of one scipy call per root.  Roots whose ``(root, None)``
-        tree the substrate already memoizes are skipped — their parent
-        maps are never recomputed.  Purely a throughput hint: the staged
-        rows produce bit-identical trees (see
-        :func:`repro.graph.trees.parents_from_pred_row`).
-        """
-        prefetch = getattr(self.metric, "prefetch_spt_parents", None)
-        if prefetch is None:
-            return
-        if self._substrate_applies():
-            roots = [r for r in roots if not self._substrate.has_tree(r)]
-        if roots:
-            prefetch(roots)
-
     def _sample_landmarks(self, s: float, seed: int) -> List[int]:
         """Lemma 4 cluster-bounded landmark sample (memoized per graph)."""
         if self._substrate_applies():

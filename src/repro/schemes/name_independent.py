@@ -70,7 +70,6 @@ class NameIndependent3Eps(SchemeBase):
             self.metric, self.family, self.ports, classes, eps / 2.0,
             hitting=self._ball_hitting_set(self.family),
             tree_factory=self._global_tree_routing,
-            tree_prefetch=self._prefetch_global_trees,
             seed=seed,
         )
         for table in self._tables:

@@ -129,9 +129,6 @@ class Stretch2Plus1Scheme(SchemeBase):
                 self._tables[w].put("clabel", v, tree.label_of(v))
 
         # Global landmark trees: every vertex stores a record per landmark.
-        # One batched predecessor sweep stages all the landmark SPTs up
-        # front (bit-identical trees; multiprocess under REPRO_PARALLEL).
-        self._prefetch_global_trees(self.landmarks)
         self._landmark_trees: Dict[int, TreeRouting] = {}
         for w in self.landmarks:
             tree = self._global_tree_routing(w)
@@ -149,7 +146,6 @@ class Stretch2Plus1Scheme(SchemeBase):
             self.metric, self.family, self.ports, classes, eps / 2.0,
             hitting=self._ball_hitting_set(self.family),
             tree_factory=self._global_tree_routing,
-            tree_prefetch=self._prefetch_global_trees,
             seed=seed,
         )
         for table in self._tables:

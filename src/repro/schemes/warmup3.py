@@ -76,7 +76,6 @@ class Warmup3Scheme(SchemeBase):
             eps / 2.0,
             hitting=self._ball_hitting_set(self.family),
             tree_factory=self._global_tree_routing,
-            tree_prefetch=self._prefetch_global_trees,
             seed=seed,
         )
         for table in self._tables:

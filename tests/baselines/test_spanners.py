@@ -9,7 +9,6 @@ from repro.baselines.spanners import (
     greedy_spanner,
     spanner_stretch_ok,
 )
-from repro.graph import csr
 from repro.graph.generators import (
     complete,
     erdos_renyi,
@@ -26,12 +25,11 @@ class TestGreedySpanner:
         h = greedy_spanner(g, k)
         assert spanner_stretch_ok(g, h, 2 * k - 1)
 
-    def test_k1_keeps_everything_needed(self, monkeypatch):
+    def test_k1_keeps_everything_needed(self):
         """A 1-spanner must preserve distances exactly."""
         g = with_random_weights(erdos_renyi(30, 0.2, seed=3), seed=4)
         h = greedy_spanner(g, 1)
         mg = MetricView(g)
-        monkeypatch.setattr(csr, "_HAVE_SCIPY", False)
         mh = MetricView(h)
         for u in range(0, 30, 3):
             for v in range(1, 30, 4):

@@ -175,6 +175,7 @@ class TestConnectivity:
 
 class TestConversion:
     def test_to_csr_symmetric(self):
+        pytest.importorskip("scipy")  # the conversion's one dependency
         g = Graph.from_edges(3, [(0, 1, 2.0), (1, 2, 3.0)])
         csr = g.to_csr()
         assert csr.shape == (3, 3)

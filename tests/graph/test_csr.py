@@ -1,4 +1,4 @@
-"""Differential tests: CSR kernel vs pure Python vs scipy.
+"""Differential tests: CSR kernel vs pure Python (scipy as an outside check).
 
 The CSR kernel must be a *drop-in* replacement for the pure-Python
 shortest-path substrate: identical distances, identical ball memberships
@@ -20,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.graph import csr, parallel
+from repro.graph import parallel
 from repro.graph.core import Graph
 from repro.graph.csr import CSRGraph, cached_csr_graph, csr_graph
 from repro.graph.generators import (
@@ -35,7 +35,6 @@ from repro.graph.shortest_paths import (
     all_balls,
     bounded_distance,
     bounded_distance_py,
-    dijkstra,
     dijkstra_py,
     reset_kernel_choice,
     truncated_dijkstra_py,
@@ -102,8 +101,8 @@ class TestKernelAvailability:
         reset_kernel_choice()
         assert not use_kernel()
         g = erdos_renyi(20, 0.2, seed=1)
-        # dispatch still returns correct results on the pure path
-        assert dijkstra(g, 0) == dijkstra_py(g, 0)
+        # the row dispatch still returns correct results on the pure path
+        assert MetricView(g).row(0).tolist() == dijkstra_py(g, 0)[0]
 
     def test_choice_cached_until_reset(self, monkeypatch):
         """A mid-run env mutation must NOT flip the resolved dispatch
@@ -130,18 +129,25 @@ class TestKernelAvailability:
 
 
 class TestDijkstraAgreement:
+    """The kernel's rows (the all-``inf`` threshold scan) and trees (hop
+    columns) against the pure ``dijkstra_py`` reference."""
+
     def test_distances_and_parents_identical(self, graph):
         kernel = csr_graph(graph)
-        for source in range(0, graph.n, 7):
+        m = MetricView(graph)
+        sources = list(range(0, graph.n, 7))
+        for source, row in zip(sources, kernel.rows(sources)):
             dist_py, parent_py = dijkstra_py(graph, source)
-            dist_k, parent_k = kernel.dijkstra(source)
-            assert dist_k == dist_py  # bitwise, not approx
-            assert parent_k == parent_py
+            assert row.tolist() == dist_py  # bitwise, not approx
+            expect = {v: p for v, p in enumerate(parent_py) if p is not None}
+            expect[source] = source
+            assert m.spt_parents(source) == expect
 
     def test_dispatch_matches_pure(self, graph):
-        dist, parent = dijkstra(graph, 0)
-        dist_py, parent_py = dijkstra_py(graph, 0)
-        assert dist == dist_py and parent == parent_py
+        rows = MetricView(graph).rows([0])
+        assert np.array_equal(
+            _pure(lambda: MetricView(graph).rows([0])), rows
+        )
 
 
 class TestTruncatedAgreement:
@@ -154,7 +160,7 @@ class TestTruncatedAgreement:
         for source in range(0, graph.n, 9):
             ball_py, dist_py = truncated_dijkstra_py(graph, source, ell)
             assert balls[source] == ball_py  # same members, same order
-            dist_k = kernel.dijkstra(source)[0]
+            dist_k = kernel.rows([source])[0]
             assert {v: dist_k[v] for v in ball_py} == dist_py
 
     def test_dispatch_matches_pure(self, graph):
@@ -356,10 +362,7 @@ class TestSubgraphDijkstra:
 class TestMetricModesAgree:
     """MetricView agrees with the test-side all-pairs reference."""
 
-    @pytest.mark.parametrize("use_scipy", [True, False])
-    def test_lazy_matches_dense_unweighted(self, use_scipy, monkeypatch):
-        if not use_scipy:
-            monkeypatch.setattr(csr, "_HAVE_SCIPY", False)
+    def test_lazy_matches_dense_unweighted(self):
         g = erdos_renyi(40, 0.12, seed=13)
         ref = _apsp(g)
         m = MetricView(g)
@@ -725,9 +728,9 @@ DIRECTED_GRAPHS = [
 
 
 class TestScipyDirectedRows:
-    """Distance rows come from scipy with ``directed=True``: both edge
-    directions are stored, so the rows must equal the ``directed=False``
-    ones bit for bit."""
+    """scipy as an outside reference: the kernel's rows (both edge
+    directions stored) equal scipy's ``directed=False`` rows bit for
+    bit."""
 
     @pytest.fixture(autouse=True)
     def _scipy(self):
@@ -742,9 +745,7 @@ class TestScipyDirectedRows:
 
         kernel = csr_graph(g)
         sources = list(range(g.n))
-        ref = scipy_dijkstra(
-            kernel._scipy_matrix(), directed=False, indices=sources
-        )
+        ref = scipy_dijkstra(g.to_csr(), directed=False, indices=sources)
         assert np.array_equal(kernel.rows(sources), ref)
         assert np.array_equal(kernel.rows([7]), ref[[7]])
 

@@ -51,7 +51,6 @@ def two_workers(monkeypatch):
     """Force the tier on with 2 workers and every engagement floor off."""
     monkeypatch.setenv("REPRO_PARALLEL", "2")
     monkeypatch.setattr(parallel, "_MIN_PARALLEL_SOURCES", 1)
-    monkeypatch.setattr(parallel, "_MIN_PARALLEL_TREES", 1)
     monkeypatch.setattr(parallel, "_MIN_PARALLEL_WORK", 0)
     parallel.reset_parallel_choice()
     yield
@@ -240,28 +239,6 @@ def test_threshold_scan_bit_identical(monkeypatch, two_workers):
     assert any(v for _, v, _ in par[0])
 
 
-def test_spt_pred_rows_bit_identical(monkeypatch, two_workers):
-    pytest.importorskip("scipy")
-    csr = csr_graph(_weighted(700, 0.01, seed=21))
-    roots = list(range(0, csr.n, 7))
-    rows_p = csr.spt_pred_rows(roots)
-    _serial(monkeypatch)
-    rows_s = csr.spt_pred_rows(roots)
-    assert np.array_equal(rows_p, rows_s)
-
-
-def test_metric_prefetch_changes_no_tree(monkeypatch, two_workers):
-    pytest.importorskip("scipy")
-    g = _weighted(600, 0.01, seed=33)
-    roots = list(range(0, 600, 29))
-    warm = MetricView(g)
-    warm.prefetch_spt_parents(roots)
-    cold = MetricView(g)
-    for r in roots:
-        assert warm.spt_parents(r) == cold.spt_parents(r)
-    assert not warm._pred_rows  # prefetched rows are consumed
-
-
 # ----------------------------------------------------------------------
 # Substrate / registered-scheme differentials
 # ----------------------------------------------------------------------
@@ -270,7 +247,6 @@ def test_substrate_artifacts_bit_identical_at_2000(monkeypatch, two_workers):
     n=2000 — the lazy-metric substrate the schemes all share — do not
     change by a bit when the pool is on (above the real engagement
     floor: no patched thresholds here beyond the fixture's)."""
-    pytest.importorskip("scipy")
     from repro.api import Substrate
 
     n, ell = 2000, 18
@@ -299,7 +275,6 @@ def test_registered_schemes_bit_identical(monkeypatch, two_workers, spec):
     """Every registered scheme builds byte-identical tables and labels
     with the pool on (floors forced to 1 so even this small build runs
     through the workers)."""
-    pytest.importorskip("scipy")
     n = 160
     gu = erdos_renyi(n, 0.05, seed=61)
     g = with_random_weights(gu, seed=62) if spec.prefers_weighted else gu
@@ -320,7 +295,6 @@ def test_registered_schemes_bit_identical(monkeypatch, two_workers, spec):
 
 
 def test_packed_shard_write_byte_identical(monkeypatch, two_workers, tmp_path):
-    pytest.importorskip("scipy")
     from repro.api import get_spec
     from repro.routing.serving import write_shards
 

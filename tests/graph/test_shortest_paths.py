@@ -19,7 +19,7 @@ from repro.graph.metric import MetricView
 from repro.graph.shortest_paths import (
     all_balls,
     bounded_distance,
-    dijkstra,
+    dijkstra_py,
     reset_kernel_choice,
     truncated_dijkstra_py,
 )
@@ -37,7 +37,7 @@ class TestBFS:
     def test_matches_networkx_on_grid(self):
         g = grid(5, 6)
         ref = nx.single_source_shortest_path_length(g.to_networkx(), 0)
-        got, _ = dijkstra(g, 0)
+        got = MetricView(g).row(0)
         for v in g.vertices():
             assert got[v] == ref[v]
         balls, radii = all_balls(g, g.n, with_radii=True, engine="bfs")
@@ -46,7 +46,7 @@ class TestBFS:
 
     def test_unreachable_is_inf(self):
         g = Graph.from_edges(3, [(0, 1)])
-        dist, _ = dijkstra(g, 0)
+        dist = MetricView(g).row(0)
         assert dist[2] == math.inf
         balls, _ = all_balls(g, 3, engine="bfs")
         assert balls[0] == [0, 1]
@@ -57,16 +57,17 @@ class TestDijkstra:
     def test_matches_networkx_weighted(self, seed):
         g = with_random_weights(erdos_renyi(40, 0.12, seed=seed), seed=seed + 100)
         ref = _nx_distances(g, 0)
-        dist, _ = dijkstra(g, 0)
+        dist = MetricView(g).row(0)
         for v in g.vertices():
             assert dist[v] == pytest.approx(ref[v])
 
     def test_parents_form_shortest_paths(self):
         g = with_random_weights(erdos_renyi(40, 0.12, seed=9), seed=19)
-        dist, parent = dijkstra(g, 0)
+        m = MetricView(g)
+        dist, parent = m.row(0), m.spt_parents(0)
         for v in g.vertices():
             if v == 0:
-                assert parent[v] is None
+                assert parent[v] == 0
                 continue
             p = parent[v]
             assert dist[v] == pytest.approx(dist[p] + g.weight(p, v))
@@ -77,7 +78,7 @@ class TestTruncatedDijkstra:
 
     def test_ball_is_dist_id_prefix(self):
         g = erdos_renyi(50, 0.1, seed=3)
-        full, _ = dijkstra(g, 7)
+        full, _ = dijkstra_py(g, 7)
         order = sorted(g.vertices(), key=lambda v: (full[v], v))
         for ell in (1, 5, 17, 50):
             ball, dist = truncated_dijkstra_py(g, 7, ell)
@@ -110,7 +111,7 @@ class TestShortestPathTree:
     def test_full_tree_distances(self):
         g = with_random_weights(erdos_renyi(35, 0.15, seed=2), seed=8)
         tree = MetricView(g).spt_parents(0)
-        dist, _ = dijkstra(g, 0)
+        dist, _ = dijkstra_py(g, 0)
         # walk each vertex to the root; the accumulated weight must match
         for v in g.vertices():
             total, cur = 0.0, v
@@ -146,7 +147,7 @@ class TestMultiSource:
         g = with_random_weights(erdos_renyi(40, 0.12, seed=4), seed=14)
         sources = [3, 17, 29]
         dist, nearest = _nearest(g, sources)
-        per_source = {s: dijkstra(g, s)[0] for s in sources}
+        per_source = {s: dijkstra_py(g, s)[0] for s in sources}
         for v in g.vertices():
             expect = min((per_source[s][v], s) for s in sources)
             assert dist[v] == pytest.approx(expect[0])
@@ -173,18 +174,20 @@ class TestMultiSource:
 
 def _out_of_range_calls(g, bad):
     return {
-        "dijkstra": lambda: dijkstra(g, bad),
+        # the distance-row dispatch: the kernel's scan or dijkstra_py
+        "dijkstra": lambda: MetricView(g).rows([bad]),
         "bounded_distance": lambda: bounded_distance(g, bad, 3, 10.0),
         "threshold_rows": lambda: list(
             MetricView(g).iter_bounded_rows(np.full(g.n, np.inf), [bad])
         ),
+        "spt_parents": lambda: MetricView(g).spt_parents(bad),
     }
 
 
 @pytest.mark.parametrize("kernel", ["kernel", "pure"])
 @pytest.mark.parametrize("where", ["minus-one", "n"])
 @pytest.mark.parametrize(
-    "fn", ["dijkstra", "bounded_distance", "threshold_rows"]
+    "fn", ["dijkstra", "bounded_distance", "threshold_rows", "spt_parents"]
 )
 def test_out_of_range_source_raises(fn, where, kernel, monkeypatch):
     """A vertex id outside ``[0, n)`` raises ``GraphError`` on every

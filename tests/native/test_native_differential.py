@@ -238,7 +238,6 @@ def test_hop_column_identical_native_vs_numpy(monkeypatch, name):
 @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.name)
 def test_registered_schemes_identical_under_native(monkeypatch, spec):
     _require_native()
-    pytest.importorskip("scipy")
     n = 140
     gu = erdos_renyi(n, 0.055, seed=71)
     g = with_random_weights(gu, seed=72) if spec.prefers_weighted else gu
@@ -263,7 +262,6 @@ def test_scheme_payload_decode_parity(monkeypatch, spec):
     """Every registered scheme's real encoded tables decode identically
     through the native scanner and the pure decoder."""
     _require_native()
-    pytest.importorskip("scipy")
     n = 120
     gu = erdos_renyi(n, 0.06, seed=81)
     g = with_random_weights(gu, seed=82) if spec.prefers_weighted else gu

@@ -174,11 +174,12 @@ def _dual_step_route(scheme, router, s, t, max_hops=None):
 #: the ``graphs`` fixture (seed 6).  Cluster trees and Lemma 4 counts come
 #: from threshold scans and read no rows; before that, each cluster
 #: tree read its owner's row (tz2 234 rows, thm13 2 125, thm15 1 494,
-#: thm16 500).  A scheme without an entry fails, so a new one gets a
-#: bound when it is registered.
+#: thm16 500).  A full shortest-path tree reads its root's row (for the
+#: hop column), so each global tree counts.  A scheme without an entry
+#: fails, so a new one gets a bound when it is registered.
 FRESH_BUILD_ROWS = {
-    "name-indep": 433,
-    "thm10": 462,
+    "name-indep": 435,
+    "thm10": 502,
     "thm11": 255,
     "thm13": 1577,
     "thm15": 1160,
@@ -186,7 +187,7 @@ FRESH_BUILD_ROWS = {
     "tz2": 16,
     "tz3": 42,
     "tz4": 56,
-    "warmup3": 434,
+    "warmup3": 435,
 }
 
 

@@ -362,7 +362,11 @@ class TestSubgraphDijkstra:
 class TestMetricModesAgree:
     """MetricView agrees with the test-side all-pairs reference."""
 
-    def test_lazy_matches_dense_unweighted(self):
+    @pytest.mark.parametrize("kernel", [True, False])
+    def test_lazy_matches_dense_unweighted(self, kernel, monkeypatch):
+        if not kernel:
+            monkeypatch.setenv("REPRO_KERNEL", "pure")
+            reset_kernel_choice()
         g = erdos_renyi(40, 0.12, seed=13)
         ref = _apsp(g)
         m = MetricView(g)

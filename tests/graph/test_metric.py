@@ -39,7 +39,11 @@ def _view(g, held, small=2):
 
 
 class TestDistances:
-    def test_matches_networkx(self):
+    @pytest.mark.parametrize("kernel", [True, False])
+    def test_matches_networkx(self, kernel, monkeypatch):
+        if not kernel:
+            monkeypatch.setenv("REPRO_KERNEL", "pure")
+            reset_kernel_choice()
         g = with_random_weights(erdos_renyi(30, 0.15, seed=1), seed=2)
         m = MetricView(g)
         ref = dict(nx.all_pairs_dijkstra_path_length(g.to_networkx()))

@@ -50,13 +50,15 @@ python -m pytest -x -q || fail=1
 
 # -- pure dispatch: the shortest-path suites with the CSR kernel off, the
 # routing suites through the Python pack decoder (under auto, hosts with
-# a compiler decode with the C scanner only), and every scheme's stretch
-# bound on the dijkstra_py rows a pure build computes --------------------
+# a compiler decode with the C scanner only), the Lemma 7/8 walks and
+# techniques on pure hop columns, and every scheme's stretch bound on the
+# dijkstra_py rows a pure build computes ---------------------------------
 echo "== pytest (REPRO_KERNEL=pure) =="
 REPRO_KERNEL=pure python -m pytest -q tests/graph/test_metric.py \
     tests/graph/test_shortest_paths.py tests/graph/test_core.py \
-    tests/structures tests/routing tests/schemes/test_all_schemes.py \
-    tests/baselines/test_hierarchy.py || fail=1
+    tests/structures tests/routing tests/core \
+    tests/schemes/test_all_schemes.py tests/baselines/test_hierarchy.py \
+    || fail=1
 
 # -- numpy dispatch: the hop-column reference and the numpy threshold
 # scan through whole builds (under auto, hosts with a compiler only ever

@@ -25,6 +25,16 @@ arbitrarily far.
     (``2b`` vertices) and hands over to the next threshold.  At most
     ``O(log (n * D))`` subsequences.
 
+Both walk the shortest path toward the target along the target's hop
+column (:meth:`~repro.graph.metric.MetricView.hop_column`), read as a
+Python list once per target: callers building every sequence toward one
+target pass it as ``hops``.  Each boundary edge ``(y, z)`` is the last
+step of one :func:`~repro.graph.metric.hop_path` over it, the walk of
+:meth:`~repro.structures.balls.BallFamily.boundary_edge`, bounded at
+``n`` steps.  So a walk step is a list index, not a hop-column lookup,
+and a cycling column raises :class:`~repro.graph.metric.HopWalkError`
+instead of hanging.
+
 Sequences never contain the source itself; consecutive duplicates are
 impossible by construction but the routing loop skips them defensively.
 """
@@ -33,9 +43,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Container, List, Optional, Sequence, Tuple
 
-from ..graph.metric import MetricView
+from ..graph.metric import MetricView, hop_path
 from ..structures.balls import BallFamily
 
 __all__ = [
@@ -43,6 +53,7 @@ __all__ = [
     "Lemma8Sequence",
     "build_lemma7_sequence",
     "build_lemma8_sequence",
+    "lemma7_waypoints",
 ]
 
 
@@ -92,6 +103,7 @@ def build_lemma7_sequence(
     b: int,
     *,
     d_uv: float,
+    hops: Optional[Sequence[int]] = None,
 ) -> Lemma7Sequence:
     """Compute the Lemma 7 waypoint sequence from ``u`` to ``v``.
 
@@ -99,14 +111,16 @@ def build_lemma7_sequence(
     ----------
     hitting:
         A hitting set for all balls of ``family`` (Lemma 5).  Passing a
-        ``set``/``frozenset`` avoids the per-call O(|H|) conversion — this
-        function runs once per same-class (source, destination) pair.
+        ``set``/``frozenset`` avoids the per-call O(|H|) conversion.
     b:
         The paper's ``b = ceil(2 / eps)``; the progress threshold is
         ``s = d(u, v) / b``.
     d_uv:
         ``d(u, v)``, read from ``u``'s row: callers building many
         sequences gather it in one batched sweep.
+    hops:
+        ``v``'s hop column as a list; read here when omitted, so callers
+        walking toward one ``v`` from many sources pass it once.
     """
     if u == v:
         raise ValueError("no sequence for a vertex to itself")
@@ -115,27 +129,46 @@ def build_lemma7_sequence(
     hitting_set = (
         hitting if isinstance(hitting, (set, frozenset)) else set(hitting)
     )
+    if hops is None:
+        hops = metric.hop_column(v).tolist()
+    waypoints, hub = lemma7_waypoints(
+        metric, family, hitting_set, u, v, b, d_uv, hops
+    )
+    return Lemma7Sequence(waypoints, hub)
+
+
+def lemma7_waypoints(
+    metric: MetricView,
+    family: BallFamily,
+    hitting_set: Container[int],
+    u: int,
+    v: int,
+    b: int,
+    d_uv: float,
+    hops: Sequence[int],
+) -> Tuple[Tuple[int, ...], Optional[int]]:
+    """The Lemma 7 process behind :func:`build_lemma7_sequence`, as
+    ``(waypoints, hub)`` and without its argument checks: the form
+    :class:`~repro.core.technique1.Technique1` runs once per same-class
+    pair."""
+    ball_sets = family.ball_sets()
+    radii = family.radii()
     s = d_uv / b
     waypoints: List[int] = []
+    last = u  # never store the source (the routing loop starts at u)
+
     x = u
-
-    def push(vertex: int) -> None:
-        # Never store the source; the routing loop starts at u.
-        if vertex != u and (not waypoints or waypoints[-1] != vertex):
-            waypoints.append(vertex)
-
     for _ in range(b + 2):
-        if family.contains(x, v):
-            push(v)
-            return Lemma7Sequence(tuple(waypoints), hub=None)
-        y, z = family.boundary_edge(x, v)
-        if z == v:
-            push(y)
-            push(v)
-            return Lemma7Sequence(tuple(waypoints), hub=None)
+        ball = ball_sets[x]
+        if v in ball:
+            if v != last:
+                waypoints.append(v)
+            return tuple(waypoints), None
+        path = hop_path(hops, x, v, ball)
+        y, z = path[-2], path[-1]
         # z lies outside B(x), so d(x, z) >= r(x): s <= r(x) settles the
         # test without reading x's distance row (as in Lemma 8 below).
-        if s > family.radius(x) and metric.d(x, z) < s:
+        if z != v and s > radii[x] and metric.d(x, z) < s:
             hub = next(
                 (h for h in family.ball(x) if h in hitting_set), None
             )
@@ -143,62 +176,20 @@ def build_lemma7_sequence(
                 raise RuntimeError(
                     f"hitting set misses B({x}); Lemma 5 postcondition broken"
                 )
-            push(hub)
-            return Lemma7Sequence(tuple(waypoints), hub=hub)
-        push(y)
-        push(z)
+            if hub != u and hub != last:
+                waypoints.append(hub)
+            return tuple(waypoints), hub
+        for w in (y, z):
+            if w != u and w != last:
+                waypoints.append(w)
+                last = w
+        if z == v:
+            return tuple(waypoints), None
         x = z
     raise RuntimeError(
-        f"Lemma 7 sequence for ({u},{v}) exceeded {b} rounds; "
+        f"Lemma 7 sequence for ({u},{v}) exceeded {b + 2} rounds; "
         "threshold accounting is broken"
     )
-
-
-def _lemma8_subsequence(
-    metric: MetricView,
-    family: BallFamily,
-    relay_pool: Callable[[int], Optional[int]],
-    x: int,
-    w: int,
-    s: float,
-    b: int,
-    push: Callable[[int], None],
-) -> Tuple[str, int]:
-    """One Lemma 8 subsequence from start vertex ``x`` with threshold ``s``.
-
-    Returns ``(state, last_vertex)`` where state is ``"w"`` (reached the
-    target), ``"relay"`` (ended at a relay) or ``"full"`` (2b vertices
-    added; continue with a doubled threshold from ``last_vertex``).
-    """
-    added = 0
-    xi = x
-    while True:
-        if family.contains(xi, w):
-            push(w)
-            return "w", w
-        y, z = family.boundary_edge(xi, w)
-        if z == w:
-            push(y)
-            push(w)
-            return "w", w
-        # z lies outside B(xi), a (dist, id) prefix, so d(xi, z) is at
-        # least the ball's radius: s <= r(xi) settles the test without
-        # reading xi's distance row.
-        if s > family.radius(xi) and metric.d(xi, z) < s:
-            relay = relay_pool(xi)
-            if relay is None:
-                raise RuntimeError(
-                    f"no relay of the source class in B({xi}); "
-                    "Lemma 6 hitting property broken"
-                )
-            push(relay)
-            return "relay", relay
-        push(y)
-        push(z)
-        added += 2
-        xi = z
-        if added >= 2 * b:
-            return "full", z
 
 
 def build_lemma8_sequence(
@@ -209,6 +200,8 @@ def build_lemma8_sequence(
     w: int,
     b: int,
     lam: float,
+    *,
+    hops: Optional[Sequence[int]] = None,
 ) -> Lemma8Sequence:
     """Compute the Lemma 8 sequence from ``u`` toward ``w``.
 
@@ -223,42 +216,69 @@ def build_lemma8_sequence(
     lam:
         Minimum shortest-path edge weight (``omega_min``); thresholds are
         ``s_k = 2^k * lam / b``.
+    hops:
+        ``w``'s hop column as a list, as in :func:`build_lemma7_sequence`.
     """
     if u == w:
         raise ValueError("no sequence for a vertex to itself")
     if lam <= 0:
         raise ValueError(f"normalization weight must be positive, got {lam}")
+    if hops is None:
+        hops = metric.hop_column(w).tolist()
     waypoints: List[int] = []
+    last = u  # never store the source (the routing loop starts at u)
 
-    def push(vertex: int) -> None:
-        if vertex != u and (not waypoints or waypoints[-1] != vertex):
-            waypoints.append(vertex)
-
-    u1 = metric.next_hop(u, w)
-    push(u1)
-    if u1 == w:
-        return Lemma8Sequence(tuple(waypoints), to_relay=False)
-    u2 = metric.next_hop(u1, w)
-    push(u2)
-    if u2 == w:
-        return Lemma8Sequence(tuple(waypoints), to_relay=False)
+    # The first two path vertices: one-step walks from u, then from u1.
+    x = u
+    for _ in range(2):
+        x = hop_path(hops, x, w, (x,))[1]
+        if x != u and x != last:
+            waypoints.append(x)
+            last = x
+        if x == w:
+            return Lemma8Sequence(tuple(waypoints), to_relay=False)
 
     # Subsequence cap: path lengths are below n * max-distance, thresholds
     # double, so log2(n * D) + slack rounds always suffice.  Only a cap,
     # so any upper bound on D serves: the O(m) weight sum, not a scan.
     diameter = max(metric.diameter_bound(), lam)
     max_rounds = int(math.log2(max(2.0, metric.n * diameter / lam))) + 4
-    x = u2
+    ball_sets = family.ball_sets()
+    radii = family.radii()
     s = 2.0 * lam / b
     for _ in range(max_rounds):
-        state, last = _lemma8_subsequence(
-            metric, family, relay_pool, x, w, s, b, push
-        )
-        if state == "w":
-            return Lemma8Sequence(tuple(waypoints), to_relay=False)
-        if state == "relay":
-            return Lemma8Sequence(tuple(waypoints), to_relay=True)
-        x = last
+        # One subsequence with threshold s: it ends at w, at a relay, or
+        # full (2b vertices added), handing over to a doubled threshold.
+        added = 0
+        while added < 2 * b:
+            ball = ball_sets[x]
+            if w in ball:
+                if w != last:
+                    waypoints.append(w)
+                return Lemma8Sequence(tuple(waypoints), to_relay=False)
+            path = hop_path(hops, x, w, ball)
+            y, z = path[-2], path[-1]
+            # z lies outside B(x), a (dist, id) prefix, so d(x, z) is at
+            # least the ball's radius: s <= r(x) settles the test without
+            # reading x's distance row.
+            if z != w and s > radii[x] and metric.d(x, z) < s:
+                relay = relay_pool(x)
+                if relay is None:
+                    raise RuntimeError(
+                        f"no relay of the source class in B({x}); "
+                        "Lemma 6 hitting property broken"
+                    )
+                if relay != u and relay != last:
+                    waypoints.append(relay)
+                return Lemma8Sequence(tuple(waypoints), to_relay=True)
+            for p in (y, z):
+                if p != u and p != last:
+                    waypoints.append(p)
+                    last = p
+            if z == w:
+                return Lemma8Sequence(tuple(waypoints), to_relay=False)
+            added += 2
+            x = z
         s *= 2.0
     raise RuntimeError(
         f"Lemma 8 sequence for ({u},{w}) exceeded {max_rounds} subsequences; "

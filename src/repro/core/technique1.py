@@ -22,7 +22,9 @@ table, keeping the distributed discipline intact.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from ..routing.ports import PortAssignment
 from ..routing.tree_routing import TreeRouting, tree_step
 from ..structures.balls import BallFamily
 from ..structures.hitting_set import greedy_hitting_set, random_hitting_set
-from .sequences import build_lemma7_sequence
+from .sequences import lemma7_waypoints
 
 __all__ = ["Technique1", "eps_to_b_lemma7"]
 
@@ -83,6 +85,12 @@ class Technique1:
         Category prefix inside the shared tables (several technique
         instances may coexist, e.g. in the generalized schemes).
 
+    Construction reads no distance row.  A caller with per-target work
+    of its own runs it inside :meth:`sweep`, which visits every vertex
+    class by class and builds each class's sequences right after it;
+    :meth:`install` first builds the hub trees and whatever classes no
+    sweep has visited (:meth:`finish`).
+
     The class-level defaults below back the step-only shells built by
     :meth:`stepper`: ``start``/``step`` read none of the preprocessing
     state, so restored instances simply inherit these placeholders and a
@@ -129,16 +137,10 @@ class Technique1:
             else:
                 hitting = random_hitting_set(balls, metric.n, seed=seed)
         self.hitting = sorted(hitting)
-        # Frozen once; build_lemma7_sequence runs per (u, v) pair and must
+        # Frozen once; the Lemma 7 walk runs per (u, v) pair and must
         # not rebuild an O(|H|) set every call.
         self._hitting_set = frozenset(self.hitting)
-
-        self._trees: Dict[int, TreeRouting] = {}
-        for h in self.hitting:
-            if tree_factory is not None:
-                self._trees[h] = tree_factory(h)
-            else:
-                self._trees[h] = TreeRouting(_global_tree(metric, h), ports)
+        self._tree_factory = tree_factory
 
         # class index of each vertex (for diagnostics / validation)
         self._class_of: List[int] = [-1] * metric.n
@@ -151,10 +153,12 @@ class Technique1:
             missing = self._class_of.index(-1)
             raise ValueError(f"partition does not cover vertex {missing}")
 
-        # sequences[u][v] = (waypoints, tree_label_or_None).  The keys go
-        # in first, in (class, u, v) order, so no dict's insertion order
-        # depends on the order the pairs are built in.
-        self._sequences: List[Dict[int, Tuple[Tuple[int, ...], Optional[tuple]]]] = [
+        # sequences[u][v] = (waypoints, hub_or_None) as built, then
+        # (waypoints, tree_label_or_None) once finish() has the hub
+        # trees.  The keys go in first, in (class, u, v) order, so no
+        # dict's insertion order depends on the order the pairs are
+        # built in.
+        self._sequences: List[Dict[int, Tuple[Tuple[int, ...], Any]]] = [
             {} for _ in range(metric.n)
         ]
         for cls in partition:
@@ -162,43 +166,92 @@ class Technique1:
                 for v in cls:
                     if u != v:
                         self._sequences[u][v] = ((), None)
-        for cls in partition:
-            if len(cls) > 1:
-                self._build_class(cls)
+        self._classes: List[List[int]] = [list(cls) for cls in partition]
+        #: indices of the classes whose sequences are still to build
+        self._pending: Set[int] = {
+            i for i, cls in enumerate(self._classes) if len(cls) > 1
+        }
+        # hub -> tree routing over T(hub); filled by finish(), after the
+        # caller's sweep, so that no hub row is read before it
+        self._trees: Dict[int, TreeRouting] = {}
+        self._finished = False
 
-    def _build_class(self, cls: Sequence[int]) -> None:
-        """Every Lemma 7 sequence between two members of ``cls``.
+    def sweep(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        """Visit every vertex class by class, as
+        :meth:`MetricView.target_sweep` does, and build each class's
+        Lemma 7 sequences right after its last member.
 
-        A sequence ``u -> v`` reads ``d(u, v)`` from ``u``'s row (the
-        forward orientation every structure shares) and walks toward
-        ``v`` through ``v``'s hop column, so no single target-major pass
-        has both: a first sweep gathers the class's distance block, and
-        a second one, in reverse, builds the sequences toward each ``v``.
-        A class that fits the row cache is computed once (the reverse
-        sweep is all cache hits); a larger one pays its size minus
-        ``cache_rows`` again.  thm10 at n=2000 (13 classes, cache 176)
-        computed 1 987 rows for 1 981 class members.
+        Yields ``(u, row(u), hop_column(u))`` for the members of one
+        class, gathering the class's ``d(u, v)`` block from the rows;
+        then every sequence between two members walks toward its target
+        ``v`` while ``v``'s row and column are still cached.  A caller
+        does its own per-target work in the loop body, so one sweep
+        serves both (thm10).
         """
-        metric = self.metric
+        for idx in range(len(self._classes)):
+            yield from self._sweep_class(idx)
+
+    def _sweep_class(
+        self, idx: int
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        cls = self._classes[idx]
         members = np.asarray(cls, dtype=np.int64)
         dist = np.empty((len(cls), len(cls)))
-        for i, (_, row, _) in enumerate(metric.target_sweep(cls)):
+        for i, (u, row, col) in enumerate(self.metric.target_sweep(cls)):
             dist[i] = row[members]
+            yield u, row, col
+        if idx in self._pending:
+            self._build_class(cls, dist)
+            self._pending.discard(idx)
+
+    def finish(self) -> None:
+        """Build the hub trees, then the sequences of every class no
+        caller's :meth:`sweep` has visited, with a sweep of their own;
+        a sequence ending at a hub ``h`` then gets its target's label in
+        ``T(h)``.  Runs once."""
+        if self._finished:
+            return
+        for h in self.hitting:
+            if self._tree_factory is not None:
+                self._trees[h] = self._tree_factory(h)
+            else:
+                self._trees[h] = TreeRouting(
+                    _global_tree(self.metric, h), self.ports
+                )
+        for idx in sorted(self._pending):
+            for _ in self._sweep_class(idx):
+                pass
+        for seqs in self._sequences:
+            for v, (waypoints, hub) in seqs.items():
+                if hub is not None:
+                    seqs[v] = (waypoints, self._trees[hub].label_of(v))
+        self._finished = True
+
+    def _build_class(self, cls: Sequence[int], dist: np.ndarray) -> None:
+        """Every Lemma 7 sequence between two members of ``cls``.
+
+        ``dist[i, j]`` is ``d(cls[i], cls[j])``, read from ``cls[i]``'s
+        row (the forward orientation every structure shares) by the
+        sweep that just visited the class.  A sequence ``u -> v`` walks
+        toward ``v`` along ``v``'s hop column, so the walks go target by
+        target, in reverse sweep order: each column is converted to a
+        list once and serves every source of the class.  A class that
+        fits the row cache computes no row here; a larger one pays its
+        size minus ``cache_rows`` again.  A sequence ending at a hub keeps
+        the hub until :meth:`finish` has built the trees.
+        """
+        metric = self.metric
+        b = self.b
+        family = self.family
+        hitting = self._hitting_set
         index = {v: j for j, v in enumerate(cls)}
-        for v, _, _ in metric.target_sweep(cls[::-1]):
+        for v, _, col in metric.target_sweep(cls[::-1]):
+            hops = col.tolist()
             for u, d_uv in zip(cls, dist[:, index[v]].tolist()):
-                if u == v:
-                    continue
-                seq = build_lemma7_sequence(
-                    metric, self.family, self._hitting_set, u, v, self.b,
-                    d_uv=d_uv,
-                )
-                tlabel = (
-                    self._trees[seq.hub].label_of(v)
-                    if seq.hub is not None
-                    else None
-                )
-                self._sequences[u][v] = (seq.waypoints, tlabel)
+                if u != v:
+                    self._sequences[u][v] = lemma7_waypoints(
+                        metric, family, hitting, u, v, b, d_uv, hops
+                    )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -224,6 +277,7 @@ class Technique1:
 
     def install(self, table: SizedTable) -> None:
         """Install this vertex's Lemma 7 state into its sized table."""
+        self.finish()
         u = table.owner
         for h, tree in self._trees.items():
             table.put(self.cat_htree, h, tree.record_of(u))

@@ -24,6 +24,8 @@ import functools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..graph.metric import MetricView
 from ..routing.model import SizedTable
 from ..routing.ports import PortAssignment
@@ -145,24 +147,30 @@ class Technique2:
         #: targets whose walks are still to run, by class index
         self._pending: Dict[int, int] = dict(self._target_class_of)
 
-    def walk_target(self, w: int) -> None:
+    def walk_target(self, w: int, col: Optional[np.ndarray] = None) -> None:
         """Build every sequence toward ``w`` (no-op for a non-target or
-        one already walked); all of them read ``w``'s one hop column."""
+        one already walked).  All of them walk ``w``'s one hop column
+        (``col``, which a sweeping caller already holds; read here when
+        omitted), converted to a list once."""
         i = self._pending.pop(w, None)
         if i is None:
             return
+        if col is None:
+            col = self.metric.hop_column(w)
+        hops = col.tolist()
         relay = functools.partial(self._relay_in_ball, i)
         for u in self._sources[i]:
             if u != w:
                 self._sequences[u][w] = build_lemma8_sequence(
-                    self.metric, self.family, relay, u, w, self.b, self.lam
+                    self.metric, self.family, relay, u, w, self.b, self.lam,
+                    hops=hops,
                 ).waypoints
 
     def finish(self) -> None:
         """Walk toward the targets no caller's sweep has handed in yet."""
         if self._pending:
-            for w, _, _ in self.metric.target_sweep(sorted(self._pending)):
-                self.walk_target(w)
+            for w, _, col in self.metric.target_sweep(sorted(self._pending)):
+                self.walk_target(w, col)
 
     # ------------------------------------------------------------------
     @classmethod

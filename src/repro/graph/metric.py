@@ -43,15 +43,20 @@ under "Canonical row orientation" below).  The view keeps an LRU of
 ``cache_rows`` columns beside its LRU of rows.  Full shortest-path trees
 read the same column: :meth:`MetricView.spt_parents` makes each vertex's
 first hop toward the root its parent, so trees and
-:meth:`MetricView.shortest_path` walks share one first-hop rule.
+:meth:`MetricView.shortest_path` walks share one first-hop rule.  Every
+walk — a shortest path, a ball's boundary edge, the Lemma 7 and 8
+waypoint walks — is :func:`hop_path` over the target's column, read
+once as a Python list, and raises :class:`HopWalkError` after ``n``
+steps instead of following a cycle.
 
 :meth:`MetricView.target_sweep` visits the targets in order and yields
 each one's row and hop column, computing the rows in chunks of
 ``cache_rows``, one batched kernel call per chunk.  Builds do every
 per-target job while the target is in hand — the ball ports of its
 holders, label first edges and the Lemma 8 walks toward it (thm11), the
-intersection and colour entries that read its row (thm10) — so each row
-and each column is computed once, not once per consumer.
+intersection and colour entries that read its row and, class by class,
+the Lemma 7 walks (thm10) — so each row and each column is computed
+once, not once per consumer.
 
 Canonical row orientation
 -------------------------
@@ -89,7 +94,9 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Container, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -102,7 +109,76 @@ from .shortest_paths import (
     use_kernel,
 )
 
-__all__ = ["MetricView"]
+__all__ = ["HopWalkError", "MetricView", "hop_path"]
+
+
+class HopWalkError(GraphError):
+    """A walk along a hop column did not end within ``n`` steps.
+
+    A shortest path has at most ``n - 1`` edges, so a longer walk means
+    the first hops toward ``target`` cycle (a first-hop rule fault, as
+    where float addition absorbs a weight and two tight neighbours share
+    a distance).  Raised instead of walking forever.
+    """
+
+    def __init__(self, start: int, target: int, steps: int) -> None:
+        super().__init__(
+            f"first-hop walk from {start} toward {target} did not end "
+            f"within {steps} steps; the hop column cycles"
+        )
+        self.start = start
+        self.target = target
+
+
+def _no_hop(u: int, v: int, hop: int) -> NoReturn:
+    """Raise the diagnostic for a negative hop-column entry at ``u``."""
+    if hop == -1:
+        raise ValueError(f"{v} unreachable from {u}")
+    raise RuntimeError(
+        f"no tight edge out of {u} toward {v}; inconsistent metric"
+    )
+
+
+class _AllBut:
+    """Every vertex except ``target``, as a container."""
+
+    __slots__ = ("target",)
+
+    def __init__(self, target: int) -> None:
+        self.target = target
+
+    def __contains__(self, x: object) -> bool:
+        return x != self.target
+
+
+def hop_path(
+    hops: Sequence[int],
+    start: int,
+    target: int,
+    inside: Optional[Container[int]] = None,
+) -> List[int]:
+    """The walk from ``start`` along ``target``'s first hops.
+
+    ``hops`` is ``target``'s hop column (:meth:`MetricView.hop_column`)
+    as a list, read once by the caller for every walk toward ``target``.
+    The walk stops at the first vertex not in ``inside`` (by default at
+    ``target`` itself) and returns every vertex visited, that one last.
+    It takes at most ``n = len(hops)`` steps and raises
+    :class:`HopWalkError` past that.
+    """
+    if inside is None:
+        inside = _AllBut(target)
+    path = [start]
+    cur = start
+    for _ in range(len(hops)):
+        if cur not in inside:
+            return path
+        nxt = hops[cur]
+        if nxt < 0:
+            _no_hop(cur, target, nxt)
+        path.append(nxt)
+        cur = nxt
+    raise HopWalkError(start, target, len(hops))
 
 
 class MetricView:
@@ -518,11 +594,7 @@ class MetricView:
             raise ValueError("next_hop undefined for u == v")
         hop = int(self.hop_column(v)[u])
         if hop < 0:
-            if hop == -1:
-                raise ValueError(f"{v} unreachable from {u}")
-            raise RuntimeError(
-                f"no tight edge out of {u} toward {v}; inconsistent metric"
-            )
+            _no_hop(u, v, hop)
         return hop
 
     def spt_parents(self, root: int) -> Dict[int, int]:
@@ -547,17 +619,14 @@ class MetricView:
         return dict(zip(reach.tolist(), col[reach].tolist()))
 
     def shortest_path(self, u: int, v: int) -> List[int]:
-        """A concrete shortest ``u``–``v`` path (via :meth:`next_hop`)."""
-        path = [u]
-        cur = u
-        guard = 0
-        while cur != v:
-            cur = self.next_hop(cur, v)
-            path.append(cur)
-            guard += 1
-            if guard > self.n:
-                raise RuntimeError("shortest-path walk did not terminate")
-        return path
+        """A concrete shortest ``u``–``v`` path, walked along ``v``'s hop
+        column (:func:`hop_path`); :class:`HopWalkError` if the column
+        cycles."""
+        if not 0 <= u < self.n > v >= 0:
+            raise GraphError(
+                f"vertex pair ({u}, {v}) out of range [0, {self.n})"
+            )
+        return hop_path(self.hop_column(v).tolist(), u, v)
 
     # ------------------------------------------------------------------
     # Vicinity balls

@@ -92,14 +92,27 @@ class Stretch2Plus1Scheme(SchemeBase):
         # entries read it.
         self.colors = self._find_coloring(self.family, self.q, seed)
 
-        # One sweep over the distance rows.  With u's row and hop column
-        # in hand: the ball ports toward u, u's cluster tree, and u's own
-        # intersection and color-representative entries, which both read
-        # d(u, w) for w in B(u).  Installation below keeps the table order.
+        # Technique 1 over the color classes.  The hitting set and the
+        # global hub trees are eps-independent, memoized on the substrate;
+        # the trees are built at install, after the sweep.
+        self.technique = Technique1(
+            self.metric, self.family, self.ports,
+            color_classes(self.colors, self.q), eps / 2.0,
+            hitting=self._ball_hitting_set(self.family),
+            tree_factory=self._global_tree_routing,
+            seed=seed,
+        )
+
+        # One sweep over the distance rows, class by class, so that each
+        # class's Lemma 7 walks run right after it while its rows and hop
+        # columns are cached.  With u's row and hop column in hand: the
+        # ball ports toward u, u's cluster tree, and u's own intersection
+        # and color-representative entries, which both read d(u, w) for
+        # w in B(u).  Installation below keeps the vertex order.
         trees: Dict[int, TreeRouting] = {}
-        xsect: List[Dict[int, int]] = []
-        reps: List[Dict[int, tuple]] = []
-        for u, row, col in self.metric.target_sweep():
+        xsect: List[Dict[int, int]] = [{} for _ in range(n)]
+        reps: List[Dict[int, tuple]] = [{} for _ in range(n)]
+        for u, row, col in self.technique.sweep():
             ball_ports.fill_target(u, col)
             members = self.bunches.cluster(u)
             if members:
@@ -118,12 +131,13 @@ class Stretch2Plus1Scheme(SchemeBase):
                     cand = (through + d_wv, w)
                     if v not in best or cand < best[v]:
                         best[v] = cand
-            xsect.append({v: w for v, (_, w) in best.items()})
-            reps.append(self._color_reps(u, ball, d_ball))
+            xsect[u] = {v: w for v, (_, w) in best.items()}
+            reps[u] = self._color_reps(u, ball, d_ball)
 
         self._install_ball_ports(self.family, ball_ports)
         # Cluster trees: records at members, member labels at the owner.
-        for w, tree in trees.items():
+        for w in sorted(trees):
+            tree = trees[w]
             for v in self.bunches.cluster(w):
                 self._tables[v].put("ctree", w, tree.record_of(v))
                 self._tables[w].put("clabel", v, tree.label_of(v))
@@ -139,15 +153,6 @@ class Stretch2Plus1Scheme(SchemeBase):
         for table, entries in zip(self._tables, xsect):
             table.put_many("xsect", entries)
 
-        # Technique 1 over the color classes.  The hitting set and the
-        # global hub trees are eps-independent, memoized on the substrate.
-        classes = color_classes(self.colors, self.q)
-        self.technique = Technique1(
-            self.metric, self.family, self.ports, classes, eps / 2.0,
-            hitting=self._ball_hitting_set(self.family),
-            tree_factory=self._global_tree_routing,
-            seed=seed,
-        )
         for table in self._tables:
             self.technique.install(table)
 

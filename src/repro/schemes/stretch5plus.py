@@ -124,7 +124,7 @@ class Stretch5PlusScheme(SchemeBase):
             p = self.bunches.pivot(v)
             z = None if p == v else self.metric.next_hop(p, v)
             self._labels[v] = (v, p, self._target_class[p], z)
-            self.technique.walk_target(v)
+            self.technique.walk_target(v, col)
 
         self._install_ball_ports(self.family, ball_ports)
         for w, tree in trees.items():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, List
 
-from ..graph.metric import MetricView
+from ..graph.metric import MetricView, hop_path
 
 __all__ = ["BallFamily", "ball_size_parameter"]
 
@@ -71,6 +71,15 @@ class BallFamily:
         """All balls, indexed by vertex (shared list — do not mutate)."""
         return self._balls
 
+    def ball_sets(self) -> List[FrozenSet[int]]:
+        """All balls as sets, indexed by vertex (shared list — do not
+        mutate); the walks index it once per step."""
+        return self._sets
+
+    def radii(self) -> List[float]:
+        """All radii ``r_u(ell)``, indexed by vertex (shared list)."""
+        return self._radii
+
     def ball_set(self, u: int) -> FrozenSet[int]:
         """``B(u, ell)`` as a set for O(1) membership."""
         return self._sets[u]
@@ -88,14 +97,14 @@ class BallFamily:
         ``y in B(u, ell)`` and ``z not in B(u, ell)``.
 
         Requires ``v not in B(u, ell)``.  Walks the deterministic shortest
-        path from ``u`` until it exits the ball; Property 1 guarantees the
-        prefix stays meaningful and the walk is at most ``n`` steps.
+        path from ``u`` along ``v``'s hop column until it exits the ball,
+        as the Lemma 7 and 8 walks do (:func:`~repro.graph.metric.hop_path`).
+        Property 1 keeps the prefix meaningful; the walk takes at most
+        ``n`` steps and raises :class:`~repro.graph.metric.HopWalkError`
+        past that.
         """
         if self.contains(u, v):
             raise ValueError(f"{v} is inside B({u}); no boundary edge")
-        prev = u
-        cur = u
-        while self.contains(u, cur):
-            prev = cur
-            cur = self.metric.next_hop(cur, v)
-        return prev, cur
+        hops = self.metric.hop_column(v).tolist()
+        path = hop_path(hops, u, v, self._sets[u])
+        return path[-2], path[-1]

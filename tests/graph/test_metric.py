@@ -18,7 +18,7 @@ from repro.graph.generators import (
     with_random_weights,
 )
 from repro.graph.csr import csr_graph
-from repro.graph.metric import MetricView
+from repro.graph.metric import HopWalkError, MetricView, hop_path
 from repro.graph.shortest_paths import (
     dijkstra_py,
     reset_kernel_choice,
@@ -31,6 +31,13 @@ from repro.routing.shard_codec import encode_node_table
 def _apsp(g):
     """The test-side all-pairs reference: forward ``dijkstra_py`` rows."""
     return np.array([dijkstra_py(g, u)[0] for u in range(g.n)], dtype=float)
+
+
+def _absorbed_graph() -> Graph:
+    """Edges whose float sums absorb the 1e20 weight: a cycling column."""
+    return Graph.from_edges(
+        4, [(0, 3, 1e20), (3, 1, 1.0), (3, 2, 1.0), (1, 2, 1.0)]
+    )
 
 
 def _view(g, held, small=2):
@@ -211,6 +218,28 @@ class TestShortestPathStructure:
             assert p[0] == u and p[-1] == v
             total = sum(g.weight(a, b) for a, b in zip(p, p[1:]))
             assert total == pytest.approx(m.d(u, v))
+
+    def test_shortest_path_on_cycling_column_raises_typed(self):
+        # (0, 3) weighs 1e20, so d(1, 0) = d(2, 0) = d(3, 0) in float64:
+        # 1 and 2 are each other's first hop toward 0.
+        m = MetricView(_absorbed_graph())
+        assert m.hop_column(0).tolist() == [0, 2, 1, 0]
+        with pytest.raises(HopWalkError, match="from 1 toward 0") as err:
+            m.shortest_path(1, 0)
+        assert (err.value.start, err.value.target) == (1, 0)
+        assert isinstance(err.value, GraphError)
+        assert m.shortest_path(3, 0) == [3, 0]
+        assert m.shortest_path(2, 2) == [2]
+
+    def test_hop_path_stops_after_n_steps(self):
+        with pytest.raises(HopWalkError, match="within 3 steps"):
+            hop_path([0, 2, 1], 1, 0)
+        assert hop_path([0, 0, 1], 2, 0) == [2, 1, 0]
+        assert hop_path([0, 0, 1], 2, 0, inside={2}) == [2, 1]
+        with pytest.raises(ValueError, match="unreachable"):
+            hop_path([0, -1, 1], 2, 0)
+        with pytest.raises(RuntimeError, match="no tight edge"):
+            hop_path([0, -2, 1], 2, 0)
 
     def test_next_hop_self_raises(self):
         m = MetricView(grid(3, 3))
@@ -438,16 +467,16 @@ class TestNextHopRowsInBuilds:
     def test_lazy_thm10_row_count(self):
         # The intersection loops read the cluster scan's own distances
         # (BunchStructure.cluster_distances), not row(w) per ball holding
-        # w (8223 rows here).  The 19 global trees read their roots'
-        # rows (for the hop columns).
+        # w (8223 rows here).  The Lemma 7 walks run class by class in
+        # the one sweep, while the class's rows and columns are cached
+        # (259 rows when they took two sweeps of their own).  The 19
+        # global trees read their roots' rows (for the hop columns):
+        # 146 <= 1.2 n + 19.
         g = erdos_renyi(120, 0.05, seed=7)
         spec = get_spec("thm10")
         m = MetricView(g)
         spec.factory(g, metric=m, **spec.defaults())
-        if use_kernel():
-            assert m.rows_computed <= 259
-        else:
-            assert m.rows_computed <= 491
+        assert m.rows_computed <= 146
 
     def test_lazy_thm11_rows_at_2000(self):
         # One target sweep plus the landmark sample's rows: about one

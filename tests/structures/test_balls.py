@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph.core import Graph
 from repro.graph.generators import erdos_renyi, grid, with_random_weights
-from repro.graph.metric import MetricView
+from repro.graph.metric import HopWalkError, MetricView
 from repro.structures.balls import BallFamily, ball_size_parameter
 
 
@@ -104,6 +105,16 @@ class TestBoundaryEdge:
         inside = fam.ball(u)[1]
         with pytest.raises(ValueError):
             fam.boundary_edge(u, inside)
+
+    def test_cycling_column_raises_typed(self):
+        # (0, 3) weighs 1e20, so the float distances to 0 from 1, 2 and
+        # 3 tie and 1 and 2 are each other's first hop toward 0.
+        g = Graph.from_edges(
+            4, [(0, 3, 1e20), (3, 1, 1.0), (3, 2, 1.0), (1, 2, 1.0)]
+        )
+        fam = BallFamily(MetricView(g), 3)  # B(1) = {1, 2, 3}
+        with pytest.raises(HopWalkError, match="from 1 toward 0"):
+            fam.boundary_edge(1, 0)
 
     def test_target_adjacent_outside(self):
         m = MetricView(grid(1, 5))  # path 0-1-2-3-4

@@ -62,11 +62,13 @@ REPRO_KERNEL=pure python -m pytest -q tests/graph/test_metric.py \
 
 # -- numpy dispatch: the hop-column reference and the numpy threshold
 # scan through whole builds (under auto, hosts with a compiler only ever
-# run the C column and the C scan)
+# run the C column and the C scan), and the one build path: a scheme
+# built with no substrate compiles to the bytes of a shared-cache build
 echo "== pytest (REPRO_KERNEL=numpy) =="
 REPRO_KERNEL=numpy python -m pytest -q tests/graph/test_metric.py \
     tests/routing/test_ball_routing.py tests/core tests/schemes \
-    tests/structures tests/baselines/test_hierarchy.py || fail=1
+    tests/structures tests/baselines/test_hierarchy.py \
+    tests/api/test_substrate.py || fail=1
 
 # -- no scipy: rows, cluster scans and trees come from the repository's
 # own kernels, so the graph suites, every scheme's build and the serving

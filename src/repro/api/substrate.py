@@ -9,14 +9,17 @@ rebuilt all of them from scratch.
 
 :class:`Substrate` is a per-graph handle with memoized builders for each
 artifact; :class:`SubstrateCache` hands out one handle per graph.
-:class:`repro.schemes.base.SchemeBase` accepts a handle via its
-``substrate=`` keyword and routes every substrate request through it, so
-``N`` schemes on one graph pay for each distinct artifact once.
+Every :class:`repro.schemes.base.SchemeBase` build goes through one
+handle: the caller's (its ``substrate=`` keyword), or a private one when
+the caller passes none or passes its own metric or ports.  So ``N``
+schemes sharing a handle on one graph pay for each distinct artifact
+once, and a lone build runs the same builders.
 
 Sharing is sound because every artifact is a deterministic pure function
 of ``(graph, parameters, seed)`` — a cache hit returns exactly the object
-a cold build would have produced (the substrate tests assert this), and
-all artifacts are treated as immutable after construction.
+a build on a fresh handle would have produced (the substrate tests
+assert this down to the compiled table bytes), and all artifacts are
+treated as immutable after construction.
 
 Generation stamps
 -----------------
@@ -30,19 +33,36 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
+from ..baselines.hierarchy import SampledHierarchy
 from ..graph.core import Graph
 from ..graph.metric import MetricView
 from ..routing.ball_routing import BallRoutingTables
 from ..routing.ports import PortAssignment
 from ..routing.tree_routing import TreeRouting
 from ..structures.balls import BallFamily
+from ..structures.bunches import BunchStructure
+from ..structures.coloring import find_coloring, find_hash_coloring
+from ..structures.hitting_set import greedy_hitting_set
+from ..structures.sampling import sample_cluster_bounded
 
 __all__ = ["Substrate", "SubstrateCache"]
 
 #: process-wide generation counter for substrate stamps
 _GENERATIONS = itertools.count(1)
+
+T = TypeVar("T")
 
 
 class Substrate:
@@ -83,8 +103,8 @@ class Substrate:
         self._colorings: Dict[Tuple[str, int, int, int], object] = {}
         self._hitting: Dict[int, List[int]] = {}
         self._landmarks: Dict[Tuple[float, int], List[int]] = {}
-        self._bunches: Dict[Tuple[int, ...], object] = {}
-        self._hierarchies: Dict[Tuple[int, int], object] = {}
+        self._bunches: Dict[Tuple[int, ...], BunchStructure] = {}
+        self._hierarchies: Dict[Tuple[int, int], SampledHierarchy] = {}
         self._trees: Dict[
             Tuple[int, Optional[Tuple[int, ...]]], TreeRouting
         ] = {}
@@ -177,24 +197,41 @@ class Substrate:
         return self
 
     # ------------------------------------------------------------------
+    def _memo(
+        self,
+        kind: str,
+        memo: Dict,
+        key: Hashable,
+        build: Callable[..., T],
+        *needs: Callable[[], object],
+    ) -> T:
+        """The ``kind`` artifact memoized in ``memo`` under ``key``.
+
+        On a miss, ``needs`` run first (nested builders on this handle,
+        accounted under their own kinds), then ``build(*their results)``
+        is timed into ``kind``'s build seconds; a hit only counts.
+        """
+        value = memo.get(key)
+        if value is None:
+            args = [need() for need in needs]
+            t0 = time.perf_counter()
+            value = build(*args)
+            memo[key] = value
+            self._account(kind, False, time.perf_counter() - t0)
+        else:
+            self._account(kind, True)
+        return value
+
+    def _ell(self, ell: int) -> int:
+        return max(1, min(int(ell), self.graph.n))
+
     def ball_family(self, ell: int) -> BallFamily:
         """``B(u, ell)`` for every vertex, one build per distinct ``ell``."""
-        ell = max(1, min(int(ell), self.graph.n))
-        family = self._families.get(ell)
-        if family is None:
-            metric = self._get_metric()
-            t0 = time.perf_counter()
-            family = BallFamily(metric, ell)
-            self._families[ell] = family
-            self._account("balls", False, time.perf_counter() - t0)
-        else:
-            self._account("balls", True)
-        return family
-
-    def owns_family(self, family: BallFamily) -> bool:
-        """Whether ``family`` came out of this handle (memoization is only
-        valid against the handle's own artifacts)."""
-        return self._families.get(family.ell) is family
+        ell = self._ell(ell)
+        return self._memo(
+            "balls", self._families, ell,
+            lambda metric: BallFamily(metric, ell), self._get_metric,
+        )
 
     def ball_tables(self, ell: int) -> BallRoutingTables:
         """Lemma 2 first-edge ports for the ``ell``-ball family.
@@ -204,45 +241,28 @@ class Substrate:
         finishes them first, so a memoized handle is never read half
         filled.
         """
-        ell = max(1, min(int(ell), self.graph.n))
-        tables = self._ball_tables.get(ell)
-        if tables is None:
-            # Resolve dependencies outside the timed region so a nested
-            # family build is not double-counted into "ball_ports".
-            metric = self._get_metric()
-            family = self.ball_family(ell)
-            ports = self._get_ports()
-            t0 = time.perf_counter()
-            tables = BallRoutingTables(metric, family, ports)
-            self._ball_tables[ell] = tables
-            self._account("ball_ports", False, time.perf_counter() - t0)
-        else:
-            self._account("ball_ports", True)
-        return tables
+        ell = self._ell(ell)
+        return self._memo(
+            "ball_ports", self._ball_tables, ell, BallRoutingTables,
+            self._get_metric, lambda: self.ball_family(ell), self._get_ports,
+        )
 
     def coloring(self, ell: int, q: int, seed: int) -> List[int]:
         """Lemma 6 coloring of the ``ell``-ball family with ``q`` colors.
 
-        Memoized on ``(ell, q, seed)`` — the coloring is a deterministic
-        function of the balls and the seed, and PR 4 profiling showed the
-        repair/verify loop (not cluster trees) dominates thm10's marginal
-        build, so a multi-scheme run or an eps-resweep pays for it once.
+        Memoized on ``(ell, q, seed)``: the coloring is a deterministic
+        function of the balls and the seed, and its repair/verify loop
+        is a large share of a Technique 1 build, so a multi-scheme run
+        or an eps-resweep pays for it once.
         """
-        ell = max(1, min(int(ell), self.graph.n))
-        key = ("lemma6", ell, int(q), int(seed))
-        colors = self._colorings.get(key)
-        if colors is None:
-            from ..structures.coloring import find_coloring
-
-            family = self.ball_family(ell)
-            t0 = time.perf_counter()
-            colors = find_coloring(
+        ell = self._ell(ell)
+        colors = self._memo(
+            "coloring", self._colorings, ("lemma6", ell, int(q), int(seed)),
+            lambda family: find_coloring(
                 family.balls(), self.graph.n, q, seed=seed
-            )
-            self._colorings[key] = colors
-            self._account("coloring", False, time.perf_counter() - t0)
-        else:
-            self._account("coloring", True)
+            ),
+            lambda: self.ball_family(ell),
+        )
         return list(colors)
 
     def hash_coloring(
@@ -250,22 +270,14 @@ class Substrate:
     ) -> Tuple[int, List[int]]:
         """Name-independent Lemma 6 hash coloring (memoized like
         :meth:`coloring`); returns ``(hash_seed, colors)``."""
-        ell = max(1, min(int(ell), self.graph.n))
-        key = ("hash", ell, int(q), int(seed))
-        entry = self._colorings.get(key)
-        if entry is None:
-            from ..structures.coloring import find_hash_coloring
-
-            family = self.ball_family(ell)
-            t0 = time.perf_counter()
-            entry = find_hash_coloring(
+        ell = self._ell(ell)
+        hash_seed, colors = self._memo(
+            "coloring", self._colorings, ("hash", ell, int(q), int(seed)),
+            lambda family: find_hash_coloring(
                 family.balls(), self.graph.n, q, seed=seed
-            )
-            self._colorings[key] = entry
-            self._account("coloring", False, time.perf_counter() - t0)
-        else:
-            self._account("coloring", True)
-        hash_seed, colors = entry
+            ),
+            lambda: self.ball_family(ell),
+        )
         return hash_seed, list(colors)
 
     def hitting_set(self, ell: int) -> List[int]:
@@ -276,49 +288,28 @@ class Substrate:
         :meth:`tree_routing`) depend only on the balls, so an eps-sweep
         of a Technique 1 scheme rebuilds neither.
         """
-        ell = max(1, min(int(ell), self.graph.n))
-        hitting = self._hitting.get(ell)
-        if hitting is None:
-            from ..structures.hitting_set import greedy_hitting_set
-
-            family = self.ball_family(ell)
-            t0 = time.perf_counter()
-            hitting = greedy_hitting_set(family.balls())
-            self._hitting[ell] = hitting
-            self._account("hitting", False, time.perf_counter() - t0)
-        else:
-            self._account("hitting", True)
-        return list(hitting)
+        ell = self._ell(ell)
+        return list(self._memo(
+            "hitting", self._hitting, ell,
+            lambda family: greedy_hitting_set(family.balls()),
+            lambda: self.ball_family(ell),
+        ))
 
     def landmark_sample(self, s: float, seed: int) -> List[int]:
         """Lemma 4 cluster-bounded sample (memoized on ``(s, seed)``)."""
-        key = (round(float(s), 9), int(seed))
-        sample = self._landmarks.get(key)
-        if sample is None:
-            from ..structures.sampling import sample_cluster_bounded
+        return list(self._memo(
+            "landmarks", self._landmarks, (round(float(s), 9), int(seed)),
+            lambda metric: sample_cluster_bounded(metric, s, seed=seed),
+            self._get_metric,
+        ))
 
-            t0 = time.perf_counter()
-            sample = sample_cluster_bounded(self._get_metric(), s, seed=seed)
-            self._landmarks[key] = sample
-            self._account("landmarks", False, time.perf_counter() - t0)
-        else:
-            self._account("landmarks", True)
-        return list(sample)
-
-    def bunch_structure(self, landmarks: Sequence[int]):
+    def bunch_structure(self, landmarks: Sequence[int]) -> BunchStructure:
         """Pivots/bunches/clusters for one landmark set (memoized)."""
         key = tuple(sorted(set(int(v) for v in landmarks)))
-        bunches = self._bunches.get(key)
-        if bunches is None:
-            from ..structures.bunches import BunchStructure
-
-            t0 = time.perf_counter()
-            bunches = BunchStructure(self._get_metric(), key)
-            self._bunches[key] = bunches
-            self._account("bunches", False, time.perf_counter() - t0)
-        else:
-            self._account("bunches", True)
-        return bunches
+        return self._memo(
+            "bunches", self._bunches, key,
+            lambda metric: BunchStructure(metric, key), self._get_metric,
+        )
 
     def tree_routing(
         self,
@@ -333,39 +324,24 @@ class Substrate:
         deterministic shortest-path tree of that key (restricted to the
         member set, computed against this handle's metric with its fixed
         tie-breaking), so the heavy-path intervals, records and labels
-        are identical no matter which scheme asks first — cluster trees
-        are the dominant per-scheme rebuild the ROADMAP follow-up (a)
-        calls out (thm10's marginal build is mostly this).
+        are identical no matter which scheme asks first.
         """
         key = (
             int(root),
             None if members is None else tuple(sorted(members)),
         )
-        tree = self._trees.get(key)
-        if tree is None:
-            ports = self._get_ports()
-            t0 = time.perf_counter()
-            tree = TreeRouting(build_tree(), ports)
-            self._trees[key] = tree
-            self._account("trees", False, time.perf_counter() - t0)
-        else:
-            self._account("trees", True)
-        return tree
+        return self._memo(
+            "trees", self._trees, key,
+            lambda ports: TreeRouting(build_tree(), ports), self._get_ports,
+        )
 
-    def hierarchy(self, k: int, seed: int):
+    def hierarchy(self, k: int, seed: int) -> SampledHierarchy:
         """TZ ``k``-level sampled hierarchy (memoized on ``(k, seed)``)."""
-        key = (int(k), int(seed))
-        hierarchy = self._hierarchies.get(key)
-        if hierarchy is None:
-            from ..baselines.hierarchy import SampledHierarchy
-
-            t0 = time.perf_counter()
-            hierarchy = SampledHierarchy(self._get_metric(), k, seed=seed)
-            self._hierarchies[key] = hierarchy
-            self._account("hierarchy", False, time.perf_counter() - t0)
-        else:
-            self._account("hierarchy", True)
-        return hierarchy
+        return self._memo(
+            "hierarchy", self._hierarchies, (int(k), int(seed)),
+            lambda metric: SampledHierarchy(metric, k, seed=seed),
+            self._get_metric,
+        )
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Dict[str, float]]:

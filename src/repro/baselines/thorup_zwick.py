@@ -67,7 +67,7 @@ class ThorupZwickScheme(SchemeBase):
         self.hierarchy = (
             hierarchy
             if hierarchy is not None
-            else self._sampled_hierarchy(k, seed)
+            else self._substrate.hierarchy(k, seed)
         )
 
         # Trees T(w) over clusters; members keep records, labels go into
@@ -76,7 +76,7 @@ class ThorupZwickScheme(SchemeBase):
         # from the scanned distances, work proportional to the cluster.
         self._trees: Dict[int, TreeRouting] = {}
         for w, members in self.hierarchy.clusters():
-            tree = self._tree_routing(
+            tree = self._substrate.tree_routing(
                 w, members, lambda w=w: self.hierarchy.cluster_tree(w)
             )
             self._trees[w] = tree

@@ -54,6 +54,7 @@ __all__ = [
     "build_lemma7_sequence",
     "build_lemma8_sequence",
     "lemma7_waypoints",
+    "lemma8_waypoints",
 ]
 
 
@@ -225,6 +226,24 @@ def build_lemma8_sequence(
         raise ValueError(f"normalization weight must be positive, got {lam}")
     if hops is None:
         hops = metric.hop_column(w).tolist()
+    return Lemma8Sequence(
+        *lemma8_waypoints(metric, family, relay_pool, u, w, b, lam, hops)
+    )
+
+
+def lemma8_waypoints(
+    metric: MetricView,
+    family: BallFamily,
+    relay_pool: Callable[[int], Optional[int]],
+    u: int,
+    w: int,
+    b: int,
+    lam: float,
+    hops: Sequence[int],
+) -> Tuple[Tuple[int, ...], bool]:
+    """The Lemma 8 process behind :func:`build_lemma8_sequence`, as
+    ``(waypoints, to_relay)`` and without its argument checks: the form
+    :class:`~repro.core.technique2.Technique2` runs once per pair."""
     waypoints: List[int] = []
     last = u  # never store the source (the routing loop starts at u)
 
@@ -236,7 +255,7 @@ def build_lemma8_sequence(
             waypoints.append(x)
             last = x
         if x == w:
-            return Lemma8Sequence(tuple(waypoints), to_relay=False)
+            return tuple(waypoints), False
 
     # Subsequence cap: path lengths are below n * max-distance, thresholds
     # double, so log2(n * D) + slack rounds always suffice.  Only a cap,
@@ -255,7 +274,7 @@ def build_lemma8_sequence(
             if w in ball:
                 if w != last:
                     waypoints.append(w)
-                return Lemma8Sequence(tuple(waypoints), to_relay=False)
+                return tuple(waypoints), False
             path = hop_path(hops, x, w, ball)
             y, z = path[-2], path[-1]
             # z lies outside B(x), a (dist, id) prefix, so d(x, z) is at
@@ -270,13 +289,13 @@ def build_lemma8_sequence(
                     )
                 if relay != u and relay != last:
                     waypoints.append(relay)
-                return Lemma8Sequence(tuple(waypoints), to_relay=True)
+                return tuple(waypoints), True
             for p in (y, z):
                 if p != u and p != last:
                     waypoints.append(p)
                     last = p
             if z == w:
-                return Lemma8Sequence(tuple(waypoints), to_relay=False)
+                return tuple(waypoints), False
             added += 2
             x = z
         s *= 2.0

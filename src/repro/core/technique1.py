@@ -71,13 +71,13 @@ class Technique1:
         Target stretch is ``1 + eps``.
     hitting:
         Optional pre-computed hitting set of all balls; computed greedily
-        when omitted.  Substrate-backed schemes pass the memoized set
-        (``SchemeBase._ball_hitting_set``) — it is eps-independent, so
+        when omitted.  Schemes pass the memoized set
+        (``Substrate.hitting_set``) — it is eps-independent, so
         parameter sweeps reuse it.
     tree_factory:
         Optional ``root -> TreeRouting`` for the global hitting-set
-        trees; defaults to a cold per-instance build.  Substrate-backed
-        schemes pass ``SchemeBase._global_tree_routing`` so the ~|H|
+        trees; defaults to a cold per-instance build.  Schemes pass
+        ``SchemeBase._global_tree_routing`` so the ~|H|
         full-graph trees (the other eps-independent half of this
         technique's state, and a dominant cost of thm10's marginal
         build) are shared across schemes and sweeps.

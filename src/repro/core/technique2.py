@@ -30,7 +30,7 @@ from ..graph.metric import MetricView
 from ..routing.model import SizedTable
 from ..routing.ports import PortAssignment
 from ..structures.balls import BallFamily
-from .sequences import build_lemma8_sequence
+from .sequences import lemma8_waypoints
 
 __all__ = ["Technique2", "eps_to_b_lemma8"]
 
@@ -161,10 +161,10 @@ class Technique2:
         relay = functools.partial(self._relay_in_ball, i)
         for u in self._sources[i]:
             if u != w:
-                self._sequences[u][w] = build_lemma8_sequence(
+                self._sequences[u][w] = lemma8_waypoints(
                     self.metric, self.family, relay, u, w, self.b, self.lam,
-                    hops=hops,
-                ).waypoints
+                    hops,
+                )[0]
 
     def finish(self) -> None:
         """Walk toward the targets no caller's sweep has handed in yet."""

@@ -138,7 +138,8 @@ def evaluate_scheme(
             start = time.perf_counter()
             substrate.ensure_core()
             substrate_seconds = time.perf_counter() - start
-            metric = substrate.metric
+            # ensure_core did the accounting; reading the metric is no reuse
+            metric = substrate.built_metric
         if _accepts_substrate(factory):
             factory_kwargs["substrate"] = substrate
     elif metric is None:

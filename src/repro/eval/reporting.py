@@ -3,7 +3,7 @@
 Each benchmark prints the table or figure series it regenerates; these
 helpers keep the formatting consistent and embed the paper's *theoretical*
 reference rows next to measured ones (for comparators we do not reimplement,
-e.g. Abraham–Gavoille and Chechik — see DESIGN.md substitutions).
+e.g. Abraham–Gavoille and Chechik, whose rows are the paper's stated bounds).
 """
 
 from __future__ import annotations

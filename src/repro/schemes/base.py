@@ -11,19 +11,21 @@ Every scheme in this package follows the same life cycle:
 
 :class:`SchemeBase` implements the shared parts.  The ``alpha`` knob is the
 paper's "large enough constant" in ``q̃ = alpha * q * log n``; see
-DESIGN.md §4 for how it is calibrated at reproduction scale.
+README "Workload-aware presets" for how it is calibrated at reproduction
+scale.
 
-Substrate injection
--------------------
-Comparative runs (Table 1, the CLI, the benchmarks) build several schemes
-on the *same* graph.  Passing a :class:`repro.api.Substrate` handle makes
-every substrate request — metric, ports, ball families, ball-routing
-ports, Lemma 4 landmark samples, bunch structures, TZ hierarchies — go
-through the handle's memoized builders, so identical artifacts are
-computed once per graph instead of once per scheme.  Without a handle
-each helper falls back to a cold local build; results are bit-identical
-either way (every shared artifact is a deterministic function of the
-graph and the seed).
+Substrates
+----------
+Every build goes through one :class:`repro.api.Substrate` handle: ball
+families, ball-routing ports, Lemma 6 colorings, hitting sets, Lemma 4
+landmark samples, bunch structures, TZ hierarchies and tree routings all
+come from its memoized builders (``self.substrate``).  Comparative runs
+(Table 1, the CLI, the benchmarks) pass one handle to several schemes on
+the *same* graph, so each artifact is computed once per graph instead of
+once per scheme.  A scheme built without a handle, or with its own
+metric or ports, memoizes on a private handle over those artifacts.
+Results are bit-identical either way: every artifact is a deterministic
+function of the graph, the metric, the ports and the seed.
 
 Restore (serving)
 ----------------
@@ -39,14 +41,12 @@ helpers (technique steppers) in :meth:`_restore_routing`.
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Optional,
-    Sequence,
 )
 
 from ..graph.core import Graph
@@ -57,6 +57,9 @@ from ..routing.ports import PortAssignment
 from ..routing.tables import NodeTable, compile_tables
 from ..routing.tree_routing import TreeRouting
 from ..structures.balls import BallFamily, ball_size_parameter
+
+if TYPE_CHECKING:
+    from ..api.substrate import Substrate
 
 __all__ = ["SchemeBase"]
 
@@ -70,16 +73,18 @@ class SchemeBase(CompactRoutingScheme):
         *,
         ports: Optional[PortAssignment] = None,
         metric: Optional[MetricView] = None,
-        substrate: Optional[Any] = None,
+        substrate: Optional[Substrate] = None,
     ) -> None:
+        # imported here: repro.api imports the schemes
+        from ..api.substrate import Substrate
+
         if graph.n == 0:
             raise ValueError("routing schemes need a nonempty graph")
-        if substrate is not None and substrate.graph is not graph:
-            raise ValueError(
-                "substrate was built for a different graph object"
-            )
-        self._substrate = substrate
         if substrate is not None:
+            if substrate.graph is not graph:
+                raise ValueError(
+                    "substrate was built for a different graph object"
+                )
             # Prefer the already-built artifacts: the facade's
             # ensure_core() does the hit/miss accounting, so adopting
             # here must not count the same request twice.
@@ -91,9 +96,24 @@ class SchemeBase(CompactRoutingScheme):
                 metric = substrate.built_metric
                 if metric is None:
                     metric = substrate.metric
-        ports = ports if ports is not None else PortAssignment(graph)
-        super().__init__(graph, ports)
-        self.metric = metric if metric is not None else MetricView(graph)
+            # Memoization is only sound against the handle's own
+            # artifacts: with the caller's own metric or ports, memoize
+            # on a private handle, so this one builds nothing against
+            # artifacts the scheme does not use.
+            if (
+                metric is not substrate.built_metric
+                or ports is not substrate.built_ports
+            ):
+                substrate = None
+        if substrate is None:
+            substrate = Substrate(
+                graph,
+                metric=metric if metric is not None else MetricView(graph),
+                ports=ports if ports is not None else PortAssignment(graph),
+            )
+        self._substrate: Optional[Substrate] = substrate
+        super().__init__(graph, substrate.built_ports)
+        self.metric = substrate.built_metric
         if not self.metric.is_connected():
             raise ValueError("routing schemes require a connected graph")
         self._tables: List[SizedTable] = [
@@ -102,38 +122,18 @@ class SchemeBase(CompactRoutingScheme):
         self._labels: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
-    def _substrate_applies(self) -> bool:
-        """Substrate memoization is only sound against its own artifacts.
-
-        Peeks at the handle's built artifacts — a scheme constructed with
-        its *own* metric or ports must fall back to cold builds without
-        tricking the handle into materializing artifacts nobody uses.
-        """
-        return (
-            self._substrate is not None
-            and self.metric is self._substrate.built_metric
-            and self.ports is self._substrate.built_ports
-        )
+    @property
+    def substrate(self) -> Optional[Substrate]:
+        """The handle every substrate request of this build goes
+        through: the caller's, or a private one (``None`` on a
+        step-only scheme from :meth:`restore_serving`)."""
+        return self._substrate
 
     def _build_balls(self, q: float, alpha: float) -> BallFamily:
         """Build the ball family ``B(u, q̃)`` with ``q̃ = alpha*q*log n``."""
-        return self._ball_family_of_size(
+        return self._substrate.ball_family(
             ball_size_parameter(self.graph.n, q, alpha)
         )
-
-    def _ball_family_of_size(self, ell: int) -> BallFamily:
-        """The family for an explicit ball size (memoized on a substrate)."""
-        if self._substrate_applies():
-            return self._substrate.ball_family(ell)
-        return BallFamily(self.metric, ell)
-
-    def _ball_port_tables(self, family: BallFamily) -> BallRoutingTables:
-        """Lemma 2 first-edge ports of ``family`` (memoized per graph),
-        for a target sweep to fill (:meth:`BallRoutingTables.fill_target`)
-        or the first read to finish."""
-        if self._substrate_applies() and self._substrate.owns_family(family):
-            return self._substrate.ball_tables(family.ell)
-        return BallRoutingTables(self.metric, family, self.ports)
 
     def _install_ball_ports(
         self,
@@ -142,42 +142,10 @@ class SchemeBase(CompactRoutingScheme):
     ) -> BallRoutingTables:
         """Install Lemma 2 first-edge ports (category ``"ball"``)."""
         if tables is None:
-            tables = self._ball_port_tables(family)
+            tables = self._substrate.ball_tables(family.ell)
         for table in self._tables:
             tables.install(table)
         return tables
-
-    def _find_coloring(
-        self, family: BallFamily, q: int, seed: int
-    ) -> List[int]:
-        """Lemma 6 coloring over ``family``'s balls (memoized per graph)."""
-        if self._substrate_applies() and self._substrate.owns_family(family):
-            return self._substrate.coloring(family.ell, q, seed)
-        from ..structures.coloring import find_coloring
-
-        return find_coloring(family.balls(), self.graph.n, q, seed=seed)
-
-    def _find_hash_coloring(
-        self, family: BallFamily, q: int, seed: int
-    ):
-        """Name-independent hash coloring (memoized per graph)."""
-        if self._substrate_applies() and self._substrate.owns_family(family):
-            return self._substrate.hash_coloring(family.ell, q, seed)
-        from ..structures.coloring import find_hash_coloring
-
-        return find_hash_coloring(family.balls(), self.graph.n, q, seed=seed)
-
-    def _ball_hitting_set(self, family: BallFamily) -> List[int]:
-        """Greedy hitting set of ``family``'s balls (memoized per graph).
-
-        Part of Technique 1's eps-independent state: the hitting set
-        depends only on the balls, so parameter sweeps reuse it.
-        """
-        if self._substrate_applies() and self._substrate.owns_family(family):
-            return self._substrate.hitting_set(family.ell)
-        from ..structures.hitting_set import greedy_hitting_set
-
-        return greedy_hitting_set(family.balls())
 
     def _global_tree_routing(self, root: int) -> TreeRouting:
         """Heavy-path routing over the full-graph SPT at ``root``.
@@ -190,53 +158,9 @@ class SchemeBase(CompactRoutingScheme):
         """
         from ..core.technique1 import _global_tree
 
-        return self._tree_routing(
+        return self._substrate.tree_routing(
             root, None, lambda: _global_tree(self.metric, root)
         )
-
-    def _sample_landmarks(self, s: float, seed: int) -> List[int]:
-        """Lemma 4 cluster-bounded landmark sample (memoized per graph)."""
-        if self._substrate_applies():
-            return self._substrate.landmark_sample(s, seed)
-        from ..structures.sampling import sample_cluster_bounded
-
-        return sample_cluster_bounded(self.metric, s, seed=seed)
-
-    def _bunch_structure(self, landmarks: Sequence[int]):
-        """Pivots/bunches/clusters for one landmark set (memoized)."""
-        if self._substrate_applies():
-            return self._substrate.bunch_structure(landmarks)
-        from ..structures.bunches import BunchStructure
-
-        return BunchStructure(self.metric, landmarks)
-
-    def _sampled_hierarchy(self, k: int, seed: int):
-        """TZ ``k``-level landmark hierarchy (memoized per graph)."""
-        if self._substrate_applies():
-            return self._substrate.hierarchy(k, seed)
-        from ..baselines.hierarchy import SampledHierarchy
-
-        return SampledHierarchy(self.metric, k, seed=seed)
-
-    def _tree_routing(
-        self,
-        root: int,
-        members: Optional[Iterable[int]],
-        build_tree: Callable[[], Any],
-    ) -> TreeRouting:
-        """A :class:`TreeRouting` for the tree ``build_tree`` produces.
-
-        Memoized on the substrate by ``(root, member set)`` —
-        ``members=None`` means the full-graph SPT rooted at ``root``.
-        Every caller's tree is a deterministic function of that key (a
-        shortest-path tree restricted to the member set, with the shared
-        metric's tie-breaking), so two schemes on one substrate that
-        route over the same cluster or landmark tree build its heavy-path
-        intervals once.  Cold builds without a substrate are unchanged.
-        """
-        if self._substrate_applies():
-            return self._substrate.tree_routing(root, members, build_tree)
-        return TreeRouting(build_tree(), self.ports)
 
     # ------------------------------------------------------------------
     def table_of(self, v: int) -> SizedTable:

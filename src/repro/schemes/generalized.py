@@ -93,7 +93,7 @@ class _GeneralizedScheme(SchemeBase):
             if sizes:
                 size = max(size, sizes[-1])  # enforce nesting
             sizes.append(size)
-            self.families.append(self._ball_family_of_size(size))
+            self.families.append(self._substrate.ball_family(size))
         self.family = self.families[ell]
         self._install_ball_ports(self.family)
         for u in graph.vertices():
@@ -107,11 +107,11 @@ class _GeneralizedScheme(SchemeBase):
         self.bunches: List[BunchStructure] = []
         for i in range(ell + 1):
             s = max(1.0, n / (self.q ** i))
-            li = self._sample_landmarks(s, seed + 31 * i)
+            li = self._substrate.landmark_sample(s, seed + 31 * i)
             if not li:
                 li = [0]
             self.landmark_sets.append(li)
-            self.bunches.append(self._bunch_structure(li))
+            self.bunches.append(self._substrate.bunch_structure(li))
 
         # Cluster trees per level, from each level's cluster scan.
         self._cluster_trees: List[Dict[int, TreeRouting]] = []
@@ -121,7 +121,7 @@ class _GeneralizedScheme(SchemeBase):
                 members = self.bunches[i].cluster(w)
                 if not members:
                     continue
-                tree = self._tree_routing(
+                tree = self._substrate.tree_routing(
                     w, members,
                     lambda w=w, b=self.bunches[i]: b.cluster_tree(w),
                 )
@@ -154,8 +154,8 @@ class _GeneralizedScheme(SchemeBase):
         self._target_class: Dict[int, Dict[int, int]] = {}
         for i in self.instances:
             colors_count = max(1, int(round(self.q ** i)))
-            coloring = self._find_coloring(
-                self.families[i], colors_count, seed + 97 * i
+            coloring = self._substrate.coloring(
+                self.families[i].ell, colors_count, seed + 97 * i
             )
             self.colorings[i] = coloring
             classes = color_classes(coloring, colors_count)

@@ -61,14 +61,14 @@ class NameIndependent3Eps(SchemeBase):
         self.family = self._build_balls(self.q, alpha)
         self._install_ball_ports(self.family)
 
-        self.hash_seed, self.colors = self._find_hash_coloring(
-            self.family, self.q, seed
+        self.hash_seed, self.colors = self._substrate.hash_coloring(
+            self.family.ell, self.q, seed
         )
         classes = color_classes(self.colors, self.q)
 
         self.technique = Technique1(
             self.metric, self.family, self.ports, classes, eps / 2.0,
-            hitting=self._ball_hitting_set(self.family),
+            hitting=self._substrate.hitting_set(self.family.ell),
             tree_factory=self._global_tree_routing,
             seed=seed,
         )

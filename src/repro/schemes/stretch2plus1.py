@@ -81,16 +81,16 @@ class Stretch2Plus1Scheme(SchemeBase):
         self.q = q if q is not None else max(1, round(n ** (1.0 / 3.0)))
 
         self.family = self._build_balls(self.q, alpha)
-        ball_ports = self._ball_port_tables(self.family)
+        ball_ports = self._substrate.ball_tables(self.family.ell)
 
         # Lemma 4: |C_A(w)| <= 4 n / s with s = n/q  ->  clusters O(q^1·...)
-        self.landmarks = self._sample_landmarks(n / self.q, seed)
+        self.landmarks = self._substrate.landmark_sample(n / self.q, seed)
         if not self.landmarks:
             self.landmarks = [0]
-        self.bunches = self._bunch_structure(self.landmarks)
+        self.bunches = self._substrate.bunch_structure(self.landmarks)
         # eps-independent, memoized on the substrate; the sweep's colour
         # entries read it.
-        self.colors = self._find_coloring(self.family, self.q, seed)
+        self.colors = self._substrate.coloring(self.family.ell, self.q, seed)
 
         # Technique 1 over the color classes.  The hitting set and the
         # global hub trees are eps-independent, memoized on the substrate;
@@ -98,7 +98,7 @@ class Stretch2Plus1Scheme(SchemeBase):
         self.technique = Technique1(
             self.metric, self.family, self.ports,
             color_classes(self.colors, self.q), eps / 2.0,
-            hitting=self._ball_hitting_set(self.family),
+            hitting=self._substrate.hitting_set(self.family.ell),
             tree_factory=self._global_tree_routing,
             seed=seed,
         )
@@ -116,7 +116,7 @@ class Stretch2Plus1Scheme(SchemeBase):
             ball_ports.fill_target(u, col)
             members = self.bunches.cluster(u)
             if members:
-                trees[u] = self._tree_routing(
+                trees[u] = self._substrate.tree_routing(
                     u, members, lambda u=u: self.bunches.cluster_tree(u)
                 )
             ball = self.family.ball(u)

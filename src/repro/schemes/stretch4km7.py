@@ -73,7 +73,7 @@ class Stretch4kMinus7Scheme(SchemeBase):
         n = graph.n
         self.q = q if q is not None else max(1, round(n ** (1.0 / k)))
 
-        self.hierarchy = self._sampled_hierarchy(k, seed)
+        self.hierarchy = self._substrate.hierarchy(k, seed)
 
         # --- TZ (4k-5) substrate -------------------------------------
         self._trees: Dict[int, TreeRouting] = {}
@@ -81,7 +81,7 @@ class Stretch4kMinus7Scheme(SchemeBase):
             members = self.hierarchy.cluster(w)
             if not members:
                 continue
-            tree = self._tree_routing(
+            tree = self._substrate.tree_routing(
                 w, members, lambda w=w: self.hierarchy.cluster_tree(w)
             )
             self._trees[w] = tree
@@ -99,7 +99,7 @@ class Stretch4kMinus7Scheme(SchemeBase):
         self.family = self._build_balls(self.q, alpha)
         self._install_ball_ports(self.family)
 
-        self.colors = self._find_coloring(self.family, self.q, seed)
+        self.colors = self._substrate.coloring(self.family.ell, self.q, seed)
         classes = color_classes(self.colors, self.q)
 
         ak2 = self.hierarchy.level(k - 2)

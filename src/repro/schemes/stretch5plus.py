@@ -80,14 +80,14 @@ class Stretch5PlusScheme(SchemeBase):
         self.q = q if q is not None else max(1, round(n ** (1.0 / 3.0)))
 
         self.family = self._build_balls(self.q, alpha)
-        ball_ports = self._ball_port_tables(self.family)
+        ball_ports = self._substrate.ball_tables(self.family.ell)
 
-        self.landmarks = self._sample_landmarks(n / self.q, seed)
+        self.landmarks = self._substrate.landmark_sample(n / self.q, seed)
         if not self.landmarks:
             self.landmarks = [0]
-        self.bunches = self._bunch_structure(self.landmarks)
+        self.bunches = self._substrate.bunch_structure(self.landmarks)
 
-        self.colors = self._find_coloring(self.family, self.q, seed)
+        self.colors = self._substrate.coloring(self.family.ell, self.q, seed)
         classes = color_classes(self.colors, self.q)
 
         # Arbitrary balanced partition W of the landmark set A.
@@ -118,7 +118,7 @@ class Stretch5PlusScheme(SchemeBase):
             ball_ports.fill_target(v, col)
             members = self.bunches.cluster(v)
             if members:
-                trees[v] = self._tree_routing(
+                trees[v] = self._substrate.tree_routing(
                     v, members, lambda v=v: self.bunches.cluster_tree(v)
                 )
             p = self.bunches.pivot(v)

@@ -65,7 +65,7 @@ class Warmup3Scheme(SchemeBase):
         self.family = self._build_balls(self.q, alpha)
         self._install_ball_ports(self.family)
 
-        self.colors = self._find_coloring(self.family, self.q, seed)
+        self.colors = self._substrate.coloring(self.family.ell, self.q, seed)
         classes = color_classes(self.colors, self.q)
 
         self.technique = Technique1(
@@ -74,7 +74,7 @@ class Warmup3Scheme(SchemeBase):
             self.ports,
             classes,
             eps / 2.0,
-            hitting=self._ball_hitting_set(self.family),
+            hitting=self._substrate.hitting_set(self.family.ell),
             tree_factory=self._global_tree_routing,
             seed=seed,
         )

@@ -2,8 +2,28 @@
 
 import pytest
 
-from repro.api import Substrate, SubstrateCache, TABLE1_SCHEMES, build
+from repro.api import (
+    Substrate,
+    SubstrateCache,
+    TABLE1_SCHEMES,
+    build,
+    get_spec,
+    scheme_names,
+)
+from repro.eval.harness import evaluate_scheme
 from repro.graph.generators import erdos_renyi, with_random_weights
+from repro.routing.shard_codec import encode_node_table
+from repro.routing.simulator import route
+
+
+def _encoded_tables(scheme):
+    return [encode_node_table(t) for t in scheme.compile_tables()]
+
+
+def _alone(session):
+    """The session's scheme rebuilt with no substrate handle."""
+    spec = get_spec(session.spec_name)
+    return spec.factory(session.graph, seed=session.seed, **session.params)
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +60,8 @@ class TestSubstrateHandle:
         f3 = sub.ball_family(13)
         assert f1 is f2
         assert f3 is not f1
-        assert sub.owns_family(f1)
         assert sub.stats()["balls"]["hits"] == 1
+        assert sub.stats()["balls"]["misses"] == 2
 
     def test_landmarks_memoized_on_s_and_seed(self, graph):
         sub = Substrate(graph)
@@ -202,19 +222,58 @@ class TestFacadeSharing:
 
     def test_shared_equals_cold_build(self, sessions):
         built, _ = sessions
-        # Sharing must be invisible in the result: a cold build of each
-        # scheme on the same graph produces word-identical tables.
+        # Sharing must be invisible in the result: each scheme built
+        # with no substrate on the same graph compiles to byte-identical
+        # tables, so words and routes agree too.
         for shared in built:
-            session_cold = build(shared.spec_name, shared.graph, seed=11)
+            cold = _alone(shared)
+            assert cold.substrate is not shared.substrate
             assert (
-                session_cold.stats().total_table_words
+                cold.stats().total_table_words
                 == shared.stats().total_table_words
+            ), shared.spec_name
+            assert _encoded_tables(cold) == _encoded_tables(
+                shared.scheme
             ), shared.spec_name
             for pair in [(0, 500), (3, 997), (123, 456)]:
                 assert (
-                    session_cold.route(*pair).path
-                    == shared.route(*pair).path
+                    route(cold, *pair).path == shared.route(*pair).path
                 ), (shared.spec_name, pair)
+
+
+class TestOneBuildPath:
+    """Every scheme builds through one ``Substrate``: the caller's, or a
+    private one.  A build with no handle runs the same builders as one
+    on a shared cache and compiles to the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def shared(self, graph):
+        weighted = with_random_weights(graph, seed=18, low=1.0, high=8.0)
+        cache = SubstrateCache()
+        return {
+            name: build(
+                name,
+                weighted if get_spec(name).weighted_capable else graph,
+                cache=cache, seed=4,
+            )
+            for name in scheme_names()
+        }
+
+    @pytest.mark.parametrize("name", scheme_names())
+    def test_no_substrate_build_equals_shared_bytes(self, shared, name):
+        session = shared[name]
+        alone = _alone(session)
+        assert alone.substrate is not session.substrate
+        assert _encoded_tables(alone) == _encoded_tables(session.scheme)
+
+    def test_lone_build_memoizes_on_a_private_handle(self, graph):
+        from repro.schemes import Warmup3Scheme
+
+        scheme = Warmup3Scheme(graph, seed=2)
+        assert scheme.substrate.graph is graph
+        assert scheme.metric is scheme.substrate.built_metric
+        assert scheme.ports is scheme.substrate.built_ports
+        assert scheme.substrate.stats()["balls"]["misses"] == 1
 
 
 class TestInjectionSafety:
@@ -237,3 +296,10 @@ class TestInjectionSafety:
         # ball families computed against the substrate's metric.
         assert scheme.metric is own_metric
         assert "balls" not in sub.stats()
+
+    def test_evaluate_scheme_counts_no_metric_hit(self, graph):
+        # Reading the metric ensure_core just built is no reuse.
+        sub = Substrate(graph)
+        evaluate_scheme(graph, "tz2", [(0, 50), (3, 88)], substrate=sub)
+        assert sub.stats()["metric"]["hits"] == 0
+        assert sub.stats()["metric"]["misses"] == 1

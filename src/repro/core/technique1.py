@@ -279,10 +279,12 @@ class Technique1:
         """Install this vertex's Lemma 7 state into its sized table."""
         self.finish()
         u = table.owner
-        for h, tree in self._trees.items():
-            table.put(self.cat_htree, h, tree.record_of(u))
-        for v, entry in self._sequences[u].items():
-            table.put(self.cat_seq, v, entry)
+        table.put_many(self.cat_htree, {
+            h: tree.record_of(u) for h, tree in self._trees.items()
+        })
+        # the lone member of a class has no sequence: no empty category
+        if self._sequences[u]:
+            table.put_many(self.cat_seq, self._sequences[u])
 
     # ------------------------------------------------------------------
     # Distributed primitives (read only the local table + header)

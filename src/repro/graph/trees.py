@@ -2,15 +2,17 @@
 
 Tree routing (Lemma 3) and the cluster trees ``T_{C_A(w)}`` of Section 4 all
 operate on rooted trees whose vertex set may be a sparse subset of the graph.
-:class:`RootedTree` normalizes a ``child -> parent`` map into children lists,
-subtree sizes and depths with deterministic ordering, ready for the
-heavy-path decomposition performed by
-:mod:`repro.routing.tree_routing`.
+:class:`RootedTree` validates a ``child -> parent`` map and normalizes it
+into id-sorted children lists, a root-first order and subtree sizes: all
+that :mod:`repro.routing.tree_routing` reads.  Its one top-down pass takes
+the heavy child as the first largest subtree in the sorted list and
+assigns preorder intervals from the sizes alone.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set
 
 from .core import Graph
@@ -87,22 +89,29 @@ class RootedTree:
             raise ValueError(
                 f"parent map must contain exactly one root, found {roots}"
             )
-        self.root = roots[0]
-        self.parent = dict(parent)
+        root = self.root = roots[0]
+        self.parent = parent = dict(parent)
         self.weight = dict(weight) if weight is not None else None
-        self.children: Dict[int, List[int]] = {v: [] for v in parent}
-        for v, p in parent.items():
-            if v != self.root:
-                if p not in self.children:
+        # Appending in id order leaves every child list sorted.
+        children: Dict[int, List[int]] = {v: [] for v in parent}
+        for v in sorted(parent):
+            p = parent[v]
+            if v != p:
+                kids = children.get(p)
+                if kids is None:
                     raise ValueError(f"parent {p} of {v} is not a tree vertex")
-                self.children[p].append(v)
-        for kids in self.children.values():
-            kids.sort()
-        self._order = self._topo_order()
-        if len(self._order) != len(parent):
+                kids.append(v)
+        self.children = children
+        order = [root]
+        for v in order:  # breadth-first: the list grows as it is read
+            order.extend(children[v])
+        if len(order) != len(parent):
             raise ValueError("parent map contains a cycle or unreachable vertex")
-        self.size = self._subtree_sizes()
-        self.depth = self._depths()
+        self._order = order
+        size = dict.fromkeys(order, 1)
+        for v in order[:0:-1]:
+            size[parent[v]] += size[v]
+        self.size = size
 
     # ------------------------------------------------------------------
     @property
@@ -116,12 +125,13 @@ class RootedTree:
     def __contains__(self, v: int) -> bool:
         return v in self.parent
 
-    def heavy_child(self, v: int) -> Optional[int]:
-        """The child with the largest subtree (ties to smallest id)."""
-        kids = self.children[v]
-        if not kids:
-            return None
-        return max(kids, key=lambda c: (self.size[c], -c))
+    @cached_property
+    def depth(self) -> Dict[int, int]:
+        """Hop depth of every vertex (computed on first use)."""
+        depth = {self.root: 0}
+        for v in self._order[1:]:
+            depth[v] = depth[self.parent[v]] + 1
+        return depth
 
     def path_to_root(self, v: int) -> List[int]:
         """Vertices from ``v`` up to (and including) the root."""
@@ -150,26 +160,3 @@ class RootedTree:
             child = a if self.parent.get(a) == b else b
             total += self.weight[child]
         return total
-
-    # ------------------------------------------------------------------
-    def _topo_order(self) -> List[int]:
-        order = [self.root]
-        i = 0
-        while i < len(order):
-            order.extend(self.children[order[i]])
-            i += 1
-        return order
-
-    def _subtree_sizes(self) -> Dict[int, int]:
-        size = {v: 1 for v in self.parent}
-        for v in reversed(self._order):
-            if v != self.root:
-                size[self.parent[v]] += size[v]
-        return size
-
-    def _depths(self) -> Dict[int, int]:
-        depth = {self.root: 0}
-        for v in self._order:
-            if v != self.root:
-                depth[v] = depth[self.parent[v]] + 1
-        return depth

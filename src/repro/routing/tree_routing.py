@@ -6,9 +6,14 @@ with **O(1) words of routing information per vertex per tree** and
 interval scheme:
 
 * order every vertex's children heavy-first and assign DFS intervals
-  ``[in, out)``; a vertex's subtree is exactly the interval,
+  ``[in, out)``; a vertex's subtree is exactly the interval.  No DFS
+  runs: in a preorder a subtree fills ``size`` consecutive indices, so
+  one top-down pass hands each child the index after its parent (the
+  heavy child) or after its previous sibling's subtree (the rest, in id
+  order) — the heavy-first preorder, with ``out = in + size``,
 * each vertex keeps: its own interval, the port to its parent, and the port
-  plus interval of its *heavy* child (largest subtree),
+  plus interval of its *heavy* child (largest subtree, smallest id among
+  equals),
 * the label of ``v`` is its DFS index plus, for every **light** edge
   ``p -> c`` on the root-to-``v`` path, the pair ``(dfs_in(c), port at p)``.
 
@@ -70,6 +75,13 @@ def tree_step(record: TreeRecord, label: TreeLabel) -> Optional[int]:
 class TreeRouting:
     """Preprocessed tree routing structure for one rooted tree.
 
+    Built in one top-down pass over the tree's root-first order (see the
+    module docstring): each vertex, reached with the DFS index and light
+    stops its parent handed down, takes as heavy child the first largest
+    subtree among its id-sorted children, emits its record and hands its
+    children their intervals and stops.  Only the root, the records and
+    the labels are kept; the records are keyed in root-first order.
+
     Parameters
     ----------
     tree:
@@ -80,73 +92,39 @@ class TreeRouting:
     """
 
     def __init__(self, tree: RootedTree, ports: PortAssignment) -> None:
-        self.tree = tree
-        self.root = tree.root
-        self._records: Dict[int, TreeRecord] = {}
-        self._labels: Dict[int, TreeLabel] = {}
-
-        heavy: Dict[int, Optional[int]] = {
-            v: tree.heavy_child(v) for v in tree.parent
-        }
-        # Iterative DFS, heavy child first, to assign intervals.
-        dfs_in: Dict[int, int] = {}
-        dfs_out: Dict[int, int] = {}
-        counter = 0
-        stack: List[Tuple[int, bool]] = [(tree.root, False)]
-        while stack:
-            v, processed = stack.pop()
-            if processed:
-                dfs_out[v] = counter
-                continue
-            dfs_in[v] = counter
-            counter += 1
-            stack.append((v, True))
-            kids = tree.children[v]
-            h = heavy[v]
-            ordered = ([h] if h is not None else []) + [
-                c for c in kids if c != h
-            ]
-            # Push in reverse so the heavy child is visited first.
-            for c in reversed(ordered):
-                stack.append((c, False))
-
-        for v in tree.parent:
-            parent_port = (
-                -1 if v == tree.root else ports.port_to(v, tree.parent[v])
-            )
-            h = heavy[v]
-            if h is None:
-                record: TreeRecord = (
-                    dfs_in[v], dfs_out[v], parent_port, -1, 0, 0
-                )
-            else:
-                record = (
-                    dfs_in[v],
-                    dfs_out[v],
-                    parent_port,
-                    ports.port_to(v, h),
-                    dfs_in[h],
-                    dfs_out[h],
-                )
-            self._records[v] = record
-
-        # Labels: accumulate light stops down from the root.
-        light_stops: Dict[int, Tuple[Tuple[int, int], ...]] = {
-            tree.root: ()
-        }
-        for v in tree.vertices:
-            if v == tree.root:
-                continue
-            p = tree.parent[v]
-            inherited = light_stops[p]
-            if heavy[p] == v:
-                light_stops[v] = inherited
-            else:
-                light_stops[v] = inherited + (
-                    (dfs_in[v], ports.port_to(p, v)),
-                )
-        for v in tree.parent:
-            self._labels[v] = (dfs_in[v], light_stops[v])
+        root = self.root = tree.root
+        parent = tree.parent
+        children = tree.children
+        size = tree.size
+        port_rows = ports._port_of  # the hot loop: one port row per vertex
+        # Records go in root-first, so their keys are the member order.
+        records: Dict[int, TreeRecord] = {}
+        # A vertex's label is written by its parent, before its turn.
+        labels: Dict[int, TreeLabel] = {root: (0, ())}
+        try:
+            for v in tree.vertices:
+                v_in, stops = labels[v]
+                row = port_rows[v]
+                up = -1 if v == root else row[parent[v]]
+                kids = children[v]
+                if not kids:
+                    records[v] = (v_in, v_in + 1, up, -1, 0, 0)
+                    continue
+                heavy = max(kids, key=size.__getitem__)
+                h_in = v_in + 1
+                nxt = h_in + size[heavy]
+                records[v] = (v_in, v_in + size[v], up, row[heavy], h_in, nxt)
+                labels[heavy] = (h_in, stops)
+                for c in kids:
+                    if c != heavy:
+                        labels[c] = (nxt, stops + ((nxt, row[c]),))
+                        nxt += size[c]
+        except KeyError as exc:
+            raise ValueError(
+                f"{exc.args[0]} is not a neighbour of {v}"
+            ) from None
+        self._records = records
+        self._labels = labels
 
     # ------------------------------------------------------------------
     def record_of(self, v: int) -> TreeRecord:
@@ -158,8 +136,8 @@ class TreeRouting:
         return self._labels[v]
 
     def members(self) -> List[int]:
-        """Vertices covered by this tree."""
-        return self.tree.vertices
+        """Vertices covered by this tree, root first."""
+        return list(self._records)
 
     @staticmethod
     def step(record: TreeRecord, label: TreeLabel) -> Optional[int]:

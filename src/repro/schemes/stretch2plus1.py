@@ -143,12 +143,14 @@ class Stretch2Plus1Scheme(SchemeBase):
                 self._tables[w].put("clabel", v, tree.label_of(v))
 
         # Global landmark trees: every vertex stores a record per landmark.
-        self._landmark_trees: Dict[int, TreeRouting] = {}
-        for w in self.landmarks:
-            tree = self._global_tree_routing(w)
-            self._landmark_trees[w] = tree
-            for v in graph.vertices():
-                self._tables[v].put("atree", w, tree.record_of(v))
+        self._landmark_trees: Dict[int, TreeRouting] = {
+            w: self._global_tree_routing(w) for w in self.landmarks
+        }
+        landmark_trees = self._landmark_trees.items()
+        for v, table in enumerate(self._tables):
+            table.put_many(
+                "atree", {w: tree.record_of(v) for w, tree in landmark_trees}
+            )
 
         for table, entries in zip(self._tables, xsect):
             table.put_many("xsect", entries)

@@ -55,7 +55,6 @@ class BunchStructure:
                 self._cluster_dists[w] = dists.tolist()
             for v in members:
                 self._bunches[v].append(w)
-        self._trees: Dict[int, RootedTree] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -100,23 +99,23 @@ class BunchStructure:
         return max((len(b) for b in self._bunches), default=0)
 
     def cluster_tree(self, w: int) -> RootedTree:
-        """Shortest-path tree rooted at ``w`` spanning ``C_A(w)`` (cached).
+        """Shortest-path tree rooted at ``w`` spanning ``C_A(w)``.
 
         Clusters are shortest-path closed toward ``w``: for ``v ∈ C_A(w)``
         and ``x`` on a shortest ``w``–``v`` path,
         ``d(x, A) >= d(v, A) - d(v, x) > d(v, w) - d(v, x) = d(x, w)``,
         so ``x ∈ C_A(w)`` and the tree is well defined.  Its parents come
-        from the scan's own distances (:func:`cluster_parents`).
+        from the scan's own distances (:func:`cluster_parents`).  Built
+        fresh on every call: the one build-path caller,
+        :meth:`repro.api.substrate.Substrate.tree_routing`, memoizes the
+        routing structure per cluster and keeps no tree.
         """
-        if w not in self._trees:
-            members = self.cluster(w)
-            if not members:
-                raise ValueError(f"cluster of {w} is empty (w is a landmark)")
-            parent = cluster_parents(
-                self.metric.graph, w, members, self.cluster_distances(w)
-            )
-            self._trees[w] = RootedTree(parent)
-        return self._trees[w]
+        members = self.cluster(w)
+        if not members:
+            raise ValueError(f"cluster of {w} is empty (w is a landmark)")
+        return RootedTree(cluster_parents(
+            self.metric.graph, w, members, self.cluster_distances(w)
+        ))
 
     def validate(self) -> None:
         """Check the structure against the metric (used by tests).

@@ -52,16 +52,6 @@ class TestStructure:
         assert t.depth[0] == 0
         assert t.depth[6] == 3
 
-    def test_heavy_child(self):
-        t = _sample_tree()
-        assert t.heavy_child(0) == 1  # subtree of 4 beats 2's subtree of 2
-        assert t.heavy_child(1) == 3
-        assert t.heavy_child(6) is None
-
-    def test_heavy_child_tie_smaller_id(self):
-        t = RootedTree({0: 0, 1: 0, 2: 0})
-        assert t.heavy_child(0) == 1
-
     def test_vertices_root_first(self):
         t = _sample_tree()
         order = t.vertices

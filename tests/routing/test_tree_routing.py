@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Substrate, build, get_spec, scheme_names
+from repro.graph.core import Graph
 from repro.graph.generators import (
     caterpillar,
     erdos_renyi,
@@ -18,6 +20,7 @@ from repro.graph.metric import MetricView
 from repro.graph.trees import RootedTree, cluster_parents
 from repro.routing.ports import PortAssignment
 from repro.routing.tree_routing import TreeRouting, tree_step
+from tree_reference import reference_tree_routing
 
 
 def _route_in_tree(tr: TreeRouting, ports: PortAssignment, s: int, t: int):
@@ -135,3 +138,140 @@ def test_target_outside_tree_raises_at_root():
     fake_label = (999, ())
     with pytest.raises(ValueError):
         tree_step(tr.record_of(0), fake_label)
+
+
+# ----------------------------------------------------------------------
+# Parity with the DFS construction (tests/tree_reference.py)
+# ----------------------------------------------------------------------
+def _assert_matches_reference(tree, ports, tr=None):
+    tr = TreeRouting(tree, ports) if tr is None else tr
+    records, labels = reference_tree_routing(tree, ports)
+    assert tr.root == tree.root
+    assert {v: tr.record_of(v) for v in tree.parent} == records
+    assert {v: tr.label_of(v) for v in tree.parent} == labels
+    assert tr.members() == tree.vertices
+    return tr
+
+
+@given(
+    n=st.integers(1, 60),
+    seed=st.integers(0, 10_000),
+    root_pick=st.integers(0, 10_000),
+    port_seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_parity_random_trees_adversarial_ports(n, seed, root_pick, port_seed):
+    g = random_tree(n, seed=seed)
+    tree = _tree_from_graph(g, root=root_pick % n)
+    _assert_matches_reference(tree, PortAssignment(g, seed=port_seed))
+
+
+@pytest.mark.parametrize(
+    "graph_factory",
+    [lambda: path(40), lambda: star(30), lambda: caterpillar(8, 3)],
+    ids=["path", "star", "caterpillar"],
+)
+@pytest.mark.parametrize("port_seed", [None, 1, 2])
+def test_parity_named_shapes(graph_factory, port_seed):
+    g = graph_factory()
+    for root in (0, g.n // 2, g.n - 1):
+        _assert_matches_reference(
+            _tree_from_graph(g, root), PortAssignment(g, seed=port_seed)
+        )
+
+
+def _equal_siblings():
+    # Root 4 has children 1, 6 and 8, each heading a subtree of 3
+    # vertices: the heavy child is the smallest id, 1.
+    edges = [(4, 8), (4, 6), (4, 1), (8, 9), (8, 0), (6, 7), (6, 2),
+             (1, 5), (1, 3)]
+    g = Graph.from_edges(10, edges)
+    return g, _tree_from_graph(g, root=4)
+
+
+def test_parity_equal_size_siblings():
+    g, tree = _equal_siblings()
+    assert [tree.size[c] for c in tree.children[4]] == [3, 3, 3]
+    for port_seed in (None, 3, 4):
+        _assert_matches_reference(tree, PortAssignment(g, seed=port_seed))
+
+
+def test_heavy_port_goes_to_largest_subtree():
+    # Root 0 has children 1 (subtree of 4) and 2 (subtree of 2); 1's
+    # children are 3 (subtree of 2) and 4 (a leaf).
+    edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 6)]
+    g = Graph.from_edges(7, edges)
+    ports = PortAssignment(g)
+    tr = TreeRouting(_tree_from_graph(g), ports)
+    assert tr.record_of(0)[3] == ports.port_to(0, 1)
+    assert tr.record_of(1)[3] == ports.port_to(1, 3)
+    assert tr.record_of(6)[3:] == (-1, 0, 0)
+
+
+def test_heavy_port_tie_goes_to_smallest_id():
+    g, tree = _equal_siblings()
+    ports = PortAssignment(g, seed=5)
+    record = TreeRouting(tree, ports).record_of(4)
+    assert record[3] == ports.port_to(4, 1)
+    assert record[4:] == (1, 4)
+
+
+def test_parity_cluster_tree_non_contiguous_ids():
+    g = with_random_weights(erdos_renyi(60, 0.1, seed=11), seed=12)
+    m = MetricView(g)
+    members = sorted(m.ball(7, 20))
+    assert members != list(range(members[0], members[0] + len(members)))
+    parents = cluster_parents(g, 7, members, m.row(7)[members].tolist())
+    for port_seed in (None, 8):
+        _assert_matches_reference(
+            RootedTree(parents), PortAssignment(g, seed=port_seed)
+        )
+
+
+def test_parity_one_vertex_tree():
+    g = path(10)
+    tr = _assert_matches_reference(RootedTree({7: 7}), PortAssignment(g))
+    assert tr.record_of(7) == (0, 1, -1, -1, 0, 0)
+    assert tr.label_of(7) == (0, ())
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unw", "w"])
+def test_parity_every_tree_in_a_substrate_memo(weighted):
+    """Every tree the registered schemes build on one graph, rebuilt
+    from its memo key: the full SPT for ``(root, None)``, the cluster
+    tree of the member set otherwise."""
+    g = erdos_renyi(90, 7.0 / 89, seed=17)
+    if weighted:
+        g = with_random_weights(g, seed=18, low=1.0, high=8.0)
+    sub = Substrate(g)
+    for name in scheme_names():
+        if weighted and not get_spec(name).weighted_capable:
+            continue
+        build(name, g, substrate=sub, seed=4)
+    memo = sub._trees
+    assert any(members is None for _, members in memo)
+    assert any(members is not None for _, members in memo)
+    m = sub.metric
+    for (root, members), tr in memo.items():
+        if members is None:
+            tree = RootedTree(m.spt_parents(root))
+        else:
+            dists = [m.d(root, v) for v in members]
+            tree = RootedTree(cluster_parents(g, root, members, dists))
+        _assert_matches_reference(tree, sub.ports, tr)
+
+
+@pytest.mark.parametrize(
+    "parent",
+    [{0: 0, 1: 2, 2: 1}, {0: 0, 1: 1, 2: 0}, {0: 0, 1: 9}],
+    ids=["cycle", "two-roots", "foreign-parent"],
+)
+def test_malformed_parent_maps_still_rejected(parent):
+    with pytest.raises(ValueError):
+        RootedTree(parent)
+
+
+def test_tree_edge_missing_from_graph_rejected():
+    g = path(4)  # 0-1-2-3: 0-2 is no edge
+    with pytest.raises(ValueError, match="not a neighbour"):
+        TreeRouting(RootedTree({0: 0, 1: 0, 2: 0}), PortAssignment(g))

@@ -1,0 +1,85 @@
+"""Test-side reference for the Lemma 3 heavy-path tree construction.
+
+This is the construction :class:`repro.routing.tree_routing.TreeRouting`
+once ran: pick each vertex's heavy child by ``(size, -id)``, assign DFS
+intervals with an explicit stack, heavy child first, then build the
+records and accumulate the light stops of the labels in two more passes.
+The library now does all of it in one top-down pass over the tree's
+root-first order; the parity tests hold it to this reference.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Tuple
+
+from repro.graph.trees import RootedTree
+from repro.routing.ports import PortAssignment
+from repro.routing.tree_routing import TreeLabel, TreeRecord
+
+
+def reference_tree_routing(
+    tree: RootedTree, ports: PortAssignment
+) -> Tuple[Dict[int, TreeRecord], Dict[int, TreeLabel]]:
+    """``(records, labels)`` of ``tree``, built by the DFS construction."""
+    heavy: Dict[int, Optional[int]] = {
+        v: (
+            max(tree.children[v], key=lambda c: (tree.size[c], -c))
+            if tree.children[v] else None
+        )
+        for v in tree.parent
+    }
+    # Iterative DFS, heavy child first, to assign intervals.
+    dfs_in: Dict[int, int] = {}
+    dfs_out: Dict[int, int] = {}
+    counter = 0
+    stack: List[Tuple[int, bool]] = [(tree.root, False)]
+    while stack:
+        v, processed = stack.pop()
+        if processed:
+            dfs_out[v] = counter
+            continue
+        dfs_in[v] = counter
+        counter += 1
+        stack.append((v, True))
+        kids = tree.children[v]
+        h = heavy[v]
+        ordered = ([h] if h is not None else []) + [
+            c for c in kids if c != h
+        ]
+        # Push in reverse so the heavy child is visited first.
+        for c in reversed(ordered):
+            stack.append((c, False))
+
+    records: Dict[int, TreeRecord] = {}
+    for v in tree.parent:
+        parent_port = (
+            -1 if v == tree.root else ports.port_to(v, tree.parent[v])
+        )
+        h = heavy[v]
+        if h is None:
+            records[v] = (dfs_in[v], dfs_out[v], parent_port, -1, 0, 0)
+        else:
+            records[v] = (
+                dfs_in[v],
+                dfs_out[v],
+                parent_port,
+                ports.port_to(v, h),
+                dfs_in[h],
+                dfs_out[h],
+            )
+
+    # Labels: accumulate light stops down from the root.
+    light_stops: Dict[int, Tuple[Tuple[int, int], ...]] = {tree.root: ()}
+    for v in tree.vertices:
+        if v == tree.root:
+            continue
+        p = tree.parent[v]
+        inherited = light_stops[p]
+        if heavy[p] == v:
+            light_stops[v] = inherited
+        else:
+            light_stops[v] = inherited + ((dfs_in[v], ports.port_to(p, v)),)
+    labels: Dict[int, TreeLabel] = {
+        v: (dfs_in[v], light_stops[v]) for v in tree.parent
+    }
+    return records, labels

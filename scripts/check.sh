@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The standard gate: ruff -> mypy (strict allowlist) -> invariant linter
-# -> tier-1 pytest -> the pure and numpy dispatch legs -> a leg with
+# -> tier-1 pytest -> ten cluster chaos runs -> the pure and numpy
+# dispatch legs -> a leg with
 # scipy unimportable -> the C kernels under ASan/UBSan -> the parallel
 # bench smoke.  Correctness checks live
 # in the tier-1 tests and speed in the end-to-end benchmark
@@ -47,6 +48,17 @@ python -m repro.analysis src/repro || fail=1
 # -- tier-1 tests ------------------------------------------------------
 echo "== pytest =="
 python -m pytest -x -q || fail=1
+
+# -- repeated chaos: workers drive routes on their own threads and fail
+# over between themselves, so the kill-a-worker run and the per-scheme
+# parity run go ten times (a shell loop: pytest-repeat is not a
+# dependency) ------------------------------------------------------------
+echo "== pytest (cluster chaos x10) =="
+for run in $(seq 1 10); do
+    python -m pytest -q -p no:cacheprovider tests/cluster/test_cluster.py \
+        -k "test_kill_a_worker_mid_batch or test_cluster_routes_and_counters_match_single_process" \
+        || { echo "cluster chaos run $run failed"; fail=1; }
+done
 
 # -- pure dispatch: the shortest-path suites with the CSR kernel off, the
 # routing suites through the Python pack decoder (under auto, hosts with

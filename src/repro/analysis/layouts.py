@@ -118,6 +118,7 @@ DECLARED_LAYOUTS: LayoutTable = {
             "MSG_LOOKUP": 3,
             "MSG_FORWARD": 4,
             "MSG_SHUTDOWN": 5,
+            "MSG_ROUTE": 6,
             "REPLY_OK": 32,
             "REPLY_ERROR": 33,
         },

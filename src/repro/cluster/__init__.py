@@ -14,8 +14,11 @@
 * :mod:`~repro.cluster.worker` — one process per worker: a restricted
   :class:`~repro.routing.serving.ShardStore` over its assigned
   groups behind a threading TCP server.
-* :mod:`~repro.cluster.router` — the client: drives routes hop by hop
-  across workers with per-packet replica failover, producing
+* :mod:`~repro.cluster.pump` — the routing loop, run by the worker a
+  packet is injected at: steps its own groups in-process, forwards the
+  rest straight to the owning peers, fails over between replicas.
+* :mod:`~repro.cluster.router` — the client: fetches labels, injects
+  each packet once and collects
   :class:`~repro.routing.simulator.RouteResult` objects bit-identical
   to the single-process loop.
 * :mod:`~repro.cluster.driver` — lifecycle: start/stop/kill workers,

@@ -6,8 +6,11 @@ one is indistinguishable from a node loss) over a shard directory laid
 down by ``write_shards([replicas=R])``.  Each worker binds
 an ephemeral TCP port, builds its restricted store from
 ``placement.assignment(w)``, and reports ``("ready", port)`` — or a
-typed startup failure — back over a :func:`multiprocessing.Pipe` before
-the driver declares the cluster up.  A worker that refuses to start
+typed startup failure — back over a :func:`multiprocessing.Pipe`.  Once
+every worker is ready the driver sends each one the fleet's address map
+down the same pipe (workers forward packets to each other, and only
+ever to addresses the driver gave them) and declares the cluster up.
+A worker that refuses to start
 (e.g. a partially-written replica directory, surfaced as
 :class:`~repro.routing.serving.ShardUnavailableError`) fails the whole
 ``start_cluster`` call with that same typed error, workers already
@@ -29,7 +32,7 @@ import multiprocessing
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..routing.serving import ServingError, _load_manifest
+from ..routing.serving import ServingError, _atomic_file, _load_manifest
 from .placement import Placement
 from .router import ClusterRouter
 from .wire import ClusterError, raise_remote
@@ -166,7 +169,7 @@ def start_cluster(
                 kwargs={
                     "shard_dir": shard_dir,
                     "worker_id": w,
-                    "assignment": placement.assignment(w),
+                    "placement": placement,
                     "host": host,
                     "max_resident": max_resident,
                     "fault_spec": fault_spec,
@@ -207,6 +210,13 @@ def start_cluster(
                     f"worker {w} sent malformed startup report "
                     f"{report!r}"
                 )
+        for w, parent_conn in enumerate(pipes):
+            try:
+                parent_conn.send(("peers", addresses))
+            except OSError as exc:
+                raise ClusterError(
+                    f"worker {w} died before receiving the peer map"
+                ) from exc
     except BaseException:
         for proc in processes:
             if proc.is_alive():
@@ -258,8 +268,12 @@ def connect_cluster(spec: Dict[str, Any], **kwargs: Any) -> ClusterRouter:
 
 
 def save_cluster_spec(path: str, spec: Dict[str, Any]) -> None:
-    """Write a reconnect spec as JSON (the CLI's ``cluster.json``)."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write a reconnect spec as JSON (the CLI's ``cluster.json``).
+
+    The file appears whole or not at all: it is written under a
+    temporary name and renamed over ``path``, so a process polling for
+    it never reads it half-written."""
+    with _atomic_file(path, "w") as handle:
         json.dump(spec, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

@@ -1,32 +1,41 @@
-"""The cluster client: drives routes hop by hop across worker processes.
+"""The cluster client: fetches labels, injects each packet once, and
+collects finished routes.
 
 :class:`ClusterRouter` is the wire-side twin of the single-process
-routing loop in :func:`repro.routing.simulator.route`.  It holds one
-persistent connection per worker, forwards each packet to the owner of
-its current vertex's group (``MSG_FORWARD`` segments, batched per
-worker to amortise round trips), and replays every returned hop tuple —
-``(next vertex, weight, header words, phase)`` — through exactly the
-simulator's accumulation order, so the :class:`RouteResult` it returns
-is bit-identical to the one the single-process loop produces: same
-path, same float ``length`` (weights summed hop by hop, never
-re-associated), same ``max_header_words`` / ``phase_hops``, same
-``RoutingLoopError`` / ``MisdeliveryError`` on the same step.
+routing loop in :func:`repro.routing.simulator.route`, with the loop
+itself running inside the workers.  The client holds one persistent
+connection per worker.  For a batch it fetches every destination label
+(one ``MSG_LABEL`` per live owner), then sends each packet once, in a
+``MSG_ROUTE`` frame, to the live owner of its source's group.  That
+worker's :class:`~repro.cluster.pump.RoutePump` drives the packet to
+delivery, stepping its own groups in-process and forwarding the rest
+straight to the owning peers, and replies with the finished trace: the
+path, the float ``length`` summed hop by hop in simulator order, and
+the header-word and phase accounting.  The :class:`RouteResult` the
+client returns is therefore bit-identical to the single-process loop's,
+and a route that exhausts its budget or is delivered at the wrong
+vertex raises the same ``RoutingLoopError`` / ``MisdeliveryError`` with
+the same message and ``.result``.
 
-Failover is client-side, mirroring
-the replicated :class:`~repro.routing.serving.ShardStore` one layer up: a
-connection loss (:class:`WorkerUnavailableError`) marks the worker dead
-and every affected packet re-targets the next owner in the group's
-placement order; a typed integrity/unavailability error from a worker
-quarantines that ``(group, worker)`` copy only.  Either way the
-``failovers`` counter ticks once per re-targeted packet — the same
-unit the replicated store counts per group — and a group whose owners
-are all dead or quarantined raises
-:class:`~repro.routing.serving.ReplicaExhaustedError` with per-worker
-causes, exactly like a group whose replica files are all bad.
+ROUTE frames hold at most ``batch_size`` packets and each worker has at
+most one frame in flight: the next frame to a worker goes out only after
+the previous frame's results have fired ``on_route_done``, so a frame
+sent after a kill observes the death.  A connection loss
+(:class:`WorkerUnavailableError`) marks the worker dead and its frames
+re-target the next live owner of each packet's source group; routes are
+deterministic, so they come out hop-identical.  Peer deaths, copy
+quarantines and failovers that workers saw while forwarding come back
+in every ROUTE reply and merge into ``dead_workers``, ``quarantined``
+and ``failovers``.  A group whose owners are all dead or quarantined
+raises :class:`~repro.routing.serving.ReplicaExhaustedError` with
+per-worker causes, exactly like a group whose replica files are all
+bad.
 
 ``cluster_stats()`` aggregates the serving picture end to end: summed
 per-worker store counters and header bytes (fetched over
-``MSG_STATUS``), client RPC counters, true wire cost (8-byte frame
+``MSG_STATUS``), the client's RPC counters (client RPCs only — the
+workers' FORWARDs to each other appear as each worker's
+``peer_requests`` and ``peer_rpcs``), true wire cost (8-byte frame
 headers and payload bytes, both directions) and request latency
 percentiles (``perf_counter`` durations — instrumentation, never
 algorithmic input).
@@ -34,93 +43,58 @@ algorithmic input).
 
 from __future__ import annotations
 
-import socket
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from time import perf_counter
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ThreadPoolExecutor,
+    wait,
+)
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..routing.serving import (
-    ReplicaExhaustedError,
-    ShardIntegrityError,
-    ShardUnavailableError,
-)
-from ..routing.shard_codec import decode_value, encode_value
+from ..routing.serving import ReplicaExhaustedError
 from ..routing.simulator import (
     MisdeliveryError,
     RouteResult,
     RoutingLoopError,
 )
 from .placement import Placement
+from .pump import FAILOVER_ERRORS, OUTCOMES, Packet, budget_cap, live_owner
 from .wire import (
     FRAME_BYTES,
-    MSG_FORWARD,
     MSG_LABEL,
+    MSG_ROUTE,
     MSG_SHUTDOWN,
     MSG_STATUS,
-    REPLY_ERROR,
-    REPLY_OK,
+    RpcClient,
     WireProtocolError,
     WorkerUnavailableError,
-    decode_error,
-    msg_name,
-    raise_remote,
-    recv_frame,
-    send_frame,
 )
 
 __all__ = ["ClusterRouter", "DEFAULT_BATCH_SIZE"]
 
-#: packets per FORWARD frame: large enough to amortise the round trip,
-#: small enough that one worker failure re-routes a bounded batch
-DEFAULT_BATCH_SIZE = 32
+#: packets per ROUTE frame: large enough to amortise the round trip
+#: and the driving worker's rounds (a 100-route batch on 2 workers goes
+#: out as one frame each: 4 client RPCs, against 6 with 32-packet
+#: frames), small enough that one worker failure re-routes a bounded
+#: batch
+DEFAULT_BATCH_SIZE = 64
 
-#: remote typed errors that justify trying another replica owner —
-#: the same set that drives ShardStore's on-disk failover
-_FAILOVER_ERRORS = (
-    WorkerUnavailableError,
-    ShardUnavailableError,
-    ShardIntegrityError,
-    ReplicaExhaustedError,
-)
+#: remote errors that justify trying another replica owner
+_FAILOVER_ERRORS = (WorkerUnavailableError,) + FAILOVER_ERRORS
+
+#: per-worker ROUTE frames still to send
+_Queues = Dict[int, List[List[Packet]]]
 
 
-class _Packet:
-    """Client-side state of one in-flight route."""
-
-    __slots__ = (
-        "index", "source", "target", "dest_label", "current", "header",
-        "steps_left", "path", "length", "max_header_words", "phase_hops",
+def _ledger_field(name: str) -> property:
+    return property(
+        lambda self: getattr(self._rpc.ledger, name),
+        doc=f"Client-side ``{name}`` (client RPCs only).",
     )
 
-    def __init__(
-        self, index: int, source: int, target: int, budget: int
-    ) -> None:
-        self.index = index
-        self.source = source
-        self.target = target
-        self.dest_label: Any = None
-        self.current = source
-        self.header: Any = None
-        self.steps_left = budget
-        self.path: List[int] = [source]
-        self.length = 0.0
-        self.max_header_words = 0
-        self.phase_hops: Dict[str, int] = {}
 
-    def result(self, *, failed: bool = False, error: str = "") -> RouteResult:
-        return RouteResult(
-            source=self.source,
-            target=self.target,
-            path=self.path,
-            length=self.length,
-            hops=len(self.path) - 1,
-            max_header_words=self.max_header_words,
-            phase_hops=self.phase_hops,
-            failed=failed,
-            error=error,
-            last_header=self.header if failed else None,
-        )
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class ClusterRouter:
@@ -139,6 +113,14 @@ class ClusterRouter:
         Per-socket timeout; a worker that stops answering looks exactly
         like a dead one (triggers failover) instead of hanging a route.
     """
+
+    rpcs = _ledger_field("rpcs")
+    rpc_errors = _ledger_field("rpc_errors")
+    rpcs_by_worker = _ledger_field("rpcs_by_worker")
+    frames_sent = _ledger_field("frames_sent")
+    frames_received = _ledger_field("frames_received")
+    payload_bytes_sent = _ledger_field("payload_bytes_sent")
+    payload_bytes_received = _ledger_field("payload_bytes_received")
 
     def __init__(
         self,
@@ -164,7 +146,7 @@ class ClusterRouter:
         self.name = self.identity.get("name")
         self.n = placement.n
         self.timeout_s = timeout_s
-        self._socks: Dict[int, socket.socket] = {}
+        self._rpc = RpcClient(addresses, timeout_s=timeout_s)
         #: workers unreachable this session (connection-level failures)
         self.dead_workers: set = set()
         #: (group, worker) copies disqualified by typed data faults
@@ -173,54 +155,13 @@ class ClusterRouter:
         self.routes = 0
         self.total_hops = 0
         self.failovers = 0
-        self.rpcs = 0
-        self.rpc_errors = 0
-        self.rpcs_by_worker: Dict[int, int] = {}
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.payload_bytes_sent = 0
-        self.payload_bytes_received = 0
-        self._latencies: List[float] = []
-        # counter guard: _pump_once issues the per-worker FORWARD
-        # requests concurrently (one thread per worker, each on its own
-        # socket), so the shared counters above need a lock
-        self._lock = threading.Lock()
         self._pool: Optional[ThreadPoolExecutor] = None
-
-    # -- connections ---------------------------------------------------
-    def _sock(self, w: int) -> socket.socket:
-        sock = self._socks.get(w)
-        if sock is None:
-            host, port = self.addresses[w]
-            try:
-                sock = socket.create_connection(
-                    (host, port), timeout=self.timeout_s
-                )
-                # request/reply ping-pong: don't let Nagle queue a
-                # small request behind an unacked reply
-                sock.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                )
-            except OSError as exc:
-                raise WorkerUnavailableError(
-                    f"worker {w} unreachable at {host}:{port}: {exc}"
-                ) from exc
-            self._socks[w] = sock
-        return sock
-
-    def _drop_worker(self, w: int) -> None:
-        sock = self._socks.pop(w, None)
-        if sock is not None:
-            sock.close()
-        self.dead_workers.add(w)
 
     def close(self) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        socks, self._socks = self._socks, {}
-        for w in sorted(socks):
-            socks[w].close()
+        self._rpc.close()
 
     def __enter__(self) -> "ClusterRouter":
         return self
@@ -232,66 +173,18 @@ class ClusterRouter:
     def _request(self, w: int, msg: int, value: Any) -> Any:
         """One request/reply on worker ``w``; connection-level failures
         mark the worker dead and re-raise typed."""
-        payload = encode_value(value)
-        started = perf_counter()
         try:
-            sock = self._sock(w)
-            with self._lock:
-                self.frames_sent += 1
-                self.payload_bytes_sent += len(payload)
-            send_frame(sock, msg, payload)
-            got = recv_frame(sock)
-        except (WireProtocolError, WorkerUnavailableError) as exc:
-            self._drop_worker(w)
-            raise WorkerUnavailableError(
-                f"worker {w} lost during {msg_name(msg)}: {exc}"
-            ) from exc
-        if got is None:
-            self._drop_worker(w)
-            raise WorkerUnavailableError(
-                f"worker {w} closed the connection during "
-                f"{msg_name(msg)}"
-            )
-        reply, reply_payload = got
-        with self._lock:
-            self._latencies.append(perf_counter() - started)
-            self.frames_received += 1
-            self.payload_bytes_received += len(reply_payload)
-            self.rpcs += 1
-            self.rpcs_by_worker[w] = self.rpcs_by_worker.get(w, 0) + 1
-        if reply == REPLY_ERROR:
-            with self._lock:
-                self.rpc_errors += 1
-            name, message = decode_error(reply_payload)
-            raise_remote(name, message, worker=w)
-        if reply != REPLY_OK:
-            raise WireProtocolError(
-                f"worker {w} replied {msg_name(reply)} to "
-                f"{msg_name(msg)}"
-            )
-        return decode_value(reply_payload)
+            return self._rpc.request(w, msg, value)
+        except WorkerUnavailableError:
+            self.dead_workers.add(w)
+            raise
 
     # -- failover-aware group requests --------------------------------
     def _live_owner(self, g: int) -> int:
         """First owner of ``g`` that is neither dead nor quarantined
         for this group."""
-        causes: Dict[int, Exception] = {}
-        for w in self.placement.owners(g):
-            if w in self.dead_workers:
-                causes[w] = WorkerUnavailableError(
-                    f"worker {w} is marked dead"
-                )
-                continue
-            if (g, w) in self.quarantined:
-                causes[w] = ShardUnavailableError(
-                    f"copy of group {g} on worker {w} was quarantined"
-                )
-                continue
-            return w
-        raise ReplicaExhaustedError(
-            f"every owner of group {g} is dead or quarantined "
-            f"({sorted(self.placement.owners(g))})",
-            causes,
+        return live_owner(
+            self.placement, g, self.dead_workers, self.quarantined
         )
 
     def _group_request(self, g: int, msg: int, value: Any) -> Any:
@@ -322,19 +215,19 @@ class ClusterRouter:
         g = self.placement.group_of(v)
         return self._group_request(g, MSG_LABEL, [v])[0]
 
-    def _fetch_labels(self, packets: List[_Packet]) -> None:
+    def _fetch_labels(self, packets: List[Packet]) -> None:
         """Dest labels for every packet, one LABEL RPC per live owner
         worker (targets in group order, duplicates preserved — counter
         parity with the simulator's one ``label_of`` per route).
 
         Each target group's labels are still served by that group's
-        *currently preferred* owner — the same worker its FORWARD
-        segments will land on — so batching across groups changes the
+        *currently preferred* owner — the same worker that steps the
+        packet's last hops — so batching across groups changes the
         RPC count, never which store serves which vertex.  When a
         worker's batched call fails, its groups fall back to per-group
         :meth:`_group_request`, which isolates the faulty copy and
         fails over replica by replica."""
-        by_group: Dict[int, List[_Packet]] = {}
+        by_group: Dict[int, List[Packet]] = {}
         for p in packets:
             g = self.placement.group_of(p.target)
             by_group.setdefault(g, []).append(p)
@@ -359,7 +252,7 @@ class ClusterRouter:
             self._assign_labels(labels, worker_packets, f"worker {w}")
 
     def _fetch_group_labels(
-        self, g: int, group_packets: List[_Packet]
+        self, g: int, group_packets: List[Packet]
     ) -> None:
         """Per-group label fetch along ``g``'s replica owner chain."""
         labels = self._group_request(
@@ -368,7 +261,7 @@ class ClusterRouter:
         self._assign_labels(labels, group_packets, f"group {g}")
 
     def _assign_labels(
-        self, labels: Any, packets: List[_Packet], origin: str
+        self, labels: Any, packets: List[Packet], origin: str
     ) -> None:
         if not isinstance(labels, (list, tuple)) or len(labels) != len(
             packets
@@ -396,280 +289,216 @@ class ClusterRouter:
         batch_size: int = DEFAULT_BATCH_SIZE,
         on_route_done: Optional[Callable[[int, RouteResult], None]] = None,
     ) -> List[RouteResult]:
-        """Route every pair, batching FORWARD segments per worker.
+        """Route every pair in ROUTE frames of at most ``batch_size``
+        packets.
 
         ``on_route_done(index, result)`` fires as each route completes
         (the chaos harness's deterministic kill point).  Raises
         :class:`RoutingLoopError` / :class:`MisdeliveryError` exactly
-        where the single-process loop would.
+        where the single-process loop would.  ``max_hops`` may reach
+        ``budget_cap(n) - 1``, eight times the default.
         """
         if max_hops is None:
             max_hops = 8 * self.n + 64
+        # the simulator's loop runs max_hops + 1 step() calls
+        budget = max_hops + 1
+        if not 0 < budget <= budget_cap(self.n):
+            raise ValueError(
+                f"max_hops {max_hops} outside 0..{budget_cap(self.n) - 1}"
+            )
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         for s, t in pairs:
             for v in (s, t):
                 if not 0 <= v < self.n:
                     raise ValueError(
                         f"vertex {v} outside 0..{self.n - 1}"
                     )
-        # the simulator's loop runs max_hops + 1 step() calls
         packets = [
-            _Packet(i, s, t, max_hops + 1)
-            for i, (s, t) in enumerate(pairs)
+            Packet(i, s, t, None, budget) for i, (s, t) in enumerate(pairs)
         ]
         self._fetch_labels(packets)
         results: List[Optional[RouteResult]] = [None] * len(pairs)
-        active = list(packets)
-        while active:
-            active = self._pump_once(
-                active, results, max_hops, batch_size, on_route_done
-            )
+        queues: _Queues = {}
+        self._enqueue(packets, queues, batch_size)
+        in_flight: Dict["Future[Any]", Tuple[int, List[Packet]]] = {}
+        try:
+            while queues or in_flight:
+                busy = {w for w, _ in in_flight.values()}
+                for w in sorted(queues):
+                    if w in self.dead_workers:
+                        # reported dead by a peer: never sent to it
+                        lost = [p for frame in queues.pop(w) for p in frame]
+                        self._retarget(lost, queues, batch_size)
+                    elif w not in busy:
+                        frame = queues[w].pop(0)
+                        if not queues[w]:
+                            del queues[w]
+                        future = self._executor().submit(
+                            self._request, w, MSG_ROUTE,
+                            [
+                                (p.source, p.target, p.dest_label, budget)
+                                for p in frame
+                            ],
+                        )
+                        in_flight[future] = (w, frame)
+                if not in_flight:
+                    continue
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in sorted(done, key=lambda f: in_flight[f][0]):
+                    w, frame = in_flight.pop(future)
+                    try:
+                        reply = future.result()
+                    except WorkerUnavailableError:
+                        # the origin is lost: this frame and the frames
+                        # queued behind it go to the next live owners
+                        lost = frame + [
+                            p for queued in queues.pop(w, []) for p in queued
+                        ]
+                        self._retarget(lost, queues, batch_size)
+                        continue
+                    self._collect(w, frame, reply, results, on_route_done)
+        finally:
+            # an error cut the batch short: let every in-flight reply
+            # land, so no socket keeps an unread reply, and drop it
+            for future in in_flight:
+                future.exception()
         return [r for r in results if r is not None]
 
-    def _pump_once(
-        self,
-        active: List[_Packet],
-        results: List[Optional[RouteResult]],
-        max_hops: int,
-        batch_size: int,
-        on_route_done: Optional[Callable[[int, RouteResult], None]],
-    ) -> List[_Packet]:
-        """One pump iteration: bucket packets by live owner, send one
-        batched FORWARD per worker, apply segments.  Returns the
-        packets still in flight."""
-        # Per-worker drive sets: every group the worker is *currently
-        # preferred* owner of.  The worker steps packets only inside
-        # its drive set, so — absent failures — every vertex is loaded
-        # and stepped on exactly one worker and summed serve counters
-        # match the single-process store exactly.  A set staled by a
-        # mid-iteration death costs one extra handoff, never a wrong
-        # hop.
-        drive_sets: Dict[int, List[int]] = {}
-        for g in range(self.placement.groups):
-            try:
-                drive_sets.setdefault(self._live_owner(g), []).append(g)
-            except ReplicaExhaustedError:
-                continue  # raises below iff a packet actually needs it
-        buckets: Dict[int, List[_Packet]] = {}
-        for p in active:
-            w = self._live_owner(self.placement.group_of(p.current))
-            buckets.setdefault(w, []).append(p)
-        plans = [
-            (
-                w,
-                [
-                    buckets[w][start:start + batch_size]
-                    for start in range(0, len(buckets[w]), batch_size)
-                ],
+    def _executor(self) -> ThreadPoolExecutor:
+        if self._pool is None:
+            # persistent: one thread per worker, each on its own socket
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.placement.workers,
+                thread_name_prefix="cluster-router",
             )
-            for w in sorted(buckets)
-        ]
-        # Issue the per-worker FORWARDs concurrently — each worker has
-        # its own socket and steps its own packets, so the round trips
-        # and the workers' step/codec work overlap; segments are then
-        # applied serially in worker order, keeping results and
-        # failover decisions deterministic.  Unexpected exceptions
-        # propagate through Future.result() in that same order.
-        if len(plans) > 1:
-            if self._pool is None:
-                # persistent: spawning threads per pump iteration costs
-                # more than the round trips it overlaps
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.placement.workers,
-                    thread_name_prefix="cluster-router",
-                )
-            futures = [
-                (
-                    w,
-                    chunks,
-                    self._pool.submit(
-                        self._drive_chunks,
-                        w,
-                        chunks,
-                        drive_sets.get(w, []),
-                    ),
-                )
-                for w, chunks in plans
-            ]
-            outcomes = [
-                (w, chunks, f.result()) for w, chunks, f in futures
-            ]
-        else:
-            outcomes = [
-                (w, chunks, self._drive_chunks(
-                    w, chunks, drive_sets.get(w, [])
-                ))
-                for w, chunks in plans
-            ]
-        still_active: List[_Packet] = []
-        for w, chunks, entries in outcomes:
-            for chunk, replies in zip(chunks, entries):
-                if replies is None:
-                    # connection-level loss (or a death earlier in this
-                    # iteration): every packet of the chunk fails over
-                    # to its group's next owner on the next pump
-                    self.failovers += len(chunk)
-                    still_active.extend(chunk)
-                    continue
-                if not isinstance(replies, (list, tuple)) or len(
-                    replies
-                ) != len(chunk):
-                    raise WireProtocolError(
-                        f"FORWARD reply from worker {w} has "
-                        f"{len(replies) if isinstance(replies, (list, tuple)) else '?'} "
-                        f"segments, want {len(chunk)}"
-                    )
-                for p, segment in zip(chunk, replies):
-                    done = self._apply_segment(
-                        p, segment, w, max_hops, results, on_route_done
-                    )
-                    if not done:
-                        still_active.append(p)
-        return still_active
+        return self._pool
 
-    def _drive_chunks(
+    def _enqueue(
+        self, packets: List[Packet], queues: _Queues, batch_size: int
+    ) -> None:
+        """Queue ``packets`` as ROUTE frames to the live owner of each
+        packet's source group."""
+        owner: Dict[int, int] = {}
+        by_worker: Dict[int, List[Packet]] = {}
+        for p in packets:
+            g = self.placement.group_of(p.source)
+            if g not in owner:
+                owner[g] = self._live_owner(g)
+            by_worker.setdefault(owner[g], []).append(p)
+        for w in sorted(by_worker):
+            mine = by_worker[w]
+            queues.setdefault(w, []).extend(
+                mine[i:i + batch_size]
+                for i in range(0, len(mine), batch_size)
+            )
+
+    def _retarget(
+        self, packets: List[Packet], queues: _Queues, batch_size: int
+    ) -> None:
+        """Fail ``packets`` over to their source groups' next owners."""
+        self.failovers += len(packets)
+        self._enqueue(packets, queues, batch_size)
+
+    def _collect(
         self,
         w: int,
-        chunks: List[List[_Packet]],
-        drive: List[int],
-    ) -> List[Optional[Any]]:
-        """Send worker ``w`` its FORWARD chunks sequentially on its own
-        socket; ``None`` marks a chunk lost to a connection failure
-        (the serial phase re-buckets it)."""
-        entries: List[Optional[Any]] = []
-        for chunk in chunks:
-            if w in self.dead_workers:
-                entries.append(None)
-                continue
-            payload = (
-                drive,
-                [
-                    (p.current, p.header, p.dest_label, p.steps_left)
-                    for p in chunk
-                ],
-            )
-            try:
-                entries.append(self._request(w, MSG_FORWARD, payload))
-            except WorkerUnavailableError:
-                entries.append(None)
-        return entries
-
-    def _apply_segment(
-        self,
-        p: _Packet,
-        segment: Any,
-        w: int,
-        max_hops: int,
+        frame: List[Packet],
+        reply: Any,
         results: List[Optional[RouteResult]],
         on_route_done: Optional[Callable[[int, RouteResult], None]],
-    ) -> bool:
-        """Replay one worker segment onto packet ``p``; True when the
-        route finished (result recorded)."""
-        if not isinstance(segment, dict):
+    ) -> None:
+        """Merge a ROUTE reply's failover report, then record its
+        routes in frame order."""
+        if not isinstance(reply, dict):
             raise WireProtocolError(
-                f"FORWARD segment from worker {w} is "
-                f"{type(segment).__name__}, want a dict"
+                f"ROUTE reply from worker {w} is "
+                f"{type(reply).__name__}, want a dict"
             )
-        state = segment.get("state")
-        if state == "error":
-            # typed per-packet fault: quarantine this copy and retry
-            # the packet elsewhere — but first replay the partial
-            # segment the worker completed before failing, so the
-            # packet's position and accounting stay exact
-            self._replay_hops(p, segment, w)
-            name, _message = segment.get("error", ("?", "?"))
-            g = self.placement.group_of(p.current)
-            if name in ("ShardUnavailableError", "ShardIntegrityError",
-                        "ReplicaExhaustedError"):
-                self.quarantined.add((g, w))
-                self.failovers += 1
-                return False
-            raise_remote(name, _message, worker=w)
-        self._replay_hops(p, segment, w)
-        if state == "delivered":
-            if p.current != p.target:
-                reason = (
-                    f"scheme delivered at {p.current}, expected "
-                    f"{p.target}"
-                )
-                raise MisdeliveryError(
-                    reason,
-                    partial_path=p.path,
-                    last_header=p.header,
-                    result=p.result(failed=True, error=reason),
-                )
-            result = p.result()
+        routes = reply.get("routes")
+        dead = reply.get("dead")
+        quarantined = reply.get("quarantined")
+        failovers = reply.get("failovers")
+        workers = range(self.placement.workers)
+        if not (
+            isinstance(routes, (list, tuple))
+            and len(routes) == len(frame)
+            and isinstance(dead, (list, tuple))
+            and all(_is_int(v) and v in workers for v in dead)
+            and isinstance(quarantined, (list, tuple))
+            and all(
+                isinstance(q, tuple) and len(q) == 2
+                and all(_is_int(x) for x in q)
+                for q in quarantined
+            )
+            and _is_int(failovers)
+            and failovers >= 0
+        ):
+            raise WireProtocolError(
+                f"ROUTE reply from worker {w} is not {len(frame)} routes "
+                f"plus a failover report"
+            )
+        self.dead_workers.update(dead)
+        self.quarantined.update(quarantined)
+        self.failovers += failovers
+        for p, entry in zip(frame, routes):
+            result = self._result(p, entry, w)
             results[p.index] = result
             self.routes += 1
             self.total_hops += result.hops
             if on_route_done is not None:
                 on_route_done(p.index, result)
-            return True
-        if state not in ("handoff", "exhausted"):
-            raise WireProtocolError(
-                f"FORWARD segment from worker {w} has unknown state "
-                f"{state!r}"
-            )
-        if p.steps_left <= 0:
-            reason = (
-                f"message {p.source}->{p.target} not delivered within "
-                f"{max_hops} hops; path prefix: {p.path[:20]}..."
-            )
-            raise RoutingLoopError(
-                reason,
-                partial_path=p.path,
-                last_header=p.header,
-                result=p.result(failed=True, error=reason),
-            )
-        return False
 
-    def _replay_hops(self, p: _Packet, segment: Any, w: int) -> None:
-        """Apply a segment's per-hop trace with the simulator's exact
-        accumulation order."""
-        hops = segment.get("hops", [])
-        if not isinstance(hops, (list, tuple)):
+    def _result(self, p: Packet, entry: Any, w: int) -> RouteResult:
+        """The :class:`RouteResult` of one ROUTE reply entry; a failed
+        route raises the simulator's typed error."""
+        if not (isinstance(entry, tuple) and len(entry) == 7):
             raise WireProtocolError(
-                f"segment hops from worker {w} is "
-                f"{type(hops).__name__}, want a list"
+                f"ROUTE entry from worker {w} is not (outcome, message, "
+                f"path, length, header words, phase hops, last header)"
             )
-        for hop in hops:
-            if not (isinstance(hop, tuple) and len(hop) == 4):
-                raise WireProtocolError(
-                    f"segment hop {hop!r} from worker {w} is not "
-                    f"(next, weight, words, phase)"
-                )
-            nxt, weight, words, phase = hop
-            p.path.append(nxt)
-            p.length += weight
-            if words > p.max_header_words:
-                p.max_header_words = words
-            p.phase_hops[phase] = p.phase_hops.get(phase, 0) + 1
-        steps = segment.get("steps", 0)
-        if not isinstance(steps, int) or isinstance(steps, bool):
+        outcome, message, path, length, words, phases, header = entry
+        if not (
+            outcome in OUTCOMES
+            and isinstance(message, str)
+            and isinstance(path, list)
+            and path
+            and path[0] == p.source
+            and all(_is_int(v) for v in path)
+            and isinstance(length, float)
+            and _is_int(words)
+            and isinstance(phases, dict)
+        ):
             raise WireProtocolError(
-                f"segment steps {steps!r} from worker {w} is not an int"
+                f"ROUTE entry from worker {w} for "
+                f"{p.source}->{p.target} is malformed"
             )
-        p.steps_left -= steps
-        p.current = segment.get("at", p.current)
-        p.header = segment.get("header")
+        failed = outcome != "delivered"
+        result = RouteResult(
+            source=p.source,
+            target=p.target,
+            path=path,
+            length=length,
+            hops=len(path) - 1,
+            max_header_words=words,
+            phase_hops=phases,
+            failed=failed,
+            error=message,
+            last_header=header if failed else None,
+        )
+        if outcome == "loop":
+            raise RoutingLoopError(
+                message, partial_path=path, last_header=header,
+                result=result,
+            )
+        if outcome == "misdelivered":
+            raise MisdeliveryError(
+                message, partial_path=path, last_header=header,
+                result=result,
+            )
+        return result
 
     # -- aggregation ---------------------------------------------------
-    def _latency_percentiles(self) -> Dict[str, float]:
-        if not self._latencies:
-            return {"count": 0}
-        ordered = sorted(self._latencies)
-        count = len(ordered)
-
-        def at(q: float) -> float:
-            return ordered[int(q * (count - 1))] * 1000.0
-
-        return {
-            "count": count,
-            "p50_ms": at(0.50),
-            "p90_ms": at(0.90),
-            "p99_ms": at(0.99),
-            "max_ms": ordered[-1] * 1000.0,
-        }
-
     def worker_status(self, w: int) -> Dict[str, Any]:
         """One worker's ``MSG_STATUS`` dict (raises if unreachable)."""
         return self._request(w, MSG_STATUS, ())
@@ -712,7 +541,10 @@ class ClusterRouter:
             "failovers": self.failovers,
             "rpcs": self.rpcs,
             "rpc_errors": self.rpc_errors,
-            "rpcs_by_worker": dict(sorted(self.rpcs_by_worker.items())),
+            "rpcs_by_worker": self._rpc.ledger.by_worker(),
+            "peer_rpcs": sum(
+                sum(s["peer_rpcs"].values()) for s in live
+            ),
             "wire": {
                 "frames_sent": self.frames_sent,
                 "frames_received": self.frames_received,
@@ -723,7 +555,7 @@ class ClusterRouter:
                 "payload_bytes_sent": self.payload_bytes_sent,
                 "payload_bytes_received": self.payload_bytes_received,
             },
-            "latency": self._latency_percentiles(),
+            "latency": self._rpc.ledger.latency_percentiles(),
             "store": store_totals,
             "header": header_totals,
             "per_worker": per_worker,

@@ -1,4 +1,5 @@
-"""Length-prefixed binary RPC protocol between cluster client and workers.
+"""Length-prefixed binary RPC protocol of the cluster: client to worker,
+worker to worker.
 
 One frame per message, in either direction::
 
@@ -32,11 +33,20 @@ Message types
     single-process simulator).
 ``MSG_LOOKUP``
     ``v`` -> raw shard bytes of vertex ``v`` (spot checks, tooling).
+``MSG_ROUTE``
+    ``[(source, target, dest_label, budget), ...]`` -> ``{"routes":
+    [(outcome, message, path, length, max header words, phase hops,
+    last header), ...], "dead": [...], "quarantined": [(group, worker),
+    ...], "failovers": int}``.  Client to worker: the worker drives
+    every packet to completion (see :mod:`repro.cluster.pump`) and
+    reports the peer deaths, quarantines and failovers it saw.
 ``MSG_FORWARD``
     ``([drive group, ...], [(current, header, dest_label, budget),
-    ...])`` -> per-packet segment results; the drive-group list names
-    the groups the worker should step through this round (see
-    :mod:`repro.cluster.worker` for the stepping contract).
+    ...])`` -> per-packet segment results.  Worker to worker: the
+    drive-group list names the groups the receiving worker should step
+    through (see :mod:`repro.cluster.worker` for the stepping
+    contract).  A FORWARD handler never calls out, so two workers
+    forwarding to each other cannot wait on each other.
 ``MSG_SHUTDOWN``
     ``()`` -> ``True``; the worker stops serving after replying.
 
@@ -48,13 +58,19 @@ cluster errors below — and :func:`raise_remote` re-raises it as the
 same type client-side (the contract ERR001 statically enforces on every
 ``raise`` in these modules).  An unknown type degrades to
 :class:`ClusterError`, never to a silent string.
+
+:class:`RpcClient` is the one requesting side of the protocol — the
+client's connections to the workers and each worker's connections to
+its peers — and records every request in a :class:`RpcLedger`.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-from typing import Any, Dict, Optional, Tuple, Type
+import threading
+from time import perf_counter
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from ..routing.serving import (
     ReplicaExhaustedError,
@@ -81,6 +97,7 @@ __all__ = [
     "MSG_LOOKUP",
     "MSG_FORWARD",
     "MSG_SHUTDOWN",
+    "MSG_ROUTE",
     "REPLY_OK",
     "REPLY_ERROR",
     "ClusterError",
@@ -94,6 +111,8 @@ __all__ = [
     "error_payload",
     "raise_remote",
     "msg_name",
+    "RpcLedger",
+    "RpcClient",
 ]
 
 WIRE_MAGIC = b"RC"
@@ -109,6 +128,7 @@ MSG_LABEL = 2
 MSG_LOOKUP = 3
 MSG_FORWARD = 4
 MSG_SHUTDOWN = 5
+MSG_ROUTE = 6
 REPLY_OK = 32
 REPLY_ERROR = 33
 
@@ -118,6 +138,7 @@ _MSG_NAMES = {
     MSG_LOOKUP: "LOOKUP",
     MSG_FORWARD: "FORWARD",
     MSG_SHUTDOWN: "SHUTDOWN",
+    MSG_ROUTE: "ROUTE",
     REPLY_OK: "OK",
     REPLY_ERROR: "ERROR",
 }
@@ -297,3 +318,166 @@ def decode_error(payload: bytes) -> Tuple[str, str]:
             f"malformed error payload {value!r} (want (type, message))"
         )
     return value
+
+
+class RpcLedger:
+    """What one caller's requests put on the wire, safe to share across
+    threads: replies per worker, frames and payload bytes both ways, and
+    request latencies (``perf_counter`` durations — instrumentation,
+    never algorithmic input)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.rpcs = 0
+        self.rpc_errors = 0
+        self.rpcs_by_worker: Dict[int, int] = {}
+        self.frames_sent = 0
+        self.frames_received = 0
+        self.payload_bytes_sent = 0
+        self.payload_bytes_received = 0
+        self.latencies: List[float] = []
+
+    def sent(self, payload_bytes: int) -> None:
+        with self._lock:
+            self.frames_sent += 1
+            self.payload_bytes_sent += payload_bytes
+
+    def replied(
+        self, w: int, payload_bytes: int, seconds: float, error: bool
+    ) -> None:
+        with self._lock:
+            self.latencies.append(seconds)
+            self.frames_received += 1
+            self.payload_bytes_received += payload_bytes
+            self.rpcs += 1
+            self.rpcs_by_worker[w] = self.rpcs_by_worker.get(w, 0) + 1
+            if error:
+                self.rpc_errors += 1
+
+    def by_worker(self) -> Dict[int, int]:
+        """Replies received per worker, in worker order."""
+        with self._lock:
+            return dict(sorted(self.rpcs_by_worker.items()))
+
+    def latency_percentiles(self) -> Dict[str, float]:
+        with self._lock:
+            ordered = sorted(self.latencies)
+        if not ordered:
+            return {"count": 0}
+        count = len(ordered)
+
+        def at(q: float) -> float:
+            return ordered[int(q * (count - 1))] * 1000.0
+
+        return {
+            "count": count,
+            "p50_ms": at(0.50),
+            "p90_ms": at(0.90),
+            "p99_ms": at(0.99),
+            "max_ms": ordered[-1] * 1000.0,
+        }
+
+
+class RpcClient:
+    """One persistent request/reply socket per worker, every request
+    recorded in a :class:`RpcLedger` (pass one to share it).
+
+    Requests to different workers may run on different threads; two
+    concurrent requests to the same worker must not.  :meth:`send` and
+    :meth:`receive` split a request so a caller can work while the
+    worker does.  A connection-level failure closes that worker's
+    socket and raises :class:`WorkerUnavailableError`; a ``REPLY_ERROR``
+    re-raises the worker's typed error.
+    """
+
+    def __init__(
+        self,
+        addresses: Dict[int, Tuple[str, int]],
+        *,
+        timeout_s: float,
+        ledger: Optional[RpcLedger] = None,
+    ) -> None:
+        self.addresses = dict(addresses)
+        self.timeout_s = timeout_s
+        self.ledger = ledger if ledger is not None else RpcLedger()
+        self._socks: Dict[int, socket.socket] = {}
+
+    def _sock(self, w: int) -> socket.socket:
+        sock = self._socks.get(w)
+        if sock is None:
+            host, port = self.addresses[w]
+            try:
+                sock = socket.create_connection(
+                    (host, port), timeout=self.timeout_s
+                )
+                # request/reply ping-pong: don't let Nagle queue a
+                # small request behind an unacked reply
+                sock.setsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+                )
+            except OSError as exc:
+                raise WorkerUnavailableError(
+                    f"worker {w} unreachable at {host}:{port}: {exc}"
+                ) from exc
+            self._socks[w] = sock
+        return sock
+
+    def drop(self, w: int) -> None:
+        """Close worker ``w``'s socket (the next request reconnects)."""
+        sock = self._socks.pop(w, None)
+        if sock is not None:
+            sock.close()
+
+    def close(self) -> None:
+        socks, self._socks = self._socks, {}
+        for w in sorted(socks):
+            socks[w].close()
+
+    def send(self, w: int, msg: int, value: Any) -> float:
+        """Send one request; returns its start time for :meth:`receive`."""
+        payload = encode_value(value)
+        started = perf_counter()
+        try:
+            sock = self._sock(w)
+            self.ledger.sent(len(payload))
+            send_frame(sock, msg, payload)
+        except (WireProtocolError, WorkerUnavailableError) as exc:
+            self.drop(w)
+            raise WorkerUnavailableError(
+                f"worker {w} lost during {msg_name(msg)}: {exc}"
+            ) from exc
+        return started
+
+    def receive(self, w: int, msg: int, started: float) -> Any:
+        """The reply to the request :meth:`send` put on ``w``'s socket."""
+        try:
+            got = recv_frame(self._socks[w])
+        except (WireProtocolError, WorkerUnavailableError) as exc:
+            self.drop(w)
+            raise WorkerUnavailableError(
+                f"worker {w} lost during {msg_name(msg)}: {exc}"
+            ) from exc
+        if got is None:
+            self.drop(w)
+            raise WorkerUnavailableError(
+                f"worker {w} closed the connection during "
+                f"{msg_name(msg)}"
+            )
+        reply, reply_payload = got
+        self.ledger.replied(
+            w, len(reply_payload), perf_counter() - started,
+            reply == REPLY_ERROR,
+        )
+        if reply == REPLY_ERROR:
+            name, message = decode_error(reply_payload)
+            raise_remote(name, message, worker=w)
+        if reply != REPLY_OK:
+            raise WireProtocolError(
+                f"worker {w} replied {msg_name(reply)} to "
+                f"{msg_name(msg)}"
+            )
+        return decode_value(reply_payload)
+
+    def request(self, w: int, msg: int, value: Any) -> Any:
+        """One request/reply on worker ``w``."""
+        return self.receive(w, msg, self.send(w, msg, value))

@@ -12,39 +12,59 @@ step decisions, header accounting and store counters are produced by
 the identical code the hop-parity tests already pin against the
 in-memory schemes — the cluster only changes *where* each step runs.
 
-``MSG_FORWARD`` stepping contract
----------------------------------
-The payload is ``(drive groups, packets)``: the client names the groups
-this worker should step through — the groups it is the *currently
-preferred* owner of, given which workers are alive.  Driving strictly
-inside that set (instead of everything the worker could serve) keeps
-serve-counter parity with the single process exact: absent failures the
-drive set is the worker's primary range, so every vertex is loaded and
-stepped on exactly one worker, and summed per-worker store counters
-equal the single store's.  For each packet ``(current, header,
-dest_label, budget)`` the worker replays the simulator's routing loop
-(see :func:`repro.routing.simulator.route`) while the current vertex
-stays inside the drive set and step budget remains:
+Stepping contract: ``MSG_ROUTE`` and peer ``MSG_FORWARD``
+--------------------------------------------------------
+A client sends each packet ``(source, target, dest_label, budget)`` once,
+in a ``MSG_ROUTE`` frame, to the live owner of its source's group.  The
+worker's :class:`~repro.cluster.pump.RoutePump` drives the frame to
+completion: it steps its own groups in-process and sends foreign
+segments as ``MSG_FORWARD`` straight to the owning peer, then replies
+with each packet's finished trace.  Only ROUTE handlers issue RPCs; a
+FORWARD handler never calls out, so two workers forwarding to each
+other cannot wait on each other.
+
+A FORWARD payload is ``(drive groups, packets)``: the groups the
+receiving worker is the *currently preferred* owner of, given which
+workers the sender has seen alive.  Driving strictly inside that set
+(instead of everything the worker could serve) keeps serve-counter
+parity with the single process exact: absent failures the drive set is
+the worker's primary range, so every vertex is loaded and stepped on
+exactly one worker, and summed per-worker store counters equal the
+single store's.  For each packet ``(current, header, dest_label,
+budget)`` the worker replays the simulator's routing loop (see
+:func:`repro.routing.simulator.route`) while the current vertex stays
+inside the drive set and step budget remains:
 
 * each loop iteration consumes one ``step()`` call from ``budget`` —
   exactly the simulator's ``max_hops + 1`` accounting,
 * a ``Forward`` records ``(next vertex, edge weight, header words,
-  phase tag)`` — the per-hop tuple the client replays to reconstruct
+  phase tag)`` — the per-hop tuple the pump replays to reconstruct
   ``length`` / ``max_header_words`` / ``phase_hops`` bit-for-bit
-  (weights are re-summed hop by hop client-side, so float accumulation
-  order matches the single-process loop exactly),
+  (weights are summed hop by hop, so float accumulation order matches
+  the single-process loop exactly),
 * the segment ends with ``state`` = ``"delivered"`` (a ``Deliver``
-  action; misdelivery is judged client-side, the worker never learns
-  the target), ``"handoff"`` (next vertex owned elsewhere) or
+  action; misdelivery is judged by the pump, the stepping worker never
+  learns the target), ``"handoff"`` (next vertex owned elsewhere) or
   ``"exhausted"`` (budget spent), and per-packet serving failures come
   back as ``state`` = ``"error"`` with the typed ``(type, message)``
   pair so one bad shard fails over without poisoning its batch.
+
+Local stepping and peer FORWARDs run on different handler threads; one
+step lock per worker serialises everything that touches the store and
+the engine (their counters and the resident LRU are not thread-safe).
+STATUS counts client requests under ``requests`` and the FORWARDs
+peers sent under ``peer_requests``; ``peer_rpcs`` counts the FORWARDs
+this worker sent, per target, so both ledgers reconcile exactly.
 
 Startup reports over the spawn pipe: ``("ready", port)`` once the
 server is bound, or ``("error", type name, message)`` for typed
 failures — notably :class:`~repro.routing.serving.ShardUnavailableError`
 for a partially-written replica directory (missing ``groups/`` subdir),
-which the driver re-raises typed instead of a raw ``OSError``.
+which the driver re-raises typed instead of a raw ``OSError``.  Once
+every worker is ready the driver sends ``("peers", {worker: (host,
+port)})`` down the same pipe; the worker starts serving only after it,
+so ROUTE payloads never carry addresses and a worker never dials an
+address a client names.
 """
 
 from __future__ import annotations
@@ -71,15 +91,21 @@ from ..routing.shard_codec import (
     encode_node_table,
     encode_value,
 )
+from .placement import Placement
+from .pump import Packet, RoutePump, budget_cap
 from .wire import (
     MSG_FORWARD,
     MSG_LABEL,
     MSG_LOOKUP,
+    MSG_ROUTE,
     MSG_SHUTDOWN,
     MSG_STATUS,
+    ClusterError,
     NotOwnerError,
     REPLY_ERROR,
     REPLY_OK,
+    RpcClient,
+    RpcLedger,
     WireProtocolError,
     WorkerUnavailableError,
     error_payload,
@@ -94,6 +120,11 @@ __all__ = [
     "run_worker",
     "phase_of",
 ]
+
+#: socket timeout of a worker's peer connections: shorter than the
+#: client's default 30 s, so a hung peer fails over before the client
+#: gives up on the ROUTE waiting for it
+PEER_TIMEOUT_S = 10.0
 
 
 def phase_of(header: Any) -> str:
@@ -160,36 +191,50 @@ class _RequestHandler(socketserver.BaseRequestHandler):
         self.request.setsockopt(
             socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
         )
-        while True:
-            try:
-                got = recv_frame(self.request)
-            except (WireProtocolError, WorkerUnavailableError):
-                server.count_drop()
-                return
-            if got is None:
-                return  # clean close: session over
-            msg, payload = got
-            try:
-                reply = server.dispatch(msg, payload)
-            except (ServingError, ShardCodecError, ValueError) as exc:
-                server.count_error(exc)
-                reply = (REPLY_ERROR, error_payload(exc))
-            try:
-                send_frame(self.request, reply[0], reply[1])
-            except (WireProtocolError, WorkerUnavailableError):
-                server.count_drop()
-                return
-            if msg == MSG_SHUTDOWN:
-                # shutdown() blocks until serve_forever returns, so it
-                # must not run on this handler thread
-                threading.Thread(
-                    target=server.shutdown, daemon=True
-                ).start()
-                return
+        # this connection's route pump (and its peer sockets), made at
+        # the first ROUTE
+        pump: Optional[RoutePump] = None
+        try:
+            while True:
+                try:
+                    got = recv_frame(self.request)
+                except (WireProtocolError, WorkerUnavailableError):
+                    server.count_drop()
+                    return
+                if got is None:
+                    return  # clean close: session over
+                msg, payload = got
+                try:
+                    if msg == MSG_ROUTE and pump is None:
+                        pump = server.new_pump()
+                    reply = server.dispatch(msg, payload, pump)
+                except (ServingError, ShardCodecError, ValueError) as exc:
+                    server.count_error(exc)
+                    reply = (REPLY_ERROR, error_payload(exc))
+                try:
+                    send_frame(self.request, reply[0], reply[1])
+                except (WireProtocolError, WorkerUnavailableError):
+                    server.count_drop()
+                    return
+                if msg == MSG_SHUTDOWN:
+                    # shutdown() blocks until serve_forever returns, so
+                    # it must not run on this handler thread
+                    threading.Thread(
+                        target=server.shutdown, daemon=True
+                    ).start()
+                    return
+        finally:
+            if pump is not None:
+                pump.close()
 
 
 class WorkerServer(socketserver.ThreadingTCPServer):
-    """The worker's TCP server over its restricted store + engine."""
+    """The worker's TCP server over its restricted store + engine.
+
+    ``placement`` and the peer map (:meth:`set_peers`) are what ROUTE
+    frames need; without them the worker still answers STATUS, LABEL,
+    LOOKUP and FORWARD.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
@@ -201,15 +246,45 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         worker_id: int,
         store: ShardStore,
         engine: LocalRouter,
+        placement: Optional[Placement] = None,
     ) -> None:
         super().__init__(address, _RequestHandler)
         self.worker_id = worker_id
         self.store = store
         self.engine = engine
+        self.placement = placement
+        self.peers: Optional[Dict[int, Tuple[str, int]]] = None
+        #: the FORWARDs this worker's route pumps sent, per target
+        self.peer_ledger = RpcLedger()
+        # serialises everything that touches the store and the engine:
+        # local stepping and peer FORWARDs run on different threads
+        self._step_lock = threading.Lock()
         self._lock = threading.Lock()
         self.requests: Dict[str, int] = {}
+        self.peer_requests: Dict[str, int] = {}
         self.error_replies = 0
         self.dropped_connections = 0
+
+    def set_peers(self, addresses: Dict[int, Tuple[str, int]]) -> None:
+        """Install the fleet's address map (from the driver)."""
+        self.peers = dict(addresses)
+
+    def new_pump(self) -> RoutePump:
+        """A route pump with its own peer sockets, for one connection."""
+        if self.placement is None or self.peers is None:
+            raise ClusterError(
+                f"worker {self.worker_id} has no peer map yet, so it "
+                f"cannot drive ROUTE frames"
+            )
+        return RoutePump(
+            worker_id=self.worker_id,
+            placement=self.placement,
+            step=self._forward,
+            peers=RpcClient(
+                self.peers, timeout_s=PEER_TIMEOUT_S,
+                ledger=self.peer_ledger,
+            ),
+        )
 
     # -- counters ------------------------------------------------------
     def count_error(self, exc: BaseException) -> None:
@@ -222,11 +297,18 @@ class WorkerServer(socketserver.ThreadingTCPServer):
 
     def _count(self, msg: int) -> None:
         name = msg_name(msg)
+        # FORWARD is the worker-to-worker message: peers send it, the
+        # client never does
+        counts = self.peer_requests if msg == MSG_FORWARD else self.requests
         with self._lock:
-            self.requests[name] = self.requests.get(name, 0) + 1
+            counts[name] = counts.get(name, 0) + 1
 
     # -- dispatch ------------------------------------------------------
-    def dispatch(self, msg: int, payload: bytes) -> Tuple[int, bytes]:
+    def dispatch(
+        self, msg: int, payload: bytes, pump: Optional[RoutePump] = None
+    ) -> Tuple[int, bytes]:
+        """Answer one request.  ``pump`` drives a ROUTE frame (the
+        connection's own; a one-off pump when ``None``)."""
         self._count(msg)
         if msg == MSG_STATUS:
             return REPLY_OK, encode_value(self.status())
@@ -239,12 +321,14 @@ class WorkerServer(socketserver.ThreadingTCPServer):
             return REPLY_OK, self._lookup(value)
         if msg == MSG_FORWARD:
             return REPLY_OK, encode_value(self._forward(value))
+        if msg == MSG_ROUTE:
+            return REPLY_OK, encode_value(self._route(value, pump))
         raise WireProtocolError(
             f"worker {self.worker_id} does not speak {msg_name(msg)}"
         )
 
     # -- request implementations --------------------------------------
-    def _require_owned(self, v: int) -> int:
+    def _require_vertex(self, v: Any) -> int:
         if not isinstance(v, int) or isinstance(v, bool):
             raise WireProtocolError(
                 f"vertex must be an int, got {v!r}"
@@ -253,6 +337,10 @@ class WorkerServer(socketserver.ThreadingTCPServer):
             raise ValueError(
                 f"vertex {v} outside 0..{self.store.n - 1}"
             )
+        return v
+
+    def _require_owned(self, v: Any) -> int:
+        self._require_vertex(v)
         if not self.store.owns(v):
             raise NotOwnerError(
                 f"worker {self.worker_id} does not own vertex {v} "
@@ -269,15 +357,60 @@ class WorkerServer(socketserver.ThreadingTCPServer):
             )
         # one label_of per requested entry, duplicates preserved — the
         # exact node() call count the single-process simulator makes
-        return [
-            self.engine.label_of(self._require_owned(v)) for v in value
-        ]
+        with self._step_lock:
+            return [
+                self.engine.label_of(self._require_owned(v))
+                for v in value
+            ]
 
     def _lookup(self, value: Any) -> bytes:
         v = self._require_owned(value)
-        return encode_node_table(self.store.node(v))
+        with self._step_lock:
+            return encode_node_table(self.store.node(v))
+
+    def _route(
+        self, value: Any, pump: Optional[RoutePump]
+    ) -> Dict[str, Any]:
+        """Drive a ROUTE frame's packets to completion."""
+        if not isinstance(value, (list, tuple)):
+            raise WireProtocolError(
+                f"ROUTE payload must be a packet list, got "
+                f"{type(value).__name__}"
+            )
+        cap = budget_cap(self.store.n)
+        packets: List[Packet] = []
+        for index, packet in enumerate(value):
+            if not (isinstance(packet, tuple) and len(packet) == 4):
+                raise WireProtocolError(
+                    f"ROUTE packet must be (source, target, dest_label, "
+                    f"budget), got {packet!r}"
+                )
+            source, target, dest_label, budget = packet
+            self._require_vertex(source)
+            self._require_vertex(target)
+            if (
+                not isinstance(budget, int)
+                or isinstance(budget, bool)
+                or not 0 <= budget <= cap
+            ):
+                raise WireProtocolError(
+                    f"packet budget must be an int in 0..{cap}, got "
+                    f"{budget!r}"
+                )
+            packets.append(Packet(index, source, target, dest_label, budget))
+        if pump is not None:
+            return pump.run(packets)
+        pump = self.new_pump()
+        try:
+            return pump.run(packets)
+        finally:
+            pump.close()
 
     def _forward(self, value: Any) -> List[Dict[str, Any]]:
+        with self._step_lock:
+            return self._forward_locked(value)
+
+    def _forward_locked(self, value: Any) -> List[Dict[str, Any]]:
         if not (isinstance(value, tuple) and len(value) == 2):
             raise WireProtocolError(
                 f"FORWARD payload must be (drive groups, packets), got "
@@ -341,8 +474,11 @@ class WorkerServer(socketserver.ThreadingTCPServer):
                         nxt, weight = engine.local_edge(
                             current, action.port
                         )
+                except (ServingError, ShardCodecError):
+                    raise  # a pack fault: the per-packet failover below
                 except (
-                    TypeError, IndexError, KeyError, AttributeError
+                    TypeError, IndexError, KeyError, AttributeError,
+                    ValueError, RuntimeError,
                 ) as exc:
                     # a header or label of the wrong shape, read by the
                     # scheme's step: the sender's fault, not a crash
@@ -389,22 +525,30 @@ class WorkerServer(socketserver.ThreadingTCPServer):
     # -- status --------------------------------------------------------
     def status(self) -> Dict[str, Any]:
         owned = self.store.owned_groups()
+        with self._step_lock:
+            store_stats = self.store.stats()
+            header_stats = self.engine.header_stats()
+            health = self.store.health()
         with self._lock:
             requests = dict(self.requests)
+            peer_requests = dict(self.peer_requests)
             error_replies = self.error_replies
             dropped = self.dropped_connections
+        peer_rpcs = self.peer_ledger.by_worker()
         return {
             "worker": self.worker_id,
             "spec": self.engine.spec_name,
             "name": self.engine.name,
             "n": self.store.n,
             "owned_groups": list(owned) if owned is not None else None,
-            "store": self.store.stats(),
-            "header": self.engine.header_stats(),
+            "store": store_stats,
+            "header": header_stats,
             "requests": requests,
+            "peer_requests": peer_requests,
+            "peer_rpcs": peer_rpcs,
             "error_replies": error_replies,
             "dropped_connections": dropped,
-            "health": self.store.health(),
+            "health": health,
         }
 
 
@@ -413,7 +557,7 @@ def run_worker(
     *,
     shard_dir: str,
     worker_id: int,
-    assignment: Dict[int, int],
+    placement: Placement,
     host: str = "127.0.0.1",
     port: int = 0,
     max_resident: Optional[int] = None,
@@ -421,18 +565,21 @@ def run_worker(
 ) -> None:
     """Worker process entry point (a ``multiprocessing`` target).
 
-    Builds the restricted store and serving engine, binds the RPC
-    server (``port=0`` = ephemeral), reports ``("ready", port)`` or a
-    typed ``("error", type name, message)`` over ``conn``, then serves
-    until :data:`~repro.cluster.wire.MSG_SHUTDOWN` (or the process is
-    killed — the chaos case the router's failover covers).
+    Builds the restricted store of ``placement.assignment(worker_id)``
+    and the serving engine, binds the RPC server (``port=0`` =
+    ephemeral), reports ``("ready", port)`` or a typed ``("error", type
+    name, message)`` over ``conn``, waits for the driver's ``("peers",
+    addresses)``, then serves until
+    :data:`~repro.cluster.wire.MSG_SHUTDOWN` (or the process is killed —
+    the chaos case the pumps' failover covers).  A driver that goes
+    away before sending the peer map ends the worker.
     """
     store: Optional[ShardStore] = None
     server: Optional[WorkerServer] = None
     try:
         store = build_worker_store(
             shard_dir,
-            assignment,
+            placement.assignment(worker_id),
             max_resident=max_resident,
             fault_spec=fault_spec,
         )
@@ -442,6 +589,7 @@ def run_worker(
             worker_id=worker_id,
             store=store,
             engine=engine,
+            placement=placement,
         )
     except (ServingError, ShardCodecError, ValueError, OSError) as exc:
         conn.send(("error", type(exc).__name__, str(exc)))
@@ -452,7 +600,18 @@ def run_worker(
             store.close()
         return
     conn.send(("ready", server.server_address[1]))
+    try:
+        peers = conn.recv()
+    except EOFError:
+        peers = None
     conn.close()
+    if not (
+        isinstance(peers, tuple) and len(peers) == 2 and peers[0] == "peers"
+    ):
+        server.server_close()
+        store.close()
+        return
+    server.set_peers(peers[1])
     try:
         server.serve_forever(poll_interval=0.05)
     finally:

@@ -115,6 +115,8 @@ def test_cluster_serve_sigterm_and_reconnect(shards, tmp_path, capsys):
          "--shards", shards, "--workers", "3", "--out", spec_path],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True,
+        # its own process group: a failed run kills the workers too
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 60
@@ -153,6 +155,9 @@ def test_cluster_serve_sigterm_and_reconnect(shards, tmp_path, capsys):
         assert proc.returncode == 0, out
         assert "stopping cluster" in out
     finally:
-        if proc.poll() is None:
-            proc.kill()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the group already exited
+        if proc.returncode is None:
             proc.communicate(timeout=10)

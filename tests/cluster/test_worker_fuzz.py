@@ -1,14 +1,17 @@
 """Seeded dispatch fuzz: a worker answers every request or raises one of
 the error types its connection handler turns into a typed REPLY_ERROR.
 
-One restricted worker over a small thm11 pack gets LABEL, LOOKUP and
-FORWARD payloads of three kinds — random bytes, random values from a
-small grammar, and mutations of a valid request that replace one
+One restricted worker over a small thm11 pack gets LABEL, LOOKUP,
+FORWARD and ROUTE payloads of three kinds — random bytes, random values
+from a small grammar, and mutations of a valid request that replace one
 envelope or packet field — straight through ``WorkerServer.dispatch``.
+Its peer, the other half of a 2-worker placement, serves on a thread,
+so a ROUTE that leaves the worker's groups is forwarded for real.
 Any other exception would escape the handler and kill its thread.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -18,6 +21,8 @@ from repro.cluster.wire import (
     MSG_FORWARD,
     MSG_LABEL,
     MSG_LOOKUP,
+    MSG_ROUTE,
+    ClusterError,
     WireProtocolError,
 )
 from repro.cluster.worker import WorkerServer, build_worker_store
@@ -54,24 +59,46 @@ def worker(tmp_path_factory):
         seed=session.seed, group_size=GROUP_SIZE,
     )
     placement = Placement(n=N, group_size=GROUP_SIZE, workers=2, replicas=1)
-    store = build_worker_store(path, placement.assignment(0))
-    server = WorkerServer(
-        ("127.0.0.1", 0), worker_id=0, store=store,
-        engine=LocalRouter(store),
+    stores = [
+        build_worker_store(path, placement.assignment(w)) for w in (0, 1)
+    ]
+    server, peer = (
+        WorkerServer(
+            ("127.0.0.1", 0), worker_id=w, store=stores[w],
+            engine=LocalRouter(stores[w]), placement=placement,
+        )
+        for w in (0, 1)
     )
-    owned = sorted(store.owned_groups())
+    addresses = {0: server.server_address, 1: peer.server_address}
+    for s in (server, peer):
+        s.set_peers(addresses)
+    serving = threading.Thread(target=peer.serve_forever, daemon=True)
+    serving.start()
+    owned = sorted(stores[0].owned_groups())
     v = owned[0] * GROUP_SIZE
+    far = N - 1  # in the peer's groups: its route crosses to the peer
+    assert not stores[0].owns(far)
     full = open_store(path)  # the target may live outside this worker
     label = LocalRouter(full).label_of((v + 37) % N)
+    far_label = LocalRouter(full).label_of(far)
     full.close()
     yield {
         "server": server,
+        "peer": peer,
+        "placement": placement,
+        "store": stores[0],
         "drive": tuple(owned),
         "vertex": v,
         "label": label,
+        "far": far,
+        "far_label": far_label,
     }
-    server.server_close()
-    store.close()
+    peer.shutdown()
+    serving.join()
+    for s in (server, peer):
+        s.server_close()
+    for store in stores:
+        store.close()
 
 
 def _value(rng, depth=0):
@@ -115,7 +142,13 @@ def _requests(worker):
     assert isinstance(label, tuple)
     packet = [(1, 0, i) for i in range(4)]
     leaves = [(1, 0, 2, i) for i in range(len(label))]
+    route = [(0, i) for i in range(4)]
+    route_leaves = [(0, 2, i) for i in range(len(worker["far_label"]))]
     return {
+        MSG_ROUTE: (
+            [(v, worker["far"], worker["far_label"], 60)],
+            [(), (0,)] + route + route_leaves,
+        ),
         MSG_FORWARD: (
             (worker["drive"], [(v, None, label, 60)]),
             [(), (0,), (1,), (0, 0), (1, 0)] + packet + leaves,
@@ -125,8 +158,10 @@ def _requests(worker):
     }
 
 
-@pytest.mark.parametrize("msg", [MSG_LABEL, MSG_LOOKUP, MSG_FORWARD],
-                         ids=["label", "lookup", "forward"])
+@pytest.mark.parametrize(
+    "msg", [MSG_LABEL, MSG_LOOKUP, MSG_FORWARD, MSG_ROUTE],
+    ids=["label", "lookup", "forward", "route"],
+)
 def test_dispatch_raises_only_handled_errors(worker, msg):
     server = worker["server"]
     valid, fields = _requests(worker)[msg]
@@ -166,3 +201,58 @@ def test_unreadable_packet_gets_a_per_packet_error(
     assert reply[0]["state"] == "error"
     assert reply[0]["error"][0] == "WireProtocolError"
     assert f"step at {v}" in reply[0]["error"][1]
+
+
+def test_valid_route_is_delivered_through_the_peer(worker):
+    forwards = worker["peer"].peer_requests.get("FORWARD", 0)
+    reply = decode_value(worker["server"].dispatch(
+        MSG_ROUTE, encode_value(_requests(worker)[MSG_ROUTE][0])
+    )[1])
+    outcome, _, path, _, _, _, _ = reply["routes"][0]
+    assert outcome == "delivered"
+    assert path[0] == worker["vertex"] and path[-1] == worker["far"]
+    assert reply["dead"] == [] and reply["failovers"] == 0
+    assert worker["peer"].peer_requests["FORWARD"] > forwards
+
+
+@pytest.mark.parametrize("field, bad, error", [
+    (None, "not a list", WireProtocolError),
+    (None, [(1, 2, 3)], WireProtocolError),
+    (0, True, WireProtocolError),
+    (0, -1, ValueError),
+    (1, N, ValueError),
+    (1, False, WireProtocolError),
+    (2, "junk", WireProtocolError),
+    (2, (7,), WireProtocolError),
+    (3, -1, WireProtocolError),
+    (3, 2 ** 70, WireProtocolError),
+    (3, True, WireProtocolError),
+], ids=[
+    "payload-shape", "packet-shape", "bool-source", "negative-source",
+    "target-out-of-range", "bool-target", "str-label", "short-label",
+    "negative-budget", "oversized-budget", "bool-budget",
+])
+def test_route_refuses_bad_packets_typed(worker, field, bad, error):
+    packet = list(_requests(worker)[MSG_ROUTE][0][0])
+    if field is None:
+        payload = bad
+    else:
+        packet[field] = bad
+        payload = [tuple(packet)]
+    with pytest.raises(error):
+        worker["server"].dispatch(MSG_ROUTE, encode_value(payload))
+
+
+def test_route_before_the_peer_map_is_a_typed_error(worker):
+    store = worker["store"]
+    early = WorkerServer(
+        ("127.0.0.1", 0), worker_id=0, store=store,
+        engine=LocalRouter(store), placement=worker["placement"],
+    )
+    try:
+        with pytest.raises(ClusterError, match="no peer map"):
+            early.dispatch(
+                MSG_ROUTE, encode_value(_requests(worker)[MSG_ROUTE][0])
+            )
+    finally:
+        early.server_close()

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # The standard gate: ruff -> mypy (strict allowlist) -> invariant linter
-# -> tier-1 pytest -> ten cluster chaos runs -> the pure and numpy
-# dispatch legs -> a leg with
-# scipy unimportable -> the C kernels under ASan/UBSan -> the parallel
-# bench smoke.  Correctness checks live
+# -> tier-1 pytest -> ten cluster chaos runs -> the numpy engine leg -> a
+# leg with scipy unimportable -> the C kernels under ASan/UBSan -> the
+# parallel bench smoke.  Correctness checks live
 # in the tier-1 tests and speed in the end-to-end benchmark
 # (benchmarks/e2e/run.py), so no other bench script runs here.  Every leg runs even when an earlier one fails, so
 # one invocation reports everything; the exit status is non-zero if any
@@ -60,28 +59,19 @@ for run in $(seq 1 10); do
         || { echo "cluster chaos run $run failed"; fail=1; }
 done
 
-# -- pure dispatch: the shortest-path suites with the CSR kernel off, the
+# -- numpy engine: the hop-column reference and the numpy threshold scan
+# through whole builds (under auto, hosts with a compiler only ever run
+# the C column and the C scan), the global trees those columns give
+# against the DFS tree-routing reference, the shortest-path suites
+# against the pure-Python references of tests/sp_reference.py, the
 # routing suites through the Python pack decoder (under auto, hosts with
-# a compiler decode with the C scanner only), the Lemma 7/8 walks and
-# techniques on pure hop columns, and every scheme's stretch bound on the
-# dijkstra_py rows a pure build computes ---------------------------------
-echo "== pytest (REPRO_KERNEL=pure) =="
-REPRO_KERNEL=pure python -m pytest -q tests/graph/test_metric.py \
-    tests/graph/test_shortest_paths.py tests/graph/test_core.py \
-    tests/structures tests/routing tests/core \
-    tests/schemes/test_all_schemes.py tests/baselines/test_hierarchy.py \
-    || fail=1
-
-# -- numpy dispatch: the hop-column reference and the numpy threshold
-# scan through whole builds (under auto, hosts with a compiler only ever
-# run the C column and the C scan), the global trees those columns give
-# against the DFS tree-routing reference, and the one build path: a
+# a compiler decode with the C scanner only), and the one build path: a
 # scheme built with no substrate compiles to the bytes of a shared-cache
 # build
 echo "== pytest (REPRO_KERNEL=numpy) =="
 REPRO_KERNEL=numpy python -m pytest -q tests/graph/test_metric.py \
-    tests/graph/test_trees.py tests/routing/test_ball_routing.py \
-    tests/routing/test_tree_routing.py tests/core tests/schemes \
+    tests/graph/test_shortest_paths.py tests/graph/test_core.py \
+    tests/graph/test_trees.py tests/routing tests/core tests/schemes \
     tests/structures tests/baselines/test_hierarchy.py \
     tests/api/test_substrate.py || fail=1
 

@@ -7,6 +7,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
+    install_requires=["numpy"],
     extras_require={
         # the static gate (scripts/check.sh) degrades gracefully when
         # these are absent — install them to run the full recipe

@@ -232,7 +232,7 @@ class LocalKnowledgeRule(Rule):
 class DeterminismRule(Rule):
     """No unseeded global RNG, wall-clock values, or bare-set iteration.
 
-    Protects every bit-identical differential test (kernel-vs-pure
+    Protects every bit-identical differential test (kernel-vs-reference
     distances, save/load step decisions, single-copy-vs-replicated routes):
     all randomness must flow through a seeded ``random.Random`` /
     ``numpy`` generator instance, no algorithmic value may derive from

@@ -23,7 +23,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from ..graph.core import Graph
-from ..graph.shortest_paths import bounded_distance, use_kernel
+from ..graph.shortest_paths import bounded_distance
 
 __all__ = ["greedy_spanner", "baswana_sen_spanner", "spanner_stretch_ok"]
 
@@ -38,8 +38,8 @@ def greedy_spanner(g: Graph, k: int) -> Graph:
         raise ValueError(f"spanner parameter k must be >= 1, got {k}")
     spanner = Graph(g.n)
     stretch = 2 * k - 1
-    # The spanner mutates between queries, so the dispatch stays on the
-    # pure path here (a CSR rebuild per query would dominate).
+    # The spanner grows between queries; bounded_distance searches its
+    # adjacency dicts directly (a CSR rebuild per query would dominate).
     for u, v, w in sorted(g.edges(), key=lambda e: (e[2], e[0], e[1])):
         if bounded_distance(spanner, u, v, stretch * w) > stretch * w:
             spanner.add_edge(u, v, w)
@@ -145,13 +145,8 @@ def spanner_stretch_ok(g: Graph, spanner: Graph, stretch: float) -> bool:
     """Verify ``d_spanner(u, v) <= stretch * w`` for every edge ``(u,v)``.
 
     Checking edges suffices: shortest paths decompose into edges, so edge
-    stretch bounds path stretch.  The spanner is static here, so the CSR
-    kernel is built once up front and every bounded query dispatches to it.
+    stretch bounds path stretch.
     """
-    if use_kernel() and spanner.n > 0:
-        from ..graph.csr import csr_graph
-
-        csr_graph(spanner)  # prime the cache; bounded_distance reuses it
     for u, v, w in g.edges():
         if bounded_distance(spanner, u, v, stretch * w) > stretch * w + 1e-9:
             return False

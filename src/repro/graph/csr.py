@@ -7,20 +7,17 @@ This module provides an immutable, numpy-backed CSR mirror of a graph —
 primitives, and a batched :meth:`CSRGraph.all_balls` that computes the
 paper's vicinities ``B(u, ell)`` for *every* vertex at once.
 
-Kernel / fallback dispatch
---------------------------
-Callers do not import this module directly; they go through the dispatch
-functions in :mod:`repro.graph.shortest_paths` (``all_balls``,
-``bounded_distance``) and :class:`~repro.graph.metric.
-MetricView`.  The dispatch picks this kernel when numpy imports cleanly
-and ``REPRO_KERNEL=pure`` is not set (resolved once per process), and
-otherwise falls back to the
-pure-Python implementations, which stay in the tree as the
-differential-test reference.  Whole distance rows (:meth:`CSRGraph.rows`)
-are the threshold scan with all-``inf`` thresholds scattered into dense
-rows — the same engine as the cluster scans, so there is one
-shortest-path engine; callers ask for rows in blocks, so peak memory
-stays ``O(block * n)``.
+Kernel dispatch
+---------------
+Callers reach this module through :func:`repro.graph.shortest_paths.
+all_balls` and :class:`~repro.graph.metric.MetricView`; every row, ball
+and cluster scan of a build runs here.  ``REPRO_KERNEL`` only picks
+whether the inner loops are numpy or the compiled ones of
+:mod:`repro.native` (resolved once per process).  Whole distance rows
+(:meth:`CSRGraph.rows`) are the threshold scan with all-``inf``
+thresholds scattered into dense rows — the same engine as the cluster
+scans, so there is one shortest-path engine; callers ask for rows in
+blocks, so peak memory stays ``O(block * n)``.
 
 Batched ball engines
 --------------------
@@ -34,7 +31,7 @@ ragged numpy gather/scatter over all sources at once — no per-edge Python
 work and no per-source O(n) allocation.  Tentative distances live in
 persistent flat buffers reused across batches; instead of an O(B*n) refill,
 only the entries touched by the previous batch are re-initialised (the
-float analogue of the generation-stamp trick used by the scalar kernels).
+float analogue of the generation-stamp trick of the BFS sweep).
 
 *Bucket width*: ``delta`` defaults to an eighth of the mean edge weight
 (:meth:`CSRGraph.delta_width`).  Rounds cost little — the candidate queue
@@ -43,7 +40,7 @@ one bucket past its ball boundary, and on neighbourhood expanders the
 region grows exponentially with that margin, so narrow buckets win.  The
 width never affects results — every bucket is relaxed to a fixpoint before
 it is sealed, so final distances are the unique least fixpoint of
-``d[v] = min(d[u] + w)`` in float64, bitwise identical to the pure path.
+``d[v] = min(d[u] + w)`` in float64, bitwise identical to a heap Dijkstra.
 
 Two truncation modes share the engine: *ball mode* stops a source once
 ``ell`` vertices settled and the bucket boundary cleared ``d_max + tol``
@@ -66,22 +63,22 @@ Tie-breaking invariant
 All kernels preserve the paper's Section 2 total order *exactly*: balls are
 ``(distance, id)``-ordered prefixes, and hop columns (the first hops
 that shortest-path trees and walks read) take the tight neighbour with
-the smallest ``(distance, id)``.  Distances are bitwise identical to the
-pure-Python path: both accumulate the same float64 edge weights along the
-same shortest paths, and the final distance of a vertex is the minimum
-over the same candidate set regardless of relaxation order.
+the smallest ``(distance, id)``.  Distances are bitwise identical to a
+heap Dijkstra's (the tests' pure-Python references): both accumulate the
+same float64 edge weights along the same shortest paths, and the final
+distance of a vertex is the minimum over the same candidate set
+regardless of relaxation order.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import Graph
 
-__all__ = ["CSRGraph", "csr_graph", "cached_csr_graph"]
+__all__ = ["CSRGraph", "csr_graph"]
 
 _INF = float("inf")
 
@@ -202,29 +199,12 @@ def csr_graph(g: Graph) -> "CSRGraph":
     return kernel
 
 
-def cached_csr_graph(g: Graph) -> Optional["CSRGraph"]:
-    """A *current* cached CSR mirror of ``g``, or ``None`` — never builds.
-
-    Mutation-heavy callers (e.g. the greedy spanner, which queries the
-    spanner while growing it) use this so each query does not pay an
-    O(n + m) rebuild; they fall back to the pure path instead.
-    """
-    cached = g._csr_cache
-    if cached is not None and cached[0] == g._version:
-        return cached[1]
-    return None
-
-
 class CSRGraph:
     """Immutable flat-array (CSR) view of an undirected weighted graph.
 
     ``indptr``/``indices``/``weights`` are the usual CSR triple with both
     edge directions materialized; per-row neighbour order is the graph's
-    deterministic insertion order.  ``_adj`` is the same adjacency as plain
-    Python ``(neighbour, weight)`` tuple lists — CPython iterates those
-    much faster than numpy scalars, so the heap kernel
-    (:meth:`bounded_distance`) runs on it while the numpy arrays serve
-    construction, the batched engines and vectorized postprocessing.
+    deterministic insertion order.
     """
 
     __slots__ = (
@@ -233,11 +213,7 @@ class CSRGraph:
         "indptr",
         "indices",
         "weights",
-        "_adj",
         "_gen",
-        "_best",
-        "_best_stamp",
-        "_settled_stamp",
         "_np_stamp",
         "_degrees",
         "_unweighted",
@@ -265,14 +241,10 @@ class CSRGraph:
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        self._adj: Optional[List[List[Tuple[int, float]]]] = None
-        # Generation-stamped scratch buffers: a slot is valid only when its
-        # stamp equals the current generation, so "resetting" all n slots
-        # between sources is a single integer increment.
+        # The BFS ball sweep's generation-stamped visited array: a slot is
+        # valid only when its stamp equals the current generation, so
+        # "resetting" all n slots between sources is an integer increment.
         self._gen = 0
-        self._best = [0.0] * self.n
-        self._best_stamp = [0] * self.n
-        self._settled_stamp = [0] * self.n
         self._np_stamp = np.zeros(self.n, dtype=np.int64)
         self._degrees = np.diff(indptr)
         self._unweighted: Optional[bool] = None
@@ -312,52 +284,6 @@ class CSRGraph:
                 weights[pos] = w
                 pos += 1
         return cls(n, indptr, indices, weights)
-
-    def _flat_adj(self) -> List[List[Tuple[int, float]]]:
-        if self._adj is None:
-            idx = self.indices.tolist()
-            wts = self.weights.tolist()
-            ptr = self.indptr.tolist()
-            self._adj = [
-                list(zip(idx[ptr[u] : ptr[u + 1]], wts[ptr[u] : ptr[u + 1]]))
-                for u in range(self.n)
-            ]
-        return self._adj
-
-    # ------------------------------------------------------------------
-    # Single-source kernels
-    # ------------------------------------------------------------------
-    def bounded_distance(
-        self, source: int, target: int, limit: float
-    ) -> float:
-        """Distance ``d(source, target)`` if at most ``limit``, else ``inf``."""
-        adj = self._flat_adj()
-        self._gen += 1
-        gen = self._gen
-        best = self._best
-        best_stamp = self._best_stamp
-        settled_stamp = self._settled_stamp
-        best[source] = 0.0
-        best_stamp[source] = gen
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if settled_stamp[u] == gen:
-                continue
-            settled_stamp[u] = gen
-            if u == target:
-                return d
-            if d > limit:
-                return _INF
-            for v, w in adj[u]:
-                nd = d + w
-                if nd <= limit and (
-                    best_stamp[v] != gen or nd < best[v]
-                ):
-                    best[v] = nd
-                    best_stamp[v] = gen
-                    heapq.heappush(heap, (nd, v))
-        return _INF
 
     # ------------------------------------------------------------------
     # Batched kernels
@@ -486,7 +412,7 @@ class CSRGraph:
         is ``B(u, ell)`` — which is what 10^5+-vertex builds want (the
         list-of-lists materialization dwarfs the compute there).
 
-        Every engine returns exactly the pure-path balls and radii.
+        Every engine returns exactly the same balls and radii.
         """
         n = self.n
         ell = min(ell, n)
@@ -1030,7 +956,7 @@ class CSRGraph:
         drops to the fill boundary plus ``tol``, so expansion never
         exceeds the ball region by more than one bucket.  Sources that
         run dry early (small components) yield their whole reachable set,
-        exactly like the scalar kernel.  Per-source results depend only
+        exactly like a truncated heap Dijkstra.  Per-source results depend only
         on the CSR arrays and the (graph-global) bucket width, so any
         partition of the source range is bit-identical.
         """

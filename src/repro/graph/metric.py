@@ -10,8 +10,7 @@ Distance rows
 -------------
 :class:`MetricView` is a per-row distance oracle: rows are computed on
 demand — the CSR kernel's threshold scan with all-``inf`` thresholds
-(:meth:`repro.graph.csr.CSRGraph.rows`), or ``dijkstra_py`` under
-``REPRO_KERNEL=pure`` — and LRU-cached.  Peak memory is
+(:meth:`repro.graph.csr.CSRGraph.rows`) — and LRU-cached.  Peak memory is
 ``O(cache_rows * n)``, never ``O(n^2)``, matching the preprocessing
 access pattern (landmark columns, row blocks, one target sweep).  A
 scheme build reads each vertex's row about once: its per-target work
@@ -65,11 +64,11 @@ order, so the forward value ``d_fwd(u, v)`` (Dijkstra from ``u``) and the
 reverse one ``d_fwd(v, u)`` can differ by one ulp at exact real ties.  All
 of :meth:`row`, :meth:`d`, :meth:`rows`, :meth:`columns` and the block
 iterators therefore return the **forward row orientation**: ``d(u, v)`` is
-always the value computed from ``u``'s side, on every dispatch path
-(native, numpy, pure) — they are the same least float64 fixpoint, hence
-bit-identical.  Consumers that compare distances strictly (cluster
-membership, pivots) always read one orientation consistently, which
-keeps every structure exact.
+always the value computed from ``u``'s side, on every engine (native,
+numpy, and the tests' heap Dijkstra references) — they are the same
+least float64 fixpoint, hence bit-identical.  Consumers that compare
+distances strictly (cluster membership, pivots) always read one
+orientation consistently, which keeps every structure exact.
 
 Hop columns are the one exception: :meth:`MetricView.hop_column` reads
 every distance it compares from the *target's* row, so the tie-break of
@@ -102,12 +101,7 @@ import numpy as np
 
 from . import csr
 from .core import Graph, GraphError
-from .shortest_paths import (
-    all_balls,
-    dijkstra_py,
-    threshold_dijkstra_py,
-    use_kernel,
-)
+from .shortest_paths import all_balls
 
 __all__ = ["HopWalkError", "MetricView", "hop_path"]
 
@@ -231,15 +225,6 @@ class MetricView:
         #: an LRU of hop columns by target (hop_column)
         self._hop_cols: "OrderedDict[int, np.ndarray]" = OrderedDict()
 
-    # ------------------------------------------------------------------
-    # Kernel plumbing
-    # ------------------------------------------------------------------
-    def _kernel(self):
-        """The CSR kernel of the graph, or ``None`` on the pure path."""
-        if self.n == 0 or not use_kernel():
-            return None
-        return csr.csr_graph(self.graph)
-
     @property
     def tol(self) -> float:
         """Absolute tolerance for shortest-path membership tests.
@@ -272,13 +257,7 @@ class MetricView:
                 raise GraphError(f"vertex {s} out of range [0, {self.n})")
         if not sources:
             return np.zeros((0, self.n), dtype=np.float64)
-        kernel = self._kernel()
-        if kernel is not None:
-            out = kernel.rows(sources)
-        else:
-            out = np.empty((len(sources), self.n), dtype=np.float64)
-            for i, s in enumerate(sources):
-                out[i] = dijkstra_py(self.graph, s)[0]
+        out = csr.csr_graph(self.graph).rows(sources)
         self.rows_computed += len(sources)
         finite = out[np.isfinite(out)]
         if finite.size:
@@ -370,8 +349,7 @@ class MetricView:
         ``S``, or all ``inf``: then ``verts`` (ascending) is exactly the
         cluster ``C_S(u)`` and ``dists`` its canonical forward distances.
         Work is the clusters' edges, never a row: the CSR kernel's
-        bounded engine (native, numpy or the pool) or a pruned pure
-        Dijkstra (:func:`~repro.graph.shortest_paths.threshold_dijkstra_py`).
+        bounded engine (native, numpy or the pool).
         """
         if sources is None:
             sources = range(self.n)
@@ -381,17 +359,7 @@ class MetricView:
                 raise GraphError(f"vertex {u} out of range [0, {self.n})")
         thr = np.ascontiguousarray(thresholds, dtype=np.float64)
         self.bounded_rows_computed += len(sources)
-        kernel = self._kernel()
-        if kernel is not None:
-            yield from kernel.bounded_rows(sources, thr)
-            return
-        thr_list = thr.tolist()
-        for u in sources:
-            found = threshold_dijkstra_py(self.graph, u, thr_list)
-            verts = sorted(found)
-            yield u, np.array(verts, dtype=np.int64), np.array(
-                [found[v] for v in verts], dtype=np.float64
-            )
+        yield from csr.csr_graph(self.graph).bounded_rows(sources, thr)
 
     def count_rows_below(
         self,

@@ -30,8 +30,8 @@ per process by :func:`repro.graph.shortest_paths.kernel_mode`):
 * ``auto`` (or unset) *prefers* native when it loads, and otherwise
   falls back to the numpy kernel recording why
   (:func:`fallback_reason` / :func:`native_status`);
-* ``numpy`` pins the numpy kernel, ``pure`` the pure-Python one — both
-  stay differential references with bit-identical outputs.
+* ``numpy`` pins the numpy kernel, the differential reference of the
+  native one with bit-identical outputs.
 
 ``REPRO_NATIVE_CC`` overrides the compiler (a path/name), and the
 values ``off``/``none``/``0`` mask it entirely — with an empty

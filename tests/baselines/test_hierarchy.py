@@ -6,8 +6,11 @@ import pytest
 from repro.baselines.hierarchy import SampledHierarchy
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.graph.metric import MetricView
-from repro.graph.shortest_paths import reset_kernel_choice
-from sp_reference import subgraph_dijkstra_py, threshold_reference
+from sp_reference import (
+    kernel_dispatch,
+    subgraph_dijkstra_py,
+    threshold_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +109,7 @@ class TestThresholdScans:
     ``d(·, A_{i+1})`` (``inf`` on the top level)."""
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_level_scans_match_full_rows_on_every_mode(self, k, monkeypatch):
+    def test_level_scans_match_full_rows_on_every_mode(self, k):
         from repro import native
 
         g = with_random_weights(erdos_renyi(60, 0.1, seed=7), seed=8)
@@ -115,13 +118,15 @@ class TestThresholdScans:
             modes.append("native")
         scans = {}
         for mode in modes:
-            monkeypatch.setenv("REPRO_KERNEL", mode)
-            reset_kernel_choice()
-            h = SampledHierarchy(MetricView(g), k, seed=3)
-            scans[mode] = [
-                (w, h.cluster(w), np.asarray(h._cluster_dists[w]).tobytes())
-                for w, _ in h.clusters()
-            ]
+            with kernel_dispatch(mode):
+                h = SampledHierarchy(MetricView(g), k, seed=3)
+                scans[mode] = [
+                    (
+                        w, h.cluster(w),
+                        np.asarray(h._cluster_dists[w]).tobytes(),
+                    )
+                    for w, _ in h.clusters()
+                ]
             for i in range(k):
                 thr = np.array(
                     [h.pivot_distance(i + 1, v) for v in range(g.n)]

@@ -20,6 +20,7 @@ from repro.graph.generators import (
 )
 from repro.graph.metric import MetricView
 from repro.graph.shortest_paths import reset_kernel_choice
+from sp_reference import reference_engine  # noqa: F401  (a fixture)
 
 
 @pytest.fixture(autouse=True)

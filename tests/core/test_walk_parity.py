@@ -2,7 +2,8 @@
 reference walks (``tests/walk_reference.py``).
 
 Every ordered pair of every colour class is compared, on the native (or
-numpy, where no compiler is present), numpy and pure dispatch paths: the
+numpy, where no compiler is present) and numpy engines and on the
+``"pure"`` path, whose rows come from the pure-Python references: the
 sequence functions with a hop column read once per target, the
 techniques that call them from their sweeps, and the boundary edges
 they walk.  Lemma 7 runs on unweighted and tie-heavy graphs, Lemma 8 on
@@ -33,6 +34,7 @@ from repro.routing.ports import PortAssignment
 from repro.structures.balls import BallFamily
 from repro.structures.coloring import color_classes, find_coloring
 from repro.structures.hitting_set import greedy_hitting_set
+from sp_reference import patch_references
 from walk_reference import (
     reference_boundary_edge,
     reference_lemma7_sequence,
@@ -42,10 +44,13 @@ from walk_reference import (
 
 @pytest.fixture(params=["auto", "numpy", "pure"])
 def kernel(request, monkeypatch):
-    """Every test runs once per dispatch path (``auto`` is the native
-    kernel where it builds)."""
-    monkeypatch.setenv("REPRO_KERNEL", request.param)
-    reset_kernel_choice()
+    """Every test runs once per engine (``auto`` is the native kernel
+    where it builds; ``pure`` patches in the reference rows)."""
+    if request.param == "pure":
+        patch_references(monkeypatch)
+    else:
+        monkeypatch.setenv("REPRO_KERNEL", request.param)
+        reset_kernel_choice()
     return request.param
 
 

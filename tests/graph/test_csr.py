@@ -1,7 +1,7 @@
 """Differential tests: CSR kernel vs pure Python (scipy as an outside check).
 
-The CSR kernel must be a *drop-in* replacement for the pure-Python
-shortest-path substrate: identical distances, identical ball memberships
+The CSR kernel must agree with the pure-Python reference Dijkstras of
+``tests/sp_reference.py``: identical distances, identical ball memberships
 and — crucially for the paper's Section 2 total order — identical
 ``(dist, id)`` ball *order*.  These tests pin that equivalence on random
 weighted and unweighted graphs for both batched ball engines (the
@@ -11,8 +11,8 @@ multiprocess tier.
 ``MetricView`` rows are the *forward* single-source rows: they equal an
 all-pairs reference computed in the test (forward ``dijkstra_py`` rows,
 or scipy's ``directed=False`` matrix) exactly.  Structures built on the
-view are compared between the kernel's bounded engine and
-``REPRO_KERNEL=pure``, which filters full rows.
+view are compared between the kernel and the ``"pure"`` path, where the
+references compute every row, cluster scan and ball sweep.
 """
 
 import math
@@ -22,7 +22,7 @@ import pytest
 
 from repro.graph import parallel
 from repro.graph.core import Graph
-from repro.graph.csr import CSRGraph, cached_csr_graph, csr_graph
+from repro.graph.csr import CSRGraph, csr_graph
 from repro.graph.generators import (
     erdos_renyi,
     grid,
@@ -31,21 +31,23 @@ from repro.graph.generators import (
 )
 from repro.graph.metric import MetricView
 from repro.graph.shortest_paths import (
-    _ball_radius_py,
+    KernelConfigError,
     all_balls,
     bounded_distance,
-    bounded_distance_py,
-    dijkstra_py,
+    kernel_mode,
     reset_kernel_choice,
-    truncated_dijkstra_py,
-    use_kernel,
 )
 from repro.graph.trees import cluster_parents
 from repro.structures.bunches import BunchStructure
 from sp_reference import (
+    _ball_radius_py,
+    dijkstra_py,
     distance_to_set,
+    kernel_dispatch,
+    reference_all_balls,
     subgraph_dijkstra_py,
     threshold_reference,
+    truncated_dijkstra_py,
 )
 
 
@@ -66,19 +68,15 @@ GRAPHS = _graphs()
 
 
 def _pure(build):
-    """``build()`` under ``REPRO_KERNEL=pure``: every distance row from
-    ``dijkstra_py``, every bounded scan a filtered full row."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_KERNEL", "pure")
-        reset_kernel_choice()
-        out = build()
-    reset_kernel_choice()
-    return out
+    """``build()`` on the references: every distance row from
+    ``dijkstra_py``, every threshold scan a ``threshold_dijkstra_py``."""
+    with kernel_dispatch("pure"):
+        return build()
 
 
 def _pure_balls(g, ell, tol):
-    """Balls and radii from :func:`all_balls` on the pure dispatch path."""
-    return _pure(lambda: all_balls(g, ell, tol=tol, with_radii=True))
+    """Balls and radii from the per-source reference balls."""
+    return reference_all_balls(g, ell, tol=tol, with_radii=True)
 
 
 def _apsp(g):
@@ -94,35 +92,40 @@ def graph(request):
 class TestKernelAvailability:
     def test_kernel_active_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert use_kernel()
-
-    def test_env_override_forces_pure(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "pure")
-        reset_kernel_choice()
-        assert not use_kernel()
+        assert kernel_mode() in ("native", "numpy")
         g = erdos_renyi(20, 0.2, seed=1)
-        # the row dispatch still returns correct results on the pure path
         assert MetricView(g).row(0).tolist() == dijkstra_py(g, 0)[0]
 
     def test_choice_cached_until_reset(self, monkeypatch):
         """A mid-run env mutation must NOT flip the resolved dispatch
-        (satellite: no mixed kernel/pure results within one build)."""
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert use_kernel()
-        monkeypatch.setenv("REPRO_KERNEL", "pure")
-        assert use_kernel()  # still the cached kernel choice
+        (no mixed engines within one build)."""
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        assert kernel_mode() == "numpy"
+        monkeypatch.setenv("REPRO_KERNEL", "fortran")
+        assert kernel_mode() == "numpy"  # still the cached choice
         reset_kernel_choice()
-        assert not use_kernel()  # the hook re-reads the environment
+        with pytest.raises(KernelConfigError):
+            kernel_mode()  # the hook re-reads the environment
+
+    def test_reference_dispatch_bypasses_the_kernel(self):
+        """The ``"pure"`` path computes rows, scans and balls without a
+        CSR mirror, so the suites that race it against the kernel never
+        compare the kernel with itself."""
+        g = with_random_weights(erdos_renyi(20, 0.2, seed=3), seed=4)
+        with kernel_dispatch("pure"):
+            m = MetricView(g)
+            m.rows(range(g.n))
+            list(m.iter_bounded_rows(np.full(g.n, np.inf)))
+            m.all_balls(5)
+        assert g._csr_cache is None
 
     def test_csr_cache_invalidated_by_mutation(self):
         g = erdos_renyi(20, 0.2, seed=2)
         k1 = csr_graph(g)
         assert csr_graph(g) is k1
-        assert cached_csr_graph(g) is k1
         u, v = next((u, v) for u in range(20) for v in range(20)
                     if u != v and not g.has_edge(u, v))
         g.add_edge(u, v, 1.0)
-        assert cached_csr_graph(g) is None
         k2 = csr_graph(g)
         assert k2 is not k1
         assert k2.m == k1.m + 1
@@ -186,15 +189,11 @@ class TestAllBallsAgreement:
             assert got == ref, engine
         assert all_balls(graph, ell, tol=tol, with_radii=True) == ref
 
-    def test_zero_ell_same_on_every_path(self, graph, monkeypatch):
+    def test_zero_ell_same_on_every_path(self, graph):
         n = graph.n
         expect = ([[] for _ in range(n)], [0.0] * n)
         assert all_balls(graph, 0, with_radii=True) == expect
-        monkeypatch.setenv("REPRO_KERNEL", "pure")
-        reset_kernel_choice()
-        assert all_balls(graph, 0, with_radii=True) == expect
-        monkeypatch.delenv("REPRO_KERNEL")
-        reset_kernel_choice()
+        assert _pure_balls(graph, 0, 0.0) == expect
         assert MetricView(graph).all_balls(0) == expect
 
     def test_bfs_path_forced(self):
@@ -226,12 +225,10 @@ def _pivots(metric, sources):
 class TestMultiSourceAgreement:
     """``p_A(v)``: kernel and pure dispatch agree, duplicates are inert."""
 
-    def test_identical(self, graph, monkeypatch):
+    def test_identical(self, graph):
         sources = [0, graph.n // 3, graph.n - 1]
         kernel = _pivots(MetricView(graph), sources)
-        monkeypatch.setenv("REPRO_KERNEL", "pure")
-        reset_kernel_choice()
-        assert _pivots(MetricView(graph), sources) == kernel
+        assert _pure(lambda: _pivots(MetricView(graph), sources)) == kernel
 
     def test_duplicate_sources(self, graph):
         """Deduplication: repeated sources change nothing (satellite)."""
@@ -240,26 +237,46 @@ class TestMultiSourceAgreement:
         assert _pivots(m, sources) == _pivots(m, [0, graph.n // 2])
 
 
-class TestBoundedDistanceAgreement:
-    @pytest.mark.parametrize("limit", [0.5, 2.0, 7.5, float("inf")])
-    def test_identical(self, graph, limit):
-        kernel = csr_graph(graph)
-        for s, t in [(0, graph.n - 1), (1, graph.n // 2), (3, 3)]:
-            assert kernel.bounded_distance(
-                s, t, limit
-            ) == bounded_distance_py(graph, s, t, limit)
+LIMITS = [0.5, 2.0, 7.5, float("inf")]
 
-    def test_dispatch_uses_cached_kernel_only(self):
-        g = erdos_renyi(30, 0.15, seed=4)
-        assert cached_csr_graph(g) is None
-        # no cached kernel -> pure path, still correct
-        assert bounded_distance(g, 0, 5, 100.0) == bounded_distance_py(
-            g, 0, 5, 100.0
-        )
-        csr_graph(g)
-        assert bounded_distance(g, 0, 5, 100.0) == bounded_distance_py(
-            g, 0, 5, 100.0
-        )
+
+def _assert_bounded_matches_rows(g, sources, limit):
+    """``bounded_distance(g, s, t, limit)`` is the ``dijkstra_py`` row
+    entry when it is at most ``limit``, and ``inf`` otherwise."""
+    for s in sources:
+        row = dijkstra_py(g, s)[0]
+        for t in range(g.n):
+            want = row[t] if row[t] <= limit else math.inf
+            assert bounded_distance(g, s, t, limit) == want, (s, t)
+
+
+class TestBoundedDistanceAgreement:
+    """The greedy spanner's bounded query against the reference rows, on
+    weighted, unweighted, disconnected and tie-heavy graphs."""
+
+    @pytest.mark.parametrize("limit", LIMITS)
+    def test_identical(self, graph, limit):
+        _assert_bounded_matches_rows(graph, (0, 1, graph.n // 2), limit)
+
+    @pytest.mark.parametrize("limit", LIMITS)
+    def test_tie_heavy(self, limit):
+        g = _duplicate_weight_graph()
+        _assert_bounded_matches_rows(g, (0, 7, g.n - 1), limit)
+
+    @pytest.mark.parametrize("limit", LIMITS)
+    def test_graph_mutated_between_queries(self, limit):
+        """The greedy spanner's pattern: edges arrive between queries, and
+        every query sees the graph as it is then."""
+        import random as _random
+
+        source = with_random_weights(erdos_renyi(30, 0.15, seed=4), seed=5)
+        rng = _random.Random(6)
+        g = Graph(source.n)
+        for u, v, w in source.edges():
+            g.add_edge(u, v, w)
+            _assert_bounded_matches_rows(
+                g, (u, rng.randrange(g.n)), limit
+            )
 
 
 class TestSubgraphDijkstra:
@@ -336,7 +353,7 @@ class TestSubgraphDijkstra:
         with pytest.raises(ValueError):
             subgraph_dijkstra_py(g, 0, [1, 2])
 
-    def test_distance_closed_set_accepted_on_both_paths(self, monkeypatch):
+    def test_distance_closed_set_accepted_on_both_paths(self):
         """Diamond: 3's smallest-id tight predecessor (1) is outside the
         member set, but {0,2,3} realizes all its shortest paths
         internally, so its tree is {3: 2}; the whole-graph scan (inf
@@ -354,19 +371,16 @@ class TestSubgraphDijkstra:
 
         expect = {0: 0, 1: 0, 2: 0, 3: 1}
         assert whole() == expect
-        monkeypatch.setenv("REPRO_KERNEL", "pure")
-        reset_kernel_choice()
-        assert whole() == expect
+        assert _pure(whole) == expect
 
 
 class TestMetricModesAgree:
     """MetricView agrees with the test-side all-pairs reference."""
 
     @pytest.mark.parametrize("kernel", [True, False])
-    def test_lazy_matches_dense_unweighted(self, kernel, monkeypatch):
+    def test_lazy_matches_dense_unweighted(self, kernel, request):
         if not kernel:
-            monkeypatch.setenv("REPRO_KERNEL", "pure")
-            reset_kernel_choice()
+            request.getfixturevalue("reference_engine")
         g = erdos_renyi(40, 0.12, seed=13)
         ref = _apsp(g)
         m = MetricView(g)
@@ -615,7 +629,8 @@ THRESHOLD_GRAPHS = DELTA_GRAPHS + [("small-int", _small_int_weight_graph())]
 
 
 def _scan_modes():
-    """The dispatch modes a threshold scan runs under on this host."""
+    """The engines a threshold scan runs on here ("pure": the
+    references)."""
     from repro import native
 
     modes = ["numpy", "pure"]
@@ -634,9 +649,7 @@ class TestThresholdScan:
         ids=[name for name, _ in THRESHOLD_GRAPHS],
     )
     @pytest.mark.parametrize("landmarks", [0, 1, 3, 9])
-    def test_modes_agree_with_full_rows(
-        self, graph_case, landmarks, monkeypatch
-    ):
+    def test_modes_agree_with_full_rows(self, graph_case, landmarks):
         import random as _random
 
         _, g = graph_case
@@ -644,12 +657,11 @@ class TestThresholdScan:
         thr = distance_to_set(g, rng.sample(range(g.n), landmarks))
         scans = {}
         for mode in _scan_modes():
-            monkeypatch.setenv("REPRO_KERNEL", mode)
-            reset_kernel_choice()
-            scans[mode] = [
-                (w, v.tolist(), d.tobytes())
-                for w, v, d in MetricView(g).iter_bounded_rows(thr)
-            ]
+            with kernel_dispatch(mode):
+                scans[mode] = [
+                    (w, v.tolist(), d.tobytes())
+                    for w, v, d in MetricView(g).iter_bounded_rows(thr)
+                ]
         for mode, scan in scans.items():
             assert scan == scans["pure"], mode
         for w, verts, dists in scans["pure"]:
@@ -694,14 +706,13 @@ class TestTieHeavyModeAgreement:
             assert np.array_equal(m.row(u), ref[u])
         assert m.all_balls(11) == _pure_balls(tie_graph, 11, m.tol)
 
-    def test_kernel_equals_pure_bitwise(self, tie_graph, monkeypatch):
+    def test_kernel_equals_pure_bitwise(self, tie_graph, request):
         kernel_rows = [
             MetricView(tie_graph).row(u).copy()
             for u in range(tie_graph.n)
         ]
         kernel_balls, _ = MetricView(tie_graph).all_balls(11)
-        monkeypatch.setenv("REPRO_KERNEL", "pure")
-        reset_kernel_choice()
+        request.getfixturevalue("reference_engine")
         pure = MetricView(tie_graph)
         for u in range(tie_graph.n):
             assert np.array_equal(pure.row(u), kernel_rows[u])

@@ -19,13 +19,9 @@ from repro.graph.generators import (
 )
 from repro.graph.csr import csr_graph
 from repro.graph.metric import HopWalkError, MetricView, hop_path
-from repro.graph.shortest_paths import (
-    dijkstra_py,
-    reset_kernel_choice,
-    use_kernel,
-)
 from repro.graph.trees import cluster_parents
 from repro.routing.shard_codec import encode_node_table
+from sp_reference import dijkstra_py, patch_references
 
 
 def _apsp(g):
@@ -47,10 +43,9 @@ def _view(g, held, small=2):
 
 class TestDistances:
     @pytest.mark.parametrize("kernel", [True, False])
-    def test_matches_networkx(self, kernel, monkeypatch):
+    def test_matches_networkx(self, kernel, request):
         if not kernel:
-            monkeypatch.setenv("REPRO_KERNEL", "pure")
-            reset_kernel_choice()
+            request.getfixturevalue("reference_engine")
         g = with_random_weights(erdos_renyi(30, 0.15, seed=1), seed=2)
         m = MetricView(g)
         ref = dict(nx.all_pairs_dijkstra_path_length(g.to_networkx()))
@@ -64,11 +59,10 @@ class TestDistances:
         full = MetricView(g).rows(range(g.n))
         assert np.allclose(full, full.T, rtol=0, atol=1e-12)
 
-    def test_kernel_and_python_agree(self, monkeypatch):
+    def test_kernel_and_python_agree(self, request):
         g = with_random_weights(erdos_renyi(25, 0.2, seed=5), seed=6)
         kernel_rows = MetricView(g).rows(range(g.n))
-        monkeypatch.setenv("REPRO_KERNEL", "pure")
-        reset_kernel_choice()
+        request.getfixturevalue("reference_engine")
         # one least float64 fixpoint: bitwise, not approx
         assert np.array_equal(kernel_rows, MetricView(g).rows(range(g.n)))
 
@@ -368,8 +362,7 @@ class TestSPTParents:
         # Trees and shortest_path walks share one first-hop rule.
         with pytest.MonkeyPatch.context() as mp:
             if kernel == "pure":
-                mp.setenv("REPRO_KERNEL", "pure")
-            reset_kernel_choice()
+                patch_references(mp)
             g = erdos_renyi(40, 0.1, seed=seed)
             if kind == "weighted":
                 g = with_random_weights(g, seed=seed + 1)
@@ -380,7 +373,6 @@ class TestSPTParents:
                 for u in range(g.n):
                     if u != r:
                         assert parents[u] == m.next_hop(u, r)
-        reset_kernel_choice()
 
     def test_restricted_rejects_non_closed(self):
         g = grid(1, 5)  # path 0-1-2-3-4
@@ -457,12 +449,7 @@ class TestNextHopRowsInBuilds:
         spec = get_spec("thm11")
         m = MetricView(g)
         spec.factory(g, metric=m, **spec.defaults())
-        if use_kernel():
-            assert m.rows_computed <= 133
-        else:
-            # The pure dispatch computes every row it reads in Python,
-            # the bounded cluster scans included.
-            assert m.rows_computed <= 382
+        assert m.rows_computed <= 133
 
     def test_lazy_thm10_row_count(self):
         # The intersection loops read the cluster scan's own distances
@@ -482,8 +469,6 @@ class TestNextHopRowsInBuilds:
         # One target sweep plus the landmark sample's rows: about one
         # row per vertex (11 873 with one row per consumer and the two
         # full scans).
-        if not use_kernel():
-            pytest.skip("pure dispatch: thousands of Python Dijkstra rows")
         n = 2000
         g = with_random_weights(random_sparse(n, 4 * n, seed=5), seed=6)
         spec = get_spec("thm11")

@@ -16,15 +16,10 @@ from repro.graph.generators import (
     with_random_weights,
 )
 from repro.graph.metric import MetricView
-from repro.graph.shortest_paths import (
-    all_balls,
-    bounded_distance,
-    dijkstra_py,
-    reset_kernel_choice,
-    truncated_dijkstra_py,
-)
+from repro.graph.shortest_paths import all_balls, bounded_distance
 from repro.graph.trees import cluster_parents
 from repro.structures.bunches import BunchStructure
+from sp_reference import dijkstra_py, truncated_dijkstra_py
 
 
 def _nx_distances(g: Graph, source: int):
@@ -74,7 +69,7 @@ class TestDijkstra:
 
 
 class TestTruncatedDijkstra:
-    """The per-source pure reference behind the pure ``all_balls``."""
+    """The per-source reference behind the ``"pure"`` ball sweep."""
 
     def test_ball_is_dist_id_prefix(self):
         g = erdos_renyi(50, 0.1, seed=3)
@@ -174,7 +169,7 @@ class TestMultiSource:
 
 def _out_of_range_calls(g, bad):
     return {
-        # the distance-row dispatch: the kernel's scan or dijkstra_py
+        # the distance-row dispatch: the kernel's scan or the reference
         "dijkstra": lambda: MetricView(g).rows([bad]),
         "bounded_distance": lambda: bounded_distance(g, bad, 3, 10.0),
         "threshold_rows": lambda: list(
@@ -189,16 +184,13 @@ def _out_of_range_calls(g, bad):
 @pytest.mark.parametrize(
     "fn", ["dijkstra", "bounded_distance", "threshold_rows", "spt_parents"]
 )
-def test_out_of_range_source_raises(fn, where, kernel, monkeypatch):
-    """A vertex id outside ``[0, n)`` raises ``GraphError`` on every
-    dispatch path — never another vertex's answer or a bare IndexError."""
-    from repro.graph.csr import csr_graph
-
+def test_out_of_range_source_raises(fn, where, kernel, request):
+    """A vertex id outside ``[0, n)`` raises ``GraphError`` on the kernel
+    and on the references — never another vertex's answer or a bare
+    IndexError."""
     if kernel == "pure":
-        monkeypatch.setenv("REPRO_KERNEL", "pure")
-        reset_kernel_choice()
+        request.getfixturevalue("reference_engine")
     g = path(5)
-    csr_graph(g)  # a cached mirror, so bounded_distance may use it
     bad = -1 if where == "minus-one" else g.n
     with pytest.raises(GraphError):
         _out_of_range_calls(g, bad)[fn]()

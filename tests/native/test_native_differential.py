@@ -3,7 +3,8 @@
 The tier's contract is the same one the parallel tier carries:
 ``REPRO_KERNEL`` changes wall-clock, never a single byte of any result.
 Every test here races the native engine against its differential
-references (numpy, pure) on seeded inputs — graphs for the
+references (numpy, and the pure-Python Dijkstras of
+``tests/sp_reference.py``) on seeded inputs — graphs for the
 delta-stepping batch engine, real and fuzzed shard payloads for the
 pack scanner — and asserts bit/byte identity.  The fallback half
 simulates a compiler-less host (``REPRO_NATIVE_CC=off`` + an empty
@@ -40,7 +41,11 @@ from repro.routing.shard_codec import (
     encode_value,
 )
 from repro.routing.tables import NodeTable
-from sp_reference import distance_to_set
+from sp_reference import (
+    dijkstra_py,
+    distance_to_set,
+    reference_all_balls,
+)
 
 
 def _set_mode(monkeypatch, mode: str) -> None:
@@ -66,10 +71,14 @@ def _require_native() -> None:
 # dispatch resolution
 # ----------------------------------------------------------------------
 def test_kernel_mode_names(monkeypatch):
-    for raw, want in (("pure", "pure"), ("py", "pure"), ("numpy", "numpy"),
-                      ("np", "numpy"), ("kernel", "numpy")):
+    want = "native" if native.try_kernels() is not None else "numpy"
+    for raw, mode in (("numpy", "numpy"), (" NumPy ", "numpy"),
+                      ("auto", want), ("", want)):
         _set_mode(monkeypatch, raw)
-        assert kernel_mode() == want
+        assert kernel_mode() == mode
+    monkeypatch.delenv("REPRO_KERNEL")
+    sp.reset_kernel_choice()
+    assert kernel_mode() == want
 
 
 def test_auto_prefers_native_when_available(monkeypatch):
@@ -81,9 +90,14 @@ def test_auto_prefers_native_when_available(monkeypatch):
 
 
 def test_unknown_engine_is_a_typed_config_error(monkeypatch):
-    _set_mode(monkeypatch, "fortran")
-    with pytest.raises(sp.KernelConfigError):
-        kernel_mode()
+    """Unknown names and the retired spellings of the pure-Python engine
+    and of numpy raise, naming the engines there are."""
+    for raw in ("fortran", "pure", "py", "python", "np", "kernel", "PURE"):
+        _set_mode(monkeypatch, raw)
+        with pytest.raises(sp.KernelConfigError) as info:
+            kernel_mode()
+        for name in ("auto", "native", "numpy"):
+            assert name in str(info.value), raw
 
 
 def test_masked_compiler_auto_falls_back_with_reason(
@@ -128,7 +142,7 @@ def test_cold_cache_builds_content_hashed_library(fresh_native, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# delta-stepping engine: native vs numpy vs pure on seeded graphs
+# delta-stepping engine: native vs numpy vs the reference on seeded graphs
 # ----------------------------------------------------------------------
 _GRAPHS = {
     "er-weighted": lambda: with_random_weights(
@@ -149,11 +163,11 @@ def test_all_balls_identical_across_engines(monkeypatch, name):
     _require_native()
     g = _GRAPHS[name]()
     results = {}
-    for mode in ("pure", "numpy", "native"):
+    for mode in ("numpy", "native"):
         _set_mode(monkeypatch, mode)
         results[mode] = all_balls(g, 14, with_radii=True)
     assert results["native"] == results["numpy"]
-    assert results["native"] == results["pure"]
+    assert results["native"] == reference_all_balls(g, 14, with_radii=True)
 
 
 @pytest.mark.parametrize("name", sorted(_GRAPHS))
@@ -211,7 +225,7 @@ def test_hop_column_identical_native_vs_numpy(monkeypatch, name):
     )
     _set_mode(monkeypatch, "native")
     csr = csr_graph(g)
-    rows = np.array([sp.dijkstra_py(g, v)[0] for v in range(g.n)])
+    rows = np.array([dijkstra_py(g, v)[0] for v in range(g.n)])
     tol = 1e-9 * float(rows[np.isfinite(rows)].max())
     seen = set()
     for v, row in enumerate(rows):
@@ -456,14 +470,13 @@ def test_decode_error_parity(monkeypatch):
 
 
 def test_fast_decode_outside_native_mode_is_pure(monkeypatch):
-    """decode_node_table_fast is mode-gated: under numpy/pure it must
-    not touch the scanner at all (serving code calls it unconditionally)."""
+    """decode_node_table_fast is mode-gated: under numpy it must not
+    touch the scanner at all (serving code calls it unconditionally)."""
     payload = encode_node_table(
         NodeTable(owner=1, neighbors=((2, 1.0),), label=None, categories={})
     )
-    for mode in ("pure", "numpy"):
-        _set_mode(monkeypatch, mode)
-        assert decode_node_table_fast(payload) == decode_node_table(payload)
+    _set_mode(monkeypatch, "numpy")
+    assert decode_node_table_fast(payload) == decode_node_table(payload)
 
 
 # ----------------------------------------------------------------------

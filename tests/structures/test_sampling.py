@@ -5,7 +5,6 @@ import pytest
 
 from repro.graph.generators import erdos_renyi, with_random_weights
 from repro.graph.metric import MetricView
-from repro.graph.shortest_paths import reset_kernel_choice
 from repro.structures.sampling import cluster_sizes, sample_cluster_bounded
 
 
@@ -76,13 +75,12 @@ class TestCrossRoundCache:
         )
         assert cached == rescan
 
-    def test_cache_matches_across_modes(self, monkeypatch):
-        # the kernel's bounded engine vs the pure path's filtered rows
+    def test_cache_matches_across_modes(self, request):
+        # the kernel's bounded engine vs the reference threshold scans
         g = with_random_weights(erdos_renyi(50, 0.12, seed=31), seed=32)
         seeds = (1, 7)
         kernel = [sample_cluster_bounded(MetricView(g), 7.0, s) for s in seeds]
-        monkeypatch.setenv("REPRO_KERNEL", "pure")
-        reset_kernel_choice()
+        request.getfixturevalue("reference_engine")
         for s, got in zip(seeds, kernel):
             assert sample_cluster_bounded(MetricView(g), 7.0, s) == got
 

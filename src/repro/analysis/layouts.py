@@ -109,7 +109,7 @@ DECLARED_LAYOUTS: LayoutTable = {
         "constants": {
             # RPC frame header: magic, version, msg type, payload length
             "WIRE_MAGIC": b"RC",
-            "WIRE_VERSION": 1,
+            "WIRE_VERSION": 2,
             "FRAME_BYTES": 8,
             "MAX_PAYLOAD": 67108864,
             # message / reply type bytes

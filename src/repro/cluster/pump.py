@@ -4,18 +4,19 @@ A client hands each packet once, in a ``MSG_ROUTE`` frame, to the live
 owner of its source's group.  That worker's :class:`RoutePump` then
 drives the frame to completion in rounds:
 
-* it maps every group to its live owner once per round (the first
-  owner in :class:`~repro.cluster.placement.Placement` order that is
-  neither dead nor quarantined, as this pump has seen them) and buckets
-  the packets by the owner of their current vertex's group,
+* it buckets the packets by the live owner of their current vertex's
+  group (the first owner in :class:`~repro.cluster.placement.Placement`
+  order that is neither dead nor quarantined, as this pump has seen
+  them; the group-to-owner map is recomputed only when a death or a
+  quarantine changes it),
 * it sends each peer's bucket as one stateless ``MSG_FORWARD`` straight
   to that peer, steps its own bucket in-process through the worker's
   FORWARD implementation (no codec), then collects the peers' replies,
-* it replays every returned hop tuple ``(next vertex, weight, header
-  words, phase)`` in hop order, exactly the accumulation order of
-  :func:`repro.routing.simulator.route`, so path, float ``length``,
-  ``max_header_words`` and ``phase_hops`` are bit-identical to the
-  single-process loop.
+* it replays every reply's hop columns (next vertices, weights, header
+  words, phase indices into the reply's phase names) in hop order,
+  exactly the accumulation order of :func:`repro.routing.simulator.route`,
+  so path, float ``length``, ``max_header_words`` and ``phase_hops`` are
+  bit-identical to the single-process loop.
 
 Each packet drives only inside its owner's *drive set* — the groups
 that worker is the preferred live owner of — so absent failures every
@@ -54,7 +55,17 @@ from .wire import (
     raise_remote,
 )
 
-__all__ = ["Packet", "RoutePump", "budget_cap", "live_owner"]
+__all__ = [
+    "DELIVERED",
+    "ERROR",
+    "EXHAUSTED",
+    "HANDOFF",
+    "ForwardReply",
+    "Packet",
+    "RoutePump",
+    "budget_cap",
+    "live_owner",
+]
 
 #: typed data faults that justify trying the next replica owner — the
 #: same set that drives ShardStore's on-disk failover
@@ -66,8 +77,15 @@ _FAILOVER_NAMES = frozenset(cls.__name__ for cls in FAILOVER_ERRORS)
 #: what a finished route's outcome may be, on the wire
 OUTCOMES = ("delivered", "loop", "misdelivered")
 
-#: local stepping: ``(drive groups, FORWARD packet tuples) -> segments``
-StepFn = Callable[[Tuple[List[int], List[Tuple[Any, ...]]]], List[Any]]
+#: how a FORWARD segment ended, the ``states`` column of its reply
+DELIVERED, HANDOFF, EXHAUSTED, ERROR = 0, 1, 2, 3
+#: columns of a FORWARD reply: phase names, then five per-segment
+#: columns (states, ats, headers, steps, hop counts), then four per-hop
+#: columns (nexts, weights, words, phase indices), then the errors
+REPLY_COLUMNS = 11
+
+#: local stepping: ``(drive groups, FORWARD packet tuples) -> reply``
+StepFn = Callable[[Tuple[List[int], List[Tuple[Any, ...]]]], Tuple[Any, ...]]
 
 
 def budget_cap(n: int) -> int:
@@ -164,6 +182,70 @@ class Packet:
         )
 
 
+class ForwardReply:
+    """One FORWARD reply, built segment by segment by the stepping
+    worker: the columns :meth:`RoutePump._apply` reads (the layout is
+    documented with ``MSG_FORWARD`` in :mod:`repro.cluster.wire`)."""
+
+    __slots__ = (
+        "phases", "states", "ats", "headers", "steps", "counts",
+        "nexts", "weights", "words", "phase_ids", "errors", "_start",
+    )
+
+    def __init__(self) -> None:
+        #: phase name -> its index, in order of first use
+        self.phases: Dict[str, int] = {}
+        self.states: List[int] = []
+        self.ats: List[int] = []
+        self.headers: List[Any] = []
+        self.steps: List[int] = []
+        self.counts: List[int] = []
+        self.nexts: List[int] = []
+        self.weights: List[float] = []
+        self.words: List[int] = []
+        self.phase_ids: List[int] = []
+        self.errors: List[Tuple[int, str, str]] = []
+        # where the open segment's hops start in the hop columns
+        self._start = 0
+
+    def hop(self, nxt: int, weight: float, words: int, phase: str) -> None:
+        """One hop of the open segment."""
+        phase_id = self.phases.get(phase)
+        if phase_id is None:
+            phase_id = self.phases[phase] = len(self.phases)
+        self.nexts.append(nxt)
+        self.weights.append(weight)
+        self.words.append(words)
+        self.phase_ids.append(phase_id)
+
+    def end(
+        self,
+        state: int,
+        at: int,
+        header: Any,
+        steps: int,
+        error: Optional[Tuple[str, str]] = None,
+    ) -> None:
+        """Close the open segment; ``error`` is the ``(type name,
+        message)`` of an ``ERROR`` segment."""
+        if error is not None:
+            self.errors.append((len(self.states), error[0], error[1]))
+        self.states.append(state)
+        self.ats.append(at)
+        self.headers.append(header)
+        self.steps.append(steps)
+        self.counts.append(len(self.nexts) - self._start)
+        self._start = len(self.nexts)
+
+    def columns(self) -> Tuple[List[Any], ...]:
+        """The reply, in wire order."""
+        return (
+            list(self.phases), self.states, self.ats, self.headers,
+            self.steps, self.counts, self.nexts, self.weights,
+            self.words, self.phase_ids, self.errors,
+        )
+
+
 class RoutePump:
     """Drives ``MSG_ROUTE`` frames from one worker; see the module
     docstring.
@@ -190,6 +272,12 @@ class RoutePump:
         self.quarantined: Set[Tuple[int, int]] = set()
         #: packets re-targeted during the current frame
         self.failovers = 0
+        # group -> live owner and owner -> drive groups, with the sizes
+        # of ``dead`` and ``quarantined`` they were computed at: both
+        # sets only grow, so their sizes name their contents
+        self._owner: Dict[int, int] = {}
+        self._drive: Dict[int, List[int]] = {}
+        self._owners_at: Optional[Tuple[int, int]] = None
 
     def close(self) -> None:
         self.peers.close()
@@ -218,15 +306,7 @@ class RoutePump:
         step our own, apply every segment.  Returns the packets still
         in flight."""
         placement = self.placement
-        owner: Dict[int, int] = {}
-        drive: Dict[int, List[int]] = {}
-        for g in range(placement.groups):
-            try:
-                w = live_owner(placement, g, self.dead, self.quarantined)
-            except ReplicaExhaustedError:
-                continue  # raised below iff a packet actually needs it
-            owner[g] = w
-            drive.setdefault(w, []).append(g)
+        owner, drive = self._owners()
         buckets: Dict[int, List[Packet]] = {}
         for p in active:
             g = placement.group_of(p.current)
@@ -249,23 +329,45 @@ class RoutePump:
                     self._lost(w, buckets[w], still)
             local = buckets.get(self.worker_id)
             if local:
-                segments = self.step(
+                reply = self.step(
                     (drive[self.worker_id], [p.forwarded() for p in local])
                 )
-                self._apply(self.worker_id, local, segments, still, routes)
+                self._apply(self.worker_id, local, reply, still, routes)
             while pending:
                 w, started = pending.pop(0)
                 try:
-                    segments = self.peers.receive(w, MSG_FORWARD, started)
+                    reply = self.peers.receive(w, MSG_FORWARD, started)
                 except WorkerUnavailableError:
                     self._lost(w, buckets[w], still)
                     continue
-                self._apply(w, buckets[w], segments, still, routes)
+                self._apply(w, buckets[w], reply, still, routes)
         finally:
             # a reply left unread would answer this socket's next request
             for w, _ in pending:
                 self.peers.drop(w)
         return still
+
+    def _owners(self) -> Tuple[Dict[int, int], Dict[int, List[int]]]:
+        """Every group's live owner and every owner's drive groups,
+        recomputed only when ``dead`` or ``quarantined`` grew.  A group
+        with no live owner is left out; bucketing a packet there raises
+        :class:`ReplicaExhaustedError` with the causes."""
+        at = (len(self.dead), len(self.quarantined))
+        if at != self._owners_at:
+            placement = self.placement
+            owner: Dict[int, int] = {}
+            drive: Dict[int, List[int]] = {}
+            for g in range(placement.groups):
+                try:
+                    w = live_owner(
+                        placement, g, self.dead, self.quarantined
+                    )
+                except ReplicaExhaustedError:
+                    continue
+                owner[g] = w
+                drive.setdefault(w, []).append(g)
+            self._owner, self._drive, self._owners_at = owner, drive, at
+        return self._owner, self._drive
 
     def _lost(
         self, w: int, packets: List[Packet], still: List[Packet]
@@ -280,101 +382,159 @@ class RoutePump:
         self,
         w: int,
         packets: List[Packet],
-        segments: Any,
+        reply: Any,
         still: List[Packet],
         routes: List[Optional[Tuple[Any, ...]]],
     ) -> None:
-        """Replay worker ``w``'s segments onto ``packets``."""
-        if not isinstance(segments, (list, tuple)):
-            raise WireProtocolError(
-                f"FORWARD reply from worker {w} is "
-                f"{type(segments).__name__}, want a segment list"
-            )
-        if len(segments) != len(packets):
-            raise WireProtocolError(
-                f"FORWARD reply from worker {w} has {len(segments)} "
-                f"segments, want {len(packets)}"
-            )
-        for p, segment in zip(packets, segments):
-            if not isinstance(segment, dict):
-                raise WireProtocolError(
-                    f"FORWARD segment from worker {w} is "
-                    f"{type(segment).__name__}, want a dict"
+        """Replay worker ``w``'s FORWARD reply onto ``packets``: each
+        segment's hops in hop order (a failed segment's partial hops
+        too, so the packet's position and accounting stay exact), then
+        its outcome.  A reply of the wrong shape raises
+        :class:`WireProtocolError`; a segment's non-failover error is
+        re-raised typed."""
+        (
+            names, states, ats, headers, steps, counts,
+            nexts, weights, words, phase_ids, errors,
+        ) = _columns(w, reply, len(packets))
+        failed = _errors(w, errors, states)
+        n = self.placement.n
+        phase_count = len(names)
+        total = len(nexts)
+        hop = 0
+        for i, p in enumerate(packets):
+            state = states[i]
+            at = ats[i]
+            step = steps[i]
+            count = counts[i]
+            if type(state) is not int or not 0 <= state <= ERROR:
+                raise _malformed(w, f"segment {i} state {state!r}")
+            if type(at) is not int or not 0 <= at < n:
+                raise _malformed(w, f"segment {i} position {at!r}")
+            if type(step) is not int or not 0 <= step <= p.steps_left:
+                raise _malformed(
+                    w, f"segment {i} steps {step!r} (budget "
+                    f"{p.steps_left})"
                 )
-            state = segment.get("state")
-            # a failed segment's partial hops are replayed first, so the
-            # packet's position and accounting stay exact
-            self._replay(p, segment, w)
-            if state == "error":
-                error = segment.get("error")
-                if not (
-                    isinstance(error, tuple)
-                    and len(error) == 2
-                    and all(isinstance(part, str) for part in error)
-                ):
-                    raise WireProtocolError(
-                        f"error segment from worker {w} carries "
-                        f"{error!r}, want (type, message)"
-                    )
-                if error[0] not in _FAILOVER_NAMES:
-                    raise_remote(error[0], error[1], worker=w)
-                self.quarantined.add((self.placement.group_of(p.current), w))
+            if (
+                type(count) is not int
+                or not 0 <= count <= step
+                or hop + count > total
+            ):
+                raise _malformed(
+                    w, f"segment {i} hop count {count!r} ({step} steps, "
+                    f"{total - hop} hops left)"
+                )
+            if count:
+                length = p.length
+                most = p.max_header_words
+                tally = p.phase_hops
+                path = p.path
+                for j in range(hop, hop + count):
+                    nxt = nexts[j]
+                    weight = weights[j]
+                    word = words[j]
+                    phase = phase_ids[j]
+                    if (
+                        type(nxt) is not int
+                        or not 0 <= nxt < n
+                        or (type(weight) is not float
+                            and type(weight) is not int)
+                        or type(word) is not int
+                        or type(phase) is not int
+                        or not 0 <= phase < phase_count
+                    ):
+                        raise _malformed(
+                            w, f"hop {j} ({nxt!r}, {weight!r}, {word!r}, "
+                            f"{phase!r}) is not (vertex, weight, words, "
+                            f"phase index)"
+                        )
+                    length += weight
+                    if word > most:
+                        most = word
+                    name = names[phase]
+                    tally[name] = tally.get(name, 0) + 1
+                    path.append(nxt)
+                p.length = length
+                p.max_header_words = most
+                hop += count
+            p.steps_left -= step
+            p.current = at
+            p.header = headers[i]
+            if state == ERROR:
+                name, message = failed[i]
+                if name not in _FAILOVER_NAMES:
+                    raise_remote(name, message, worker=w)
+                self.quarantined.add((self.placement.group_of(at), w))
                 self.failovers += 1
                 still.append(p)
-            elif state == "delivered":
+            elif state == DELIVERED:
                 routes[p.index] = p.finished(
-                    "delivered" if p.current == p.target else "misdelivered"
+                    "delivered" if at == p.target else "misdelivered"
                 )
-            elif state in ("handoff", "exhausted"):
-                if p.steps_left <= 0:
-                    routes[p.index] = p.finished("loop")
-                else:
-                    still.append(p)
+            elif p.steps_left <= 0:
+                routes[p.index] = p.finished("loop")
             else:
-                raise WireProtocolError(
-                    f"FORWARD segment from worker {w} has unknown state "
-                    f"{state!r}"
-                )
+                still.append(p)
+        if hop != total:
+            raise _malformed(w, f"{total - hop} hops past the last segment")
 
-    def _replay(self, p: Packet, segment: Dict[str, Any], w: int) -> None:
-        """Apply a segment's per-hop trace with the simulator's exact
-        accumulation order."""
-        hops = segment.get("hops", [])
-        if not isinstance(hops, (list, tuple)):
-            raise WireProtocolError(
-                f"segment hops from worker {w} is "
-                f"{type(hops).__name__}, want a list"
+
+def _malformed(w: int, what: str) -> WireProtocolError:
+    return WireProtocolError(f"FORWARD reply from worker {w}: {what}")
+
+
+def _columns(w: int, reply: Any, segments: int) -> Tuple[Any, ...]:
+    """``reply``'s columns, checked for type and length only (their
+    cells are checked as :meth:`RoutePump._apply` reads them)."""
+    if type(reply) is not tuple or len(reply) != REPLY_COLUMNS:
+        raise _malformed(
+            w, f"a {type(reply).__name__}, want a tuple of "
+            f"{REPLY_COLUMNS} columns"
+        )
+    for k, column in enumerate(reply):
+        if type(column) is not list and type(column) is not tuple:
+            raise _malformed(
+                w, f"column {k} is a {type(column).__name__}, want a list"
             )
-        steps = segment.get("steps", 0)
-        if not isinstance(steps, int) or isinstance(steps, bool):
-            raise WireProtocolError(
-                f"segment steps {steps!r} from worker {w} is not an int"
+    if not all(type(name) is str for name in reply[0]):
+        raise _malformed(w, f"phase names {reply[0]!r} are not all str")
+    for k in range(1, 6):
+        if len(reply[k]) != segments:
+            raise _malformed(
+                w, f"column {k} has {len(reply[k])} segments, want "
+                f"{segments}"
             )
-        at = segment.get("at", p.current)
-        if not isinstance(at, int) or isinstance(at, bool) or not (
-            0 <= at < self.placement.n
+    hops = len(reply[6])
+    for k in range(7, 10):
+        if len(reply[k]) != hops:
+            raise _malformed(
+                w, f"column {k} has {len(reply[k])} hops, want {hops}"
+            )
+    return reply
+
+
+def _errors(
+    w: int, errors: Any, states: Any
+) -> Dict[int, Tuple[str, str]]:
+    """The ``(type name, message)`` of every failed segment, by segment
+    index: exactly one entry per ``ERROR`` state."""
+    failed: Dict[int, Tuple[str, str]] = {}
+    for entry in errors:
+        if not (
+            type(entry) is tuple
+            and len(entry) == 3
+            and type(entry[0]) is int
+            and 0 <= entry[0] < len(states)
+            and states[entry[0]] == ERROR
+            and entry[0] not in failed
+            and type(entry[1]) is str
+            and type(entry[2]) is str
         ):
-            raise WireProtocolError(
-                f"segment position {at!r} from worker {w} is not a vertex"
+            raise _malformed(
+                w, f"error entry {entry!r} is not (failed segment, "
+                f"type, message)"
             )
-        for hop in hops:
-            if not (isinstance(hop, tuple) and len(hop) == 4):
-                raise WireProtocolError(
-                    f"segment hop {hop!r} from worker {w} is not "
-                    f"(next, weight, words, phase)"
-                )
-            nxt, weight, words, phase = hop
-            try:
-                p.length += weight
-                if words > p.max_header_words:
-                    p.max_header_words = words
-                p.phase_hops[phase] = p.phase_hops.get(phase, 0) + 1
-            except TypeError as exc:
-                raise WireProtocolError(
-                    f"segment hop {hop!r} from worker {w} is not "
-                    f"(next, weight, words, phase): {exc}"
-                ) from exc
-            p.path.append(nxt)
-        p.steps_left -= steps
-        p.current = at
-        p.header = segment.get("header")
+        failed[entry[0]] = (entry[1], entry[2])
+    if len(failed) != sum(1 for state in states if state == ERROR):
+        raise _malformed(w, "a failed segment has no error entry")
+    return failed

@@ -14,7 +14,7 @@ loudly instead of misparsing each other.
 
 Payloads reuse the shard codec's self-describing tagged value encoding
 (:func:`repro.routing.shard_codec.encode_value`): headers, labels,
-status dicts and per-hop traces cross the wire in the exact format the
+status dicts and hop columns cross the wire in the exact format the
 shards on disk already commit to — no second serialization dialect to
 audit.  The one exception is the ``MSG_LOOKUP`` reply, whose payload is
 the raw :func:`encode_node_table` bytes of the requested shard (the
@@ -42,11 +42,20 @@ Message types
     reports the peer deaths, quarantines and failovers it saw.
 ``MSG_FORWARD``
     ``([drive group, ...], [(current, header, dest_label, budget),
-    ...])`` -> per-packet segment results.  Worker to worker: the
-    drive-group list names the groups the receiving worker should step
-    through (see :mod:`repro.cluster.worker` for the stepping
-    contract).  A FORWARD handler never calls out, so two workers
-    forwarding to each other cannot wait on each other.
+    ...])`` -> one columnar reply for the whole bucket, ``(phase names,
+    states, ats, headers, steps, hop counts, nexts, weights, words,
+    phase indices, errors)``.  Worker to worker: the drive-group list
+    names the groups the receiving worker should step through (see
+    :mod:`repro.cluster.worker` for the stepping contract).  The five
+    per-segment columns hold one cell per packet: the state (0
+    delivered, 1 handoff, 2 exhausted, 3 error), the vertex the packet
+    stopped at, its header there, the ``step()`` calls taken and the
+    hops made.  The four hop columns run across the whole reply, the
+    segments' hops one after another: next vertex, edge weight, header
+    words and an index into the phase names, each name sent once per
+    reply.  ``errors`` lists ``(segment index, type name, message)``
+    for every state-3 segment.  A FORWARD handler never calls out, so
+    two workers forwarding to each other cannot wait on each other.
 ``MSG_SHUTDOWN``
     ``()`` -> ``True``; the worker stops serving after replying.
 
@@ -116,7 +125,7 @@ __all__ = [
 ]
 
 WIRE_MAGIC = b"RC"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 #: frame header: magic, version, message type, payload byte length
 _FRAME = struct.Struct("<2sBBI")
 FRAME_BYTES = 8

@@ -17,11 +17,11 @@ Stepping contract: ``MSG_ROUTE`` and peer ``MSG_FORWARD``
 A client sends each packet ``(source, target, dest_label, budget)`` once,
 in a ``MSG_ROUTE`` frame, to the live owner of its source's group.  The
 worker's :class:`~repro.cluster.pump.RoutePump` drives the frame to
-completion: it steps its own groups in-process and sends foreign
-segments as ``MSG_FORWARD`` straight to the owning peer, then replies
-with each packet's finished trace.  Only ROUTE handlers issue RPCs; a
-FORWARD handler never calls out, so two workers forwarding to each
-other cannot wait on each other.
+completion: it steps its own groups in-process and sends the packets
+in foreign groups as ``MSG_FORWARD`` straight to the owning peer, then
+replies with each packet's finished trace.  Only ROUTE handlers issue
+RPCs; a FORWARD handler never calls out, so two workers forwarding to
+each other cannot wait on each other.
 
 A FORWARD payload is ``(drive groups, packets)``: the groups the
 receiving worker is the *currently preferred* owner of, given which
@@ -37,17 +37,25 @@ inside the drive set and step budget remains:
 
 * each loop iteration consumes one ``step()`` call from ``budget`` —
   exactly the simulator's ``max_hops + 1`` accounting,
-* a ``Forward`` records ``(next vertex, edge weight, header words,
-  phase tag)`` — the per-hop tuple the pump replays to reconstruct
-  ``length`` / ``max_header_words`` / ``phase_hops`` bit-for-bit
-  (weights are summed hop by hop, so float accumulation order matches
-  the single-process loop exactly),
-* the segment ends with ``state`` = ``"delivered"`` (a ``Deliver``
-  action; misdelivery is judged by the pump, the stepping worker never
-  learns the target), ``"handoff"`` (next vertex owned elsewhere) or
-  ``"exhausted"`` (budget spent), and per-packet serving failures come
-  back as ``state`` = ``"error"`` with the typed ``(type, message)``
-  pair so one bad shard fails over without poisoning its batch.
+* a ``Forward`` appends one cell to each of the reply's four hop
+  columns: next vertex, edge weight, header words and the index of the
+  header's phase tag among the reply's phase names.  The pump replays
+  them in hop order to reconstruct ``length`` / ``max_header_words`` /
+  ``phase_hops`` bit-for-bit (weights are summed hop by hop, so float
+  accumulation order matches the single-process loop exactly),
+* the segment ends in state ``DELIVERED`` (a ``Deliver`` action;
+  misdelivery is judged by the pump, the stepping worker never learns
+  the target), ``HANDOFF`` (next vertex owned elsewhere) or
+  ``EXHAUSTED`` (budget spent), with its stop vertex, header, step
+  count and hop count in the per-segment columns.  A per-packet serving
+  failure ends it in state ``ERROR``, its partial hops kept and a
+  typed ``(segment index, type, message)`` entry in the errors column,
+  so one bad shard fails over without poisoning its batch.
+
+:class:`~repro.cluster.pump.ForwardReply` builds the reply and the
+pump reads it (the layout is documented with ``MSG_FORWARD`` in
+:mod:`repro.cluster.wire`); the pump's in-process bucket gets the very
+same tuple without the codec.
 
 Local stepping and peer FORWARDs run on different handler threads; one
 step lock per worker serialises everything that touches the store and
@@ -92,7 +100,16 @@ from ..routing.shard_codec import (
     encode_value,
 )
 from .placement import Placement
-from .pump import Packet, RoutePump, budget_cap
+from .pump import (
+    DELIVERED,
+    ERROR,
+    EXHAUSTED,
+    HANDOFF,
+    ForwardReply,
+    Packet,
+    RoutePump,
+    budget_cap,
+)
 from .wire import (
     MSG_FORWARD,
     MSG_LABEL,
@@ -406,11 +423,11 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         finally:
             pump.close()
 
-    def _forward(self, value: Any) -> List[Dict[str, Any]]:
+    def _forward(self, value: Any) -> Tuple[List[Any], ...]:
         with self._step_lock:
             return self._forward_locked(value)
 
-    def _forward_locked(self, value: Any) -> List[Dict[str, Any]]:
+    def _forward_locked(self, value: Any) -> Tuple[List[Any], ...]:
         if not (isinstance(value, tuple) and len(value) == 2):
             raise WireProtocolError(
                 f"FORWARD payload must be (drive groups, packets), got "
@@ -438,12 +455,16 @@ class WorkerServer(socketserver.ThreadingTCPServer):
                     f"this worker's assignment"
                 )
         drive = frozenset(raw_drive)
-        return [self._drive(packet, drive) for packet in packets]
+        reply = ForwardReply()
+        for packet in packets:
+            self._drive(packet, drive, reply)
+        return reply.columns()
 
     def _drive(
-        self, packet: Any, drive: "frozenset"
-    ) -> Dict[str, Any]:
-        """Step one packet until delivery, handoff, or budget end."""
+        self, packet: Any, drive: "frozenset", reply: ForwardReply
+    ) -> None:
+        """Step one packet until delivery, handoff, or budget end, and
+        add its segment to ``reply``."""
         if not (isinstance(packet, tuple) and len(packet) == 4):
             raise WireProtocolError(
                 f"FORWARD packet must be (current, header, dest_label, "
@@ -456,17 +477,17 @@ class WorkerServer(socketserver.ThreadingTCPServer):
                 f"packet budget must be an int, got {budget!r}"
             )
         engine = self.engine
-        store = self.store
+        group_of = self.store.group_of
         steps = 0
-        hops: List[Tuple[int, float, int, str]] = []
-        state = "exhausted"
+        state = EXHAUSTED
+        error = None
         try:
             while True:
-                if store.group_of(current) not in drive:
-                    state = "handoff"
+                if group_of(current) not in drive:
+                    state = HANDOFF
                     break
                 if steps >= budget:
-                    state = "exhausted"
+                    state = EXHAUSTED
                     break
                 try:
                     action = engine.step(current, header, dest_label)
@@ -489,7 +510,7 @@ class WorkerServer(socketserver.ThreadingTCPServer):
                     ) from exc
                 steps += 1
                 if isinstance(action, Deliver):
-                    state = "delivered"
+                    state = DELIVERED
                     break
                 if not isinstance(action, Forward):
                     raise WireProtocolError(
@@ -497,30 +518,16 @@ class WorkerServer(socketserver.ThreadingTCPServer):
                         f"{action!r}, not Deliver/Forward"
                     )
                 header = action.header
-                hops.append(
-                    (nxt, weight, words_of(header), phase_of(header))
-                )
+                reply.hop(nxt, weight, words_of(header), phase_of(header))
                 current = nxt
         except (ServingError, ShardCodecError) as exc:
             # isolate the fault to this packet: its partial segment is
             # reported with the typed error, the rest of the batch
-            # proceeds, and the client fails this packet over
+            # proceeds, and the pump fails this packet over
             self.count_error(exc)
-            return {
-                "state": "error",
-                "error": (type(exc).__name__, str(exc)),
-                "at": current,
-                "header": header,
-                "steps": steps,
-                "hops": hops,
-            }
-        return {
-            "state": state,
-            "at": current,
-            "header": header,
-            "steps": steps,
-            "hops": hops,
-        }
+            state = ERROR
+            error = (type(exc).__name__, str(exc))
+        reply.end(state, current, header, steps, error)
 
     # -- status --------------------------------------------------------
     def status(self) -> Dict[str, Any]:

@@ -18,6 +18,7 @@ accounting in :mod:`repro.routing.model` meaningful.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 __all__ = ["Graph", "GraphError"]
@@ -25,6 +26,20 @@ __all__ = ["Graph", "GraphError"]
 
 class GraphError(ValueError):
     """Raised on structurally invalid graph operations."""
+
+
+def _edge_weight(u: int, v: int, weight: float) -> float:
+    """``weight`` as a float; :class:`GraphError` unless it is finite
+    and positive (NaN and infinity would poison every distance row)."""
+    if not math.isfinite(weight):
+        raise GraphError(
+            f"edge ({u},{v}) must have finite weight, got {weight}"
+        )
+    if weight <= 0:
+        raise GraphError(
+            f"edge ({u},{v}) must have positive weight, got {weight}"
+        )
+    return float(weight)
 
 
 class Graph:
@@ -120,26 +135,20 @@ class Graph:
         self._check_vertex(v)
         if u == v:
             raise GraphError(f"self loop at vertex {u} is not allowed")
-        if weight <= 0:
-            raise GraphError(
-                f"edge ({u},{v}) must have positive weight, got {weight}"
-            )
+        weight = _edge_weight(u, v, weight)
         if v in self._adj[u]:
             raise GraphError(f"duplicate edge ({u},{v})")
-        self._adj[u][v] = float(weight)
-        self._adj[v][u] = float(weight)
+        self._adj[u][v] = weight
+        self._adj[v][u] = weight
         self._m += 1
         self._version += 1
 
     def add_or_update_edge(self, u: int, v: int, weight: float = 1.0) -> None:
         """Add edge ``{u, v}`` or update its weight if already present."""
         if self.has_edge(u, v):
-            if weight <= 0:
-                raise GraphError(
-                    f"edge ({u},{v}) must have positive weight, got {weight}"
-                )
-            self._adj[u][v] = float(weight)
-            self._adj[v][u] = float(weight)
+            weight = _edge_weight(u, v, weight)
+            self._adj[u][v] = weight
+            self._adj[v][u] = weight
             self._version += 1
         else:
             self.add_edge(u, v, weight)
@@ -289,15 +298,12 @@ class Graph:
                 g._check_vertex(v)
                 if u == v:
                     raise GraphError(f"self loop at vertex {u} is not allowed")
-                if w <= 0:
-                    raise GraphError(
-                        f"edge ({u},{v}) must have positive weight, got {w}"
-                    )
+                w = _edge_weight(u, v, w)
                 if v in g._adj[u]:
                     raise GraphError(
                         f"duplicate adjacency entry ({u},{v})"
                     )
-                g._adj[u][v] = float(w)
+                g._adj[u][v] = w
                 m2 += 1
         for u, adj in enumerate(g._adj):
             for v, w in adj.items():

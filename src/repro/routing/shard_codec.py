@@ -135,6 +135,7 @@ _T_LIST = 0x07
 _T_DICT = 0x08
 
 _DOUBLE = struct.Struct("<d")
+_unpack_double = _DOUBLE.unpack_from
 
 #: deepest value nesting either direction of the codec accepts: the
 #: top-level value is depth 0, and a value at depth ``MAX_VALUE_DEPTH +
@@ -351,28 +352,72 @@ def _unhashable_key(key: Any) -> ShardCodecError:
 def _read_value(data: Buffer, pos: int, depth: int = 0) -> Tuple[Any, int]:
     """One tagged value at nesting ``depth`` from ``data[pos:]``; the
     value and the position after it.  Every malformed input raises
-    :class:`ShardCodecError`."""
-    if pos >= len(data):
+    :class:`ShardCodecError`.
+
+    Ints whose varint is one or two bytes (``-8192 <= v < 8192``: every
+    vertex id of a fleet that size) are read inline, at the top level
+    and inside the tuple/list loop, and so are floats inside that loop:
+    wire payloads are mostly flat columns of them.  Anything else,
+    truncated input included, takes the general path, so values and
+    error messages are those of the plain recursive walk (kept as the
+    reference in ``tests/codec_reference.py``).
+    """
+    size = len(data)
+    if pos >= size:
         raise ShardCodecError("truncated value")
     tag = data[pos]
     pos += 1
+    if tag == _T_INT:
+        if pos < size:
+            b = data[pos]
+            if b < 0x80:
+                return (b >> 1) ^ -(b & 1), pos + 1
+            if pos + 1 < size and data[pos + 1] < 0x80:
+                raw = (b & 0x7F) | (data[pos + 1] << 7)
+                return (raw >> 1) ^ -(raw & 1), pos + 2
+        return _read_svarint(data, pos)
+    if tag == _T_TUPLE or tag == _T_LIST:
+        count, pos = _read_uvarint(data, pos)
+        if count and depth >= MAX_VALUE_DEPTH:
+            raise _too_deep()
+        items: List[Any] = []
+        append = items.append
+        for _ in range(count):
+            if pos + 1 < size:
+                t = data[pos]
+                if t == _T_INT:
+                    b = data[pos + 1]
+                    if b < 0x80:
+                        append((b >> 1) ^ -(b & 1))
+                        pos += 2
+                        continue
+                    if pos + 2 < size and data[pos + 2] < 0x80:
+                        raw = (b & 0x7F) | (data[pos + 2] << 7)
+                        append((raw >> 1) ^ -(raw & 1))
+                        pos += 3
+                        continue
+                elif t == _T_FLOAT and pos + 9 <= size:
+                    append(_unpack_double(data, pos + 1)[0])
+                    pos += 9
+                    continue
+            item, pos = _read_value(data, pos, depth + 1)
+            append(item)
+        return (tuple(items) if tag == _T_TUPLE else items), pos
     if tag == _T_NONE:
         return None, pos
     if tag == _T_TRUE:
         return True, pos
     if tag == _T_FALSE:
         return False, pos
-    if tag == _T_INT:
-        return _read_svarint(data, pos)
     if tag == _T_FLOAT:
         end = pos + 8
-        if end > len(data):
+        if end > size:
             raise ShardCodecError("truncated float")
-        return _DOUBLE.unpack_from(data, pos)[0], end
+        return _unpack_double(data, pos)[0], end
     if tag == _T_STR:
         length, pos = _read_uvarint(data, pos)
         end = pos + length
-        if end > len(data):
+        if end > size:
             raise ShardCodecError("truncated string")
         # bytes() copies only the string payload itself (str objects own
         # their storage anyway); the surrounding buffer is never copied.
@@ -380,15 +425,6 @@ def _read_value(data: Buffer, pos: int, depth: int = 0) -> Tuple[Any, int]:
             return bytes(data[pos:end]).decode("utf-8"), end
         except UnicodeDecodeError as exc:
             raise _not_utf8(exc) from None
-    if tag in (_T_TUPLE, _T_LIST):
-        count, pos = _read_uvarint(data, pos)
-        if count and depth >= MAX_VALUE_DEPTH:
-            raise _too_deep()
-        items = []
-        for _ in range(count):
-            item, pos = _read_value(data, pos, depth + 1)
-            items.append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), pos
     if tag == _T_DICT:
         count, pos = _read_uvarint(data, pos)
         if count and depth >= MAX_VALUE_DEPTH:

@@ -8,6 +8,13 @@ envelope or packet field — straight through ``WorkerServer.dispatch``.
 Its peer, the other half of a 2-worker placement, serves on a thread,
 so a ROUTE that leaves the worker's groups is forwarded for real.
 Any other exception would escape the handler and kill its thread.
+
+The other direction is a peer's FORWARD reply: seeded mutations of a
+valid columnar reply (wrong column types, ragged columns, hop counts
+past the hop total, positions off the graph, phase indices out of
+range, malformed error entries) reach ``RoutePump._apply``, which may
+raise only ``WireProtocolError`` or the typed errors ``raise_remote``
+re-raises.
 """
 
 import random
@@ -17,12 +24,14 @@ import pytest
 
 from repro.api import build
 from repro.cluster import Placement
+from repro.cluster.pump import ERROR, Packet, RoutePump, live_owner
 from repro.cluster.wire import (
     MSG_FORWARD,
     MSG_LABEL,
     MSG_LOOKUP,
     MSG_ROUTE,
     ClusterError,
+    RpcClient,
     WireProtocolError,
 )
 from repro.cluster.worker import WorkerServer, build_worker_store
@@ -198,9 +207,12 @@ def test_unreadable_packet_gets_a_per_packet_error(
     label = "junk" if junk_label else worker["label"]
     payload = encode_value((worker["drive"], [(v, header, label, 5)]))
     reply = decode_value(worker["server"].dispatch(MSG_FORWARD, payload)[1])
-    assert reply[0]["state"] == "error"
-    assert reply[0]["error"][0] == "WireProtocolError"
-    assert f"step at {v}" in reply[0]["error"][1]
+    states, errors = reply[1], reply[10]
+    assert states == [ERROR]
+    assert len(errors) == 1
+    index, name, message = errors[0]
+    assert (index, name) == (0, "WireProtocolError")
+    assert f"step at {v}" in message
 
 
 def test_valid_route_is_delivered_through_the_peer(worker):
@@ -256,3 +268,175 @@ def test_route_before_the_peer_map_is_a_typed_error(worker):
             )
     finally:
         early.server_close()
+
+
+# -- junk FORWARD replies: what RoutePump._apply lets escape ---------------
+def _forward_case(worker):
+    """Fresh packets and the worker's valid columnar reply to them."""
+    v, n = worker["vertex"], N
+    sent = [
+        (v, (v + 37) % n, worker["label"], 60),
+        (v, worker["far"], worker["far_label"], 60),
+        (v + 1, worker["far"], worker["far_label"], 60),
+        (v + 1, (v + 37) % n, worker["label"], 1),
+    ]
+    reply = worker["server"]._forward((
+        list(worker["drive"]),
+        [(s, None, label, budget) for s, _, label, budget in sent],
+    ))
+    packets = [Packet(i, *packet) for i, packet in enumerate(sent)]
+    return packets, reply
+
+
+def _pump(worker):
+    return RoutePump(
+        worker_id=1, placement=worker["placement"], step=None,
+        peers=RpcClient({}, timeout_s=1.0),
+    )
+
+
+def _apply(worker, packets, reply):
+    routes = [None] * len(packets)
+    still = []
+    _pump(worker)._apply(0, packets, reply, still, routes)
+    return routes, still
+
+
+#: cells that break a column's contract, whatever the column
+_JUNK_CELLS = [
+    -1, N, 2 ** 70, True, None, 1.5, "3", (0,), [1], {0: 1}, float("nan"),
+]
+
+
+def _mutate(rng, reply, segments):
+    """One seeded mutation of a valid reply's columns."""
+    columns = [list(column) for column in reply]
+    k = rng.randrange(len(columns))
+    kind = rng.randrange(7)
+    if kind == 0:  # a column of the wrong type
+        columns[k] = rng.choice([None, 3, "col", {0: 1}])
+    elif kind == 1:  # ragged: one cell more or fewer
+        if columns[k] and rng.random() < 0.5:
+            columns[k].pop(rng.randrange(len(columns[k])))
+        else:
+            columns[k].append(rng.choice(columns[k] or [0]))
+    elif kind == 2 and columns[k]:  # one junk cell
+        i = rng.randrange(len(columns[k]))
+        columns[k][i] = rng.choice(_JUNK_CELLS + [_value(rng)])
+    elif kind == 3:  # hop counts past the hop total, steps past budget
+        i = rng.randrange(segments)
+        extra = rng.choice([1, 2, 60, 10 ** 6])
+        for column in rng.choice([(4,), (5,), (4, 5)]):
+            columns[column][i] += extra
+    elif kind == 4:  # a segment turned error, with a good or bad entry
+        i = rng.randrange(segments)
+        columns[1][i] = 3
+        columns[10].append(rng.choice([
+            (i, "ShardUnavailableError", "gone"),
+            (i, "WireProtocolError", "bad header"),
+            (i, "NoSuchError", "odd"),
+            (i, "ShardUnavailableError"),
+            (i, 7, "message"),
+            (i, "WireProtocolError", 7),
+            (i, "ShardUnavailableError", None),
+            (-1, "ShardUnavailableError", "gone"),
+            (segments, "ShardUnavailableError", "gone"),
+            [i, "ShardUnavailableError", "gone"],
+            (True, "ShardUnavailableError", "gone"),
+        ]))
+        if rng.random() < 0.2:  # the same failure twice
+            columns[10].append(columns[10][-1])
+    elif kind == 5:  # phase indices out of range, names not str
+        if columns[9] and rng.random() < 0.7:
+            i = rng.randrange(len(columns[9]))
+            columns[9][i] = rng.choice([-1, -len(columns[0]), len(columns[0])])
+        else:
+            columns[0] = [rng.choice([1, None, b"t", ("t",)])] + columns[0]
+    else:  # positions and hops off the graph
+        column = rng.choice([2, 6])
+        if columns[column]:
+            i = rng.randrange(len(columns[column]))
+            columns[column][i] = rng.choice([-1, -N, N, True, 2 ** 64])
+    return tuple(columns)
+
+
+def test_valid_forward_reply_applies(worker):
+    packets, reply = _forward_case(worker)
+    assert len(reply[1]) == len(packets) and reply[10] == []
+    routes, still = _apply(worker, packets, reply)
+    # replayed over the codec too: the same outcome
+    again, _ = _forward_case(worker)
+    routes_wire, still_wire = _apply(
+        worker, again, decode_value(encode_value(reply))
+    )
+    assert routes == routes_wire
+    assert [p.index for p in still] == [p.index for p in still_wire]
+    for p, q in zip(packets, again):
+        assert (p.path, p.length, p.phase_hops, p.current) == (
+            q.path, q.length, q.phase_hops, q.current
+        )
+    assert sum(len(p.path) - 1 for p in packets) == len(reply[6])
+
+
+@pytest.mark.parametrize("column, cell", [
+    (9, -1), (2, -1), (6, -1), (4, -1), (5, -1),
+], ids=["phase", "at", "next", "steps", "count"])
+def test_negative_indices_do_not_wrap(worker, column, cell):
+    packets, reply = _forward_case(worker)
+    columns = [list(c) for c in reply]
+    assert columns[column], "the valid reply must have such a cell"
+    columns[column][0] = cell
+    with pytest.raises(WireProtocolError, match="FORWARD reply"):
+        _apply(worker, packets, tuple(columns))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_junk_forward_replies_raise_only_protocol_errors(worker, seed):
+    """Only WireProtocolError or what ``raise_remote`` re-raises
+    (ServingError or ShardCodecError subclasses) may leave ``_apply``."""
+    rng = random.Random(104729 + seed)
+    escaped = (ServingError, ShardCodecError)
+    for case in range(200):
+        packets, reply = _forward_case(worker)
+        if case % 10 == 0:
+            junk = _value(rng)
+        else:
+            junk = _mutate(rng, reply, len(packets))
+            if rng.random() < 0.5:
+                try:  # through the codec as a peer's reply would come
+                    junk = decode_value(encode_value(junk))
+                except ShardCodecError:
+                    pass
+        try:
+            _apply(worker, packets, junk)
+        except escaped:
+            pass
+
+
+def test_owner_map_follows_deaths_and_quarantines():
+    placement = Placement(n=N, group_size=GROUP_SIZE, workers=2, replicas=2)
+    pump = RoutePump(
+        worker_id=0, placement=placement, step=None,
+        peers=RpcClient({}, timeout_s=1.0),
+    )
+
+    def expected():
+        owner = {}
+        for g in range(placement.groups):
+            try:
+                owner[g] = live_owner(
+                    placement, g, pump.dead, pump.quarantined
+                )
+            except ServingError:
+                pass
+        return owner
+
+    first = pump._owners()
+    assert pump._owners()[0] is first[0]  # unchanged sets: no recompute
+    assert first[0] == expected() and set(first[0].values()) == {0, 1}
+    pump.quarantined.add((0, placement.owners(0)[0]))
+    assert pump._owners()[0] == expected()
+    pump.dead.add(1)
+    owner, drive = pump._owners()
+    assert owner == expected() and set(owner.values()) == {0}
+    assert sorted(drive[0]) == sorted(owner)

@@ -94,6 +94,21 @@ class TestMutation:
         with pytest.raises(GraphError):
             g.add_edge(0, 1, -2.0)
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf")],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_weight_rejected(self, bad):
+        g = Graph(3)
+        with pytest.raises(GraphError, match="finite weight"):
+            g.add_edge(0, 1, bad)
+        g.add_edge(1, 2, 2.0)
+        with pytest.raises(GraphError, match="finite weight"):
+            g.add_or_update_edge(1, 2, bad)
+        with pytest.raises(GraphError, match="finite weight"):
+            Graph.from_adjacency([[(1, bad)], [(0, bad)]])
+        assert g.m == 1 and g.weight(1, 2) == 2.0
+
     def test_out_of_range_vertex_rejected(self):
         g = Graph(2)
         with pytest.raises(GraphError):

@@ -62,7 +62,8 @@ done
 # -- numpy engine: the hop-column reference and the numpy threshold scan
 # through whole builds (under auto, hosts with a compiler only ever run
 # the C column and the C scan), the global trees those columns give
-# against the DFS tree-routing reference, the shortest-path suites
+# against the DFS tree-routing reference (the array-pass parity suite,
+# tests/routing/test_spt_routing.py), the shortest-path suites
 # against the pure-Python references of tests/sp_reference.py, the
 # routing suites through the Python pack decoder (under auto, hosts with
 # a compiler decode with the C scanner only), and the one build path: a

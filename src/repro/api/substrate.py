@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import time
 from typing import (
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -50,7 +51,7 @@ from ..graph.core import Graph
 from ..graph.metric import MetricView
 from ..routing.ball_routing import BallRoutingTables
 from ..routing.ports import PortAssignment
-from ..routing.tree_routing import TreeRouting
+from ..routing.tree_routing import TreeRouting, full_tree_routings
 from ..structures.balls import BallFamily
 from ..structures.bunches import BunchStructure
 from ..structures.coloring import find_coloring, find_hash_coloring
@@ -106,7 +107,7 @@ class Substrate:
         self._bunches: Dict[Tuple[int, ...], BunchStructure] = {}
         self._hierarchies: Dict[Tuple[int, int], SampledHierarchy] = {}
         self._trees: Dict[
-            Tuple[int, Optional[Tuple[int, ...]]], TreeRouting
+            Tuple[int, Optional[Tuple[int, ...]]], Any
         ] = {}
         #: per-artifact build seconds and hit counts, for the harness
         self.build_seconds: Dict[str, float] = {}
@@ -313,27 +314,45 @@ class Substrate:
 
     def tree_routing(
         self,
-        root: int,
-        members: Optional[Iterable[int]],
-        build_tree: Callable[[], object],
-    ) -> TreeRouting:
-        """Heavy-path tree routing for one (cluster or landmark) tree.
+        root: Any,
+        members: Optional[Iterable[int]] = None,
+        build_tree: Optional[Callable[[], object]] = None,
+    ) -> Any:
+        """Heavy-path tree routing, memoized on ``(root, member set)``.
 
-        Memoized on ``(root, member set)``; ``members=None`` keys the
-        full-graph SPT at ``root``.  Every caller's tree is the
+        With ``members``, the cluster tree ``build_tree()`` gives.  With
+        ``members=None``, ``root`` is a sequence of roots and their
+        full-graph SPTs come back in order, keyed ``(root, None)``, the
+        missing ones built in one array pass
+        (:func:`full_tree_routings`); each root counts one hit or one
+        miss.  Every key's tree is the
         deterministic shortest-path tree of that key (restricted to the
         member set, computed against this handle's metric with its fixed
-        tie-breaking), so the heavy-path intervals, records and labels
-        are identical no matter which scheme asks first.
+        tie-breaking), so the intervals, records and labels are
+        identical no matter which scheme asks first.
         """
-        key = (
-            int(root),
-            None if members is None else tuple(sorted(members)),
-        )
-        return self._memo(
-            "trees", self._trees, key,
-            lambda ports: TreeRouting(build_tree(), ports), self._get_ports,
-        )
+        if members is not None:
+            key = (int(root), tuple(sorted(members)))
+            return self._memo(
+                "trees", self._trees, key,
+                lambda ports: TreeRouting(build_tree(), ports),
+                self._get_ports,
+            )
+        roots = [int(r) for r in root]
+        missing = list(dict.fromkeys(
+            r for r in roots if (r, None) not in self._trees
+        ))
+        for _ in range(len(roots) - len(missing)):
+            self._account("trees", True)
+        if missing:
+            metric, ports = self._get_metric(), self._get_ports()
+            t0 = time.perf_counter()
+            built = full_tree_routings(metric, ports, missing)
+            seconds = (time.perf_counter() - t0) / len(missing)
+            for r, tree in zip(missing, built):
+                self._trees[(r, None)] = tree
+                self._account("trees", False, seconds)
+        return [self._trees[(r, None)] for r in roots]
 
     def hierarchy(self, k: int, seed: int) -> SampledHierarchy:
         """TZ ``k``-level sampled hierarchy (memoized on ``(k, seed)``)."""

@@ -26,14 +26,14 @@ current vertex.  Stretch ``4k-5``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 
 from ..graph.core import Graph
 from ..graph.metric import MetricView
 from ..routing.model import Deliver, Forward, RouteAction
 from ..routing.ports import PortAssignment
-from ..routing.tree_routing import TreeRouting, tree_step
+from ..routing.tree_routing import tree_step
 from .hierarchy import SampledHierarchy
 from ..schemes.base import SchemeBase
 
@@ -70,34 +70,11 @@ class ThorupZwickScheme(SchemeBase):
             else self._substrate.hierarchy(k, seed)
         )
 
-        # Trees T(w) over clusters; members keep records, labels go into
-        # destination labels (and the owner's table at level 0).  Each
-        # tree comes from the hierarchy's cluster scan: parents derived
-        # from the scanned distances, work proportional to the cluster.
-        self._trees: Dict[int, TreeRouting] = {}
-        for w, members in self.hierarchy.clusters():
-            tree = self._substrate.tree_routing(
-                w, members, lambda w=w: self.hierarchy.cluster_tree(w)
-            )
-            self._trees[w] = tree
-            for v in members:
-                self._tables[v].put("tztree", w, tree.record_of(v))
-
-        # 4k-5 refinement: u ∉ A_1 stores its own cluster's member labels.
-        level1 = set(self.hierarchy.level(1))
-        for u in graph.vertices():
-            if u in level1 or u not in self._trees:
-                continue
-            tree = self._trees[u]
-            for v in self.hierarchy.cluster(u):
-                self._tables[u].put("c0label", v, tree.label_of(v))
-
-        for v in graph.vertices():
-            entries = []
-            for i in range(self.k):
-                p = self.hierarchy.pivot(i, v)
-                entries.append((p, self._trees[p].label_of(v)))
-            self._labels[v] = (v, tuple(entries))
+        # Trees T(w) over clusters; labels also go into destination
+        # labels.  The own-cluster labels at u ∉ A_1 are the 4k-5
+        # refinement.
+        for v, entries in enumerate(self._install_tz_trees(self.hierarchy, k)):
+            self._labels[v] = (v, entries)
 
     # ------------------------------------------------------------------
     def shard_categories(self) -> frozenset:

@@ -29,10 +29,9 @@ from typing import (
 import numpy as np
 
 from ..graph.metric import MetricView
-from ..graph.trees import RootedTree
 from ..routing.model import SizedTable
 from ..routing.ports import PortAssignment
-from ..routing.tree_routing import TreeRouting, tree_step
+from ..routing.tree_routing import SPTRouting, full_tree_routings, tree_step
 from ..structures.balls import BallFamily
 from ..structures.hitting_set import greedy_hitting_set, random_hitting_set
 from .sequences import lemma7_waypoints
@@ -47,14 +46,6 @@ def eps_to_b_lemma7(eps: float) -> int:
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     return max(1, math.ceil(2.0 / eps))
-
-
-def _global_tree(metric: MetricView, root: int) -> RootedTree:
-    tree_parent = metric.spt_parents(root)
-    if len(tree_parent) != metric.n:
-        missing = next(v for v in metric.graph.vertices() if v not in tree_parent)
-        raise ValueError(f"graph disconnected: {missing} unreachable from {root}")
-    return RootedTree(tree_parent)
 
 
 class Technique1:
@@ -75,12 +66,13 @@ class Technique1:
         (``Substrate.hitting_set``) — it is eps-independent, so
         parameter sweeps reuse it.
     tree_factory:
-        Optional ``root -> TreeRouting`` for the global hitting-set
-        trees; defaults to a cold per-instance build.  Schemes pass
-        ``SchemeBase._global_tree_routing`` so the ~|H|
-        full-graph trees (the other eps-independent half of this
-        technique's state, and a dominant cost of thm10's marginal
-        build) are shared across schemes and sweeps.
+        Optional ``roots -> trees``: the full-graph trees of all hubs,
+        in order, in one call (:meth:`finish` makes it).  Defaults to
+        :func:`~repro.routing.tree_routing.full_tree_routings` on this
+        instance's metric.  Schemes pass their substrate's
+        ``tree_routing``, so the ~|H| trees (the other
+        eps-independent half of this technique's state) are shared
+        across schemes and sweeps.
     prefix:
         Category prefix inside the shared tables (several technique
         instances may coexist, e.g. in the generalized schemes).
@@ -103,7 +95,7 @@ class Technique1:
     b: Optional[int] = None
     hitting: Sequence[int] = ()
     _hitting_set: frozenset = frozenset()
-    _trees: Optional[Dict[int, TreeRouting]] = None
+    _trees: Optional[Dict[int, SPTRouting]] = None
     _class_of: Optional[List[int]] = None
     _sequences: Sequence[dict] = ()
 
@@ -116,7 +108,9 @@ class Technique1:
         eps: float,
         *,
         hitting: Optional[Sequence[int]] = None,
-        tree_factory: Optional[Callable[[int], TreeRouting]] = None,
+        tree_factory: Optional[
+            Callable[[Sequence[int]], Sequence[SPTRouting]]
+        ] = None,
         prefix: str = "t1:",
         seed: int = 0,
         use_greedy_hitting: bool = True,
@@ -140,7 +134,9 @@ class Technique1:
         # Frozen once; the Lemma 7 walk runs per (u, v) pair and must
         # not rebuild an O(|H|) set every call.
         self._hitting_set = frozenset(self.hitting)
-        self._tree_factory = tree_factory
+        self._tree_factory = tree_factory or (
+            lambda roots: full_tree_routings(metric, ports, roots)
+        )
 
         # class index of each vertex (for diagnostics / validation)
         self._class_of: List[int] = [-1] * metric.n
@@ -173,7 +169,7 @@ class Technique1:
         }
         # hub -> tree routing over T(hub); filled by finish(), after the
         # caller's sweep, so that no hub row is read before it
-        self._trees: Dict[int, TreeRouting] = {}
+        self._trees: Dict[int, SPTRouting] = {}
         self._finished = False
 
     def sweep(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
@@ -211,13 +207,7 @@ class Technique1:
         ``T(h)``.  Runs once."""
         if self._finished:
             return
-        for h in self.hitting:
-            if self._tree_factory is not None:
-                self._trees[h] = self._tree_factory(h)
-            else:
-                self._trees[h] = TreeRouting(
-                    _global_tree(self.metric, h), self.ports
-                )
+        self._trees = dict(zip(self.hitting, self._tree_factory(self.hitting)))
         for idx in sorted(self._pending):
             for _ in self._sweep_class(idx):
                 pass

@@ -32,7 +32,20 @@ from ..routing.ports import PortAssignment
 from ..structures.balls import BallFamily
 from .sequences import lemma8_waypoints
 
-__all__ = ["Technique2", "eps_to_b_lemma8"]
+__all__ = ["Technique2", "balanced_parts", "eps_to_b_lemma8"]
+
+
+def balanced_parts(
+    targets: Sequence[int], q: int
+) -> Tuple[List[List[int]], Dict[int, int]]:
+    """``targets`` cut, in order, into ``q`` parts of ``ceil(|targets| / q)``
+    (the last ones may be short or empty), and each target's part."""
+    per_part = -(-len(targets) // q)
+    part_of = {w: min(i // per_part, q - 1) for i, w in enumerate(targets)}
+    parts: List[List[int]] = [[] for _ in range(q)]
+    for w, part in part_of.items():
+        parts[part].append(w)
+    return parts, part_of
 
 
 def eps_to_b_lemma8(eps: float) -> int:

@@ -40,9 +40,9 @@ loads) — the graph is undirected, so ``row(v)[x]`` stands in for
 ``d(x, v)`` and one distance row serves every source (see the exception
 under "Canonical row orientation" below).  The view keeps an LRU of
 ``cache_rows`` columns beside its LRU of rows.  Full shortest-path trees
-read the same column: :meth:`MetricView.spt_parents` makes each vertex's
-first hop toward the root its parent, so trees and
-:meth:`MetricView.shortest_path` walks share one first-hop rule.  Every
+read the same column: each vertex's first hop toward the root is its
+parent (:func:`repro.routing.tree_routing.full_tree_routings`), so trees
+and :meth:`MetricView.shortest_path` walks share one first-hop rule.  Every
 walk — a shortest path, a ball's boundary edge, the Lemma 7 and 8
 waypoint walks — is :func:`hop_path` over the target's column, read
 once as a Python list, and raises :class:`HopWalkError` after ``n``
@@ -224,6 +224,11 @@ class MetricView:
         self._diameter_bound: Optional[float] = None
         #: an LRU of hop columns by target (hop_column)
         self._hop_cols: "OrderedDict[int, np.ndarray]" = OrderedDict()
+
+    @property
+    def cache_rows(self) -> int:
+        """LRU capacity per kind of row, and :meth:`target_sweep`'s chunk."""
+        return self._cache_rows
 
     @property
     def tol(self) -> float:
@@ -564,27 +569,6 @@ class MetricView:
         if hop < 0:
             _no_hop(u, v, hop)
         return hop
-
-    def spt_parents(self, root: int) -> Dict[int, int]:
-        """A shortest-path tree rooted at ``root`` as a child->parent map.
-
-        The parent of ``u`` is :meth:`next_hop` ``(u, root)``, read off
-        ``root``'s hop column, so trees and :meth:`shortest_path` walks
-        share one first-hop rule.  Vertices that cannot reach ``root``
-        are left out; a reachable vertex with no tight edge raises
-        :class:`RuntimeError`, as :meth:`next_hop` does.
-        """
-        if not 0 <= root < self.n:
-            raise GraphError(f"vertex {root} out of range [0, {self.n})")
-        col = self.hop_column(root)
-        stuck = np.flatnonzero(col == -2)
-        if stuck.size:
-            raise RuntimeError(
-                f"no tight edge out of {stuck[0]} toward {root}; "
-                "inconsistent metric"
-            )
-        reach = np.flatnonzero(col >= 0)
-        return dict(zip(reach.tolist(), col[reach].tolist()))
 
     def shortest_path(self, u: int, v: int) -> List[int]:
         """A concrete shortest ``u``–``v`` path, walked along ``v``'s hop

@@ -28,16 +28,29 @@ A light edge at least halves the subtree size, so a label carries at most
 Every routing table in this repository stores tree information as the plain
 6-tuple produced here, so the word accounting of
 :mod:`repro.routing.model` sees its true cost.
+
+Cluster trees, asked for one at a time, take :class:`TreeRouting`'s
+Python pass over a :class:`~repro.graph.trees.RootedTree`.  Full-graph
+shortest-path trees (landmark and hub trees) come in batches:
+:func:`spt_routings` builds a batch in one array pass over the roots'
+hop columns, and :class:`SPTRouting` builds a label only when asked.
+Both give the same records and labels for the same tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..graph.metric import HopWalkError, MetricView
 from ..graph.trees import RootedTree
 from .ports import PortAssignment
 
-__all__ = ["TreeRecord", "TreeLabel", "TreeRouting", "tree_step"]
+__all__ = [
+    "SPTRouting", "TreeRecord", "TreeLabel", "TreeRouting",
+    "full_tree_routings", "spt_routings", "tree_step",
+]
 
 # (dfs_in, dfs_out, parent_port, heavy_port, heavy_in, heavy_out)
 # parent_port = -1 at the root; heavy_port = -1 at leaves.
@@ -143,3 +156,131 @@ class TreeRouting:
     def step(record: TreeRecord, label: TreeLabel) -> Optional[int]:
         """Forwarding decision (see :func:`tree_step`)."""
         return tree_step(record, label)
+
+
+class SPTRouting:
+    """Tree routing over one full-graph SPT, built by :func:`spt_routings`.
+
+    Holds only the records.  :meth:`label_of` climbs from ``v`` (each
+    parent read off its record's up port) to the nearest ancestor with
+    a label and walks back down, memoizing every vertex on the way.
+    """
+
+    def __init__(
+        self, root: int, records: List[TreeRecord], base: int,
+        ports: PortAssignment,
+    ) -> None:
+        self.root = root
+        self._records = records  # the batch's; this tree's from ``base``
+        self._base = base
+        self._ports = ports
+        self._labels: Dict[int, TreeLabel] = {root: (0, ())}
+
+    def record_of(self, v: int) -> TreeRecord:
+        """Routing record stored at ``v`` (6 words)."""
+        return self._records[self._base + v]
+
+    def label_of(self, v: int) -> TreeLabel:
+        """Tree label of ``v`` (``1 + 2 * #light-edges`` words)."""
+        labels, records, base = self._labels, self._records, self._base
+        path = []
+        while v not in labels:
+            path.append(v)
+            v = self._ports._ports[v][records[base + v][2]]
+        label = labels[v]
+        for c in reversed(path):
+            c_in, stops = records[base + c][0], label[1]
+            if records[base + v][4] != c_in:  # not the heavy child
+                stops += ((c_in, self._ports._port_of[v][c]),)
+            label = labels[c] = (c_in, stops)
+            v = c
+        return label
+
+
+def spt_routings(
+    cols: np.ndarray, roots: Sequence[int], ports: PortAssignment
+) -> List[SPTRouting]:
+    """Tree routing over the full SPT of each root, in one array pass.
+
+    ``cols[i]`` is ``roots[i]``'s hop column: every vertex hangs from
+    its first hop toward the root.  The ``k`` trees are one forest over
+    ``k * n`` slots.  Depths come from pointer jumping (a pointer short
+    of its root after ``ceil(log2 n) + 1`` doublings means the column
+    cycles: :class:`HopWalkError`), subtree sizes from one ``bincount``
+    per level, bottom-up, and DFS indices from one gather per level,
+    top-down, with each light child placed after the heavy subtree and
+    its smaller-id light siblings.  The records equal
+    :class:`TreeRouting`'s over the same tree.
+    """
+    roots = [int(r) for r in roots]
+    k, n = len(roots), cols.shape[1]
+    parent = np.asarray(cols, dtype=np.int64)
+    if (parent < 0).any():  # -1: unreachable, -2: no tight edge
+        i, u = (int(x[0]) for x in np.nonzero(parent < 0))
+        raise ValueError(f"{u} has no first hop toward {roots[i]} "
+                         f"(hop column entry {parent[i, u]})")
+    slots = np.arange(k * n, dtype=np.int64)
+    base = slots - slots % n
+    up = parent.ravel() + base  # each slot's parent slot
+    root_of = np.repeat(np.asarray(roots, dtype=np.int64), n) + base
+    depth = (up != slots).astype(np.int64)
+    anc = up
+    for _ in range((n - 1).bit_length() + 1):
+        if (anc == root_of).all():
+            break
+        depth += depth[anc]
+        anc = anc[anc]
+    else:
+        if (anc != root_of).any():
+            j = int(np.argmax(anc != root_of))
+            raise HopWalkError(j % n, roots[j // n], n)
+
+    by_depth = np.argsort(depth, kind="stable")
+    levels = np.split(by_depth, np.cumsum(np.bincount(depth))[:-1])[1:]
+    size = np.ones(k * n, dtype=np.int64)
+    for level in reversed(levels):  # children before their parents
+        size += np.bincount(up[level], size[level], k * n).astype(np.int64)
+
+    child = slots[up != slots]
+    order = child[np.lexsort((child, -size[child], up[child]))]
+    first = np.diff(up[order], prepend=-1) != 0
+    heavy = np.full(k * n, -1, dtype=np.int64)
+    heavy[up[order[first]]] = order[first]
+    light = child[heavy[up[child]] != child]
+    light = light[np.argsort(up[light], kind="stable")]  # by parent, id
+    ahead = np.cumsum(size[light]) - size[light]
+    first = np.diff(up[light], prepend=-1) != 0
+    ahead -= ahead[first][np.cumsum(first) - 1]
+    offset = np.ones(k * n, dtype=np.int64)
+    offset[light] += size[heavy[up[light]]] + ahead
+    dfs_in = np.zeros(k * n, dtype=np.int64)
+    for level in levels:
+        dfs_in[level] = dfs_in[up[level]] + offset[level]
+
+    us, vs = slots[child] - base[child], up[child] - base[child]
+    port = ports.ports_to(np.r_[us, vs], np.r_[vs, us])
+    up_port, down_port = np.full((2, k * n), -1, dtype=np.int64)
+    up_port[child], down_port[child] = port.reshape(2, -1)
+    leaf = heavy < 0
+    h = np.where(leaf, slots, heavy)
+    heavy_in = np.where(leaf, 0, dfs_in[h])
+    records: List[TreeRecord] = list(zip(
+        dfs_in.tolist(), (dfs_in + size).tolist(), up_port.tolist(),
+        np.where(leaf, -1, down_port[h]).tolist(),
+        heavy_in.tolist(), np.where(leaf, 0, heavy_in + size[h]).tolist(),
+    ))
+    return [SPTRouting(r, records, i * n, ports) for i, r in enumerate(roots)]
+
+
+def full_tree_routings(
+    metric: MetricView, ports: PortAssignment, roots: Sequence[int]
+) -> List[SPTRouting]:
+    """:func:`spt_routings` over ``metric``'s hop columns of ``roots``,
+    read by :meth:`MetricView.target_sweep` in batches of at most
+    ``cache_rows`` roots, which bounds each pass's arrays."""
+    out: List[SPTRouting] = []
+    for lo in range(0, len(roots), metric.cache_rows):
+        batch = roots[lo : lo + metric.cache_rows]
+        cols = [col for _, _, col in metric.target_sweep(batch)]
+        out.extend(spt_routings(np.array(cols), batch, ports))
+    return out

@@ -47,6 +47,7 @@ from typing import (
     FrozenSet,
     List,
     Optional,
+    Tuple,
 )
 
 from ..graph.core import Graph
@@ -60,6 +61,7 @@ from ..structures.balls import BallFamily, ball_size_parameter
 
 if TYPE_CHECKING:
     from ..api.substrate import Substrate
+    from ..baselines.hierarchy import SampledHierarchy
 
 __all__ = ["SchemeBase"]
 
@@ -147,20 +149,47 @@ class SchemeBase(CompactRoutingScheme):
             tables.install(table)
         return tables
 
-    def _global_tree_routing(self, root: int) -> TreeRouting:
-        """Heavy-path routing over the full-graph SPT at ``root``.
+    def _cluster_trees(self, clusters: Any) -> Dict[int, TreeRouting]:
+        """Tree routing over each nonempty ``clusters.cluster(w)`` (of a
+        :class:`BunchStructure` or a TZ hierarchy), from its cluster
+        scan's distances, memoized on the substrate."""
+        return {
+            w: self._substrate.tree_routing(
+                w, members, lambda w=w: clusters.cluster_tree(w)
+            )
+            for w in range(self.graph.n)
+            if (members := clusters.cluster(w))
+        }
 
-        Memoized on the substrate under ``(root, None)`` — the same key
-        landmark trees use, so Technique 1 hub trees, thm10's global
-        landmark trees and parameter resweeps all share one build.
-        ``_global_tree`` keeps the explicit disconnected-graph
-        diagnostic even though ``__init__`` already rejects such graphs.
-        """
-        from ..core.technique1 import _global_tree
+    def _install_cluster_trees(self, clusters: Any, suffix: str = "") -> None:
+        """Records of each cluster tree at its members (``ctree{suffix}``),
+        the members' labels at its root (``clabel{suffix}``)."""
+        for w, tree in self._cluster_trees(clusters).items():
+            for v in clusters.cluster(w):
+                self._tables[v].put(f"ctree{suffix}", w, tree.record_of(v))
+                self._tables[w].put(f"clabel{suffix}", v, tree.label_of(v))
 
-        return self._substrate.tree_routing(
-            root, None, lambda: _global_tree(self.metric, root)
-        )
+    def _install_tz_trees(
+        self, hierarchy: SampledHierarchy, k: int
+    ) -> List[Tuple[Tuple[int, Any], ...]]:
+        """The Thorup–Zwick trees ``T(w)``: records at the members, and
+        every ``u ∉ A_1`` keeps its own cluster's member labels.  Returns
+        each ``v``'s ``(p_i(v), label of v in T(p_i(v)))`` for ``i < k``."""
+        trees = self._cluster_trees(hierarchy)
+        for w, tree in trees.items():
+            for v in hierarchy.cluster(w):
+                self._tables[v].put("tztree", w, tree.record_of(v))
+        level1 = set(hierarchy.level(1))
+        for u, tree in trees.items():
+            if u not in level1:
+                for v in hierarchy.cluster(u):
+                    self._tables[u].put("c0label", v, tree.label_of(v))
+        return [
+            tuple((p, trees[p].label_of(v)) for p in (
+                hierarchy.pivot(i, v) for i in range(k)
+            ))
+            for v in range(self.graph.n)
+        ]
 
     # ------------------------------------------------------------------
     def table_of(self, v: int) -> SizedTable:

@@ -32,14 +32,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..core.technique2 import Technique2
+from ..core.technique2 import Technique2, balanced_parts
 from ..graph.core import Graph
 from ..graph.metric import MetricView
 from ..routing.model import Deliver, Forward, RouteAction
 from ..routing.ports import PortAssignment
-from ..routing.tree_routing import TreeRouting, tree_step
+from ..routing.tree_routing import tree_step
 from ..structures.balls import BallFamily, ball_size_parameter
-from ..structures.coloring import color_classes
+from ..structures.coloring import color_classes, color_reps
 from .base import SchemeBase
 
 if TYPE_CHECKING:
@@ -114,22 +114,8 @@ class _GeneralizedScheme(SchemeBase):
             self.bunches.append(self._substrate.bunch_structure(li))
 
         # Cluster trees per level, from each level's cluster scan.
-        self._cluster_trees: List[Dict[int, TreeRouting]] = []
-        for i in range(ell + 1):
-            level_trees: Dict[int, TreeRouting] = {}
-            for w in graph.vertices():
-                members = self.bunches[i].cluster(w)
-                if not members:
-                    continue
-                tree = self._substrate.tree_routing(
-                    w, members,
-                    lambda w=w, b=self.bunches[i]: b.cluster_tree(w),
-                )
-                level_trees[w] = tree
-                for v in members:
-                    self._tables[v].put(f"ctree{i}", w, tree.record_of(v))
-                    self._tables[w].put(f"clabel{i}", v, tree.label_of(v))
-            self._cluster_trees.append(level_trees)
+        for i, bunches in enumerate(self.bunches):
+            self._install_cluster_trees(bunches, suffix=str(i))
 
         # Intersection tables: best w in B_i(u) ∩ B_{L_{l-i}}(v), per i.
         for u in graph.vertices():
@@ -161,15 +147,9 @@ class _GeneralizedScheme(SchemeBase):
             classes = color_classes(coloring, colors_count)
 
             k = self._pair(i)
-            lk = self.landmark_sets[k]
-            parts: List[List[int]] = [[] for _ in range(colors_count)]
-            part_of: Dict[int, int] = {}
-            per_part = -(-len(lk) // colors_count)
-            for idx, w in enumerate(lk):
-                part = min(idx // per_part, colors_count - 1)
-                parts[part].append(w)
-                part_of[w] = part
-            self._target_class[k] = part_of
+            parts, self._target_class[k] = balanced_parts(
+                self.landmark_sets[k], colors_count
+            )
 
             technique = Technique2(
                 self.metric,
@@ -185,18 +165,10 @@ class _GeneralizedScheme(SchemeBase):
             for table in self._tables:
                 technique.install(table)
 
-            for u in graph.vertices():
-                table = self._tables[u]
-                needed = set(range(colors_count))
-                for w in self.families[i].ball(u):
-                    c = coloring[w]
-                    if c in needed:
-                        table.put(f"rep{i}", c, w)
-                        needed.discard(c)
-                if needed:
-                    raise RuntimeError(
-                        f"B_{i}({u}) misses colors {sorted(needed)}"
-                    )
+            for u, table in enumerate(self._tables):
+                table.put_many(f"rep{i}", color_reps(
+                    self.families[i].ball(u), coloring, colors_count
+                ))
 
         # Labels: per target level k, the pivot, its part, its distance and
         # the first edge toward v.

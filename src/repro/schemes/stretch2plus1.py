@@ -41,8 +41,8 @@ from ..graph.core import Graph
 from ..graph.metric import MetricView
 from ..routing.model import Deliver, Forward, RouteAction
 from ..routing.ports import PortAssignment
-from ..routing.tree_routing import TreeRouting, tree_step
-from ..structures.coloring import color_classes
+from ..routing.tree_routing import SPTRouting, tree_step
+from ..structures.coloring import color_classes, color_reps
 from .base import SchemeBase
 
 __all__ = ["Stretch2Plus1Scheme"]
@@ -99,26 +99,20 @@ class Stretch2Plus1Scheme(SchemeBase):
             self.metric, self.family, self.ports,
             color_classes(self.colors, self.q), eps / 2.0,
             hitting=self._substrate.hitting_set(self.family.ell),
-            tree_factory=self._global_tree_routing,
+            tree_factory=self._substrate.tree_routing,
             seed=seed,
         )
 
         # One sweep over the distance rows, class by class, so that each
         # class's Lemma 7 walks run right after it while its rows and hop
         # columns are cached.  With u's row and hop column in hand: the
-        # ball ports toward u, u's cluster tree, and u's own intersection
-        # and color-representative entries, which both read d(u, w) for
+        # ball ports toward u, and u's own intersection and
+        # color-representative entries, which both read d(u, w) for
         # w in B(u).  Installation below keeps the vertex order.
-        trees: Dict[int, TreeRouting] = {}
         xsect: List[Dict[int, int]] = [{} for _ in range(n)]
         reps: List[Dict[int, tuple]] = [{} for _ in range(n)]
         for u, row, col in self.technique.sweep():
             ball_ports.fill_target(u, col)
-            members = self.bunches.cluster(u)
-            if members:
-                trees[u] = self._substrate.tree_routing(
-                    u, members, lambda u=u: self.bunches.cluster_tree(u)
-                )
             ball = self.family.ball(u)
             d_ball = row[ball].tolist()
             # Intersection table: best common vertex of B(u, q̃) and B_A(v).
@@ -132,25 +126,23 @@ class Stretch2Plus1Scheme(SchemeBase):
                     if v not in best or cand < best[v]:
                         best[v] = cand
             xsect[u] = {v: w for v, (_, w) in best.items()}
-            reps[u] = self._color_reps(u, ball, d_ball)
+            reps[u] = {
+                c: (w, int(round(row[w])))
+                for c, w in color_reps(ball, self.colors, self.q).items()
+            }
 
         self._install_ball_ports(self.family, ball_ports)
         # Cluster trees: records at members, member labels at the owner.
-        for w in sorted(trees):
-            tree = trees[w]
-            for v in self.bunches.cluster(w):
-                self._tables[v].put("ctree", w, tree.record_of(v))
-                self._tables[w].put("clabel", v, tree.label_of(v))
+        self._install_cluster_trees(self.bunches)
 
         # Global landmark trees: every vertex stores a record per landmark.
-        self._landmark_trees: Dict[int, TreeRouting] = {
-            w: self._global_tree_routing(w) for w in self.landmarks
-        }
-        landmark_trees = self._landmark_trees.items()
+        landmark_trees: Dict[int, SPTRouting] = dict(zip(
+            self.landmarks, self._substrate.tree_routing(self.landmarks)
+        ))
         for v, table in enumerate(self._tables):
-            table.put_many(
-                "atree", {w: tree.record_of(v) for w, tree in landmark_trees}
-            )
+            table.put_many("atree", {
+                w: tree.record_of(v) for w, tree in landmark_trees.items()
+            })
 
         for table, entries in zip(self._tables, xsect):
             table.put_many("xsect", entries)
@@ -169,26 +161,8 @@ class Stretch2Plus1Scheme(SchemeBase):
                 self.colors[v],
                 p,
                 int(round(self.bunches.distance_to_landmarks(v))),
-                self._landmark_trees[p].label_of(v),
+                landmark_trees[p].label_of(v),
             )
-
-    def _color_reps(
-        self, u: int, ball: List[int], d_ball: List[float]
-    ) -> Dict[int, tuple]:
-        """``color -> (w, d(u, w))`` for the first ``w`` of each color in
-        ``B(u)``, in ball order (``d_ball`` lists ``d(u, w)``)."""
-        reps: Dict[int, tuple] = {}
-        needed = set(range(self.q))
-        for w, d_uw in zip(ball, d_ball):
-            c = self.colors[w]
-            if c in needed:
-                reps[c] = (w, int(round(d_uw)))
-                needed.discard(c)
-        if needed:
-            raise RuntimeError(
-                f"B({u}) misses colors {sorted(needed)} despite Lemma 6"
-            )
-        return reps
 
     # ------------------------------------------------------------------
     def shard_categories(self) -> frozenset:

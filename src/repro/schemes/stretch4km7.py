@@ -27,15 +27,15 @@ color representative → Lemma 8 to ``p_{k-2}(v)`` → tree
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Optional
 
-from ..core.technique2 import Technique2
+from ..core.technique2 import Technique2, balanced_parts
 from ..graph.core import Graph
 from ..graph.metric import MetricView
 from ..routing.model import Deliver, Forward, RouteAction
 from ..routing.ports import PortAssignment
-from ..routing.tree_routing import TreeRouting, tree_step
-from ..structures.coloring import color_classes
+from ..routing.tree_routing import tree_step
+from ..structures.coloring import color_classes, color_reps
 from .base import SchemeBase
 
 __all__ = ["Stretch4kMinus7Scheme"]
@@ -76,24 +76,7 @@ class Stretch4kMinus7Scheme(SchemeBase):
         self.hierarchy = self._substrate.hierarchy(k, seed)
 
         # --- TZ (4k-5) substrate -------------------------------------
-        self._trees: Dict[int, TreeRouting] = {}
-        for w in graph.vertices():
-            members = self.hierarchy.cluster(w)
-            if not members:
-                continue
-            tree = self._substrate.tree_routing(
-                w, members, lambda w=w: self.hierarchy.cluster_tree(w)
-            )
-            self._trees[w] = tree
-            for v in members:
-                self._tables[v].put("tztree", w, tree.record_of(v))
-        level1 = set(self.hierarchy.level(1))
-        for u in graph.vertices():
-            if u in level1 or u not in self._trees:
-                continue
-            tree = self._trees[u]
-            for v in self.hierarchy.cluster(u):
-                self._tables[u].put("c0label", v, tree.label_of(v))
+        pivots = self._install_tz_trees(self.hierarchy, k)
 
         # --- Theorem 16 additions ------------------------------------
         self.family = self._build_balls(self.q, alpha)
@@ -102,14 +85,9 @@ class Stretch4kMinus7Scheme(SchemeBase):
         self.colors = self._substrate.coloring(self.family.ell, self.q, seed)
         classes = color_classes(self.colors, self.q)
 
-        ak2 = self.hierarchy.level(k - 2)
-        self._target_class: Dict[int, int] = {}
-        target_parts: List[List[int]] = [[] for _ in range(self.q)]
-        per_part = -(-len(ak2) // self.q)  # ceil
-        for i, w in enumerate(ak2):
-            part = min(i // per_part, self.q - 1)
-            target_parts[part].append(w)
-            self._target_class[w] = part
+        target_parts, self._target_class = balanced_parts(
+            self.hierarchy.level(k - 2), self.q
+        )
 
         # eps' such that the total comes out at (4k-7+eps): the Lemma 8 leg
         # is at most (2k-3) d long, so eps' = eps / (2k-3).
@@ -125,26 +103,14 @@ class Stretch4kMinus7Scheme(SchemeBase):
         for table in self._tables:
             self.technique.install(table)
 
-        for u in graph.vertices():
-            table = self._tables[u]
-            needed = set(range(self.q))
-            for w in self.family.ball(u):
-                c = self.colors[w]
-                if c in needed:
-                    table.put("colorrep", c, w)
-                    needed.discard(c)
-            if needed:
-                raise RuntimeError(
-                    f"B({u}) misses colors {sorted(needed)} despite Lemma 6"
-                )
+        for u, table in enumerate(self._tables):
+            table.put_many("colorrep", color_reps(
+                self.family.ball(u), self.colors, self.q
+            ))
 
-        for v in graph.vertices():
-            entries = []
-            for i in range(self.k):
-                p = self.hierarchy.pivot(i, v)
-                entries.append((p, self._trees[p].label_of(v)))
-            pk2 = self.hierarchy.pivot(k - 2, v)
-            self._labels[v] = (v, tuple(entries), self._target_class[pk2])
+        for v, entries in enumerate(pivots):
+            pk2 = entries[k - 2][0]
+            self._labels[v] = (v, entries, self._target_class[pk2])
 
     # ------------------------------------------------------------------
     def shard_categories(self) -> frozenset:

@@ -36,15 +36,15 @@ the paper's ``O(log n)``-bit labels.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
-from ..core.technique2 import Technique2
+from ..core.technique2 import Technique2, balanced_parts
 from ..graph.core import Graph
 from ..graph.metric import MetricView
 from ..routing.model import Deliver, Forward, RouteAction
 from ..routing.ports import PortAssignment
 from ..routing.tree_routing import tree_step
-from ..structures.coloring import color_classes
+from ..structures.coloring import color_classes, color_reps
 from .base import SchemeBase
 
 __all__ = ["Stretch5PlusScheme"]
@@ -91,13 +91,9 @@ class Stretch5PlusScheme(SchemeBase):
         classes = color_classes(self.colors, self.q)
 
         # Arbitrary balanced partition W of the landmark set A.
-        self._target_class: dict[int, int] = {}
-        target_parts: List[List[int]] = [[] for _ in range(self.q)]
-        per_part = -(-len(self.landmarks) // self.q)  # ceil
-        for i, w in enumerate(self.landmarks):
-            part = min(i // per_part, self.q - 1)
-            target_parts[part].append(w)
-            self._target_class[w] = part
+        target_parts, self._target_class = balanced_parts(
+            self.landmarks, self.q
+        )
 
         self.technique = Technique2(
             self.metric,
@@ -111,41 +107,24 @@ class Stretch5PlusScheme(SchemeBase):
 
         # One target-ordered sweep does every per-target job while the
         # target's row and hop column are in hand: the ball ports of its
-        # holders, its cluster tree, its label edge z and the Lemma 8
-        # walks toward it.  Installation below keeps the table order.
-        trees = {}
+        # holders, its label edge z and the Lemma 8 walks toward it.
+        # Installation below keeps the table order.
         for v, _, col in self.metric.target_sweep():
             ball_ports.fill_target(v, col)
-            members = self.bunches.cluster(v)
-            if members:
-                trees[v] = self._substrate.tree_routing(
-                    v, members, lambda v=v: self.bunches.cluster_tree(v)
-                )
             p = self.bunches.pivot(v)
             z = None if p == v else self.metric.next_hop(p, v)
             self._labels[v] = (v, p, self._target_class[p], z)
             self.technique.walk_target(v, col)
 
         self._install_ball_ports(self.family, ball_ports)
-        for w, tree in trees.items():
-            for v in self.bunches.cluster(w):
-                self._tables[v].put("ctree", w, tree.record_of(v))
-                self._tables[w].put("clabel", v, tree.label_of(v))
+        self._install_cluster_trees(self.bunches)
         for table in self._tables:
             self.technique.install(table)
 
-        for u in graph.vertices():
-            table = self._tables[u]
-            needed = set(range(self.q))
-            for w in self.family.ball(u):
-                c = self.colors[w]
-                if c in needed:
-                    table.put("colorrep", c, w)
-                    needed.discard(c)
-            if needed:
-                raise RuntimeError(
-                    f"B({u}) misses colors {sorted(needed)} despite Lemma 6"
-                )
+        for u, table in enumerate(self._tables):
+            table.put_many("colorrep", color_reps(
+                self.family.ball(u), self.colors, self.q
+            ))
 
     # ------------------------------------------------------------------
     def shard_categories(self) -> frozenset:

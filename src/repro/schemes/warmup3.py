@@ -20,14 +20,14 @@ The label of ``v`` is ``(v, c(v))`` — 2 words.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Any, List, Optional
 
 from ..core.technique1 import Technique1
 from ..graph.core import Graph
 from ..graph.metric import MetricView
-from ..routing.model import Deliver, Forward, RouteAction
+from ..routing.model import Deliver, Forward, RouteAction, SizedTable
 from ..routing.ports import PortAssignment
-from ..structures.coloring import color_classes
+from ..structures.coloring import color_classes, color_reps
 from .base import SchemeBase
 
 __all__ = ["Warmup3Scheme"]
@@ -65,7 +65,7 @@ class Warmup3Scheme(SchemeBase):
         self.family = self._build_balls(self.q, alpha)
         self._install_ball_ports(self.family)
 
-        self.colors = self._substrate.coloring(self.family.ell, self.q, seed)
+        self.colors = self._coloring(seed)
         classes = color_classes(self.colors, self.q)
 
         self.technique = Technique1(
@@ -75,28 +75,42 @@ class Warmup3Scheme(SchemeBase):
             classes,
             eps / 2.0,
             hitting=self._substrate.hitting_set(self.family.ell),
-            tree_factory=self._global_tree_routing,
+            tree_factory=self._substrate.tree_routing,
             seed=seed,
         )
         for table in self._tables:
             self.technique.install(table)
+            self._install_consts(table)
 
         # Per-color ball representative (Lemma 6 guarantees existence).
-        for u in graph.vertices():
-            table = self._tables[u]
-            needed = set(range(self.q))
-            for w in self.family.ball(u):
-                c = self.colors[w]
-                if c in needed:
-                    table.put("colorrep", c, w)
-                    needed.discard(c)
-            if needed:
-                raise RuntimeError(
-                    f"B({u}) misses colors {sorted(needed)} despite Lemma 6"
-                )
+        for u, table in enumerate(self._tables):
+            table.put_many("colorrep", color_reps(
+                self.family.ball(u), self.colors, self.q
+            ))
 
         for v in graph.vertices():
-            self._labels[v] = (v, self.colors[v])
+            self._labels[v] = self._label(v)
+
+    # Hooks the name-independent variant overrides -----------------------
+    def _coloring(self, seed: int) -> List[int]:
+        """The Lemma 6 coloring of the balls."""
+        return self._substrate.coloring(self.family.ell, self.q, seed)
+
+    def _install_consts(self, table: SizedTable) -> None:
+        """Per-vertex constants beyond the technique's (none here)."""
+
+    def _label(self, v: int) -> Any:
+        """``v``'s label: ``(v, c(v))``."""
+        return (v, self.colors[v])
+
+    @staticmethod
+    def _name(label: Any) -> int:
+        """The target ``v`` named by ``label``."""
+        return label[0]
+
+    def _color_of(self, table: SizedTable, label: Any) -> int:
+        """``c(v)``, which the label carries."""
+        return label[1]
 
     # ------------------------------------------------------------------
     def shard_categories(self) -> frozenset:
@@ -116,7 +130,7 @@ class Warmup3Scheme(SchemeBase):
 
     # ------------------------------------------------------------------
     def step(self, u: int, header: Any, dest_label: Any) -> RouteAction:
-        v, v_color = dest_label
+        v = self._name(dest_label)
         if u == v:
             return Deliver()
         table = self.table_of(u)
@@ -124,7 +138,7 @@ class Warmup3Scheme(SchemeBase):
             ball_port = table.get("ball", v)
             if ball_port is not None:
                 return Forward(ball_port, ("ball",))
-            rep = table.get("colorrep", v_color)
+            rep = table.get("colorrep", self._color_of(table, dest_label))
             if rep == u:
                 t1h = self.technique.start(table, u, v)
                 port, t1h = self.technique.step(table, u, t1h, v)

@@ -22,7 +22,7 @@ knowing only ``v``'s name and the (O(1)-word) seed.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ColoringError",
@@ -30,6 +30,7 @@ __all__ = [
     "find_coloring",
     "find_hash_coloring",
     "color_classes",
+    "color_reps",
     "hash_color",
 ]
 
@@ -174,3 +175,19 @@ def color_classes(colors: Sequence[int], q: int) -> List[List[int]]:
     for v, c in enumerate(colors):
         classes[c].append(v)
     return classes
+
+
+def color_reps(
+    ball: Sequence[int], colors: Sequence[int], q: int
+) -> Dict[int, int]:
+    """``color -> w`` for the first ``w`` of each of the ``q`` colors in
+    ``B(u)`` (``ball``, ``u`` first), in ball order."""
+    reps: Dict[int, int] = {}
+    for w in ball:
+        reps.setdefault(colors[w], w)
+    if len(reps) < q:
+        missing = sorted(set(range(q)) - set(reps))
+        raise RuntimeError(
+            f"B({ball[0]}) misses colors {missing} despite Lemma 6"
+        )
+    return reps

@@ -138,6 +138,18 @@ class TestTechnique1StateSharing:
             assert after[kind]["hits"] > before[kind].get("hits", 0), kind
             assert after[kind]["misses"] == before[kind]["misses"], kind
 
+    def test_thm10_hub_trees_hit_the_landmark_trees(self, graph):
+        """thm10 builds its landmark trees first; each hub tree then
+        counts one hit if the hub is a landmark and one miss if not."""
+        sub = Substrate(graph)
+        scheme = build("thm10", graph, substrate=sub, seed=5).scheme
+        landmarks, hubs = set(scheme.landmarks), set(scheme.technique.hitting)
+        assert landmarks & hubs
+        clusters = sum(1 for (_, members) in sub._trees if members)
+        trees = sub.stats()["trees"]
+        assert trees["hits"] == len(landmarks & hubs)
+        assert trees["misses"] == len(landmarks | hubs) + clusters
+
     def test_shared_technique1_build_equals_cold(self, graph):
         cache = SubstrateCache()
         build("thm11", graph, cache=cache, seed=5)  # warms cluster trees

@@ -49,6 +49,7 @@ from sp_reference import (
     threshold_reference,
     truncated_dijkstra_py,
 )
+from tree_reference import spt_parents
 
 
 def _graphs():
@@ -144,7 +145,7 @@ class TestDijkstraAgreement:
             assert row.tolist() == dist_py  # bitwise, not approx
             expect = {v: p for v, p in enumerate(parent_py) if p is not None}
             expect[source] = source
-            assert m.spt_parents(source) == expect
+            assert spt_parents(m, source) == expect
 
     def test_dispatch_matches_pure(self, graph):
         rows = MetricView(graph).rows([0])

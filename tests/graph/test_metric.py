@@ -20,7 +20,9 @@ from repro.graph.generators import (
 from repro.graph.csr import csr_graph
 from repro.graph.metric import HopWalkError, MetricView, hop_path
 from repro.graph.trees import cluster_parents
+from repro.routing.ports import PortAssignment
 from repro.routing.shard_codec import encode_node_table
+from repro.routing.tree_routing import full_tree_routings
 from sp_reference import dijkstra_py, patch_references
 
 
@@ -344,15 +346,28 @@ class TestTargetSweep:
         assert len(calls) == 1 + math.ceil(g.n / 8)
 
 
+def _tree_parents(m, ports, roots):
+    """Each full tree's parents, read back off its records' up ports."""
+    return {
+        r: {
+            v: ports.neighbor(v, tree.record_of(v)[2])
+            for v in range(m.n) if v != r
+        }
+        for r, tree in zip(roots, full_tree_routings(m, ports, roots))
+    }
+
+
 class TestSPTParents:
+    """The full-graph trees schemes route on (the array pass) hang each
+    vertex from its first hop toward the root."""
+
     def test_parents_consistent_with_distances(self):
         g = with_random_weights(erdos_renyi(40, 0.1, seed=13), seed=14)
         m = MetricView(g)
-        parents = m.spt_parents(6)
-        assert parents[6] == 6
+        ports = PortAssignment(g, seed=3)
+        parents = _tree_parents(m, ports, [6])[6]
         for v, p in parents.items():
-            if v != 6:
-                assert m.d(6, v) == pytest.approx(m.d(6, p) + g.weight(p, v))
+            assert m.d(6, v) == pytest.approx(m.d(6, p) + g.weight(p, v))
 
     @pytest.mark.parametrize("kernel", ["kernel", "pure"])
     @pytest.mark.parametrize("kind", ["weighted", "tie-heavy"])
@@ -366,13 +381,12 @@ class TestSPTParents:
             g = erdos_renyi(40, 0.1, seed=seed)
             if kind == "weighted":
                 g = with_random_weights(g, seed=seed + 1)
-            m = MetricView(g)
-            for r in range(0, g.n, 3):
-                parents = m.spt_parents(r)
-                assert parents[r] == r and len(parents) == g.n
-                for u in range(g.n):
-                    if u != r:
-                        assert parents[u] == m.next_hop(u, r)
+            m = MetricView(g, cache_rows=4)  # batches of four roots
+            roots = list(range(0, g.n, 3))
+            trees = _tree_parents(m, PortAssignment(g, seed=seed), roots)
+            for r, parents in trees.items():
+                for u, p in parents.items():
+                    assert p == m.next_hop(u, r)
 
     def test_restricted_rejects_non_closed(self):
         g = grid(1, 5)  # path 0-1-2-3-4

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Substrate
 from repro.graph.core import Graph, GraphError
 from repro.graph.generators import (
     erdos_renyi,
@@ -20,6 +21,7 @@ from repro.graph.shortest_paths import all_balls, bounded_distance
 from repro.graph.trees import cluster_parents
 from repro.structures.bunches import BunchStructure
 from sp_reference import dijkstra_py, truncated_dijkstra_py
+from tree_reference import spt_parents
 
 
 def _nx_distances(g: Graph, source: int):
@@ -59,7 +61,7 @@ class TestDijkstra:
     def test_parents_form_shortest_paths(self):
         g = with_random_weights(erdos_renyi(40, 0.12, seed=9), seed=19)
         m = MetricView(g)
-        dist, parent = m.row(0), m.spt_parents(0)
+        dist, parent = m.row(0), spt_parents(m, 0)
         for v in g.vertices():
             if v == 0:
                 assert parent[v] == 0
@@ -100,12 +102,12 @@ class TestTruncatedDijkstra:
 
 
 class TestShortestPathTree:
-    """Full trees come from :meth:`MetricView.spt_parents`, cluster trees
-    from a cluster scan's distances (``cluster_parents``)."""
+    """Full trees come from the root's hop column, cluster trees from a
+    cluster scan's distances (``cluster_parents``)."""
 
     def test_full_tree_distances(self):
         g = with_random_weights(erdos_renyi(35, 0.15, seed=2), seed=8)
-        tree = MetricView(g).spt_parents(0)
+        tree = spt_parents(MetricView(g), 0)
         dist, _ = dijkstra_py(g, 0)
         # walk each vertex to the root; the accumulated weight must match
         for v in g.vertices():
@@ -175,7 +177,8 @@ def _out_of_range_calls(g, bad):
         "threshold_rows": lambda: list(
             MetricView(g).iter_bounded_rows(np.full(g.n, np.inf), [bad])
         ),
-        "spt_parents": lambda: MetricView(g).spt_parents(bad),
+        # the full shortest-path tree at the root, as schemes build it
+        "spt_parents": lambda: Substrate(g).tree_routing([bad], None),
     }
 
 

@@ -11,10 +11,11 @@ from repro.routing.interval_routing import IntervalTreeRouting
 from repro.routing.model import words_of
 from repro.routing.ports import PortAssignment
 from repro.routing.tree_routing import TreeRouting
+from tree_reference import spt_parents
 
 
 def _tree(g, root=0):
-    return RootedTree(MetricView(g).spt_parents(root))
+    return RootedTree(spt_parents(MetricView(g), root))
 
 
 def _route(ir: IntervalTreeRouting, ports: PortAssignment, s: int, t: int):

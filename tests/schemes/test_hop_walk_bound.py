@@ -20,14 +20,25 @@ from repro.graph.generators import random_sparse
 from repro.graph.metric import HopWalkError
 
 
-def test_thm16_on_absorbed_weight_raises():
+def _absorbed_weight_graph():
     # d(1, 0) = d(2, 0) = d(3, 0) = 1e20 in float64: 1 and 2 are each
-    # other's first hop toward 0, and a Lemma 8 walk from 1 cycles.
-    g = Graph.from_edges(
+    # other's first hop toward 0.
+    return Graph.from_edges(
         4, [(0, 3, 1e20), (3, 1, 1.0), (3, 2, 1.0), (1, 2, 1.0)]
     )
+
+
+def test_thm16_on_absorbed_weight_raises():
+    # a Lemma 8 walk from 1 toward 0 cycles
     with pytest.raises(HopWalkError, match="toward 0"):
-        build("thm16", g, seed=1)
+        build("thm16", _absorbed_weight_graph(), seed=1)
+
+
+@pytest.mark.parametrize("name", ["warmup3", "name-indep"])
+def test_hub_tree_on_absorbed_weight_raises(name):
+    # the full-graph tree at hub 0 would hang 1 and 2 from each other
+    with pytest.raises(HopWalkError, match="from 1 toward 0"):
+        build(name, _absorbed_weight_graph(), seed=1)
 
 
 @pytest.mark.parametrize("seed", [1, 2])

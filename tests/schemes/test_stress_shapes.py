@@ -23,6 +23,7 @@ from repro.routing.ports import PortAssignment
 from repro.routing.simulator import measure_stretch
 from repro.routing.tree_routing import TreeRouting
 from repro.schemes import Stretch2Plus1Scheme, Stretch5PlusScheme, Warmup3Scheme
+from tree_reference import spt_parents
 
 
 def _pairs(n, a=4, b=6):
@@ -67,7 +68,7 @@ class TestCompleteBinaryTree:
     def test_tree_labels_hit_log_depth(self):
         g = complete_binary_tree(7)  # 255 vertices
         m = MetricView(g)
-        tree = RootedTree(m.spt_parents(0))
+        tree = RootedTree(spt_parents(m, 0))
         tr = TreeRouting(tree, PortAssignment(g))
         max_lights = max(len(tr.label_of(v)[1]) for v in g.vertices())
         # a complete binary tree needs close to log2(n) light stops...

@@ -5,16 +5,29 @@ once ran: pick each vertex's heavy child by ``(size, -id)``, assign DFS
 intervals with an explicit stack, heavy child first, then build the
 records and accumulate the light stops of the labels in two more passes.
 The library now does all of it in one top-down pass over the tree's
-root-first order; the parity tests hold it to this reference.
+root-first order (cluster trees) or in one array pass over a batch of
+hop columns (full-graph trees); the parity tests hold both to this
+reference.  :func:`spt_parents` gives the reference full tree: each
+vertex's parent is its first hop toward the root.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.graph.metric import MetricView
 from repro.graph.trees import RootedTree
 from repro.routing.ports import PortAssignment
 from repro.routing.tree_routing import TreeLabel, TreeRecord
+
+
+def spt_parents(metric: MetricView, root: int) -> Dict[int, int]:
+    """The full shortest-path tree at ``root`` as a child -> parent map,
+    read off ``root``'s hop column; vertices that cannot reach ``root``
+    are left out."""
+    col = metric.hop_column(root).tolist()
+    assert -2 not in col, f"a vertex has no tight edge toward {root}"
+    return {v: p for v, p in enumerate(col) if p >= 0}
 
 
 def reference_tree_routing(

@@ -61,10 +61,10 @@ done
 
 # -- numpy engine: the hop-column reference and the numpy threshold scan
 # through whole builds (under auto, hosts with a compiler only ever run
-# the C column and the C scan), the global trees those columns give
-# against the DFS tree-routing reference (the array-pass parity suite,
-# tests/routing/test_spt_routing.py), the shortest-path suites
-# against the pure-Python references of tests/sp_reference.py, the
+# the C column and the C scan), the trees those columns and scans give
+# against the DFS tree-routing reference (the parity suite of the one
+# tree builder, tests/routing/test_spt_routing.py), the shortest-path
+# suites against the pure-Python references of tests/sp_reference.py, the
 # routing suites through the Python pack decoder (under auto, hosts with
 # a compiler decode with the C scanner only), and the one build path: a
 # scheme built with no substrate compiles to the bytes of a shared-cache
@@ -93,7 +93,8 @@ rm -rf "$no_scipy"
 
 # -- sanitizers: the C kernels built with ASan + UBSan into a private
 # cache, at the path the loader looks for, and the suites that drive them
-# run with both runtimes preloaded; any report fails the leg -----------
+# run with both runtimes preloaded (the tree suites drive the C hop
+# column over hypothesis graphs full of ties); any report fails the leg
 san_cc=$(command -v gcc || true)
 asan_rt=$([ -n "$san_cc" ] && gcc -print-file-name=libasan.so || true)
 ubsan_rt=$([ -n "$san_cc" ] && gcc -print-file-name=libubsan.so || true)
@@ -126,7 +127,10 @@ if not mapped or b"__asan_" not in open(path, "rb").read():
             tests/native \
             tests/graph/test_csr.py tests/routing/test_fuzz_codecs.py \
             tests/structures/test_bunches.py \
-            tests/baselines/test_hierarchy.py || fail=1
+            tests/baselines/test_hierarchy.py tests/graph/test_trees.py \
+            tests/routing/test_spt_routing.py \
+            tests/routing/test_tree_routing.py \
+            tests/routing/test_interval_routing.py || fail=1
     else
         echo "sanitized kernel build failed"
         fail=1

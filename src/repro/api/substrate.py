@@ -44,6 +44,7 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
+    Union,
 )
 
 from ..baselines.hierarchy import SampledHierarchy
@@ -51,7 +52,9 @@ from ..graph.core import Graph
 from ..graph.metric import MetricView
 from ..routing.ball_routing import BallRoutingTables
 from ..routing.ports import PortAssignment
-from ..routing.tree_routing import TreeRouting, full_tree_routings
+from ..routing.tree_routing import (
+    TreeRouting, full_tree_routings, tree_routings,
+)
 from ..structures.balls import BallFamily
 from ..structures.bunches import BunchStructure
 from ..structures.coloring import find_coloring, find_hash_coloring
@@ -314,45 +317,51 @@ class Substrate:
 
     def tree_routing(
         self,
-        root: Any,
-        members: Optional[Iterable[int]] = None,
-        build_tree: Optional[Callable[[], object]] = None,
-    ) -> Any:
-        """Heavy-path tree routing, memoized on ``(root, member set)``.
+        roots: Iterable[int],
+        clusters: Union[BunchStructure, SampledHierarchy, None] = None,
+    ) -> List[TreeRouting]:
+        """Heavy-path tree routing of each root, memoized per tree.
 
-        With ``members``, the cluster tree ``build_tree()`` gives.  With
-        ``members=None``, ``root`` is a sequence of roots and their
-        full-graph SPTs come back in order, keyed ``(root, None)``, the
-        missing ones built in one array pass
-        (:func:`full_tree_routings`); each root counts one hit or one
-        miss.  Every key's tree is the
+        With ``clusters=None``, each root's full-graph SPT, keyed
+        ``(root, None)``.  With a cluster structure (a
+        :class:`BunchStructure` or a TZ hierarchy), the cluster tree of
+        each root ``w``, keyed ``(w, sorted members)``: its members are
+        ``clusters.cluster(w)`` and its parent map
+        ``clusters.cluster_tree(w)``, read only for a tree not yet
+        built.  The trees come back in order; the missing ones are built
+        in one batch (:func:`tree_routings`; full-graph trees at most
+        ``cache_rows`` roots per pass, :func:`full_tree_routings`) and
+        each key counts one hit or one miss.  Every key's tree is the
         deterministic shortest-path tree of that key (restricted to the
         member set, computed against this handle's metric with its fixed
         tie-breaking), so the intervals, records and labels are
         identical no matter which scheme asks first.
         """
-        if members is not None:
-            key = (int(root), tuple(sorted(members)))
-            return self._memo(
-                "trees", self._trees, key,
-                lambda ports: TreeRouting(build_tree(), ports),
-                self._get_ports,
-            )
-        roots = [int(r) for r in root]
-        missing = list(dict.fromkeys(
-            r for r in roots if (r, None) not in self._trees
-        ))
-        for _ in range(len(roots) - len(missing)):
+        keys = [
+            (w, None if clusters is None
+             else tuple(sorted(clusters.cluster(w))))
+            for w in map(int, roots)
+        ]
+        missing = list(dict.fromkeys(k for k in keys if k not in self._trees))
+        for _ in range(len(keys) - len(missing)):
             self._account("trees", True)
         if missing:
-            metric, ports = self._get_metric(), self._get_ports()
-            t0 = time.perf_counter()
-            built = full_tree_routings(metric, ports, missing)
+            ports = self._get_ports()
+            ws = [w for w, _ in missing]
+            if clusters is None:
+                metric = self._get_metric()
+                t0 = time.perf_counter()
+                built = full_tree_routings(metric, ports, ws)
+            else:
+                t0 = time.perf_counter()
+                built = tree_routings(
+                    [(w, clusters.cluster_tree(w)) for w in ws], ports
+                )
             seconds = (time.perf_counter() - t0) / len(missing)
-            for r, tree in zip(missing, built):
-                self._trees[(r, None)] = tree
+            for key, tree in zip(missing, built):
+                self._trees[key] = tree
                 self._account("trees", False, seconds)
-        return [self._trees[(r, None)] for r in roots]
+        return [self._trees[k] for k in keys]
 
     def hierarchy(self, k: int, seed: int) -> SampledHierarchy:
         """TZ ``k``-level sampled hierarchy (memoized on ``(k, seed)``)."""

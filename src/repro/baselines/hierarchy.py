@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..graph.metric import MetricView
-from ..graph.trees import RootedTree, cluster_parents
+from ..graph.trees import cluster_parents
 from ..structures.sampling import sample_cluster_bounded
 
 __all__ = ["SampledHierarchy"]
@@ -165,15 +165,13 @@ class SampledHierarchy:
         """``(w, C(w))`` pairs for every *nonempty* cluster, ``w`` ascending."""
         return self._clusters.items()
 
-    def cluster_tree(self, w: int) -> RootedTree:
+    def cluster_tree(self, w: int) -> Dict[int, int]:
         """Shortest-path tree rooted at ``w`` spanning ``C(w)`` (never
-        empty: ``w`` is not in ``A_{level_of(w)+1}``), from the cluster
-        scan's distances (:func:`cluster_parents`, no row read)."""
-        return RootedTree(
-            cluster_parents(
-                self.metric.graph, w, self._clusters[w],
-                self._cluster_dists[w],
-            )
+        empty: ``w`` is not in ``A_{level_of(w)+1}``), as a ``child ->
+        parent`` map, from the cluster scan's distances
+        (:func:`cluster_parents`, no row read)."""
+        return cluster_parents(
+            self.metric.graph, w, self._clusters[w], self._cluster_dists[w]
         )
 
     def bunch(self, v: int) -> List[int]:

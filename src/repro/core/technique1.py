@@ -31,7 +31,7 @@ import numpy as np
 from ..graph.metric import MetricView
 from ..routing.model import SizedTable
 from ..routing.ports import PortAssignment
-from ..routing.tree_routing import SPTRouting, full_tree_routings, tree_step
+from ..routing.tree_routing import TreeRouting, full_tree_routings, tree_step
 from ..structures.balls import BallFamily
 from ..structures.hitting_set import greedy_hitting_set, random_hitting_set
 from .sequences import lemma7_waypoints
@@ -95,7 +95,7 @@ class Technique1:
     b: Optional[int] = None
     hitting: Sequence[int] = ()
     _hitting_set: frozenset = frozenset()
-    _trees: Optional[Dict[int, SPTRouting]] = None
+    _trees: Optional[Dict[int, TreeRouting]] = None
     _class_of: Optional[List[int]] = None
     _sequences: Sequence[dict] = ()
 
@@ -109,7 +109,7 @@ class Technique1:
         *,
         hitting: Optional[Sequence[int]] = None,
         tree_factory: Optional[
-            Callable[[Sequence[int]], Sequence[SPTRouting]]
+            Callable[[Sequence[int]], Sequence[TreeRouting]]
         ] = None,
         prefix: str = "t1:",
         seed: int = 0,
@@ -169,7 +169,7 @@ class Technique1:
         }
         # hub -> tree routing over T(hub); filled by finish(), after the
         # caller's sweep, so that no hub row is read before it
-        self._trees: Dict[int, SPTRouting] = {}
+        self._trees: Dict[int, TreeRouting] = {}
         self._finished = False
 
     def sweep(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:

@@ -2,18 +2,18 @@
 
 Tree routing (Lemma 3) and the cluster trees ``T_{C_A(w)}`` of Section 4 all
 operate on rooted trees whose vertex set may be a sparse subset of the graph.
-:class:`RootedTree` validates a ``child -> parent`` map and normalizes it
-into id-sorted children lists, a root-first order and subtree sizes: all
-that :mod:`repro.routing.tree_routing` reads.  Its one top-down pass takes
-the heavy child as the first largest subtree in the sorted list and
-assigns preorder intervals from the sizes alone.
+A cluster tree is a ``child -> parent`` map (:func:`cluster_parents`), which
+:func:`repro.routing.tree_routing.tree_routings` takes as it is, beside the
+hop columns of full-graph trees.  :class:`RootedTree` validates such a map
+and normalizes it into id-sorted children lists, a root-first order and
+subtree sizes, for the interval-routing baseline
+(:class:`repro.routing.interval_routing.IntervalTreeRouting`).
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from .core import Graph
 
@@ -73,17 +73,10 @@ class RootedTree:
     Parameters
     ----------
     parent:
-        ``child -> parent`` map; the root maps to itself.  Edge weights may
-        be provided for weighted path-length computations.
-    weight:
-        Optional ``child -> weight-of-edge-to-parent`` map.
+        ``child -> parent`` map; the root maps to itself.
     """
 
-    def __init__(
-        self,
-        parent: Dict[int, int],
-        weight: Optional[Dict[int, float]] = None,
-    ) -> None:
+    def __init__(self, parent: Dict[int, int]) -> None:
         roots = [v for v, p in parent.items() if v == p]
         if len(roots) != 1:
             raise ValueError(
@@ -91,7 +84,6 @@ class RootedTree:
             )
         root = self.root = roots[0]
         self.parent = parent = dict(parent)
-        self.weight = dict(weight) if weight is not None else None
         # Appending in id order leaves every child list sorted.
         children: Dict[int, List[int]] = {v: [] for v in parent}
         for v in sorted(parent):
@@ -124,39 +116,3 @@ class RootedTree:
 
     def __contains__(self, v: int) -> bool:
         return v in self.parent
-
-    @cached_property
-    def depth(self) -> Dict[int, int]:
-        """Hop depth of every vertex (computed on first use)."""
-        depth = {self.root: 0}
-        for v in self._order[1:]:
-            depth[v] = depth[self.parent[v]] + 1
-        return depth
-
-    def path_to_root(self, v: int) -> List[int]:
-        """Vertices from ``v`` up to (and including) the root."""
-        path = [v]
-        while path[-1] != self.root:
-            path.append(self.parent[path[-1]])
-        return path
-
-    def tree_path(self, u: int, v: int) -> List[int]:
-        """The unique ``u``–``v`` path in the tree."""
-        up = self.path_to_root(u)
-        vp = self.path_to_root(v)
-        up_set = {x: i for i, x in enumerate(up)}
-        for j, x in enumerate(vp):
-            if x in up_set:
-                return up[: up_set[x] + 1] + vp[:j][::-1]
-        raise RuntimeError("tree paths to root do not meet; corrupt tree")
-
-    def tree_distance(self, u: int, v: int) -> float:
-        """Weighted length of the tree path (hops when unweighted)."""
-        path = self.tree_path(u, v)
-        if self.weight is None:
-            return float(len(path) - 1)
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            child = a if self.parent.get(a) == b else b
-            total += self.weight[child]
-        return total

@@ -152,14 +152,10 @@ class SchemeBase(CompactRoutingScheme):
     def _cluster_trees(self, clusters: Any) -> Dict[int, TreeRouting]:
         """Tree routing over each nonempty ``clusters.cluster(w)`` (of a
         :class:`BunchStructure` or a TZ hierarchy), from its cluster
-        scan's distances, memoized on the substrate."""
-        return {
-            w: self._substrate.tree_routing(
-                w, members, lambda w=w: clusters.cluster_tree(w)
-            )
-            for w in range(self.graph.n)
-            if (members := clusters.cluster(w))
-        }
+        scan's distances, memoized on the substrate: one batch per
+        cluster structure."""
+        roots = [w for w in range(self.graph.n) if clusters.cluster(w)]
+        return dict(zip(roots, self._substrate.tree_routing(roots, clusters)))
 
     def _install_cluster_trees(self, clusters: Any, suffix: str = "") -> None:
         """Records of each cluster tree at its members (``ctree{suffix}``),

@@ -41,7 +41,7 @@ from ..graph.core import Graph
 from ..graph.metric import MetricView
 from ..routing.model import Deliver, Forward, RouteAction
 from ..routing.ports import PortAssignment
-from ..routing.tree_routing import SPTRouting, tree_step
+from ..routing.tree_routing import TreeRouting, tree_step
 from ..structures.coloring import color_classes, color_reps
 from .base import SchemeBase
 
@@ -136,7 +136,7 @@ class Stretch2Plus1Scheme(SchemeBase):
         self._install_cluster_trees(self.bunches)
 
         # Global landmark trees: every vertex stores a record per landmark.
-        landmark_trees: Dict[int, SPTRouting] = dict(zip(
+        landmark_trees: Dict[int, TreeRouting] = dict(zip(
             self.landmarks, self._substrate.tree_routing(self.landmarks)
         ))
         for v, table in enumerate(self._tables):

@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..graph.metric import MetricView
-from ..graph.trees import RootedTree, cluster_parents
+from ..graph.trees import cluster_parents
 
 __all__ = ["BunchStructure"]
 
@@ -98,24 +98,27 @@ class BunchStructure:
         """Largest bunch."""
         return max((len(b) for b in self._bunches), default=0)
 
-    def cluster_tree(self, w: int) -> RootedTree:
-        """Shortest-path tree rooted at ``w`` spanning ``C_A(w)``.
+    def cluster_tree(self, w: int) -> Dict[int, int]:
+        """Shortest-path tree rooted at ``w`` spanning ``C_A(w)``, as a
+        ``child -> parent`` map (``w`` maps to itself).
 
         Clusters are shortest-path closed toward ``w``: for ``v ∈ C_A(w)``
         and ``x`` on a shortest ``w``–``v`` path,
         ``d(x, A) >= d(v, A) - d(v, x) > d(v, w) - d(v, x) = d(x, w)``,
         so ``x ∈ C_A(w)`` and the tree is well defined.  Its parents come
-        from the scan's own distances (:func:`cluster_parents`).  Built
+        from the scan's own distances (:func:`cluster_parents`).  Computed
         fresh on every call: the one build-path caller,
-        :meth:`repro.api.substrate.Substrate.tree_routing`, memoizes the
-        routing structure per cluster and keeps no tree.
+        :meth:`repro.api.substrate.Substrate.tree_routing`, asks only for
+        trees it has not built, hands the maps to one array pass
+        (:func:`repro.routing.tree_routing.tree_routings`) and keeps no
+        map.
         """
         members = self.cluster(w)
         if not members:
             raise ValueError(f"cluster of {w} is empty (w is a landmark)")
-        return RootedTree(cluster_parents(
+        return cluster_parents(
             self.metric.graph, w, members, self.cluster_distances(w)
-        ))
+        )
 
     def validate(self) -> None:
         """Check the structure against the metric (used by tests).

@@ -144,11 +144,11 @@ class TestThresholdScans:
     def test_cluster_trees_equal_induced_subgraph_dijkstra(self, h3):
         for w, members in h3.clusters():
             _, parent = subgraph_dijkstra_py(h3.metric.graph, w, members)
-            assert h3.cluster_tree(w).parent == parent
+            assert h3.cluster_tree(w) == parent
 
     def test_every_vertex_roots_its_cluster_tree(self, h3):
         # level_of(w) = i means w is not in A_{i+1}, so w is in C(w)
         for w in range(h3.n):
             tree = h3.cluster_tree(w)
-            assert tree.root == w
-            assert sorted(tree.parent) == h3.cluster(w)
+            assert [v for v, p in tree.items() if v == p] == [w]
+            assert sorted(tree) == h3.cluster(w)

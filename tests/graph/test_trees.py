@@ -1,8 +1,10 @@
-"""RootedTree normalization and path queries."""
+"""RootedTree normalization, and the tree-path oracle of the routing
+tests (``tests/tree_reference.py``)."""
 
 import pytest
 
 from repro.graph.trees import RootedTree
+from tree_reference import tree_path
 
 
 def _sample_tree():
@@ -47,11 +49,6 @@ class TestStructure:
         assert t.size[2] == 2
         assert t.size[6] == 1
 
-    def test_depths(self):
-        t = _sample_tree()
-        assert t.depth[0] == 0
-        assert t.depth[6] == 3
-
     def test_vertices_root_first(self):
         t = _sample_tree()
         order = t.vertices
@@ -63,26 +60,13 @@ class TestStructure:
 
 
 class TestPaths:
-    def test_path_to_root(self):
-        t = _sample_tree()
-        assert t.path_to_root(6) == [6, 3, 1, 0]
-
     def test_tree_path(self):
         t = _sample_tree()
-        assert t.tree_path(6, 5) == [6, 3, 1, 0, 2, 5]
-        assert t.tree_path(3, 4) == [3, 1, 4]
-        assert t.tree_path(2, 2) == [2]
-
-    def test_tree_distance_unweighted(self):
-        t = _sample_tree()
-        assert t.tree_distance(6, 5) == 5.0
-
-    def test_tree_distance_weighted(self):
-        t = RootedTree(
-            {0: 0, 1: 0, 2: 1}, weight={1: 2.0, 2: 3.0}
-        )
-        assert t.tree_distance(0, 2) == 5.0
-        assert t.tree_distance(2, 0) == 5.0
+        assert tree_path(t, 6, 0) == [6, 3, 1, 0]
+        assert tree_path(t, 0, 6) == [0, 1, 3, 6]
+        assert tree_path(t, 6, 5) == [6, 3, 1, 0, 2, 5]
+        assert tree_path(t, 3, 4) == [3, 1, 4]
+        assert tree_path(t, 2, 2) == [2]
 
     def test_contains(self):
         t = _sample_tree()

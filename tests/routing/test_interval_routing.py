@@ -10,8 +10,8 @@ from repro.graph.trees import RootedTree
 from repro.routing.interval_routing import IntervalTreeRouting
 from repro.routing.model import words_of
 from repro.routing.ports import PortAssignment
-from repro.routing.tree_routing import TreeRouting
-from tree_reference import spt_parents
+from repro.routing.tree_routing import tree_step
+from tree_reference import routing_of, spt_parents, tree_path
 
 
 def _tree(g, root=0):
@@ -39,7 +39,7 @@ class TestCorrectness:
         ir = IntervalTreeRouting(tree, ports)
         for s in range(0, 60, 5):
             for t in range(0, 60, 7):
-                assert _route(ir, ports, s, t) == tree.tree_path(s, t)
+                assert _route(ir, ports, s, t) == tree_path(tree, s, t)
 
     @given(port_seed=st.integers(0, 50))
     @settings(max_examples=15, deadline=None)
@@ -49,7 +49,7 @@ class TestCorrectness:
         ports = PortAssignment(g, seed=port_seed)
         ir = IntervalTreeRouting(tree, ports)
         for s, t in [(0, 39), (20, 5), (7, 7)]:
-            assert _route(ir, ports, s, t) == tree.tree_path(s, t)
+            assert _route(ir, ports, s, t) == tree_path(tree, s, t)
 
     def test_outside_tree_raises_at_root(self):
         g = random_tree(10, seed=4)
@@ -66,7 +66,7 @@ class TestStorageComparison:
         tree = _tree(g)
         ports = PortAssignment(g)
         interval = IntervalTreeRouting(tree, ports)
-        heavy = TreeRouting(tree, ports)
+        heavy = routing_of(tree, ports)
         center_interval = words_of(interval.record_of(0))
         center_heavy = words_of(heavy.record_of(0))
         assert center_interval >= 3 * 100  # one triple per leaf
@@ -80,19 +80,19 @@ class TestStorageComparison:
         tree = _tree(g)
         ports = PortAssignment(g)
         interval = IntervalTreeRouting(tree, ports)
-        heavy = TreeRouting(tree, ports)
+        heavy = routing_of(tree, ports)
         # identical paths
         for s, t in [(0, 79), (40, 13), (7, 66)]:
             trail_i = _route(interval, ports, s, t)
             label = heavy.label_of(t)
             cur, trail_h = s, [s]
             while True:
-                port = TreeRouting.step(heavy.record_of(cur), label)
+                port = tree_step(heavy.record_of(cur), label)
                 if port is None:
                     break
                 cur = ports.neighbor(cur, port)
                 trail_h.append(cur)
-            assert trail_i == trail_h == tree.tree_path(s, t)
+            assert trail_i == trail_h == tree_path(tree, s, t)
         # heavy-path records are uniformly constant; interval ones are not
         max_interval = max(
             words_of(interval.record_of(v)) for v in g.vertices()

@@ -1,11 +1,13 @@
-"""The array pass for full-graph shortest-path trees (Lemma 3).
+"""The one array pass that builds every Lemma 3 tree.
 
-:func:`repro.routing.tree_routing.spt_routings` builds a batch of
-full-graph trees at once and :class:`SPTRouting` builds labels on
+:func:`repro.routing.tree_routing.tree_routings` builds a batch of trees
+at once, full-graph shortest-path trees (a root's hop column) and
+cluster trees (a ``child -> parent`` map) mixed, and
+:class:`~repro.routing.tree_routing.TreeRouting` builds labels on
 demand.  Both are held to the DFS construction of
-``tests/tree_reference.py`` over the tree the roots' hop columns give:
-every vertex's record, and every label asked for in random order so
-that later labels start from memoized ancestors.
+``tests/tree_reference.py`` over the same tree: every member's record,
+and every label asked for in random order so that later labels start
+from memoized ancestors.
 """
 
 import random
@@ -15,14 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Substrate
+from repro.api import Substrate, build, get_spec, scheme_names
 from repro.graph.core import Graph
-from repro.graph.generators import random_sparse
+from repro.graph.generators import (
+    erdos_renyi,
+    random_sparse,
+    with_random_weights,
+)
 from repro.graph.metric import HopWalkError, MetricView
 from repro.graph.trees import RootedTree
 from repro.routing import tree_routing
 from repro.routing.ports import PortAssignment
-from repro.routing.tree_routing import full_tree_routings, spt_routings
+from repro.routing.tree_routing import full_tree_routings, tree_routings
+from repro.structures.bunches import BunchStructure
 from tree_reference import reference_tree_routing, spt_parents
 
 
@@ -39,17 +46,22 @@ def _graph(n, extra, seed, weights):
     return out
 
 
-def _assert_batch_matches(m, ports, roots, trees, rng):
-    assert len(trees) == len(roots)
-    for root, tr in zip(roots, trees):
-        assert tr.root == root
-        records, labels = reference_tree_routing(
-            RootedTree(spt_parents(m, root)), ports
-        )
-        assert {v: tr.record_of(v) for v in range(m.n)} == records
-        order = list(range(m.n))
+def _assert_matches(parents, ports, trees, rng):
+    """Each ``trees[i]`` against the reference over ``parents[i]``."""
+    assert len(trees) == len(parents)
+    for parent, tr in zip(parents, trees):
+        tree = RootedTree(parent)
+        assert tr.root == tree.root
+        records, labels = reference_tree_routing(tree, ports)
+        assert {v: tr.record_of(v) for v in parent} == records
+        order = list(parent)
         rng.shuffle(order)
         assert {v: tr.label_of(v) for v in order} == labels
+
+
+def _assert_batch_matches(m, ports, roots, trees, rng):
+    parents = [spt_parents(m, root) for root in roots]
+    _assert_matches(parents, ports, trees, rng)
 
 
 @pytest.mark.parametrize("weights", [None, 3], ids=["unw", "int-w"])
@@ -78,14 +90,44 @@ def test_parity_random_graphs(
     _assert_batch_matches(m, ports, roots, trees, random.Random(seed))
 
 
+@pytest.mark.parametrize("weights", [None, 3], ids=["unw", "int-w"])
+@given(
+    n=st.integers(1, 40),
+    extra=st.integers(0, 50),
+    seed=st.integers(0, 10_000),
+    port_seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_parity_mixed_batch(weights, n, extra, seed, port_seed, data):
+    """One batch of full-graph trees and the cluster trees of a
+    :class:`BunchStructure` over random landmarks, in random order."""
+    g = _graph(n, extra, seed, weights)
+    m = MetricView(g)
+    ports = PortAssignment(g, seed=port_seed)
+    ids = st.integers(0, n - 1)
+    b = BunchStructure(
+        m, data.draw(st.lists(ids, min_size=1, max_size=n, unique=True))
+    )
+    clusters = [(w, b.cluster_tree(w)) for w in range(n) if b.cluster(w)]
+    full = [
+        (r, m.hop_column(r))
+        for r in data.draw(st.lists(ids, max_size=5, unique=True))
+    ]
+    batch = data.draw(st.permutations(clusters + full))
+    trees = tree_routings(batch, ports)
+    parents = [
+        p if isinstance(p, dict) else spt_parents(m, r) for r, p in batch
+    ]
+    _assert_matches(parents, ports, trees, random.Random(seed))
+
+
 def test_parity_every_root_in_one_batch():
     g = _graph(120, 200, 5, None)
     m = MetricView(g, cache_rows=200)
     ports = PortAssignment(g, seed=9)
     roots = list(range(g.n))
-    trees = spt_routings(
-        np.stack([m.hop_column(r) for r in roots]), roots, ports
-    )
+    trees = tree_routings([(r, m.hop_column(r)) for r in roots], ports)
     _assert_batch_matches(m, ports, roots, trees, random.Random(1))
 
 
@@ -122,19 +164,19 @@ def test_cycling_column_raises_hop_walk_error():
     g = Graph.from_edges(4, [(0, 3), (3, 1), (3, 2), (1, 2)])
     cols = np.array([[0, 2, 1, 0], [1, 1, 1, 1]])
     with pytest.raises(HopWalkError, match="from 1 toward 0 .* 4 steps"):
-        spt_routings(cols, [0, 1], PortAssignment(g))
+        tree_routings(list(zip([0, 1], cols)), PortAssignment(g))
 
 
 def test_unreachable_vertex_is_reported():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError, match="2 has no first hop toward 0"):
-        spt_routings(np.array([[0, 0, -1]]), [0], PortAssignment(g))
+        tree_routings([(0, np.array([0, 0, -1]))], PortAssignment(g))
 
 
 def test_non_edge_parent_rejected():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="not a neighbour"):
-        spt_routings(np.array([[0, 0, 0]]), [0], PortAssignment(g))
+        tree_routings([(0, np.array([0, 0, 0]))], PortAssignment(g))
 
 
 class TestSubstrateBatch:
@@ -159,13 +201,34 @@ class TestSubstrateBatch:
         sub = Substrate(g, metric=m)
         batches = []
 
-        def spy(cols, roots, ports):
-            batches.append(list(roots))
-            return spt_routings(cols, roots, ports)
+        def spy(trees, ports):
+            batches.append([r for r, _ in trees])
+            return tree_routings(trees, ports)
 
-        monkeypatch.setattr(tree_routing, "spt_routings", spy)
+        monkeypatch.setattr(tree_routing, "tree_routings", spy)
         roots = list(range(1, 60, 5))
         trees = sub.tree_routing(roots, None)
         assert batches == [roots[:4], roots[4:8], roots[8:]]
         assert m.rows_computed == 1 + len(roots)  # + row(0), for tol
         _assert_batch_matches(m, sub.ports, roots, trees, random.Random(3))
+
+
+@pytest.mark.parametrize(
+    "weighted, hits, misses", [(False, 436, 420), (True, 194, 235)],
+    ids=["unw", "w"],
+)
+def test_shared_handle_tree_counts(weighted, hits, misses):
+    """Every registered scheme on one handle: a batch counts one hit or
+    one miss per key, as asking key by key does (the pinned counts are
+    the key-by-key ones), and every miss leaves one memoized tree."""
+    g = erdos_renyi(90, 7.0 / 89, seed=17)
+    if weighted:
+        g = with_random_weights(g, seed=18, low=1.0, high=8.0)
+    sub = Substrate(g)
+    for name in scheme_names():
+        if weighted and not get_spec(name).weighted_capable:
+            continue
+        build(name, g, substrate=sub, seed=4)
+    stats = sub.stats()["trees"]
+    assert (stats["hits"], stats["misses"]) == (hits, misses)
+    assert len(sub._trees) == misses

@@ -16,11 +16,16 @@ from repro.graph.generators import (
     star,
     with_random_weights,
 )
-from repro.graph.metric import MetricView
+from repro.graph.metric import HopWalkError, MetricView
 from repro.graph.trees import RootedTree, cluster_parents
 from repro.routing.ports import PortAssignment
-from repro.routing.tree_routing import TreeRouting, tree_step
-from tree_reference import reference_tree_routing, spt_parents
+from repro.routing.tree_routing import TreeRouting, tree_routings, tree_step
+from tree_reference import (
+    reference_tree_routing,
+    routing_of,
+    spt_parents,
+    tree_path,
+)
 
 
 def _route_in_tree(tr: TreeRouting, ports: PortAssignment, s: int, t: int):
@@ -54,21 +59,21 @@ def test_exact_tree_paths(graph_factory):
     g = graph_factory()
     tree = _tree_from_graph(g)
     ports = PortAssignment(g)
-    tr = TreeRouting(tree, ports)
+    tr = routing_of(tree, ports)
     for s in range(0, g.n, 5):
         for t in range(0, g.n, 7):
             trail = _route_in_tree(tr, ports, s, t)
-            assert trail == tree.tree_path(s, t)
+            assert trail == tree_path(tree, s, t)
 
 
 def test_exact_on_spt_of_dense_graph():
     g = with_random_weights(erdos_renyi(50, 0.15, seed=4), seed=5)
     tree = _tree_from_graph(g, root=10)
     ports = PortAssignment(g)
-    tr = TreeRouting(tree, ports)
+    tr = routing_of(tree, ports)
     for s in range(0, 50, 6):
         for t in range(1, 50, 7):
-            assert _route_in_tree(tr, ports, s, t) == tree.tree_path(s, t)
+            assert _route_in_tree(tr, ports, s, t) == tree_path(tree, s, t)
 
 
 @given(seed=st.integers(0, 50), port_seed=st.integers(0, 50))
@@ -78,21 +83,21 @@ def test_port_numbering_independence(seed, port_seed):
     g = random_tree(40, seed=seed)
     tree = _tree_from_graph(g)
     ports = PortAssignment(g, seed=port_seed)
-    tr = TreeRouting(tree, ports)
+    tr = routing_of(tree, ports)
     for s, t in [(0, 39), (17, 3), (5, 5), (39, 20)]:
-        assert _route_in_tree(tr, ports, s, t) == tree.tree_path(s, t)
+        assert _route_in_tree(tr, ports, s, t) == tree_path(tree, s, t)
 
 
 def test_record_is_constant_size():
     g = random_tree(200, seed=7)
-    tr = TreeRouting(_tree_from_graph(g), PortAssignment(g))
+    tr = routing_of(_tree_from_graph(g), PortAssignment(g))
     for v in g.vertices():
         assert len(tr.record_of(v)) == 6
 
 
 def test_label_light_entries_logarithmic():
     g = random_tree(300, seed=8)
-    tr = TreeRouting(_tree_from_graph(g), PortAssignment(g))
+    tr = routing_of(_tree_from_graph(g), PortAssignment(g))
     bound = math.log2(300) + 1
     for v in g.vertices():
         _, stops = tr.label_of(v)
@@ -101,7 +106,7 @@ def test_label_light_entries_logarithmic():
 
 def test_heavy_path_label_is_empty_on_path_graph():
     g = path(50)
-    tr = TreeRouting(_tree_from_graph(g), PortAssignment(g))
+    tr = routing_of(_tree_from_graph(g), PortAssignment(g))
     # A path is one heavy path: no light stops anywhere.
     for v in g.vertices():
         assert tr.label_of(v)[1] == ()
@@ -115,17 +120,17 @@ def test_subtree_restricted_tree():
     parents = cluster_parents(g, 0, members, m.row(0)[members].tolist())
     tree = RootedTree(parents)
     ports = PortAssignment(g)
-    tr = TreeRouting(tree, ports)
+    tr = routing_of(tree, ports)
     for s in members[::3]:
         for t in members[::4]:
-            assert _route_in_tree(tr, ports, s, t) == tree.tree_path(s, t)
+            assert _route_in_tree(tr, ports, s, t) == tree_path(tree, s, t)
 
 
-def test_members_listing():
+def test_records_cover_every_member():
     g = random_tree(20, seed=10)
     tree = _tree_from_graph(g)
-    tr = TreeRouting(tree, PortAssignment(g))
-    assert sorted(tr.members()) == list(range(20))
+    tr = routing_of(tree, PortAssignment(g))
+    assert sorted(tr.record_of(v)[0] for v in range(20)) == list(range(20))
 
 
 def test_target_outside_tree_raises_at_root():
@@ -133,7 +138,7 @@ def test_target_outside_tree_raises_at_root():
     m = MetricView(g)
     members = [0, 1, 2]
     tree = RootedTree(cluster_parents(g, 0, members, m.row(0)[members]))
-    tr = TreeRouting(tree, PortAssignment(g))
+    tr = routing_of(tree, PortAssignment(g))
     fake_label = (999, ())
     with pytest.raises(ValueError):
         tree_step(tr.record_of(0), fake_label)
@@ -143,13 +148,12 @@ def test_target_outside_tree_raises_at_root():
 # Parity with the DFS construction (tests/tree_reference.py)
 # ----------------------------------------------------------------------
 def _assert_matches_reference(tree, ports, tr=None):
-    tr = TreeRouting(tree, ports) if tr is None else tr
+    tr = routing_of(tree, ports) if tr is None else tr
+    assert isinstance(tr, TreeRouting)
     records, labels = reference_tree_routing(tree, ports)
     assert tr.root == tree.root
     assert {v: tr.record_of(v) for v in tree.parent} == records
     assert {v: tr.label_of(v) for v in tree.parent} == labels
-    if isinstance(tr, TreeRouting):  # full-graph trees list no members
-        assert tr.members() == tree.vertices
     return tr
 
 
@@ -202,7 +206,7 @@ def test_heavy_port_goes_to_largest_subtree():
     edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 6)]
     g = Graph.from_edges(7, edges)
     ports = PortAssignment(g)
-    tr = TreeRouting(_tree_from_graph(g), ports)
+    tr = routing_of(_tree_from_graph(g), ports)
     assert tr.record_of(0)[3] == ports.port_to(0, 1)
     assert tr.record_of(1)[3] == ports.port_to(1, 3)
     assert tr.record_of(6)[3:] == (-1, 0, 0)
@@ -211,7 +215,7 @@ def test_heavy_port_goes_to_largest_subtree():
 def test_heavy_port_tie_goes_to_smallest_id():
     g, tree = _equal_siblings()
     ports = PortAssignment(g, seed=5)
-    record = TreeRouting(tree, ports).record_of(4)
+    record = routing_of(tree, ports).record_of(4)
     assert record[3] == ports.port_to(4, 1)
     assert record[4:] == (1, 4)
 
@@ -270,9 +274,34 @@ def test_parity_every_tree_in_a_substrate_memo(weighted):
 def test_malformed_parent_maps_still_rejected(parent):
     with pytest.raises(ValueError):
         RootedTree(parent)
+    g = Graph.from_edges(10, [(0, 1), (1, 2), (0, 2), (1, 9)])
+    with pytest.raises(ValueError):
+        tree_routings([(0, parent)], PortAssignment(g))
+    # the same map beside a well-formed tree in one batch
+    with pytest.raises(ValueError):
+        tree_routings([(1, {1: 1, 0: 1}), (0, parent)], PortAssignment(g))
+
+
+def test_malformed_parent_map_errors_name_the_fault():
+    g = Graph.from_edges(10, [(0, 1), (1, 2), (0, 2), (1, 9)])
+    ports = PortAssignment(g)
+    with pytest.raises(HopWalkError, match="from 1 toward 0"):
+        tree_routings([(0, {0: 0, 1: 2, 2: 1})], ports)
+    with pytest.raises(ValueError, match="exactly that one root, found"):
+        tree_routings([(0, {0: 0, 1: 1, 2: 0})], ports)
+    with pytest.raises(ValueError, match="exactly that one root, found"):
+        tree_routings([(1, {0: 0, 1: 0})], ports)  # 1 is no root
+    with pytest.raises(ValueError, match="exactly that one root, found"):
+        tree_routings([(5, {0: 0, 1: 0})], ports)  # 5 is no member
+    with pytest.raises(ValueError, match="parent 9 of 1 is not a vertex"):
+        tree_routings([(0, {0: 0, 1: 9})], ports)
 
 
 def test_tree_edge_missing_from_graph_rejected():
     g = path(4)  # 0-1-2-3: 0-2 is no edge
-    with pytest.raises(ValueError, match="not a neighbour"):
-        TreeRouting(RootedTree({0: 0, 1: 0, 2: 0}), PortAssignment(g))
+    for ports in (PortAssignment(g), PortAssignment(g, seed=1)):
+        with pytest.raises(ValueError, match="not a neighbour"):
+            routing_of(RootedTree({0: 0, 1: 0, 2: 0}), ports)
+        with pytest.raises(ValueError, match="not a neighbour"):
+            tree_routings([(3, {3: 3, 2: 3}), (0, {0: 0, 1: 0, 2: 0})],
+                          ports)

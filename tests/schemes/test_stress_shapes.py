@@ -18,12 +18,10 @@ from repro.graph.generators import (
     with_random_weights,
 )
 from repro.graph.metric import MetricView
-from repro.graph.trees import RootedTree
 from repro.routing.ports import PortAssignment
 from repro.routing.simulator import measure_stretch
-from repro.routing.tree_routing import TreeRouting
+from repro.routing.tree_routing import full_tree_routings
 from repro.schemes import Stretch2Plus1Scheme, Stretch5PlusScheme, Warmup3Scheme
-from tree_reference import spt_parents
 
 
 def _pairs(n, a=4, b=6):
@@ -68,8 +66,7 @@ class TestCompleteBinaryTree:
     def test_tree_labels_hit_log_depth(self):
         g = complete_binary_tree(7)  # 255 vertices
         m = MetricView(g)
-        tree = RootedTree(spt_parents(m, 0))
-        tr = TreeRouting(tree, PortAssignment(g))
+        (tr,) = full_tree_routings(m, PortAssignment(g), [0])
         max_lights = max(len(tr.label_of(v)[1]) for v in g.vertices())
         # a complete binary tree needs close to log2(n) light stops...
         assert max_lights >= 4

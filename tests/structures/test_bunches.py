@@ -149,7 +149,7 @@ class TestClusterTrees:
         if kind == "absorbed":
             b = BunchStructure(m, [4])
             assert b.cluster(0) == [0, 1, 2, 3]
-            assert b.cluster_tree(0).parent == {0: 0, 1: 3, 2: 1, 3: 0}
+            assert b.cluster_tree(0) == {0: 0, 1: 3, 2: 1, 3: 0}
         else:
             b = BunchStructure(m, sample_cluster_bounded(m, 8.0, seed=5))
         trees = 0
@@ -158,7 +158,7 @@ class TestClusterTrees:
             if not members:
                 continue
             dist, parent = subgraph_dijkstra_py(m.graph, w, members)
-            assert b.cluster_tree(w).parent == parent
+            assert b.cluster_tree(w) == parent
             assert b.cluster_distances(w) == [dist[v] for v in members]
             trees += 1
         assert trees > 0
@@ -173,12 +173,12 @@ class TestClusterTrees:
             if not members:
                 continue
             tree = b.cluster_tree(w)
-            assert set(tree.parent) == set(members)
+            assert set(tree) == set(members)
             for v in members:
                 # walk to the root accumulating weights = exact distance
                 total, cur = 0.0, v
                 while cur != w:
-                    p = tree.parent[cur]
+                    p = tree[cur]
                     total += g.weight(cur, p)
                     cur = p
                 assert total == pytest.approx(metric_er.d(w, v))
@@ -195,7 +195,7 @@ class TestClusterTrees:
             for v in members:
                 total, cur = 0.0, v
                 while cur != w:
-                    p = tree.parent[cur]
+                    p = tree[cur]
                     total += g.weight(cur, p)
                     cur = p
                 assert total == pytest.approx(metric_er_weighted.d(w, v))

@@ -1,14 +1,17 @@
 """Test-side reference for the Lemma 3 heavy-path tree construction.
 
-This is the construction :class:`repro.routing.tree_routing.TreeRouting`
-once ran: pick each vertex's heavy child by ``(size, -id)``, assign DFS
+:func:`reference_tree_routing` is the construction the library once ran
+per tree: pick each vertex's heavy child by ``(size, -id)``, assign DFS
 intervals with an explicit stack, heavy child first, then build the
 records and accumulate the light stops of the labels in two more passes.
-The library now does all of it in one top-down pass over the tree's
-root-first order (cluster trees) or in one array pass over a batch of
-hop columns (full-graph trees); the parity tests hold both to this
-reference.  :func:`spt_parents` gives the reference full tree: each
-vertex's parent is its first hop toward the root.
+The library now builds every tree, cluster trees and full-graph trees
+alike, in one array pass over a batch
+(:func:`repro.routing.tree_routing.tree_routings`); the parity tests hold
+it to this reference, and :func:`routing_of` runs that builder on one
+:class:`~repro.graph.trees.RootedTree`.  :func:`spt_parents` gives the
+reference full tree: each vertex's parent is its first hop toward the
+root.  :func:`tree_path` is the routing tests' oracle: the unique tree
+path between two vertices.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.graph.metric import MetricView
 from repro.graph.trees import RootedTree
 from repro.routing.ports import PortAssignment
-from repro.routing.tree_routing import TreeLabel, TreeRecord
+from repro.routing.tree_routing import (
+    TreeLabel,
+    TreeRecord,
+    TreeRouting,
+    tree_routings,
+)
 
 
 def spt_parents(metric: MetricView, root: int) -> Dict[int, int]:
@@ -28,6 +36,29 @@ def spt_parents(metric: MetricView, root: int) -> Dict[int, int]:
     col = metric.hop_column(root).tolist()
     assert -2 not in col, f"a vertex has no tight edge toward {root}"
     return {v: p for v, p in enumerate(col) if p >= 0}
+
+
+def routing_of(tree: RootedTree, ports: PortAssignment) -> TreeRouting:
+    """The library's tree routing over ``tree``: a batch of one parent
+    map through :func:`tree_routings`."""
+    (tr,) = tree_routings([(tree.root, tree.parent)], ports)
+    return tr
+
+
+def tree_path(tree: RootedTree, u: int, v: int) -> List[int]:
+    """The unique ``u``–``v`` path in ``tree``."""
+    def to_root(x: int) -> List[int]:
+        path = [x]
+        while path[-1] != tree.root:
+            path.append(tree.parent[path[-1]])
+        return path
+
+    up, vp = to_root(u), to_root(v)
+    up_at = {x: i for i, x in enumerate(up)}
+    for j, x in enumerate(vp):
+        if x in up_at:
+            return up[: up_at[x] + 1] + vp[:j][::-1]
+    raise AssertionError("tree paths to root do not meet; corrupt tree")
 
 
 def reference_tree_routing(

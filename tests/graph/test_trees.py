@@ -60,10 +60,18 @@ class TestStructure:
 
 
 class TestPaths:
+    def test_path_to_root(self):
+        t = _sample_tree()
+        assert tree_path(t, 6, t.root) == [6, 3, 1, 0]
+        assert tree_path(t, t.root, 6) == [0, 1, 3, 6]
+        for v, p in t.parent.items():
+            if v != t.root:
+                assert tree_path(t, v, t.root) == (
+                    [v] + tree_path(t, p, t.root)
+                )
+
     def test_tree_path(self):
         t = _sample_tree()
-        assert tree_path(t, 6, 0) == [6, 3, 1, 0]
-        assert tree_path(t, 0, 6) == [0, 1, 3, 6]
         assert tree_path(t, 6, 5) == [6, 3, 1, 0, 2, 5]
         assert tree_path(t, 3, 4) == [3, 1, 4]
         assert tree_path(t, 2, 2) == [2]
